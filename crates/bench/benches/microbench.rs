@@ -258,6 +258,54 @@ fn bench_range_cache(c: &mut Criterion) {
             _ => panic!(),
         })
     });
+    // The same calls at the size of a served cache: 200 k resident point
+    // entries of the benchmark's shape (24-byte key, 100-byte value), far
+    // beyond the CPU caches, probed in a scrambled order. An index that
+    // is O(log n) or misses cache per level shows here and not above.
+    const RESIDENT: u64 = 200_000;
+    const CHARGE: usize = 24 + 100 + 48;
+    let cache = RangeCache::new(RESIDENT as usize * CHARGE);
+    let value = Bytes::from(vec![b'v'; 100]);
+    // Twice the resident count of keys, in an order scattered over the
+    // key space (the multiplier is prime, so this is a permutation).
+    let keys: Vec<Bytes> = (0..2 * RESIDENT)
+        .map(|i| render_key(i.wrapping_mul(2_654_435_761) % (2 * RESIDENT)))
+        .collect();
+    for key in &keys[..RESIDENT as usize] {
+        cache.insert_point(key.clone(), value.clone());
+    }
+    assert_eq!(cache.len() as u64, RESIDENT, "the budget holds every entry");
+    let scramble = |i: u64| (i.wrapping_mul(40_503) % RESIDENT) as usize;
+    g.bench_function("point_hit_200k", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            match cache.get_point(&keys[scramble(i)]) {
+                PointLookup::Hit(v) => black_box(v.len()),
+                _ => panic!(),
+            }
+        })
+    });
+    g.bench_function("point_miss_200k", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            match cache.get_point(&keys[RESIDENT as usize + scramble(i)]) {
+                PointLookup::Miss => {}
+                _ => panic!(),
+            }
+        })
+    });
+    // The budget is exactly full, so every insert of an absent key also
+    // evicts the oldest resident: a steady 200 k. (Last in the group: it
+    // turns the resident set over.)
+    g.bench_function("insert_point_200k", |b| {
+        let mut next = RESIDENT as usize;
+        b.iter(|| {
+            cache.insert_point(keys[next].clone(), value.clone());
+            next = (next + 1) % keys.len();
+        })
+    });
     let mut charged: ChargedCache<u64, u64> =
         ChargedCache::new(1 << 20, Box::new(LruPolicy::new()));
     g.bench_function("charged_cache_insert_get", |b| {

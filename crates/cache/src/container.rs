@@ -6,6 +6,7 @@
 //! immediately until the new budget holds.
 
 use crate::policy::Policy;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -59,14 +60,23 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
     }
 
     /// Looks up `key`, updating recency on hit and the hit/miss counters.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        if self.map.contains_key(key) {
-            self.stats.hits += 1;
-            self.policy.on_hit(key);
-            self.map.get(key).map(|(v, _)| v)
-        } else {
-            self.stats.misses += 1;
-            None
+    /// Like the lookups below it takes any borrowed form of the key, so a
+    /// `Bytes`-keyed cache is probed with a `&[u8]` and no owned copy.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        match self.map.get_key_value(key) {
+            Some((k, (v, _))) => {
+                self.stats.hits += 1;
+                self.policy.on_hit(k);
+                Some(v)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
         }
     }
 
@@ -76,7 +86,11 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
     }
 
     /// Whether `key` is resident (no side effects).
-    pub fn contains(&self, key: &K) -> bool {
+    pub fn contains<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.map.contains_key(key)
     }
 
@@ -113,10 +127,14 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
     }
 
     /// Removes `key` (invalidation path). Returns the value if present.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let (v, c) = self.map.remove(key)?;
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let (k, (v, c)) = self.map.remove_entry(key)?;
         self.used -= c;
-        self.policy.on_external_remove(key);
+        self.policy.on_external_remove(&k);
         self.stats.invalidations += 1;
         Some(v)
     }

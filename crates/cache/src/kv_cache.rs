@@ -92,10 +92,7 @@ impl KvCache {
 
     /// Looks up a point result.
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
-        // `Bytes` keys require an owned probe; keys are short so the copy is
-        // cheaper than a borrowed-key map abstraction.
-        let probe = Bytes::copy_from_slice(key);
-        let result = self.inner.lock().get(&probe).cloned();
+        let result = self.inner.lock().get(key).cloned();
         if let Some(h) = self.obs.get() {
             if result.is_some() {
                 h.hits.inc();
@@ -117,16 +114,15 @@ impl KvCache {
     /// Applies a write: overwrites a resident entry or drops it on delete,
     /// so the cache never serves stale data.
     pub fn on_write(&self, key: &[u8], value: Option<&Bytes>) {
-        let probe = Bytes::copy_from_slice(key);
         let mut inner = self.inner.lock();
         match value {
-            Some(v) if inner.contains(&probe) => {
-                let charge = probe.len() + v.len() + ENTRY_OVERHEAD;
-                inner.insert(probe, v.clone(), charge);
+            Some(v) if inner.contains(key) => {
+                let charge = key.len() + v.len() + ENTRY_OVERHEAD;
+                inner.insert(Bytes::copy_from_slice(key), v.clone(), charge);
             }
             Some(_) => {}
             None => {
-                inner.remove(&probe);
+                inner.remove(key);
             }
         }
     }

@@ -14,8 +14,8 @@
 //!    improves, following the gradient heuristic in the Cacheus paper.
 
 use super::lfu::TieBreak;
-use super::{LfuPolicy, Policy};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use super::{fingerprint, GhostHistory, LfuPolicy, Policy};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
 const DISCOUNT: f64 = 0.005;
@@ -92,10 +92,10 @@ impl<K: Clone + Eq + Hash> SrLru<K> {
 pub struct CacheusPolicy<K> {
     srlru: SrLru<K>,
     crlfu: LfuPolicy<K>,
-    hist_lru: HashMap<K, u64>,
-    hist_lru_order: VecDeque<K>,
-    hist_lfu: HashMap<K, u64>,
-    hist_lfu_order: VecDeque<K>,
+    /// Identity of every resident key (see [`Policy::on_insert_as`]).
+    identities: HashMap<K, u64>,
+    hist_lru: GhostHistory,
+    hist_lfu: GhostHistory,
     w_lru: f64,
     w_lfu: f64,
     /// Adaptive learning rate.
@@ -121,10 +121,9 @@ impl<K: Clone + Eq + Hash> CacheusPolicy<K> {
         CacheusPolicy {
             srlru: SrLru::new(),
             crlfu: LfuPolicy::with_tiebreak(TieBreak::Mru),
-            hist_lru: HashMap::new(),
-            hist_lru_order: VecDeque::new(),
-            hist_lfu: HashMap::new(),
-            hist_lfu_order: VecDeque::new(),
+            identities: HashMap::new(),
+            hist_lru: GhostHistory::new(),
+            hist_lfu: GhostHistory::new(),
             w_lru: 0.5,
             w_lfu: 0.5,
             lr: 0.45,
@@ -191,16 +190,8 @@ impl<K: Clone + Eq + Hash> CacheusPolicy<K> {
 
     fn trim_history(&mut self) {
         let limit = self.resident.max(8);
-        while self.hist_lru_order.len() > limit {
-            if let Some(k) = self.hist_lru_order.pop_front() {
-                self.hist_lru.remove(&k);
-            }
-        }
-        while self.hist_lfu_order.len() > limit {
-            if let Some(k) = self.hist_lfu_order.pop_front() {
-                self.hist_lfu.remove(&k);
-            }
-        }
+        self.hist_lru.trim(limit);
+        self.hist_lfu.trim(limit);
     }
 }
 
@@ -212,12 +203,17 @@ impl<K: Clone + Eq + Hash> Default for CacheusPolicy<K> {
 
 impl<K: Clone + Eq + Hash + Send> Policy<K> for CacheusPolicy<K> {
     fn on_insert(&mut self, key: &K) {
+        self.on_insert_as(key, fingerprint(key));
+    }
+
+    fn on_insert_as(&mut self, key: &K, identity: u64) {
         self.step += 1;
-        if let Some(at) = self.hist_lru.remove(key) {
+        if let Some(at) = self.hist_lru.take(identity) {
             self.penalize(true, at);
-        } else if let Some(at) = self.hist_lfu.remove(key) {
+        } else if let Some(at) = self.hist_lfu.take(identity) {
             self.penalize(false, at);
         }
+        self.identities.insert(key.clone(), identity);
         self.srlru.insert(key);
         self.crlfu.on_insert(key);
         self.resident += 1;
@@ -242,14 +238,13 @@ impl<K: Clone + Eq + Hash + Send> Policy<K> for CacheusPolicy<K> {
         } else {
             self.crlfu.victim()
         }?;
+        let identity = self.identities.remove(&victim)?;
         if use_lru {
             self.crlfu.on_external_remove(&victim);
-            self.hist_lru.insert(victim.clone(), self.step);
-            self.hist_lru_order.push_back(victim.clone());
+            self.hist_lru.record(identity, self.step);
         } else {
             self.srlru.remove(&victim);
-            self.hist_lfu.insert(victim.clone(), self.step);
-            self.hist_lfu_order.push_back(victim.clone());
+            self.hist_lfu.record(identity, self.step);
         }
         self.resident -= 1;
         self.trim_history();
@@ -257,6 +252,7 @@ impl<K: Clone + Eq + Hash + Send> Policy<K> for CacheusPolicy<K> {
     }
 
     fn on_external_remove(&mut self, key: &K) {
+        self.identities.remove(key);
         self.srlru.remove(key);
         self.crlfu.on_external_remove(key);
         self.resident = self.resident.saturating_sub(1);
@@ -312,12 +308,16 @@ mod tests {
             for k in 0..8 {
                 p.on_insert(&(round * 8 + k));
             }
+            let mut evicted = Vec::new();
             while p.resident > 8 {
-                p.victim();
+                evicted.extend(p.victim());
             }
             // Re-insert a few historical keys to generate regret.
-            let ghosts: Vec<u32> = p.hist_lru.keys().take(2).copied().collect();
-            for g in ghosts {
+            let ghosts = evicted
+                .into_iter()
+                .filter(|v| p.hist_lru.evicted_at.contains_key(&fingerprint(v)))
+                .take(2);
+            for g in ghosts.collect::<Vec<u32>>() {
                 p.on_insert(&g);
             }
         }

@@ -11,8 +11,8 @@
 //! combination of ML eviction with an LSM cache structure; this module is
 //! that expert mechanism, driven through the shared [`Policy`] trait.
 
-use super::{LfuPolicy, LruPolicy, Policy};
-use std::collections::{HashMap, VecDeque};
+use super::{fingerprint, GhostHistory, LfuPolicy, LruPolicy, Policy};
+use std::collections::HashMap;
 use std::hash::Hash;
 
 const LAMBDA: f64 = 0.45;
@@ -22,12 +22,12 @@ const DISCOUNT: f64 = 0.005;
 pub struct LeCaRPolicy<K> {
     lru: LruPolicy<K>,
     lfu: LfuPolicy<K>,
-    /// Ghost history of LRU's evictions: key -> eviction step.
-    hist_lru: HashMap<K, u64>,
-    hist_lru_order: VecDeque<K>,
+    /// Identity of every resident key (see [`Policy::on_insert_as`]).
+    identities: HashMap<K, u64>,
+    /// Ghost history of LRU's evictions.
+    hist_lru: GhostHistory,
     /// Ghost history of LFU's evictions.
-    hist_lfu: HashMap<K, u64>,
-    hist_lfu_order: VecDeque<K>,
+    hist_lfu: GhostHistory,
     w_lru: f64,
     w_lfu: f64,
     step: u64,
@@ -46,10 +46,9 @@ impl<K: Clone + Eq + Hash> LeCaRPolicy<K> {
         LeCaRPolicy {
             lru: LruPolicy::new(),
             lfu: LfuPolicy::new(),
-            hist_lru: HashMap::new(),
-            hist_lru_order: VecDeque::new(),
-            hist_lfu: HashMap::new(),
-            hist_lfu_order: VecDeque::new(),
+            identities: HashMap::new(),
+            hist_lru: GhostHistory::new(),
+            hist_lfu: GhostHistory::new(),
             w_lru: 0.5,
             w_lfu: 0.5,
             step: 0,
@@ -89,16 +88,8 @@ impl<K: Clone + Eq + Hash> LeCaRPolicy<K> {
 
     fn trim_history(&mut self) {
         let limit = self.resident.max(8);
-        while self.hist_lru_order.len() > limit {
-            if let Some(k) = self.hist_lru_order.pop_front() {
-                self.hist_lru.remove(&k);
-            }
-        }
-        while self.hist_lfu_order.len() > limit {
-            if let Some(k) = self.hist_lfu_order.pop_front() {
-                self.hist_lfu.remove(&k);
-            }
-        }
+        self.hist_lru.trim(limit);
+        self.hist_lfu.trim(limit);
     }
 }
 
@@ -110,13 +101,19 @@ impl<K: Clone + Eq + Hash> Default for LeCaRPolicy<K> {
 
 impl<K: Clone + Eq + Hash + Send> Policy<K> for LeCaRPolicy<K> {
     fn on_insert(&mut self, key: &K) {
+        self.on_insert_as(key, fingerprint(key));
+    }
+
+    fn on_insert_as(&mut self, key: &K, identity: u64) {
         self.step += 1;
-        // A miss on a key a specific expert evicted is that expert's regret.
-        if let Some(at) = self.hist_lru.remove(key) {
+        // A miss on an item a specific expert evicted is that expert's
+        // regret.
+        if let Some(at) = self.hist_lru.take(identity) {
             self.penalize(true, at);
-        } else if let Some(at) = self.hist_lfu.remove(key) {
+        } else if let Some(at) = self.hist_lfu.take(identity) {
             self.penalize(false, at);
         }
+        self.identities.insert(key.clone(), identity);
         self.lru.on_insert(key);
         self.lfu.on_insert(key);
         self.resident += 1;
@@ -140,14 +137,13 @@ impl<K: Clone + Eq + Hash + Send> Policy<K> for LeCaRPolicy<K> {
         } else {
             self.lfu.victim()
         }?;
+        let identity = self.identities.remove(&victim)?;
         if use_lru {
             self.lfu.on_external_remove(&victim);
-            self.hist_lru.insert(victim.clone(), self.step);
-            self.hist_lru_order.push_back(victim.clone());
+            self.hist_lru.record(identity, self.step);
         } else {
             self.lru.on_external_remove(&victim);
-            self.hist_lfu.insert(victim.clone(), self.step);
-            self.hist_lfu_order.push_back(victim.clone());
+            self.hist_lfu.record(identity, self.step);
         }
         self.resident -= 1;
         self.trim_history();
@@ -155,6 +151,7 @@ impl<K: Clone + Eq + Hash + Send> Policy<K> for LeCaRPolicy<K> {
     }
 
     fn on_external_remove(&mut self, key: &K) {
+        self.identities.remove(key);
         self.lru.on_external_remove(key);
         self.lfu.on_external_remove(key);
         self.resident = self.resident.saturating_sub(1);
@@ -188,7 +185,7 @@ mod tests {
         let mut lru_victim = None;
         for _ in 0..6 {
             let v = p.victim().unwrap();
-            if p.hist_lru.contains_key(&v) {
+            if p.hist_lru.evicted_at.contains_key(&fingerprint(&v)) {
                 lru_victim = Some(v);
                 break;
             }
@@ -219,7 +216,7 @@ mod tests {
             }
             for _ in 0..8 {
                 let v = p.victim().unwrap();
-                if p.hist_lru.contains_key(&v) {
+                if p.hist_lru.evicted_at.contains_key(&fingerprint(&v)) {
                     lru_picks += 1;
                 } else {
                     lfu_picks += 1;

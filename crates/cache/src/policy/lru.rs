@@ -1,46 +1,118 @@
 //! Least-recently-used eviction.
 
 use super::Policy;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::Hash;
+
+const NIL: u32 = u32::MAX;
+
+struct Node<K> {
+    /// `None` while the node sits on the free list.
+    key: Option<K>,
+    /// Towards the LRU end (or the next free node).
+    prev: u32,
+    /// Towards the MRU end.
+    next: u32,
+}
 
 /// Classic LRU: the victim is the key whose last access is oldest.
 ///
-/// Implemented as a monotonic-tick recency index (`BTreeMap<tick, K>` plus
-/// `HashMap<K, tick>`): O(log n) per operation, no unsafe, deterministic.
+/// A doubly linked recency list whose nodes live in a `Vec` and link by
+/// index, plus one `HashMap<K, index>`: touch, victim and removal are
+/// O(1), no unsafe, deterministic. Freed nodes are recycled, so the node
+/// vector is as long as the largest resident set seen.
 pub struct LruPolicy<K> {
-    by_tick: BTreeMap<u64, K>,
-    ticks: HashMap<K, u64>,
-    clock: u64,
+    nodes: Vec<Node<K>>,
+    index: HashMap<K, u32>,
+    /// Least recently used node.
+    head: u32,
+    /// Most recently used node.
+    tail: u32,
+    /// Head of the free list (linked through `prev`).
+    free: u32,
 }
 
 impl<K: Clone + Eq + Hash> LruPolicy<K> {
     /// Creates an empty policy.
     pub fn new() -> Self {
         LruPolicy {
-            by_tick: BTreeMap::new(),
-            ticks: HashMap::new(),
-            clock: 0,
+            nodes: Vec::new(),
+            index: HashMap::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
         }
     }
 
-    fn touch(&mut self, key: &K) {
-        if let Some(old) = self.ticks.get(key).copied() {
-            self.by_tick.remove(&old);
+    fn unlink(&mut self, i: u32) {
+        let Node { prev, next, .. } = self.nodes[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
         }
-        self.clock += 1;
-        self.by_tick.insert(self.clock, key.clone());
-        self.ticks.insert(key.clone(), self.clock);
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    fn push_mru(&mut self, i: u32) {
+        let old_tail = self.tail;
+        let node = &mut self.nodes[i as usize];
+        node.prev = old_tail;
+        node.next = NIL;
+        match old_tail {
+            NIL => self.head = i,
+            t => self.nodes[t as usize].next = i,
+        }
+        self.tail = i;
+    }
+
+    /// Unlinks node `i` and puts it on the free list, returning its key.
+    fn release(&mut self, i: u32) -> Option<K> {
+        self.unlink(i);
+        let node = &mut self.nodes[i as usize];
+        node.prev = self.free;
+        self.free = i;
+        node.key.take()
+    }
+
+    fn touch(&mut self, key: &K) {
+        if let Some(&i) = self.index.get(key) {
+            if self.tail != i {
+                self.unlink(i);
+                self.push_mru(i);
+            }
+            return;
+        }
+        let i = match self.free {
+            NIL => {
+                assert!(self.nodes.len() < NIL as usize, "LRU node index overflow");
+                self.nodes.push(Node {
+                    key: None,
+                    prev: NIL,
+                    next: NIL,
+                });
+                (self.nodes.len() - 1) as u32
+            }
+            i => {
+                self.free = self.nodes[i as usize].prev;
+                i
+            }
+        };
+        self.nodes[i as usize].key = Some(key.clone());
+        self.index.insert(key.clone(), i);
+        self.push_mru(i);
     }
 
     /// Number of tracked keys.
     pub fn len(&self) -> usize {
-        self.ticks.len()
+        self.index.len()
     }
 
     /// Whether no keys are tracked.
     pub fn is_empty(&self) -> bool {
-        self.ticks.is_empty()
+        self.index.is_empty()
     }
 }
 
@@ -60,16 +132,17 @@ impl<K: Clone + Eq + Hash + Send> Policy<K> for LruPolicy<K> {
     }
 
     fn victim(&mut self) -> Option<K> {
-        let (&tick, key) = self.by_tick.iter().next()?;
-        let key = key.clone();
-        self.by_tick.remove(&tick);
-        self.ticks.remove(&key);
+        if self.head == NIL {
+            return None;
+        }
+        let key = self.release(self.head)?;
+        self.index.remove(&key);
         Some(key)
     }
 
     fn on_external_remove(&mut self, key: &K) {
-        if let Some(tick) = self.ticks.remove(key) {
-            self.by_tick.remove(&tick);
+        if let Some(i) = self.index.remove(key) {
+            self.release(i);
         }
     }
 

@@ -24,7 +24,49 @@ pub use lfu::{LfuPolicy, TieBreak};
 pub use lru::LruPolicy;
 pub use twoq::TwoQPolicy;
 
-use std::hash::Hash;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
+
+/// The identity a ghost-history policy files `key` under when its
+/// container supplied none (plain [`Policy::on_insert`]): `K` is then the
+/// cached item's own key, so its hash is as stable as the key.
+fn fingerprint<K: Hash>(key: &K) -> u64 {
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(key)
+}
+
+/// One expert's ghost history in LeCaR and Cacheus: which items it evicted
+/// and at which step, oldest first, filed under the items' identities.
+struct GhostHistory {
+    evicted_at: HashMap<u64, u64>,
+    order: VecDeque<u64>,
+}
+
+impl GhostHistory {
+    fn new() -> Self {
+        GhostHistory {
+            evicted_at: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    fn record(&mut self, identity: u64, step: u64) {
+        self.evicted_at.insert(identity, step);
+        self.order.push_back(identity);
+    }
+
+    /// Forgets `identity`, returning the step it was evicted at.
+    fn take(&mut self, identity: u64) -> Option<u64> {
+        self.evicted_at.remove(&identity)
+    }
+
+    fn trim(&mut self, limit: usize) {
+        while self.order.len() > limit {
+            if let Some(identity) = self.order.pop_front() {
+                self.evicted_at.remove(&identity);
+            }
+        }
+    }
+}
 
 /// Victim-selection strategy for a cache holding keys of type `K`.
 ///
@@ -35,9 +77,23 @@ use std::hash::Hash;
 ///   removed by the container (no separate notification);
 /// - `on_external_remove` when a resident key is dropped for another reason
 ///   (compaction invalidation, resize, explicit delete).
+///
+/// `K` need not be the cached item's own key: the range cache hands its
+/// policies 4-byte slot ids, which are recycled once an entry leaves. A
+/// policy that remembers keys *after* evicting them (LeCaR's and Cacheus's
+/// ghost histories) must therefore match its history on the `identity`
+/// passed to [`on_insert_as`](Policy::on_insert_as), not on `K`.
 pub trait Policy<K: Clone + Eq + Hash>: Send {
     /// A key was inserted into the cache.
     fn on_insert(&mut self, key: &K);
+    /// [`on_insert`](Policy::on_insert) by a container whose `K` is a
+    /// recyclable handle: `identity` is a hash of the cached item itself,
+    /// equal across an eviction and the item's later re-admission even
+    /// when the handle differs. Policies without eviction history ignore it.
+    fn on_insert_as(&mut self, key: &K, identity: u64) {
+        let _ = identity;
+        self.on_insert(key);
+    }
     /// A resident key was accessed.
     fn on_hit(&mut self, key: &K);
     /// Chooses the key to evict. Must return a currently resident key.

@@ -1,10 +1,15 @@
 //! Result-based range cache (Wang et al., ICDE '24; paper Section 2.2).
 //!
-//! Caches query *results* — individual key-value pairs held in a skiplist —
-//! decoupled from the physical block layout, so entries survive compaction.
+//! Caches query *results* — individual key-value pairs — decoupled from
+//! the physical block layout, so entries survive compaction. Each entry
+//! lives in one slab slot, found by key through a hash index (point
+//! lookups, O(1), no allocation), in key order through an ordered index
+//! (scans) and by slot id through the eviction policy (see DESIGN.md).
 //! Alongside the entries, the cache tracks **covered segments**: maximal key
 //! intervals `[start, end)` within which *every live key of the database*
-//! is resident. Coverage is what makes range lookups answerable from cache:
+//! is resident. A resident entry covers its own key, `[k, k⁺)`, without a
+//! segment; segments record what scans and deletes established. Coverage
+//! is what makes range lookups answerable from cache:
 //!
 //! - a scan `(from, n)` hits iff, walking coverage from `from`, `n` entries
 //!   are found without leaving covered territory (a partial hit still
@@ -16,20 +21,25 @@
 //! Coverage stays sound under mutation:
 //! - admitted scan results cover `[from, last_admitted⁺)`;
 //! - writes inside coverage upsert the entry; deletes inside coverage drop
-//!   the entry but keep the segment (covered absence);
+//!   the entry but keep the key covered (covered absence);
 //! - evicting an entry `k` splits its segment into `[s, k)` and `[k⁺, e)`.
 //!
 //! For multi-client use the key space is partitioned into shards, each with
 //! its own lock (paper Section 4.4); scans that exhaust a shard's coverage
 //! at its upper boundary continue into the next shard.
 
+#[cfg(test)]
+mod model;
+mod slots;
+
 use crate::container::CacheStats;
 use crate::policy::{LruPolicy, Policy};
-use adcache_lsm::SkipList;
 use adcache_obs::{CacheStructure, Counter, Event, EvictionCause, Obs};
 use bytes::Bytes;
 use parking_lot::Mutex;
+use slots::{Entry, HashIndex, Slab};
 use std::collections::BTreeMap;
+use std::hash::{BuildHasher, RandomState};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -59,14 +69,14 @@ pub enum RangeLookup {
     Miss,
 }
 
-/// Factory producing one eviction policy per shard.
-pub type RangePolicyFactory = Box<dyn Fn() -> Box<dyn Policy<Bytes>> + Send + Sync>;
+/// Factory producing one eviction policy per shard. The policy orders the
+/// shard's 4-byte slot ids, which are recycled; policies with eviction
+/// history are told each entry's lasting identity through
+/// [`Policy::on_insert_as`].
+pub type RangePolicyFactory = Box<dyn Fn() -> Box<dyn Policy<u32>> + Send + Sync>;
 
-#[derive(Debug, Clone, Default)]
-struct CachedVal {
-    value: Bytes,
-}
-
+/// The immediate successor of `k` in byte order, so `[k, next_key(k))`
+/// contains `k` alone.
 fn next_key(k: &[u8]) -> Bytes {
     let mut v = Vec::with_capacity(k.len() + 1);
     v.extend_from_slice(k);
@@ -74,11 +84,24 @@ fn next_key(k: &[u8]) -> Bytes {
     Bytes::from(v)
 }
 
+/// One lock's worth of the cache. A resident entry lives in one slab slot
+/// and is reached three ways: `index` (by key bytes, point probes),
+/// `ordered` (by key order; scans, inserts and evictions) and `policy`
+/// (by slot id, recency). The key's bytes exist once; slab and `ordered`
+/// share them.
 struct Shard {
-    entries: SkipList<CachedVal>,
+    slab: Slab,
+    index: HashIndex,
+    /// Keys the index's hashes; random per shard, since keys come from
+    /// clients.
+    hasher: RandomState,
+    /// Resident keys in order, each with its slot id.
+    ordered: BTreeMap<Bytes, u32>,
     /// Covered segments: start -> end (end exclusive), disjoint, sorted.
+    /// Only what scans and deletes established: a resident entry covers
+    /// its own key without a segment.
     segments: BTreeMap<Bytes, Bytes>,
-    policy: Box<dyn Policy<Bytes>>,
+    policy: Box<dyn Policy<u32>>,
     capacity: usize,
     used: usize,
     max_segments: usize,
@@ -87,19 +110,24 @@ struct Shard {
     inserts: u64,
 }
 
-/// Segment cap for a given byte capacity: point-heavy workloads create one
-/// segment per cached entry, so the cap must scale with how many entries
-/// the budget can hold (≈ capacity / minimum entry charge), with a floor
-/// for tiny shards. An undersized cap silently prunes live entries, which
-/// shows up as a hit-rate *drop* when the cache grows.
+/// Segment cap for a given byte capacity. Every eviction inside a scanned
+/// segment splits it, and the pieces between evicted neighbours stay
+/// behind as (correct) negative ranges, so segments can outnumber the
+/// entries the budget holds; the cap scales with that count (≈ capacity /
+/// minimum entry charge), with a floor for tiny shards. An undersized cap
+/// prunes live entries, which shows up as a hit-rate *drop* when the cache
+/// grows.
 fn segment_cap(capacity: usize) -> usize {
     (capacity / 64).max(4096)
 }
 
 impl Shard {
-    fn new(capacity: usize, policy: Box<dyn Policy<Bytes>>) -> Self {
+    fn new(capacity: usize, policy: Box<dyn Policy<u32>>) -> Self {
         Shard {
-            entries: SkipList::new(),
+            slab: Slab::new(),
+            index: HashIndex::new(),
+            hasher: RandomState::new(),
+            ordered: BTreeMap::new(),
             segments: BTreeMap::new(),
             policy,
             capacity,
@@ -115,46 +143,70 @@ impl Shard {
         key.len() + value.len() + ENTRY_OVERHEAD
     }
 
+    /// The slot holding `key`'s entry, if resident.
+    fn find(&self, key: &[u8]) -> Option<u32> {
+        self.find_hashed(self.hasher.hash_one(key), key)
+    }
+
+    fn find_hashed(&self, hash: u64, key: &[u8]) -> Option<u32> {
+        self.index
+            .find(hash, |slot| self.slab.get(slot).key == *key)
+    }
+
     /// The covered segment containing `key`, if any.
-    fn covering(&self, key: &[u8]) -> Option<(Bytes, Bytes)> {
-        let probe = Bytes::copy_from_slice(key);
+    fn segment_covering(&self, key: &[u8]) -> Option<(&Bytes, &Bytes)> {
         let (s, e) = self
             .segments
-            .range::<Bytes, _>((Bound::Unbounded, Bound::Included(&probe)))
+            .range::<[u8], _>((Bound::Unbounded, Bound::Included(key)))
             .next_back()?;
-        (e.as_ref() > key).then(|| (s.clone(), e.clone()))
+        (e.as_ref() > key).then_some((s, e))
     }
 
     fn upsert_entry(&mut self, key: Bytes, value: Bytes) {
-        let charge = Self::charge_of(&key, &value);
-        match self.entries.get_mut(&key) {
-            Some(slot) => {
-                let old_charge = Self::charge_of(&key, &slot.value);
-                slot.value = value;
-                self.used = self.used - old_charge + charge;
-                self.policy.on_hit(&key);
-            }
-            None => {
-                self.entries.insert(key.clone(), CachedVal { value });
-                self.used += charge;
-                self.policy.on_insert(&key);
-                self.inserts += 1;
-            }
+        let hash = self.hasher.hash_one(&key[..]);
+        match self.find_hashed(hash, &key) {
+            Some(slot) => self.update_entry(slot, value),
+            None => self.insert_entry(hash, key, value),
         }
     }
 
-    fn remove_entry(&mut self, key: &[u8], via_eviction: bool) -> bool {
-        let Some(val) = self.entries.remove(key) else {
-            return false;
-        };
-        self.used -= Self::charge_of(key, &val.value);
+    /// Replaces the value of the resident entry in `slot`.
+    fn update_entry(&mut self, slot: u32, value: Bytes) {
+        let entry = self.slab.get_mut(slot);
+        self.used = self.used - entry.value.len() + value.len();
+        entry.value = value;
+        self.policy.on_hit(&slot);
+    }
+
+    /// Admits `key`, which hashes to `hash` and is not resident.
+    fn insert_entry(&mut self, hash: u64, key: Bytes, value: Bytes) {
+        self.used += Self::charge_of(&key, &value);
+        let slot = self.slab.insert(Entry {
+            key: key.clone(),
+            value,
+        });
+        self.index.insert(hash, slot);
+        self.ordered.insert(key, slot);
+        self.policy.on_insert_as(&slot, hash);
+        self.inserts += 1;
+    }
+
+    /// Takes the entry in `slot` out of the slab and both indexes. An
+    /// eviction comes from the policy, which has already forgotten the
+    /// slot; any other removal tells it.
+    fn remove_entry(&mut self, slot: u32, via_eviction: bool) -> Entry {
+        let entry = self.slab.remove(slot);
+        self.index
+            .remove(self.hasher.hash_one(&entry.key[..]), slot);
+        self.ordered.remove(&entry.key);
+        self.used -= Self::charge_of(&entry.key, &entry.value);
         if via_eviction {
             self.evictions += 1;
         } else {
-            self.policy.on_external_remove(&Bytes::copy_from_slice(key));
+            self.policy.on_external_remove(&slot);
             self.invalidations += 1;
         }
-        true
+        entry
     }
 
     /// Merges `[start, end)` into the segment set.
@@ -190,14 +242,16 @@ impl Shard {
         self.prune_segments();
     }
 
-    /// Splits coverage at `key` (called when `key`'s entry is evicted).
-    fn split_at(&mut self, key: &[u8]) {
-        let Some((s, e)) = self.covering(key) else {
+    /// Splits coverage at `key` (called when `key`'s entry is evicted). An
+    /// entry no segment covers leaves nothing behind.
+    fn split_at(&mut self, key: &Bytes) {
+        let Some((s, e)) = self.segment_covering(key) else {
             return;
         };
+        let (s, e) = (s.clone(), e.clone());
         self.segments.remove(&s);
-        if s.as_ref() < key {
-            self.segments.insert(s, Bytes::copy_from_slice(key));
+        if s < *key {
+            self.segments.insert(s, key.clone());
         }
         let right_start = next_key(key);
         if right_start < e {
@@ -212,9 +266,8 @@ impl Shard {
             let Some(victim) = self.policy.victim() else {
                 break;
             };
-            if self.remove_entry(&victim, true) {
-                self.split_at(&victim);
-            }
+            let entry = self.remove_entry(victim, true);
+            self.split_at(&entry.key);
         }
         (self.evictions - ev_before, (used_before - self.used) as u64)
     }
@@ -223,28 +276,57 @@ impl Shard {
     /// from the cold front until under the cap.
     fn prune_segments(&mut self) {
         while self.segments.len() > self.max_segments {
-            let Some((s, e)) = self
-                .segments
-                .iter()
-                .next()
-                .map(|(a, b)| (a.clone(), b.clone()))
-            else {
+            let Some((s, e)) = self.segments.pop_first() else {
                 break;
             };
-            self.segments.remove(&s);
-            let doomed: Vec<Bytes> = self
-                .entries
-                .iter_from(&s)
-                .take_while(|(k, _)| k.as_ref() < e.as_ref())
-                .map(|(k, _)| k.clone())
+            let doomed: Vec<u32> = self
+                .ordered
+                .range::<Bytes, _>(&s..&e)
+                .map(|(_, &slot)| slot)
                 .collect();
-            for k in doomed {
-                self.remove_entry(&k, false);
+            for slot in doomed {
+                self.remove_entry(slot, false);
             }
         }
     }
 
-    #[cfg(test)]
+    /// Walks contiguous coverage from `*current`, appending the entries it
+    /// passes to `out` and advancing `*current`, until `out` holds `n`
+    /// entries or `*current` reaches `upper` (this shard's upper boundary)
+    /// — both return `true` — or reaches a key nothing covers (`false`).
+    fn walk(
+        &mut self,
+        current: &mut Bytes,
+        upper: Option<&Bytes>,
+        n: usize,
+        out: &mut Vec<(Bytes, Bytes)>,
+    ) -> bool {
+        loop {
+            if out.len() >= n || upper.is_some_and(|u| *current >= *u) {
+                return true;
+            }
+            if let Some((_, seg_end)) = self.segment_covering(current) {
+                let seg_end = seg_end.clone();
+                for (k, &slot) in self.ordered.range::<Bytes, _>(&*current..&seg_end) {
+                    if out.len() >= n {
+                        return true;
+                    }
+                    out.push((k.clone(), self.slab.get(slot).value.clone()));
+                    self.policy.on_hit(&slot);
+                }
+                *current = seg_end;
+            } else if let Some(slot) = self.find(current) {
+                // A resident entry is its own coverage: `[k, k⁺)`.
+                let entry = self.slab.get(slot);
+                out.push((entry.key.clone(), entry.value.clone()));
+                self.policy.on_hit(&slot);
+                *current = next_key(current);
+            } else {
+                return false;
+            }
+        }
+    }
+
     fn check_invariants(&self) {
         // Segments disjoint and sorted.
         let mut prev_end: Option<&Bytes> = None;
@@ -255,13 +337,23 @@ impl Shard {
             }
             prev_end = Some(e);
         }
-        // Every entry lies inside a segment; byte accounting agrees.
+        // Slab, hash index and ordered index hold the same entries, and
+        // every entry is covered: what the hash index finds is its own
+        // coverage. (The policy cannot be asked what it tracks; it
+        // disagrees visibly: a victim that is not resident panics in the
+        // slab, a resident it lost can never be evicted and `used` stays
+        // above `capacity`.)
+        assert_eq!(self.slab.len(), self.ordered.len(), "ordered index size");
+        assert_eq!(self.slab.len(), self.index.len(), "hash index size");
         let mut used = 0usize;
-        for (k, v) in self.entries.iter() {
-            assert!(self.covering(k).is_some(), "orphan entry {:?}", k);
-            used += Self::charge_of(k, &v.value);
+        for (key, &slot) in &self.ordered {
+            let entry = self.slab.get(slot);
+            assert_eq!(entry.key, *key, "slot {slot} holds another key");
+            assert_eq!(self.find(key), Some(slot), "hash index misses {key:?}");
+            used += Self::charge_of(key, &entry.value);
         }
         assert_eq!(used, self.used, "byte accounting drifted");
+        assert!(self.used <= self.capacity, "over budget after eviction");
     }
 }
 
@@ -371,17 +463,18 @@ impl RangeCache {
         self.boundaries.get(i)
     }
 
-    /// Point lookup.
+    /// Point lookup. A hit is one hash probe, one slot read and one
+    /// recency touch, all O(1), and allocates nothing.
     pub fn get_point(&self, key: &[u8]) -> PointLookup {
         let mut shard = self.shards[self.shard_idx(key)].lock();
-        if let Some(val) = shard.entries.get(key) {
-            let value = val.value.clone();
-            shard.policy.on_hit(&Bytes::copy_from_slice(key));
+        if let Some(slot) = shard.find(key) {
+            let value = shard.slab.get(slot).value.clone();
+            shard.policy.on_hit(&slot);
             drop(shard);
             self.note_hit();
             return PointLookup::Hit(value);
         }
-        if shard.covering(key).is_some() {
+        if shard.segment_covering(key).is_some() {
             drop(shard);
             self.note_hit();
             return PointLookup::NegativeHit;
@@ -399,37 +492,18 @@ impl RangeCache {
         let mut out: Vec<(Bytes, Bytes)> = Vec::with_capacity(n.min(64));
         let mut current = Bytes::copy_from_slice(from);
         loop {
+            // Coverage that reaches a shard's upper boundary continues in
+            // the next shard, which owns the boundary key.
             let idx = self.shard_idx(&current);
-            let mut shard = self.shards[idx].lock();
-            let Some((_, seg_end)) = shard.covering(&current) else {
-                return (out, Some(current));
-            };
-            let mut touched: Vec<Bytes> = Vec::new();
-            for (k, v) in shard.entries.iter_from(&current) {
-                if *k >= seg_end || out.len() >= n {
-                    break;
-                }
-                out.push((k.clone(), v.value.clone()));
-                touched.push(k.clone());
-            }
-            for k in &touched {
-                shard.policy.on_hit(k);
-            }
+            let covered =
+                self.shards[idx]
+                    .lock()
+                    .walk(&mut current, self.shard_end(idx), n, &mut out);
             if out.len() >= n {
                 return (out, None);
             }
-            // Coverage exhausted inside this shard: continue into the next
-            // shard when the segment reaches this shard's upper boundary,
-            // otherwise resume at the coverage end.
-            match self.shard_end(idx) {
-                Some(boundary) if seg_end >= boundary => {
-                    let boundary = boundary.clone();
-                    drop(shard);
-                    current = boundary;
-                }
-                _ => {
-                    return (out, Some(seg_end));
-                }
+            if !covered {
+                return (out, Some(current));
             }
         }
     }
@@ -523,30 +597,11 @@ impl RangeCache {
         }
     }
 
-    /// Number of leading `keys` currently resident as entries (no stats or
-    /// recency side effects). Partial admission uses this so that repeated
-    /// overlapping scans *extend* coverage instead of re-admitting the same
-    /// prefix — the paper's "overlapping scans naturally accelerate this
-    /// process".
-    pub fn resident_prefix(&self, keys: &[(Bytes, Bytes)]) -> usize {
-        let mut n = 0;
-        for (k, _) in keys {
-            let shard = self.shards[self.shard_idx(k)].lock();
-            if shard.entries.get(k).is_none() {
-                break;
-            }
-            n += 1;
-        }
-        n
-    }
-
     /// Admits a single point-lookup result.
     pub fn insert_point(&self, key: Bytes, value: Bytes) {
         let idx = self.shard_idx(&key);
         let mut shard = self.shards[idx].lock();
-        let end = next_key(&key);
-        shard.upsert_entry(key.clone(), value);
-        shard.add_segment(key, end);
+        shard.upsert_entry(key, value);
         let (ev_count, ev_bytes) = shard.evict_to_capacity();
         drop(shard);
         self.note_evictions(EvictionCause::Capacity, ev_count, ev_bytes);
@@ -560,15 +615,30 @@ impl RangeCache {
         let mut shard = self.shards[idx].lock();
         match value {
             Some(v) => {
-                if shard.covering(key).is_some() {
-                    shard.upsert_entry(Bytes::copy_from_slice(key), v.clone());
-                    let (ev_count, ev_bytes) = shard.evict_to_capacity();
-                    drop(shard);
-                    self.note_evictions(EvictionCause::Capacity, ev_count, ev_bytes);
+                let hash = shard.hasher.hash_one(key);
+                match shard.find_hashed(hash, key) {
+                    Some(slot) => shard.update_entry(slot, v.clone()),
+                    None if shard.segment_covering(key).is_some() => {
+                        shard.insert_entry(hash, Bytes::copy_from_slice(key), v.clone());
+                    }
+                    None => return,
                 }
+                let (ev_count, ev_bytes) = shard.evict_to_capacity();
+                drop(shard);
+                self.note_evictions(EvictionCause::Capacity, ev_count, ev_bytes);
             }
             None => {
-                shard.remove_entry(key, false);
+                let Some(slot) = shard.find(key) else {
+                    return;
+                };
+                let entry = shard.remove_entry(slot, false);
+                if shard.segment_covering(key).is_none() {
+                    // The entry was its own coverage. The key stays
+                    // covered, now as absent — what a delete inside a
+                    // segment leaves behind too.
+                    let end = next_key(key);
+                    shard.add_segment(entry.key, end);
+                }
             }
         }
     }
@@ -577,11 +647,14 @@ impl RangeCache {
     pub fn clear(&self) {
         for s in &self.shards {
             let mut s = s.lock();
-            let keys: Vec<Bytes> = s.entries.iter().map(|(k, _)| k.clone()).collect();
-            for k in keys {
-                s.remove_entry(&k, false);
+            let Shard { slab, policy, .. } = &mut *s;
+            for (slot, _) in slab.iter() {
+                policy.on_external_remove(&slot);
             }
-            s.entries.clear();
+            s.invalidations += s.slab.len() as u64;
+            s.slab.clear();
+            s.index.clear();
+            s.ordered.clear();
             s.segments.clear();
             s.used = 0;
         }
@@ -616,7 +689,7 @@ impl RangeCache {
 
     /// Resident entry count.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards.iter().map(|s| s.lock().slab.len()).sum()
     }
 
     /// Whether no entries are resident.
@@ -646,8 +719,11 @@ impl RangeCache {
         st
     }
 
-    #[cfg(test)]
-    fn check_invariants(&self) {
+    /// Panics unless every shard's slab, hash index and ordered index hold
+    /// the same entries, every entry is covered, segments are disjoint and
+    /// the byte accounting adds up and fits the budget. For tests.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
         for s in &self.shards {
             s.lock().check_invariants();
         }
@@ -889,16 +965,6 @@ mod tests {
             RangeLookup::Miss => panic!("merged coverage must serve the full scan"),
         }
         c.check_invariants();
-    }
-
-    #[test]
-    fn resident_prefix_counts_leading_entries() {
-        let c = RangeCache::new(1 << 20);
-        let results = scan_result(0, 10);
-        c.insert_scan(&results[0].0, &results, 4);
-        assert_eq!(c.resident_prefix(&results), 4);
-        assert_eq!(c.resident_prefix(&results[4..]), 0);
-        assert_eq!(c.resident_prefix(&[]), 0);
     }
 
     #[test]

@@ -1,0 +1,134 @@
+//! What a range-cache entry costs the heap, measured with a counting
+//! global allocator: a warm point hit allocates nothing, and a resident
+//! point entry occupies a bounded number of real bytes.
+//!
+//! Counters are thread-local: the test harness runs tests on parallel
+//! threads, and each test must see only its own allocations.
+
+use adcache_cache::{PointLookup, RangeCache};
+use bytes::Bytes;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+/// What a request of `size` bytes takes from glibc malloc on a 64-bit
+/// host: an 8-byte chunk header, rounded up to 16, at least 32.
+fn chunk_bytes(size: usize) -> i64 {
+    ((size + 8).next_multiple_of(16)).max(32) as i64
+}
+
+fn note(allocations: u64, bytes: i64) {
+    // `try_with`: a thread that is tearing down may allocate after its
+    // thread-locals are gone; those allocations are simply not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + allocations));
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; the counters are
+// const-initialised thread-local `Cell`s that neither allocate nor panic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(1, chunk_bytes(layout.size()));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -chunk_bytes(layout.size()));
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(1, chunk_bytes(layout.size()));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(1, chunk_bytes(new_size) - chunk_bytes(layout.size()));
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
+
+/// The benchmark's key shape: 24 bytes.
+fn key(i: u32) -> Bytes {
+    Bytes::from(format!("user{i:020}"))
+}
+
+#[test]
+fn warm_point_hit_allocates_nothing() {
+    let cache = RangeCache::new(64 << 20);
+    let keys: Vec<Bytes> = (0..20_000).map(key).collect();
+    for k in &keys {
+        cache.insert_point(k.clone(), Bytes::from(vec![7u8; 100]));
+    }
+    // Interleaved order, so hits relink the recency list everywhere.
+    let probes: Vec<&Bytes> = (0..keys.len())
+        .map(|i| &keys[i * 7919 % keys.len()])
+        .collect();
+    let before = allocations();
+    for k in &probes {
+        match black_box(cache.get_point(k)) {
+            PointLookup::Hit(v) => assert_eq!(v.len(), 100),
+            other => panic!("resident key answered {other:?}"),
+        }
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "allocations in {} hits",
+        probes.len()
+    );
+}
+
+/// The charge of such an entry is 24 + 100 + 48 = 172 bytes; key and value
+/// alone take 48 + 128 from the allocator. What the four structures around
+/// them add must stay within 360 in total (the singleton-segment shard
+/// this one replaced measured 586).
+#[test]
+fn resident_point_entry_fits_360_real_bytes() {
+    for (n, ascending) in [(190_000u32, true), (100_000, false)] {
+        let before = live_bytes();
+        let cache = RangeCache::new(256 << 20);
+        for i in 0..n {
+            // Ascending key order is what a sequential warm-up sweep
+            // produces and the ordered index's worst case (half-full
+            // nodes); the scrambled order is its typical one.
+            let id = if ascending {
+                i
+            } else {
+                (i as u64 * 2_654_435_761 % n as u64) as u32
+            };
+            cache.insert_point(key(id), Bytes::from(vec![7u8; 100]));
+        }
+        assert_eq!(cache.len(), n as usize);
+        let per_entry = (live_bytes() - before) as f64 / n as f64;
+        assert!(
+            per_entry <= 360.0,
+            "{per_entry:.1} bytes per entry at n={n}"
+        );
+        drop(cache);
+        assert_eq!(live_bytes(), before, "the cache leaked");
+    }
+}

@@ -117,6 +117,7 @@ proptest! {
                     cache.set_capacity(cap as usize);
                 }
             }
+            cache.check_invariants();
         }
 
         // Exhaustive final check over the whole key space.

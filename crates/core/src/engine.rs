@@ -306,9 +306,7 @@ impl CachedDb {
     /// structure the strategy instantiated. A second call is a no-op.
     pub fn set_obs(&self, obs: Obs) {
         self.db.set_obs(obs.clone());
-        for part in self.all_partitions() {
-            part.attach_obs(&obs);
-        }
+        self.for_each_partition(|part| part.attach_obs(&obs));
         let _ = self.obs.set(EngineObsHooks::new(obs));
         // Publish the current boundary position so live views see it
         // before the first controller decision moves it.
@@ -356,18 +354,28 @@ impl CachedDb {
     /// summed over every tenant partition (0 when the strategy has no
     /// point admission).
     pub fn sketch_resets(&self) -> u64 {
-        self.all_partitions()
-            .iter()
-            .map(|p| {
-                p.point_admission
-                    .as_ref()
-                    .map_or(0, |adm| adm.lock().resets())
-            })
-            .sum()
+        let mut resets = 0;
+        self.for_each_partition(|p| {
+            if let Some(adm) = &p.point_admission {
+                resets += adm.lock().resets();
+            }
+        });
+        resets
     }
 
-    /// The default tenant's partition plus every registered tenant's,
-    /// in tenant-id order.
+    /// Visits the default tenant's partition, then every registered
+    /// tenant's in tenant-id order, under the registry's read lock and
+    /// without allocating: this is on the path of every write. `f` must
+    /// not register tenants.
+    fn for_each_partition(&self, mut f: impl FnMut(&Partition)) {
+        f(&self.default_partition);
+        for part in self.tenants.read().values() {
+            f(part);
+        }
+    }
+
+    /// The same partitions as an owned list, for the tenant-management
+    /// calls that hold them across a registry change.
     fn all_partitions(&self) -> Vec<Arc<Partition>> {
         let mut v = vec![self.default_partition.clone()];
         v.extend(self.tenants.read().values().cloned());
@@ -669,6 +677,14 @@ impl CachedDb {
     /// found a value: point admission gates the range cache, the KV cache
     /// admits unconditionally.
     fn fill_point_caches(&self, part: &Partition, key: &[u8], v: &Value) {
+        // One owned copy of the key, made when the first cache admits it
+        // and shared by the second.
+        let mut owned: Option<Bytes> = None;
+        let mut owned_key = || {
+            owned
+                .get_or_insert_with(|| Bytes::copy_from_slice(key))
+                .clone()
+        };
         if let Some(rc) = &part.range_cache {
             let (admit, reason) = match &part.point_admission {
                 Some(adm) => {
@@ -691,7 +707,7 @@ impl CachedDb {
                 h.admission(CacheStructure::Range, outcome, reason, 1, admit as u64);
             }
             if admit {
-                rc.insert_point(Bytes::copy_from_slice(key), v.clone());
+                rc.insert_point(owned_key(), v.clone());
             }
         }
         if let Some(kv) = &part.kv_cache {
@@ -704,7 +720,7 @@ impl CachedDb {
                     1,
                 );
             }
-            kv.insert(Bytes::copy_from_slice(key), v.clone());
+            kv.insert(owned_key(), v.clone());
         }
         part.publish_bytes();
     }
@@ -826,14 +842,14 @@ impl CachedDb {
     /// share one keyspace, so coherence is key-targeted and global, while
     /// capacity pressure stays per-partition.
     fn on_write_all(&self, key: &[u8], value: Option<&Value>) {
-        for part in self.all_partitions() {
+        self.for_each_partition(|part| {
             if let Some(kv) = &part.kv_cache {
                 kv.on_write(key, value);
             }
             if let Some(rc) = &part.range_cache {
                 rc.on_write(key, value);
             }
-        }
+        });
     }
 
     /// Write-through: the engine plus every result cache stay consistent.
@@ -914,9 +930,7 @@ impl CachedDb {
             // Every partition moves its own block/range boundary to the
             // snapped ratio at its own budget: the controller learns one
             // global boundary, tenants keep isolated capacity.
-            for part in self.all_partitions() {
-                part.resize(part.budget(), snapped);
-            }
+            self.for_each_partition(|part| part.resize(part.budget(), snapped));
         }
         drop(applied);
         if let Some(h) = self.obs.get() {
@@ -932,9 +946,7 @@ impl CachedDb {
                 applied: moved,
             });
         }
-        for part in self.all_partitions() {
-            part.apply_admission(d);
-        }
+        self.for_each_partition(|part| part.apply_admission(d));
         *self.scan_admission.write() = ScanAdmission::new(d.scan_a, d.scan_b);
         self.refresh_shape();
     }
@@ -943,9 +955,7 @@ impl CachedDb {
     /// back-to-back controlled experiments on a shared engine so one
     /// candidate's warm state cannot bias the next.
     pub fn clear_caches(&self) {
-        for part in self.all_partitions() {
-            part.clear();
-        }
+        self.for_each_partition(|part| part.clear());
     }
 
     /// Refreshes the cached entries-per-block estimate from the live tree.
@@ -962,13 +972,13 @@ impl CachedDb {
         // Block-cache hit/miss totals aggregate over every tenant
         // partition so controller rewards see global pressure.
         let mut bstats = adcache_cache::CacheStats::default();
-        for part in self.all_partitions() {
+        self.for_each_partition(|part| {
             if let Some(b) = &part.block_cache {
                 let s = b.stats();
                 bstats.hits += s.hits;
                 bstats.misses += s.misses;
             }
-        }
+        });
         Snapshot {
             points: c.points.load(Ordering::Relaxed),
             scans: c.scans.load(Ordering::Relaxed),
@@ -1002,7 +1012,7 @@ impl CachedDb {
         w.r0_max = self.db.options().l0_stop_files;
         let (mut block_used, mut block_cap) = (0usize, 0usize);
         let (mut range_used, mut range_cap) = (0usize, 0usize);
-        for part in self.all_partitions() {
+        self.for_each_partition(|part| {
             if let Some(b) = &part.block_cache {
                 block_used += b.used();
                 block_cap += b.capacity();
@@ -1011,7 +1021,7 @@ impl CachedDb {
                 range_used += r.used();
                 range_cap += r.capacity();
             }
-        }
+        });
         w.block_occupancy = if block_cap == 0 {
             0.0
         } else {
