@@ -306,6 +306,39 @@ fn bench_range_cache(c: &mut Criterion) {
             next = (next + 1) % keys.len();
         })
     });
+    // Scan fills into a cache that has been full for a long time: every
+    // fill evicts 16 entries out of other scans' segments. `insert_scan_64`
+    // above never evicts, so neither what evictions do to the coverage map
+    // nor its backstop shows there. Warmed with 120 k fills (1 in 5 a
+    // 16-entry scan, else a point) over the 200 k keys, like
+    // `alloc_footprint.rs`'s churn test.
+    let cache = RangeCache::new(4 << 20);
+    let keys: Vec<Bytes> = (0..RESIDENT + 16).map(render_key).collect();
+    let scan16 = |start: usize| -> Vec<(Bytes, Bytes)> {
+        keys[start..start + 16]
+            .iter()
+            .map(|k| (k.clone(), value.clone()))
+            .collect()
+    };
+    let scramble = |i: u64| (i.wrapping_mul(2_654_435_761) % RESIDENT) as usize;
+    for i in 0..120_000u64 {
+        let start = scramble(i);
+        if i % 5 == 0 {
+            let results = scan16(start);
+            cache.insert_scan(&results[0].0, &results, 16);
+        } else {
+            cache.insert_point(keys[start].clone(), value.clone());
+        }
+    }
+    assert!(cache.stats().evictions > 100_000, "the cache is churning");
+    g.bench_function("insert_scan16_churn_200k", |b| {
+        let mut i = 120_000u64;
+        b.iter(|| {
+            i += 1;
+            let results = scan16(scramble(i));
+            cache.insert_scan(&results[0].0, &results, 16);
+        })
+    });
     let mut charged: ChargedCache<u64, u64> =
         ChargedCache::new(1 << 20, Box::new(LruPolicy::new()));
     g.bench_function("charged_cache_insert_get", |b| {

@@ -21,7 +21,10 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Entries evicted by policy decision.
     pub evictions: u64,
-    /// Entries dropped by invalidation or explicit removal.
+    /// Entries dropped by invalidation or explicit removal. For the range
+    /// cache these are write-invalidations only — entries a delete or
+    /// `clear` removed; its coverage backstop forgets segments, never
+    /// entries, and counts them in `RangeCache::coverage_dropped`.
     pub invalidations: u64,
 }
 

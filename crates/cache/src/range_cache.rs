@@ -18,11 +18,21 @@
 //! - a point lookup inside coverage is answerable even when the key is
 //!   absent (a *negative hit*: the key provably does not exist).
 //!
-//! Coverage stays sound under mutation:
+//! Coverage stays sound under mutation, and only the eviction policy (or a
+//! delete, or `clear`) ever removes an entry:
 //! - admitted scan results cover `[from, last_admitted⁺)`;
-//! - writes inside coverage upsert the entry; deletes inside coverage drop
-//!   the entry but keep the key covered (covered absence);
-//! - evicting an entry `k` splits its segment into `[s, k)` and `[k⁺, e)`.
+//! - writes inside coverage upsert the entry; deletes drop the entry but
+//!   keep the key covered (covered absence);
+//! - evicting an entry `k` splits its segment at `k`, and a side — `[s, k)`
+//!   or `[k⁺, e)` — survives only if it still holds a resident entry: a
+//!   fragment without one protects nothing a client asks for, and dropping
+//!   coverage is always sound. The empty gap between two evicted
+//!   neighbours is therefore not remembered.
+//!
+//! So every segment holds at least one resident entry, or is a negative a
+//! delete or an empty scan left behind, and the segment map is bounded by
+//! the entries the byte budget holds plus those negatives — which a
+//! backstop forgets (coverage only, never an entry) past a cap.
 //!
 //! For multi-client use the key space is partitioned into shards, each with
 //! its own lock (paper Section 4.4); scans that exhaust a shard's coverage
@@ -34,7 +44,7 @@ mod slots;
 
 use crate::container::CacheStats;
 use crate::policy::{LruPolicy, Policy};
-use adcache_obs::{CacheStructure, Counter, Event, EvictionCause, Obs};
+use adcache_obs::{CacheStructure, Counter, Event, EvictionCause, Gauge, Obs};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use slots::{Entry, HashIndex, Slab};
@@ -104,21 +114,14 @@ struct Shard {
     policy: Box<dyn Policy<u32>>,
     capacity: usize,
     used: usize,
-    max_segments: usize,
     evictions: u64,
+    /// Entries removed by a delete or `clear`; nothing else but the policy
+    /// removes one.
     invalidations: u64,
     inserts: u64,
-}
-
-/// Segment cap for a given byte capacity. Every eviction inside a scanned
-/// segment splits it, and the pieces between evicted neighbours stay
-/// behind as (correct) negative ranges, so segments can outnumber the
-/// entries the budget holds; the cap scales with that count (≈ capacity /
-/// minimum entry charge), with a floor for tiny shards. An undersized cap
-/// prunes live entries, which shows up as a hit-rate *drop* when the cache
-/// grows.
-fn segment_cap(capacity: usize) -> usize {
-    (capacity / 64).max(4096)
+    /// Segments the backstop forgot.
+    coverage_dropped: u64,
+    obs: Option<CoverageObs>,
 }
 
 impl Shard {
@@ -132,10 +135,11 @@ impl Shard {
             policy,
             capacity,
             used: 0,
-            max_segments: segment_cap(capacity),
             evictions: 0,
             invalidations: 0,
             inserts: 0,
+            coverage_dropped: 0,
+            obs: None,
         }
     }
 
@@ -210,52 +214,55 @@ impl Shard {
     }
 
     /// Merges `[start, end)` into the segment set.
-    fn add_segment(&mut self, start: Bytes, end: Bytes) {
+    fn add_segment(&mut self, mut start: Bytes, mut end: Bytes) {
         if start >= end {
             return;
         }
-        let mut new_start = start.clone();
-        let mut new_end = end.clone();
-        // Overlapping-or-touching segments all have start_key <= end; walk
-        // backwards from there while they still reach our start.
-        let mut doomed = Vec::new();
-        for (s, e) in self
+        // Overlapping-or-touching segments all have start_key <= end; take
+        // them from the back while they still reach our start.
+        while let Some((s, e)) = self
             .segments
             .range::<Bytes, _>((Bound::Unbounded, Bound::Included(&end)))
-            .rev()
+            .next_back()
         {
             if *e < start {
                 break;
             }
-            doomed.push(s.clone());
-            if *s < new_start {
-                new_start = s.clone();
-            }
-            if *e > new_end {
-                new_end = e.clone();
-            }
+            let s = s.clone();
+            let (s, e) = self.segments.remove_entry(&s).expect("just found");
+            start = start.min(s);
+            end = end.max(e);
         }
-        for s in doomed {
-            self.segments.remove(&s);
-        }
-        self.segments.insert(new_start, new_end);
+        self.segments.insert(start, end);
         self.prune_segments();
     }
 
-    /// Splits coverage at `key` (called when `key`'s entry is evicted). An
-    /// entry no segment covers leaves nothing behind.
+    /// Splits coverage at `key` (called when `key`'s entry is evicted): of
+    /// `[s, key)` and `[key⁺, e)`, a side stays covered only while a
+    /// resident entry lies in it. An entry no segment covers leaves
+    /// nothing behind.
     fn split_at(&mut self, key: &Bytes) {
-        let Some((s, e)) = self.segment_covering(key) else {
+        let Some((s, e)) = self
+            .segments
+            .range_mut::<Bytes, _>((Bound::Unbounded, Bound::Included(key)))
+            .next_back()
+            .filter(|(_, e)| **e > *key)
+        else {
             return;
         };
-        let (s, e) = (s.clone(), e.clone());
-        self.segments.remove(&s);
-        if s < *key {
-            self.segments.insert(s, key.clone());
-        }
-        let right_start = next_key(key);
-        if right_start < e {
-            self.segments.insert(right_start, e);
+        // `key` itself has left `ordered`, so what lies after it lies at or
+        // after `key⁺`.
+        let holds_entry = |range| self.ordered.range::<Bytes, _>(range).next().is_some();
+        let keep_left = holds_entry((Bound::Included(s), Bound::Excluded(key)));
+        let keep_right = holds_entry((Bound::Excluded(key), Bound::Excluded(&*e)));
+        let end = if keep_left {
+            std::mem::replace(e, key.clone())
+        } else {
+            let s = s.clone();
+            self.segments.remove(&s).expect("just found")
+        };
+        if keep_right {
+            self.segments.insert(next_key(key), end);
         }
     }
 
@@ -269,24 +276,48 @@ impl Shard {
             let entry = self.remove_entry(victim, true);
             self.split_at(&entry.key);
         }
+        self.prune_segments();
         (self.evictions - ev_before, (used_before - self.used) as u64)
     }
 
-    /// Bounds segment-map growth: drop whole segments (and their entries)
-    /// from the cold front until under the cap.
+    /// How many segments the map may hold. Those with a resident entry
+    /// stay below it by themselves: each holds a different entry, and an
+    /// entry is charged more than `ENTRY_OVERHEAD` of the byte budget. The
+    /// entry-less negatives that deletes and empty scans leave behind are
+    /// charged nothing, and this is their only bound.
+    fn segment_cap(&self) -> usize {
+        self.capacity / ENTRY_OVERHEAD
+    }
+
+    /// Backstop for the segments the byte budget does not bound, run after
+    /// whatever can grow the map (a new segment, a split): past the cap,
+    /// forgets every segment that holds no resident entry, in one merge
+    /// pass over the two ordered maps — which always gets back under it.
+    /// Forgets coverage only; entries leave through the policy.
     fn prune_segments(&mut self) {
-        while self.segments.len() > self.max_segments {
-            let Some((s, e)) = self.segments.pop_first() else {
-                break;
-            };
-            let doomed: Vec<u32> = self
-                .ordered
-                .range::<Bytes, _>(&s..&e)
-                .map(|(_, &slot)| slot)
-                .collect();
-            for slot in doomed {
-                self.remove_entry(slot, false);
+        if self.segments.len() > self.segment_cap() {
+            let before = self.segments.len();
+            let mut residents = self.ordered.keys().peekable();
+            self.segments.retain(|s, e| {
+                while residents.next_if(|k| *k < s).is_some() {}
+                residents.peek().is_some_and(|k| **k < *e)
+            });
+            let dropped = (before - self.segments.len()) as u64;
+            self.coverage_dropped += dropped;
+            if let Some(obs) = &self.obs {
+                obs.coverage_dropped.add(dropped);
             }
+        }
+        self.publish_segments();
+    }
+
+    /// Brings the `cache.range.segments` gauge (shared by every shard of
+    /// every range cache on the handle) up to date with this shard's map.
+    fn publish_segments(&mut self) {
+        let now = self.segments.len();
+        if let Some(obs) = self.obs.as_mut().filter(|obs| obs.published != now) {
+            obs.segments.add(now as i64 - obs.published as i64);
+            obs.published = now;
         }
     }
 
@@ -337,6 +368,10 @@ impl Shard {
             }
             prev_end = Some(e);
         }
+        assert!(
+            self.segments.len() <= self.segment_cap(),
+            "segment map over its cap"
+        );
         // Slab, hash index and ordered index hold the same entries, and
         // every entry is covered: what the hash index finds is its own
         // coverage. (The policy cannot be asked what it tracks; it
@@ -373,6 +408,26 @@ impl RangeObsHooks {
             misses: obs.counter("cache.range.misses"),
             evictions: obs.counter("cache.range.evictions"),
             obs,
+        }
+    }
+}
+
+/// A shard's handles on the coverage metrics: its segment map changes
+/// under its own lock, several calls deep, so it publishes for itself.
+struct CoverageObs {
+    /// Segments across every shard on the handle; each adds its changes.
+    segments: Gauge,
+    /// This shard's contribution to `segments` so far.
+    published: usize,
+    coverage_dropped: Counter,
+}
+
+impl CoverageObs {
+    fn new(obs: &Obs) -> Self {
+        CoverageObs {
+            segments: obs.gauge("cache.range.segments"),
+            published: 0,
+            coverage_dropped: obs.counter("cache.range.coverage_dropped"),
         }
     }
 }
@@ -422,7 +477,14 @@ impl RangeCache {
 
     /// Attaches an observability handle (no-op when called twice).
     pub fn set_obs(&self, obs: Obs) {
-        let _ = self.obs.set(RangeObsHooks::new(obs));
+        if self.obs.set(RangeObsHooks::new(obs.clone())).is_err() {
+            return;
+        }
+        for s in &self.shards {
+            let mut s = s.lock();
+            s.obs = Some(CoverageObs::new(&obs));
+            s.publish_segments();
+        }
     }
 
     fn note_hit(&self) {
@@ -558,42 +620,27 @@ impl RangeCache {
         if admitted == 0 {
             return;
         }
-        let cov_start = Bytes::copy_from_slice(from);
-        let cov_end = next_key(&results[admitted - 1].0);
         // Split the admitted prefix across shards; ascending lock order.
         let mut i = 0usize;
-        let mut seg_start = cov_start;
+        let mut seg_start = Bytes::copy_from_slice(from);
         while i < admitted {
             let idx = self.shard_idx(&results[i].0);
-            let shard_upper = self.shard_end(idx).cloned();
+            let shard_upper = self.shard_end(idx);
             let mut shard = self.shards[idx].lock();
-            let mut last_in_shard = i;
-            while i < admitted {
-                let k = &results[i].0;
-                if let Some(ub) = &shard_upper {
-                    if k >= ub {
-                        break;
-                    }
-                }
+            while i < admitted && shard_upper.is_none_or(|ub| results[i].0 < *ub) {
                 shard.upsert_entry(results[i].0.clone(), results[i].1.clone());
-                last_in_shard = i;
                 i += 1;
             }
-            let seg_end = if i >= admitted {
-                cov_end.clone()
-            } else {
-                // More entries in the next shard: cover up to the boundary.
-                shard_upper
-                    .clone()
-                    .unwrap_or_else(|| next_key(&results[last_in_shard].0))
+            // Cover this shard's part of the key space: up to the boundary
+            // when more entries follow in the next shard.
+            let seg_end = match shard_upper {
+                Some(ub) if i < admitted => ub.clone(),
+                _ => next_key(&results[i - 1].0),
             };
-            // Clip the segment to this shard's key space.
-            let clipped_start = seg_start.clone();
-            shard.add_segment(clipped_start, seg_end.clone());
+            shard.add_segment(std::mem::replace(&mut seg_start, seg_end.clone()), seg_end);
             let (ev_count, ev_bytes) = shard.evict_to_capacity();
             drop(shard);
             self.note_evictions(EvictionCause::Capacity, ev_count, ev_bytes);
-            seg_start = seg_end;
         }
     }
 
@@ -657,6 +704,7 @@ impl RangeCache {
             s.ordered.clear();
             s.segments.clear();
             s.used = 0;
+            s.publish_segments();
         }
     }
 
@@ -668,11 +716,9 @@ impl RangeCache {
         for s in &self.shards {
             let mut s = s.lock();
             s.capacity = per_shard;
-            s.max_segments = segment_cap(per_shard);
             let (ev_count, ev_bytes) = s.evict_to_capacity();
             count += ev_count;
             bytes += ev_bytes;
-            s.prune_segments();
         }
         self.note_evictions(EvictionCause::Resize, count, bytes);
     }
@@ -702,8 +748,16 @@ impl RangeCache {
         self.shards.iter().map(|s| s.lock().segments.len()).sum()
     }
 
+    /// Segments the backstop has forgotten to keep the segment map under
+    /// its cap (coverage only; see `stats().invalidations` for entries).
+    pub fn coverage_dropped(&self) -> u64 {
+        self.shards.iter().map(|s| s.lock().coverage_dropped).sum()
+    }
+
     /// Query-level counters (one hit or miss per lookup, as the paper
     /// measures) plus entry-level insert/evict/invalidation counts.
+    /// `invalidations` counts entries removed by deletes and `clear` only:
+    /// every other removal is a policy eviction.
     pub fn stats(&self) -> CacheStats {
         let mut st = CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -721,7 +775,8 @@ impl RangeCache {
 
     /// Panics unless every shard's slab, hash index and ordered index hold
     /// the same entries, every entry is covered, segments are disjoint and
-    /// the byte accounting adds up and fits the budget. For tests.
+    /// within their cap, and the byte accounting adds up and fits the
+    /// budget. For tests.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         for s in &self.shards {
@@ -830,6 +885,105 @@ mod tests {
             }
         }
         c.check_invariants();
+    }
+
+    #[test]
+    fn eviction_keeps_only_the_sides_that_hold_an_entry() {
+        let c = RangeCache::new(1 << 20);
+        c.insert_scan(&kv(0).0, &scan_result(0, 10), 10);
+        // Make 4 and 5 the two least recently used, then evict exactly them.
+        for i in (0..4).chain(6..10) {
+            c.get_point(&kv(i).0);
+        }
+        c.set_capacity(8 * (7 + 7 + 48));
+        assert_eq!(c.len(), 8);
+        assert_eq!(c.get_point(&kv(4).0), PointLookup::Miss);
+        assert_eq!(c.get_point(&kv(5).0), PointLookup::Miss);
+        // `[key0000, key0004)` and `[key0005⁺, key0009⁺)` hold entries; the
+        // empty gap between the two evicted neighbours is not kept.
+        assert_eq!(c.segment_count(), 2);
+        assert_eq!(c.get_point(b"key0004x"), PointLookup::Miss);
+        assert_eq!(c.get_point(b"key0003x"), PointLookup::NegativeHit);
+        // So once both are back as points, a scan across them stops at the
+        // gap (it ran through when the gap was remembered).
+        c.set_capacity(1 << 20);
+        c.insert_point(kv(4).0, kv(4).1);
+        c.insert_point(kv(5).0, kv(5).1);
+        let (prefix, cont) = c.get_range_partial(&kv(0).0, 10);
+        assert_eq!(prefix.len(), 5);
+        assert_eq!(cont, Some(next_key(&kv(4).0)));
+        // Evicting the last entry of a side takes the side with it.
+        c.clear();
+        c.insert_scan(&kv(0).0, &scan_result(0, 3), 3);
+        c.set_capacity(7 + 7 + 48);
+        assert_eq!((c.len(), c.segment_count()), (1, 1));
+        c.set_capacity(0);
+        assert_eq!((c.len(), c.segment_count()), (0, 0));
+        c.check_invariants();
+    }
+
+    #[test]
+    fn backstop_forgets_negatives_never_entries() {
+        // Room for 20 entries of 62 bytes, hence a cap of 25 segments.
+        let c = RangeCache::new(20 * (7 + 7 + 48));
+        for i in 0..10 {
+            c.insert_point(kv(i).0, kv(i).1);
+        }
+        // Empty scans leave entry-less negatives until the cap is passed...
+        for i in 0..25 {
+            c.insert_scan(format!("nokey{i:02}").as_bytes(), &[], 0);
+        }
+        assert_eq!((c.segment_count(), c.coverage_dropped()), (25, 0));
+        assert_eq!(c.get_point(b"nokey07"), PointLookup::NegativeHit);
+        // ...then all of them go, and nothing else does.
+        c.insert_scan(b"nokey25", &[], 0);
+        assert_eq!((c.segment_count(), c.coverage_dropped()), (0, 26));
+        assert_eq!(c.get_point(b"nokey07"), PointLookup::Miss);
+        assert_eq!(c.len(), 10);
+        for i in 0..10 {
+            assert_eq!(c.get_point(&kv(i).0), PointLookup::Hit(kv(i).1));
+        }
+        // A segment that holds an entry survives the sweep; a delete
+        // removes its entry and counts as an invalidation, the sweep as none.
+        c.insert_scan(&kv(20).0, &scan_result(20, 2), 2);
+        for i in 0..10 {
+            c.on_write(&kv(i).0, None);
+        }
+        for i in 30..50 {
+            c.insert_scan(format!("nokey{i:02}").as_bytes(), &[], 0);
+        }
+        assert!(c.coverage_dropped() > 26);
+        assert_eq!(c.get_point(&kv(21).0), PointLookup::Hit(kv(21).1));
+        assert_eq!(c.get_point(b"key0020x"), PointLookup::NegativeHit);
+        let st = c.stats();
+        assert_eq!((st.invalidations, st.evictions, c.len()), (10, 0, 2));
+        c.check_invariants();
+    }
+
+    #[test]
+    fn coverage_metrics_follow_every_shard() {
+        let factory: RangePolicyFactory = Box::new(|| Box::new(LruPolicy::new()));
+        let c = RangeCache::with_shards(40 * 62, vec![b("key0010")], factory);
+        c.insert_scan(&kv(0).0, &scan_result(0, 4), 4);
+        // Attached late: what is already covered is published on attach.
+        let obs = Obs::enabled();
+        c.set_obs(obs.clone());
+        let (segments, dropped) = (
+            obs.gauge("cache.range.segments"),
+            obs.counter("cache.range.coverage_dropped"),
+        );
+        assert_eq!(segments.get(), 1);
+        c.insert_scan(&kv(8).0, &scan_result(8, 4), 4);
+        assert_eq!((c.segment_count(), segments.get()), (3, 3));
+        // Past a shard's cap of 25: its negatives go, counted.
+        for i in 0..30 {
+            c.insert_scan(format!("nokey{i:02}").as_bytes(), &[], 0);
+        }
+        assert_eq!(segments.get(), c.segment_count() as i64);
+        assert_eq!(dropped.get(), c.coverage_dropped());
+        assert!(dropped.get() > 0);
+        c.clear();
+        assert_eq!(segments.get(), 0);
     }
 
     #[test]

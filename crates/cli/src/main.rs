@@ -207,11 +207,12 @@ fn cmd_stats(db: &CachedDb) {
     if let Some(rc) = db.range_cache() {
         let s = rc.stats();
         println!(
-            "range cache: {}/{} bytes, {} entries, {} segments, {} hits / {} misses",
+            "range cache: {}/{} bytes, {} entries, {} segments ({} dropped), {} hits / {} misses",
             rc.used(),
             rc.capacity(),
             rc.len(),
             rc.segment_count(),
+            rc.coverage_dropped(),
             s.hits,
             s.misses
         );
@@ -1412,9 +1413,20 @@ fn render_top_tick(
     ] {
         let hits = dc(&format!("{prefix}.hits"));
         let misses = dc(&format!("{prefix}.misses"));
+        // The range cache's coverage map: its size now, and what the
+        // backstop forgot over the interval.
+        let coverage = if label == "range" {
+            format!(
+                ", {} segments, {} coverage dropped",
+                metric_gauge(cur, "cache.range.segments"),
+                dc("cache.range.coverage_dropped")
+            )
+        } else {
+            String::new()
+        };
         if hits + misses > 0 {
             println!(
-                "  cache {label:<6} {:>6.2}% hit ({hits} hits / {misses} misses)",
+                "  cache {label:<6} {:>6.2}% hit ({hits} hits / {misses} misses{coverage})",
                 hits as f64 * 100.0 / (hits + misses) as f64
             );
         }

@@ -1100,6 +1100,11 @@ impl CachedDb {
             levels: self.db.num_levels() as u64,
             block_cache: block,
             range_cache: range,
+            range_segments: self
+                .default_partition
+                .range_cache
+                .as_ref()
+                .map_or(0, |rc| rc.segment_count() as u64),
             stripes: self.db.num_stripes() as u64,
             group_commit_rounds: self.db.group_commit().0,
             group_commit_batches: self.db.group_commit().1,
@@ -1181,6 +1186,9 @@ pub struct EngineStatsReport {
     pub block_cache: Option<CacheStatsReport>,
     /// Range-cache stats, when the strategy has one.
     pub range_cache: Option<CacheStatsReport>,
+    /// Covered segments in that range cache; bounded by its resident
+    /// entries plus the negatives deletes and empty scans left.
+    pub range_segments: u64,
     /// Keyspace stripes the engine is sharded into (1 = classic).
     pub stripes: u64,
     /// Group-commit leader rounds across stripes (each is one WAL push +
