@@ -149,6 +149,17 @@ fn print_help() {
     );
 }
 
+/// One line naming the tree a stripe runs on, shared by the start-up
+/// banner and `adcache top`'s header.
+fn tree_geometry(block: u64, memtable: u64, sstable: u64, l1: u64) -> String {
+    format!(
+        "tree per stripe: block {block} B, memtable {} KiB, sstable {} KiB, L1 {} KiB",
+        memtable >> 10,
+        sstable >> 10,
+        l1 >> 10,
+    )
+}
+
 fn build_db(cfg: &CliConfig) -> Result<CachedDb, Box<dyn std::error::Error>> {
     let mut engine = EngineConfig::new(cfg.strategy, cfg.cache_mb << 20);
     engine.sketch_guard = cfg.sketch_guard;
@@ -157,28 +168,36 @@ fn build_db(cfg: &CliConfig) -> Result<CachedDb, Box<dyn std::error::Error>> {
         opts.background_maintenance = cfg.stripes > 1;
         opts
     };
-    let db = match &cfg.dir {
+    let (store, db) = match &cfg.dir {
         Some(dir) => {
             let storage = Arc::new(FileStorage::open(dir.join("sst"))?);
-            println!(
-                "durable store at {} (strategy {}, cache {} MiB, {} stripes)",
-                dir.display(),
-                cfg.strategy.name(),
-                cfg.cache_mb,
-                cfg.stripes,
-            );
-            CachedDb::with_durability(tune(Options::default()), storage, dir.join("meta"), engine)?
+            let opts = tune(Options::default());
+            (
+                format!("durable store at {}", dir.display()),
+                CachedDb::with_durability(opts, storage, dir.join("meta"), engine)?,
+            )
         }
         None => {
-            println!(
-                "in-memory store (strategy {}, cache {} MiB, {} stripes)",
-                cfg.strategy.name(),
-                cfg.cache_mb,
-                cfg.stripes,
-            );
-            CachedDb::new(tune(Options::small()), Arc::new(MemStorage::new()), engine)?
+            let opts = tune(Options::served_in_memory(cfg.stripes));
+            (
+                "in-memory store".to_string(),
+                CachedDb::new(opts, Arc::new(MemStorage::new()), engine)?,
+            )
         }
     };
+    let opts = db.db().options();
+    println!(
+        "{store} (strategy {}, cache {} MiB, {} stripes)\n{}",
+        cfg.strategy.name(),
+        cfg.cache_mb,
+        cfg.stripes,
+        tree_geometry(
+            opts.block_size as u64,
+            opts.memtable_size as u64,
+            opts.sstable_size as u64,
+            opts.l1_max_bytes as u64,
+        ),
+    );
     Ok(db)
 }
 
@@ -1241,6 +1260,26 @@ fn cmd_top(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         i += 1;
     }
     let interval = std::time::Duration::from_millis(interval_ms.max(50));
+
+    // The tree does not change while a server runs: name it once.
+    let stats: serde_json::Value =
+        serde_json::from_str(&adcache_server::Client::connect(&addr)?.stats()?)?;
+    let tree = |key: &str| {
+        stats
+            .get("engine")
+            .and_then(|e| e.get(key))
+            .and_then(serde_json::Value::as_u64)
+            .unwrap_or(0)
+    };
+    println!(
+        "{}",
+        tree_geometry(
+            tree("block_bytes"),
+            tree("memtable_bytes"),
+            tree("sstable_bytes"),
+            tree("l1_bytes"),
+        )
+    );
 
     let mut prev = fetch_metrics_value(&addr)?;
     let mut prev_at = std::time::Instant::now();
@@ -3025,6 +3064,40 @@ mod tests {
         )
         .unwrap();
         Shell::new(db, obs)
+    }
+
+    /// The tree `serve` and the shell run without `--dir` is the served
+    /// preset, not the unit-test one: a load flushes whole memtables and
+    /// neither storms compactions nor stalls.
+    #[test]
+    fn build_db_in_memory_serves_from_the_served_tree() {
+        let db = build_db(&CliConfig {
+            dir: None,
+            cache_mb: 8,
+            strategy: Strategy::AdCache,
+            trace: None,
+            sketch_guard: true,
+            stripes: 4,
+        })
+        .unwrap();
+        let value = Bytes::from(vec![b'v'; 100]);
+        let mut bytes = 0;
+        for i in 0..50_000 {
+            let key = render_key(i);
+            bytes += (key.len() + value.len()) as u64;
+            db.put(key, value.clone()).unwrap();
+        }
+        // Settle: flush every stripe's tail and run due compactions.
+        db.db().flush().unwrap();
+        let s = db.stats_report();
+        assert_eq!(s.memtable_bytes * s.stripes, 4 << 20);
+        let bound = 2 * bytes.div_ceil(s.memtable_bytes) + s.stripes;
+        assert!(s.flushes <= bound, "{} flushes > {bound}", s.flushes);
+        assert!(s.compactions <= s.flushes, "{} compactions", s.compactions);
+        assert_eq!(s.write_stalls, 0);
+        for i in 0..50_000 {
+            assert_eq!(db.get(&render_key(i)).unwrap().as_ref(), Some(&value));
+        }
     }
 
     #[test]

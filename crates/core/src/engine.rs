@@ -11,7 +11,7 @@ use crate::controller::CacheDecision;
 use crate::stats::{Counters, Snapshot, WindowSummary};
 use crate::tenant::{Partition, TenantId, TenantWindow, DEFAULT_TENANT};
 use adcache_cache::{BlockCache, CompactionPrefetcher, PointLookup, RangeCache, ScanAdmission};
-use adcache_lsm::{DirectProvider, Key, Options, Result, Storage, StripedDb, Value};
+use adcache_lsm::{DirectProvider, Entry, Key, Options, Result, Storage, StripedDb, Value};
 use adcache_obs::{AdmissionOutcome, AdmissionReason, CacheStructure, Counter, Event, Gauge, Obs};
 use adcache_rl::{ShareAgent, TenantFeatures};
 use bytes::Bytes;
@@ -867,20 +867,45 @@ impl CachedDb {
         self.put(key, value)
     }
 
-    /// Applies a batch of puts atomically per stripe (see
-    /// [`StripedDb::write_batch`]), keeping every result cache
-    /// write-through consistent.
-    pub fn write_batch(&self, batch: Vec<(Key, Value)>) -> Result<()> {
-        let entries: Vec<(Key, adcache_lsm::Entry)> = batch
-            .iter()
-            .map(|(k, v)| (k.clone(), adcache_lsm::Entry::Put(v.clone())))
-            .collect();
-        self.db.write_batch(entries)?;
-        for (key, value) in &batch {
-            self.counters.add_write();
-            self.on_write_all(key, Some(value));
+    /// Applies a batch of puts and deletes atomically per stripe (see
+    /// [`StripedDb::write_batch`]): one write-lock acquisition, commit
+    /// round and WAL flush per stripe instead of one per key. Every
+    /// result cache stays write-through consistent, in batch order.
+    pub fn write_batch(&self, batch: Vec<(Key, Entry)>) -> Result<()> {
+        self.counters
+            .writes
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        if let Err(e) = self.db.write_batch(batch.clone()) {
+            // Stripes ahead of the failing one have applied their share
+            // and the error does not say which: forget every cached
+            // result rather than serve a stale one.
+            self.for_each_partition(|part| {
+                if let Some(kv) = &part.kv_cache {
+                    kv.clear();
+                }
+                if let Some(rc) = &part.range_cache {
+                    rc.clear();
+                }
+            });
+            return Err(e);
+        }
+        for (key, entry) in &batch {
+            match entry {
+                Entry::Put(value) => self.on_write_all(key, Some(value)),
+                Entry::Tombstone => self.on_write_all(key, None),
+            }
         }
         Ok(())
+    }
+
+    /// [`write_batch`](Self::write_batch) with every operation charged to
+    /// `tenant`'s demand accounting.
+    pub fn write_batch_for(&self, tenant: TenantId, batch: Vec<(Key, Entry)>) -> Result<()> {
+        let part = self.partition_for(tenant);
+        for _ in &batch {
+            part.note_op();
+        }
+        self.write_batch(batch)
     }
 
     /// Deletes a key, invalidating result-cache entries.
@@ -1056,6 +1081,7 @@ impl CachedDb {
     /// server's `STATS` opcode and the CLI `stats` command.
     pub fn stats_report(&self) -> EngineStatsReport {
         let snap = self.snapshot();
+        let opts = self.db.options();
         // The wire-stable `block_cache`/`range_cache` fields keep their
         // pre-tenant meaning: the default partition's caches. Per-tenant
         // breakdown rides in the appended `tenants` list.
@@ -1106,6 +1132,10 @@ impl CachedDb {
                 .as_ref()
                 .map_or(0, |rc| rc.segment_count() as u64),
             stripes: self.db.num_stripes() as u64,
+            block_bytes: opts.block_size as u64,
+            memtable_bytes: opts.memtable_size as u64,
+            sstable_bytes: opts.sstable_size as u64,
+            l1_bytes: opts.l1_max_bytes as u64,
             group_commit_rounds: self.db.group_commit().0,
             group_commit_batches: self.db.group_commit().1,
             seals: self.db.stats_sum(|s| s.seals()),
@@ -1191,6 +1221,14 @@ pub struct EngineStatsReport {
     pub range_segments: u64,
     /// Keyspace stripes the engine is sharded into (1 = classic).
     pub stripes: u64,
+    /// Target data-block size of each stripe's tree.
+    pub block_bytes: u64,
+    /// Memtable flush threshold of each stripe's tree.
+    pub memtable_bytes: u64,
+    /// Target SSTable size of each stripe's tree.
+    pub sstable_bytes: u64,
+    /// Level-1 byte budget of each stripe's tree.
+    pub l1_bytes: u64,
     /// Group-commit leader rounds across stripes (each is one WAL push +
     /// at most one fsync).
     pub group_commit_rounds: u64,
@@ -1420,19 +1458,33 @@ mod tests {
         populate(&db, 500);
         // Warm the caches on a range.
         db.scan(&render_key(100), 32).unwrap();
-        // Batch-overwrite part of that range.
-        let batch: Vec<(Key, Value)> = (100..120)
-            .map(|i| (render_key(i), Bytes::from(format!("batched-{i}"))))
+        // Batch-overwrite part of that range, delete inside and beside it
+        // (a delete after a put of the same key: batch order decides).
+        let mut batch: Vec<(Key, Entry)> = (100..120)
+            .map(|i| {
+                let value = Bytes::from(format!("batched-{i}"));
+                (render_key(i), Entry::Put(value))
+            })
             .collect();
-        db.write_batch(batch).unwrap();
-        for i in 100..120 {
+        batch.push((render_key(105), Entry::Tombstone));
+        batch.push((render_key(125), Entry::Tombstone));
+        db.register_tenant(7);
+        let writes = db.snapshot().writes;
+        db.write_batch_for(7, batch).unwrap();
+        assert_eq!(db.snapshot().writes - writes, 22);
+        assert_eq!(db.partition_for(7).ops(), 22);
+        for i in (100..120).filter(|&i| i != 105) {
             assert_eq!(
                 db.get(&render_key(i)).unwrap().unwrap().as_ref(),
                 format!("batched-{i}").as_bytes()
             );
         }
-        let scan = db.scan(&render_key(110), 4).unwrap();
-        assert_eq!(scan[0].1.as_ref(), b"batched-110");
+        assert_eq!(db.get(&render_key(105)).unwrap(), None);
+        assert_eq!(db.get(&render_key(125)).unwrap(), None);
+        let scan = db.scan(&render_key(104), 3).unwrap();
+        let keys: Vec<Key> = scan.iter().map(|(k, _)| k.clone()).collect();
+        assert_eq!(keys, [render_key(104), render_key(106), render_key(107)]);
+        assert_eq!(scan[0].1.as_ref(), b"batched-104");
     }
 
     #[test]
@@ -1495,6 +1547,47 @@ mod tests {
         faulty.set_plan(FaultPlan::none());
         for i in 0..20 {
             assert!(db.get(&render_key(i)).unwrap().is_some());
+        }
+    }
+
+    #[test]
+    fn failed_write_batch_leaves_no_stale_cached_result() {
+        use adcache_lsm::{FaultPlan, FaultStorage};
+
+        let faulty = Arc::new(FaultStorage::new(
+            Arc::new(MemStorage::new()),
+            11,
+            FaultPlan::none(),
+        ));
+        let db = CachedDb::new(
+            Options::small(),
+            faulty.clone(),
+            EngineConfig::new(Strategy::RangeCache, 1 << 20),
+        )
+        .unwrap();
+        populate(&db, 500);
+        for i in 0..500 {
+            db.get(&render_key(i)).unwrap();
+        }
+        // The batch lands in the memtable, then the flush it makes due
+        // fails: the engine holds the new values and reports an error.
+        faulty.set_plan(FaultPlan {
+            write_fail: 1.0,
+            ..FaultPlan::none()
+        });
+        let batch: Vec<(Key, Entry)> = (0..500)
+            .map(|i| {
+                (
+                    render_key(i),
+                    Entry::Put(Bytes::from(format!("batched-{i:040}"))),
+                )
+            })
+            .collect();
+        assert!(db.write_batch(batch).is_err());
+        for i in 0..500 {
+            let key = render_key(i);
+            let stored = db.db().get(&key, &DirectProvider).unwrap();
+            assert_eq!(db.get(&key).unwrap(), stored, "key {i}");
         }
     }
 

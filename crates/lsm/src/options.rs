@@ -195,35 +195,6 @@ impl Default for Options {
 }
 
 impl Options {
-    /// The paper's exact Section 5.1 configuration: 4 KiB blocks, 4 MiB
-    /// SSTables, leveled compaction with size ratio 10, Bloom filters at
-    /// 10 bits/key, write slowdown at 4 Level-0 files and stop at 8. Use
-    /// with `--full`-scale experiments and real datasets.
-    pub fn paper() -> Self {
-        Options {
-            block_size: 4096,
-            block_restart_interval: 16,
-            sstable_size: 4 << 20,
-            memtable_size: 4 << 20,
-            l0_compaction_trigger: 4,
-            l0_slowdown_files: 4,
-            l0_stop_files: 8,
-            size_ratio: 10,
-            l1_max_bytes: 40 << 20,
-            bloom_bits_per_key: 10,
-            max_levels: 7,
-            compression: false,
-            read_retries: 2,
-            retry_backoff_ns: 50_000,
-            sync: SyncPolicy::OnFlush,
-            misplaced_fsync: None,
-            lock_wait_budget_ns: 1_000_000,
-            stripes: 1,
-            stripe_index: 0,
-            background_maintenance: false,
-        }
-    }
-
     /// A small-scale configuration for unit tests and fast simulations:
     /// tiny blocks, tables and memtables so that compactions and multi-level
     /// shapes appear with only thousands of keys.
@@ -233,22 +204,27 @@ impl Options {
             block_restart_interval: 8,
             sstable_size: 16 << 10,
             memtable_size: 16 << 10,
-            l0_compaction_trigger: 4,
-            l0_slowdown_files: 4,
-            l0_stop_files: 8,
-            size_ratio: 10,
             l1_max_bytes: 160 << 10,
-            bloom_bits_per_key: 10,
-            max_levels: 7,
-            compression: false,
-            read_retries: 2,
-            retry_backoff_ns: 50_000,
-            sync: SyncPolicy::OnFlush,
-            misplaced_fsync: None,
-            lock_wait_budget_ns: 1_000_000,
-            stripes: 1,
-            stripe_index: 0,
-            background_maintenance: false,
+            ..Options::default()
+        }
+    }
+
+    /// The tree an in-memory server runs on: the paper's 4 MiB write
+    /// buffer (Section 5.1) divided over `stripes`, each stripe an engine
+    /// with memtable = SSTable = its share (never below 256 KiB, so a
+    /// many-stripe server still flushes whole tables) and Level 1 at
+    /// `size_ratio` times that. Blocks stay at the 512 B of
+    /// [`small`](Self::small): a cached value is a slice of the block it
+    /// was decoded from and keeps that block's buffer alive.
+    pub fn served_in_memory(stripes: usize) -> Self {
+        let base = Options::small();
+        let memtable = ((4 << 20) / stripes.max(1)).max(256 << 10);
+        Options {
+            sstable_size: memtable,
+            memtable_size: memtable,
+            l1_max_bytes: base.size_ratio * memtable,
+            stripes,
+            ..base
         }
     }
 
@@ -301,6 +277,19 @@ mod tests {
     fn defaults_are_valid() {
         Options::default().validate().unwrap();
         Options::small().validate().unwrap();
+    }
+
+    #[test]
+    fn served_geometry_divides_the_write_buffer_over_the_stripes() {
+        for stripes in [1, 2, 4, 8, 16] {
+            let o = Options::served_in_memory(stripes);
+            o.validate().unwrap();
+            assert_eq!(o.memtable_size * stripes, 4 << 20);
+            assert_eq!(o.sstable_size, o.memtable_size);
+            assert_eq!(o.l1_max_bytes, o.size_ratio * o.memtable_size);
+            assert_eq!(o.block_size, Options::small().block_size);
+        }
+        assert_eq!(Options::served_in_memory(64).memtable_size, 256 << 10);
     }
 
     #[test]

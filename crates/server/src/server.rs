@@ -32,7 +32,7 @@ use crate::protocol::{
     Response,
 };
 use adcache_core::{CachedDb, TenantId, DEFAULT_TENANT};
-use adcache_lsm::{lock_probe, reset_lock_probe};
+use adcache_lsm::{lock_probe, reset_lock_probe, Entry, Key};
 use adcache_obs::{
     ConnCloseCause, Counter, Event, Gauge, HistogramHandle, Obs, Stage, StageSet, StageTimer,
 };
@@ -937,58 +937,68 @@ fn execute_data_sub(shared: &Shared, tenant: TenantId, req: &Request) -> Respons
 }
 
 /// Executes a batch's sub-requests **in order**, with stripe-aware
-/// grouping: consecutive GET runs go down as one [`CachedDb::multi_get`]
-/// (which groups keys by FNV stripe and takes each stripe's read lock
-/// once), while writes and scans execute at their positions so
-/// read-your-writes holds within the batch. Returns the in-order
-/// multi-reply plus `(subs, distinct stripes)` for metrics.
+/// grouping: a run of consecutive GETs goes down as one
+/// [`CachedDb::multi_get_for`] (each stripe's read lock taken once), a run
+/// of consecutive PUTs and DELETEs as one [`CachedDb::write_batch_for`]
+/// (one write-lock acquisition, commit round and WAL flush per stripe).
+/// A run ends where the other kind or a scan begins, so read-your-writes
+/// holds within the batch; a failed run answers each of its subs with
+/// the error. Returns the in-order multi-reply plus `(subs, distinct
+/// stripes)` for metrics.
 fn execute_batch(shared: &Shared, tenant: TenantId, subs: &[Request]) -> (Response, (u64, u64)) {
     let striped = shared.db.db();
     let mut stripe_seen = vec![false; striped.num_stripes()];
     let mut out: Vec<(Opcode, Response)> = Vec::with_capacity(subs.len());
     let mut i = 0;
     while i < subs.len() {
-        if matches!(subs[i], Request::Get { .. }) {
-            let mut keys: Vec<&[u8]> = Vec::new();
-            let mut j = i;
-            while j < subs.len() {
-                let Request::Get { key } = &subs[j] else {
-                    break;
+        let mut j = i;
+        match &subs[i] {
+            Request::Get { .. } => {
+                let mut keys: Vec<&[u8]> = Vec::new();
+                while let Some(Request::Get { key }) = subs.get(j) {
+                    keys.push(key.as_ref());
+                    stripe_seen[striped.stripe_for(key)] = true;
+                    j += 1;
+                }
+                match shared.db.multi_get_for(tenant, &keys) {
+                    Ok(values) => out.extend(values.into_iter().map(|v| {
+                        let resp = v.map_or(Response::NotFound, Response::Value);
+                        (Opcode::Get, resp)
+                    })),
+                    Err(e) => {
+                        let resp = Response::Error(e.to_string());
+                        out.extend(keys.iter().map(|_| (Opcode::Get, resp.clone())));
+                    }
+                }
+            }
+            Request::Put { .. } | Request::Delete { .. } => {
+                let mut batch: Vec<(Key, Entry)> = Vec::new();
+                while let Some(sub) = subs.get(j) {
+                    let (key, entry) = match sub {
+                        Request::Put { key, value } => (key, Entry::Put(value.clone())),
+                        Request::Delete { key } => (key, Entry::Tombstone),
+                        _ => break,
+                    };
+                    stripe_seen[striped.stripe_for(key)] = true;
+                    batch.push((key.clone(), entry));
+                    j += 1;
+                }
+                let resp = match shared.db.write_batch_for(tenant, batch) {
+                    Ok(()) => Response::Ok,
+                    Err(e) => Response::Error(e.to_string()),
                 };
-                keys.push(key.as_ref());
-                stripe_seen[striped.stripe_for(key)] = true;
+                out.extend(subs[i..j].iter().map(|s| (s.opcode(), resp.clone())));
+            }
+            sub => {
+                // A scan merges across every stripe.
+                if matches!(sub, Request::Scan { .. }) {
+                    stripe_seen.iter_mut().for_each(|s| *s = true);
+                }
+                out.push((sub.opcode(), execute_data_sub(shared, tenant, sub)));
                 j += 1;
             }
-            match shared.db.multi_get_for(tenant, &keys) {
-                Ok(values) => {
-                    for v in values {
-                        let resp = match v {
-                            Some(v) => Response::Value(v),
-                            None => Response::NotFound,
-                        };
-                        out.push((Opcode::Get, resp));
-                    }
-                }
-                Err(e) => {
-                    let msg = e.to_string();
-                    for _ in 0..keys.len() {
-                        out.push((Opcode::Get, Response::Error(msg.clone())));
-                    }
-                }
-            }
-            i = j;
-        } else {
-            match &subs[i] {
-                Request::Put { key, .. } | Request::Delete { key } => {
-                    stripe_seen[striped.stripe_for(key)] = true;
-                }
-                // A scan merges across every stripe.
-                Request::Scan { .. } => stripe_seen.iter_mut().for_each(|s| *s = true),
-                _ => {}
-            }
-            out.push((subs[i].opcode(), execute_data_sub(shared, tenant, &subs[i])));
-            i += 1;
         }
+        i = j;
     }
     let stripes = stripe_seen.iter().filter(|s| **s).count() as u64;
     (Response::Batch(out), (subs.len() as u64, stripes))

@@ -731,6 +731,92 @@ fn batch_opcode_serves_heterogeneous_subs_and_batched_load() {
     assert!(trace.contains("BatchServed"), "batches must be journaled");
 }
 
+/// A run of consecutive PUT/DELETE subs goes down as one write batch per
+/// stripe, and a run is committed before a later read in the frame
+/// executes.
+#[test]
+fn batch_write_runs_commit_once_per_stripe_and_before_later_reads() {
+    let opts = Options {
+        background_maintenance: true,
+        ..Options::served_in_memory(4)
+    };
+    let db = CachedDb::new(
+        opts,
+        Arc::new(MemStorage::new()),
+        EngineConfig::new(Strategy::AdCache, 1 << 20),
+    )
+    .unwrap();
+    db.set_obs(Obs::enabled());
+    let db = Arc::new(db);
+    let server = start_server(db.clone(), |_| {});
+    let mut c = Client::connect(&server.local_addr().to_string()).unwrap();
+    let batch = |c: &mut Client, subs: Vec<Request>| match c.call(&Request::Batch { subs }) {
+        Ok(Response::Batch(replies)) => replies.into_iter().map(|(_, r)| r).collect::<Vec<_>>(),
+        other => panic!("batch answered {other:?}"),
+    };
+    let put = |key: &Bytes, value: &str| Request::Put {
+        key: key.clone(),
+        value: Bytes::copy_from_slice(value.as_bytes()),
+    };
+    let get = |key: &Bytes| Request::Get { key: key.clone() };
+
+    let (k, j) = (render_key(1), render_key(2));
+    db.put(j.clone(), Bytes::from_static(b"doomed")).unwrap();
+    let replies = batch(
+        &mut c,
+        vec![
+            put(&k, "v1"),
+            get(&k),
+            put(&k, "v2"),
+            Request::Delete { key: j.clone() },
+            get(&k),
+            get(&j),
+        ],
+    );
+    assert_eq!(
+        replies,
+        [
+            Response::Ok,
+            Response::Value(Bytes::from_static(b"v1")),
+            Response::Ok,
+            Response::Ok,
+            Response::Value(Bytes::from_static(b"v2")),
+            Response::NotFound,
+        ]
+    );
+
+    let keys: Vec<Bytes> = (100..612).map(render_key).collect();
+    let rounds = db.db().group_commit().0;
+    let replies = batch(&mut c, keys.iter().map(|k| put(k, "loaded")).collect());
+    assert!(replies.iter().all(|r| *r == Response::Ok));
+    let rounds = db.db().group_commit().0 - rounds;
+    assert!(
+        rounds <= 4,
+        "512 PUTs took {rounds} commit rounds on 4 stripes"
+    );
+    let replies = batch(&mut c, keys.iter().map(get).collect());
+    assert!(replies
+        .iter()
+        .all(|r| *r == Response::Value(Bytes::from_static(b"loaded"))));
+
+    server.shutdown();
+    // Three frames: stripes of {k, j}, then all four stripes twice.
+    let metrics: serde_json::Value =
+        serde_json::from_str(&db.obs().metrics_json().unwrap()).unwrap();
+    let stripes = metrics
+        .get("histograms")
+        .and_then(|h| h.get("server.batch.stripes"))
+        .unwrap();
+    let field = |name: &str| stripes.get(name).and_then(serde_json::Value::as_u64);
+    let kj = if db.db().stripe_for(&k) == db.db().stripe_for(&j) {
+        1
+    } else {
+        2
+    };
+    assert_eq!(field("count"), Some(3));
+    assert_eq!(field("sum_ns"), Some(kj + 8));
+}
+
 /// The `server.inflight` gauge counts concurrently executing requests —
 /// under multi-worker load it must be observed above 1 (the old set(1)
 /// implementation could never exceed 1 no matter the parallelism).

@@ -59,6 +59,13 @@ if ! grep -q "drained: .* (0 protocol errors)" "$TRACE_DIR/serve.log"; then
     echo "FAIL: server reported protocol errors or no drain line" >&2
     exit 1
 fi
+# The banner names the tree: an in-memory server runs the served preset
+# (the 4 MiB write buffer over the stripes, 256 KiB at least), never the
+# unit-test preset's 16 KiB memtables.
+if ! grep -qE "^tree per stripe: block 512 B, memtable (256|512|1024|2048|4096) KiB" "$TRACE_DIR/serve.log"; then
+    echo "FAIL: server is not running on the served in-memory tree" >&2
+    exit 1
+fi
 # Clean drain: the accepted and closed connection counts must agree
 # ("N/N connections closed").
 if ! grep -qE "drained: .* ([0-9]+)/\1 connections closed" "$TRACE_DIR/serve.log"; then
