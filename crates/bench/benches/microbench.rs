@@ -6,8 +6,8 @@
 //! Run with `cargo bench -p adcache-bench`.
 
 use adcache_cache::{
-    BlockCache, CacheusPolicy, ChargedCache, ClockPolicy, CountMinSketch, LeCaRPolicy, LfuPolicy,
-    LruPolicy, PointLookup, Policy, RangeCache, RangeLookup, TwoQPolicy,
+    BlockCache, CacheusPolicy, ChargedCache, CountMinSketch, LeCaRPolicy, LfuPolicy, LruPolicy,
+    PointLookup, Policy, RangeCache, RangeLookup,
 };
 use adcache_core::{CachedDb, EngineConfig, Strategy};
 use adcache_lsm::{
@@ -53,18 +53,6 @@ fn bench_policies(c: &mut Criterion) {
     g.bench_function("cacheus_insert_hit_evict", |b| {
         b.iter(|| {
             let mut p = CacheusPolicy::new();
-            run(&mut p);
-        })
-    });
-    g.bench_function("clock_insert_hit_evict", |b| {
-        b.iter(|| {
-            let mut p = ClockPolicy::new();
-            run(&mut p);
-        })
-    });
-    g.bench_function("twoq_insert_hit_evict", |b| {
-        b.iter(|| {
-            let mut p = TwoQPolicy::new();
             run(&mut p);
         })
     });

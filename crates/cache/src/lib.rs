@@ -7,8 +7,8 @@
 //! - [`kv_cache::KvCache`] — point-result cache (Row Cache analogue);
 //! - [`range_cache::RangeCache`] — result cache with covered-segment
 //!   tracking, serving point *and* range lookups across compactions;
-//! - [`policy`] — pluggable eviction: LRU, LFU (plus CR-LFU), FIFO, ARC,
-//!   LeCaR and Cacheus, behind one [`policy::Policy`] trait;
+//! - [`policy`] — pluggable eviction: LRU, LFU (plus CR-LFU), FIFO, LeCaR
+//!   and Cacheus, behind one [`policy::Policy`] trait;
 //! - [`sketch::CountMinSketch`] + [`admission`] — TinyLFU-style frequency
 //!   admission for point lookups and partial admission for scans, the two
 //!   mechanisms AdCache's RL agent tunes online.
@@ -28,10 +28,7 @@ pub use admission::{PointAdmission, ScanAdmission, SketchGuard};
 pub use block_cache::{BlockCache, ScopedBlockProvider};
 pub use container::{CacheStats, ChargedCache};
 pub use kv_cache::KvCache;
-pub use policy::{
-    ArcPolicy, CacheusPolicy, ClockPolicy, FifoPolicy, LeCaRPolicy, LfuPolicy, LruPolicy, Policy,
-    TieBreak, TwoQPolicy,
-};
+pub use policy::{CacheusPolicy, FifoPolicy, LeCaRPolicy, LfuPolicy, LruPolicy, Policy, TieBreak};
 pub use prefetch::CompactionPrefetcher;
 pub use range_cache::{PointLookup, RangeCache, RangeLookup, RangePolicyFactory};
 pub use sketch::CountMinSketch;

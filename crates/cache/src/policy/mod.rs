@@ -6,23 +6,17 @@
 //! lets the paper's baselines swap the Range Cache's LRU for LeCaR or
 //! Cacheus without touching cache structure (Section 5.1).
 
-mod arc;
 mod cacheus;
-mod clock;
 mod fifo;
 mod lecar;
 mod lfu;
 mod lru;
-mod twoq;
 
-pub use arc::ArcPolicy;
 pub use cacheus::CacheusPolicy;
-pub use clock::ClockPolicy;
 pub use fifo::FifoPolicy;
 pub use lecar::LeCaRPolicy;
 pub use lfu::{LfuPolicy, TieBreak};
 pub use lru::LruPolicy;
-pub use twoq::TwoQPolicy;
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};

@@ -2234,27 +2234,110 @@ impl FaultCheckReport {
     }
 }
 
-/// One crash-recover-verify cycle, entirely in memory: a durable tree
-/// over write-back-modeling fault storage (SSTs) and a simulated
-/// filesystem (WAL + manifest) takes writes under a fault storm with one
-/// armed crash point; the process "crashes" — the tree drops AND every
-/// completed-but-unsynced write is torn out of both device models — then
-/// the store reopens and every key is checked against what the configured
-/// sync policy actually promised.
+/// What a drill cycle knows about the keys it wrote: each key's write
+/// history in order — (value-or-tombstone, acked?, global sequence number)
+/// — and the `on_flush` durability floor. A failed op may still have
+/// reached the WAL before the injected error, so unacked writes are
+/// *candidates*, not forbidden states.
+struct WriteLedger {
+    history: Vec<Vec<(Option<Bytes>, bool, u64)>>,
+    seq: u64,
+    /// Highest sequence number covered by a fully *successful* flush.
+    flushed_seq: u64,
+    /// No worker pool: flushes run inline on the writer's stack, so one
+    /// that completed *during an acked write* covers that write too. (A
+    /// counter that rose during a failed op proves nothing — the flush may
+    /// have installed and the compaction after it failed — and with a pool
+    /// a rise is another stripe's asynchronous flush.)
+    inline: bool,
+}
+
+impl WriteLedger {
+    fn flushes(db: &adcache_lsm::StripedDb) -> u64 {
+        db.stats_sum(|s| s.flushes.load(std::sync::atomic::Ordering::Relaxed))
+    }
+
+    /// The drill's `k`th key.
+    fn key(k: u64) -> Bytes {
+        Bytes::from(format!("k{k:04}"))
+    }
+
+    /// Puts (`Some`) or deletes (`None`) key `k` and records the outcome.
+    fn write(&mut self, db: &adcache_lsm::StripedDb, k: u64, v: Option<Bytes>) {
+        self.seq += 1;
+        let before = Self::flushes(db);
+        let acked = match &v {
+            Some(v) => db.put(Self::key(k), v.clone()),
+            None => db.delete(Self::key(k)),
+        }
+        .is_ok();
+        self.history[k as usize].push((v, acked, self.seq));
+        if self.inline && acked && Self::flushes(db) > before {
+            self.flushed_seq = self.seq;
+        }
+    }
+
+    /// An explicit synchronous `flush()` — with a pool, the only event
+    /// that may raise the floor: background completions are asynchronous
+    /// and promise nothing about when they covered a given ack.
+    fn flush(&mut self, db: &adcache_lsm::StripedDb) {
+        if db.flush().is_ok() {
+            self.flushed_seq = self.seq;
+        }
+    }
+
+    /// Whether recovering `got` for key `k` is justified under `sync`:
+    /// with `always` every acked write must survive; with `on_flush` every
+    /// acked write up to the last successful flush must; with `never`
+    /// nothing is promised beyond serving only values actually written.
+    fn justifies(&self, k: u64, got: Option<&Bytes>, sync: adcache_lsm::SyncPolicy) -> bool {
+        use adcache_lsm::SyncPolicy;
+        let h = &self.history[k as usize];
+        let strong = match sync {
+            SyncPolicy::Always => h.iter().rposition(|(_, acked, _)| *acked),
+            SyncPolicy::OnFlush => h
+                .iter()
+                .rposition(|(_, acked, s)| *acked && *s <= self.flushed_seq),
+            SyncPolicy::Never => None,
+        };
+        let matches = |want: &Option<Bytes>| got == want.as_ref();
+        match strong {
+            // The recovered value must be the newest sync-covered acked
+            // write or any candidate issued after it — never older.
+            Some(idx) => h[idx..].iter().any(|(v, _, _)| matches(v)),
+            None => got.is_none() || h.iter().any(|(v, _, _)| matches(v)),
+        }
+    }
+}
+
+/// One crash-recover-verify cycle, entirely in memory: a durable
+/// [`adcache_lsm::StripedDb`] over write-back-modeling fault storage (SSTs)
+/// and a simulated filesystem (WAL + manifest) takes writes under a fault
+/// storm with one armed crash point; the process "crashes" — the engine
+/// drops AND every completed-but-unsynced write is torn out of both device
+/// models — then the store reopens and every key is checked against what
+/// the configured sync policy actually promised.
+///
+/// `stripes` decides who runs maintenance. At 1 the store is the plain
+/// single-tree engine (same directory layout, same inline write path):
+/// flushes and compactions run on the writer's own stack, so that is where
+/// the armed point fires. Above 1 a worker pool runs them, and a point
+/// that fires *inside a background job* poisons its stripe — a process
+/// kill the foreground cannot observe.
 fn faultcheck_cycle(
     cycle: u64,
     seed: u64,
     sync: adcache_lsm::SyncPolicy,
     misplace: Option<adcache_lsm::FsyncSite>,
+    stripes: usize,
     report: &mut FaultCheckReport,
 ) -> Result<(), Box<dyn std::error::Error>> {
     use adcache_lsm::{
-        CrashController, CrashPoint, DirectProvider, FaultPlan, FaultStorage, LsmTree, SimFs,
-        Storage, SyncPolicy,
+        CrashController, CrashPoint, DirectProvider, FaultPlan, FaultStorage, SimFs, Storage,
+        StripedDb,
     };
-    use std::sync::atomic::Ordering;
 
-    let cseed = fc_mix(seed ^ cycle.wrapping_mul(0x517C_C1B7_2722_0A95));
+    let cseed = fc_mix(seed ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let fs = Arc::new(SimFs::new());
     let storage = Arc::new(FaultStorage::new(
         Arc::new(MemStorage::new()),
@@ -2263,54 +2346,40 @@ fn faultcheck_cycle(
     ));
     storage.enable_write_back();
     let crash = CrashController::new();
-    // Tiny memtable + padded values so a 200-op cycle crosses several
-    // flush and compaction seams — that is where the crash points live.
+    // Tiny memtable + padded values so one cycle crosses several flush and
+    // compaction seams — that is where the crash points live.
     let mut opts = Options::small();
     opts.memtable_size = 2 << 10;
     opts.sync = sync;
     opts.misplaced_fsync = misplace;
+    opts.stripes = stripes;
+    opts.background_maintenance = stripes > 1;
     let meta_dir = std::path::PathBuf::from("/faultcheck/meta");
-    let key_space = 48u64;
-    let kb = |k: u64| Bytes::from(format!("k{k:04}"));
+    let key_space = 64u64;
+    let kb = WriteLedger::key;
     let pad = "x".repeat(48);
-    // Per-key write history, in order: (value-or-tombstone, acked?,
-    // global sequence number). A failed op may still have reached the WAL
-    // before the injected error, so unacked writes are *candidates*, not
-    // forbidden states.
-    let mut history: Vec<Vec<(Option<Bytes>, bool, u64)>> = vec![Vec::new(); key_space as usize];
-    let mut seq = 0u64;
-    // Highest sequence number covered by a fully *successful* flush — the
-    // `on_flush` policy's durability floor. (A flush that errored past the
-    // counter bump may have synced nothing, so only acked flushes count.)
-    let mut flushed_seq = 0u64;
+    let mut ledger = WriteLedger {
+        history: vec![Vec::new(); key_space as usize],
+        seq: 0,
+        flushed_seq: 0,
+        inline: !opts.background_maintenance,
+    };
     let mut rng = cseed | 1;
     let mut next = move || {
         rng = fc_mix(rng);
         rng
     };
     {
-        let db = LsmTree::with_durability_fs(opts.clone(), storage.clone(), &meta_dir, fs.clone())?;
+        let db =
+            StripedDb::with_durability_fs(opts.clone(), storage.clone(), &meta_dir, fs.clone())?;
         db.set_crash_controller(crash.clone());
-        let mut flushes_seen = 0u64;
         // Baseline data lands cleanly so the faulted phase reads and
         // compacts real tables.
         for k in 0..key_space {
             let v = Bytes::from(format!("base-{cycle}-{k}-{pad}"));
-            seq += 1;
-            let acked = db.put(kb(k), v.clone()).is_ok();
-            history[k as usize].push((Some(v), acked, seq));
-            if acked {
-                let f = db.stats().flushes.load(Ordering::Relaxed);
-                if f > flushes_seen {
-                    flushes_seen = f;
-                    flushed_seq = seq;
-                }
-            }
+            ledger.write(&db, k, Some(v));
         }
-        if db.flush().is_ok() {
-            flushes_seen = db.stats().flushes.load(Ordering::Relaxed);
-            flushed_seq = seq;
-        }
+        ledger.flush(&db);
 
         // Storm on, one crash point armed somewhere in the cycle.
         storage.set_plan(FaultPlan::storm());
@@ -2319,36 +2388,20 @@ fn faultcheck_cycle(
             points[(next() % points.len() as u64) as usize],
             next() % 3 + 1,
         );
-        for i in 0..200u64 {
+        for i in 0..300u64 {
             let k = next() % key_space;
             match next() % 100 {
-                0..=59 => {
+                0..=54 => {
                     let v = Bytes::from(format!("c{cycle}-i{i}-{pad}"));
-                    seq += 1;
-                    let acked = db.put(kb(k), v.clone()).is_ok();
-                    history[k as usize].push((Some(v), acked, seq));
-                    if acked {
-                        let f = db.stats().flushes.load(Ordering::Relaxed);
-                        if f > flushes_seen {
-                            flushes_seen = f;
-                            flushed_seq = seq;
-                        }
-                    }
+                    ledger.write(&db, k, Some(v));
                 }
-                60..=69 => {
-                    seq += 1;
-                    let acked = db.delete(kb(k)).is_ok();
-                    history[k as usize].push((None, acked, seq));
-                    if acked {
-                        let f = db.stats().flushes.load(Ordering::Relaxed);
-                        if f > flushes_seen {
-                            flushes_seen = f;
-                            flushed_seq = seq;
-                        }
-                    }
-                }
+                55..=64 => ledger.write(&db, k, None),
+                65..=69 => ledger.flush(&db),
                 70..=74 => {
                     let _ = db.maybe_compact_once();
+                }
+                75..=79 => {
+                    let _ = db.scan(&kb(k), 8, &DirectProvider);
                 }
                 _ => {
                     let _ = db.get(&kb(k), &DirectProvider);
@@ -2358,28 +2411,34 @@ fn faultcheck_cycle(
                 break;
             }
         }
+        // Give in-flight background jobs a moment to hit the armed point.
+        if !ledger.inline && !crash.fired() {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
         if crash.fired() {
             report.crashes_fired += 1;
         }
         report.faults_injected += storage.fault_stats().total();
-        // The tree drops here: the simulated crash...
+        // The engine drops here (joining the worker pool, if any): the
+        // "process" is fully dead before the device models crash below.
     }
 
-    // ...and the crash also tears every completed-but-unsynced write out
-    // of both device models: SST files from the storage write-back cache,
+    // The crash also tears every completed-but-unsynced write out of both
+    // device models: SST files from the storage write-back cache,
     // WAL/manifest bytes and directory entries from the simulated fs.
     storage.set_active(false);
     let (sst_files, _) = storage.crash_drop_unsynced(fc_mix(cseed ^ 0xA5A5));
     let meta_loss = fs.crash(fc_mix(cseed ^ 0x5A5A));
     report.unsynced_files_dropped += sst_files + meta_loss.files;
 
-    // Recovery runs against a quiet device. "Acked" now means "acked
-    // under the configured sync policy": with `always` every acked write
-    // must survive; with `on_flush` every acked write up to the last
-    // successful flush must; with `never` nothing is promised beyond
-    // serving only values that were actually written.
-    let reopen =
-        || LsmTree::with_durability_fs(opts.clone(), storage.clone(), &meta_dir, fs.clone());
+    // Recovery runs against a quiet device, with background maintenance
+    // off: recovery is identical (the option only affects the write path)
+    // and the verification reads are deterministic.
+    let mut verify_opts = opts.clone();
+    verify_opts.background_maintenance = false;
+    let reopen = || {
+        StripedDb::with_durability_fs(verify_opts.clone(), storage.clone(), &meta_dir, fs.clone())
+    };
     let db = match reopen() {
         Ok(db) => db,
         Err(e) => {
@@ -2391,22 +2450,7 @@ fn faultcheck_cycle(
     let mut state = Vec::with_capacity(key_space as usize);
     for k in 0..key_space {
         let got = db.get(&kb(k), &DirectProvider)?;
-        let h = &history[k as usize];
-        let strong = match sync {
-            SyncPolicy::Always => h.iter().rposition(|(_, acked, _)| *acked),
-            SyncPolicy::OnFlush => h
-                .iter()
-                .rposition(|(_, acked, s)| *acked && *s <= flushed_seq),
-            SyncPolicy::Never => None,
-        };
-        let matches = |want: &Option<Bytes>| got.as_deref() == want.as_deref();
-        let ok = match strong {
-            // The recovered value must be the newest sync-covered acked
-            // write or any candidate issued after it — never older.
-            Some(idx) => h[idx..].iter().any(|(v, _, _)| matches(v)),
-            None => got.is_none() || h.iter().any(|(v, _, _)| matches(v)),
-        };
-        if !ok {
+        if !ledger.justifies(k, got.as_ref(), sync) {
             report.lost_acked_writes += 1;
             eprintln!(
                 "cycle {cycle}: key k{k:04} recovered {:?}, not justified under sync={}",
@@ -2417,8 +2461,8 @@ fn faultcheck_cycle(
         }
         state.push(got);
     }
-    // The recovery sweep must leave no table on the device that the
-    // recovered version does not reference.
+    // The recovery sweep (every stripe's, jointly) must leave no table on
+    // the device that the recovered version does not reference.
     let live: usize = db.level_summary().iter().map(|(_, files, _)| files).sum();
     let on_device = storage.table_count();
     if on_device > live {
@@ -2443,9 +2487,10 @@ fn faultcheck_cycle(
             eprintln!("cycle {cycle}: key k{k:04} changed between reopens");
         }
     }
-    // The recovered store must still be writable: fresh keys flushed to
-    // new tables. A file-id collision with a leftover orphan (the bug the
-    // recovery sweep exists to prevent) surfaces here as a write error.
+    // The recovered store must still be writable on every stripe: fresh
+    // keys flushed to new tables. A file-id collision with a leftover
+    // orphan (the bug the recovery sweep exists to prevent) surfaces here
+    // as a write error.
     for j in 0..key_space {
         let v = Bytes::from(format!("post-{cycle}-{j}-{pad}"));
         if db.put(Bytes::from(format!("z{j:04}")), v).is_err() {
@@ -2455,207 +2500,6 @@ fn faultcheck_cycle(
     if db.flush().is_err() {
         report.id_collisions += 1;
         eprintln!("cycle {cycle}: post-recovery flush failed (file-id collision?)");
-    }
-    drop(db);
-    Ok(())
-}
-
-/// The striped variant of [`faultcheck_cycle`]: a [`StripedDb`] with
-/// background maintenance on, so flushes and compactions run on worker
-/// threads and the armed crash point can fire *inside a background job*
-/// (which poisons that stripe, exactly like a process kill the foreground
-/// cannot observe). The `on_flush` durability floor comes from explicit
-/// synchronous `flush()` calls — background flush completions are
-/// asynchronous and promise nothing about when they covered a given ack.
-fn faultcheck_cycle_striped(
-    cycle: u64,
-    seed: u64,
-    sync: adcache_lsm::SyncPolicy,
-    misplace: Option<adcache_lsm::FsyncSite>,
-    stripes: usize,
-    report: &mut FaultCheckReport,
-) -> Result<(), Box<dyn std::error::Error>> {
-    use adcache_lsm::{
-        CrashController, CrashPoint, DirectProvider, FaultPlan, FaultStorage, SimFs, Storage,
-        StripedDb, SyncPolicy,
-    };
-
-    let cseed = fc_mix(seed ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let fs = Arc::new(SimFs::new());
-    let storage = Arc::new(FaultStorage::new(
-        Arc::new(MemStorage::new()),
-        cseed,
-        FaultPlan::none(),
-    ));
-    storage.enable_write_back();
-    let crash = CrashController::new();
-    let mut opts = Options::small();
-    opts.memtable_size = 2 << 10;
-    opts.sync = sync;
-    opts.misplaced_fsync = misplace;
-    opts.stripes = stripes;
-    opts.background_maintenance = true;
-    let meta_dir = std::path::PathBuf::from("/faultcheck/striped");
-    let key_space = 64u64;
-    let kb = |k: u64| Bytes::from(format!("k{k:04}"));
-    let pad = "x".repeat(48);
-    let mut history: Vec<Vec<(Option<Bytes>, bool, u64)>> = vec![Vec::new(); key_space as usize];
-    let mut seq = 0u64;
-    let mut flushed_seq = 0u64;
-    let mut rng = cseed | 1;
-    let mut next = move || {
-        rng = fc_mix(rng);
-        rng
-    };
-    {
-        let db =
-            StripedDb::with_durability_fs(opts.clone(), storage.clone(), &meta_dir, fs.clone())?;
-        db.set_crash_controller(crash.clone());
-        for k in 0..key_space {
-            let v = Bytes::from(format!("base-{cycle}-{k}-{pad}"));
-            seq += 1;
-            let acked = db.put(kb(k), v.clone()).is_ok();
-            history[k as usize].push((Some(v), acked, seq));
-        }
-        if db.flush().is_ok() {
-            flushed_seq = seq;
-        }
-
-        storage.set_plan(FaultPlan::storm());
-        let points = CrashPoint::all();
-        crash.arm(
-            points[(next() % points.len() as u64) as usize],
-            next() % 3 + 1,
-        );
-        for i in 0..300u64 {
-            let k = next() % key_space;
-            match next() % 100 {
-                0..=54 => {
-                    let v = Bytes::from(format!("c{cycle}-i{i}-{pad}"));
-                    seq += 1;
-                    let acked = db.put(kb(k), v.clone()).is_ok();
-                    history[k as usize].push((Some(v), acked, seq));
-                }
-                55..=64 => {
-                    seq += 1;
-                    let acked = db.delete(kb(k)).is_ok();
-                    history[k as usize].push((None, acked, seq));
-                }
-                65..=69 => {
-                    // Explicit synchronous flush: the only event that may
-                    // raise the on_flush durability floor in this drill.
-                    if db.flush().is_ok() {
-                        flushed_seq = seq;
-                    }
-                }
-                70..=74 => {
-                    let _ = db.maybe_compact_once();
-                }
-                75..=79 => {
-                    let _ = db.scan(&kb(k), 8, &DirectProvider);
-                }
-                _ => {
-                    let _ = db.get(&kb(k), &DirectProvider);
-                }
-            }
-            if crash.fired() {
-                break;
-            }
-        }
-        // Give in-flight background jobs a moment to hit the armed point.
-        if !crash.fired() {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        if crash.fired() {
-            report.crashes_fired += 1;
-        }
-        report.faults_injected += storage.fault_stats().total();
-        // Dropping the StripedDb joins the worker pool — the "process"
-        // is fully dead before the device models crash below.
-    }
-
-    storage.set_active(false);
-    let (sst_files, _) = storage.crash_drop_unsynced(fc_mix(cseed ^ 0xA5A5));
-    let meta_loss = fs.crash(fc_mix(cseed ^ 0x5A5A));
-    report.unsynced_files_dropped += sst_files + meta_loss.files;
-
-    // Reopen with background maintenance off: recovery is identical (the
-    // option only affects the write path), and the verification reads are
-    // deterministic.
-    let mut verify_opts = opts.clone();
-    verify_opts.background_maintenance = false;
-    let reopen = || {
-        StripedDb::with_durability_fs(verify_opts.clone(), storage.clone(), &meta_dir, fs.clone())
-    };
-    let db = match reopen() {
-        Ok(db) => db,
-        Err(e) => {
-            report.failed_opens += 1;
-            eprintln!("striped cycle {cycle}: reopen failed: {e}");
-            return Ok(());
-        }
-    };
-    let mut state = Vec::with_capacity(key_space as usize);
-    for k in 0..key_space {
-        let got = db.get(&kb(k), &DirectProvider)?;
-        let h = &history[k as usize];
-        let strong = match sync {
-            SyncPolicy::Always => h.iter().rposition(|(_, acked, _)| *acked),
-            SyncPolicy::OnFlush => h
-                .iter()
-                .rposition(|(_, acked, s)| *acked && *s <= flushed_seq),
-            SyncPolicy::Never => None,
-        };
-        let matches = |want: &Option<Bytes>| got.as_deref() == want.as_deref();
-        let ok = match strong {
-            Some(idx) => h[idx..].iter().any(|(v, _, _)| matches(v)),
-            None => got.is_none() || h.iter().any(|(v, _, _)| matches(v)),
-        };
-        if !ok {
-            report.lost_acked_writes += 1;
-            eprintln!(
-                "striped cycle {cycle}: key k{k:04} recovered {:?}, not justified under sync={}",
-                got.as_ref()
-                    .map(|v| String::from_utf8_lossy(v).into_owned()),
-                sync.name(),
-            );
-        }
-        state.push(got);
-    }
-    // Per-stripe orphan sweeps must jointly leave no unreferenced table.
-    let live: usize = db.level_summary().iter().map(|(_, files, _)| files).sum();
-    let on_device = storage.table_count();
-    if on_device > live {
-        report.orphan_leftovers += (on_device - live) as u64;
-        eprintln!("striped cycle {cycle}: {on_device} tables on device, only {live} referenced");
-    }
-    drop(db);
-
-    let db = match reopen() {
-        Ok(db) => db,
-        Err(e) => {
-            report.failed_opens += 1;
-            eprintln!("striped cycle {cycle}: second reopen failed: {e}");
-            return Ok(());
-        }
-    };
-    for k in 0..key_space {
-        if db.get(&kb(k), &DirectProvider)? != state[k as usize] {
-            report.unstable_reopens += 1;
-            eprintln!("striped cycle {cycle}: key k{k:04} changed between reopens");
-        }
-    }
-    // Post-recovery writability across every stripe (stride-allocated file
-    // ids must not collide with any leftover).
-    for j in 0..key_space {
-        let v = Bytes::from(format!("post-{cycle}-{j}-{pad}"));
-        if db.put(Bytes::from(format!("z{j:04}")), v).is_err() {
-            report.id_collisions += 1;
-        }
-    }
-    if db.flush().is_err() {
-        report.id_collisions += 1;
-        eprintln!("striped cycle {cycle}: post-recovery flush failed (file-id collision?)");
     }
     drop(db);
     Ok(())
@@ -2676,11 +2520,7 @@ fn cmd_faultcheck(
 
     let mut report = FaultCheckReport::default();
     for cycle in 0..cycles {
-        if stripes > 1 {
-            faultcheck_cycle_striped(cycle, seed, sync, misplace, stripes, &mut report)?;
-        } else {
-            faultcheck_cycle(cycle, seed, sync, misplace, &mut report)?;
-        }
+        faultcheck_cycle(cycle, seed, sync, misplace, stripes, &mut report)?;
     }
 
     // RL guarantee: a full engine + controller run under a fault storm
@@ -3155,24 +2995,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Runs `cycles` drill cycles and returns the accumulated report.
+    fn drill(
+        cycles: u64,
+        seed: u64,
+        sync: adcache_lsm::SyncPolicy,
+        misplace: Option<adcache_lsm::FsyncSite>,
+        stripes: usize,
+    ) -> FaultCheckReport {
+        let mut report = FaultCheckReport::default();
+        for cycle in 0..cycles {
+            faultcheck_cycle(cycle, seed, sync, misplace, stripes, &mut report).unwrap();
+        }
+        report
+    }
+
+    fn assert_guarantees_hold(report: &FaultCheckReport, what: &str) {
+        assert!(
+            report.ok(),
+            "guarantees violated ({what}): {} lost acked, {} failed opens, {} unstable, \
+             {} orphans, {} collisions",
+            report.lost_acked_writes,
+            report.failed_opens,
+            report.unstable_reopens,
+            report.orphan_leftovers,
+            report.id_collisions,
+        );
+    }
+
     #[test]
     fn faultcheck_cycles_hold_guarantees_under_every_sync_policy() {
         for sync in adcache_lsm::SyncPolicy::all() {
-            let mut report = FaultCheckReport::default();
-            for cycle in 0..6 {
-                faultcheck_cycle(cycle, 7, sync, None, &mut report).unwrap();
-            }
-            assert!(
-                report.ok(),
-                "guarantees violated under sync={}: {} lost acked, {} failed opens, \
-                 {} unstable, {} orphans, {} collisions",
-                sync.name(),
-                report.lost_acked_writes,
-                report.failed_opens,
-                report.unstable_reopens,
-                report.orphan_leftovers,
-                report.id_collisions,
-            );
+            let report = drill(6, 7, sync, None, 1);
+            assert_guarantees_hold(&report, sync.name());
             assert!(report.faults_injected > 0, "the storm plan must bite");
             assert!(report.crashes_fired > 0, "crash points must fire");
         }
@@ -3180,27 +3035,27 @@ mod tests {
 
     #[test]
     fn striped_faultcheck_holds_guarantees_with_background_crash_points() {
-        // The striped drill runs with background maintenance on, so the
-        // armed crash point fires inside a pool worker (poisoning that
-        // stripe) rather than on the writer's own stack.
+        // Above one stripe the drill runs with background maintenance on,
+        // so the armed crash point fires inside a pool worker (poisoning
+        // that stripe) rather than on the writer's own stack.
         for sync in adcache_lsm::SyncPolicy::all() {
-            let mut report = FaultCheckReport::default();
-            for cycle in 0..6 {
-                faultcheck_cycle_striped(cycle, 7, sync, None, 8, &mut report).unwrap();
-            }
-            assert!(
-                report.ok(),
-                "striped guarantees violated under sync={}: {} lost acked, {} failed opens, \
-                 {} unstable, {} orphans, {} collisions",
-                sync.name(),
-                report.lost_acked_writes,
-                report.failed_opens,
-                report.unstable_reopens,
-                report.orphan_leftovers,
-                report.id_collisions,
-            );
+            let report = drill(6, 7, sync, None, 8);
+            assert_guarantees_hold(&report, sync.name());
             assert!(report.faults_injected > 0, "the storm plan must bite");
             assert!(report.crashes_fired > 0, "crash points must fire");
+        }
+    }
+
+    #[test]
+    fn on_flush_floor_counts_only_flushes_inside_an_acked_write() {
+        // CI's `on_flush x stripes 1` cells: the inline engine's implicit
+        // flushes raise the durability floor, but only when the counter
+        // rose during the acked write itself — crediting a flush that
+        // failed half-way to the next ack reported lost writes that were
+        // never promised.
+        for seed in [42, 7] {
+            let report = drill(40, seed, adcache_lsm::SyncPolicy::OnFlush, None, 1);
+            assert_guarantees_hold(&report, &format!("seed {seed}"));
         }
     }
 
@@ -3211,17 +3066,7 @@ mod tests {
         // after the manifest rename). Under `always` that single hole
         // must make the drill fail — proving it can detect a real
         // regression in fsync placement, not just pass vacuously.
-        let mut report = FaultCheckReport::default();
-        for cycle in 0..6 {
-            faultcheck_cycle(
-                cycle,
-                7,
-                SyncPolicy::Always,
-                Some(FsyncSite::ManifestDir),
-                &mut report,
-            )
-            .unwrap();
-        }
+        let report = drill(6, 7, SyncPolicy::Always, Some(FsyncSite::ManifestDir), 1);
         assert!(
             !report.ok(),
             "a misplaced manifest-directory fsync must lose acked writes"
@@ -3234,21 +3079,9 @@ mod tests {
         // Under `on_flush` the WAL truncation must be sync-bracketed;
         // without it a stale pre-flush segment can resurrect after a
         // crash and shadow newer flushed data on replay.
-        let mut report = FaultCheckReport::default();
-        let mut any_red = false;
-        for cycle in 0..12 {
-            faultcheck_cycle(
-                cycle,
-                7,
-                SyncPolicy::OnFlush,
-                Some(FsyncSite::WalReset),
-                &mut report,
-            )
-            .unwrap();
-            any_red |= !report.ok();
-        }
+        let report = drill(12, 7, SyncPolicy::OnFlush, Some(FsyncSite::WalReset), 1);
         assert!(
-            any_red,
+            !report.ok(),
             "an unsynced WAL truncation must eventually resurrect stale records"
         );
     }

@@ -384,7 +384,9 @@ impl CachedDb {
 
     /// The partition serving `tenant` (the default partition for tenant
     /// 0 and for tenants never registered — unregistered traffic is
-    /// legacy traffic, not a fresh partition).
+    /// legacy traffic, not a fresh partition). Takes the registry's read
+    /// lock and clones an `Arc`: resolve once per session and hand the
+    /// result to the `*_in` operations, as the server does at `AUTH`.
     pub fn partition_for(&self, tenant: TenantId) -> Arc<Partition> {
         if tenant == DEFAULT_TENANT {
             return self.default_partition.clone();
@@ -547,18 +549,15 @@ impl CachedDb {
             .collect()
     }
 
-    /// Point lookup along the paper's query-handling path (default
-    /// tenant).
+    /// [`get_in`](Self::get_in) the default tenant's partition.
     pub fn get(&self, key: &[u8]) -> Result<Option<Value>> {
         self.get_in(&self.default_partition, key)
     }
 
-    /// [`get`](Self::get) served from `tenant`'s cache partition.
-    pub fn get_for(&self, tenant: TenantId, key: &[u8]) -> Result<Option<Value>> {
-        self.get_in(&self.partition_for(tenant), key)
-    }
-
-    fn get_in(&self, part: &Partition, key: &[u8]) -> Result<Option<Value>> {
+    /// Point lookup along the paper's query-handling path, served from —
+    /// and charged to — `part` (see [`partition_for`](Self::partition_for);
+    /// resolve it once per session, not per operation).
+    pub fn get_in(&self, part: &Partition, key: &[u8]) -> Result<Option<Value>> {
         self.counters.add_point();
         part.note_op();
         if let Some(answer) = self.probe_point_caches(part, key) {
@@ -587,23 +586,19 @@ impl CachedDb {
         Ok(result)
     }
 
-    /// Batched point lookup: probes the caches per key, then reads all
-    /// misses from the LSM-tree in **one** grouped call
-    /// ([`StripedDb::multi_get`]) that takes each stripe's read lock once
-    /// per group instead of once per key. Results are positional:
-    /// `out[i]` answers `keys[i]`. Counter and admission semantics per
-    /// key match [`get`](Self::get); a failed grouped read is charged as
-    /// one failed read and fails the whole batch.
+    /// [`multi_get_in`](Self::multi_get_in) the default tenant's partition.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Value>>> {
         self.multi_get_in(&self.default_partition, keys)
     }
 
-    /// [`multi_get`](Self::multi_get) served from `tenant`'s partition.
-    pub fn multi_get_for(&self, tenant: TenantId, keys: &[&[u8]]) -> Result<Vec<Option<Value>>> {
-        self.multi_get_in(&self.partition_for(tenant), keys)
-    }
-
-    fn multi_get_in(&self, part: &Partition, keys: &[&[u8]]) -> Result<Vec<Option<Value>>> {
+    /// Batched point lookup: probes `part`'s caches per key, then reads all
+    /// misses from the LSM-tree in **one** grouped call
+    /// ([`StripedDb::multi_get`]) that takes each stripe's read lock once
+    /// per group instead of once per key. Results are positional:
+    /// `out[i]` answers `keys[i]`. Counter and admission semantics per
+    /// key match [`get_in`](Self::get_in); a failed grouped read is charged
+    /// as one failed read and fails the whole batch.
+    pub fn multi_get_in(&self, part: &Partition, keys: &[&[u8]]) -> Result<Vec<Option<Value>>> {
         let mut out: Vec<Option<Value>> = vec![None; keys.len()];
         let mut miss_idx: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
@@ -725,7 +720,12 @@ impl CachedDb {
         part.publish_bytes();
     }
 
-    /// Range scan along the query-handling path.
+    /// [`scan_in`](Self::scan_in) the default tenant's partition.
+    pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<(Key, Value)>> {
+        self.scan_in(&self.default_partition, from, limit)
+    }
+
+    /// Range scan along the query-handling path, served from `part`.
     ///
     /// The range cache serves whatever covered prefix it holds; the tail is
     /// read from the LSM-tree starting exactly at the coverage end (a
@@ -734,21 +734,12 @@ impl CachedDb {
     /// the freshly-read tail, so repeated overlapping scans grow coverage
     /// incrementally — "overlapping scans naturally accelerate this
     /// process" (Section 3.4).
-    pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<(Key, Value)>> {
-        self.scan_in(&self.default_partition, from, limit)
-    }
-
-    /// [`scan`](Self::scan) served from `tenant`'s cache partition.
-    pub fn scan_for(
+    pub fn scan_in(
         &self,
-        tenant: TenantId,
+        part: &Partition,
         from: &[u8],
         limit: usize,
     ) -> Result<Vec<(Key, Value)>> {
-        self.scan_in(&self.partition_for(tenant), from, limit)
-    }
-
-    fn scan_in(&self, part: &Partition, from: &[u8], limit: usize) -> Result<Vec<(Key, Value)>> {
         self.counters.add_scan(limit);
         part.note_op();
         // Range-cache prefix (or all-or-nothing under the ablation flag).
@@ -852,43 +843,61 @@ impl CachedDb {
         });
     }
 
-    /// Write-through: the engine plus every result cache stay consistent.
+    /// After an engine write error: the write (or, for a batch, the
+    /// stripes ahead of the failing one) may have reached the memtable
+    /// before the seal or inline flush behind it failed, and the error
+    /// does not say — forget every partition's cached results rather than
+    /// serve a stale one.
+    fn forget_cached_results(&self) {
+        self.for_each_partition(|part| {
+            if let Some(kv) = &part.kv_cache {
+                kv.clear();
+            }
+            if let Some(rc) = &part.range_cache {
+                rc.clear();
+            }
+        });
+    }
+
+    /// [`put_in`](Self::put_in) charged to the default tenant.
     pub fn put(&self, key: Key, value: Value) -> Result<()> {
+        self.put_in(&self.default_partition, key, value)
+    }
+
+    /// Write-through: the engine plus every partition's result caches stay
+    /// consistent. The write path is shared; `part` only takes the
+    /// operation in its demand accounting.
+    pub fn put_in(&self, part: &Partition, key: Key, value: Value) -> Result<()> {
+        part.note_op();
         self.counters.add_write();
-        self.db.put(key.clone(), value.clone())?;
+        self.db
+            .put(key.clone(), value.clone())
+            .inspect_err(|_| self.forget_cached_results())?;
         self.on_write_all(&key, Some(&value));
         Ok(())
     }
 
-    /// [`put`](Self::put) with the operation charged to `tenant`'s
-    /// demand accounting (the write path itself is shared).
-    pub fn put_for(&self, tenant: TenantId, key: Key, value: Value) -> Result<()> {
-        self.partition_for(tenant).note_op();
-        self.put(key, value)
+    /// [`write_batch_in`](Self::write_batch_in) charged to the default
+    /// tenant.
+    pub fn write_batch(&self, batch: Vec<(Key, Entry)>) -> Result<()> {
+        self.write_batch_in(&self.default_partition, batch)
     }
 
     /// Applies a batch of puts and deletes atomically per stripe (see
     /// [`StripedDb::write_batch`]): one write-lock acquisition, commit
     /// round and WAL flush per stripe instead of one per key. Every
-    /// result cache stays write-through consistent, in batch order.
-    pub fn write_batch(&self, batch: Vec<(Key, Entry)>) -> Result<()> {
+    /// result cache stays write-through consistent, in batch order, and
+    /// every operation is charged to `part`'s demand accounting.
+    pub fn write_batch_in(&self, part: &Partition, batch: Vec<(Key, Entry)>) -> Result<()> {
+        for _ in &batch {
+            part.note_op();
+        }
         self.counters
             .writes
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        if let Err(e) = self.db.write_batch(batch.clone()) {
-            // Stripes ahead of the failing one have applied their share
-            // and the error does not say which: forget every cached
-            // result rather than serve a stale one.
-            self.for_each_partition(|part| {
-                if let Some(kv) = &part.kv_cache {
-                    kv.clear();
-                }
-                if let Some(rc) = &part.range_cache {
-                    rc.clear();
-                }
-            });
-            return Err(e);
-        }
+        self.db
+            .write_batch(batch.clone())
+            .inspect_err(|_| self.forget_cached_results())?;
         for (key, entry) in &batch {
             match entry {
                 Entry::Put(value) => self.on_write_all(key, Some(value)),
@@ -898,29 +907,21 @@ impl CachedDb {
         Ok(())
     }
 
-    /// [`write_batch`](Self::write_batch) with every operation charged to
-    /// `tenant`'s demand accounting.
-    pub fn write_batch_for(&self, tenant: TenantId, batch: Vec<(Key, Entry)>) -> Result<()> {
-        let part = self.partition_for(tenant);
-        for _ in &batch {
-            part.note_op();
-        }
-        self.write_batch(batch)
+    /// [`delete_in`](Self::delete_in) charged to the default tenant.
+    pub fn delete(&self, key: Key) -> Result<()> {
+        self.delete_in(&self.default_partition, key)
     }
 
-    /// Deletes a key, invalidating result-cache entries.
-    pub fn delete(&self, key: Key) -> Result<()> {
+    /// Deletes a key, invalidating every partition's result-cache entries
+    /// for it; the operation is charged to `part`.
+    pub fn delete_in(&self, part: &Partition, key: Key) -> Result<()> {
+        part.note_op();
         self.counters.add_write();
-        self.db.delete(key.clone())?;
+        self.db
+            .delete(key.clone())
+            .inspect_err(|_| self.forget_cached_results())?;
         self.on_write_all(&key, None);
         Ok(())
-    }
-
-    /// [`delete`](Self::delete) with the operation charged to `tenant`'s
-    /// demand accounting.
-    pub fn delete_for(&self, tenant: TenantId, key: Key) -> Result<()> {
-        self.partition_for(tenant).note_op();
-        self.delete(key)
     }
 
     /// Loads a key during the populate phase without counting it as a
@@ -1470,9 +1471,10 @@ mod tests {
         batch.push((render_key(125), Entry::Tombstone));
         db.register_tenant(7);
         let writes = db.snapshot().writes;
-        db.write_batch_for(7, batch).unwrap();
+        let part = db.partition_for(7);
+        db.write_batch_in(&part, batch).unwrap();
         assert_eq!(db.snapshot().writes - writes, 22);
-        assert_eq!(db.partition_for(7).ops(), 22);
+        assert_eq!(part.ops(), 22);
         for i in (100..120).filter(|&i| i != 105) {
             assert_eq!(
                 db.get(&render_key(i)).unwrap().unwrap().as_ref(),
@@ -1592,6 +1594,48 @@ mod tests {
     }
 
     #[test]
+    fn failed_put_or_delete_leaves_no_stale_cached_result() {
+        use adcache_lsm::{FaultPlan, FaultStorage};
+
+        let faulty = Arc::new(FaultStorage::new(
+            Arc::new(MemStorage::new()),
+            11,
+            FaultPlan::none(),
+        ));
+        let db = CachedDb::new(
+            Options::small(),
+            faulty.clone(),
+            EngineConfig::new(Strategy::RangeCache, 1 << 20),
+        )
+        .unwrap();
+        populate(&db, 500);
+        for i in 0..500 {
+            db.get(&render_key(i)).unwrap();
+        }
+        // Each write lands in the memtable; the ones that make a flush due
+        // then fail with the engine already holding the new value.
+        faulty.set_plan(FaultPlan {
+            write_fail: 1.0,
+            ..FaultPlan::none()
+        });
+        let mut failed = 0;
+        for i in 0..500 {
+            let outcome = if i % 2 == 0 {
+                db.put(render_key(i), Bytes::from(format!("rewritten-{i:040}")))
+            } else {
+                db.delete(render_key(i))
+            };
+            failed += outcome.is_err() as usize;
+        }
+        assert!(failed > 0, "an always-failing device must fail some writes");
+        for i in 0..500 {
+            let key = render_key(i);
+            let stored = db.db().get(&key, &DirectProvider).unwrap();
+            assert_eq!(db.get(&key).unwrap(), stored, "key {i}");
+        }
+    }
+
+    #[test]
     fn compaction_invalidation_keeps_block_cache_coherent() {
         let db = build(Strategy::RocksDbBlock, 4 << 20);
         populate(&db, 2000);
@@ -1622,8 +1666,9 @@ mod tests {
         populate(&db, 500);
         // Tenant 42 never registered: its reads behave exactly like
         // legacy single-tenant traffic.
+        let part = db.partition_for(42);
         for i in 0..100 {
-            assert!(db.get_for(42, &render_key(i)).unwrap().is_some());
+            assert!(db.get_in(&part, &render_key(i)).unwrap().is_some());
         }
         assert_eq!(db.tenant_ids(), vec![DEFAULT_TENANT]);
         let reports = db.tenant_reports();
@@ -1640,25 +1685,26 @@ mod tests {
         db.register_tenant(1);
         db.register_tenant(2);
         // Warm tenant 1 on a disjoint slice of the keyspace.
+        let (one, two) = (db.partition_for(1), db.partition_for(2));
         for i in 0..200 {
-            db.get_for(1, &render_key(i)).unwrap();
-            db.scan_for(1, &render_key(i), 8).unwrap();
+            db.get_in(&one, &render_key(i)).unwrap();
+            db.scan_in(&one, &render_key(i), 8).unwrap();
         }
-        let quiet = db.partition_for(1).used_bytes();
+        let quiet = one.used_bytes();
         assert!(quiet > 0, "tenant 1 should have resident bytes");
         // A pathological flood from tenant 2 (reads only — no writes, so
         // no cross-partition invalidation) must not evict tenant 1.
         for round in 0..3 {
             for i in 500..2000 {
-                db.get_for(2, &render_key(i)).unwrap();
+                db.get_in(&two, &render_key(i)).unwrap();
                 if i % 7 == 0 {
-                    db.scan_for(2, &render_key(i), 16).unwrap();
+                    db.scan_in(&two, &render_key(i), 16).unwrap();
                 }
             }
             let _ = round;
         }
         assert_eq!(
-            db.partition_for(1).used_bytes(),
+            one.used_bytes(),
             quiet,
             "tenant 2's read pressure must never evict tenant 1's entries"
         );
@@ -1677,12 +1723,13 @@ mod tests {
         // (missing constantly); the others idle on one hot key each.
         // Repeated rebalances should grow tenant 1's share while
         // everyone keeps the guaranteed minimum.
+        let parts = [1, 2, 3].map(|t| db.partition_for(t));
         for _ in 0..30 {
             for i in 0..1500 {
-                db.get_for(1, &render_key(i)).unwrap();
+                db.get_in(&parts[0], &render_key(i)).unwrap();
             }
-            db.get_for(2, &render_key(1900)).unwrap();
-            db.get_for(3, &render_key(1901)).unwrap();
+            db.get_in(&parts[1], &render_key(1900)).unwrap();
+            db.get_in(&parts[2], &render_key(1901)).unwrap();
             db.rebalance_tenants();
         }
         let reports = db.tenant_reports();

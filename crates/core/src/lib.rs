@@ -38,12 +38,12 @@
 pub mod async_controller;
 pub mod controller;
 pub mod engine;
-pub mod histogram;
 pub mod reward;
 pub mod runner;
 pub mod stats;
 pub mod tenant;
 
+pub use adcache_obs::Histogram;
 pub use async_controller::AsyncController;
 pub use controller::{
     featurize_with, CacheDecision, Controller, ControllerConfig, TuningRecord, ACTION_DIM,
@@ -52,7 +52,6 @@ pub use controller::{
 pub use engine::{
     CacheStatsReport, CachedDb, EngineConfig, EngineStatsReport, Strategy, TenantStatsReport,
 };
-pub use histogram::Histogram;
 pub use reward::{h_estimate, io_estimate, io_estimate_of, RewardSmoother};
 pub use runner::{
     execute, prepare_db, prepare_db_with_storage, run_multiclient, run_schedule, run_schedule_on,

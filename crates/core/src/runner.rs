@@ -10,11 +10,10 @@
 
 use crate::controller::{CacheDecision, Controller, ControllerConfig};
 use crate::engine::{CachedDb, EngineConfig, Strategy};
-use crate::histogram::Histogram;
 use crate::reward::h_estimate;
 use crate::stats::WindowSummary;
 use adcache_lsm::{MemStorage, Options, Result};
-use adcache_obs::{Event, Obs};
+use adcache_obs::{Event, Histogram, Obs};
 use adcache_workload::{Mix, Operation, Schedule, WorkloadConfig, WorkloadGen};
 use parking_lot::Mutex;
 use std::path::PathBuf;

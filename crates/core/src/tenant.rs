@@ -300,7 +300,7 @@ impl Partition {
         }
     }
 
-    /// Charges one operation (point or scan) to the tenant.
+    /// Charges one operation (read or write) to the tenant.
     pub(crate) fn note_op(&self) {
         self.ops.fetch_add(1, Ordering::Relaxed);
     }

@@ -104,10 +104,11 @@ proptest! {
         }
         db.db().flush().unwrap();
         // Warm every tenant's partition from its own key range.
-        for &t in &tenants {
+        let parts = tenants.map(|t| db.partition_for(t));
+        for (&t, part) in tenants.iter().zip(&parts) {
             for k in 0..seed_per_tenant {
-                db.get_for(t, &tkey(t, k)).unwrap();
-                db.get_for(t, &tkey(t, k)).unwrap();
+                db.get_in(part, &tkey(t, k)).unwrap();
+                db.get_in(part, &tkey(t, k)).unwrap();
             }
         }
         let resident = |t: TenantId| {
@@ -120,13 +121,14 @@ proptest! {
         let mut floor: std::collections::BTreeMap<TenantId, u64> =
             tenants.iter().map(|&t| (t, resident(t))).collect();
         for (t, k, len) in ops {
-            let actor = tenants[(t as usize - 1) % tenants.len()];
+            let slot = (t as usize - 1) % tenants.len();
+            let (actor, part) = (tenants[slot], &parts[slot]);
             // Reads far past the warm set too: misses exercise admission
             // and eviction inside the actor's own partition.
             if len % 2 == 0 {
-                db.get_for(actor, &tkey(actor, k)).unwrap();
+                db.get_in(part, &tkey(actor, k)).unwrap();
             } else {
-                db.scan_for(actor, &tkey(actor, k), len as usize).unwrap();
+                db.scan_in(part, &tkey(actor, k), len as usize).unwrap();
             }
             for &other in &tenants {
                 if other == actor {

@@ -1176,6 +1176,11 @@ impl LsmTree {
         inner.version.add_l0(meta);
         inner.mem = MemTable::new();
         let flushed_blocks = self.storage.stats().writes() - writes_before;
+        // Durable ordering: the SST is on storage, so first make the
+        // manifest point at it, then drop the WAL entries it replaces.
+        self.persist_manifest(inner)?;
+        // Counted once installed, as in `flush_imm_once`: a flush whose
+        // manifest commit failed is not one.
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         self.stats
             .flush_block_writes
@@ -1189,9 +1194,6 @@ impl LsmTree {
                 bytes: flushed_blocks * self.opts.block_size as u64,
             });
         }
-        // Durable ordering: the SST is on storage, so first make the
-        // manifest point at it, then drop the WAL entries it replaces.
-        self.persist_manifest(inner)?;
         // Crash here: manifest references the table, WAL not yet reset —
         // replay re-applies records the table already holds, so recovery
         // must be (and is) idempotent.
@@ -1924,6 +1926,38 @@ mod tests {
         // history, it does not fence reads — the cache was purged instead).
         fault.set_active(false);
         assert_eq!(db.get(&key(10), &p).unwrap().unwrap(), value(10, "x"));
+    }
+
+    #[test]
+    fn a_flush_is_counted_once_its_manifest_is_committed() {
+        use crate::fault::{CrashController, CrashPoint};
+        let db = LsmTree::with_durability_fs(
+            Options::small(),
+            Arc::new(MemStorage::new()),
+            "/flush-count",
+            Arc::new(crate::fs::SimFs::new()),
+        )
+        .unwrap();
+        let cc = CrashController::new();
+        db.set_crash_controller(cc.clone());
+        let flushes = || db.stats().flushes.load(Ordering::Relaxed);
+        db.put(key(0), value(0, "x")).unwrap();
+        db.flush().unwrap();
+        assert_eq!(flushes(), 1);
+        // The table gets built, then the manifest commit fails.
+        cc.arm(CrashPoint::BeforeManifestCommit, 1);
+        db.put(key(1), value(1, "x")).unwrap();
+        assert!(db.flush().is_err());
+        assert_eq!(flushes(), 1, "a flush that was never installed");
+        db.put(key(2), value(2, "x")).unwrap();
+        db.flush().unwrap();
+        assert_eq!(flushes(), 2, "the next installed flush adds exactly one");
+        for i in 0..3 {
+            assert_eq!(
+                db.get(&key(i), &DirectProvider).unwrap().unwrap(),
+                value(i, "x")
+            );
+        }
     }
 
     #[test]

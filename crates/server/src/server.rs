@@ -31,7 +31,7 @@ use crate::protocol::{
     self, decode_request, encode_response, is_fatal, MetricsFormat, Opcode, Progress, Request,
     Response,
 };
-use adcache_core::{CachedDb, TenantId, DEFAULT_TENANT};
+use adcache_core::{CachedDb, Partition, TenantId, DEFAULT_TENANT};
 use adcache_lsm::{lock_probe, reset_lock_probe, Entry, Key};
 use adcache_obs::{
     ConnCloseCause, Counter, Event, Gauge, HistogramHandle, Obs, Stage, StageSet, StageTimer,
@@ -208,6 +208,9 @@ impl Metrics {
 /// State shared by the accept loop, every worker, and the handle.
 struct Shared {
     db: Arc<CachedDb>,
+    /// The default tenant's cache partition, resolved once at start: what
+    /// every connection that never sent `AUTH` is served from.
+    default_partition: Arc<Partition>,
     cfg: ServerConfig,
     obs: Obs,
     metrics: Metrics,
@@ -229,29 +232,94 @@ struct Shared {
     bytes_out: AtomicU64,
     /// Per-tenant serving state, created on first `AUTH` for a tenant.
     /// Looked up only at bind time — connections cache the `Arc` — so
-    /// the data-plane hot path never takes this lock.
+    /// the data-plane hot path never takes this lock (nor the engine's
+    /// tenant registry's: the partition is resolved here too).
     tenants: RwLock<BTreeMap<TenantId, Arc<TenantState>>>,
 }
 
-/// Serving-layer state shared by every connection a tenant has bound:
-/// the aggregated admission bucket and throttle accounting.
+/// Serving-layer state shared by every connection a tenant has bound: its
+/// cache partition, the aggregated admission bucket and throttle
+/// accounting.
 struct TenantState {
     id: TenantId,
+    /// The tenant's cache partition in the engine, resolved at `AUTH`.
+    partition: Arc<Partition>,
     /// Aggregated token bucket — one per tenant, not per connection, so
     /// opening more sockets does not multiply the budget.
-    bucket: Mutex<TenantBucket>,
+    bucket: Mutex<TokenBucket>,
     /// Requests shed for this tenant.
     throttled: AtomicU64,
     /// `server.tenant.<id>.quota.throttled`, resolved once at creation.
     throttled_counter: Counter,
 }
 
-struct TenantBucket {
+/// An admission-quota token bucket, refilled lazily when taken from. One
+/// per connection and one per tenant, both under the [`quota_cost`] table.
+struct TokenBucket {
     tokens: f64,
+    /// Last refill instant.
     at: Instant,
 }
 
+impl TokenBucket {
+    /// A fresh connection or tenant starts with its full burst allowance.
+    fn full(rate: u64, burst: u64) -> Self {
+        TokenBucket {
+            tokens: Self::capacity(rate, burst),
+            at: Instant::now(),
+        }
+    }
+
+    /// `burst` tokens, or one second of the sustained `rate` when 0.
+    fn capacity(rate: u64, burst: u64) -> f64 {
+        if burst > 0 {
+            burst as f64
+        } else {
+            rate.max(1) as f64
+        }
+    }
+
+    /// Refills at `rate` tokens per second up to the capacity, then takes
+    /// `cost`. A cost above the balance is refused and debits nothing.
+    fn take(&mut self, rate: u64, burst: u64, cost: f64) -> bool {
+        let now = Instant::now();
+        let dt = now.duration_since(self.at).as_secs_f64();
+        self.at = now;
+        self.tokens = (self.tokens + dt * rate as f64).min(Self::capacity(rate, burst));
+        let granted = self.tokens >= cost;
+        if granted {
+            self.tokens -= cost;
+        }
+        granted
+    }
+}
+
 impl Shared {
+    fn new(db: Arc<CachedDb>, cfg: ServerConfig) -> Self {
+        let obs = db.obs();
+        Shared {
+            default_partition: db.partition_for(DEFAULT_TENANT),
+            metrics: Metrics::new(&obs),
+            telemetry: obs.is_enabled(),
+            obs,
+            db,
+            cfg,
+            shutdown: AtomicBool::new(false),
+            active: AtomicU64::new(0),
+            conn_seq: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            conns_accepted: AtomicU64::new(0),
+            conns_closed: AtomicU64::new(0),
+            conns_refused: AtomicU64::new(0),
+            quota_throttled: AtomicU64::new(0),
+            tenant_throttled: AtomicU64::new(0),
+            bytes_in: AtomicU64::new(0),
+            bytes_out: AtomicU64::new(0),
+            tenants: RwLock::new(BTreeMap::new()),
+        }
+    }
+
     fn report(&self) -> ServeReport {
         ServeReport {
             requests: self.requests.load(Ordering::Relaxed),
@@ -266,8 +334,9 @@ impl Shared {
         }
     }
 
-    /// The tenant's serving state, created on first use. `AUTH`-time
-    /// only; never on the data-plane hot path.
+    /// The tenant's serving state, created on first use — after
+    /// `register_tenant`, so the partition resolved here is the tenant's
+    /// own. `AUTH`-time only; never on the data-plane hot path.
     fn tenant_state(&self, tenant: TenantId) -> Arc<TenantState> {
         if let Some(ts) = self.tenants.read().unwrap().get(&tenant) {
             return ts.clone();
@@ -277,11 +346,11 @@ impl Shared {
             .or_insert_with(|| {
                 Arc::new(TenantState {
                     id: tenant,
-                    bucket: Mutex::new(TenantBucket {
-                        // A fresh tenant starts with a full burst.
-                        tokens: tenant_quota_burst(&self.cfg),
-                        at: Instant::now(),
-                    }),
+                    partition: self.db.partition_for(tenant),
+                    bucket: Mutex::new(TokenBucket::full(
+                        self.cfg.tenant_quota_ops,
+                        self.cfg.tenant_quota_burst,
+                    )),
                     throttled: AtomicU64::new(0),
                     throttled_counter: self
                         .obs
@@ -418,10 +487,8 @@ struct Conn {
     requests: u64,
     bytes_in: u64,
     bytes_out: u64,
-    /// Admission-quota token bucket (filled lazily from `tokens_at`).
-    tokens: f64,
-    /// Last bucket refill instant.
-    tokens_at: Instant,
+    /// Per-connection admission-quota bucket.
+    bucket: TokenBucket,
     /// Requests throttled on this connection.
     throttled: u64,
     /// The tenant this connection bound with `AUTH`; `None` is a legacy
@@ -436,8 +503,13 @@ impl Conn {
         self.wq.pending()
     }
 
-    fn tenant_id(&self) -> TenantId {
-        self.tenant.as_ref().map_or(DEFAULT_TENANT, |t| t.id)
+    /// The cache partition this connection's operations are served from
+    /// and charged to: its tenant's, bound at `AUTH`, else the default.
+    fn partition<'a>(&'a self, shared: &'a Shared) -> &'a Partition {
+        match &self.tenant {
+            Some(ts) => &ts.partition,
+            None => &shared.default_partition,
+        }
     }
 }
 
@@ -459,28 +531,8 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let obs = db.obs();
         let workers = cfg.effective_workers();
-        let shared = Arc::new(Shared {
-            metrics: Metrics::new(&obs),
-            telemetry: obs.is_enabled(),
-            obs,
-            db,
-            cfg,
-            shutdown: AtomicBool::new(false),
-            active: AtomicU64::new(0),
-            conn_seq: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            conns_accepted: AtomicU64::new(0),
-            conns_closed: AtomicU64::new(0),
-            conns_refused: AtomicU64::new(0),
-            quota_throttled: AtomicU64::new(0),
-            tenant_throttled: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            tenants: RwLock::new(BTreeMap::new()),
-        });
+        let shared = Arc::new(Shared::new(db, cfg));
 
         let mut threads = Vec::with_capacity(workers + 1);
         let mut senders = Vec::with_capacity(workers);
@@ -730,9 +782,7 @@ fn adopt(shared: &Shared, stream: TcpStream) -> Option<Conn> {
         requests: 0,
         bytes_in: 0,
         bytes_out: 0,
-        // A fresh connection starts with a full burst allowance.
-        tokens: quota_burst(&shared.cfg),
-        tokens_at: Instant::now(),
+        bucket: TokenBucket::full(shared.cfg.quota_ops, shared.cfg.quota_burst),
         throttled: 0,
         tenant: None,
         closing: None,
@@ -910,25 +960,23 @@ fn drain_buffered(shared: &Shared, conn: &mut Conn, enforce_cap: bool) -> bool {
 /// frame's engine work). Control-plane opcodes are not valid here — the
 /// decoder rejects them inside batches, so the fallback arm is defense in
 /// depth, not a reachable path.
-fn execute_data_sub(shared: &Shared, tenant: TenantId, req: &Request) -> Response {
+fn execute_data_sub(shared: &Shared, part: &Partition, req: &Request) -> Response {
     match req {
         Request::Ping => Response::Ok,
-        Request::Get { key } => match shared.db.get_for(tenant, key) {
+        Request::Get { key } => match shared.db.get_in(part, key) {
             Ok(Some(v)) => Response::Value(v),
             Ok(None) => Response::NotFound,
             Err(e) => Response::Error(e.to_string()),
         },
-        Request::Put { key, value } => {
-            match shared.db.put_for(tenant, key.clone(), value.clone()) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Error(e.to_string()),
-            }
-        }
-        Request::Delete { key } => match shared.db.delete_for(tenant, key.clone()) {
+        Request::Put { key, value } => match shared.db.put_in(part, key.clone(), value.clone()) {
             Ok(()) => Response::Ok,
             Err(e) => Response::Error(e.to_string()),
         },
-        Request::Scan { from, limit } => match shared.db.scan_for(tenant, from, *limit as usize) {
+        Request::Delete { key } => match shared.db.delete_in(part, key.clone()) {
+            Ok(()) => Response::Ok,
+            Err(e) => Response::Error(e.to_string()),
+        },
+        Request::Scan { from, limit } => match shared.db.scan_in(part, from, *limit as usize) {
             Ok(entries) => Response::Entries(entries),
             Err(e) => Response::Error(e.to_string()),
         },
@@ -938,14 +986,14 @@ fn execute_data_sub(shared: &Shared, tenant: TenantId, req: &Request) -> Respons
 
 /// Executes a batch's sub-requests **in order**, with stripe-aware
 /// grouping: a run of consecutive GETs goes down as one
-/// [`CachedDb::multi_get_for`] (each stripe's read lock taken once), a run
-/// of consecutive PUTs and DELETEs as one [`CachedDb::write_batch_for`]
+/// [`CachedDb::multi_get_in`] (each stripe's read lock taken once), a run
+/// of consecutive PUTs and DELETEs as one [`CachedDb::write_batch_in`]
 /// (one write-lock acquisition, commit round and WAL flush per stripe).
 /// A run ends where the other kind or a scan begins, so read-your-writes
 /// holds within the batch; a failed run answers each of its subs with
 /// the error. Returns the in-order multi-reply plus `(subs, distinct
 /// stripes)` for metrics.
-fn execute_batch(shared: &Shared, tenant: TenantId, subs: &[Request]) -> (Response, (u64, u64)) {
+fn execute_batch(shared: &Shared, part: &Partition, subs: &[Request]) -> (Response, (u64, u64)) {
     let striped = shared.db.db();
     let mut stripe_seen = vec![false; striped.num_stripes()];
     let mut out: Vec<(Opcode, Response)> = Vec::with_capacity(subs.len());
@@ -960,7 +1008,7 @@ fn execute_batch(shared: &Shared, tenant: TenantId, subs: &[Request]) -> (Respon
                     stripe_seen[striped.stripe_for(key)] = true;
                     j += 1;
                 }
-                match shared.db.multi_get_for(tenant, &keys) {
+                match shared.db.multi_get_in(part, &keys) {
                     Ok(values) => out.extend(values.into_iter().map(|v| {
                         let resp = v.map_or(Response::NotFound, Response::Value);
                         (Opcode::Get, resp)
@@ -983,7 +1031,7 @@ fn execute_batch(shared: &Shared, tenant: TenantId, subs: &[Request]) -> (Respon
                     batch.push((key.clone(), entry));
                     j += 1;
                 }
-                let resp = match shared.db.write_batch_for(tenant, batch) {
+                let resp = match shared.db.write_batch_in(part, batch) {
                     Ok(()) => Response::Ok,
                     Err(e) => Response::Error(e.to_string()),
                 };
@@ -994,7 +1042,7 @@ fn execute_batch(shared: &Shared, tenant: TenantId, subs: &[Request]) -> (Respon
                 if matches!(sub, Request::Scan { .. }) {
                     stripe_seen.iter_mut().for_each(|s| *s = true);
                 }
-                out.push((sub.opcode(), execute_data_sub(shared, tenant, sub)));
+                out.push((sub.opcode(), execute_data_sub(shared, part, sub)));
                 j += 1;
             }
         }
@@ -1028,9 +1076,9 @@ fn execute(shared: &Shared, conn: &mut Conn, id: u64, req: &Request, parse_ns: u
             | Request::Get { .. }
             | Request::Put { .. }
             | Request::Delete { .. }
-            | Request::Scan { .. } => execute_data_sub(shared, conn.tenant_id(), req),
+            | Request::Scan { .. } => execute_data_sub(shared, conn.partition(shared), req),
             Request::Batch { subs } => {
-                let (resp, info) = execute_batch(shared, conn.tenant_id(), subs);
+                let (resp, info) = execute_batch(shared, conn.partition(shared), subs);
                 batch_info = Some(info);
                 resp
             }
@@ -1125,9 +1173,9 @@ fn execute(shared: &Shared, conn: &mut Conn, id: u64, req: &Request, parse_ns: u
 }
 
 /// Binds `conn` to `tenant`: registers the tenant's cache partition with
-/// the engine, swaps in the aggregated quota state, and journals the
-/// binding. `AUTH 0` rebinds to the default tenant (legacy semantics) —
-/// useful for connection-pool reuse.
+/// the engine, swaps in the tenant's serving state (that partition and the
+/// aggregated quota), and journals the binding. `AUTH 0` rebinds to the
+/// default tenant (legacy semantics) — useful for connection-pool reuse.
 fn bind_tenant(shared: &Shared, conn: &mut Conn, tenant: TenantId) {
     if tenant == DEFAULT_TENANT {
         conn.tenant = None;
@@ -1139,26 +1187,6 @@ fn bind_tenant(shared: &Shared, conn: &mut Conn, tenant: TenantId) {
         conn: conn.id,
         tenant: tenant as u64,
     });
-}
-
-/// The effective token-bucket capacity for `cfg` (one second of sustained
-/// rate unless overridden).
-fn quota_burst(cfg: &ServerConfig) -> f64 {
-    if cfg.quota_burst > 0 {
-        cfg.quota_burst as f64
-    } else {
-        cfg.quota_ops.max(1) as f64
-    }
-}
-
-/// The effective per-tenant bucket capacity (one second of sustained rate
-/// unless overridden).
-fn tenant_quota_burst(cfg: &ServerConfig) -> f64 {
-    if cfg.tenant_quota_burst > 0 {
-        cfg.tenant_quota_burst as f64
-    } else {
-        cfg.tenant_quota_ops.max(1) as f64
-    }
 }
 
 /// The admission-quota cost table, in tokens (one token ≈ one point
@@ -1195,86 +1223,65 @@ pub fn quota_cost(req: &Request) -> Option<f64> {
     })
 }
 
-/// Per-connection admission quota: refills `conn`'s token bucket and takes
-/// this request's cost from it. Returns the `Err` reply to send instead of
-/// executing when the bucket runs dry. Control-plane opcodes are exempt —
-/// observation and shutdown must stay possible during an attack. A batch
-/// is all-or-nothing: either the bucket covers the whole frame or the
-/// whole frame is refused with one `Err`.
+/// Admission quotas: takes this request's cost from the connection's
+/// bucket, then from its tenant's (shared by every connection the tenant
+/// bound). Returns the `Err` reply to send instead of executing when
+/// either runs dry. Control-plane opcodes are exempt — observation and
+/// shutdown must stay possible during an attack. A batch is
+/// all-or-nothing: either the buckets cover the whole frame or the whole
+/// frame is refused with one `Err`.
 fn quota_check(shared: &Shared, conn: &mut Conn, req: &Request) -> Option<Response> {
-    let rate = shared.cfg.quota_ops;
-    let tenant_rate = shared.cfg.tenant_quota_ops;
-    if rate == 0 && tenant_rate == 0 {
+    let cfg = &shared.cfg;
+    if cfg.quota_ops == 0 && cfg.tenant_quota_ops == 0 {
         return None;
     }
     let cost = quota_cost(req)?;
-    if rate > 0 {
-        let now = Instant::now();
-        let dt = now.duration_since(conn.tokens_at).as_secs_f64();
-        conn.tokens_at = now;
-        conn.tokens = (conn.tokens + dt * rate as f64).min(quota_burst(&shared.cfg));
-        if conn.tokens < cost {
-            conn.throttled += 1;
-            shared.quota_throttled.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.quota_throttled.inc();
-            // Journal the first throttle per connection (the defense
-            // activated) and then every 1024th, so a sustained attack
-            // cannot flood the journal either.
-            if conn.throttled == 1 || conn.throttled.is_multiple_of(1024) {
-                let throttled = conn.throttled;
-                let opcode = req.opcode().label().to_string();
-                shared.obs.emit(|| Event::QuotaThrottled {
-                    conn: conn.id,
-                    opcode,
-                    throttled,
-                });
-            }
-            return Some(Response::Error(format!(
-                "quota exceeded: connection limited to {rate} tokens/s"
-            )));
-        }
-        conn.tokens -= cost;
+    if cfg.quota_ops > 0 && !conn.bucket.take(cfg.quota_ops, cfg.quota_burst, cost) {
+        conn.throttled += 1;
+        let (id, throttled) = (conn.id, conn.throttled);
+        note_throttle(shared, throttled, || Event::QuotaThrottled {
+            conn: id,
+            opcode: req.opcode().label().to_string(),
+            throttled,
+        });
+        return Some(Response::Error(format!(
+            "quota exceeded: connection limited to {} tokens/s",
+            cfg.quota_ops
+        )));
     }
-    if tenant_rate > 0 {
-        if let Some(ts) = conn.tenant.clone() {
-            let denied = {
-                let mut b = ts.bucket.lock().unwrap();
-                let now = Instant::now();
-                let dt = now.duration_since(b.at).as_secs_f64();
-                b.at = now;
-                b.tokens =
-                    (b.tokens + dt * tenant_rate as f64).min(tenant_quota_burst(&shared.cfg));
-                if b.tokens >= cost {
-                    b.tokens -= cost;
-                    false
-                } else {
-                    true
-                }
-            };
-            if denied {
-                let throttled = ts.throttled.fetch_add(1, Ordering::Relaxed) + 1;
-                shared.quota_throttled.fetch_add(1, Ordering::Relaxed);
-                shared.tenant_throttled.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.quota_throttled.inc();
-                ts.throttled_counter.inc();
-                // Same journal damping as the per-connection defense.
-                if throttled == 1 || throttled.is_multiple_of(1024) {
-                    let tenant = ts.id as u64;
-                    let opcode = req.opcode().label().to_string();
-                    shared.obs.emit(|| Event::TenantThrottled {
-                        tenant,
-                        opcode,
-                        throttled,
-                    });
-                }
-                return Some(Response::Error(format!(
-                    "quota exceeded: tenant {} limited to {tenant_rate} tokens/s",
-                    ts.id
-                )));
-            }
-        }
+    if cfg.tenant_quota_ops == 0 {
+        return None;
     }
-    None
+    // Unauthenticated connections are the default tenant's, and exempt.
+    let ts = conn.tenant.as_ref()?;
+    let mut bucket = ts.bucket.lock().unwrap();
+    if bucket.take(cfg.tenant_quota_ops, cfg.tenant_quota_burst, cost) {
+        return None;
+    }
+    drop(bucket);
+    let throttled = ts.throttled.fetch_add(1, Ordering::Relaxed) + 1;
+    shared.tenant_throttled.fetch_add(1, Ordering::Relaxed);
+    ts.throttled_counter.inc();
+    note_throttle(shared, throttled, || Event::TenantThrottled {
+        tenant: ts.id as u64,
+        opcode: req.opcode().label().to_string(),
+        throttled,
+    });
+    Some(Response::Error(format!(
+        "quota exceeded: tenant {} limited to {} tokens/s",
+        ts.id, cfg.tenant_quota_ops
+    )))
+}
+
+/// Counts one shed request and journals it if it is the `nth == 1`st (the
+/// defense activated) or a 1024th of its connection or tenant — a
+/// sustained attack must not flood the journal either.
+fn note_throttle(shared: &Shared, nth: u64, event: impl FnOnce() -> Event) {
+    shared.quota_throttled.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.quota_throttled.inc();
+    if nth == 1 || nth.is_multiple_of(1024) {
+        shared.obs.emit(event);
+    }
 }
 
 /// A short human-readable key label for `SlowRequest` events: the
@@ -1390,27 +1397,7 @@ mod tests {
         db.db().flush().unwrap();
         let mut cfg = ServerConfig::default();
         tweak(&mut cfg);
-        let obs = db.obs();
-        Arc::new(Shared {
-            metrics: Metrics::new(&obs),
-            telemetry: obs.is_enabled(),
-            obs,
-            db: Arc::new(db),
-            cfg,
-            shutdown: AtomicBool::new(false),
-            active: AtomicU64::new(0),
-            conn_seq: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            conns_accepted: AtomicU64::new(0),
-            conns_closed: AtomicU64::new(0),
-            conns_refused: AtomicU64::new(0),
-            quota_throttled: AtomicU64::new(0),
-            tenant_throttled: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            tenants: RwLock::new(BTreeMap::new()),
-        })
+        Arc::new(Shared::new(Arc::new(db), cfg))
     }
 
     /// A worker-side `Conn` over a real loopback socket pair; the peer end
@@ -1431,8 +1418,7 @@ mod tests {
             requests: 0,
             bytes_in: 0,
             bytes_out: 0,
-            tokens: 0.0,
-            tokens_at: Instant::now(),
+            bucket: TokenBucket::full(0, 0),
             throttled: 0,
             tenant: None,
             closing: None,
@@ -1561,6 +1547,29 @@ mod tests {
             }),
             None
         );
+    }
+
+    /// The one bucket both quotas use: refill never exceeds the burst, a
+    /// refused cost debits nothing, and `burst = 0` is a second of `rate`.
+    #[test]
+    fn token_bucket_caps_refill_refuses_without_debit_and_defaults_burst() {
+        let long_ago = |b: &mut TokenBucket| b.at = Instant::now() - Duration::from_secs(10);
+        // Ten idle seconds at 100 tokens/s still hold only the 50-token burst.
+        let mut b = TokenBucket::full(100, 50);
+        long_ago(&mut b);
+        assert!(!b.take(100, 50, 51.0), "refill is capped at burst");
+        assert!(b.take(100, 50, 50.0), "the refusal above took nothing");
+        assert!(!b.take(100, 50, 5.0), "and now the bucket is dry");
+        // Partial balance: too dear is refused, what fits is granted.
+        let mut b = TokenBucket::full(1, 10);
+        assert!(b.take(1, 10, 4.0));
+        assert!(!b.take(1, 10, 7.0), "6 tokens cannot cover 7");
+        assert!(b.take(1, 10, 6.0), "the refused 7 left all 6 in place");
+        // burst = 0: one second of the sustained rate, fresh or refilled.
+        let mut b = TokenBucket::full(30, 0);
+        assert!(b.take(30, 0, 30.0) && !b.take(30, 0, 5.0));
+        long_ago(&mut b);
+        assert!(!b.take(30, 0, 31.0) && b.take(30, 0, 30.0));
     }
 
     /// WriteQueue bookkeeping: segment sealing, partial advances across

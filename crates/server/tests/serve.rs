@@ -1089,3 +1089,82 @@ fn auth_binds_tenants_and_tenant_quota_aggregates_across_connections() {
     assert!(of(1).ops > 0, "hot tenant ops: {reports:?}");
     assert!(of(2).ops >= 20, "quiet tenant ops: {reports:?}");
 }
+
+/// The partition is bound at the handshake: everything an `AUTH`-bound
+/// connection then does — singleton or batched, read or write — is served
+/// from and counted in its tenant's partition and leaves the default one
+/// alone, and `AUTH 0` turns that around.
+#[test]
+fn auth_binds_the_partition_and_auth_zero_returns_to_the_default() {
+    let db = test_db(false);
+    let server = start_server(db.clone(), |_| {});
+    let mut c = Client::connect(&server.local_addr().to_string()).unwrap();
+    let of = |t: u32| {
+        let reports = db.tenant_reports();
+        reports.into_iter().find(|r| r.tenant == t).unwrap()
+    };
+    // 8 engine operations; the repeated scan is a sure range-cache hit in
+    // whichever partition served the first one.
+    let traffic = |c: &mut Client, tag: &str| {
+        let scan = Request::Scan {
+            from: render_key(100),
+            limit: 8,
+        };
+        let put = |i: u64| Request::Put {
+            key: render_key(i),
+            value: Bytes::from(format!("{tag}-{i}")),
+        };
+        for req in [
+            Request::Get { key: render_key(7) },
+            scan.clone(),
+            scan.clone(),
+            put(900),
+            Request::Batch {
+                subs: vec![
+                    Request::Get {
+                        key: render_key(900),
+                    },
+                    put(901),
+                    Request::Delete {
+                        key: render_key(902),
+                    },
+                    scan.clone(),
+                ],
+            },
+        ] {
+            match c.call(&req).unwrap() {
+                Response::Error(msg) => panic!("{req:?} failed: {msg}"),
+                Response::Batch(subs) => {
+                    assert_eq!(
+                        subs[0].1,
+                        Response::Value(Bytes::from(format!("{tag}-900")))
+                    );
+                }
+                _ => {}
+            }
+        }
+    };
+
+    c.auth(5).unwrap();
+    let (tenant, default) = (of(5), of(0));
+    traffic(&mut c, "bound");
+    assert_eq!(of(5).ops - tenant.ops, 8, "charged to the tenant");
+    assert!(of(5).hits > tenant.hits, "served from the tenant's caches");
+    assert_eq!(
+        (of(0).ops, of(0).hits, of(0).misses),
+        (default.ops, default.hits, default.misses),
+        "the default partition saw none of it"
+    );
+
+    c.auth(0).unwrap();
+    let (tenant, default) = (of(5), of(0));
+    traffic(&mut c, "unbound");
+    assert_eq!(of(0).ops - default.ops, 8, "charged to the default tenant");
+    assert!(of(0).hits > default.hits, "served from the default caches");
+    assert_eq!(
+        (of(5).ops, of(5).hits, of(5).misses),
+        (tenant.ops, tenant.hits, tenant.misses),
+        "tenant 5 saw none of it"
+    );
+    assert_eq!(server.shutdown().protocol_errors, 0);
+}
