@@ -1,140 +1,222 @@
-//! `adcache` — an interactive shell over an AdCache-managed LSM store.
-//!
-//! ```text
-//! adcache [--dir PATH] [--cache-mb N] [--strategy NAME] [--mem]
-//! ```
+//! `adcache` — an interactive shell over an AdCache-managed LSM store, and
+//! the non-interactive subcommands built on the same engine.
 //!
 //! With `--dir`, the store is durable: SSTables live under `PATH/sst`, the
 //! WAL and manifest under `PATH/meta`, and a restart recovers everything.
-//! With `--mem` (default when no `--dir` is given) the store is an
-//! in-memory simulation with I/O counting.
+//! Without it the store is an in-memory simulation with I/O counting.
 //!
-//! Commands: `put`, `get`, `del`, `scan`, `fill`, `bench`, `stats`,
+//! Shell commands: `put`, `get`, `del`, `scan`, `fill`, `bench`, `stats`,
 //! `tune`, `flush`, `help`, `quit`.
 //!
-//! `adcache trace DIR` is a non-interactive mode: it summarizes a trace
-//! directory (`trace.jsonl` + `metrics.json`) produced by `--trace DIR`,
-//! the `ADCACHE_TRACE` environment variable, or `RunConfig::trace_dir`.
-//!
-//! `adcache serve` puts the same engine behind a TCP socket (see
-//! `adcache-server` for the wire protocol), and `adcache loadgen` replays
-//! generated workloads against it, reporting throughput and tail latency.
+//! `adcache trace DIR` summarizes a trace directory (`trace.jsonl` +
+//! `metrics.json`) produced by `--trace DIR`, the `ADCACHE_TRACE`
+//! environment variable, or `RunConfig::trace_dir`. `adcache serve` puts
+//! the engine behind a TCP socket (see `adcache-server` for the wire
+//! protocol), `adcache loadgen` replays generated workloads against it,
+//! `metrics` and `top` read a live server's registry, and `faultcheck`,
+//! `advcheck` and `tenantcheck` are the crash, attack and noisy-neighbor
+//! drills. `adcache --help` and `adcache SUBCOMMAND --help` list every
+//! flag; both are generated from the flag tables below.
 
-use adcache_core::{
-    AsyncController, CachedDb, Controller, ControllerConfig, EngineConfig, Snapshot, Strategy,
-};
+use adcache_core::{CachedDb, Controller, ControllerConfig, EngineConfig, Strategy, Tuner};
 use adcache_lsm::{FileStorage, MemStorage, Options};
 use adcache_obs::{parse_jsonl_lenient, Event, Obs};
-use adcache_workload::{render_key, Mix, WorkloadConfig, WorkloadGen};
+use adcache_workload::{render_key, AdversaryKind, Mix, Operation, WorkloadConfig, WorkloadGen};
 use bytes::Bytes;
+use serde_json::Value;
 use std::io::{BufRead, Write};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-struct CliConfig {
-    dir: Option<std::path::PathBuf>,
-    cache_mb: usize,
-    strategy: Strategy,
-    trace: Option<std::path::PathBuf>,
-    sketch_guard: bool,
-    /// Keyspace stripes; >1 also turns on background flush/compaction
-    /// workers (the serve path defaults to 16, the shell to 1).
-    stripes: usize,
-}
+/// What a command's run hands to [`Command::dispatch`]: `Ok(false)` is a
+/// run that finished and failed its own check (a drill's FAIL, protocol
+/// errors).
+type CmdResult = Result<bool, Box<dyn std::error::Error>>;
+/// Where the renderers write (stdout; a buffer under test).
+type Out<'a> = &'a mut dyn Write;
 
-fn parse_strategy(name: &str) -> Result<Strategy, String> {
-    Strategy::all()
-        .into_iter()
-        .find(|s| s.name() == name)
-        .ok_or_else(|| {
-            let names: Vec<&str> = Strategy::all().iter().map(|s| s.name()).collect();
-            format!(
-                "unknown strategy {name}; choose one of {}",
-                names.join(", ")
-            )
-        })
-}
+/// One flag: its name as typed, the placeholder of its value (empty for a
+/// switch), its default (empty for none) and its help line. The placeholder
+/// is also the value's type: `N`, `S` or `Q` is an unsigned integer (`N>=1`
+/// a positive one), `F` a fraction, `a|b|c` one of those words, anything
+/// else free text. A name that does not start with `-` is the command's
+/// required positional.
+type Flag = (&'static str, &'static str, &'static str, &'static str);
 
-fn parse_args() -> Result<CliConfig, String> {
-    let mut cfg = CliConfig {
-        dir: None,
-        cache_mb: 64,
-        strategy: Strategy::AdCache,
-        trace: None,
-        sketch_guard: true,
-        stripes: 1,
+/// Declares flag rows, one per line: `NAME = "--flag" "PLACEHOLDER" "default" "help";`.
+macro_rules! flags {
+    ($($name:ident = $flag:literal $placeholder:literal $default:literal $help:literal;)*) => {
+        $(const $name: Flag = ($flag, $placeholder, $default, $help);)*
     };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--dir" => {
-                i += 1;
-                cfg.dir = Some(args.get(i).ok_or("--dir needs a path")?.into());
-            }
-            "--trace" => {
-                i += 1;
-                cfg.trace = Some(args.get(i).ok_or("--trace needs a path")?.into());
-            }
-            "--cache-mb" => {
-                i += 1;
-                cfg.cache_mb = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--cache-mb needs a number")?;
-            }
-            "--strategy" => {
-                i += 1;
-                cfg.strategy = parse_strategy(args.get(i).ok_or("--strategy needs a name")?)?;
-            }
-            "--stripes" => {
-                i += 1;
-                cfg.stripes = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .ok_or("--stripes needs a number >= 1")?;
-            }
-            "--mem" => cfg.dir = None,
-            "--help" | "-h" => {
-                print_help();
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other} (try --help)")),
-        }
-        i += 1;
-    }
-    Ok(cfg)
 }
+
+/// A subcommand: the flag table its parser, its usage text and `--help`
+/// are generated from, and the function the parsed flags go to.
+struct Command {
+    /// The word after `adcache` (empty for the interactive shell).
+    name: &'static str,
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Flags) -> CmdResult,
+}
+
+/// A command line parsed against one [`Command`]'s table.
+struct Flags {
+    /// Every flag given with its value, in command-line order.
+    args: Vec<(&'static str, String)>,
+}
+
+impl Flags {
+    /// `Ok(None)` is a request for help; `Err` is a usage error naming the
+    /// offending flag.
+    fn parse(command: &Command, args: &[String]) -> Result<Option<Flags>, String> {
+        let mut seen = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                return Ok(None);
+            }
+            let positional = !arg.starts_with('-');
+            let takes = |flag: &&Flag| flag.0 == arg || (positional && !flag.0.starts_with('-'));
+            let row = command.flags.iter().find(takes);
+            let Some(&(name, placeholder, ..)) = row else {
+                return Err(format!("unknown flag {arg}"));
+            };
+            let value = match (positional, placeholder.is_empty()) {
+                (true, _) => arg,
+                (false, true) => "",
+                (false, false) => args.next().ok_or(format!("{name} needs a value"))?,
+            };
+            let well_formed = match placeholder {
+                "N" | "S" | "Q" => value.parse::<u64>().is_ok(),
+                "N>=1" => value.parse::<u64>().is_ok_and(|n| n >= 1),
+                "F" => value.parse::<f64>().is_ok(),
+                words if words.contains('|') => words.split('|').any(|word| word == value),
+                _ => true,
+            };
+            if !well_formed {
+                let wanted = match placeholder {
+                    "N>=1" => "a number >= 1".to_string(),
+                    words if words.contains('|') => format!("one of: {}", words.replace('|', ", ")),
+                    _ => "a number".to_string(),
+                };
+                return Err(format!("{name} needs {wanted}, got {value}"));
+            }
+            seen.push((name, value.to_string()));
+        }
+        let required = command.flags.iter().find(|flag| !flag.0.starts_with('-'));
+        match required.filter(|flag| !seen.iter().any(|(name, _)| *name == flag.0)) {
+            Some(missing) => Err(format!("{} is missing", missing.0)),
+            None => Ok(Some(Flags { args: seen })),
+        }
+    }
+
+    /// The value `flag` was last given, if it was given at all.
+    fn given(&self, flag: Flag) -> Option<&str> {
+        let last = self.args.iter().rev().find(|(name, _)| *name == flag.0);
+        last.map(|(_, value)| value.as_str())
+    }
+
+    fn on(&self, switch: Flag) -> bool {
+        self.given(switch).is_some()
+    }
+
+    /// The value given, or the table's default.
+    fn text(&self, flag: Flag) -> &str {
+        self.given(flag).unwrap_or(flag.2)
+    }
+
+    /// The value as a number (well-formed since `parse`; may not fit `T`).
+    fn num<T: std::str::FromStr>(&self, flag: Flag) -> Result<T, String> {
+        let parsed = self.text(flag).parse();
+        parsed.map_err(|_| format!("{} {} is out of range", flag.0, self.text(flag)))
+    }
+}
+
+impl Command {
+    /// `adcache NAME [--flag VALUE]...`, every flag of the table.
+    fn synopsis(&self) -> String {
+        let mut line = ["adcache", self.name].join(" ").trim_end().to_string();
+        for (name, placeholder, ..) in self.flags {
+            line += &match (name.starts_with('-'), placeholder.is_empty()) {
+                (false, _) => format!(" {name}"),
+                (true, true) => format!(" [{name}]"),
+                (true, false) => format!(" [{name} {placeholder}]"),
+            };
+        }
+        line
+    }
+
+    /// One help line per flag of the table, defaults included.
+    fn flag_help(&self) -> String {
+        let row = |(name, placeholder, default, help): &Flag| {
+            let default = if default.is_empty() {
+                String::new()
+            } else {
+                format!(" (default {default})")
+            };
+            let flag = [*name, *placeholder].join(" ");
+            format!("  {}\n        {help}{default}\n", flag.trim_end())
+        };
+        self.flags.iter().map(row).collect()
+    }
+
+    /// Parses, runs, and applies the one exit-code rule: 0 when the command
+    /// ran (or printed help), 1 when the run or drill failed, 2 on a usage
+    /// error.
+    fn dispatch(&self, args: &[String]) -> i32 {
+        let label = ["adcache", self.name].join(" ");
+        match Flags::parse(self, args) {
+            Err(msg) => {
+                eprintln!("{}: {msg}\nusage: {}", label.trim_end(), self.synopsis());
+                2
+            }
+            Ok(None) if self.name.is_empty() => {
+                print_help();
+                0
+            }
+            Ok(None) => {
+                let (synopsis, flags) = (self.synopsis(), self.flag_help());
+                print!("usage: {synopsis}\n  {}\n\n{flags}", self.about);
+                0
+            }
+            Ok(Some(flags)) => match (self.run)(&flags) {
+                Ok(true) => 0,
+                Ok(false) => 1,
+                Err(e) => {
+                    eprintln!("{}: {e}", label.trim_end());
+                    1
+                }
+            },
+        }
+    }
+}
+
+/// Every subcommand; any other command line is the shell's.
+const COMMANDS: [&Command; 8] = [
+    &TRACE,
+    &SERVE,
+    &LOADGEN,
+    &METRICS,
+    &TOP,
+    &FAULTCHECK,
+    &ADVCHECK,
+    &TENANTCHECK,
+];
 
 fn print_help() {
+    println!("adcache — interactive AdCache key-value shell\n\nusage:");
+    for c in [&SHELL].iter().chain(&COMMANDS) {
+        println!("  {}\n      {}", c.synopsis(), c.about);
+    }
     println!(
-        "adcache — interactive AdCache key-value shell\n\
-         \n\
-         usage:\n\
-         \x20 adcache [flags]     interactive shell\n\
-         \x20 adcache trace DIR   summarize a trace directory (trace.jsonl + metrics.json)\n\
-         \x20 adcache serve [--addr HOST:PORT] [--workers N] [--fill N] [--trace DIR]\n\
-         \x20                     TCP server over the engine (drain via opcode 6)\n\
-         \x20 adcache loadgen [--addr HOST:PORT] [--ops N] [--connections N] [--qps Q]\n\
-         \x20                     network load generator (closed loop; --qps = open loop)\n\
-         \x20 adcache metrics [--addr HOST:PORT] [--format json|prom] [--summary]\n\
-         \x20                     one-shot metrics export from a live server\n\
-         \x20 adcache top [--addr HOST:PORT] [--interval-ms N] [--iterations N]\n\
-         \x20                     polling live view: QPS, stages, locks, caches\n\
-         \x20 adcache faultcheck [--cycles N] [--seed S]\n\
-         \x20                     seeded crash-recover-verify fault drills\n\
-         \x20 adcache advcheck [--ops N] [--keys N] [--kind KIND|all] [--assert-defenses]\n\
-         \x20                     adversarial drills: attacks vs defenses, off/on\n\
-         \x20 adcache tenantcheck [--ops N] [--keys N] [--tenants N] [--assert-defenses]\n\
-         \x20                     noisy-neighbor drill: tenant isolation off vs on\n\
+        "\n`adcache SUBCOMMAND --help` describes that subcommand's flags.\n\
+         exit status: 0 success, 1 a failed run or drill, 2 a usage error\n\
          \n\
          flags:\n\
-         \x20 --dir PATH        durable store rooted at PATH (default: in-memory)\n\
-         \x20 --cache-mb N      total cache budget in MiB (default 64)\n\
-         \x20 --strategy NAME   rocksdb-block | kv-cache | range-cache |\n\
-         \x20                   range-lecar | range-cacheus | adcache (default)\n\
-         \x20 --trace PATH      record a structured trace; dumped to PATH on quit\n\
-         \n\
+         {}\n\
          commands:\n\
          \x20 put <key> <value>   insert or overwrite\n\
          \x20 get <key>           point lookup\n\
@@ -145,8 +227,60 @@ fn print_help() {
          \x20 stats               cache + engine statistics\n\
          \x20 tune                current AdCache decision parameters\n\
          \x20 flush               flush the memtable\n\
-         \x20 help | quit"
+         \x20 help | quit",
+        SHELL.flag_help()
     );
+}
+
+// Flags that mean the same on every command that takes them.
+flags! {
+    ADDR = "--addr" "HOST:PORT" "127.0.0.1:4400" "the server";
+    DIR = "--dir" "PATH" "" "durable store rooted at PATH";
+    CACHE_MB = "--cache-mb" "N" "64" "total cache budget in MiB";
+    STRATEGY = "--strategy" "rocksdb-block|kv-cache|range-cache|range-lecar|range-cacheus|adcache" "adcache" "cache strategy";
+    TRACE_TO = "--trace" "DIR" "" "record a trace, dumped to DIR on exit";
+    KEYS = "--keys" "N" "4000" "distinct keys loaded";
+    SEED = "--seed" "S" "1" "seed of every generated stream";
+    ASSERT_DEFENSES = "--assert-defenses" "" "" "exit 1 unless the defenses bound the degradation";
+    MEM = "--mem" "" "" "in-memory store, the default (undoes --dir)";
+    SHELL_STRIPES = "--stripes" "N>=1" "1" "keyspace stripes";
+}
+const SHELL: Command = Command {
+    name: "",
+    about: "interactive shell",
+    flags: &[DIR, CACHE_MB, STRATEGY, TRACE_TO, SHELL_STRIPES, MEM],
+    run: cmd_shell,
+};
+
+/// The store both the shell and `serve` open.
+struct CliConfig {
+    dir: Option<PathBuf>,
+    cache_mb: usize,
+    strategy: Strategy,
+    trace: Option<PathBuf>,
+    sketch_guard: bool,
+    /// Keyspace stripes; >1 also turns on background flush/compaction
+    /// workers (`serve` sizes it to the machine, the shell runs 1).
+    stripes: usize,
+}
+
+impl CliConfig {
+    fn from_flags(flags: &Flags, stripes: usize) -> Result<CliConfig, String> {
+        // `--dir` and `--mem` undo each other: the later one stands.
+        let is_place = |(name, _): &&(&str, String)| [DIR.0, MEM.0].contains(name);
+        let place = flags.args.iter().rev().find(is_place);
+        let strategy = Strategy::all()
+            .into_iter()
+            .find(|s| s.name() == flags.text(STRATEGY));
+        Ok(CliConfig {
+            dir: place.filter(|p| p.0 == DIR.0).map(|p| (&p.1).into()),
+            cache_mb: flags.num(CACHE_MB)?,
+            strategy: strategy.ok_or("unknown strategy")?,
+            trace: flags.given(TRACE_TO).map(PathBuf::from),
+            sketch_guard: !flags.on(NO_SKETCH_GUARD),
+            stripes,
+        })
+    }
 }
 
 /// One line naming the tree a stripe runs on, shared by the start-up
@@ -254,15 +388,12 @@ fn cmd_stats(db: &CachedDb) {
     );
 }
 
-/// The shell's engine plus the background tuner: every `window` operations
-/// the observed window is shipped to the tuning thread and the freshest
-/// decision is applied — the online loop of the paper, driven from a REPL.
+/// The shell's engine plus the online loop of the paper, driven from a
+/// REPL: every data command goes through [`Shell::exec`], which ticks the
+/// tuner once per executed operation.
 struct Shell {
     db: CachedDb,
-    tuner: Option<AsyncController>,
-    window: u64,
-    ops_in_window: std::cell::Cell<u64>,
-    win_start: std::cell::Cell<Snapshot>,
+    tuner: Tuner,
     obs: Obs,
 }
 
@@ -271,44 +402,27 @@ impl Shell {
         if obs.is_enabled() {
             db.set_obs(obs.clone());
         }
-        let tuner = (db.strategy() == Strategy::AdCache).then(|| {
+        let controller = (db.strategy() == Strategy::AdCache).then(|| {
             let mut c = Controller::new(ControllerConfig {
                 window: 1000,
                 hidden: 64,
                 ..Default::default()
             });
             c.set_obs(obs.clone());
-            AsyncController::with_controller(c)
+            c
         });
-        let win_start = std::cell::Cell::new(db.snapshot());
-        Shell {
-            db,
-            tuner,
-            window: 1000,
-            ops_in_window: std::cell::Cell::new(0),
-            win_start,
-            obs,
-        }
+        let tuner = Tuner::new(&db, controller, 1000);
+        Shell { db, tuner, obs }
     }
 
-    fn exec(&self, op: &adcache_workload::Operation) -> adcache_lsm::Result<()> {
-        adcache_core::execute(&self.db, op)?;
-        self.tick();
-        Ok(())
-    }
-
-    fn tick(&self) {
-        let n = self.ops_in_window.get() + 1;
-        self.ops_in_window.set(n);
-        if n.is_multiple_of(self.window) {
-            self.obs.set_window(n / self.window);
-            if let Some(t) = &self.tuner {
-                let w = self.db.window_summary(&self.win_start.get());
-                t.submit(w);
-                self.db.apply_decision(&t.latest_decision());
-                self.win_start.set(self.db.snapshot());
-            }
-        }
+    /// Runs one data operation and counts it toward the tuning window.
+    fn exec<T>(
+        &self,
+        op: impl FnOnce(&CachedDb) -> adcache_lsm::Result<T>,
+    ) -> adcache_lsm::Result<T> {
+        let out = op(&self.db)?;
+        self.tuner.tick(&self.db);
+        Ok(out)
     }
 }
 
@@ -345,7 +459,8 @@ fn cmd_bench(shell: &Shell, n: u64, mix_name: &str) -> Result<(), Box<dyn std::e
     let reads_before = db.db().query_block_reads();
     let start = std::time::Instant::now();
     for _ in 0..n {
-        shell.exec(&gen.next_op(&mix))?;
+        let op = gen.next_op(&mix);
+        shell.exec(|db| adcache_core::execute(db, &op))?;
     }
     let secs = start.elapsed().as_secs_f64();
     println!(
@@ -357,43 +472,222 @@ fn cmd_bench(shell: &Shell, n: u64, mix_name: &str) -> Result<(), Box<dyn std::e
     Ok(())
 }
 
-/// Reads a counter out of a `metrics.json` snapshot (0 when absent).
-fn metric_counter(metrics: &serde_json::Value, name: &str) -> u64 {
-    metrics
-        .get("counters")
-        .and_then(|c| c.get(name))
-        .and_then(serde_json::Value::as_u64)
-        .unwrap_or(0)
+/// The per-request stage labels the server records, in pipeline order.
+/// `recv` overlaps every frame of a batched read, so it is excluded from
+/// the total and from share-of-total math.
+const STAGE_LABELS: [&str; 7] = [
+    "recv",
+    "parse",
+    "queue_wait",
+    "lock_wait",
+    "engine_exec",
+    "cache_layer",
+    "reply_flush",
+];
+
+/// The engine's four timed lock paths.
+const LOCK_PATHS: [&str; 4] = ["read", "write", "flush", "compaction"];
+
+/// One histogram of a snapshot: count and sum (the delta, in a view with a
+/// previous snapshot) and the cumulative quantiles, all in nanoseconds.
+struct Hist {
+    count: u64,
+    sum: u64,
+    p50: u64,
+    p95: u64,
+    p99: u64,
+    max: u64,
 }
 
-fn hit_rate_line(metrics: &serde_json::Value, label: &str, prefix: &str) -> String {
-    let hits = metric_counter(metrics, &format!("{prefix}.hits"));
-    let misses = metric_counter(metrics, &format!("{prefix}.misses"));
-    let evictions = metric_counter(metrics, &format!("{prefix}.evictions"));
-    let total = hits + misses;
-    if total == 0 {
-        format!("  {label:<12} (no traffic)")
-    } else {
+impl Hist {
+    fn mean_us(&self) -> f64 {
+        match self.count {
+            0 => 0.0,
+            n => self.sum as f64 / n as f64 / 1e3,
+        }
+    }
+
+    /// `p50 … p95 … p99 … max … (N ops)`, quantiles padded to `width`.
+    fn quantiles(&self, width: usize) -> String {
+        let us = |ns: u64| ns as f64 / 1e3;
         format!(
-            "  {label:<12} {:>7.2}% hit ({hits} hits / {misses} misses, {evictions} evictions)",
-            hits as f64 * 100.0 / total as f64
+            "p50 {:>width$.1}us  p95 {:>width$.1}us  p99 {:>width$.1}us  max {:>width$.1}us  ({} ops)",
+            us(self.p50),
+            us(self.p95),
+            us(self.p99),
+            us(self.max),
+            self.count,
         )
     }
 }
 
+/// The one reader of a metrics snapshot (`metrics.json`, a `METRICS` reply,
+/// a timeseries line). With a previous snapshot, counters and histogram
+/// counts and sums read as the change since it; gauges and quantiles are
+/// always the current ones.
+#[derive(Clone, Copy)]
+struct MetricsView<'a> {
+    cur: &'a Value,
+    prev: Option<&'a Value>,
+}
+
+impl<'a> MetricsView<'a> {
+    fn of(cur: &'a Value) -> Self {
+        MetricsView { cur, prev: None }
+    }
+
+    fn field(snapshot: &'a Value, family: &str, name: &str) -> Option<&'a Value> {
+        snapshot.get(family)?.get(name)
+    }
+
+    fn counter(&self, name: &str) -> u64 {
+        let read = |v| Self::field(v, "counters", name).and_then(Value::as_u64);
+        let before = self.prev.and_then(read).unwrap_or(0);
+        read(self.cur).unwrap_or(0).saturating_sub(before)
+    }
+
+    fn gauge(&self, name: &str) -> i64 {
+        let gauge = Self::field(self.cur, "gauges", name);
+        gauge.and_then(Value::as_i64).unwrap_or(0)
+    }
+
+    fn hist(&self, name: &str) -> Hist {
+        let read = |v, key: &str| {
+            let h = Self::field(v, "histograms", name);
+            h.and_then(|h| h.get(key)?.as_u64()).unwrap_or(0)
+        };
+        let now = |key| read(self.cur, key);
+        let delta = |key| now(key).saturating_sub(self.prev.map_or(0, |p| read(p, key)));
+        Hist {
+            count: delta("count"),
+            sum: delta("sum_ns"),
+            p50: now("p50_ns"),
+            p95: now("p95_ns"),
+            p99: now("p99_ns"),
+            max: now("max_ns"),
+        }
+    }
+
+    /// Every stage as `(label, histogram, share of server.stage.total as a
+    /// fraction)`, and that total.
+    fn stages(&self) -> ([(&'static str, Hist, f64); 7], Hist) {
+        let total = self.hist("server.stage.total");
+        let stage = |label| {
+            let hist = self.hist(&format!("server.stage.{label}"));
+            let share = match label {
+                "recv" => 0.0,
+                _ if total.sum == 0 => 0.0,
+                _ => hist.sum as f64 / total.sum as f64,
+            };
+            (label, hist, share)
+        };
+        (STAGE_LABELS.map(stage), total)
+    }
+
+    /// `(path, acquisitions, wait_ns, hold_ns)` of the four lock paths
+    /// under `scope`: `engine`, or `engine.stripe.N`.
+    fn locks(&self, scope: &str) -> [(&'static str, u64, u64, u64); 4] {
+        LOCK_PATHS.map(|path| {
+            let read = |what| self.counter(&format!("{scope}.lock.{path}.{what}"));
+            (path, read("acquisitions"), read("wait_ns"), read("hold_ns"))
+        })
+    }
+
+    /// `(stripe, lock acquisitions, lock wait_ns, flush queue depth,
+    /// compaction backlog)` per stripe; empty unless the engine ran with
+    /// stripes > 1.
+    fn stripes(&self) -> Vec<(usize, u64, u64, i64, i64)> {
+        let mut rows = Vec::new();
+        for index in 0.. {
+            let scope = format!("engine.stripe.{index}");
+            let depth = format!("{scope}.flush_queue_depth");
+            let locks = self.locks(&scope);
+            let acquisitions = locks.iter().map(|l| l.1).sum();
+            if acquisitions == 0 && Self::field(self.cur, "gauges", &depth).is_none() {
+                break;
+            }
+            let wait_ns = locks.iter().map(|l| l.2).sum();
+            let backlog = self.gauge(&format!("{scope}.compaction_backlog"));
+            rows.push((index, acquisitions, wait_ns, self.gauge(&depth), backlog));
+        }
+        rows
+    }
+
+    /// Every tenant with cache counters, in the snapshot's own order. The
+    /// default tenant 0 is always there once the cache telemetry is on, so
+    /// a multi-tenant run is one with more than one id.
+    fn tenant_ids(&self) -> Vec<u64> {
+        let counters = self.cur.get("counters").and_then(Value::as_object);
+        let id = |(name, _): &(String, Value)| {
+            let id = name.strip_prefix("cache.tenant.")?.strip_suffix(".hits")?;
+            id.parse().ok()
+        };
+        counters.map_or(Vec::new(), |c| c.iter().filter_map(id).collect())
+    }
+
+    /// `(cache hits, cache misses, resident bytes, quota-throttled)`.
+    fn tenant(&self, id: u64) -> (u64, u64, i64, u64) {
+        (
+            self.counter(&format!("cache.tenant.{id}.hits")),
+            self.counter(&format!("cache.tenant.{id}.misses")),
+            self.gauge(&format!("cache.tenant.{id}.bytes")),
+            self.counter(&format!("server.tenant.{id}.quota.throttled")),
+        )
+    }
+}
+
+/// `hits * 100 / total`, 0 when there was no traffic.
+fn percent(hits: u64, total: u64) -> f64 {
+    match total {
+        0 => 0.0,
+        n => hits as f64 * 100.0 / n as f64,
+    }
+}
+
+fn hit_rate_line(m: &MetricsView, label: &str, prefix: &str) -> String {
+    let hits = m.counter(&format!("{prefix}.hits"));
+    let misses = m.counter(&format!("{prefix}.misses"));
+    let evictions = m.counter(&format!("{prefix}.evictions"));
+    if hits + misses == 0 {
+        format!("  {label:<12} (no traffic)")
+    } else {
+        format!(
+            "  {label:<12} {:>7.2}% hit ({hits} hits / {misses} misses, {evictions} evictions)",
+            percent(hits, hits + misses)
+        )
+    }
+}
+
+flags! {
+    TRACE_DIR = "DIR" "" "" "written by --trace DIR or ADCACHE_TRACE=DIR";
+}
+const TRACE: Command = Command {
+    name: "trace",
+    about: "summarize a trace directory (trace.jsonl + metrics.json)",
+    flags: &[TRACE_DIR],
+    run: |flags| {
+        let dir = std::path::Path::new(flags.text(TRACE_DIR));
+        render_trace(dir, &mut std::io::stdout().lock())?;
+        Ok(true)
+    },
+};
+
 /// `adcache trace DIR` — summarizes a recorded trace directory.
-fn cmd_trace(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
-    let metrics: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(dir.join("metrics.json"))?)?;
+fn render_trace(dir: &std::path::Path, out: Out) -> Result<(), Box<dyn std::error::Error>> {
+    let metrics: Value = serde_json::from_str(&std::fs::read_to_string(dir.join("metrics.json"))?)?;
+    let m = MetricsView::of(&metrics);
     // Lenient parse: a trace written by a newer build may contain event
     // kinds this binary does not know; skip and count them instead of
     // refusing the whole file.
     let (records, skipped) =
         parse_jsonl_lenient(&std::fs::read_to_string(dir.join("trace.jsonl"))?)?;
 
-    println!("trace: {} ({} events)", dir.display(), records.len());
+    writeln!(out, "trace: {} ({} events)", dir.display(), records.len())?;
     if skipped > 0 {
-        println!("  ({skipped} events of unknown kind skipped — newer trace format?)");
+        writeln!(
+            out,
+            "  ({skipped} events of unknown kind skipped — newer trace format?)"
+        )?;
     }
     // Journal loss: the ring drops oldest records under pressure. A
     // nonzero first seq is history lost off the front; internal seq gaps
@@ -408,10 +702,11 @@ fn cmd_trace(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
         // they account for that many apparent gaps.
         let internal_gaps = internal_gaps.saturating_sub(skipped);
         if head_dropped > 0 || internal_gaps > 0 {
-            println!(
+            writeln!(
+                out,
                 "  WARNING: journal lossy — {head_dropped} events dropped before the \
                  retained window, {internal_gaps} internal seq gaps"
-            );
+            )?;
         }
     }
     for r in &records {
@@ -420,17 +715,18 @@ fn cmd_trace(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
             total_cache_bytes,
         } = &r.event
         {
-            println!(
+            writeln!(
+                out,
                 "run: strategy {strategy}, cache budget {:.1} MiB",
                 *total_cache_bytes as f64 / (1 << 20) as f64
-            );
+            )?;
         }
     }
 
-    println!("\ncache hit rates:");
-    println!("{}", hit_rate_line(&metrics, "block", "cache.block"));
-    println!("{}", hit_rate_line(&metrics, "range", "cache.range"));
-    println!("{}", hit_rate_line(&metrics, "kv", "cache.kv"));
+    writeln!(out, "\ncache hit rates:")?;
+    writeln!(out, "{}", hit_rate_line(&m, "block", "cache.block"))?;
+    writeln!(out, "{}", hit_rate_line(&m, "range", "cache.range"))?;
+    writeln!(out, "{}", hit_rate_line(&m, "kv", "cache.kv"))?;
 
     // Admission breakdown by outcome and reason, from the journal.
     let mut by_verdict: std::collections::BTreeMap<String, (u64, u64, u64)> =
@@ -452,19 +748,23 @@ fn cmd_trace(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
             e.2 += admitted;
         }
     }
-    println!("\nadmission decisions (journal tail):");
+    writeln!(out, "\nadmission decisions (journal tail):")?;
     if by_verdict.is_empty() {
-        println!("  (none recorded)");
+        writeln!(out, "  (none recorded)")?;
     }
     for (k, (n, req, adm)) in &by_verdict {
-        println!("  {k:<44} {n:>7} decisions, {adm}/{req} entries admitted");
+        writeln!(
+            out,
+            "  {k:<44} {n:>7} decisions, {adm}/{req} entries admitted"
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "  counters (whole run): {} accepts, {} rejects, {} partials",
-        metric_counter(&metrics, "core.admission.accepts"),
-        metric_counter(&metrics, "core.admission.rejects"),
-        metric_counter(&metrics, "core.admission.partials"),
-    );
+        m.counter("core.admission.accepts"),
+        m.counter("core.admission.rejects"),
+        m.counter("core.admission.partials"),
+    )?;
 
     // Boundary trajectory: where the controller moved the block/range split.
     let moves: Vec<(u64, f64, bool)> = records
@@ -478,13 +778,14 @@ fn cmd_trace(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
             _ => None,
         })
         .collect();
-    println!("\nboundary trajectory ({} decisions):", moves.len());
+    writeln!(out, "\nboundary trajectory ({} decisions):", moves.len())?;
     let tail = moves.len().saturating_sub(10);
     if tail > 0 {
-        println!("  ... {tail} earlier decisions elided ...");
+        writeln!(out, "  ... {tail} earlier decisions elided ...")?;
     }
     for (window, ratio, applied) in &moves[tail..] {
-        println!(
+        writeln!(
+            out,
             "  window {window:>5}: range {:>5.1}% / block {:>5.1}%{}",
             ratio * 100.0,
             (1.0 - ratio) * 100.0,
@@ -493,7 +794,7 @@ fn cmd_trace(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
             } else {
                 "  (suppressed by hysteresis)"
             }
-        );
+        )?;
     }
 
     // Training progress.
@@ -506,14 +807,14 @@ fn cmd_trace(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
             _ => None,
         })
         .collect();
-    if !steps.is_empty() {
+    if let Some((last_reward, _)) = steps.last() {
         let mean_r = steps.iter().map(|(r, _)| r).sum::<f64>() / steps.len() as f64;
         let mean_td = steps.iter().map(|(_, td)| td.abs()).sum::<f64>() / steps.len() as f64;
-        println!(
-            "\ntraining: {} steps, mean reward {mean_r:+.4}, mean |td error| {mean_td:.4}, last reward {:+.4}",
+        writeln!(
+            out,
+            "\ntraining: {} steps, mean reward {mean_r:+.4}, mean |td error| {mean_td:.4}, last reward {last_reward:+.4}",
             steps.len(),
-            steps.last().unwrap().0
-        );
+        )?;
     }
 
     // LSM maintenance counted from the journal.
@@ -526,331 +827,37 @@ fn cmd_trace(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
             _ => {}
         }
     }
-    println!(
+    writeln!(
+        out,
         "\nlsm: {} flushes, {} compactions (counters: {} / {}), {} block-cache invalidations",
         flushes,
         compactions,
-        metric_counter(&metrics, "lsm.flushes"),
-        metric_counter(&metrics, "lsm.compactions"),
+        m.counter("lsm.flushes"),
+        m.counter("lsm.compactions"),
         invalidations,
-    );
-    let gc_rounds = metric_counter(&metrics, "lsm.group_commit.rounds");
+    )?;
+    let gc_rounds = m.counter("lsm.group_commit.rounds");
     if gc_rounds > 0 {
-        let gc_batches = metric_counter(&metrics, "lsm.group_commit.batches");
-        println!(
+        let gc_batches = m.counter("lsm.group_commit.batches");
+        writeln!(
+            out,
             "  group commit: {gc_batches} batches in {gc_rounds} rounds \
              ({:.2} batches/round), {} seals, {} write stalls",
             gc_batches as f64 / gc_rounds as f64,
-            metric_counter(&metrics, "lsm.seals"),
-            metric_counter(&metrics, "lsm.write_stalls"),
-        );
+            m.counter("lsm.seals"),
+            m.counter("lsm.write_stalls"),
+        )?;
     }
 
-    if let Some(h) = metrics
-        .get("histograms")
-        .and_then(|h| h.get("op.latency_ns"))
-    {
-        let ns = |k: &str| h.get(k).and_then(serde_json::Value::as_u64).unwrap_or(0);
-        println!(
-            "\nlatency (simulated): p50 {:.1}us  p95 {:.1}us  p99 {:.1}us  max {:.1}us  ({} ops)",
-            ns("p50_ns") as f64 / 1e3,
-            ns("p95_ns") as f64 / 1e3,
-            ns("p99_ns") as f64 / 1e3,
-            ns("max_ns") as f64 / 1e3,
-            ns("count"),
-        );
+    if MetricsView::field(&metrics, "histograms", "op.latency_ns").is_some() {
+        let latency = m.hist("op.latency_ns").quantiles(0);
+        writeln!(out, "\nlatency (simulated): {latency}")?;
     }
 
     // Serving summary (present only for traces from `adcache serve`).
-    let served = metric_counter(&metrics, "server.requests");
+    let served = m.counter("server.requests");
     if served > 0 {
-        let (mut accepted, mut closed, mut overloads) = (0u64, 0u64, 0u64);
-        let mut close_causes: std::collections::BTreeMap<String, u64> =
-            std::collections::BTreeMap::new();
-        let mut sampled: std::collections::BTreeMap<String, (u64, u64)> =
-            std::collections::BTreeMap::new();
-        for r in &records {
-            match &r.event {
-                Event::ConnAccepted { .. } => accepted += 1,
-                Event::ConnClosed { cause, .. } => {
-                    closed += 1;
-                    *close_causes.entry(format!("{cause:?}")).or_insert(0) += 1;
-                }
-                Event::ServerOverload { .. } => overloads += 1,
-                Event::RequestServed {
-                    opcode, latency_ns, ..
-                } => {
-                    let e = sampled.entry(opcode.clone()).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += latency_ns;
-                }
-                _ => {}
-            }
-        }
-        println!(
-            "\nserving: {served} requests, {} protocol errors, {} MiB in / {} MiB out",
-            metric_counter(&metrics, "server.protocol_errors"),
-            metric_counter(&metrics, "server.bytes_in") >> 20,
-            metric_counter(&metrics, "server.bytes_out") >> 20,
-        );
-        let causes = close_causes
-            .iter()
-            .map(|(k, n)| format!("{n} {k}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        println!(
-            "  connections: {accepted} accepted, {closed} closed{}{}",
-            if causes.is_empty() {
-                String::new()
-            } else {
-                format!(" ({causes})")
-            },
-            if overloads > 0 {
-                format!(", {overloads} overload refusals")
-            } else {
-                String::new()
-            }
-        );
-        for op in ["get", "put", "delete", "scan", "ping", "stats"] {
-            if let Some(h) = metrics
-                .get("histograms")
-                .and_then(|h| h.get(&format!("server.latency.{op}")))
-            {
-                let ns = |k: &str| h.get(k).and_then(serde_json::Value::as_u64).unwrap_or(0);
-                if ns("count") == 0 {
-                    continue;
-                }
-                println!(
-                    "  {op:<7} p50 {:>8.1}us  p95 {:>8.1}us  p99 {:>8.1}us  max {:>8.1}us  ({} ops)",
-                    ns("p50_ns") as f64 / 1e3,
-                    ns("p95_ns") as f64 / 1e3,
-                    ns("p99_ns") as f64 / 1e3,
-                    ns("max_ns") as f64 / 1e3,
-                    ns("count"),
-                );
-            }
-        }
-        if !sampled.is_empty() {
-            let line = sampled
-                .iter()
-                .map(|(op, (n, total))| {
-                    format!("{op} {n}x ~{:.1}us", *total as f64 / *n as f64 / 1e3)
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            println!("  journal samples: {line}");
-        }
-
-        // Per-request stage breakdown (whole run, from the registry).
-        let (total_count, total_sum, _, _) = hist_stats(&metrics, "server.stage.total");
-        if total_count > 0 {
-            println!("\nstage breakdown ({total_count} requests):");
-            for label in STAGE_LABELS {
-                let (count, sum, _, p99) = hist_stats(&metrics, &format!("server.stage.{label}"));
-                if count == 0 {
-                    continue;
-                }
-                let share = if total_sum > 0 && label != "recv" {
-                    sum as f64 * 100.0 / total_sum as f64
-                } else {
-                    0.0
-                };
-                println!(
-                    "  {label:<12} {share:>5.1}%  mean {:>8.1}us  p99 {:>8.1}us{}",
-                    sum as f64 / count as f64 / 1e3,
-                    p99 as f64 / 1e3,
-                    if label == "recv" {
-                        "  (overlaps batches; outside total)"
-                    } else {
-                        ""
-                    },
-                );
-            }
-        }
-
-        // Engine lock accounting and contention events.
-        let lock_lines: Vec<String> = ["read", "write", "flush", "compaction"]
-            .iter()
-            .filter_map(|path| {
-                let acq = metric_counter(&metrics, &format!("engine.lock.{path}.acquisitions"));
-                if acq == 0 {
-                    return None;
-                }
-                let wait = metric_counter(&metrics, &format!("engine.lock.{path}.wait_ns"));
-                let hold = metric_counter(&metrics, &format!("engine.lock.{path}.hold_ns"));
-                Some(format!(
-                    "  {path:<12} {acq:>9} acquisitions, wait {:>9.2}ms, hold {:>9.2}ms",
-                    wait as f64 / 1e6,
-                    hold as f64 / 1e6
-                ))
-            })
-            .collect();
-        if !lock_lines.is_empty() {
-            println!("\nengine lock accounting:");
-            for l in &lock_lines {
-                println!("{l}");
-            }
-            let contentions = records
-                .iter()
-                .filter(|r| matches!(r.event, Event::LockContention { .. }))
-                .count();
-            if contentions > 0 {
-                println!("  {contentions} over-budget waits journaled (LockContention)");
-            }
-        }
-
-        // Per-stripe accounting: lock traffic, queue depths, backlog.
-        // Stripe rows exist only when the engine ran with stripes > 1.
-        let stripe_rows: Vec<(usize, u64, u64, i64, i64)> = (0..)
-            .map(|i| {
-                let mut acq = 0u64;
-                let mut wait = 0u64;
-                for path in ["read", "write", "flush", "compaction"] {
-                    acq += metric_counter(
-                        &metrics,
-                        &format!("engine.stripe.{i}.lock.{path}.acquisitions"),
-                    );
-                    wait +=
-                        metric_counter(&metrics, &format!("engine.stripe.{i}.lock.{path}.wait_ns"));
-                }
-                let depth = metric_gauge(&metrics, &format!("engine.stripe.{i}.flush_queue_depth"));
-                let backlog =
-                    metric_gauge(&metrics, &format!("engine.stripe.{i}.compaction_backlog"));
-                (i, acq, wait, depth, backlog)
-            })
-            .take_while(|(i, acq, ..)| {
-                *acq > 0
-                    || metrics
-                        .get("gauges")
-                        .and_then(|g| g.get(&format!("engine.stripe.{i}.flush_queue_depth")))
-                        .is_some()
-            })
-            .collect();
-        if !stripe_rows.is_empty() {
-            let total_wait: u64 = stripe_rows.iter().map(|(_, _, w, _, _)| w).sum();
-            println!("\nstripes ({}):", stripe_rows.len());
-            for (i, acq, wait, depth, backlog) in &stripe_rows {
-                println!(
-                    "  stripe {i:>2}: {acq:>9} lock acquisitions, wait {:>9.2}ms ({:>5.1}%), \
-                     flush queue {depth}, compaction backlog {backlog}",
-                    *wait as f64 / 1e6,
-                    if total_wait > 0 {
-                        *wait as f64 * 100.0 / total_wait as f64
-                    } else {
-                        0.0
-                    },
-                );
-            }
-            if let Some((i, _, wait, ..)) = stripe_rows.iter().max_by_key(|(_, _, w, _, _)| *w) {
-                println!(
-                    "  hottest: stripe {i} with {:.2}ms lock wait",
-                    *wait as f64 / 1e6
-                );
-            }
-        }
-
-        // Per-tenant accounting. Tenant rows exist only when connections
-        // authenticated (the default tenant 0 is always present once the
-        // cache telemetry flag is on).
-        let mut tenant_ids: Vec<u64> = metrics
-            .get("counters")
-            .and_then(serde_json::Value::as_object)
-            .map(|c| {
-                c.iter()
-                    .filter_map(|(k, _)| {
-                        k.strip_prefix("cache.tenant.")
-                            .and_then(|rest| rest.strip_suffix(".hits"))
-                            .and_then(|id| id.parse().ok())
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        tenant_ids.sort_unstable();
-        if tenant_ids.len() > 1 {
-            let mut bound: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-            let mut resizes: std::collections::BTreeMap<u64, (u64, f64)> =
-                std::collections::BTreeMap::new();
-            for r in &records {
-                match &r.event {
-                    Event::TenantBound { tenant, .. } => *bound.entry(*tenant).or_insert(0) += 1,
-                    Event::TenantShareResized { tenant, share, .. } => {
-                        let e = resizes.entry(*tenant).or_insert((0, 0.0));
-                        e.0 += 1;
-                        e.1 = *share;
-                    }
-                    _ => {}
-                }
-            }
-            println!("\ntenants ({}):", tenant_ids.len());
-            for id in &tenant_ids {
-                let hits = metric_counter(&metrics, &format!("cache.tenant.{id}.hits"));
-                let misses = metric_counter(&metrics, &format!("cache.tenant.{id}.misses"));
-                let bytes = metric_gauge(&metrics, &format!("cache.tenant.{id}.bytes"));
-                let throttled =
-                    metric_counter(&metrics, &format!("server.tenant.{id}.quota.throttled"));
-                let total = hits + misses;
-                let (n_resizes, share) = resizes.get(id).copied().unwrap_or((0, 0.0));
-                println!(
-                    "  tenant {id:>3}: hit rate {:>5.1}% ({hits}/{total}), {:>8} KiB resident, \
-                     {} conns bound, {n_resizes} share moves{}{}",
-                    if total > 0 {
-                        hits as f64 * 100.0 / total as f64
-                    } else {
-                        0.0
-                    },
-                    bytes >> 10,
-                    bound.get(id).copied().unwrap_or(0),
-                    if n_resizes > 0 {
-                        format!(" (last share {share:.2})")
-                    } else {
-                        String::new()
-                    },
-                    if throttled > 0 {
-                        format!(", {throttled} quota-throttled")
-                    } else {
-                        String::new()
-                    },
-                );
-            }
-        }
-
-        // Slowest journaled requests, worst first.
-        let mut slow: Vec<&adcache_obs::JournalRecord> = records
-            .iter()
-            .filter(|r| matches!(r.event, Event::SlowRequest { .. }))
-            .collect();
-        slow.sort_by_key(|r| match &r.event {
-            Event::SlowRequest { total_ns, .. } => std::cmp::Reverse(*total_ns),
-            _ => std::cmp::Reverse(0),
-        });
-        if !slow.is_empty() {
-            println!("\nslow requests ({} journaled, worst 5):", slow.len());
-            for r in slow.iter().take(5) {
-                if let Event::SlowRequest {
-                    conn,
-                    opcode,
-                    status,
-                    total_ns,
-                    queue_ns,
-                    lock_wait_ns,
-                    engine_ns,
-                    cache_ns,
-                    key,
-                    ..
-                } = &r.event
-                {
-                    println!(
-                        "  {:>9.1}us {opcode} ({status}) conn {conn} key {key:?} — queue \
-                         {:.1}us, lock {:.1}us, engine {:.1}us, cache {:.1}us",
-                        *total_ns as f64 / 1e3,
-                        *queue_ns as f64 / 1e3,
-                        *lock_wait_ns as f64 / 1e3,
-                        *engine_ns as f64 / 1e3,
-                        *cache_ns as f64 / 1e3,
-                    );
-                }
-            }
-        }
+        render_trace_serving(&m, &records, served, out)?;
     }
 
     // Rolling time-series, if the run snapshotted one (`serve
@@ -858,55 +865,263 @@ fn cmd_trace(dir: &std::path::Path) -> Result<(), Box<dyn std::error::Error>> {
     let ts_path = dir.join("timeseries.jsonl");
     if let Ok(text) = std::fs::read_to_string(&ts_path) {
         let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        println!(
+        writeln!(
+            out,
             "\ntimeseries: {} snapshots in {}",
             lines.len(),
             ts_path.display()
-        );
+        )?;
         let tail = lines.len().saturating_sub(5);
         if tail > 0 {
-            println!("  ... {tail} earlier snapshots elided ...");
+            writeln!(out, "  ... {tail} earlier snapshots elided ...")?;
         }
         for line in &lines[tail..] {
-            let Ok(v) = serde_json::from_str::<serde_json::Value>(line) else {
-                println!("  (malformed snapshot line)");
+            let Ok(v) = serde_json::from_str::<Value>(line) else {
+                writeln!(out, "  (malformed snapshot line)")?;
                 continue;
             };
-            let seq = v
-                .get("seq")
-                .and_then(serde_json::Value::as_u64)
-                .unwrap_or(0);
-            let interval_ms = v
-                .get("interval_ms")
-                .and_then(serde_json::Value::as_u64)
-                .unwrap_or(0);
-            let reqs = v
-                .get("counters")
-                .and_then(|c| c.get("server.requests"))
-                .and_then(serde_json::Value::as_u64)
-                .unwrap_or(0);
-            let hits = v
-                .get("counters")
-                .and_then(|c| c.get("cache.block.hits"))
-                .and_then(serde_json::Value::as_u64)
-                .unwrap_or(0);
-            let qps = if interval_ms > 0 {
-                reqs as f64 * 1e3 / interval_ms as f64
-            } else {
-                0.0
+            let top = |key| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+            let (seq, interval_ms) = (top("seq"), top("interval_ms"));
+            // A snapshot line's counters are already interval deltas.
+            let interval = MetricsView::of(&v);
+            let qps = match interval_ms {
+                0 => 0.0,
+                ms => interval.counter("server.requests") as f64 * 1e3 / ms as f64,
             };
-            println!(
+            writeln!(
+                out,
                 "  snapshot {seq:>4}: {qps:>9.0} ops/s over {interval_ms} ms, \
-                 {hits} block-cache hits"
-            );
+                 {} block-cache hits",
+                interval.counter("cache.block.hits")
+            )?;
         }
     }
     Ok(())
 }
 
-/// `adcache serve`: put the engine behind a TCP socket and run until a
-/// client sends the `Shutdown` opcode (CI drives drain that way; an
-/// operator can use `adcache loadgen --shutdown --ops 0`).
+/// The `serving:` half of a trace summary: connections, per-opcode
+/// latency, stage breakdown, lock and stripe accounting, tenants, and the
+/// slowest journaled requests.
+fn render_trace_serving(
+    m: &MetricsView,
+    records: &[adcache_obs::JournalRecord],
+    served: u64,
+    out: Out,
+) -> std::io::Result<()> {
+    let (mut accepted, mut closed, mut overloads) = (0u64, 0u64, 0u64);
+    let mut close_causes: std::collections::BTreeMap<String, u64> =
+        std::collections::BTreeMap::new();
+    let mut sampled: std::collections::BTreeMap<String, (u64, u64)> =
+        std::collections::BTreeMap::new();
+    for r in records {
+        match &r.event {
+            Event::ConnAccepted { .. } => accepted += 1,
+            Event::ConnClosed { cause, .. } => {
+                closed += 1;
+                *close_causes.entry(format!("{cause:?}")).or_insert(0) += 1;
+            }
+            Event::ServerOverload { .. } => overloads += 1,
+            Event::RequestServed {
+                opcode, latency_ns, ..
+            } => {
+                let e = sampled.entry(opcode.clone()).or_insert((0, 0));
+                e.0 += 1;
+                e.1 += latency_ns;
+            }
+            _ => {}
+        }
+    }
+    writeln!(
+        out,
+        "\nserving: {served} requests, {} protocol errors, {} MiB in / {} MiB out",
+        m.counter("server.protocol_errors"),
+        m.counter("server.bytes_in") >> 20,
+        m.counter("server.bytes_out") >> 20,
+    )?;
+    let causes = close_causes
+        .iter()
+        .map(|(k, n)| format!("{n} {k}"))
+        .collect::<Vec<_>>()
+        .join(", ");
+    writeln!(
+        out,
+        "  connections: {accepted} accepted, {closed} closed{}{}",
+        if causes.is_empty() {
+            String::new()
+        } else {
+            format!(" ({causes})")
+        },
+        if overloads > 0 {
+            format!(", {overloads} overload refusals")
+        } else {
+            String::new()
+        }
+    )?;
+    for op in ["get", "put", "delete", "scan", "ping", "stats"] {
+        let latency = m.hist(&format!("server.latency.{op}"));
+        if latency.count > 0 {
+            writeln!(out, "  {op:<7} {}", latency.quantiles(8))?;
+        }
+    }
+    if !sampled.is_empty() {
+        let line = sampled
+            .iter()
+            .map(|(op, (n, total))| format!("{op} {n}x ~{:.1}us", *total as f64 / *n as f64 / 1e3))
+            .collect::<Vec<_>>()
+            .join(", ");
+        writeln!(out, "  journal samples: {line}")?;
+    }
+
+    // Per-request stage breakdown (whole run, from the registry).
+    let (stages, total) = m.stages();
+    if total.count > 0 {
+        writeln!(out, "\nstage breakdown ({} requests):", total.count)?;
+        for (label, hist, share) in stages.iter().filter(|s| s.1.count > 0) {
+            writeln!(
+                out,
+                "  {label:<12} {:>5.1}%  mean {:>8.1}us  p99 {:>8.1}us{}",
+                share * 100.0,
+                hist.mean_us(),
+                hist.p99 as f64 / 1e3,
+                if *label == "recv" {
+                    "  (overlaps batches; outside total)"
+                } else {
+                    ""
+                },
+            )?;
+        }
+    }
+
+    // Engine lock accounting and contention events.
+    let locks = m.locks("engine");
+    if locks.iter().any(|l| l.1 > 0) {
+        writeln!(out, "\nengine lock accounting:")?;
+        for (path, acquisitions, wait_ns, hold_ns) in locks.iter().filter(|l| l.1 > 0) {
+            writeln!(
+                out,
+                "  {path:<12} {acquisitions:>9} acquisitions, wait {:>9.2}ms, hold {:>9.2}ms",
+                *wait_ns as f64 / 1e6,
+                *hold_ns as f64 / 1e6
+            )?;
+        }
+        let contentions = records
+            .iter()
+            .filter(|r| matches!(r.event, Event::LockContention { .. }))
+            .count();
+        if contentions > 0 {
+            writeln!(
+                out,
+                "  {contentions} over-budget waits journaled (LockContention)"
+            )?;
+        }
+    }
+
+    // Per-stripe accounting: lock traffic, queue depths, backlog.
+    let stripes = m.stripes();
+    if let Some((hottest, _, hottest_wait, ..)) = stripes.iter().max_by_key(|s| s.2) {
+        let total_wait: u64 = stripes.iter().map(|s| s.2).sum();
+        writeln!(out, "\nstripes ({}):", stripes.len())?;
+        for (i, acq, wait, depth, backlog) in &stripes {
+            writeln!(
+                out,
+                "  stripe {i:>2}: {acq:>9} lock acquisitions, wait {:>9.2}ms ({:>5.1}%), \
+                 flush queue {depth}, compaction backlog {backlog}",
+                *wait as f64 / 1e6,
+                percent(*wait, total_wait),
+            )?;
+        }
+        writeln!(
+            out,
+            "  hottest: stripe {hottest} with {:.2}ms lock wait",
+            *hottest_wait as f64 / 1e6
+        )?;
+    }
+
+    // Per-tenant accounting, once connections authenticated.
+    let mut tenant_ids = m.tenant_ids();
+    tenant_ids.sort_unstable();
+    if tenant_ids.len() > 1 {
+        let mut bound: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
+        let mut resizes: std::collections::BTreeMap<u64, (u64, f64)> =
+            std::collections::BTreeMap::new();
+        for r in records {
+            match &r.event {
+                Event::TenantBound { tenant, .. } => *bound.entry(*tenant).or_insert(0) += 1,
+                Event::TenantShareResized { tenant, share, .. } => {
+                    let e = resizes.entry(*tenant).or_insert((0, 0.0));
+                    e.0 += 1;
+                    e.1 = *share;
+                }
+                _ => {}
+            }
+        }
+        writeln!(out, "\ntenants ({}):", tenant_ids.len())?;
+        for id in &tenant_ids {
+            let (hits, misses, resident_bytes, throttled) = m.tenant(*id);
+            let total = hits + misses;
+            let (n_resizes, share) = resizes.get(id).copied().unwrap_or((0, 0.0));
+            writeln!(
+                out,
+                "  tenant {id:>3}: hit rate {:>5.1}% ({hits}/{total}), {:>8} KiB resident, \
+                 {} conns bound, {n_resizes} share moves{}{}",
+                percent(hits, total),
+                resident_bytes >> 10,
+                bound.get(id).copied().unwrap_or(0),
+                if n_resizes > 0 {
+                    format!(" (last share {share:.2})")
+                } else {
+                    String::new()
+                },
+                if throttled > 0 {
+                    format!(", {throttled} quota-throttled")
+                } else {
+                    String::new()
+                },
+            )?;
+        }
+    }
+
+    // Slowest journaled requests, worst first.
+    let mut slow: Vec<&adcache_obs::JournalRecord> = records
+        .iter()
+        .filter(|r| matches!(r.event, Event::SlowRequest { .. }))
+        .collect();
+    slow.sort_by_key(|r| match &r.event {
+        Event::SlowRequest { total_ns, .. } => std::cmp::Reverse(*total_ns),
+        _ => std::cmp::Reverse(0),
+    });
+    if !slow.is_empty() {
+        writeln!(out, "\nslow requests ({} journaled, worst 5):", slow.len())?;
+        for r in slow.iter().take(5) {
+            if let Event::SlowRequest {
+                conn,
+                opcode,
+                status,
+                total_ns,
+                queue_ns,
+                lock_wait_ns,
+                engine_ns,
+                cache_ns,
+                key,
+                ..
+            } = &r.event
+            {
+                writeln!(
+                    out,
+                    "  {:>9.1}us {opcode} ({status}) conn {conn} key {key:?} — queue \
+                     {:.1}us, lock {:.1}us, engine {:.1}us, cache {:.1}us",
+                    *total_ns as f64 / 1e3,
+                    *queue_ns as f64 / 1e3,
+                    *lock_wait_ns as f64 / 1e3,
+                    *engine_ns as f64 / 1e3,
+                    *cache_ns as f64 / 1e3,
+                )?;
+            }
+        }
+    }
+    Ok(())
+}
+
 /// 4 stripes per core, clamped to [2, 16]: enough to spread lock and
 /// flush contention without making 16-way scan merges on a small box.
 fn default_serve_stripes() -> usize {
@@ -916,98 +1131,136 @@ fn default_serve_stripes() -> usize {
     (cores * 4).clamp(2, 16)
 }
 
-fn cmd_serve(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let usage = "usage: adcache serve [--addr HOST:PORT] [--cache-mb N] [--strategy NAME] \
-                 [--dir PATH] [--workers N] [--max-conns N] [--idle-timeout-secs N] \
-                 [--fill N] [--trace DIR] [--no-telemetry] [--snapshot-ms N] [--slow-us N] \
-                 [--quota-ops N] [--quota-burst N] [--tenant-quota-ops N] \
-                 [--tenant-quota-burst N] [--no-sketch-guard] [--stripes N]";
-    let mut cli = CliConfig {
-        dir: None,
-        cache_mb: 64,
-        strategy: Strategy::AdCache,
-        trace: None,
-        sketch_guard: true,
-        // Serving defaults to a striped engine with background
-        // maintenance, sized to the machine (cross-stripe scans cost a
-        // per-stripe setup, so more stripes than the hardware can run in
-        // parallel only taxes the read path). `--stripes N` overrides;
-        // `--stripes 1` restores the inline single-stripe write path.
-        stripes: default_serve_stripes(),
-    };
-    let mut server_cfg = adcache_server::ServerConfig::default();
-    let mut fill = 0u64;
-    let mut telemetry = true;
-    let mut snapshot_ms = 0u64;
-    let mut i = 2;
-    let next = |argv: &[String], i: &mut usize, what: &str| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i).cloned().ok_or(format!("{what} needs a value"))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => server_cfg.addr = next(argv, &mut i, "--addr")?,
-            "--cache-mb" => cli.cache_mb = next(argv, &mut i, "--cache-mb")?.parse()?,
-            "--strategy" => cli.strategy = parse_strategy(&next(argv, &mut i, "--strategy")?)?,
-            "--dir" => cli.dir = Some(next(argv, &mut i, "--dir")?.into()),
-            "--workers" => server_cfg.workers = next(argv, &mut i, "--workers")?.parse()?,
-            "--max-conns" => server_cfg.max_conns = next(argv, &mut i, "--max-conns")?.parse()?,
-            "--idle-timeout-secs" => {
-                server_cfg.idle_timeout = std::time::Duration::from_secs(
-                    next(argv, &mut i, "--idle-timeout-secs")?.parse()?,
-                )
-            }
-            "--fill" => fill = next(argv, &mut i, "--fill")?.parse()?,
-            "--trace" => cli.trace = Some(next(argv, &mut i, "--trace")?.into()),
-            "--no-telemetry" => telemetry = false,
-            "--snapshot-ms" => snapshot_ms = next(argv, &mut i, "--snapshot-ms")?.parse()?,
-            "--slow-us" => {
-                server_cfg.slow_request_ns =
-                    next(argv, &mut i, "--slow-us")?.parse::<u64>()? * 1_000
-            }
-            "--quota-ops" => server_cfg.quota_ops = next(argv, &mut i, "--quota-ops")?.parse()?,
-            "--quota-burst" => {
-                server_cfg.quota_burst = next(argv, &mut i, "--quota-burst")?.parse()?
-            }
-            "--tenant-quota-ops" => {
-                server_cfg.tenant_quota_ops = next(argv, &mut i, "--tenant-quota-ops")?.parse()?
-            }
-            "--tenant-quota-burst" => {
-                server_cfg.tenant_quota_burst =
-                    next(argv, &mut i, "--tenant-quota-burst")?.parse()?
-            }
-            "--no-sketch-guard" => cli.sketch_guard = false,
-            "--stripes" => {
-                cli.stripes = next(argv, &mut i, "--stripes")?.parse()?;
-                if cli.stripes == 0 {
-                    return Err("--stripes needs a number >= 1".into());
-                }
-            }
-            other => return Err(format!("unknown serve flag {other}\n{usage}").into()),
-        }
-        i += 1;
-    }
+flags! {
+    LISTEN = "--addr" "HOST:PORT" "127.0.0.1:4400" "listen address (port 0: any free port)";
+    WORKERS = "--workers" "N" "0" "worker threads (0: one per core)";
+    MAX_CONNS = "--max-conns" "N" "1024" "concurrent-connection ceiling";
+    IDLE_TIMEOUT = "--idle-timeout-secs" "N" "60" "close connections idle this long";
+    FILL = "--fill" "N" "0" "preload N synthetic keys before listening";
+    NO_TELEMETRY = "--no-telemetry" "" "" "strip the metrics registry and stage tracing";
+    SNAPSHOT_MS = "--snapshot-ms" "N" "0" "metric deltas to DIR/timeseries.jsonl this often (needs --trace)";
+    SLOW_US = "--slow-us" "N" "10000" "journal requests slower than this (0: none)";
+    QUOTA_OPS = "--quota-ops" "N" "0" "per-connection tokens/s (0: no quota)";
+    QUOTA_BURST = "--quota-burst" "N" "0" "per-connection bucket (0: one second of quota)";
+    TENANT_QUOTA_OPS = "--tenant-quota-ops" "N" "0" "per-tenant tokens/s over all its connections";
+    TENANT_QUOTA_BURST = "--tenant-quota-burst" "N" "0" "per-tenant bucket (0: one second of quota)";
+    NO_SKETCH_GUARD = "--no-sketch-guard" "" "" "turn the admission sketch's anomaly guard off";
+    SERVE_STRIPES = "--stripes" "N>=1" "" "keyspace stripes (default: 4 per core, 2 to 16); 1 = inline maintenance";
+}
+const SERVE: Command = Command {
+    name: "serve",
+    about: "TCP server over the engine (drain via opcode 6)",
+    flags: &[
+        LISTEN,
+        CACHE_MB,
+        STRATEGY,
+        DIR,
+        WORKERS,
+        MAX_CONNS,
+        IDLE_TIMEOUT,
+        FILL,
+        TRACE_TO,
+        NO_TELEMETRY,
+        SNAPSHOT_MS,
+        SLOW_US,
+        QUOTA_OPS,
+        QUOTA_BURST,
+        TENANT_QUOTA_OPS,
+        TENANT_QUOTA_BURST,
+        NO_SKETCH_GUARD,
+        SERVE_STRIPES,
+    ],
+    run: cmd_serve,
+};
 
-    if snapshot_ms > 0 && cli.trace.is_none() {
-        return Err(
-            "--snapshot-ms needs --trace DIR (snapshots land in DIR/timeseries.jsonl)"
-                .to_string()
-                .into(),
-        );
-    }
-    let db = build_db(&cli)?;
-    // Telemetry is on by default: the registry backs the METRICS opcode
-    // and stage histograms. `--no-telemetry` strips all of it for
-    // overhead baselines.
-    let obs = if telemetry {
+/// An `Obs` for a run over `cfg`'s store, with the run announced.
+fn start_obs(enabled: bool, cfg: &CliConfig) -> Obs {
+    let obs = if enabled {
         Obs::enabled()
     } else {
         Obs::disabled()
     };
     obs.emit(|| Event::RunStart {
-        strategy: cli.strategy.name().into(),
-        total_cache_bytes: (cli.cache_mb as u64) << 20,
+        strategy: cfg.strategy.name().into(),
+        total_cache_bytes: (cfg.cache_mb as u64) << 20,
     });
+    obs
+}
+
+/// The share-arbitration ticker: re-learns the tenant cache split every
+/// `every` until dropped. A no-op until a second tenant authenticates, so
+/// single-tenant serving pays nothing but the clock.
+struct Arbiter {
+    stop: Arc<AtomicBool>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Arbiter {
+    fn start(db: Arc<CachedDb>, every: Duration) -> Arbiter {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = stop.clone();
+        let thread = std::thread::spawn(move || {
+            while !stopped.load(Ordering::Relaxed) {
+                std::thread::sleep(every);
+                db.rebalance_tenants();
+            }
+        });
+        Arbiter {
+            stop,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Arbiter {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+fn server_config(flags: &Flags) -> Result<adcache_server::ServerConfig, String> {
+    Ok(adcache_server::ServerConfig {
+        addr: flags.text(LISTEN).to_string(),
+        workers: flags.num(WORKERS)?,
+        max_conns: flags.num(MAX_CONNS)?,
+        idle_timeout: Duration::from_secs(flags.num(IDLE_TIMEOUT)?),
+        slow_request_ns: flags.num::<u64>(SLOW_US)?.saturating_mul(1_000),
+        quota_ops: flags.num(QUOTA_OPS)?,
+        quota_burst: flags.num(QUOTA_BURST)?,
+        tenant_quota_ops: flags.num(TENANT_QUOTA_OPS)?,
+        tenant_quota_burst: flags.num(TENANT_QUOTA_BURST)?,
+        ..Default::default()
+    })
+}
+
+/// `adcache serve`: put the engine behind a TCP socket and run until a
+/// client sends the `Shutdown` opcode (CI drives drain that way; an
+/// operator can use `adcache loadgen --shutdown --ops 0`).
+fn cmd_serve(flags: &Flags) -> CmdResult {
+    // Serving defaults to a striped engine with background maintenance,
+    // sized to the machine (cross-stripe scans cost a per-stripe setup, so
+    // more stripes than the hardware can run in parallel only taxes the
+    // read path).
+    let stripes = match flags.given(SERVE_STRIPES) {
+        Some(_) => flags.num(SERVE_STRIPES)?,
+        None => default_serve_stripes(),
+    };
+    let cli = &CliConfig::from_flags(flags, stripes)?;
+    let server_cfg = server_config(flags)?;
+    let (fill, snapshot_ms): (u64, u64) = (flags.num(FILL)?, flags.num(SNAPSHOT_MS)?);
+    if snapshot_ms > 0 && cli.trace.is_none() {
+        return Err(
+            "--snapshot-ms needs --trace DIR (snapshots land in DIR/timeseries.jsonl)".into(),
+        );
+    }
+    let db = build_db(cli)?;
+    // Telemetry is on by default: the registry backs the METRICS opcode
+    // and stage histograms. `--no-telemetry` strips all of it for
+    // overhead baselines.
+    let obs = start_obs(!flags.on(NO_TELEMETRY), cli);
     db.set_obs(obs.clone());
     if fill > 0 {
         for k in 0..fill {
@@ -1023,7 +1276,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             let snap = adcache_obs::Snapshotter::start(
                 obs.clone(),
                 &dir.join("timeseries.jsonl"),
-                std::time::Duration::from_millis(ms),
+                Duration::from_millis(ms),
             )?;
             println!(
                 "snapshotting metric deltas every {ms} ms to {}",
@@ -1040,23 +1293,9 @@ fn cmd_serve(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "serving on {} (shutdown: protocol opcode 6)",
         server.local_addr()
     );
-    // Share-arbitration ticker: while serving, re-learn the tenant cache
-    // split once a second. A no-op until a second tenant authenticates,
-    // so single-tenant serving pays nothing but the clock.
-    let arbiter_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let arbiter = {
-        let db = db.clone();
-        let stop = arbiter_stop.clone();
-        std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_millis(1_000));
-                db.rebalance_tenants();
-            }
-        })
-    };
+    let arbiter = Arbiter::start(db.clone(), Duration::from_secs(1));
     let report = server.wait();
-    arbiter_stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let _ = arbiter.join();
+    drop(arbiter);
     if let Some(snap) = snapshotter {
         let lines = snap.stop();
         println!("snapshot thread stopped after {lines} timeseries lines");
@@ -1080,196 +1319,122 @@ fn cmd_serve(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             dir.display()
         );
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Connects to a serving instance and fetches its metrics registry as a
 /// parsed JSON tree (the `METRICS` opcode, JSON format).
-fn fetch_metrics_value(addr: &str) -> Result<serde_json::Value, Box<dyn std::error::Error>> {
+fn fetch_metrics_value(addr: &str) -> Result<Value, Box<dyn std::error::Error>> {
     let mut c = adcache_server::Client::connect(addr)?;
     let json = c.metrics(adcache_server::MetricsFormat::Json)?;
     Ok(serde_json::from_str(&json)?)
 }
 
-/// `(count, sum_ns, p50_ns, p99_ns)` of one named histogram in a metrics
-/// snapshot; zeros when absent.
-fn hist_stats(metrics: &serde_json::Value, name: &str) -> (u64, u64, u64, u64) {
-    let h = metrics.get("histograms").and_then(|h| h.get(name));
-    let f = |k: &str| {
-        h.and_then(|h| h.get(k))
-            .and_then(serde_json::Value::as_u64)
-            .unwrap_or(0)
-    };
-    (f("count"), f("sum_ns"), f("p50_ns"), f("p99_ns"))
+flags! {
+    FORMAT = "--format" "json|prom|prometheus" "json" "raw export format";
+    SUMMARY = "--summary" "" "" "greppable stage, lock and group-commit breakdown instead";
 }
-
-fn metric_gauge(metrics: &serde_json::Value, name: &str) -> i64 {
-    metrics
-        .get("gauges")
-        .and_then(|g| g.get(name))
-        .and_then(serde_json::Value::as_i64)
-        .unwrap_or(0)
-}
-
-/// The per-request stage labels the server records, in pipeline order.
-/// `recv` overlaps every frame of a batched read, so it is excluded from
-/// the total and from share-of-total math.
-const STAGE_LABELS: [&str; 7] = [
-    "recv",
-    "parse",
-    "queue_wait",
-    "lock_wait",
-    "engine_exec",
-    "cache_layer",
-    "reply_flush",
-];
+const METRICS: Command = Command {
+    name: "metrics",
+    about: "one-shot metrics export from a live server",
+    flags: &[ADDR, FORMAT, SUMMARY],
+    run: cmd_metrics,
+};
 
 /// `adcache metrics`: one-shot export of a live server's registry. Raw
 /// JSON / Prometheus text by default; `--summary` renders a greppable
 /// per-stage breakdown plus the engine lock-wait share.
-fn cmd_metrics(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let usage = "usage: adcache metrics [--addr HOST:PORT] [--format json|prom] [--summary]";
-    let mut addr = "127.0.0.1:4400".to_string();
-    let mut format = adcache_server::MetricsFormat::Json;
-    let mut summary = false;
-    let mut i = 2;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = argv.get(i).ok_or("--addr needs a value")?.clone();
-            }
-            "--format" => {
-                i += 1;
-                format = match argv.get(i).map(String::as_str) {
-                    Some("json") => adcache_server::MetricsFormat::Json,
-                    Some("prom" | "prometheus") => adcache_server::MetricsFormat::Prometheus,
-                    other => return Err(format!("--format json|prom, got {other:?}").into()),
-                };
-            }
-            "--summary" => summary = true,
-            other => return Err(format!("unknown metrics flag {other}\n{usage}").into()),
-        }
-        i += 1;
+fn cmd_metrics(flags: &Flags) -> CmdResult {
+    let addr = flags.text(ADDR);
+    if flags.on(SUMMARY) {
+        let snapshot = fetch_metrics_value(addr)?;
+        render_metrics_summary(&MetricsView::of(&snapshot), &mut std::io::stdout().lock())?;
+        return Ok(true);
     }
-    if !summary {
-        let mut c = adcache_server::Client::connect(&addr)?;
-        let text = c.metrics(format)?;
-        // The export already ends with its own newline (both formats);
-        // print it byte-exact so piped output matches the wire payload.
-        print!("{text}");
-        if !text.ends_with('\n') {
-            println!();
-        }
-        return Ok(());
-    }
-
-    let m = fetch_metrics_value(&addr)?;
-    let requests = metric_counter(&m, "server.requests");
-    println!("requests {requests}");
-    let (total_count, total_sum, total_p50, total_p99) = hist_stats(&m, "server.stage.total");
-    for label in STAGE_LABELS {
-        let (count, sum, _, p99) = hist_stats(&m, &format!("server.stage.{label}"));
-        let mean_us = if count > 0 {
-            sum as f64 / count as f64 / 1e3
-        } else {
-            0.0
-        };
-        let share = if total_sum > 0 && label != "recv" {
-            sum as f64 * 100.0 / total_sum as f64
-        } else {
-            0.0
-        };
-        println!(
-            "stage {label} count {count} mean_us {mean_us:.1} p99_us {:.1} share_pct {share:.1}",
-            p99 as f64 / 1e3
-        );
-    }
-    println!(
-        "stage total count {total_count} mean_us {:.1} p50_us {:.1} p99_us {:.1}",
-        if total_count > 0 {
-            total_sum as f64 / total_count as f64 / 1e3
-        } else {
-            0.0
-        },
-        total_p50 as f64 / 1e3,
-        total_p99 as f64 / 1e3,
-    );
-    let (_, lock_sum, _, _) = hist_stats(&m, "server.stage.lock_wait");
-    let lock_share = if total_sum > 0 {
-        lock_sum as f64 * 100.0 / total_sum as f64
-    } else {
-        0.0
+    let format = match flags.text(FORMAT) {
+        "json" => adcache_server::MetricsFormat::Json,
+        _ => adcache_server::MetricsFormat::Prometheus,
     };
-    println!("lock_wait_share_pct {lock_share:.2}");
-    for path in ["read", "write", "flush", "compaction"] {
-        println!(
-            "lock {path} acquisitions {} wait_ns {} hold_ns {}",
-            metric_counter(&m, &format!("engine.lock.{path}.acquisitions")),
-            metric_counter(&m, &format!("engine.lock.{path}.wait_ns")),
-            metric_counter(&m, &format!("engine.lock.{path}.hold_ns")),
-        );
+    let text = adcache_server::Client::connect(addr)?.metrics(format)?;
+    // The export already ends with its own newline (both formats);
+    // print it byte-exact so piped output matches the wire payload.
+    print!("{text}");
+    if !text.ends_with('\n') {
+        println!();
     }
-    let gc_rounds = metric_counter(&m, "lsm.group_commit.rounds");
-    let gc_batches = metric_counter(&m, "lsm.group_commit.batches");
-    println!(
+    Ok(true)
+}
+
+fn render_metrics_summary(m: &MetricsView, out: Out) -> std::io::Result<()> {
+    writeln!(out, "requests {}", m.counter("server.requests"))?;
+    let (stages, total) = m.stages();
+    for (label, hist, share) in &stages {
+        writeln!(
+            out,
+            "stage {label} count {} mean_us {:.1} p99_us {:.1} share_pct {:.1}",
+            hist.count,
+            hist.mean_us(),
+            hist.p99 as f64 / 1e3,
+            share * 100.0,
+        )?;
+    }
+    writeln!(
+        out,
+        "stage total count {} mean_us {:.1} p50_us {:.1} p99_us {:.1}",
+        total.count,
+        total.mean_us(),
+        total.p50 as f64 / 1e3,
+        total.p99 as f64 / 1e3,
+    )?;
+    let lock_wait = stages.iter().find(|s| s.0 == "lock_wait");
+    let lock_share = lock_wait.map_or(0.0, |s| s.2 * 100.0);
+    writeln!(out, "lock_wait_share_pct {lock_share:.2}")?;
+    for (path, acquisitions, wait_ns, hold_ns) in m.locks("engine") {
+        writeln!(
+            out,
+            "lock {path} acquisitions {acquisitions} wait_ns {wait_ns} hold_ns {hold_ns}"
+        )?;
+    }
+    let gc_rounds = m.counter("lsm.group_commit.rounds");
+    let gc_batches = m.counter("lsm.group_commit.batches");
+    writeln!(
+        out,
         "group_commit rounds {gc_rounds} batches {gc_batches} mean_batch {:.2} seals {} write_stalls {}",
         if gc_rounds > 0 {
             gc_batches as f64 / gc_rounds as f64
         } else {
             0.0
         },
-        metric_counter(&m, "lsm.seals"),
-        metric_counter(&m, "lsm.write_stalls"),
-    );
-    Ok(())
+        m.counter("lsm.seals"),
+        m.counter("lsm.write_stalls"),
+    )
 }
+
+flags! {
+    INTERVAL_MS = "--interval-ms" "N" "1000" "time between frames (at least 50)";
+    ITERATIONS = "--iterations" "N" "0" "frames to print (0: until the connection breaks)";
+}
+const TOP: Command = Command {
+    name: "top",
+    about: "polling live view: QPS, stages, locks, caches",
+    flags: &[ADDR, INTERVAL_MS, ITERATIONS],
+    run: cmd_top,
+};
 
 /// `adcache top`: a polling live view over the wire. Each tick fetches
 /// the registry, diffs it against the previous tick, and prints QPS,
 /// per-opcode interval latency, the stage breakdown as bars, the engine
 /// lock-wait share, cache hit rates, and the RL boundary position.
-fn cmd_top(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let usage = "usage: adcache top [--addr HOST:PORT] [--interval-ms N] [--iterations N]";
-    let mut addr = "127.0.0.1:4400".to_string();
-    let mut interval_ms = 1_000u64;
-    let mut iterations = 0u64; // 0 = until the connection breaks
-    let mut i = 2;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = argv.get(i).ok_or("--addr needs a value")?.clone();
-            }
-            "--interval-ms" => {
-                i += 1;
-                interval_ms = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--interval-ms needs a number")?;
-            }
-            "--iterations" => {
-                i += 1;
-                iterations = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--iterations needs a number")?;
-            }
-            other => return Err(format!("unknown top flag {other}\n{usage}").into()),
-        }
-        i += 1;
-    }
-    let interval = std::time::Duration::from_millis(interval_ms.max(50));
+fn cmd_top(flags: &Flags) -> CmdResult {
+    let addr = flags.text(ADDR);
+    let interval = Duration::from_millis(flags.num::<u64>(INTERVAL_MS)?.max(50));
+    let iterations: u64 = flags.num(ITERATIONS)?;
 
     // The tree does not change while a server runs: name it once.
-    let stats: serde_json::Value =
-        serde_json::from_str(&adcache_server::Client::connect(&addr)?.stats()?)?;
+    let stats: Value = serde_json::from_str(&adcache_server::Client::connect(addr)?.stats()?)?;
     let tree = |key: &str| {
-        stats
-            .get("engine")
-            .and_then(|e| e.get(key))
-            .and_then(serde_json::Value::as_u64)
-            .unwrap_or(0)
+        let field = stats.get("engine").and_then(|e| e.get(key));
+        field.and_then(Value::as_u64).unwrap_or(0)
     };
     println!(
         "{}",
@@ -1281,20 +1446,24 @@ fn cmd_top(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         )
     );
 
-    let mut prev = fetch_metrics_value(&addr)?;
+    let mut prev = fetch_metrics_value(addr)?;
     let mut prev_at = std::time::Instant::now();
     let mut tick = 0u64;
     loop {
         std::thread::sleep(interval);
-        let cur = fetch_metrics_value(&addr)?;
+        let cur = fetch_metrics_value(addr)?;
         let now = std::time::Instant::now();
         let secs = now.duration_since(prev_at).as_secs_f64().max(1e-9);
         tick += 1;
-        render_top_tick(&cur, &prev, secs, tick, &addr);
+        let view = MetricsView {
+            cur: &cur,
+            prev: Some(&prev),
+        };
+        render_top_tick(&view, secs, tick, addr, &mut std::io::stdout().lock())?;
         prev = cur;
         prev_at = now;
         if iterations > 0 && tick >= iterations {
-            return Ok(());
+            return Ok(true);
         }
     }
 }
@@ -1302,146 +1471,91 @@ fn cmd_top(argv: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// One `adcache top` frame: everything derived from the delta between
 /// two registry snapshots `secs` apart.
 fn render_top_tick(
-    cur: &serde_json::Value,
-    prev: &serde_json::Value,
+    m: &MetricsView,
     secs: f64,
     tick: u64,
     addr: &str,
-) {
-    let dc = |name: &str| metric_counter(cur, name).saturating_sub(metric_counter(prev, name));
-    // Interval (count, sum) of one histogram.
-    let dh = |name: &str| {
-        let (cc, cs, _, _) = hist_stats(cur, name);
-        let (pc, ps, _, _) = hist_stats(prev, name);
-        (cc.saturating_sub(pc), cs.saturating_sub(ps))
-    };
-
-    let qps = dc("server.requests") as f64 / secs;
-    println!("\n== adcache top @ {addr} — tick {tick} — {qps:.0} ops/s ==");
+    out: Out,
+) -> std::io::Result<()> {
+    let qps = m.counter("server.requests") as f64 / secs;
+    writeln!(
+        out,
+        "\n== adcache top @ {addr} — tick {tick} — {qps:.0} ops/s =="
+    )?;
 
     // Per-opcode interval mean (delta sum / delta count) plus cumulative
     // tail quantiles (quantiles are not delta-decomposable from the
     // summary export).
     for op in ["get", "put", "delete", "scan", "ping", "stats", "metrics"] {
-        let name = format!("server.latency.{op}");
-        let (dcount, dsum) = dh(&name);
-        if dcount == 0 {
+        let latency = m.hist(&format!("server.latency.{op}"));
+        if latency.count == 0 {
             continue;
         }
-        let (_, _, p50, p99) = hist_stats(cur, &name);
-        println!(
+        writeln!(
+            out,
             "  {op:<7} {:>8.0}/s  mean {:>8.1}us  p50 {:>8.1}us  p99 {:>8.1}us",
-            dcount as f64 / secs,
-            dsum as f64 / dcount as f64 / 1e3,
-            p50 as f64 / 1e3,
-            p99 as f64 / 1e3,
-        );
+            latency.count as f64 / secs,
+            latency.mean_us(),
+            latency.p50 as f64 / 1e3,
+            latency.p99 as f64 / 1e3,
+        )?;
     }
 
     // Stage breakdown: interval share of the summed request lifetime,
     // rendered as bars. `recv` is shown but not part of the total.
-    let (_, total_dsum) = dh("server.stage.total");
-    println!("  stage breakdown (interval):");
-    for label in STAGE_LABELS {
-        let (dcount, dsum) = dh(&format!("server.stage.{label}"));
-        let mean_us = if dcount > 0 {
-            dsum as f64 / dcount as f64 / 1e3
-        } else {
-            0.0
-        };
-        let share = if total_dsum > 0 && label != "recv" {
-            dsum as f64 / total_dsum as f64
-        } else {
-            0.0
-        };
+    let (stages, _) = m.stages();
+    writeln!(out, "  stage breakdown (interval):")?;
+    for (label, hist, share) in &stages {
         let bar = "#".repeat((share * 30.0).round() as usize);
-        println!(
+        writeln!(
+            out,
             "    {label:<12} {:>6.1}% {:>9.1}us  {bar}",
             share * 100.0,
-            mean_us
-        );
+            hist.mean_us()
+        )?;
     }
-    let (_, lock_dsum) = dh("server.stage.lock_wait");
-    let lock_share = if total_dsum > 0 {
-        lock_dsum as f64 * 100.0 / total_dsum as f64
-    } else {
-        0.0
-    };
-    let lock_waits: u64 = ["read", "write", "flush", "compaction"]
-        .iter()
-        .map(|p| dc(&format!("engine.lock.{p}.wait_ns")))
-        .sum();
-    println!(
-        "  lock: {lock_share:.1}% of request time waiting; engine lock wait {:.1}ms/s",
+    let lock_wait = stages.iter().find(|s| s.0 == "lock_wait");
+    let lock_waits: u64 = m.locks("engine").iter().map(|l| l.2).sum();
+    writeln!(
+        out,
+        "  lock: {:.1}% of request time waiting; engine lock wait {:.1}ms/s",
+        lock_wait.map_or(0.0, |s| s.2 * 100.0),
         lock_waits as f64 / secs / 1e6
-    );
+    )?;
 
     // Hottest stripe over the interval (striped engines only): most
     // interval lock wait, with its queue gauges.
-    let stripe_wait = |i: usize| -> u64 {
-        ["read", "write", "flush", "compaction"]
-            .iter()
-            .map(|p| dc(&format!("engine.stripe.{i}.lock.{p}.wait_ns")))
-            .sum()
-    };
-    let has_stripe = |i: usize| {
-        cur.get("gauges")
-            .and_then(|g| g.get(&format!("engine.stripe.{i}.flush_queue_depth")))
-            .is_some()
-    };
-    if has_stripe(0) {
-        let n = (0..).take_while(|i| has_stripe(*i)).count();
-        if let Some(hot) = (0..n).max_by_key(|i| stripe_wait(*i)) {
-            println!(
-                "  hottest stripe: {hot}/{n} with {:.2}ms/s lock wait, flush queue {}, \
-                 compaction backlog {}",
-                stripe_wait(hot) as f64 / secs / 1e6,
-                metric_gauge(cur, &format!("engine.stripe.{hot}.flush_queue_depth")),
-                metric_gauge(cur, &format!("engine.stripe.{hot}.compaction_backlog")),
-            );
-        }
+    let stripes = m.stripes();
+    if let Some((hot, _, wait_ns, depth, backlog)) = stripes.iter().max_by_key(|s| s.2) {
+        writeln!(
+            out,
+            "  hottest stripe: {hot}/{} with {:.2}ms/s lock wait, flush queue {depth}, \
+             compaction backlog {backlog}",
+            stripes.len(),
+            *wait_ns as f64 / secs / 1e6,
+        )?;
     }
 
     // Hottest tenant over the interval (multi-tenant serving only):
     // most cache traffic, with its interval hit rate and residency.
-    let tenant_ids: Vec<u64> = cur
-        .get("counters")
-        .and_then(serde_json::Value::as_object)
-        .map(|c| {
-            c.iter()
-                .filter_map(|(k, _)| {
-                    k.strip_prefix("cache.tenant.")
-                        .and_then(|rest| rest.strip_suffix(".hits"))
-                        .and_then(|id| id.parse().ok())
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    if tenant_ids.len() > 1 {
-        let traffic = |id: u64| {
-            dc(&format!("cache.tenant.{id}.hits")) + dc(&format!("cache.tenant.{id}.misses"))
-        };
-        if let Some(&hot) = tenant_ids.iter().max_by_key(|id| traffic(**id)) {
-            let hits = dc(&format!("cache.tenant.{hot}.hits"));
-            let total = traffic(hot);
-            let throttled = dc(&format!("server.tenant.{hot}.quota.throttled"));
-            println!(
-                "  hottest tenant: {hot}/{} with {:.0} lookups/s, {:.1}% hit, {} KiB resident{}",
-                tenant_ids.len(),
-                total as f64 / secs,
-                if total > 0 {
-                    hits as f64 * 100.0 / total as f64
-                } else {
-                    0.0
-                },
-                metric_gauge(cur, &format!("cache.tenant.{hot}.bytes")) >> 10,
-                if throttled > 0 {
-                    format!(", {throttled} throttled this tick")
-                } else {
-                    String::new()
-                },
-            );
-        }
+    let tenant_ids = m.tenant_ids();
+    let tenants = tenant_ids.iter().map(|id| (id, m.tenant(*id)));
+    let hottest = tenants.max_by_key(|(_, t)| t.0 + t.1);
+    let hottest = hottest.filter(|_| tenant_ids.len() > 1);
+    if let Some((hot, (hits, misses, resident_bytes, throttled))) = hottest {
+        writeln!(
+            out,
+            "  hottest tenant: {hot}/{} with {:.0} lookups/s, {:.1}% hit, {} KiB resident{}",
+            tenant_ids.len(),
+            (hits + misses) as f64 / secs,
+            percent(hits, hits + misses),
+            resident_bytes >> 10,
+            if throttled > 0 {
+                format!(", {throttled} throttled this tick")
+            } else {
+                String::new()
+            },
+        )?;
     }
 
     // Cache hit rates over the interval.
@@ -1450,109 +1564,128 @@ fn render_top_tick(
         ("range", "cache.range"),
         ("kv", "cache.kv"),
     ] {
-        let hits = dc(&format!("{prefix}.hits"));
-        let misses = dc(&format!("{prefix}.misses"));
+        let hits = m.counter(&format!("{prefix}.hits"));
+        let misses = m.counter(&format!("{prefix}.misses"));
         // The range cache's coverage map: its size now, and what the
         // backstop forgot over the interval.
         let coverage = if label == "range" {
             format!(
                 ", {} segments, {} coverage dropped",
-                metric_gauge(cur, "cache.range.segments"),
-                dc("cache.range.coverage_dropped")
+                m.gauge("cache.range.segments"),
+                m.counter("cache.range.coverage_dropped")
             )
         } else {
             String::new()
         };
         if hits + misses > 0 {
-            println!(
+            writeln!(
+                out,
                 "  cache {label:<6} {:>6.2}% hit ({hits} hits / {misses} misses{coverage})",
-                hits as f64 * 100.0 / (hits + misses) as f64
-            );
+                percent(hits, hits + misses)
+            )?;
         }
     }
 
     // Where the controller has the block/range boundary right now.
-    let block = metric_gauge(cur, "core.boundary.block_bytes");
-    let range = metric_gauge(cur, "core.boundary.range_bytes");
+    let block = m.gauge("core.boundary.block_bytes");
+    let range = m.gauge("core.boundary.range_bytes");
     if block + range > 0 {
-        println!(
+        writeln!(
+            out,
             "  boundary: range {:.1}% / block {:.1}% of {} MiB",
             range as f64 * 100.0 / (block + range) as f64,
             block as f64 * 100.0 / (block + range) as f64,
             (block + range) >> 20,
-        );
+        )?;
     }
+    Ok(())
+}
+
+flags! {
+    LOAD_OPS = "--ops" "N" "100000" "total operations (0: one ping)";
+    CONNECTIONS = "--connections" "N" "8" "concurrent connections";
+    MIX = "--mix" "point|scan|write|mixed" "mixed" "operation mix";
+    LOAD_KEYS = "--keys" "N" "100000" "distinct keys";
+    VALUE_SIZE = "--value-size" "N" "" "bytes per written value";
+    LOAD_SEED = "--seed" "S" "" "base seed of the per-connection streams";
+    QPS = "--qps" "Q" "" "open loop at Q ops/s overall (default: closed loop)";
+    BATCH = "--batch" "N" "0" "ops per wire frame (0 or 1: singletons; max 1024)";
+    ADVERSARY = "--adversary" "scan-flood|one-hit-wonder|key-churn|sketch-collision" "" "turn some connections hostile";
+    ADVERSARY_FRAC = "--adversary-frac" "F" "0.5" "share of connections that attack";
+    TENANTS = "--tenants" "N" "0" "authenticate connections as tenants 1..=N";
+    SKEW = "--skew" "HOT:COLD" "1:1" "connection weight of tenant 1 vs each other tenant";
+    SHUTDOWN = "--shutdown" "" "" "send the Shutdown opcode when done";
+}
+const LOADGEN: Command = Command {
+    name: "loadgen",
+    about: "network load generator (closed loop; --qps = open loop)",
+    flags: &[
+        ADDR,
+        LOAD_OPS,
+        CONNECTIONS,
+        MIX,
+        LOAD_KEYS,
+        VALUE_SIZE,
+        LOAD_SEED,
+        QPS,
+        BATCH,
+        ADVERSARY,
+        ADVERSARY_FRAC,
+        TENANTS,
+        SKEW,
+        SHUTDOWN,
+    ],
+    run: cmd_loadgen,
+};
+
+fn loadgen_config(flags: &Flags) -> Result<adcache_server::LoadgenConfig, String> {
+    let mut workload = WorkloadConfig {
+        num_keys: flags.num(LOAD_KEYS)?,
+        ..Default::default()
+    };
+    if flags.on(VALUE_SIZE) {
+        workload.value_size = flags.num(VALUE_SIZE)?;
+    }
+    if flags.on(LOAD_SEED) {
+        workload.seed = flags.num(LOAD_SEED)?;
+    }
+    let adversary = flags.given(ADVERSARY).and_then(AdversaryKind::parse);
+    let attack_share: f64 = flags.num(ADVERSARY_FRAC)?;
+    Ok(adcache_server::LoadgenConfig {
+        addr: flags.text(ADDR).to_string(),
+        connections: flags.num(CONNECTIONS)?,
+        ops: flags.num(LOAD_OPS)?,
+        mix: parse_mix(flags.text(MIX))?,
+        target_qps: flags.given(QPS).map(|_| flags.num(QPS)).transpose()?,
+        batch: flags.num(BATCH)?,
+        adversary: adversary.map(|kind| {
+            adcache_workload::AdversaryConfig::new(kind, workload.num_keys, workload.seed)
+        }),
+        // Half the connections attack when the share is left out (or 0).
+        adversary_frac: match adversary {
+            Some(_) if attack_share > 0.0 => attack_share,
+            Some(_) => 0.5,
+            None => 0.0,
+        },
+        tenants: flags.num(TENANTS)?,
+        tenant_skew: parse_skew(flags.text(SKEW))?,
+        workload,
+    })
 }
 
 /// `adcache loadgen`: replay a generated workload against a running
 /// server and report throughput + tail latency. Exits nonzero if any
 /// reply was lost, misordered, or undecodable.
-fn cmd_loadgen(argv: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let usage = "usage: adcache loadgen [--addr HOST:PORT] [--ops N] [--connections N] \
-                 [--mix point|scan|write|mixed] [--keys N] [--value-size N] [--seed S] \
-                 [--qps Q] [--batch N] [--adversary KIND] [--adversary-frac F] \
-                 [--tenants N] [--skew HOT:COLD] [--shutdown]\n\
-                 --batch N groups N ops per wire frame (1 = off, max 1024)\n\
-                 --tenants N authenticates connections as tenants 1..=N; \
-                 --skew HOT:COLD weights tenant 1 vs the rest (default 1:1)\n\
-                 adversary kinds: scan-flood | one-hit-wonder | key-churn | sketch-collision";
-    let mut cfg = adcache_server::LoadgenConfig::default();
-    let mut workload = WorkloadConfig {
-        num_keys: 100_000,
-        ..Default::default()
-    };
-    let mut adversary_kind: Option<adcache_workload::AdversaryKind> = None;
-    let mut shutdown_after = false;
-    let mut i = 2;
-    let next = |argv: &[String], i: &mut usize, what: &str| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i).cloned().ok_or(format!("{what} needs a value"))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => cfg.addr = next(argv, &mut i, "--addr")?,
-            "--ops" => cfg.ops = next(argv, &mut i, "--ops")?.parse()?,
-            "--connections" => cfg.connections = next(argv, &mut i, "--connections")?.parse()?,
-            "--mix" => cfg.mix = parse_mix(&next(argv, &mut i, "--mix")?)?,
-            "--keys" => workload.num_keys = next(argv, &mut i, "--keys")?.parse()?,
-            "--value-size" => workload.value_size = next(argv, &mut i, "--value-size")?.parse()?,
-            "--seed" => workload.seed = next(argv, &mut i, "--seed")?.parse()?,
-            "--qps" => cfg.target_qps = Some(next(argv, &mut i, "--qps")?.parse()?),
-            "--batch" => cfg.batch = next(argv, &mut i, "--batch")?.parse()?,
-            "--adversary" => {
-                let name = next(argv, &mut i, "--adversary")?;
-                adversary_kind = Some(
-                    adcache_workload::AdversaryKind::parse(&name)
-                        .ok_or(format!("unknown adversary kind {name}\n{usage}"))?,
-                );
-            }
-            "--adversary-frac" => {
-                cfg.adversary_frac = next(argv, &mut i, "--adversary-frac")?.parse()?
-            }
-            "--tenants" => cfg.tenants = next(argv, &mut i, "--tenants")?.parse()?,
-            "--skew" => cfg.tenant_skew = parse_skew(&next(argv, &mut i, "--skew")?)?,
-            "--shutdown" => shutdown_after = true,
-            other => return Err(format!("unknown loadgen flag {other}\n{usage}").into()),
-        }
-        i += 1;
-    }
-    if let Some(kind) = adversary_kind {
-        // Default to half the connections when the fraction is left unset.
-        if cfg.adversary_frac <= 0.0 {
-            cfg.adversary_frac = 0.5;
-        }
-        cfg.adversary = Some(adcache_workload::AdversaryConfig::new(
-            kind,
-            workload.num_keys,
-            workload.seed,
-        ));
+fn cmd_loadgen(flags: &Flags) -> CmdResult {
+    let cfg = loadgen_config(flags)?;
+    if let Some(attack) = &cfg.adversary {
         println!(
             "adversary: {} on {:.0}% of connections",
-            kind.name(),
+            attack.kind.name(),
             cfg.adversary_frac * 100.0
         );
     }
-    cfg.workload = workload;
+    let shutdown = flags.on(SHUTDOWN);
 
     let report = if cfg.ops > 0 {
         let report = adcache_server::loadgen::run(&cfg)?;
@@ -1574,7 +1707,7 @@ fn cmd_loadgen(argv: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
         Some(report)
     } else {
         // `--ops 0` is a connectivity probe: one Ping round-trip.
-        if !shutdown_after {
+        if !shutdown {
             let mut c = adcache_server::Client::connect(&cfg.addr)?;
             match c.call(&adcache_server::Request::Ping)? {
                 adcache_server::Response::Ok => println!("pong from {}", cfg.addr),
@@ -1583,34 +1716,38 @@ fn cmd_loadgen(argv: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
         }
         None
     };
-    if shutdown_after {
+    if shutdown {
         let mut c = adcache_server::Client::connect(&cfg.addr)?;
         c.shutdown_server()?;
         println!("server shutdown acknowledged");
     }
-    Ok(report.is_none_or(|r| r.protocol_errors == 0))
+    let clean = report.is_none_or(|r| r.protocol_errors == 0);
+    if !clean {
+        eprintln!("loadgen: protocol errors detected");
+    }
+    Ok(clean)
 }
 
-/// One attack kind × defense mode measurement from the advcheck drill.
-struct AdvOutcome {
-    /// Legit hit rate before the attack (phase A).
+/// What one A/B/C drill measured on the traffic that is not attacking:
+/// before (A), during (B) and after (C) the attack.
+struct DrillOutcome {
+    /// Engine-wide hit rate in the all-legit baseline phase (A).
     base_hit: f64,
-    /// Legit p99 before the attack, ns (phase A).
+    /// Victim p99 in phase A, ns.
     base_p99: u64,
-    /// Legit p99 while under attack, ns (phase B).
+    /// Victim p99 while the attack runs (phase B), ns.
     attack_p99: u64,
-    /// Legit hit rate after the attack (phase C).
+    /// Hit rate after the attack (phase C): how much warm state it evicted.
     post_hit: f64,
-    /// Quota rejections the attack drew during phase B.
-    quota_errors: u64,
-    /// Sketch-guard resets when the same attack stream hits the engine
-    /// directly — no quota in front, so the column shows what the guard
-    /// alone detects (behind the wire, quota shedding also starves the
-    /// sketch of attack pressure, which is the layering working).
-    sketch_resets: u64,
+    /// Quota rejections per cause that phase B's load saw.
+    attack_errors: std::collections::BTreeMap<String, u64>,
+    /// The drained server's counters.
+    server: adcache_server::ServeReport,
+    /// The tenant share split in force when the drill ended.
+    shares: Vec<(u32, f64)>,
 }
 
-impl AdvOutcome {
+impl DrillOutcome {
     /// Hit-rate loss the attack inflicted on legitimate traffic.
     fn hit_drop(&self) -> f64 {
         (self.base_hit - self.post_hit).max(0.0)
@@ -1629,8 +1766,120 @@ impl AdvOutcome {
     }
 }
 
+/// A fresh in-memory engine for a drill, `keys` keys loaded and flushed.
+fn drill_db(
+    keys: u64,
+    defenses: impl FnOnce(&mut EngineConfig),
+) -> Result<CachedDb, Box<dyn std::error::Error>> {
+    let mut engine = EngineConfig::new(Strategy::AdCache, 256 << 10);
+    engine.expected_keys = keys as usize;
+    defenses(&mut engine);
+    let db = CachedDb::new(Options::small(), Arc::new(MemStorage::new()), engine)?;
+    // No controller runs inside a drill, so pin a small admission
+    // threshold: frequency admission must actually gate the KV cache for
+    // pollution attacks to have a defended surface (new tenant partitions
+    // inherit it at registration).
+    db.apply_decision(&adcache_core::CacheDecision {
+        point_threshold: 0.0005,
+        ..Default::default()
+    });
+    for k in 0..keys {
+        db.load(render_key(k), Bytes::from(vec![0x5A; 100]))?;
+    }
+    db.db().flush()?;
+    Ok(db)
+}
+
+/// The one A/B/C harness under `advcheck` and `tenantcheck`.
+struct Drill {
+    /// From [`drill_db`], with the engine-side defenses under test.
+    db: CachedDb,
+    keys: u64,
+    seed: u64,
+    /// The attack blended into phase B.
+    kind: AdversaryKind,
+    /// The server-side defenses under test (quotas); the rest is default.
+    server: adcache_server::ServerConfig,
+    /// Run the tenant share arbiter at this cadence while the phases run.
+    arbiter: Option<Duration>,
+    /// The victims' p99 in one phase's load report, ns.
+    victim_p99: fn(&adcache_server::LoadReport) -> u64,
+}
+
+impl Drill {
+    /// Starts a server over the engine, warms it, then runs phase A (all
+    /// legit), B (with the attack blended in) and C (all legit again).
+    /// Every phase is open loop and shaped by `shape(cfg, attacking)` on
+    /// top of a 70/10/0/20 mix over the loaded keys, so victim p99 numbers
+    /// compare like for like across phases and token demand is
+    /// deterministic (closed-loop rates float with RTT, which made quota
+    /// pressure a coin flip). Fails unless the wire stayed frame-clean and
+    /// the server closed every connection it accepted.
+    fn run(
+        self,
+        shape: impl Fn(&mut adcache_server::LoadgenConfig, bool),
+    ) -> Result<DrillOutcome, Box<dyn std::error::Error>> {
+        self.db.set_obs(Obs::enabled());
+        let db = Arc::new(self.db);
+        let server_cfg = adcache_server::ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 2,
+            ..self.server
+        };
+        let server = adcache_server::Server::start(db.clone(), server_cfg)?;
+        let arbiter = self.arbiter.map(|every| Arbiter::start(db.clone(), every));
+        let attack =
+            adcache_workload::AdversaryConfig::new(self.kind, self.keys, self.seed ^ 0xA11);
+        let phase = |attacking: bool| {
+            let mut cfg = adcache_server::LoadgenConfig {
+                addr: server.local_addr().to_string(),
+                mix: Mix::new(70.0, 10.0, 0.0, 20.0),
+                workload: WorkloadConfig {
+                    num_keys: self.keys,
+                    value_size: 100,
+                    seed: self.seed,
+                    ..Default::default()
+                },
+                adversary: attacking.then(|| attack.clone()),
+                ..Default::default()
+            };
+            shape(&mut cfg, attacking);
+            adcache_server::loadgen::run(&cfg)
+        };
+
+        // Warm the caches so the phase-A baseline is a steady state.
+        phase(false)?;
+        let s0 = db.stats_report();
+        let a = phase(false)?;
+        let s1 = db.stats_report();
+        let b = phase(true)?;
+        let s2 = db.stats_report();
+        let c = phase(false)?;
+        let s3 = db.stats_report();
+
+        drop(arbiter);
+        let shares = db.tenant_reports();
+        let report = server.shutdown();
+        if a.protocol_errors + b.protocol_errors + c.protocol_errors > 0 {
+            return Err("protocol errors during drill — defenses must stay frame-clean".into());
+        }
+        if report.conns_accepted != report.conns_closed {
+            return Err("drill server did not drain cleanly".into());
+        }
+        Ok(DrillOutcome {
+            base_hit: drill_hit_rate(&s0, &s1),
+            base_p99: (self.victim_p99)(&a),
+            attack_p99: (self.victim_p99)(&b),
+            post_hit: drill_hit_rate(&s2, &s3),
+            attack_errors: b.errors_by_cause,
+            server: report,
+            shares: shares.iter().map(|r| (r.tenant, r.share)).collect(),
+        })
+    }
+}
+
 /// Cache hit rate from the deltas of two engine stats snapshots.
-fn adv_hit_rate(
+fn drill_hit_rate(
     before: &adcache_core::EngineStatsReport,
     after: &adcache_core::EngineStatsReport,
 ) -> f64 {
@@ -1643,38 +1892,31 @@ fn adv_hit_rate(
     }
 }
 
+/// Runs a drill with its defenses off, then on, and pools the two
+/// baseline p99s (see [`DrillOutcome::p99_inflation`]).
+fn off_then_on(
+    drill: impl Fn(bool) -> Result<DrillOutcome, Box<dyn std::error::Error>>,
+) -> Result<(DrillOutcome, DrillOutcome, f64), Box<dyn std::error::Error>> {
+    let (off, on) = (drill(false)?, drill(true)?);
+    let base = (off.base_p99 + on.base_p99) as f64 / 2.0;
+    Ok((off, on, base))
+}
+
 /// Runs one attack kind against a fresh in-process engine + server,
-/// defenses on or off, and measures the legitimate traffic's experience
-/// before (A), during (B), and after (C) the attack.
+/// defenses (sketch guard, per-connection quota) on or off.
 fn adv_drill(
-    kind: adcache_workload::AdversaryKind,
+    kind: AdversaryKind,
     defenses: bool,
     ops: u64,
     keys: u64,
     seed: u64,
-) -> Result<AdvOutcome, Box<dyn std::error::Error>> {
-    let mut engine = EngineConfig::new(Strategy::AdCache, 256 << 10);
-    engine.expected_keys = keys as usize;
-    engine.sketch_guard = defenses;
-    let db = CachedDb::new(Options::small(), Arc::new(MemStorage::new()), engine)?;
-    db.set_obs(Obs::enabled());
-    // No controller runs inside the drill, so pin a small admission
-    // threshold: frequency admission must actually gate the KV cache for
-    // pollution attacks to have a defended surface.
-    db.apply_decision(&adcache_core::CacheDecision {
-        point_threshold: 0.0005,
-        ..Default::default()
-    });
-    for k in 0..keys {
-        db.load(render_key(k), Bytes::from(vec![0x5A; 100]))?;
-    }
-    db.db().flush()?;
-    let db = Arc::new(db);
-    let server = adcache_server::Server::start(
-        db.clone(),
-        adcache_server::ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
+) -> Result<DrillOutcome, Box<dyn std::error::Error>> {
+    let drill = Drill {
+        db: drill_db(keys, |e| e.sketch_guard = defenses)?,
+        keys,
+        seed,
+        kind,
+        server: adcache_server::ServerConfig {
             // 6000 tokens/s per connection: a legit client paced at 2000
             // ops/s (× avg cost ~2.4 under the 70/10/0/20 mix with
             // 16-entry short scans ≈ 4900) keeps ~20% headroom, while
@@ -1687,102 +1929,42 @@ fn adv_drill(
             quota_burst: if defenses { 400 } else { 0 },
             ..Default::default()
         },
-    )?;
-    let addr = server.local_addr().to_string();
-    // Every phase runs open-loop at 2000 ops/s per connection, so legit
-    // p99 numbers compare like for like across phases AND per-connection
-    // token demand is deterministic (closed-loop rates float with RTT,
-    // which made quota pressure a coin flip). The blended phase adds 2
-    // attack connections paced the same but spending far more tokens per
-    // op — and doubles total ops so the legit share stays constant.
-    let legit = |adversary: Option<adcache_workload::AdversaryConfig>| {
-        let blended = adversary.is_some();
-        adcache_server::LoadgenConfig {
-            addr: addr.clone(),
-            connections: if blended { 4 } else { 2 },
-            ops: if blended { ops * 2 } else { ops },
-            mix: Mix::new(70.0, 10.0, 0.0, 20.0),
-            workload: WorkloadConfig {
-                num_keys: keys,
-                value_size: 100,
-                seed,
-                ..Default::default()
-            },
-            target_qps: Some(if blended { 8_000 } else { 4_000 }),
-            batch: 0,
-            adversary_frac: if blended { 0.5 } else { 0.0 },
-            adversary,
-            tenants: 0,
-            tenant_skew: (1, 1),
-        }
+        arbiter: None,
+        victim_p99: |report| report.legit_latency.quantile(0.99),
     };
-
-    // Warm the caches so the phase-A baseline is a steady state.
-    adcache_server::loadgen::run(&legit(None))?;
-
-    let s0 = db.stats_report();
-    let a = adcache_server::loadgen::run(&legit(None))?;
-    let s1 = db.stats_report();
-
-    let attack = adcache_workload::AdversaryConfig::new(kind, keys, seed ^ 0xA11);
-    let b = adcache_server::loadgen::run(&legit(Some(attack)))?;
-
-    let s2 = db.stats_report();
-    let c = adcache_server::loadgen::run(&legit(None))?;
-    let s3 = db.stats_report();
-
-    let report = server.shutdown();
-    if a.protocol_errors + b.protocol_errors + c.protocol_errors > 0 {
-        return Err("protocol errors during drill — defenses must stay frame-clean".into());
-    }
-    if report.conns_accepted != report.conns_closed {
-        return Err("drill server did not drain cleanly".into());
-    }
-    Ok(AdvOutcome {
-        base_hit: adv_hit_rate(&s0, &s1),
-        base_p99: a.legit_latency.quantile(0.99),
-        attack_p99: b.legit_latency.quantile(0.99),
-        post_hit: adv_hit_rate(&s2, &s3),
-        quota_errors: b.errors_by_cause.get("quota").copied().unwrap_or(0),
-        sketch_resets: adv_guard_drill(kind, keys, seed, defenses)?,
+    // 2000 ops/s per connection. The blended phase adds 2 attack
+    // connections paced the same but spending far more tokens per op —
+    // and doubles total ops so the legit share stays constant.
+    drill.run(|cfg, attacking| {
+        cfg.connections = if attacking { 4 } else { 2 };
+        cfg.ops = if attacking { ops * 2 } else { ops };
+        cfg.target_qps = Some(if attacking { 8_000 } else { 4_000 });
+        cfg.adversary_frac = if attacking { 0.5 } else { 0.0 };
     })
 }
 
 /// The sketch-guard sub-drill: drives a fixed-size attack stream straight
 /// into a fresh engine (no server, no quota) and reports how many times
-/// the anomaly guard reset the admission sketch. Deterministic: no
-/// network timing is involved, so the resets column is reproducible.
+/// the anomaly guard reset the admission sketch — behind the wire, quota
+/// shedding also starves the sketch of attack pressure, which is the
+/// layering working. Deterministic: no network timing is involved, so the
+/// resets column is reproducible.
 fn adv_guard_drill(
-    kind: adcache_workload::AdversaryKind,
+    kind: AdversaryKind,
     keys: u64,
     seed: u64,
     defenses: bool,
 ) -> Result<u64, Box<dyn std::error::Error>> {
-    let mut engine = EngineConfig::new(Strategy::AdCache, 256 << 10);
-    engine.expected_keys = keys as usize;
-    engine.sketch_guard = defenses;
-    let db = CachedDb::new(Options::small(), Arc::new(MemStorage::new()), engine)?;
-    db.apply_decision(&adcache_core::CacheDecision {
-        point_threshold: 0.0005,
-        ..Default::default()
-    });
-    for k in 0..keys {
-        db.load(render_key(k), Bytes::from(vec![0x5A; 100]))?;
-    }
-    db.db().flush()?;
+    let db = drill_db(keys, |e| e.sketch_guard = defenses)?;
     let cfg = adcache_workload::AdversaryConfig::new(kind, keys, seed ^ 0xA11);
     let plan = adcache_workload::AttackPlan::build(&cfg);
     let mut gen = adcache_workload::AdversaryGen::new(cfg, plan);
     for _ in 0..60_000u64 {
-        match gen.next_op() {
-            adcache_workload::Operation::Get { key } => {
-                let _ = db.get(&key);
-            }
-            adcache_workload::Operation::Put { key, value } => db.put(key, value)?,
-            adcache_workload::Operation::Delete { key } => db.delete(key)?,
-            adcache_workload::Operation::Scan { from, len } => {
-                let _ = db.scan(&from, len);
-            }
+        let op = gen.next_op();
+        let done = adcache_core::execute(&db, &op);
+        // A failed read is part of the storm; a failed write is not.
+        if matches!(op, Operation::Put { .. } | Operation::Delete { .. }) {
+            done?;
         }
     }
     Ok(db.sketch_resets())
@@ -1792,35 +1974,27 @@ fn adv_guard_drill(
 /// hit rate collapsing to zero) against the adversarial guard, on vs
 /// off. Returns `(reward_on, reward_off, adversarial_windows_on)`.
 fn adv_controller_drill() -> (f64, f64, u64) {
+    let window = |io_miss| adcache_core::WindowSummary {
+        points: 1000,
+        io_miss,
+        entries_per_block: 4.0,
+        levels: 3,
+        r0_max: 8,
+        runs: 5,
+        ..Default::default()
+    };
     let run = |guarded: bool| {
-        let mut cfg = ControllerConfig {
+        let mut c = Controller::new(ControllerConfig {
             hidden: 16,
             alpha: 0.5,
-            ..Default::default()
-        };
-        cfg.adversarial_guard = guarded;
-        let mut c = Controller::new(cfg);
-        c.set_obs(Obs::enabled());
-        for _ in 0..5 {
-            c.end_of_window(&adcache_core::WindowSummary {
-                points: 1000,
-                io_miss: 100,
-                entries_per_block: 4.0,
-                levels: 3,
-                r0_max: 8,
-                runs: 5,
-                ..Default::default()
-            });
-        }
-        c.end_of_window(&adcache_core::WindowSummary {
-            points: 1000,
-            io_miss: 1000,
-            entries_per_block: 4.0,
-            levels: 3,
-            r0_max: 8,
-            runs: 5,
+            adversarial_guard: guarded,
             ..Default::default()
         });
+        c.set_obs(Obs::enabled());
+        for _ in 0..5 {
+            c.end_of_window(&window(100));
+        }
+        c.end_of_window(&window(1000));
         let reward = c.history().last().map(|r| r.reward).unwrap_or(0.0);
         (reward, c.adversarial_windows())
     };
@@ -1829,43 +2003,28 @@ fn adv_controller_drill() -> (f64, f64, u64) {
     (on, off, windows)
 }
 
+flags! {
+    DRILL_OPS = "--ops" "N" "4000" "operations per phase";
+    KIND = "--kind" "scan-flood|one-hit-wonder|key-churn|sketch-collision|all" "all" "the attack to run";
+}
+const ADVCHECK: Command = Command {
+    name: "advcheck",
+    about: "adversarial drills: attacks vs defenses, off/on",
+    flags: &[DRILL_OPS, KEYS, SEED, KIND, ASSERT_DEFENSES],
+    run: cmd_advcheck,
+};
+
 /// `adcache advcheck`: the adversarial-robustness drill. Every attack
 /// kind runs against a fresh in-process engine + TCP server twice —
 /// defenses off, then on — and the legit traffic's hit-rate loss and p99
 /// inflation are compared side by side. `--assert-defenses` exits
 /// nonzero unless defenses-on degrades strictly less on both axes.
-fn cmd_advcheck(argv: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let usage = "usage: adcache advcheck [--ops N] [--keys N] [--seed S] [--kind KIND|all] \
-                 [--assert-defenses]";
-    let mut ops = 4_000u64;
-    let mut keys = 4_000u64;
-    let mut seed = 1u64;
-    let mut kinds: Vec<adcache_workload::AdversaryKind> =
-        adcache_workload::AdversaryKind::ALL.to_vec();
-    let mut assert_defenses = false;
-    let mut i = 2;
-    let next = |argv: &[String], i: &mut usize, what: &str| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i).cloned().ok_or(format!("{what} needs a value"))
+fn cmd_advcheck(flags: &Flags) -> CmdResult {
+    let (ops, keys, seed) = (flags.num(DRILL_OPS)?, flags.num(KEYS)?, flags.num(SEED)?);
+    let kinds = match AdversaryKind::parse(flags.text(KIND)) {
+        Some(kind) => vec![kind],
+        None => AdversaryKind::ALL.to_vec(),
     };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--ops" => ops = next(argv, &mut i, "--ops")?.parse()?,
-            "--keys" => keys = next(argv, &mut i, "--keys")?.parse()?,
-            "--seed" => seed = next(argv, &mut i, "--seed")?.parse()?,
-            "--kind" => {
-                let name = next(argv, &mut i, "--kind")?;
-                if name != "all" {
-                    kinds = vec![adcache_workload::AdversaryKind::parse(&name)
-                        .ok_or(format!("unknown adversary kind {name}\n{usage}"))?];
-                }
-            }
-            "--assert-defenses" => assert_defenses = true,
-            other => return Err(format!("unknown advcheck flag {other}\n{usage}").into()),
-        }
-        i += 1;
-    }
-
     println!(
         "advcheck: {} ops/phase over {} keys, seed {}\n\
          {:<17} {:>4}  {:>9} {:>9} {:>9} {:>9}  {:>10} {:>7}",
@@ -1883,10 +2042,8 @@ fn cmd_advcheck(argv: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     );
     let mut all_bounded = true;
     for kind in kinds {
-        let off = adv_drill(kind, false, ops, keys, seed)?;
-        let on = adv_drill(kind, true, ops, keys, seed)?;
-        let base = (off.base_p99 + on.base_p99) as f64 / 2.0;
-        for (label, o) in [("off", &off), ("on", &on)] {
+        let (off, on, base) = off_then_on(|defenses| adv_drill(kind, defenses, ops, keys, seed))?;
+        for (label, defenses, o) in [("off", false, &off), ("on", true, &on)] {
             println!(
                 "{:<17} {:>4}  {:>8.1}pp {:>7.2}ms {:>7.2}ms {:>8.2}x  {:>10} {:>7}",
                 kind.name(),
@@ -1895,8 +2052,8 @@ fn cmd_advcheck(argv: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
                 o.base_p99 as f64 / 1e6,
                 o.attack_p99 as f64 / 1e6,
                 o.p99_inflation(base),
-                o.quota_errors,
-                o.sketch_resets
+                o.attack_errors.get("quota").copied().unwrap_or(0),
+                adv_guard_drill(kind, keys, seed, defenses)?
             );
         }
         // p99 containment must be strict (over the pooled baseline this
@@ -1925,43 +2082,11 @@ fn cmd_advcheck(argv: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
     let controller_ok = reward_on.abs() < reward_off.abs() && windows > 0;
     all_bounded &= controller_ok;
 
-    if assert_defenses && !all_bounded {
+    if flags.on(ASSERT_DEFENSES) && !all_bounded {
         eprintln!("advcheck: defenses failed to bound degradation");
         return Ok(false);
     }
     Ok(true)
-}
-
-/// One defense-mode measurement from the tenantcheck drill: the quiet
-/// tenants' experience before (A), during (B), and after (C) a noisy
-/// neighbor on tenant 1.
-struct TenantOutcome {
-    /// Engine-wide hit rate in the all-legit baseline phase (A).
-    base_hit: f64,
-    /// Quiet-tenant (tenants >= 2) p99 in phase A, ns.
-    base_p99: u64,
-    /// Quiet-tenant p99 while tenant 1 runs its attack (phase B), ns.
-    noisy_p99: u64,
-    /// Engine-wide hit rate after the attack (phase C): how much of the
-    /// quiet tenants' warm state the neighbor managed to evict.
-    post_hit: f64,
-    /// Tenant-quota rejections the noisy tenant drew during the drill.
-    throttled: u64,
-    /// The share split in force when the drill ended.
-    shares: Vec<(u32, f64)>,
-}
-
-impl TenantOutcome {
-    /// Hit-rate loss the noisy neighbor inflicted on the cache.
-    fn hit_drop(&self) -> f64 {
-        (self.base_hit - self.post_hit).max(0.0)
-    }
-
-    /// Quiet-tenant p99 inflation under the noisy phase, over a pooled
-    /// baseline (see [`AdvOutcome::p99_inflation`] for why it is pooled).
-    fn p99_inflation(&self, base: f64) -> f64 {
-        self.noisy_p99 as f64 / base.max(1.0)
-    }
 }
 
 /// Merged quiet-tenant (id >= 2) latency p99 from a load report, ns.
@@ -1986,29 +2111,14 @@ fn tenant_drill(
     keys: u64,
     seed: u64,
     tenants: u32,
-) -> Result<TenantOutcome, Box<dyn std::error::Error>> {
-    let mut engine = EngineConfig::new(Strategy::AdCache, 256 << 10);
-    engine.expected_keys = keys as usize;
-    engine.tenant_partitioning = defenses;
-    let db = CachedDb::new(Options::small(), Arc::new(MemStorage::new()), engine)?;
-    db.set_obs(Obs::enabled());
-    // No controller runs inside the drill; pin a small admission
-    // threshold so frequency admission actually gates the KV cache (new
-    // tenant partitions inherit it at registration).
-    db.apply_decision(&adcache_core::CacheDecision {
-        point_threshold: 0.0005,
-        ..Default::default()
-    });
-    for k in 0..keys {
-        db.load(render_key(k), Bytes::from(vec![0x5A; 100]))?;
-    }
-    db.db().flush()?;
-    let db = Arc::new(db);
-    let server = adcache_server::Server::start(
-        db.clone(),
-        adcache_server::ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
+) -> Result<DrillOutcome, Box<dyn std::error::Error>> {
+    let conns = 2 * tenants as usize;
+    let drill = Drill {
+        db: drill_db(keys, |e| e.tenant_partitioning = defenses)?,
+        keys,
+        seed,
+        kind: AdversaryKind::ScanFlood,
+        server: adcache_server::ServerConfig {
             // Same sizing logic as the advcheck quota (see `adv_drill`):
             // each tenant runs 2 connections at 1000 ops/s, avg token
             // cost ~2.4 under the 70/10/0/20 mix ≈ 4900 tokens/s per
@@ -2019,94 +2129,34 @@ fn tenant_drill(
             tenant_quota_burst: if defenses { 400 } else { 0 },
             ..Default::default()
         },
-    )?;
-    let addr = server.local_addr().to_string();
-    let conns = 2 * tenants as usize;
-    let load = |adversary: Option<adcache_workload::AdversaryConfig>| {
-        adcache_server::LoadgenConfig {
-            addr: addr.clone(),
-            connections: conns,
-            ops,
-            mix: Mix::new(70.0, 10.0, 0.0, 20.0),
-            workload: WorkloadConfig {
-                num_keys: keys,
-                value_size: 100,
-                seed,
-                ..Default::default()
-            },
-            // 1000 ops/s per connection: open loop so quiet-tenant p99
-            // compares like for like across phases and per-tenant token
-            // demand is deterministic.
-            target_qps: Some(1_000 * conns as u64),
-            batch: 0,
-            // With equal skew, tenant 1 owns exactly the first
-            // `conns / tenants` connections — the same prefix the
-            // adversary fraction claims, so the noisy tenant and the
-            // attack connections coincide.
-            adversary_frac: if adversary.is_some() {
-                1.0 / tenants as f64
-            } else {
-                0.0
-            },
-            adversary,
-            tenants,
-            tenant_skew: (1, 1),
-        }
+        // As `adcache serve` runs it, at a fast-forward cadence so the
+        // split re-learns within drill timescales.
+        arbiter: Some(Duration::from_millis(100)),
+        victim_p99: quiet_p99,
     };
-
-    // Share-arbitration ticker, as `adcache serve` runs it (fast-forward
-    // cadence so the split re-learns within drill timescales).
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let arbiter = {
-        let db = db.clone();
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_millis(100));
-                db.rebalance_tenants();
-            }
-        })
-    };
-
-    let run = |cfg: &adcache_server::LoadgenConfig| adcache_server::loadgen::run(cfg);
-    // Warm the caches so the phase-A baseline is a steady state.
-    run(&load(None))?;
-
-    let s0 = db.stats_report();
-    let a = run(&load(None))?;
-    let s1 = db.stats_report();
-
-    let attack = adcache_workload::AdversaryConfig::new(
-        adcache_workload::AdversaryKind::ScanFlood,
-        keys,
-        seed ^ 0xA11,
-    );
-    let b = run(&load(Some(attack)))?;
-
-    let s2 = db.stats_report();
-    let c = run(&load(None))?;
-    let s3 = db.stats_report();
-
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let _ = arbiter.join();
-    let shares = db
-        .tenant_reports()
-        .iter()
-        .map(|r| (r.tenant, r.share))
-        .collect();
-    let report = server.shutdown();
-    if a.protocol_errors + b.protocol_errors + c.protocol_errors > 0 {
-        return Err("protocol errors during drill — isolation must stay frame-clean".into());
-    }
-    Ok(TenantOutcome {
-        base_hit: adv_hit_rate(&s0, &s1),
-        base_p99: quiet_p99(&a),
-        noisy_p99: quiet_p99(&b),
-        post_hit: adv_hit_rate(&s2, &s3),
-        throttled: report.tenant_throttled,
-        shares,
+    drill.run(|cfg, attacking| {
+        cfg.connections = conns;
+        cfg.ops = ops;
+        cfg.target_qps = Some(1_000 * conns as u64);
+        cfg.tenants = tenants;
+        // With equal skew, tenant 1 owns exactly the first
+        // `conns / tenants` connections — the same prefix the
+        // adversary fraction claims, so the noisy tenant and the
+        // attack connections coincide.
+        cfg.adversary_frac = if attacking { 1.0 / tenants as f64 } else { 0.0 };
     })
 }
+
+flags! {
+    TENANT_OPS = "--ops" "N" "16000" "operations per phase";
+    DRILL_TENANTS = "--tenants" "N" "4" "1 noisy tenant + N-1 quiet ones (at least 2)";
+}
+const TENANTCHECK: Command = Command {
+    name: "tenantcheck",
+    about: "noisy-neighbor drill: tenant isolation off vs on",
+    flags: &[TENANT_OPS, KEYS, SEED, DRILL_TENANTS, ASSERT_DEFENSES],
+    run: cmd_tenantcheck,
+};
 
 /// `adcache tenantcheck`: the noisy-neighbor isolation drill. One hot
 /// tenant attacks while quiet tenants run a paced legit mix; the drill
@@ -2114,34 +2164,12 @@ fn tenant_drill(
 /// tenants' p99 inflation and post-attack hit-rate loss side by side.
 /// `--assert-defenses` exits nonzero unless defenses-on bounds both axes
 /// and actually throttled the neighbor.
-fn cmd_tenantcheck(argv: &[String]) -> Result<bool, Box<dyn std::error::Error>> {
-    let usage = "usage: adcache tenantcheck [--ops N] [--keys N] [--seed S] [--tenants N] \
-                 [--assert-defenses]";
-    let mut ops = 16_000u64;
-    let mut keys = 4_000u64;
-    let mut seed = 1u64;
-    let mut tenants = 4u32;
-    let mut assert_defenses = false;
-    let mut i = 2;
-    let next = |argv: &[String], i: &mut usize, what: &str| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i).cloned().ok_or(format!("{what} needs a value"))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--ops" => ops = next(argv, &mut i, "--ops")?.parse()?,
-            "--keys" => keys = next(argv, &mut i, "--keys")?.parse()?,
-            "--seed" => seed = next(argv, &mut i, "--seed")?.parse()?,
-            "--tenants" => tenants = next(argv, &mut i, "--tenants")?.parse()?,
-            "--assert-defenses" => assert_defenses = true,
-            other => return Err(format!("unknown tenantcheck flag {other}\n{usage}").into()),
-        }
-        i += 1;
-    }
+fn cmd_tenantcheck(flags: &Flags) -> CmdResult {
+    let (ops, keys, seed) = (flags.num(TENANT_OPS)?, flags.num(KEYS)?, flags.num(SEED)?);
+    let tenants: u32 = flags.num(DRILL_TENANTS)?;
     if tenants < 2 {
         return Err("tenantcheck needs --tenants >= 2 (one noisy, one quiet)".into());
     }
-
     println!(
         "tenantcheck: 1 noisy + {} quiet tenants, {} ops/phase over {} keys, seed {}\n\
          {:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
@@ -2157,9 +2185,7 @@ fn cmd_tenantcheck(argv: &[String]) -> Result<bool, Box<dyn std::error::Error>> 
         "noisy-p99",
         "p99-infl"
     );
-    let off = tenant_drill(false, ops, keys, seed, tenants)?;
-    let on = tenant_drill(true, ops, keys, seed, tenants)?;
-    let base = (off.base_p99 + on.base_p99) as f64 / 2.0;
+    let (off, on, base) = off_then_on(|defenses| tenant_drill(defenses, ops, keys, seed, tenants))?;
     for (label, o) in [("off", &off), ("on", &on)] {
         println!(
             "{:<10} {:>8.1}% {:>8.1}% {:>8.1}pp {:>7.2}ms {:>7.2}ms {:>8.2}x",
@@ -2168,13 +2194,14 @@ fn cmd_tenantcheck(argv: &[String]) -> Result<bool, Box<dyn std::error::Error>> 
             o.post_hit * 100.0,
             o.hit_drop() * 100.0,
             o.base_p99 as f64 / 1e6,
-            o.noisy_p99 as f64 / 1e6,
+            o.attack_p99 as f64 / 1e6,
             o.p99_inflation(base)
         );
     }
+    let throttled = on.server.tenant_throttled;
     println!(
         "defended: neighbor throttled {} times; final shares {}",
-        on.throttled,
+        throttled,
         on.shares
             .iter()
             .map(|(t, s)| format!("t{t}={s:.2}"))
@@ -2188,12 +2215,12 @@ fn cmd_tenantcheck(argv: &[String]) -> Result<bool, Box<dyn std::error::Error>> 
     // after resizes), and the quota actually fired at the neighbor.
     let bounded = on.p99_inflation(base) < off.p99_inflation(base)
         && on.hit_drop() <= off.hit_drop() + 0.01
-        && on.throttled > 0;
+        && throttled > 0;
     println!(
         "tenantcheck: quiet-tenant degradation bounded: {}",
         if bounded { "yes" } else { "NO" }
     );
-    if assert_defenses && !bounded {
+    if flags.on(ASSERT_DEFENSES) && !bounded {
         eprintln!("tenantcheck: defenses failed to bound the noisy neighbor");
         return Ok(false);
     }
@@ -2504,6 +2531,29 @@ fn faultcheck_cycle(
     drop(db);
     Ok(())
 }
+flags! {
+    CYCLES = "--cycles" "N" "50" "crash-recover-verify cycles";
+    FAULT_SEED = "--seed" "S" "42" "every cycle is a function of the seed";
+    SYNC = "--sync" "always|on_flush|never" "always" "WAL sync policy under test";
+    MISPLACE = "--misplace" "wal_append|wal_reset|manifest_dir|sst_dir" "" "leave this one fsync out: the drill must then fail";
+    FAULT_STRIPES = "--stripes" "N>=1" "1" "1: maintenance inline on the writer; more: a worker pool";
+}
+const FAULTCHECK: Command = Command {
+    name: "faultcheck",
+    about: "seeded crash-recover-verify fault drills",
+    flags: &[CYCLES, FAULT_SEED, SYNC, MISPLACE, FAULT_STRIPES],
+    run: |flags| {
+        let sync = adcache_lsm::SyncPolicy::parse(flags.text(SYNC));
+        let misplace = flags.given(MISPLACE);
+        cmd_faultcheck(
+            flags.num(CYCLES)?,
+            flags.num(FAULT_SEED)?,
+            sync.ok_or("--sync: unknown policy")?,
+            misplace.and_then(adcache_lsm::FsyncSite::parse),
+            flags.num(FAULT_STRIPES)?,
+        )
+    },
+};
 
 /// `adcache faultcheck` — runs N seeded crash-recover-verify cycles plus
 /// an RL storm drill; exits nonzero on any violated guarantee.
@@ -2587,7 +2637,6 @@ fn cmd_faultcheck(
     println!("{}", if ok { "PASS" } else { "FAIL" });
     Ok(ok)
 }
-
 fn handle(shell: &Shell, line: &str) -> Result<bool, Box<dyn std::error::Error>> {
     let db = &shell.db;
     let parts: Vec<&str> = line.split_whitespace().collect();
@@ -2596,30 +2645,21 @@ fn handle(shell: &Shell, line: &str) -> Result<bool, Box<dyn std::error::Error>>
         ["quit" | "exit"] => return Ok(false),
         ["help"] => print_help(),
         ["put", key, value] => {
-            db.put(
-                Bytes::copy_from_slice(key.as_bytes()),
-                Bytes::copy_from_slice(value.as_bytes()),
-            )?;
-            shell.tick();
+            let (key, value) = (key.as_bytes(), value.as_bytes());
+            shell.exec(|db| db.put(Bytes::copy_from_slice(key), Bytes::copy_from_slice(value)))?;
             println!("ok");
         }
-        ["get", key] => {
-            let got = db.get(key.as_bytes())?;
-            shell.tick();
-            match got {
-                Some(v) => println!("{}", String::from_utf8_lossy(&v)),
-                None => println!("(not found)"),
-            }
-        }
+        ["get", key] => match shell.exec(|db| db.get(key.as_bytes()))? {
+            Some(v) => println!("{}", String::from_utf8_lossy(&v)),
+            None => println!("(not found)"),
+        },
         ["del", key] => {
-            db.delete(Bytes::copy_from_slice(key.as_bytes()))?;
+            shell.exec(|db| db.delete(Bytes::copy_from_slice(key.as_bytes())))?;
             println!("ok");
         }
         ["scan", key, n] => {
             let n: usize = n.parse()?;
-            let page = db.scan(key.as_bytes(), n)?;
-            shell.tick();
-            for (k, v) in page {
+            for (k, v) in shell.exec(|db| db.scan(key.as_bytes(), n))? {
                 println!(
                     "{} = {}",
                     String::from_utf8_lossy(&k),
@@ -2651,7 +2691,7 @@ fn handle(shell: &Shell, line: &str) -> Result<bool, Box<dyn std::error::Error>>
                         rc.capacity() as f64 * 100.0 / total as f64
                     );
                 }
-                if let Some(t) = &shell.tuner {
+                if let Some(t) = shell.tuner.controller() {
                     let d = t.latest_decision();
                     println!(
                         "latest decision: range_ratio {:.2}, point threshold {:.4}, a {}, b {:.2} ({} windows tuned)",
@@ -2675,184 +2715,11 @@ fn handle(shell: &Shell, line: &str) -> Result<bool, Box<dyn std::error::Error>>
     Ok(true)
 }
 
-fn main() {
-    // Non-interactive subcommand: `adcache trace DIR`.
-    let argv: Vec<String> = std::env::args().collect();
-    if argv.get(1).map(String::as_str) == Some("trace") {
-        let Some(dir) = argv.get(2) else {
-            eprintln!("usage: adcache trace DIR");
-            std::process::exit(2);
-        };
-        if let Err(e) = cmd_trace(std::path::Path::new(dir)) {
-            eprintln!("error reading trace: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    // Non-interactive subcommand: `adcache serve [flags]`.
-    if argv.get(1).map(String::as_str) == Some("serve") {
-        if let Err(e) = cmd_serve(&argv) {
-            eprintln!("serve error: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    // Non-interactive subcommand: `adcache metrics [flags]`.
-    if argv.get(1).map(String::as_str) == Some("metrics") {
-        if let Err(e) = cmd_metrics(&argv) {
-            eprintln!("metrics error: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    // Non-interactive subcommand: `adcache top [flags]`.
-    if argv.get(1).map(String::as_str) == Some("top") {
-        if let Err(e) = cmd_top(&argv) {
-            eprintln!("top error: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    // Non-interactive subcommand: `adcache loadgen [flags]`.
-    if argv.get(1).map(String::as_str) == Some("loadgen") {
-        match cmd_loadgen(&argv) {
-            Ok(true) => return,
-            Ok(false) => {
-                eprintln!("loadgen: protocol errors detected");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("loadgen error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    // Non-interactive subcommand: `adcache advcheck [flags]`.
-    if argv.get(1).map(String::as_str) == Some("advcheck") {
-        match cmd_advcheck(&argv) {
-            Ok(true) => return,
-            Ok(false) => std::process::exit(1),
-            Err(e) => {
-                eprintln!("advcheck error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    // Non-interactive subcommand: `adcache tenantcheck [flags]`.
-    if argv.get(1).map(String::as_str) == Some("tenantcheck") {
-        match cmd_tenantcheck(&argv) {
-            Ok(true) => return,
-            Ok(false) => std::process::exit(1),
-            Err(e) => {
-                eprintln!("tenantcheck error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    // Non-interactive subcommand:
-    // `adcache faultcheck [--cycles N] [--seed S] [--sync POLICY] [--misplace SITE]`.
-    if argv.get(1).map(String::as_str) == Some("faultcheck") {
-        let usage = "usage: adcache faultcheck [--cycles N] [--seed S] \
-             [--sync always|on_flush|never] [--misplace wal_append|wal_reset|manifest_dir|sst_dir] \
-             [--stripes N]";
-        let mut cycles = 50u64;
-        let mut seed = 42u64;
-        let mut sync = adcache_lsm::SyncPolicy::Always;
-        let mut misplace = None;
-        let mut stripes = 1usize;
-        let mut i = 2;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--cycles" => {
-                    i += 1;
-                    cycles = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--cycles needs a number");
-                        std::process::exit(2);
-                    });
-                }
-                "--seed" => {
-                    i += 1;
-                    seed = argv.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--seed needs a number");
-                        std::process::exit(2);
-                    });
-                }
-                "--sync" => {
-                    i += 1;
-                    sync = argv
-                        .get(i)
-                        .and_then(|s| adcache_lsm::SyncPolicy::parse(s))
-                        .unwrap_or_else(|| {
-                            eprintln!("--sync needs one of: always, on_flush, never");
-                            std::process::exit(2);
-                        });
-                }
-                "--misplace" => {
-                    i += 1;
-                    misplace = Some(
-                        argv.get(i)
-                            .and_then(|s| adcache_lsm::FsyncSite::parse(s))
-                            .unwrap_or_else(|| {
-                                eprintln!(
-                                    "--misplace needs one of: wal_append, wal_reset, \
-                                     manifest_dir, sst_dir"
-                                );
-                                std::process::exit(2);
-                            }),
-                    );
-                }
-                "--stripes" => {
-                    i += 1;
-                    stripes = argv
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|n| *n >= 1)
-                        .unwrap_or_else(|| {
-                            eprintln!("--stripes needs a number >= 1");
-                            std::process::exit(2);
-                        });
-                }
-                other => {
-                    eprintln!("unknown faultcheck flag {other}");
-                    eprintln!("{usage}");
-                    std::process::exit(2);
-                }
-            }
-            i += 1;
-        }
-        match cmd_faultcheck(cycles, seed, sync, misplace, stripes) {
-            Ok(true) => return,
-            Ok(false) => std::process::exit(1),
-            Err(e) => {
-                eprintln!("faultcheck error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let cfg = match parse_args() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    let db = match build_db(&cfg) {
-        Ok(db) => db,
-        Err(e) => {
-            eprintln!("error opening store: {e}");
-            std::process::exit(1);
-        }
-    };
-    let obs = if cfg.trace.is_some() {
-        Obs::enabled()
-    } else {
-        Obs::disabled()
-    };
-    obs.emit(|| Event::RunStart {
-        strategy: cfg.strategy.name().into(),
-        total_cache_bytes: (cfg.cache_mb as u64) << 20,
-    });
-    let shell = Shell::new(db, obs);
+/// The interactive shell: a REPL over one engine until `quit` or EOF.
+fn cmd_shell(flags: &Flags) -> CmdResult {
+    let cfg = CliConfig::from_flags(flags, flags.num(SHELL_STRIPES)?)?;
+    let db = build_db(&cfg)?;
+    let shell = Shell::new(db, start_obs(cfg.trace.is_some(), &cfg));
     println!("type 'help' for commands");
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
@@ -2885,12 +2752,26 @@ fn main() {
         }
     }
     println!("bye");
+    Ok(true)
+}
+
+fn main() {
+    let argv: Vec<String> = std::env::args().collect();
+    let subcommand = argv
+        .get(1)
+        .and_then(|word| COMMANDS.iter().find(|c| c.name == word));
+    let code = match subcommand {
+        Some(command) => command.dispatch(&argv[2..]),
+        None => SHELL.dispatch(&argv[1..]),
+    };
+    if code != 0 {
+        std::process::exit(code);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adcache_lsm::MemStorage;
 
     fn mem_shell(strategy: Strategy) -> Shell {
         mem_shell_obs(strategy, Obs::disabled())
@@ -2906,20 +2787,166 @@ mod tests {
         Shell::new(db, obs)
     }
 
+    /// The flags every command took at the parent commit, from its eight
+    /// hand-rolled parsers (and the one positional, `trace`'s).
+    const FLAGS_BEFORE: [(&Command, &str); 9] = [
+        (&SHELL, "--dir --cache-mb --strategy --trace --stripes --mem"),
+        (&TRACE, "DIR"),
+        (
+            &SERVE,
+            "--addr --cache-mb --strategy --dir --workers --max-conns --idle-timeout-secs --fill \
+             --trace --no-telemetry --snapshot-ms --slow-us --quota-ops --quota-burst \
+             --tenant-quota-ops --tenant-quota-burst --no-sketch-guard --stripes",
+        ),
+        (
+            &LOADGEN,
+            "--addr --ops --connections --mix --keys --value-size --seed --qps --batch --adversary \
+             --adversary-frac --tenants --skew --shutdown",
+        ),
+        (&METRICS, "--addr --format --summary"),
+        (&TOP, "--addr --interval-ms --iterations"),
+        (&FAULTCHECK, "--cycles --seed --sync --misplace --stripes"),
+        (&ADVCHECK, "--ops --keys --seed --kind --assert-defenses"),
+        (&TENANTCHECK, "--ops --keys --seed --tenants --assert-defenses"),
+    ];
+
+    #[test]
+    fn every_command_takes_the_flags_it_took_before() {
+        let words = |line: &str| -> Vec<String> { line.split(' ').map(String::from).collect() };
+        for (command, before) in FLAGS_BEFORE {
+            let table: Vec<&str> = command.flags.iter().map(|flag| flag.0).collect();
+            assert_eq!(
+                table.join(" "),
+                before,
+                "flags of `adcache {}`",
+                command.name
+            );
+            // A command line that satisfies the positional, if there is one.
+            let base = if command.name == "trace" {
+                "some/dir "
+            } else {
+                ""
+            };
+            let refused = |line: &str| {
+                let parsed = Flags::parse(command, &words(&format!("{base}{line}")));
+                parsed.err().expect("a usage error")
+            };
+            assert_eq!(refused("--bogus 1"), "unknown flag --bogus");
+            assert!(Flags::parse(command, &words("--help")).unwrap().is_none());
+            for &flag in command.flags.iter().filter(|flag| flag.0.starts_with('-')) {
+                let (name, placeholder, ..) = flag;
+                let sample = match placeholder {
+                    "" => "",
+                    "N" | "S" | "Q" | "N>=1" => "7",
+                    "F" => "0.25",
+                    words => words.split('|').next().unwrap(),
+                };
+                let line = format!("{base}{name} {sample}");
+                let parsed = Flags::parse(command, &words(line.trim_end()))
+                    .unwrap()
+                    .unwrap();
+                assert_eq!(parsed.given(flag), Some(sample), "{name} round-trips");
+                if placeholder.is_empty() {
+                    continue;
+                }
+                assert_eq!(refused(name), format!("{name} needs a value"));
+                if sample != placeholder {
+                    let complaint = refused(&format!("{name} seven"));
+                    assert!(
+                        complaint.starts_with(&format!("{name} needs ")),
+                        "{complaint}"
+                    );
+                }
+            }
+        }
+        let missing = Flags::parse(&TRACE, &[]).err().unwrap();
+        assert_eq!(missing, "DIR is missing");
+    }
+
+    #[test]
+    fn flags_read_back_typed_with_their_defaults() {
+        let parse = |command, line: &str| {
+            let words: Vec<String> = line.split(' ').map(String::from).collect();
+            Flags::parse(command, &words).unwrap().unwrap()
+        };
+        let flags = parse(&SERVE, "--cache-mb 9 --strategy kv-cache --no-sketch-guard");
+        assert_eq!(flags.num::<u64>(SLOW_US), Ok(10_000));
+        assert_eq!(flags.text(LISTEN), "127.0.0.1:4400");
+        assert!(flags
+            .num::<u8>(MAX_CONNS)
+            .unwrap_err()
+            .contains("--max-conns 1024"));
+        let store = CliConfig::from_flags(&flags, 3).unwrap();
+        assert_eq!(
+            (store.cache_mb, store.stripes, store.sketch_guard),
+            (9, 3, false)
+        );
+        assert_eq!(store.strategy, Strategy::KvCache);
+        assert!(store.dir.is_none() && store.trace.is_none());
+        // `--dir` and `--mem` undo each other; the later one stands.
+        let store = |line| CliConfig::from_flags(&parse(&SHELL, line), 1).unwrap();
+        assert_eq!(store("--mem --dir /d --trace /t").dir, Some("/d".into()));
+        assert_eq!(store("--mem --dir /d --trace /t").trace, Some("/t".into()));
+        assert_eq!(store("--dir /d --mem").dir, None);
+        let zero = Flags::parse(&SHELL, &["--stripes".into(), "0".into()]);
+        assert_eq!(zero.err().unwrap(), "--stripes needs a number >= 1, got 0");
+        // The tables' defaults are the libraries'; each value lands in its field.
+        let debug = |config: &dyn std::fmt::Debug| format!("{config:?}");
+        let server = server_config(&parse(&SERVE, "--fill 0")).unwrap();
+        assert_eq!(
+            debug(&server),
+            debug(&adcache_server::ServerConfig::default())
+        );
+        let mut load = adcache_server::LoadgenConfig::default();
+        load.workload.num_keys = 100_000;
+        assert_eq!(
+            debug(&loadgen_config(&parse(&LOADGEN, "--ops 100000")).unwrap()),
+            debug(&load)
+        );
+        let quotas =
+            "--quota-ops 19 --quota-burst 23 --tenant-quota-ops 29 --tenant-quota-burst 31";
+        let server = server_config(&parse(&SERVE, quotas)).unwrap();
+        let tenant_quota = (server.tenant_quota_ops, server.tenant_quota_burst);
+        assert_eq!(
+            (server.quota_ops, server.quota_burst, tenant_quota),
+            (19, 23, (29, 31))
+        );
+        let line = "--keys 7 --value-size 8 --seed 9 --qps 10 --adversary key-churn --skew 8:1";
+        let load = loadgen_config(&parse(&LOADGEN, line)).unwrap();
+        let workload = &load.workload;
+        assert_eq!(
+            (workload.num_keys, workload.value_size, workload.seed),
+            (7, 8, 9)
+        );
+        assert_eq!(
+            (load.target_qps, load.adversary_frac, load.tenant_skew),
+            (Some(10), 0.5, (8, 1))
+        );
+        assert_eq!(
+            load.adversary.map(|attack| attack.kind),
+            Some(AdversaryKind::KeyChurn)
+        );
+        // Help is the table: every flag with its default, and README quotes it.
+        let readme = include_str!("../../../README.md");
+        for c in [&SHELL].iter().chain(&COMMANDS) {
+            let block = format!("  {}\n      {}\n", c.synopsis(), c.about);
+            assert!(readme.contains(&block), "README lacks: {block}");
+        }
+        assert!(SERVE
+            .synopsis()
+            .ends_with("[--no-sketch-guard] [--stripes N>=1]"));
+        assert!(SERVE
+            .flag_help()
+            .contains("--max-conns N\n        concurrent-connection ceiling (default 1024)\n"));
+    }
+
     /// The tree `serve` and the shell run without `--dir` is the served
     /// preset, not the unit-test one: a load flushes whole memtables and
     /// neither storms compactions nor stalls.
     #[test]
     fn build_db_in_memory_serves_from_the_served_tree() {
-        let db = build_db(&CliConfig {
-            dir: None,
-            cache_mb: 8,
-            strategy: Strategy::AdCache,
-            trace: None,
-            sketch_guard: true,
-            stripes: 4,
-        })
-        .unwrap();
+        let flags = Flags::parse(&SERVE, &["--cache-mb".into(), "8".into()]);
+        let db = build_db(&CliConfig::from_flags(&flags.unwrap().unwrap(), 4).unwrap()).unwrap();
         let value = Bytes::from(vec![b'v'; 100]);
         let mut bytes = 0;
         for i in 0..50_000 {
@@ -2940,13 +2967,23 @@ mod tests {
         }
     }
 
+    /// A table's `a|b|c` placeholder admits exactly the words the library
+    /// behind the flag parses.
     #[test]
-    fn strategy_names_parse() {
-        for s in Strategy::all() {
-            assert_eq!(parse_strategy(s.name()).unwrap(), s);
-        }
-        let err = parse_strategy("bogus").unwrap_err();
-        assert!(err.contains("rocksdb-block"), "error lists choices: {err}");
+    fn the_words_a_table_admits_are_the_words_the_library_knows() {
+        let words = |flag: Flag| -> Vec<&str> { flag.1.split('|').collect() };
+        let strategies: Vec<&str> = Strategy::all().iter().map(|s| s.name()).collect();
+        assert_eq!(words(STRATEGY), strategies);
+        let kinds: Vec<&str> = AdversaryKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(words(ADVERSARY), kinds);
+        assert_eq!(words(KIND), [kinds, vec!["all"]].concat());
+        let policies: Vec<&str> = adcache_lsm::SyncPolicy::all().map(|p| p.name()).to_vec();
+        assert_eq!(words(SYNC), policies);
+        let site = |word: &str| adcache_lsm::FsyncSite::parse(word).map(|site| site.label());
+        assert!(words(MISPLACE)
+            .into_iter()
+            .all(|word| site(word) == Some(word)));
+        assert!(words(MIX).into_iter().all(|mix| parse_mix(mix).is_ok()));
     }
 
     #[test]
@@ -2969,15 +3006,28 @@ mod tests {
     }
 
     #[test]
+    fn a_thousand_dels_cross_exactly_one_window() {
+        let shell = mem_shell(Strategy::AdCache);
+        for i in 0..999 {
+            assert!(handle(&shell, &format!("del key{i}")).unwrap());
+        }
+        let tuned = || shell.tuner.controller().unwrap().history().len();
+        assert_eq!(tuned(), 0, "999 operations close no window");
+        assert!(handle(&shell, "del key999").unwrap());
+        let controller = shell.tuner.shutdown().expect("adcache is tuned");
+        assert_eq!(controller.history().len(), 1);
+    }
+
+    #[test]
     fn handle_fill_and_bench_drive_the_tuner() {
         let shell = mem_shell(Strategy::AdCache);
         assert!(handle(&shell, "fill 3000").unwrap());
         assert!(handle(&shell, "bench 2500 mixed").unwrap());
-        // At least two windows crossed -> the tuner saw summaries.
-        assert!(shell.tuner.as_ref().unwrap().history().len() >= 2);
         // Bad mix errors but the shell keeps going.
         assert!(handle(&shell, "bench 10 bogus").is_err());
         assert!(handle(&shell, "get user00000000000000000001").unwrap());
+        // Two windows crossed -> the tuner trained on both summaries.
+        assert_eq!(shell.tuner.shutdown().unwrap().history().len(), 2);
     }
 
     #[test]
@@ -2991,7 +3041,7 @@ mod tests {
         let trace = std::fs::read_to_string(dir.join("trace.jsonl")).unwrap();
         assert!(trace.contains("\"Admission\""));
         // The summarizer must parse its own dump end to end.
-        cmd_trace(&dir).unwrap();
+        render_trace(&dir, &mut Vec::new()).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -3089,7 +3139,128 @@ mod tests {
     #[test]
     fn baselines_have_no_tuner() {
         let shell = mem_shell(Strategy::RocksDbBlock);
-        assert!(shell.tuner.is_none());
+        assert!(shell.tuner.controller().is_none());
         assert!(handle(&shell, "tune").unwrap());
+    }
+    /// One seeded shell run (no controller, so nothing but the engine lock
+    /// timers depends on the clock, and those are pinned), recorded after
+    /// its load and again after its benchmark.
+    fn recorded_pair() -> (Value, Value, PathBuf) {
+        let shell = mem_shell_obs(Strategy::RangeCache, Obs::enabled());
+        let dir = std::env::temp_dir().join(format!("adcache-cli-golden-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let record = |command: &str, lock_ns: u64| -> Value {
+            assert!(handle(&shell, command).unwrap());
+            assert!(shell.obs.dump_to_dir(&dir).unwrap());
+            let json = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
+            let pin = |line: &str| match line.split_once("_ns\": ") {
+                Some((name, ns)) if name.contains("engine.lock.") => {
+                    format!(
+                        "{name}_ns\": {lock_ns}{}",
+                        &ns[ns.trim_end_matches(',').len()..]
+                    )
+                }
+                _ => line.to_string(),
+            };
+            let pinned: Vec<String> = json.lines().map(pin).collect();
+            serde_json::from_str(&pinned.join("\n")).unwrap()
+        };
+        let before = record("fill 2000", 1_000_000);
+        (before, record("bench 2500 mixed", 4_000_000), dir)
+    }
+
+    const GOLDEN_TRACE: &str = "
+cache hit rates:
+  block        (no traffic)
+  range          89.86% hit (1612 hits / 182 misses, 0 evictions)
+  kv           (no traffic)
+
+admission decisions (journal tail):
+  Range/Accept/Unconditional                        39 decisions, 507/507 entries admitted
+  counters (whole run): 39 accepts, 0 rejects, 0 partials
+
+boundary trajectory (0 decisions):
+
+lsm: 11 flushes, 2 compactions (counters: 11 / 2), 0 block-cache invalidations
+  group commit: 2706 batches in 2706 rounds (1.00 batches/round), 0 seals, 0 write stalls
+";
+    const GOLDEN_SUMMARY: &str = "requests 0
+stage recv count 0 mean_us 0.0 p99_us 0.0 share_pct 0.0
+stage parse count 0 mean_us 0.0 p99_us 0.0 share_pct 0.0
+stage queue_wait count 0 mean_us 0.0 p99_us 0.0 share_pct 0.0
+stage lock_wait count 0 mean_us 0.0 p99_us 0.0 share_pct 0.0
+stage engine_exec count 0 mean_us 0.0 p99_us 0.0 share_pct 0.0
+stage cache_layer count 0 mean_us 0.0 p99_us 0.0 share_pct 0.0
+stage reply_flush count 0 mean_us 0.0 p99_us 0.0 share_pct 0.0
+stage total count 0 mean_us 0.0 p50_us 0.0 p99_us 0.0
+lock_wait_share_pct 0.00
+lock read acquisitions 182 wait_ns 4000000 hold_ns 4000000
+lock write acquisitions 2706 wait_ns 4000000 hold_ns 4000000
+lock flush acquisitions 0 wait_ns 4000000 hold_ns 4000000
+lock compaction acquisitions 0 wait_ns 4000000 hold_ns 4000000
+group_commit rounds 2706 batches 2706 mean_batch 1.00 seals 0 write_stalls 0
+";
+    const GOLDEN_TOP: &str = "
+== adcache top @ golden:1 — tick 3 — 0 ops/s ==
+  stage breakdown (interval):
+    recv            0.0%       0.0us
+    parse           0.0%       0.0us
+    queue_wait      0.0%       0.0us
+    lock_wait       0.0%       0.0us
+    engine_exec     0.0%       0.0us
+    cache_layer     0.0%       0.0us
+    reply_flush     0.0%       0.0us
+  lock: 0.0% of request time waiting; engine lock wait 6.0ms/s
+  cache range   89.86% hit (1612 hits / 182 misses, 11 segments, 0 coverage dropped)
+  boundary: range 50.0% / block 50.0% of 1 MiB
+";
+
+    #[test]
+    fn renderers_reproduce_their_golden_output() {
+        let (before, after, dir) = recorded_pair();
+        // Line by line, bar the trailing blanks an empty bar leaves behind.
+        let check = |out: Vec<u8>, golden: &str| {
+            let (out, golden) = (String::from_utf8(out).unwrap(), golden.to_string());
+            let lines = |text: &String| -> Vec<String> {
+                text.lines()
+                    .map(|line| line.trim_end().to_string())
+                    .collect()
+            };
+            assert_eq!(lines(&out), lines(&golden));
+        };
+        let mut out = Vec::new();
+        render_trace(&dir, &mut out).unwrap();
+        check(
+            out,
+            &format!("trace: {} (54 events)\n{GOLDEN_TRACE}", dir.display()),
+        );
+        let mut out = Vec::new();
+        render_metrics_summary(&MetricsView::of(&after), &mut out).unwrap();
+        check(out, GOLDEN_SUMMARY);
+        let mut out = Vec::new();
+        let view = MetricsView {
+            cur: &after,
+            prev: Some(&before),
+        };
+        render_top_tick(&view, 2.0, 3, "golden:1", &mut out).unwrap();
+        check(out, GOLDEN_TOP);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drills_run_at_tiny_scale_and_their_servers_drain() {
+        for outcome in [
+            adv_drill(AdversaryKind::ScanFlood, true, 300, 500, 1).unwrap(),
+            tenant_drill(true, 400, 500, 1, 2).unwrap(),
+        ] {
+            // `Drill::run` has already refused undrained and frame-dirty runs.
+            assert_eq!(outcome.server.conns_accepted, outcome.server.conns_closed);
+            assert!(outcome.server.requests > 1_000 && outcome.server.protocol_errors == 0);
+            assert!(outcome.base_p99 > 0 && outcome.attack_p99 > 0);
+            assert!(outcome.base_hit > 0.0 && outcome.post_hit > 0.0);
+            assert!(outcome.hit_drop() < 1.0 && outcome.p99_inflation(1e6) > 0.0);
+            assert!(!outcome.shares.is_empty());
+        }
+        assert!(adv_guard_drill(AdversaryKind::SketchCollision, 500, 1, true).unwrap() > 0);
     }
 }

@@ -42,6 +42,7 @@ pub mod reward;
 pub mod runner;
 pub mod stats;
 pub mod tenant;
+pub mod tuner;
 
 pub use adcache_obs::Histogram;
 pub use async_controller::AsyncController;
@@ -59,3 +60,4 @@ pub use runner::{
 };
 pub use stats::{Counters, Snapshot, WindowSummary};
 pub use tenant::{tenant_salt, Partition, TenantId, TenantWindow, DEFAULT_TENANT};
+pub use tuner::Tuner;

@@ -12,12 +12,12 @@ use crate::controller::{CacheDecision, Controller, ControllerConfig};
 use crate::engine::{CachedDb, EngineConfig, Strategy};
 use crate::reward::h_estimate;
 use crate::stats::WindowSummary;
+use crate::tuner::Tuner;
 use adcache_lsm::{MemStorage, Options, Result};
 use adcache_obs::{Event, Histogram, Obs};
 use adcache_workload::{Mix, Operation, Schedule, WorkloadConfig, WorkloadGen};
-use parking_lot::Mutex;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// CPU cost model added to device time when computing simulated QPS.
@@ -419,13 +419,11 @@ pub fn run_static(cfg: &RunConfig, mix: Mix, ops: u64) -> Result<RunResult> {
     run_schedule(cfg, &schedule)
 }
 
-/// Multi-client run (Figure 11a): `clients` threads share the engine while
-/// an [`crate::AsyncController`] trains on its own background thread —
+/// Multi-client run (Figure 11a): `clients` threads share the engine and
+/// one [`Tuner`], whose controller trains on its own background thread —
 /// "model inference and training occur asynchronously in the background"
-/// (paper Section 3.1). The thread that crosses a window boundary only
-/// snapshots counters and enqueues the summary (cheap, non-blocking), then
-/// applies the latest available decision. Returns per-client *wall-clock*
-/// QPS, since the experiment measures real CPU interference from training.
+/// (paper Section 3.1). Returns per-client *wall-clock* QPS, since the
+/// experiment measures real CPU interference from training.
 pub fn run_multiclient(
     cfg: &RunConfig,
     mix: Mix,
@@ -433,45 +431,26 @@ pub fn run_multiclient(
     ops_per_client: u64,
 ) -> Result<Vec<f64>> {
     let db = Arc::new(prepare_db(cfg)?);
-    let mut tuner = if cfg.strategy == Strategy::AdCache && cfg.controller.online {
+    let mut controller = if cfg.strategy == Strategy::AdCache && cfg.controller.online {
         Some(make_controller(cfg))
     } else {
         None
     };
-    let (obs, trace_dir) = attach_obs(cfg, &db, tuner.as_mut());
-    let controller = tuner.map(|c| Arc::new(crate::AsyncController::with_controller(c)));
-    let global_ops = Arc::new(AtomicU64::new(0));
-    let win_start = Arc::new(Mutex::new(db.snapshot()));
-    let window = cfg.controller.window.max(1);
+    let (obs, trace_dir) = attach_obs(cfg, &db, controller.as_mut());
+    let tuner = Arc::new(Tuner::new(&db, controller, cfg.controller.window));
 
     let mut handles = Vec::new();
     for client in 0..clients {
         let db = db.clone();
-        let controller = controller.clone();
-        let global_ops = global_ops.clone();
-        let win_start = win_start.clone();
-        let obs = obs.clone();
+        let tuner = tuner.clone();
         let mut wcfg = cfg.workload.clone();
         wcfg.seed = cfg.workload.seed.wrapping_add(client as u64 * 7919 + 1);
         handles.push(std::thread::spawn(move || -> Result<f64> {
             let mut gen = WorkloadGen::new(wcfg);
             let start = std::time::Instant::now();
             for _ in 0..ops_per_client {
-                let op = gen.next_op(&mix);
-                execute(&db, &op)?;
-                let n = global_ops.fetch_add(1, Ordering::Relaxed) + 1;
-                if n.is_multiple_of(window) {
-                    obs.set_window(n / window);
-                    if let Some(ctl) = &controller {
-                        // Snapshot + enqueue only; training happens on the
-                        // tuner thread.
-                        let start_snap = { *win_start.lock() };
-                        let w = db.window_summary(&start_snap);
-                        ctl.submit(w);
-                        db.apply_decision(&ctl.latest_decision());
-                        *win_start.lock() = db.snapshot();
-                    }
-                }
+                execute(&db, &gen.next_op(&mix))?;
+                tuner.tick(&db);
             }
             Ok(ops_per_client as f64 / start.elapsed().as_secs_f64())
         }));

@@ -16,54 +16,25 @@ KEYS="${KEYS:-4000}"
 KINDS="${KINDS:-scan-flood one-hit-wonder key-churn sketch-collision}"
 
 cargo build -p adcache-cli
+source scripts/lib.sh
 
 for KIND in $KINDS; do
-    PORT=$((42000 + RANDOM % 20000))
     TRACE_DIR="$(mktemp -d)"
 
-    ./target/debug/adcache serve \
-        --addr "127.0.0.1:$PORT" --fill "$KEYS" --trace "$TRACE_DIR" \
-        --quota-ops 2000 --quota-burst 100 \
-        > "$TRACE_DIR/serve.log" 2>&1 &
-    SERVER_PID=$!
-
-    # Wait for the listener to come up.
-    for _ in $(seq 1 50); do
-        if ./target/debug/adcache loadgen --addr "127.0.0.1:$PORT" --ops 0 \
-            > /dev/null 2>&1; then
-            break
-        fi
-        sleep 0.2
-    done
+    start_server "$TRACE_DIR/serve.log" --fill "$KEYS" --trace "$TRACE_DIR" \
+        --quota-ops 2000 --quota-burst 100
 
     # Half the connections replay the attack, half stay legit. The
     # loadgen exits nonzero on any lost / misordered / undecodable
     # reply, so hostile traffic must never corrupt the protocol stream —
     # quota rejections come back as ordinary Err replies and land in the
     # per-cause error accounting instead of aborting the run.
-    ./target/debug/adcache loadgen \
-        --addr "127.0.0.1:$PORT" --ops "$OPS" --connections "$CONNS" \
+    "$BIN" loadgen \
+        --addr "$ADDR" --ops "$OPS" --connections "$CONNS" \
         --keys "$KEYS" --mix mixed \
         --adversary "$KIND" --adversary-frac 0.5 --shutdown
 
-    SERVER_STATUS=0
-    wait "$SERVER_PID" || SERVER_STATUS=$?
-    echo "---- server log ($KIND) ----"
-    cat "$TRACE_DIR/serve.log"
-    if [ "$SERVER_STATUS" -ne 0 ]; then
-        echo "FAIL($KIND): server exited with status $SERVER_STATUS" >&2
-        exit 1
-    fi
-    if ! grep -q "drained: .* (0 protocol errors)" "$TRACE_DIR/serve.log"; then
-        echo "FAIL($KIND): protocol errors or no drain line" >&2
-        exit 1
-    fi
-    # Clean drain: every accepted connection closed ("N/N").
-    if ! grep -qE "drained: .* ([0-9]+)/\1 connections closed" \
-        "$TRACE_DIR/serve.log"; then
-        echo "FAIL($KIND): not every accepted connection closed on drain" >&2
-        exit 1
-    fi
+    expect_clean_drain "$TRACE_DIR/serve.log" "$KIND"
     # A defense must have engaged: quota throttling, a sketch-guard
     # re-salt, or an explicit adversary detection in the journal.
     if ! grep -qE "QuotaThrottled|SketchReset|AdversaryDetected" \

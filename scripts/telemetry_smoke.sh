@@ -15,34 +15,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PORT="${PORT:-$((42000 + RANDOM % 20000))}"
 OPS="${OPS:-20000}"
 CONNS="${CONNS:-8}"
 TRACE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TRACE_DIR"' EXIT
 
 cargo build -p adcache-cli
+source scripts/lib.sh
 
-./target/debug/adcache serve \
-    --addr "127.0.0.1:$PORT" --fill 5000 --trace "$TRACE_DIR" \
-    --snapshot-ms 200 --slow-us 5000 \
-    > "$TRACE_DIR/serve.log" 2>&1 &
-SERVER_PID=$!
+start_server "$TRACE_DIR/serve.log" --fill 5000 --trace "$TRACE_DIR" \
+    --snapshot-ms 200 --slow-us 5000
 
-for _ in $(seq 1 50); do
-    if ./target/debug/adcache loadgen --addr "127.0.0.1:$PORT" --ops 0 \
-        > /dev/null 2>&1; then
-        break
-    fi
-    sleep 0.2
-done
-
-./target/debug/adcache loadgen \
-    --addr "127.0.0.1:$PORT" --ops "$OPS" --connections "$CONNS" \
+"$BIN" loadgen \
+    --addr "$ADDR" --ops "$OPS" --connections "$CONNS" \
     --keys 5000 --mix mixed
 
 # --- METRICS opcode: Prometheus text exposition -------------------------
-./target/debug/adcache metrics --addr "127.0.0.1:$PORT" --format prom \
+"$BIN" metrics --addr "$ADDR" --format prom \
     > "$TRACE_DIR/metrics.prom"
 # Golden grammar: only `# TYPE` comments and `name value` samples, all
 # under the adcache_ prefix (summaries may carry a quantile label).
@@ -58,27 +47,20 @@ grep -q '^# TYPE adcache_server_stage_total summary$' "$TRACE_DIR/metrics.prom"
 grep -q '^# TYPE adcache_engine_lock_write_wait_ns counter$' "$TRACE_DIR/metrics.prom"
 
 # --- stage summary over the wire ----------------------------------------
-./target/debug/adcache metrics --addr "127.0.0.1:$PORT" --summary \
+"$BIN" metrics --addr "$ADDR" --summary \
     | tee "$TRACE_DIR/summary_live.txt"
 grep -qE '^stage engine_exec count [0-9]+ mean_us' "$TRACE_DIR/summary_live.txt"
 grep -qE '^lock_wait_share_pct [0-9.]+$' "$TRACE_DIR/summary_live.txt"
 
 # --- adcache top: two polled frames -------------------------------------
-./target/debug/adcache top --addr "127.0.0.1:$PORT" \
+"$BIN" top --addr "$ADDR" \
     --interval-ms 300 --iterations 2 | tee "$TRACE_DIR/top.txt"
 grep -q '^tree per stripe: block 512 B, memtable ' "$TRACE_DIR/top.txt"
 grep -q 'stage breakdown (interval)' "$TRACE_DIR/top.txt"
 grep -qE 'tick 2' "$TRACE_DIR/top.txt"
 
-./target/debug/adcache loadgen --addr "127.0.0.1:$PORT" --ops 0 --shutdown
-SERVER_STATUS=0
-wait "$SERVER_PID" || SERVER_STATUS=$?
-echo "---- server log ----"
-cat "$TRACE_DIR/serve.log"
-if [ "$SERVER_STATUS" -ne 0 ]; then
-    echo "FAIL: server exited with status $SERVER_STATUS" >&2
-    exit 1
-fi
+"$BIN" loadgen --addr "$ADDR" --ops 0 --shutdown
+expect_clean_drain "$TRACE_DIR/serve.log" telemetry
 
 # --- timeseries.jsonl: golden snapshot schema, zero malformed lines -----
 TS="$TRACE_DIR/timeseries.jsonl"
@@ -94,7 +76,7 @@ if grep -vqE '^\{"seq":[0-9]+,"uptime_ms":[0-9]+,"interval_ms":[0-9]+,"counters"
 fi
 
 # --- trace rendering ----------------------------------------------------
-./target/debug/adcache trace "$TRACE_DIR" | tee "$TRACE_DIR/trace.txt"
+"$BIN" trace "$TRACE_DIR" | tee "$TRACE_DIR/trace.txt"
 grep -q 'stage breakdown (' "$TRACE_DIR/trace.txt"
 grep -q 'engine lock accounting:' "$TRACE_DIR/trace.txt"
 grep -q "timeseries: $LINES snapshots" "$TRACE_DIR/trace.txt"

@@ -19,7 +19,7 @@ TENANTS="${TENANTS:-4}"
 BOUND_PP="${BOUND_PP:-10}"
 
 cargo build -p adcache-cli
-BIN=./target/debug/adcache
+source scripts/lib.sh
 
 # Prints the value of one flat metric key from a metrics.json.
 metric() {
@@ -48,39 +48,13 @@ cold_hit_pct() {
 run_round() {
     local trace_dir=$1
     shift
-    local port=$((42000 + RANDOM % 20000))
-    "$BIN" serve \
-        --addr "127.0.0.1:$port" --fill "$KEYS" --trace "$trace_dir" \
-        --tenant-quota-ops 6000 --tenant-quota-burst 400 \
-        > "$trace_dir/serve.log" 2>&1 &
-    SERVER_PID=$!
-    for _ in $(seq 1 50); do
-        if "$BIN" loadgen --addr "127.0.0.1:$port" --ops 0 > /dev/null 2>&1; then
-            break
-        fi
-        sleep 0.2
-    done
+    start_server "$trace_dir/serve.log" --fill "$KEYS" --trace "$trace_dir" \
+        --tenant-quota-ops 6000 --tenant-quota-burst 400
     "$BIN" loadgen \
-        --addr "127.0.0.1:$port" --ops "$OPS" --connections "$CONNS" \
+        --addr "$ADDR" --ops "$OPS" --connections "$CONNS" \
         --keys "$KEYS" --mix mixed --tenants "$TENANTS" --skew 1:1 \
         "$@" --shutdown
-    SERVER_STATUS=0
-    wait "$SERVER_PID" || SERVER_STATUS=$?
-    echo "---- server log ($trace_dir) ----"
-    cat "$trace_dir/serve.log"
-    if [ "$SERVER_STATUS" -ne 0 ]; then
-        echo "FAIL: server exited with status $SERVER_STATUS" >&2
-        exit 1
-    fi
-    if ! grep -q "drained: .* (0 protocol errors)" "$trace_dir/serve.log"; then
-        echo "FAIL: protocol errors or no drain line" >&2
-        exit 1
-    fi
-    if ! grep -qE "drained: .* ([0-9]+)/\1 connections closed" \
-        "$trace_dir/serve.log"; then
-        echo "FAIL: not every accepted connection closed on drain" >&2
-        exit 1
-    fi
+    expect_clean_drain "$trace_dir/serve.log" "$trace_dir"
 }
 
 # Round 1 — solo baseline: every tenant runs the legit mixed workload.
