@@ -10,8 +10,10 @@ use adcache_cache::{
     PointLookup, Policy, RangeCache, RangeLookup,
 };
 use adcache_core::{CachedDb, EngineConfig, Strategy};
+use adcache_lsm::sstable::{table_get, TableIter};
 use adcache_lsm::{
-    Block, BlockBuilder, BloomFilter, DirectProvider, Entry, LsmTree, MemStorage, Options, SkipList,
+    Block, BlockBuilder, BlockProvider, BloomFilter, DirectProvider, Entry, LsmTree, MemStorage,
+    Options, SkipList, Storage, StripedDb, TableMeta,
 };
 use adcache_rl::{ActorCritic, AgentConfig, Transition};
 use adcache_workload::{render_key, Mix, WorkloadConfig, WorkloadGen};
@@ -216,6 +218,64 @@ fn bench_lsm(c: &mut Criterion) {
     g.finish();
 }
 
+/// The block path on the tree an in-memory server runs on: 200 k keys of
+/// the benchmark's shape (24-byte key, 100-byte value) over four stripes of
+/// `Options::served_in_memory`, every read going to storage — what a miss
+/// in every cache costs, one step of the path at a time.
+fn bench_served_tree(c: &mut Criterion) {
+    const KEYS: u64 = 200_000;
+    let mut g = c.benchmark_group("served_tree");
+    g.sample_size(30);
+    let storage = Arc::new(MemStorage::new());
+    let db = StripedDb::new(Options::served_in_memory(4), storage.clone()).unwrap();
+    for i in 0..KEYS {
+        db.put(render_key(i), Bytes::from(vec![b'v'; 100])).unwrap();
+    }
+    db.flush().unwrap();
+    while db.maybe_compact_once().unwrap() {}
+    // The largest table of the tree, and the first key of each of its
+    // blocks: keys it is sure to hold.
+    let meta = storage
+        .list_tables()
+        .into_iter()
+        .map(|id| TableMeta::decode(&storage.read_meta(id).unwrap()).unwrap())
+        .max_by_key(|m| m.num_blocks)
+        .map(Arc::new)
+        .unwrap();
+    let p = DirectProvider;
+    let blocks = meta.num_blocks;
+    g.bench_function("block_fetch_512", |b| {
+        let mut i = 0u32;
+        b.iter(|| {
+            i = (i + 7919) % blocks;
+            black_box(p.block(&meta, i, storage.as_ref()).unwrap())
+        })
+    });
+    g.bench_function("table_get", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 7919) % blocks as usize;
+            black_box(table_get(&meta, &p, storage.as_ref(), &meta.index[i]).unwrap())
+        })
+    });
+    g.bench_function("table_seek", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 7919) % blocks as usize;
+            let it = TableIter::seek(meta.clone(), &p, storage.as_ref(), &meta.index[i]);
+            black_box(it.unwrap().table_id())
+        })
+    });
+    g.bench_function("scan16_4stripes", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 7919) % (KEYS - 16);
+            black_box(db.scan(&render_key(i), 16, &p).unwrap())
+        })
+    });
+    g.finish();
+}
+
 fn bench_range_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("range_cache");
     let cache = RangeCache::new(64 << 20);
@@ -413,6 +473,7 @@ criterion_group!(
     bench_block,
     bench_skiplist_and_bloom,
     bench_lsm,
+    bench_served_tree,
     bench_range_cache,
     bench_rl,
     bench_workload,

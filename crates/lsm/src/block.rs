@@ -14,6 +14,7 @@
 //! covers everything before it, so storage bit-rot is detected at decode
 //! time rather than surfacing as silently wrong query results.
 
+use crate::compress::{frame_block, FRAME_HEADER};
 use crate::error::{LsmError, Result};
 use crate::types::{Entry, KeyEntry};
 use crate::wal::crc32;
@@ -25,6 +26,8 @@ const HEADER: usize = 2 + 2 + 4 + 1;
 
 /// Builds one encoded data block from entries added in ascending key order.
 pub struct BlockBuilder {
+    /// [`FRAME_HEADER`] bytes left free for the storage frame, then the
+    /// entries: a raw frame is this buffer, not a copy of it.
     buf: Vec<u8>,
     restarts: Vec<u32>,
     restart_interval: usize,
@@ -37,7 +40,7 @@ impl BlockBuilder {
     /// Creates a builder; `restart_interval` keys share each prefix run.
     pub fn new(restart_interval: usize) -> Self {
         BlockBuilder {
-            buf: Vec::new(),
+            buf: vec![0; FRAME_HEADER],
             restarts: vec![0],
             restart_interval: restart_interval.max(1),
             count_since_restart: 0,
@@ -56,7 +59,7 @@ impl BlockBuilder {
             )));
         }
         let shared = if self.count_since_restart == self.restart_interval {
-            self.restarts.push(self.buf.len() as u32);
+            self.restarts.push((self.buf.len() - FRAME_HEADER) as u32);
             self.count_since_restart = 0;
             0
         } else {
@@ -83,7 +86,7 @@ impl BlockBuilder {
 
     /// Encoded size so far, including the trailer that `finish` will append.
     pub fn size_estimate(&self) -> usize {
-        self.buf.len() + self.restarts.len() * 4 + 4 + 4
+        self.buf.len() - FRAME_HEADER + self.restarts.len() * 4 + 4 + 4
     }
 
     /// Number of entries added so far.
@@ -96,16 +99,26 @@ impl BlockBuilder {
         self.num_entries == 0
     }
 
-    /// Seals the block and returns its encoded bytes (checksummed).
-    pub fn finish(mut self) -> Bytes {
+    /// Appends the trailer (restart array, count, checksum of the block).
+    fn seal(mut self) -> Vec<u8> {
         for r in &self.restarts {
             self.buf.extend_from_slice(&r.to_le_bytes());
         }
         self.buf
             .extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
-        let crc = crc32(&self.buf);
+        let crc = crc32(&self.buf[FRAME_HEADER..]);
         self.buf.extend_from_slice(&crc.to_le_bytes());
-        Bytes::from(self.buf)
+        self.buf
+    }
+
+    /// Seals the block and returns its encoded bytes (checksummed).
+    pub fn finish(self) -> Bytes {
+        Bytes::from(self.seal()).slice(FRAME_HEADER..)
+    }
+
+    /// Seals the block and frames it for storage (see [`frame_block`]).
+    pub fn finish_stored(self, compression: bool) -> Bytes {
+        frame_block(self.seal(), compression)
     }
 }
 
@@ -115,14 +128,16 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 
 /// A decoded, immutable data block.
 ///
-/// The block keeps the raw encoded bytes (shared with the storage layer via
-/// [`Bytes`]) plus the parsed restart array; individual entries are
-/// materialized lazily during iteration or lookup.
+/// The block is a view of the encoded bytes it was decoded from (shared
+/// with the storage layer via [`Bytes`]); the restart array is read in
+/// place and entries are materialized only when a cursor yields them.
 #[derive(Debug, Clone)]
 pub struct Block {
+    /// The encoding without its checksum.
     data: Bytes,
-    restarts: Vec<u32>,
+    /// Where the entries stop and the restart array starts.
     entries_end: usize,
+    num_restarts: usize,
 }
 
 impl Block {
@@ -143,21 +158,15 @@ impl Block {
         if n == 0 || data.len() < trailer {
             return Err(LsmError::Corruption("bad restart count".into()));
         }
-        let entries_end = data.len() - trailer;
-        let mut restarts = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = entries_end + i * 4;
-            let r = u32::from_le_bytes(data[off..off + 4].try_into().unwrap());
-            if r as usize > entries_end {
-                return Err(LsmError::Corruption("restart offset out of range".into()));
-            }
-            restarts.push(r);
-        }
-        Ok(Block {
+        let block = Block {
+            entries_end: data.len() - trailer,
+            num_restarts: n,
             data,
-            restarts,
-            entries_end,
-        })
+        };
+        if (0..n).any(|i| block.restart(i) > block.entries_end) {
+            return Err(LsmError::Corruption("restart offset out of range".into()));
+        }
+        Ok(block)
     }
 
     /// Size of the encoded block; used as the cache charge.
@@ -165,20 +174,24 @@ impl Block {
         self.data.len()
     }
 
+    /// Offset of restart point `idx`, read from the trailer.
+    fn restart(&self, idx: usize) -> usize {
+        let off = self.entries_end + idx * 4;
+        u32::from_le_bytes(self.data[off..off + 4].try_into().unwrap()) as usize
+    }
+
     /// Decodes the full key stored at a restart point.
     fn restart_key(&self, restart_idx: usize) -> Result<&[u8]> {
-        let off = self.restarts[restart_idx] as usize;
-        let (shared, unshared, _vlen, _kind, key_off) = self.entry_header(off)?;
-        if shared != 0 {
+        let header = self.entry_header(self.restart(restart_idx))?;
+        if header.shared != 0 {
             return Err(LsmError::Corruption(
                 "restart entry has shared prefix".into(),
             ));
         }
-        Ok(&self.data[key_off..key_off + unshared])
+        Ok(&self.data[header.key_off..header.key_off + header.unshared])
     }
 
-    #[allow(clippy::type_complexity)]
-    fn entry_header(&self, off: usize) -> Result<(usize, usize, usize, u8, usize)> {
+    fn entry_header(&self, off: usize) -> Result<EntryHeader> {
         if off + HEADER > self.entries_end {
             return Err(LsmError::Corruption("entry header out of range".into()));
         }
@@ -190,26 +203,33 @@ impl Block {
         if key_off + unshared + vlen > self.entries_end {
             return Err(LsmError::Corruption("entry payload out of range".into()));
         }
-        Ok((shared, unshared, vlen, kind, key_off))
+        Ok(EntryHeader {
+            shared,
+            unshared,
+            vlen,
+            kind,
+            key_off,
+        })
     }
 
     /// Looks up `key`, returning its entry if present in this block.
     pub fn get(&self, key: &[u8]) -> Result<Option<Entry>> {
-        let mut iter = self.iter_from(key)?;
-        match iter.next() {
-            Some(Ok(ke)) if ke.key.as_ref() == key => Ok(Some(ke.entry)),
-            Some(Err(e)) => Err(e),
-            _ => Ok(None),
+        let mut cursor = BlockCursor::default();
+        if cursor.seek(self, key)? && cursor.key() == key {
+            Ok(Some(cursor.entry(self)))
+        } else {
+            Ok(None)
         }
     }
 
     /// Iterates all entries in order.
     pub fn iter(&self) -> BlockIter<'_> {
+        let mut cursor = BlockCursor::default();
+        let on_entry = cursor.first(self);
         BlockIter {
             block: self,
-            off: self.restarts[0] as usize,
-            key: Vec::new(),
-            done: false,
+            cursor,
+            on_entry,
         }
     }
 
@@ -218,25 +238,13 @@ impl Block {
     /// Binary-searches the restart array for the last restart whose key is
     /// `<= from`, then scans forward within that interval.
     pub fn iter_from(&self, from: &[u8]) -> Result<BlockIter<'_>> {
-        // Find rightmost restart with key <= from.
-        let (mut lo, mut hi) = (0usize, self.restarts.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.restart_key(mid)? <= from {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let start = lo.saturating_sub(1);
-        let mut iter = BlockIter {
+        let mut cursor = BlockCursor::default();
+        let on_entry = Ok(cursor.seek(self, from)?);
+        Ok(BlockIter {
             block: self,
-            off: self.restarts[start] as usize,
-            key: Vec::new(),
-            done: false,
-        };
-        iter.skip_until(from)?;
-        Ok(iter)
+            cursor,
+            on_entry,
+        })
     }
 
     /// First key in the block.
@@ -250,72 +258,139 @@ impl Block {
     }
 }
 
-/// Sequential decoder over a [`Block`].
-pub struct BlockIter<'a> {
-    block: &'a Block,
-    off: usize,
-    key: Vec<u8>,
-    done: bool,
+/// The fixed-width fields in front of an entry's key and value.
+struct EntryHeader {
+    shared: usize,
+    unshared: usize,
+    vlen: usize,
+    kind: u8,
+    /// Where the unshared key bytes start; the value follows them.
+    key_off: usize,
 }
 
-impl<'a> BlockIter<'a> {
-    fn decode_next(&mut self) -> Result<Option<KeyEntry>> {
-        if self.done || self.off >= self.block.entries_end {
-            self.done = true;
-            return Ok(None);
+/// A position in a [`Block`] that borrows nothing: the block is passed to
+/// every call, so a table cursor can own both it and the `Arc<Block>` it
+/// walks. The key of the entry under the cursor lives in one reusable
+/// buffer; nothing else is allocated until [`BlockCursor::key_entry`].
+#[derive(Debug, Default)]
+pub struct BlockCursor {
+    /// Full key of the entry under the cursor.
+    key: Vec<u8>,
+    /// Where that entry's value starts, and its length and kind.
+    value_off: usize,
+    vlen: usize,
+    kind: u8,
+    /// Offset of the entry after it.
+    next: usize,
+}
+
+impl BlockCursor {
+    /// Puts the cursor in front of the entry at restart point `idx`.
+    fn rewind(&mut self, block: &Block, idx: usize) {
+        self.key.clear();
+        self.next = block.restart(idx);
+    }
+
+    /// Moves to the first entry. `false` means the block has none.
+    pub fn first(&mut self, block: &Block) -> Result<bool> {
+        self.rewind(block, 0);
+        self.step(block)
+    }
+
+    /// Moves to the first entry with key `>= from`: binary-searches the
+    /// restart array for the last restart key `<= from`, then walks that
+    /// interval comparing in the key buffer. `false` means no such entry.
+    pub fn seek(&mut self, block: &Block, from: &[u8]) -> Result<bool> {
+        let (mut lo, mut hi) = (0usize, block.num_restarts);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if block.restart_key(mid)? <= from {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        let (shared, unshared, vlen, kind, key_off) = self.block.entry_header(self.off)?;
-        if shared > self.key.len() {
+        self.rewind(block, lo.saturating_sub(1));
+        while self.step(block)? {
+            if self.key.as_slice() >= from {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Moves to the next entry. `false` means the cursor was on the last.
+    pub fn step(&mut self, block: &Block) -> Result<bool> {
+        if self.next >= block.entries_end {
+            return Ok(false);
+        }
+        let h = block.entry_header(self.next)?;
+        if h.shared > self.key.len() {
             return Err(LsmError::Corruption(
                 "shared prefix exceeds previous key".into(),
             ));
         }
-        self.key.truncate(shared);
+        if h.kind != KIND_PUT && h.kind != KIND_TOMBSTONE {
+            return Err(LsmError::Corruption(format!(
+                "unknown entry kind {}",
+                h.kind
+            )));
+        }
+        self.key.truncate(h.shared);
         self.key
-            .extend_from_slice(&self.block.data[key_off..key_off + unshared]);
-        let vstart = key_off + unshared;
-        let entry = match kind {
-            KIND_PUT => Entry::Put(self.block.data.slice(vstart..vstart + vlen)),
-            KIND_TOMBSTONE => Entry::Tombstone,
-            other => return Err(LsmError::Corruption(format!("unknown entry kind {other}"))),
-        };
-        self.off = vstart + vlen;
-        Ok(Some(KeyEntry {
-            key: Bytes::copy_from_slice(&self.key),
-            entry,
-        }))
+            .extend_from_slice(&block.data[h.key_off..h.key_off + h.unshared]);
+        self.value_off = h.key_off + h.unshared;
+        self.vlen = h.vlen;
+        self.kind = h.kind;
+        self.next = self.value_off + h.vlen;
+        Ok(true)
     }
 
-    /// Advances the iterator until the current position's key is `>= from`.
-    fn skip_until(&mut self, from: &[u8]) -> Result<()> {
-        loop {
-            let checkpoint = (self.off, self.key.clone(), self.done);
-            match self.decode_next()? {
-                None => return Ok(()),
-                Some(ke) if ke.key.as_ref() >= from => {
-                    // Rewind one entry so `next` yields it.
-                    self.off = checkpoint.0;
-                    self.key = checkpoint.1;
-                    self.done = checkpoint.2;
-                    return Ok(());
-                }
-                Some(_) => {}
-            }
+    /// Key of the entry under the cursor (valid after a call returned
+    /// `true`).
+    pub fn key(&self) -> &[u8] {
+        &self.key
+    }
+
+    /// The entry under the cursor; a put's value is a view of the block.
+    pub fn entry(&self, block: &Block) -> Entry {
+        if self.kind == KIND_PUT {
+            Entry::Put(block.data.slice(self.value_off..self.value_off + self.vlen))
+        } else {
+            Entry::Tombstone
+        }
+    }
+
+    /// Key and entry under the cursor, the key copied out of the buffer.
+    pub fn key_entry(&self, block: &Block) -> KeyEntry {
+        KeyEntry {
+            key: Bytes::copy_from_slice(&self.key),
+            entry: self.entry(block),
         }
     }
 }
 
-impl<'a> Iterator for BlockIter<'a> {
+/// Sequential decoder over a [`Block`].
+pub struct BlockIter<'a> {
+    block: &'a Block,
+    cursor: BlockCursor,
+    /// Whether the cursor sits on the entry `next` yields; an error is
+    /// yielded once and ends the iteration.
+    on_entry: Result<bool>,
+}
+
+impl Iterator for BlockIter<'_> {
     type Item = Result<KeyEntry>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match self.decode_next() {
-            Ok(Some(ke)) => Some(Ok(ke)),
-            Ok(None) => None,
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
+        match std::mem::replace(&mut self.on_entry, Ok(false)) {
+            Ok(true) => {
+                let head = self.cursor.key_entry(self.block);
+                self.on_entry = self.cursor.step(self.block);
+                Some(Ok(head))
             }
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
         }
     }
 }

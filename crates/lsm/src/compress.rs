@@ -10,11 +10,14 @@
 //! token i is a match). A literal token is one raw byte. A match token is
 //! `offset:u16 (LE, 1-based back-distance) | len:u8 (len-4)`.
 //!
-//! Stored blocks carry a 5-byte header added by the SSTable layer:
+//! Stored blocks carry a 5-byte frame header ([`frame_block`]):
 //! `flag:u8 (0 raw, 1 lzss) | raw_len:u32`. Incompressible blocks are
-//! stored raw, so compression never inflates by more than the header.
+//! stored raw, so compression never inflates by more than the header. No
+//! checksum covers the header — the block's own CRC is inside the body — so
+//! [`unwrap_block`] trusts `raw_len` only as far as the body bears it out.
 
 use crate::error::{LsmError, Result};
+use bytes::Bytes;
 
 const MIN_MATCH: usize = 4;
 const MAX_MATCH: usize = MIN_MATCH + 255;
@@ -97,9 +100,15 @@ pub fn lzss_compress(input: &[u8]) -> Vec<u8> {
 /// Decompresses an LZSS stream produced by [`lzss_compress`] into exactly
 /// `raw_len` bytes. Malformed input yields a corruption error.
 pub fn lzss_decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
+    let corrupt = || LsmError::Corruption("lzss stream truncated or malformed".into());
+    // `raw_len` comes from frame bytes no checksum covers, so it is bounded
+    // by what the stream could expand to before anything is allocated for
+    // it: the densest token is a 3-byte match yielding `MAX_MATCH` bytes.
+    if raw_len > input.len().div_ceil(3) * MAX_MATCH {
+        return Err(corrupt());
+    }
     let mut out = Vec::with_capacity(raw_len);
     let mut i = 0usize;
-    let corrupt = || LsmError::Corruption("lzss stream truncated or malformed".into());
     while out.len() < raw_len {
         if i >= input.len() {
             return Err(corrupt());
@@ -146,42 +155,50 @@ pub const FLAG_RAW: u8 = 0;
 /// Storage framing flag: LZSS-compressed block.
 pub const FLAG_LZSS: u8 = 1;
 
-/// Wraps an encoded block for storage, compressing when it pays.
-pub fn wrap_block(encoded: &[u8], compression: bool) -> Vec<u8> {
+/// Bytes of the storage frame that precede the block: `flag | raw_len`.
+pub const FRAME_HEADER: usize = 5;
+
+/// Frames an encoded block for storage, compressing when it pays. `buf`
+/// holds the block after [`FRAME_HEADER`] reserved bytes, so a raw frame is
+/// the caller's buffer with its header filled in.
+pub fn frame_block(mut buf: Vec<u8>, compression: bool) -> Bytes {
+    let encoded = &buf[FRAME_HEADER..];
+    let raw_len = (encoded.len() as u32).to_le_bytes();
     if compression {
         let packed = lzss_compress(encoded);
-        if packed.len() + 5 < encoded.len() {
-            let mut out = Vec::with_capacity(packed.len() + 5);
+        if packed.len() + FRAME_HEADER < encoded.len() {
+            let mut out = Vec::with_capacity(packed.len() + FRAME_HEADER);
             out.push(FLAG_LZSS);
-            out.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
+            out.extend_from_slice(&raw_len);
             out.extend_from_slice(&packed);
-            return out;
+            return Bytes::from(out);
         }
     }
-    let mut out = Vec::with_capacity(encoded.len() + 5);
-    out.push(FLAG_RAW);
-    out.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
-    out.extend_from_slice(encoded);
-    out
+    buf[0] = FLAG_RAW;
+    buf[1..FRAME_HEADER].copy_from_slice(&raw_len);
+    Bytes::from(buf)
 }
 
-/// Unwraps a stored block into its raw encoding.
-pub fn unwrap_block(stored: &[u8]) -> Result<Vec<u8>> {
-    if stored.len() < 5 {
+/// Unwraps a stored block into its raw encoding: a raw frame's body is a
+/// view of `stored`, a compressed one decompresses into a buffer of its own.
+pub fn unwrap_block(stored: Bytes) -> Result<Bytes> {
+    if stored.len() < FRAME_HEADER {
         return Err(LsmError::Corruption(
             "stored block shorter than header".into(),
         ));
     }
-    let raw_len = u32::from_le_bytes(stored[1..5].try_into().unwrap()) as usize;
-    let body = &stored[5..];
+    let raw_len = u32::from_le_bytes(stored[1..FRAME_HEADER].try_into().unwrap()) as usize;
     match stored[0] {
         FLAG_RAW => {
-            if body.len() != raw_len {
+            if stored.len() - FRAME_HEADER != raw_len {
                 return Err(LsmError::Corruption("raw block length mismatch".into()));
             }
-            Ok(body.to_vec())
+            Ok(stored.slice(FRAME_HEADER..))
         }
-        FLAG_LZSS => lzss_decompress(body, raw_len),
+        FLAG_LZSS => Ok(Bytes::from(lzss_decompress(
+            &stored[FRAME_HEADER..],
+            raw_len,
+        )?)),
         other => Err(LsmError::Corruption(format!(
             "unknown compression flag {other}"
         ))),
@@ -191,6 +208,18 @@ pub fn unwrap_block(stored: &[u8]) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Frames `encoded` the way the block builder does: behind the header
+    /// bytes it reserved.
+    fn wrap_block(encoded: &[u8], compression: bool) -> Bytes {
+        let mut buf = vec![0u8; FRAME_HEADER];
+        buf.extend_from_slice(encoded);
+        frame_block(buf, compression)
+    }
+
+    fn unwrap_slice(stored: &[u8]) -> Result<Bytes> {
+        unwrap_block(Bytes::copy_from_slice(stored))
+    }
 
     fn roundtrip(data: &[u8]) {
         let packed = lzss_compress(data);
@@ -246,7 +275,7 @@ mod tests {
         let stored = wrap_block(&noise, true);
         assert_eq!(stored[0], FLAG_RAW, "noise must be stored raw");
         assert_eq!(stored.len(), noise.len() + 5);
-        assert_eq!(unwrap_block(&stored).unwrap(), noise);
+        assert_eq!(unwrap_block(stored).unwrap(), noise);
     }
 
     #[test]
@@ -255,7 +284,7 @@ mod tests {
         let stored = wrap_block(&data, true);
         assert_eq!(stored[0], FLAG_LZSS);
         assert!(stored.len() < data.len() / 2);
-        assert_eq!(unwrap_block(&stored).unwrap(), data);
+        assert_eq!(unwrap_block(stored).unwrap(), data);
         // Compression disabled -> always raw.
         let stored = wrap_block(&data, false);
         assert_eq!(stored[0], FLAG_RAW);
@@ -268,22 +297,22 @@ mod tests {
         assert_eq!(stored[0], FLAG_LZSS);
         // Truncations at every length.
         for cut in 0..stored.len() {
-            let _ = unwrap_block(&stored[..cut]); // must not panic
+            let _ = unwrap_slice(&stored[..cut]); // must not panic
         }
         // Bit flips in the body.
         for i in 5..stored.len().min(60) {
-            let mut bad = stored.clone();
+            let mut bad = stored.to_vec();
             bad[i] ^= 0xFF;
-            let _ = unwrap_block(&bad); // must not panic (may error or give wrong bytes; CRC above catches those)
+            let _ = unwrap_slice(&bad); // must not panic (may error or give wrong bytes; CRC above catches those)
         }
         // Bad flag.
-        let mut bad = stored.clone();
+        let mut bad = stored.to_vec();
         bad[0] = 9;
-        assert!(unwrap_block(&bad).is_err());
+        assert!(unwrap_slice(&bad).is_err());
         // Raw length mismatch.
-        let mut bad = wrap_block(&data, false);
+        let mut bad = wrap_block(&data, false).to_vec();
         bad.pop();
-        assert!(unwrap_block(&bad).is_err());
+        assert!(unwrap_slice(&bad).is_err());
     }
 
     proptest::proptest! {
@@ -293,7 +322,7 @@ mod tests {
             let back = lzss_decompress(&packed, data.len()).unwrap();
             proptest::prop_assert_eq!(back, data.clone());
             let stored = wrap_block(&data, true);
-            proptest::prop_assert_eq!(unwrap_block(&stored).unwrap(), data);
+            proptest::prop_assert_eq!(unwrap_block(stored).unwrap(), data);
         }
     }
 }

@@ -10,6 +10,7 @@ use crate::error::Result;
 use crate::sstable::{BlockProvider, TableIter, TableMeta};
 use crate::storage::Storage;
 use crate::types::KeyEntry;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -63,41 +64,52 @@ impl<'a> Source<'a> {
         }
     }
 
-    fn ensure_open(&mut self, provider: &dyn BlockProvider, storage: &dyn Storage) -> Result<()> {
-        if let Source::LevelChain { tables, open, seek } = self {
-            while open.is_none() {
-                let Some(meta) = tables.front().cloned() else {
-                    return Ok(());
-                };
-                let it = TableIter::seek(meta, provider, storage, seek)?;
-                if it.peek().is_some() {
-                    *open = Some(it);
-                } else {
-                    tables.pop_front();
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Current head entry, opening lazy chains as needed.
-    pub fn peek(
-        &mut self,
-        provider: &dyn BlockProvider,
-        storage: &dyn Storage,
-    ) -> Result<Option<&KeyEntry>> {
-        self.ensure_open(provider, storage)?;
-        Ok(match self {
-            Source::Buffered(q) => q.front(),
+    /// Makes the head entry, if there is one, readable through
+    /// [`Source::head_key`]: opens the next table of a lazy chain and pulls
+    /// the lookahead of a lazy iterator.
+    fn prime(&mut self, provider: &dyn BlockProvider, storage: &dyn Storage) -> Result<()> {
+        match self {
             Source::Iter { inner, peeked } => {
                 if peeked.is_none() {
                     *peeked = inner.next();
                 }
-                peeked.as_ref()
             }
-            Source::Table(it) => it.peek(),
-            Source::LevelChain { open, .. } => open.as_ref().and_then(|it| it.peek()),
-        })
+            Source::LevelChain { tables, open, seek } => {
+                while open.is_none() {
+                    let Some(meta) = tables.front().cloned() else {
+                        break;
+                    };
+                    let it = TableIter::seek(meta, provider, storage, seek)?;
+                    if it.peek_key().is_some() {
+                        *open = Some(it);
+                    } else {
+                        tables.pop_front();
+                    }
+                }
+            }
+            Source::Buffered(_) | Source::Table(_) => {}
+        }
+        Ok(())
+    }
+
+    /// Key of the head entry of a primed source.
+    fn head_key(&self) -> Option<&[u8]> {
+        match self {
+            Source::Buffered(q) => q.front().map(|ke| ke.key.as_ref()),
+            Source::Iter { peeked, .. } => peeked.as_ref().map(|ke| ke.key.as_ref()),
+            Source::Table(it) => it.peek_key(),
+            Source::LevelChain { open, .. } => open.as_ref().and_then(|it| it.peek_key()),
+        }
+    }
+
+    /// Key of the current head entry, opening lazy chains as needed.
+    pub fn peek_key(
+        &mut self,
+        provider: &dyn BlockProvider,
+        storage: &dyn Storage,
+    ) -> Result<Option<&[u8]>> {
+        self.prime(provider, storage)?;
+        Ok(self.head_key())
     }
 
     /// Consumes the head entry.
@@ -106,17 +118,17 @@ impl<'a> Source<'a> {
         provider: &dyn BlockProvider,
         storage: &dyn Storage,
     ) -> Result<Option<KeyEntry>> {
-        self.ensure_open(provider, storage)?;
+        self.prime(provider, storage)?;
         match self {
             Source::Buffered(q) => Ok(q.pop_front()),
-            Source::Iter { inner, peeked } => Ok(peeked.take().or_else(|| inner.next())),
+            Source::Iter { peeked, .. } => Ok(peeked.take()),
             Source::Table(it) => it.advance(provider, storage),
             Source::LevelChain { tables, open, seek } => {
                 let Some(it) = open.as_mut() else {
                     return Ok(None);
                 };
                 let head = it.advance(provider, storage)?;
-                if it.peek().is_none() {
+                if it.peek_key().is_none() {
                     // Front table exhausted: drop it; later tables start at
                     // their first key, not the original seek key.
                     tables.pop_front();
@@ -148,44 +160,54 @@ impl<'a> MergingIter<'a> {
         provider: &dyn BlockProvider,
         storage: &dyn Storage,
     ) -> Result<Option<KeyEntry>> {
-        // Find the minimal head key; among equals, the highest rank. Keys
-        // are `Bytes`, so the clone below is a refcount bump, not a copy.
-        let mut best: Option<(usize, bytes::Bytes, u64)> = None;
-        for i in 0..self.sources.len() {
-            let rank = self.sources[i].0;
-            let Some(head) = self.sources[i].1.peek(provider, storage)? else {
+        for (_, source) in &mut self.sources {
+            source.prime(provider, storage)?;
+        }
+        // Find the minimal head key; among equals, the highest rank. The
+        // heads are compared where they lie; `tie` records that some other
+        // source holds the winning key too.
+        let mut best: Option<(usize, &[u8], u64)> = None;
+        let mut tie = false;
+        for (i, (rank, source)) in self.sources.iter().enumerate() {
+            let Some(key) = source.head_key() else {
                 continue;
             };
-            let key = head.key.clone();
-            best = match best.take() {
-                None => Some((i, key, rank)),
-                Some((bi, bkey, brank)) => {
-                    if key < bkey || (key == bkey && rank > brank) {
-                        Some((i, key, rank))
-                    } else {
-                        Some((bi, bkey, brank))
+            match best {
+                Some((_, bkey, brank)) => match key.cmp(bkey) {
+                    Ordering::Less => {
+                        best = Some((i, key, *rank));
+                        tie = false;
                     }
-                }
-            };
+                    Ordering::Equal => {
+                        tie = true;
+                        if *rank > brank {
+                            best = Some((i, key, *rank));
+                        }
+                    }
+                    Ordering::Greater => {}
+                },
+                None => best = Some((i, key, *rank)),
+            }
         }
-        let Some((best_i, best_key, _)) = best else {
+        let Some((best_i, ..)) = best else {
             return Ok(None);
         };
         let winner = self.sources[best_i]
             .1
             .advance(provider, storage)?
-            .expect("peeked source must yield");
-        // Discard shadowed versions of the same key in older sources.
-        for i in 0..self.sources.len() {
-            if i == best_i {
-                continue;
-            }
-            while self.sources[i]
-                .1
-                .peek(provider, storage)?
-                .is_some_and(|ke| ke.key == best_key)
-            {
-                self.sources[i].1.advance(provider, storage)?;
+            .expect("primed source with a head key must yield");
+        if tie {
+            // Discard shadowed versions of the same key in older sources.
+            for (i, (_, source)) in self.sources.iter_mut().enumerate() {
+                if i == best_i {
+                    continue;
+                }
+                while source
+                    .peek_key(provider, storage)?
+                    .is_some_and(|key| key == winner.key.as_ref())
+                {
+                    source.advance(provider, storage)?;
+                }
             }
         }
         Ok(Some(winner))

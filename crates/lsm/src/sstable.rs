@@ -10,15 +10,14 @@
 //! plugs in: the default provider always decodes from storage, while the
 //! cache crate supplies one that consults the cache first and admits fills.
 
-use crate::block::{Block, BlockBuilder};
+use crate::block::{Block, BlockBuilder, BlockCursor};
 use crate::bloom::BloomFilter;
-use crate::compress::{unwrap_block, wrap_block};
+use crate::compress::unwrap_block;
 use crate::error::{LsmError, Result};
 use crate::options::Options;
 use crate::storage::Storage;
 use crate::types::{BlockRef, Entry, FileId, Key, KeyEntry};
 use bytes::Bytes;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Pinned, immutable metadata for one SSTable.
@@ -148,8 +147,7 @@ pub trait BlockProvider: Send + Sync {
 /// Decodes a block as stored on the device: unwraps the compression frame,
 /// then parses (and checksum-verifies) the block encoding.
 pub fn decode_stored_block(stored: Bytes) -> Result<Block> {
-    let raw = unwrap_block(&stored)?;
-    Block::decode(Bytes::from(raw))
+    Block::decode(unwrap_block(stored)?)
 }
 
 /// [`decode_stored_block`] with the block's address stamped into any
@@ -234,8 +232,8 @@ impl TableBuilder {
             BlockBuilder::new(self.opts.block_restart_interval),
         );
         // Frame (and optionally compress) the encoded block for storage.
-        let stored = wrap_block(&builder.finish(), self.opts.compression);
-        self.blocks.push(Bytes::from(stored));
+        self.blocks
+            .push(builder.finish_stored(self.opts.compression));
         self.index.push(
             self.pending_first_key
                 .take()
@@ -310,11 +308,15 @@ pub fn table_get(
 ///
 /// Blocks are fetched lazily through the provider as the cursor crosses
 /// block boundaries; creating the iterator costs at most one block fetch
-/// (the seek phase of a scan, per the paper's I/O model).
+/// (the seek phase of a scan, per the paper's I/O model). The iterator
+/// holds the block it is in and a cursor into it, and builds a
+/// [`KeyEntry`] only for an entry that [`TableIter::advance`] yields.
 pub struct TableIter {
     meta: Arc<TableMeta>,
     next_block: u32,
-    buf: VecDeque<KeyEntry>,
+    /// The block under the cursor; `None` once the table is exhausted.
+    block: Option<Arc<Block>>,
+    cursor: BlockCursor,
 }
 
 impl TableIter {
@@ -325,58 +327,61 @@ impl TableIter {
         storage: &dyn Storage,
         from: &[u8],
     ) -> Result<Self> {
-        let start_block = meta.block_for_key(from).unwrap_or(0);
         let mut iter = TableIter {
+            next_block: meta.block_for_key(from).unwrap_or(0),
             meta,
-            next_block: start_block,
-            buf: VecDeque::new(),
+            block: None,
+            cursor: BlockCursor::default(),
         };
-        iter.fill(provider, storage, Some(from))?;
+        iter.enter_blocks(provider, storage, Some(from))?;
         Ok(iter)
     }
 
-    fn fill(
+    /// Fetches blocks until the cursor sits on an entry (the first with key
+    /// `>= from` in the first block fetched, the first entry after that) or
+    /// the table ends.
+    fn enter_blocks(
         &mut self,
         provider: &dyn BlockProvider,
         storage: &dyn Storage,
-        from: Option<&[u8]>,
+        mut from: Option<&[u8]>,
     ) -> Result<()> {
-        while self.buf.is_empty() && self.next_block < self.meta.num_blocks {
+        self.block = None;
+        while self.next_block < self.meta.num_blocks {
             let block = provider.block(&self.meta, self.next_block, storage)?;
             self.next_block += 1;
-            match from {
-                Some(f) => {
-                    for ke in block.iter_from(f)? {
-                        self.buf.push_back(ke?);
-                    }
-                }
-                None => {
-                    for ke in block.iter() {
-                        self.buf.push_back(ke?);
-                    }
-                }
+            let on_entry = match from.take() {
+                Some(f) => self.cursor.seek(&block, f)?,
+                None => self.cursor.first(&block)?,
+            };
+            if on_entry {
+                self.block = Some(block);
+                break;
             }
         }
         Ok(())
     }
 
-    /// Current head entry without consuming it.
-    pub fn peek(&self) -> Option<&KeyEntry> {
-        self.buf.front()
+    /// Key of the head entry without consuming it.
+    pub fn peek_key(&self) -> Option<&[u8]> {
+        self.block.as_ref().map(|_| self.cursor.key())
     }
 
-    /// Consumes and returns the head entry, refilling from the next block
-    /// when the buffered one is exhausted.
+    /// Consumes and returns the head entry, moving into the next block
+    /// when the current one is exhausted.
     pub fn advance(
         &mut self,
         provider: &dyn BlockProvider,
         storage: &dyn Storage,
     ) -> Result<Option<KeyEntry>> {
-        let head = self.buf.pop_front();
-        if self.buf.is_empty() {
-            self.fill(provider, storage, None)?;
+        let Some(block) = &self.block else {
+            return Ok(None);
+        };
+        let head = self.cursor.key_entry(block);
+        if !self.cursor.step(block)? {
+            self.enter_blocks(provider, storage, None)?;
         }
-        Ok(head)
+        Ok(Some(head))
     }
 
     /// The table this cursor reads.
@@ -508,6 +513,59 @@ mod tests {
         );
         let mut it = TableIter::seek(meta, &p, &storage, b"zzz").unwrap();
         assert!(it.advance(&p, &storage).unwrap().is_none());
+    }
+
+    /// Whether `inner` lies inside `outer`'s allocation.
+    fn points_into(inner: &[u8], outer: &[u8]) -> bool {
+        let (start, end) = (
+            outer.as_ptr() as usize,
+            outer.as_ptr() as usize + outer.len(),
+        );
+        (start..end).contains(&(inner.as_ptr() as usize))
+            && inner.as_ptr() as usize + inner.len() <= end
+    }
+
+    #[test]
+    fn raw_frames_decode_as_views_of_the_stored_buffer() {
+        let storage = MemStorage::new();
+        let mut b = TableBuilder::new(1, &Options::small());
+        for i in 0..50u64 {
+            // Values no match finder shortens, so compression would store
+            // them raw as well.
+            let v = i.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_le_bytes();
+            b.add(
+                format!("key{i:06}").as_bytes(),
+                &Entry::Put(v.to_vec().into()),
+            )
+            .unwrap();
+        }
+        b.finish(&storage).unwrap();
+        let stored = storage.read_block(1, 0).unwrap();
+        assert_eq!(stored[0], crate::compress::FLAG_RAW);
+        let block = decode_stored_block(stored.clone()).unwrap();
+        let value = block.get(b"key000001").unwrap().unwrap();
+        let value = value.value().unwrap();
+        assert!(points_into(value, &stored), "a raw block's value is a view");
+        // And of the store itself: a second read is the same buffer.
+        assert!(points_into(value, &storage.read_block(1, 0).unwrap()));
+        let from_cursor = block.iter().next().unwrap().unwrap();
+        assert!(points_into(from_cursor.entry.value().unwrap(), &stored));
+    }
+
+    #[test]
+    fn lzss_frames_decode_into_a_buffer_of_their_own() {
+        let opts = Options {
+            compression: true,
+            ..Options::small()
+        };
+        let storage = MemStorage::new();
+        build_table(200, &opts, &storage);
+        let stored = storage.read_block(1, 0).unwrap();
+        assert_eq!(stored[0], crate::compress::FLAG_LZSS);
+        let block = decode_stored_block(stored.clone()).unwrap();
+        let value = block.get(b"key000001").unwrap().unwrap();
+        assert_eq!(value.value().unwrap().as_ref(), b"value-1");
+        assert!(!points_into(value.value().unwrap(), &stored));
     }
 
     #[test]

@@ -9,12 +9,15 @@
 
 use crate::error::{LsmError, Result};
 use crate::types::FileId;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Cost model for simulated device time.
 ///
@@ -259,10 +262,29 @@ impl Storage for MemStorage {
 /// `offset[i]..offset[i+1]`.
 pub struct FileStorage {
     dir: PathBuf,
-    /// Cached per-table block offset tables so each block read is one seek.
-    offsets: RwLock<HashMap<FileId, Vec<u64>>>,
+    /// One open descriptor and the block offset table per table read so
+    /// far, so a block read is one positioned read. Dropped (descriptor
+    /// closed) by `delete_table`.
+    open: RwLock<HashMap<FileId, Arc<OpenTable>>>,
     stats: IoStats,
     cost: CostModel,
+}
+
+/// A table file open for positioned reads.
+struct OpenTable {
+    file: File,
+    meta_len: usize,
+    /// `block_count + 1` absolute offsets; the last is where the metadata
+    /// blob starts.
+    offsets: Box<[u64]>,
+}
+
+impl OpenTable {
+    fn read_at(&self, offset: u64, len: usize) -> Result<Bytes> {
+        let mut buf = BytesMut::zeroed(len);
+        self.file.read_exact_at(&mut buf, offset)?;
+        Ok(buf.freeze())
+    }
 }
 
 impl FileStorage {
@@ -272,7 +294,7 @@ impl FileStorage {
         std::fs::create_dir_all(&dir)?;
         Ok(FileStorage {
             dir,
-            offsets: RwLock::new(HashMap::new()),
+            open: RwLock::new(HashMap::new()),
             stats: IoStats::default(),
             cost: CostModel::default(),
         })
@@ -282,24 +304,52 @@ impl FileStorage {
         self.dir.join(format!("{id:012}.sst"))
     }
 
-    fn load_offsets(&self, id: FileId) -> Result<Vec<u64>> {
-        if let Some(offs) = self.offsets.read().get(&id) {
-            return Ok(offs.clone());
+    /// The open handle for table `id`, opening the file and reading its
+    /// header on first use. That first use holds the map's write lock, as
+    /// `delete_table` does around its unlink, so a handle is never
+    /// registered for a table whose deletion it raced.
+    fn table(&self, id: FileId) -> Result<Arc<OpenTable>> {
+        if let Some(t) = self.open.read().get(&id) {
+            return Ok(t.clone());
         }
-        let mut f = std::fs::File::open(self.path(id))?;
+        let mut open = self.open.write();
+        if let Some(t) = open.get(&id) {
+            return Ok(t.clone());
+        }
+        let file = File::open(self.path(id)).map_err(|e| match e.kind() {
+            std::io::ErrorKind::NotFound => LsmError::NotFound(format!("table {id}")),
+            _ => e.into(),
+        })?;
+        // No checksum covers the header, and every read sizes its buffer
+        // from it: hold it to the file's length once, here.
+        let corrupt =
+            || LsmError::Corruption(format!("table {id}: header does not match the file"));
+        let file_len = file.metadata()?.len();
         let mut hdr = [0u8; 8];
-        f.read_exact(&mut hdr)?;
+        file.read_exact_at(&mut hdr, 0)?;
         let n = u32::from_le_bytes(hdr[0..4].try_into().unwrap()) as usize;
-        let mut offs = Vec::with_capacity(n + 1);
-        let mut buf = vec![0u8; (n + 1) * 8];
-        f.read_exact(&mut buf)?;
-        for i in 0..=n {
-            offs.push(u64::from_le_bytes(
-                buf[i * 8..i * 8 + 8].try_into().unwrap(),
-            ));
+        let meta_len = u32::from_le_bytes(hdr[4..8].try_into().unwrap()) as usize;
+        if 8 + (n as u64 + 1) * 8 > file_len {
+            return Err(corrupt());
         }
-        self.offsets.write().insert(id, offs.clone());
-        Ok(offs)
+        let mut buf = vec![0u8; (n + 1) * 8];
+        file.read_exact_at(&mut buf, 8)?;
+        let offsets: Box<[u64]> = buf
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        if offsets.windows(2).any(|w| w[0] > w[1])
+            || offsets[n].checked_add(meta_len as u64) != Some(file_len)
+        {
+            return Err(corrupt());
+        }
+        let table = Arc::new(OpenTable {
+            file,
+            meta_len,
+            offsets,
+        });
+        open.insert(id, table.clone());
+        Ok(table)
     }
 }
 
@@ -313,29 +363,24 @@ impl Storage for FileStorage {
         }
         let n = blocks.len();
         let header_len = 8 + (n + 1) * 8;
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut pos = header_len as u64;
-        for b in &blocks {
-            offsets.push(pos);
-            pos += b.len() as u64;
-        }
-        offsets.push(pos);
-
-        let mut f = std::fs::File::create(&path)?;
+        let mut f = BufWriter::with_capacity(64 << 10, File::create(&path)?);
         f.write_all(&(n as u32).to_le_bytes())?;
         f.write_all(&(meta.len() as u32).to_le_bytes())?;
-        for o in &offsets {
-            f.write_all(&o.to_le_bytes())?;
+        let mut pos = header_len as u64;
+        for b in &blocks {
+            f.write_all(&pos.to_le_bytes())?;
+            pos += b.len() as u64;
         }
+        f.write_all(&pos.to_le_bytes())?;
         for b in &blocks {
             f.write_all(b)?;
         }
         f.write_all(&meta)?;
-        // Durability is explicit: the engine calls `sync_table` +
+        // Completed, not durable: the engine calls `sync_table` +
         // `sync_dir` when its sync policy requires it; an unconditional
         // fsync here would hide exactly the write-back-cache bugs the
         // crash drills exist to catch.
-        self.offsets.write().insert(id, offsets);
+        f.flush()?;
         self.stats
             .block_writes
             .fetch_add(n as u64, Ordering::Relaxed);
@@ -346,38 +391,31 @@ impl Storage for FileStorage {
     }
 
     fn read_block(&self, id: FileId, block_no: u32) -> Result<Bytes> {
-        let offs = self.load_offsets(id)?;
+        let table = self.table(id)?;
         let i = block_no as usize;
-        if i + 1 >= offs.len() {
+        let (Some(&start), Some(&end)) = (table.offsets.get(i), table.offsets.get(i + 1)) else {
             return Err(LsmError::NotFound(format!("table {id} block {block_no}")));
-        }
-        let mut f = std::fs::File::open(self.path(id))?;
-        f.seek(SeekFrom::Start(offs[i]))?;
-        let len = (offs[i + 1] - offs[i]) as usize;
-        let mut buf = vec![0u8; len];
-        f.read_exact(&mut buf)?;
+        };
+        let block = table.read_at(start, (end - start) as usize)?;
         self.stats.block_reads.fetch_add(1, Ordering::Relaxed);
         self.stats
             .simulated_ns
             .fetch_add(self.cost.read_block_ns, Ordering::Relaxed);
-        Ok(Bytes::from(buf))
+        Ok(block)
     }
 
     fn read_meta(&self, id: FileId) -> Result<Bytes> {
-        let offs = self.load_offsets(id)?;
-        let mut f = std::fs::File::open(self.path(id))?;
-        let mut hdr = [0u8; 8];
-        f.read_exact(&mut hdr)?;
-        let meta_len = u32::from_le_bytes(hdr[4..8].try_into().unwrap()) as usize;
-        let end = *offs.last().expect("offsets always has n+1 entries");
-        f.seek(SeekFrom::Start(end))?;
-        let mut buf = vec![0u8; meta_len];
-        f.read_exact(&mut buf)?;
-        Ok(Bytes::from(buf))
+        let table = self.table(id)?;
+        let end = *table
+            .offsets
+            .last()
+            .expect("offsets always has n+1 entries");
+        table.read_at(end, table.meta_len)
     }
 
     fn delete_table(&self, id: FileId) -> Result<()> {
-        self.offsets.write().remove(&id);
+        let mut open = self.open.write();
+        open.remove(&id);
         std::fs::remove_file(self.path(id))?;
         Ok(())
     }
@@ -512,10 +550,61 @@ mod tests {
         let s = FileStorage::open(&dir).unwrap();
         s.write_table(7, blocks(4), Bytes::from_static(b"m"))
             .unwrap();
-        // Drop the cached offsets to force a reload path.
-        s.offsets.write().clear();
+        // Drop the open handles to force the reopen path.
+        s.open.write().clear();
         assert_eq!(s.read_block(7, 3).unwrap().as_ref(), b"block-3-payload");
         assert_eq!(s.read_meta(7).unwrap().as_ref(), b"m");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_storage_rejects_a_header_the_file_does_not_bear_out() {
+        let dir = std::env::temp_dir().join(format!("adcache-fs-test4-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = FileStorage::open(&dir).unwrap();
+        s.write_table(7, blocks(3), Bytes::from_static(b"m"))
+            .unwrap();
+        let good = std::fs::read(s.path(7)).unwrap();
+        // The top byte of block 1's offset, of the last offset, of the
+        // metadata length and of the block count: each would size a read
+        // buffer in the giga- to exabytes.
+        for byte in [8 + 8 + 7, 8 + 3 * 8 + 7, 7, 3] {
+            let mut bad = good.clone();
+            bad[byte] ^= 0x40;
+            std::fs::write(s.path(7), &bad).unwrap();
+            assert!(
+                matches!(s.read_block(7, 1), Err(LsmError::Corruption(_))),
+                "byte {byte}"
+            );
+            assert!(matches!(s.read_meta(7), Err(LsmError::Corruption(_))));
+        }
+        std::fs::write(s.path(7), &good).unwrap();
+        assert_eq!(s.read_block(7, 1).unwrap().as_ref(), b"block-1-payload");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_storage_cycles_leak_no_descriptors() {
+        let dir = std::env::temp_dir().join(format!("adcache-fs-test3-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = FileStorage::open(&dir).unwrap();
+        // Other tests of this binary open and close files on their own
+        // threads meanwhile, so the bound is a margin no leak of one
+        // descriptor per cycle could stay inside.
+        let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
+        let before = open_fds();
+        for id in 1..=1000 {
+            s.write_table(id, blocks(2), Bytes::from_static(b"m"))
+                .unwrap();
+            assert_eq!(s.read_block(id, 1).unwrap().as_ref(), b"block-1-payload");
+            assert_eq!(s.read_meta(id).unwrap().as_ref(), b"m");
+            s.delete_table(id).unwrap();
+            assert!(matches!(s.read_block(id, 1), Err(LsmError::NotFound(_))));
+            assert!(matches!(s.read_meta(id), Err(LsmError::NotFound(_))));
+        }
+        assert!(s.open.read().is_empty(), "delete_table drops the handle");
+        let after = open_fds();
+        assert!(after <= before + 50, "descriptors {before} -> {after}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,0 +1,187 @@
+//! What the block path takes from the heap, counted with a counting global
+//! allocator (the one of `cache/tests/alloc_footprint.rs`): a point lookup
+//! allocates the block's `Arc` and one key buffer, a table cursor one key
+//! per entry it yields, and a frame whose length field was corrupted is
+//! rejected before anything is allocated for it.
+//!
+//! Counters are thread-local: the test harness runs tests on parallel
+//! threads, and each test must see only its own allocations.
+
+use adcache_lsm::sstable::{table_get, TableBuilder, TableIter};
+use adcache_lsm::{
+    decode_stored_block, DirectProvider, Entry, LsmError, MemStorage, Options, Storage, StripedDb,
+    TableMeta,
+};
+use bytes::Bytes;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+use std::sync::Arc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static REQUESTED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    // `try_with`: a thread that is tearing down may allocate after its
+    // thread-locals are gone; those allocations are simply not counted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = REQUESTED_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+struct Counting;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; the counters are
+// const-initialised thread-local `Cell`s that neither allocate nor panic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(allocations, bytes requested)` of `f` on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
+    let (allocs, bytes) = (ALLOCATIONS.with(Cell::get), REQUESTED_BYTES.with(Cell::get));
+    let out = f();
+    (
+        ALLOCATIONS.with(Cell::get) - allocs,
+        REQUESTED_BYTES.with(Cell::get) - bytes,
+        out,
+    )
+}
+
+/// The benchmark's key shape: 24 bytes.
+fn key(i: u32) -> Bytes {
+    Bytes::from(format!("user{i:020}"))
+}
+
+fn build_table(opts: &Options, storage: &MemStorage, n: u32, value: &[u8]) -> Arc<TableMeta> {
+    let mut b = TableBuilder::new(1, opts);
+    for i in 0..n {
+        b.add(&key(i), &Entry::Put(Bytes::copy_from_slice(value)))
+            .unwrap();
+    }
+    b.finish(storage).unwrap()
+}
+
+#[test]
+fn corrupt_frame_length_is_rejected_before_it_is_allocated() {
+    let opts = Options {
+        compression: true,
+        ..Options::default()
+    };
+    let storage = MemStorage::new();
+    build_table(&opts, &storage, 200, &b"abcdefgh".repeat(12));
+    let stored = storage.read_block(1, 0).unwrap();
+    assert_eq!(stored[0], adcache_lsm::compress::FLAG_LZSS);
+    // Each of the four length bytes, no checksum covering any: one flipped
+    // bit in the top one asks for up to 4 GiB.
+    for (byte, flip) in [(4, 0x80), (4, 0x01), (3, 0x10), (2, 0x40), (1, 0xFF)] {
+        let mut bad = stored.to_vec();
+        bad[byte] ^= flip;
+        let bad = Bytes::from(bad);
+        let (_, bytes, result) = counted(|| decode_stored_block(bad));
+        assert!(
+            matches!(result, Err(LsmError::Corruption(_))),
+            "byte {byte} ^ {flip:#x}: {result:?}"
+        );
+        assert!(
+            bytes < 64 << 10,
+            "byte {byte} ^ {flip:#x} allocated {bytes}"
+        );
+    }
+}
+
+#[test]
+fn table_get_of_a_present_key_allocates_at_most_twice() {
+    let opts = Options::default();
+    let storage = MemStorage::new();
+    let meta = build_table(&opts, &storage, 2_000, &[b'v'; 100]);
+    assert!(meta.num_blocks > 8);
+    for i in [0, 1, 777, 1_999] {
+        let k = key(i);
+        let (allocs, _, got) = counted(|| table_get(&meta, &DirectProvider, &storage, &k));
+        assert!(matches!(got, Ok(Some(Entry::Put(_)))), "key {i}");
+        // The decoded block's `Arc` and the cursor's key buffer.
+        assert!(allocs <= 2, "key {i}: {allocs} allocations");
+    }
+}
+
+#[test]
+fn table_cursor_allocates_one_key_per_entry_it_yields() {
+    // 4 KiB blocks of ~45-byte entries: the 16 advances cross at most one
+    // block boundary.
+    let opts = Options::default();
+    let storage = MemStorage::new();
+    let meta = build_table(&opts, &storage, 2_000, &[b'v'; 8]);
+    for (from, n) in [(0u32, 16u64), (500, 16), (1_234, 1), (1_990, 8)] {
+        let from = key(from);
+        let (allocs, _, yielded) = counted(|| {
+            let mut it = TableIter::seek(meta.clone(), &DirectProvider, &storage, &from).unwrap();
+            (0..n)
+                .map(|_| it.advance(&DirectProvider, &storage).unwrap().unwrap())
+                .count() as u64
+        });
+        assert_eq!(yielded, n);
+        // One key per entry, plus the key buffer and a block `Arc` or two.
+        assert!(allocs <= n + 3, "{n} advances: {allocs} allocations");
+    }
+}
+
+/// Allocations of a 16-entry scan at commit `7963166`, the parent of the
+/// allocation-free cursors: measured there with this very test.
+const PARENT_SCAN16_ALLOCATIONS: u64 = 355;
+
+#[test]
+fn scan16_over_4_stripes_by_4_runs_allocates_half_of_what_it_did() {
+    let opts = Options {
+        // Four flushes stay four Level-0 runs.
+        l0_compaction_trigger: 8,
+        ..Options::served_in_memory(4)
+    };
+    let db = StripedDb::new(opts, Arc::new(MemStorage::new())).unwrap();
+    for run in 0..4 {
+        for i in (run..4_000).step_by(4) {
+            db.put(key(i), Bytes::from(vec![b'v'; 100])).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    assert_eq!(db.num_runs(), 16, "4 stripes of 4 runs each");
+    let mut total = 0;
+    for from in [0u32, 1_001, 2_502, 3_903] {
+        let from = key(from);
+        let (allocs, _, got) = counted(|| db.scan(&from, 16, &DirectProvider).unwrap());
+        assert_eq!(black_box(got).len(), 16);
+        total += allocs;
+    }
+    let per_scan = total / 4;
+    println!("scan16 over 4 stripes x 4 runs: {per_scan} allocations (parent {PARENT_SCAN16_ALLOCATIONS})");
+    assert!(
+        per_scan * 2 <= PARENT_SCAN16_ALLOCATIONS,
+        "{per_scan} allocations per scan, parent {PARENT_SCAN16_ALLOCATIONS}"
+    );
+}
