@@ -7,7 +7,7 @@
 
 use adcache_cache::{
     BlockCache, CacheusPolicy, ChargedCache, CountMinSketch, LeCaRPolicy, LfuPolicy, LruPolicy,
-    PointLookup, Policy, RangeCache, RangeLookup,
+    PointLookup, Policy, RangeCache, RangeLookup, SlotLruPolicy,
 };
 use adcache_core::{CachedDb, EngineConfig, Strategy};
 use adcache_lsm::sstable::{table_get, TableIter};
@@ -23,39 +23,47 @@ use std::sync::Arc;
 
 fn bench_policies(c: &mut Criterion) {
     let mut g = c.benchmark_group("policy");
-    let run = |p: &mut dyn Policy<u64>| {
-        for i in 0..64u64 {
-            p.on_insert(&i);
+    // `key` makes the policy's key of a number: the range cache hands its
+    // policy 4-byte slot ids, the other containers wider keys.
+    fn run<K: Clone + Eq + std::hash::Hash>(p: &mut dyn Policy<K>, key: fn(u64) -> K) {
+        for i in 0..64 {
+            p.on_insert(&key(i));
         }
-        for i in 0..64u64 {
-            p.on_hit(&(i % 16));
+        for i in 0..64 {
+            p.on_hit(&key(i % 16));
         }
         for _ in 0..32 {
             black_box(p.victim());
         }
-    };
+    }
     g.bench_function("lru_insert_hit_evict", |b| {
         b.iter(|| {
             let mut p = LruPolicy::new();
-            run(&mut p);
+            run(&mut p, |i| i);
         })
     });
     g.bench_function("lfu_insert_hit_evict", |b| {
         b.iter(|| {
             let mut p = LfuPolicy::new();
-            run(&mut p);
+            run(&mut p, |i| i);
         })
     });
     g.bench_function("lecar_insert_hit_evict", |b| {
         b.iter(|| {
             let mut p = LeCaRPolicy::new();
-            run(&mut p);
+            run(&mut p, |i| i);
         })
     });
     g.bench_function("cacheus_insert_hit_evict", |b| {
         b.iter(|| {
             let mut p = CacheusPolicy::new();
-            run(&mut p);
+            run(&mut p, |i| i);
+        })
+    });
+    g.bench_function("slot_lru_insert_hit_evict", |b| {
+        b.iter(|| {
+            let mut p = SlotLruPolicy::new();
+            run(&mut p, |i| i as u32);
         })
     });
     g.finish();
@@ -168,6 +176,20 @@ fn bench_skiplist_and_bloom(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             black_box(sketch.increment(&i.to_le_bytes()))
+        })
+    });
+    // Sized for the benchmark's 200 k keys (4 rows × 1 Mi counters), with
+    // keys of the served shape in a scrambled order, every row touch is a
+    // cache miss; the 10 k-key sketch above sits in L2.
+    let keys: Vec<Bytes> = (0..200_000u64)
+        .map(|i| render_key(i.wrapping_mul(2_654_435_761) % 200_000))
+        .collect();
+    let mut sketch = CountMinSketch::for_keys(keys.len());
+    g.bench_function("cms_increment_200k", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % keys.len();
+            black_box(sketch.increment(&keys[i]))
         })
     });
     g.finish();
@@ -381,6 +403,40 @@ fn bench_range_cache(c: &mut Criterion) {
     assert!(cache.stats().evictions > 100_000, "the cache is churning");
     g.bench_function("insert_scan16_churn_200k", |b| {
         let mut i = 120_000u64;
+        b.iter(|| {
+            i += 1;
+            let results = scan16(scramble(i));
+            cache.insert_scan(&results[0].0, &results, 16);
+        })
+    });
+    // Fills that search cold, one kind at a time: the same full 4 MiB
+    // shard (about 25 k entries; the 24-byte keys share 18 bytes, so every
+    // comparison reads to the end of both keys) over the same key space
+    // eight times its size, holding only points, then only 16-entry scans.
+    // Each fill walks the ordered index where the last one did not and
+    // evicts as much as it admits; `insert_point_200k` above fills a tree
+    // that holds every key's neighbours. An ordered index whose
+    // comparisons chase pointers shows here.
+    let cache = RangeCache::new(4 << 20);
+    for i in 0..50_000u64 {
+        cache.insert_point(keys[scramble(i)].clone(), value.clone());
+    }
+    assert!(cache.stats().evictions > 20_000, "the shard is full");
+    g.bench_function("insert_point_scrambled_25k", |b| {
+        let mut i = 50_000u64;
+        b.iter(|| {
+            i += 1;
+            cache.insert_point(keys[scramble(i)].clone(), value.clone());
+        })
+    });
+    let cache = RangeCache::new(4 << 20);
+    for i in 0..5_000u64 {
+        let results = scan16(scramble(i));
+        cache.insert_scan(&results[0].0, &results, 16);
+    }
+    assert!(cache.stats().evictions > 40_000, "the shard is full");
+    g.bench_function("insert_scan16_scrambled_25k", |b| {
+        let mut i = 5_000u64;
         b.iter(|| {
             i += 1;
             let results = scan16(scramble(i));

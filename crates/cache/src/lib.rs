@@ -28,7 +28,9 @@ pub use admission::{PointAdmission, ScanAdmission, SketchGuard};
 pub use block_cache::{BlockCache, ScopedBlockProvider};
 pub use container::{CacheStats, ChargedCache};
 pub use kv_cache::KvCache;
-pub use policy::{CacheusPolicy, FifoPolicy, LeCaRPolicy, LfuPolicy, LruPolicy, Policy, TieBreak};
+pub use policy::{
+    CacheusPolicy, FifoPolicy, LeCaRPolicy, LfuPolicy, LruPolicy, Policy, SlotLruPolicy, TieBreak,
+};
 pub use prefetch::CompactionPrefetcher;
 pub use range_cache::{PointLookup, RangeCache, RangeLookup, RangePolicyFactory};
 pub use sketch::CountMinSketch;

@@ -16,7 +16,7 @@ pub use cacheus::CacheusPolicy;
 pub use fifo::FifoPolicy;
 pub use lecar::LeCaRPolicy;
 pub use lfu::{LfuPolicy, TieBreak};
-pub use lru::LruPolicy;
+pub use lru::{LruPolicy, SlotLruPolicy};
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};

@@ -43,16 +43,16 @@ mod model;
 mod slots;
 
 use crate::container::CacheStats;
-use crate::policy::{LruPolicy, Policy};
+use crate::policy::{Policy, SlotLruPolicy};
 use adcache_obs::{CacheStructure, Counter, Event, EvictionCause, Gauge, Obs};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use slots::{Entry, HashIndex, Slab};
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, RandomState};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Per-entry bookkeeping overhead added to the byte charge.
 const ENTRY_OVERHEAD: usize = 48;
@@ -86,19 +86,18 @@ pub enum RangeLookup {
 pub type RangePolicyFactory = Box<dyn Fn() -> Box<dyn Policy<u32>> + Send + Sync>;
 
 /// The immediate successor of `k` in byte order, so `[k, next_key(k))`
-/// contains `k` alone.
+/// contains `k` alone: `k` and a zero byte, built in its one allocation.
 fn next_key(k: &[u8]) -> Bytes {
-    let mut v = Vec::with_capacity(k.len() + 1);
-    v.extend_from_slice(k);
-    v.push(0);
-    Bytes::from(v)
+    let mut next = BytesMut::zeroed(k.len() + 1);
+    next[..k.len()].copy_from_slice(k);
+    next.freeze()
 }
 
 /// One lock's worth of the cache. A resident entry lives in one slab slot
 /// and is reached three ways: `index` (by key bytes, point probes),
 /// `ordered` (by key order; scans, inserts and evictions) and `policy`
 /// (by slot id, recency). The key's bytes exist once; slab and `ordered`
-/// share them.
+/// share them through a 16-byte handle each.
 struct Shard {
     slab: Slab,
     index: HashIndex,
@@ -106,7 +105,7 @@ struct Shard {
     /// clients.
     hasher: RandomState,
     /// Resident keys in order, each with its slot id.
-    ordered: BTreeMap<Bytes, u32>,
+    ordered: BTreeMap<Arc<[u8]>, u32>,
     /// Covered segments: start -> end (end exclusive), disjoint, sorted.
     /// Only what scans and deletes established: a resident entry covers
     /// its own key without a segment.
@@ -154,7 +153,7 @@ impl Shard {
 
     fn find_hashed(&self, hash: u64, key: &[u8]) -> Option<u32> {
         self.index
-            .find(hash, |slot| self.slab.get(slot).key == *key)
+            .find(hash, |slot| *self.slab.get(slot).key == *key)
     }
 
     /// The covered segment containing `key`, if any.
@@ -170,7 +169,7 @@ impl Shard {
         let hash = self.hasher.hash_one(&key[..]);
         match self.find_hashed(hash, &key) {
             Some(slot) => self.update_entry(slot, value),
-            None => self.insert_entry(hash, key, value),
+            None => self.insert_entry(hash, key.into(), value),
         }
     }
 
@@ -183,7 +182,7 @@ impl Shard {
     }
 
     /// Admits `key`, which hashes to `hash` and is not resident.
-    fn insert_entry(&mut self, hash: u64, key: Bytes, value: Bytes) {
+    fn insert_entry(&mut self, hash: u64, key: Arc<[u8]>, value: Bytes) {
         self.used += Self::charge_of(&key, &value);
         let slot = self.slab.insert(Entry {
             key: key.clone(),
@@ -241,22 +240,22 @@ impl Shard {
     /// `[s, key)` and `[key⁺, e)`, a side stays covered only while a
     /// resident entry lies in it. An entry no segment covers leaves
     /// nothing behind.
-    fn split_at(&mut self, key: &Bytes) {
+    fn split_at(&mut self, key: &Arc<[u8]>) {
         let Some((s, e)) = self
             .segments
-            .range_mut::<Bytes, _>((Bound::Unbounded, Bound::Included(key)))
+            .range_mut::<[u8], _>((Bound::Unbounded, Bound::Included(&key[..])))
             .next_back()
-            .filter(|(_, e)| **e > *key)
+            .filter(|(_, e)| e[..] > key[..])
         else {
             return;
         };
         // `key` itself has left `ordered`, so what lies after it lies at or
         // after `key⁺`.
-        let holds_entry = |range| self.ordered.range::<Bytes, _>(range).next().is_some();
-        let keep_left = holds_entry((Bound::Included(s), Bound::Excluded(key)));
-        let keep_right = holds_entry((Bound::Excluded(key), Bound::Excluded(&*e)));
+        let holds_entry = |range| self.ordered.range::<[u8], _>(range).next().is_some();
+        let keep_left = holds_entry((Bound::Included(&s[..]), Bound::Excluded(&key[..])));
+        let keep_right = holds_entry((Bound::Excluded(&key[..]), Bound::Excluded(&e[..])));
         let end = if keep_left {
-            std::mem::replace(e, key.clone())
+            std::mem::replace(e, key.clone().into())
         } else {
             let s = s.clone();
             self.segments.remove(&s).expect("just found")
@@ -299,8 +298,8 @@ impl Shard {
             let before = self.segments.len();
             let mut residents = self.ordered.keys().peekable();
             self.segments.retain(|s, e| {
-                while residents.next_if(|k| *k < s).is_some() {}
-                residents.peek().is_some_and(|k| **k < *e)
+                while residents.next_if(|k| k[..] < s[..]).is_some() {}
+                residents.peek().is_some_and(|k| k[..] < e[..])
             });
             let dropped = (before - self.segments.len()) as u64;
             self.coverage_dropped += dropped;
@@ -338,19 +337,23 @@ impl Shard {
             }
             if let Some((_, seg_end)) = self.segment_covering(current) {
                 let seg_end = seg_end.clone();
-                for (k, &slot) in self.ordered.range::<Bytes, _>(&*current..&seg_end) {
+                let inside = (Bound::Included(&current[..]), Bound::Excluded(&seg_end[..]));
+                for (k, &slot) in self.ordered.range::<[u8], _>(inside) {
                     if out.len() >= n {
                         return true;
                     }
-                    out.push((k.clone(), self.slab.get(slot).value.clone()));
+                    out.push((k.clone().into(), self.slab.get(slot).value.clone()));
                     self.policy.on_hit(&slot);
                 }
                 *current = seg_end;
             } else if let Some(slot) = self.find(current) {
                 // A resident entry is its own coverage: `[k, k⁺)`.
                 let entry = self.slab.get(slot);
-                out.push((entry.key.clone(), entry.value.clone()));
+                out.push((entry.key.clone().into(), entry.value.clone()));
                 self.policy.on_hit(&slot);
+                if out.len() >= n {
+                    return true;
+                }
                 *current = next_key(current);
             } else {
                 return false;
@@ -383,7 +386,10 @@ impl Shard {
         let mut used = 0usize;
         for (key, &slot) in &self.ordered {
             let entry = self.slab.get(slot);
-            assert_eq!(entry.key, *key, "slot {slot} holds another key");
+            assert!(
+                Arc::ptr_eq(&entry.key, key),
+                "slot {slot} holds another key"
+            );
             assert_eq!(self.find(key), Some(slot), "hash index misses {key:?}");
             used += Self::charge_of(key, &entry.value);
         }
@@ -446,7 +452,7 @@ impl RangeCache {
     /// A single-shard cache with LRU eviction (the configuration evaluated
     /// as "Range Cache" in the paper).
     pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, Box::new(|| Box::new(LruPolicy::new())))
+        Self::with_policy(capacity, Box::new(|| Box::new(SlotLruPolicy::new())))
     }
 
     /// Single shard, custom eviction policy (e.g. LeCaR or Cacheus).
@@ -666,7 +672,7 @@ impl RangeCache {
                 match shard.find_hashed(hash, key) {
                     Some(slot) => shard.update_entry(slot, v.clone()),
                     None if shard.segment_covering(key).is_some() => {
-                        shard.insert_entry(hash, Bytes::copy_from_slice(key), v.clone());
+                        shard.insert_entry(hash, Arc::from(key), v.clone());
                     }
                     None => return,
                 }
@@ -684,7 +690,7 @@ impl RangeCache {
                     // covered, now as absent — what a delete inside a
                     // segment leaves behind too.
                     let end = next_key(key);
-                    shard.add_segment(entry.key, end);
+                    shard.add_segment(entry.key.into(), end);
                 }
             }
         }
@@ -962,7 +968,7 @@ mod tests {
 
     #[test]
     fn coverage_metrics_follow_every_shard() {
-        let factory: RangePolicyFactory = Box::new(|| Box::new(LruPolicy::new()));
+        let factory: RangePolicyFactory = Box::new(|| Box::new(SlotLruPolicy::new()));
         let c = RangeCache::with_shards(40 * 62, vec![b("key0010")], factory);
         c.insert_scan(&kv(0).0, &scan_result(0, 4), 4);
         // Attached late: what is already covered is published on attach.
@@ -1045,7 +1051,7 @@ mod tests {
 
     #[test]
     fn sharded_cache_serves_cross_boundary_scans() {
-        let factory: RangePolicyFactory = Box::new(|| Box::new(LruPolicy::new()));
+        let factory: RangePolicyFactory = Box::new(|| Box::new(SlotLruPolicy::new()));
         let c = RangeCache::with_shards(1 << 20, vec![b("key0005"), b("key0010")], factory);
         // Scan result spanning all three shards.
         c.insert_scan(&kv(0).0, &scan_result(0, 15), 15);

@@ -15,7 +15,6 @@
 use super::*;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
 
 struct RefShard {
     /// Resident keys, least recently used first.
@@ -299,7 +298,7 @@ type Tracked = Arc<Mutex<BTreeSet<u32>>>;
 /// Wraps a shard's policy and keeps the set of slot ids it has been told
 /// are resident, so the test can hold it against the slab.
 struct Audited {
-    inner: LruPolicy<u32>,
+    inner: SlotLruPolicy,
     tracked: Tracked,
 }
 
@@ -401,7 +400,7 @@ impl Pair {
                 let tracked = Tracked::default();
                 for_factory.lock().push(tracked.clone());
                 Box::new(Audited {
-                    inner: LruPolicy::new(),
+                    inner: SlotLruPolicy::new(),
                     tracked,
                 })
             }),
@@ -515,7 +514,7 @@ impl Pair {
                 shard
                     .ordered
                     .iter()
-                    .map(|(k, &slot)| (k.clone(), shard.slab.get(slot).value.clone())),
+                    .map(|(k, &slot)| (k.clone().into(), shard.slab.get(slot).value.clone())),
             );
         }
         let want: Vec<(Bytes, Bytes)> = reference

@@ -8,17 +8,19 @@
 //! the slab, so no second copy of the key exists.
 
 use bytes::Bytes;
+use std::sync::Arc;
 
 /// "No slot": list terminator and empty-bucket marker.
 pub(super) const NIL: u32 = u32::MAX;
 
 const CHUNK_BITS: u32 = 10;
-/// Slots per slab chunk (64 KiB of slots).
+/// Slots per slab chunk (48 KiB of slots).
 const CHUNK: usize = 1 << CHUNK_BITS;
 
-/// One resident key-value pair.
+/// One resident key-value pair. The key is always the whole of one
+/// allocation, so a 16-byte handle holds it; the ordered index shares it.
 pub(super) struct Entry {
-    pub(super) key: Bytes,
+    pub(super) key: Arc<[u8]>,
     pub(super) value: Bytes,
 }
 
@@ -249,7 +251,7 @@ mod tests {
 
     fn entry(i: u32) -> Entry {
         Entry {
-            key: Bytes::from(format!("k{i}")),
+            key: Arc::from(format!("k{i}").as_bytes()),
             value: Bytes::from(format!("v{i}")),
         }
     }
@@ -262,7 +264,8 @@ mod tests {
             assert_eq!(slab.insert(entry(i)), i);
         }
         assert_eq!(slab.len(), n as usize);
-        assert_eq!(slab.get(CHUNK as u32 + 1).key, "k1025");
+        assert_eq!(&*slab.get(CHUNK as u32 + 1).key, b"k1025");
+        assert_eq!(std::mem::size_of::<Slot>(), 48);
         assert_eq!(slab.remove(7).value, "v7");
         assert_eq!(slab.remove(CHUNK as u32).value, "v1024");
         // Last freed, first reused.

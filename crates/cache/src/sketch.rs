@@ -13,17 +13,24 @@
 //! zeroes the counters *and* re-seeds every row with a caller-chosen salt,
 //! invalidating any precomputed collision set at the cost of forgetting the
 //! (already poisoned) frequency history.
+//!
+//! Counters are one byte each and clamp at 255, as TinyLFU's four-bit ones
+//! clamp at 15: with the default saturation of 8 none ever gets near it.
+//! All rows live in one zeroed allocation, so a sketch nobody has fed yet
+//! occupies no memory, and a fed one a byte per counter.
 
 /// A Count-Min Sketch over byte-string keys.
 #[derive(Debug, Clone)]
 pub struct CountMinSketch {
-    /// `depth` rows of `width` counters each.
-    rows: Vec<Vec<u32>>,
+    /// `depth` rows of `width` counters each, row after row.
+    counters: Vec<u8>,
     width: usize,
+    depth: usize,
     /// Sum of all recorded increments (halved on decay). The denominator of
     /// AdCache's normalized importance score.
     total: u64,
-    /// Counter value that triggers a global halving.
+    /// Counter value that triggers a global halving. Above 255, which no
+    /// counter reaches, the sketch never decays by itself.
     saturation: u32,
     /// Number of decays performed (observability).
     decays: u64,
@@ -57,7 +64,7 @@ fn hash_with_seed(data: &[u8], seed: u64) -> u64 {
 pub const MIN_SKETCH_WIDTH: usize = 1024;
 
 /// Largest width [`CountMinSketch::for_keys`] will produce (64 Mi counters
-/// per row = 1 GiB of sketch at depth 4 — already absurd; beyond this the
+/// per row = 256 MiB of sketch at depth 4 — already absurd; beyond this the
 /// `keys * 4` multiply could also overflow on 32-bit `usize`).
 pub const MAX_SKETCH_WIDTH: usize = 1 << 26;
 
@@ -66,8 +73,9 @@ impl CountMinSketch {
     pub fn new(width: usize, depth: usize, saturation: u32) -> Self {
         assert!(width > 0 && depth > 0 && saturation > 1);
         CountMinSketch {
-            rows: vec![vec![0u32; width]; depth],
+            counters: vec![0u8; width * depth],
             width,
+            depth,
             total: 0,
             saturation,
             decays: 0,
@@ -93,43 +101,41 @@ impl CountMinSketch {
         Self::new(width, 4, 8)
     }
 
-    /// The per-row hash seed: row number XOR the epoch salt. With the
-    /// construction salt of 0 this is exactly the historical seeding, so
-    /// un-reset sketches hash identically to older builds.
-    fn row_seed(&self, row_no: usize) -> u64 {
-        row_no as u64 ^ self.salt
+    /// Where in `counters` row `row_no` counts `key`. The per-row hash
+    /// seed is the row number XOR the epoch salt: with the construction
+    /// salt of 0 this is exactly the historical seeding, so un-reset
+    /// sketches hash identically to older builds.
+    fn slot(&self, key: &[u8], row_no: usize) -> usize {
+        let column = hash_with_seed(key, row_no as u64 ^ self.salt) as usize % self.width;
+        row_no * self.width + column
     }
 
     /// Records one occurrence of `key` and returns its new estimate.
     /// Triggers a global halving when the estimate reaches saturation.
     pub fn increment(&mut self, key: &[u8]) -> u32 {
-        let mut est = u32::MAX;
-        for row_no in 0..self.rows.len() {
-            let idx = hash_with_seed(key, self.row_seed(row_no)) as usize % self.width;
-            let c = &mut self.rows[row_no][idx];
-            if *c == 0 {
-                self.nonzero += 1;
-            }
+        let mut est = u8::MAX;
+        for row_no in 0..self.depth {
+            let slot = self.slot(key, row_no);
+            let c = &mut self.counters[slot];
+            self.nonzero += (*c == 0) as u64;
             *c = c.saturating_add(1);
             est = est.min(*c);
         }
         self.total += 1;
         self.epoch_increments += 1;
-        if est >= self.saturation {
+        if u32::from(est) >= self.saturation {
             self.decay();
-            est = self.estimate(key);
+            return self.estimate(key);
         }
-        est
+        u32::from(est)
     }
 
     /// Point estimate (upper bound) of `key`'s frequency.
     pub fn estimate(&self, key: &[u8]) -> u32 {
-        let mut est = u32::MAX;
-        for (row_no, row) in self.rows.iter().enumerate() {
-            let idx = hash_with_seed(key, self.row_seed(row_no)) as usize % self.width;
-            est = est.min(row[idx]);
-        }
-        est
+        let est = (0..self.depth)
+            .map(|row_no| self.counters[self.slot(key, row_no)])
+            .min();
+        u32::from(est.expect("a sketch has at least one row"))
     }
 
     /// `key`'s frequency normalized by the global sum — the paper's
@@ -143,14 +149,12 @@ impl CountMinSketch {
 
     /// Halves every counter and the global sum.
     pub fn decay(&mut self) {
-        for row in &mut self.rows {
-            for c in row.iter_mut() {
-                if *c == 1 {
-                    self.nonzero -= 1;
-                }
-                *c >>= 1;
-            }
+        let mut emptied = 0;
+        for c in &mut self.counters {
+            emptied += (*c == 1) as u64;
+            *c >>= 1;
         }
+        self.nonzero -= emptied;
         self.total >>= 1;
         self.decays += 1;
         self.epoch_decays += 1;
@@ -161,9 +165,7 @@ impl CountMinSketch {
     /// survives (it is a lifetime observability counter); the per-epoch
     /// counters restart.
     pub fn reset(&mut self, salt: u64) {
-        for row in &mut self.rows {
-            row.iter_mut().for_each(|c| *c = 0);
-        }
+        self.counters.fill(0);
         self.total = 0;
         self.nonzero = 0;
         self.salt = salt;
@@ -197,7 +199,7 @@ impl CountMinSketch {
     /// zipfian workload leaves most counters empty; a sketch near full is
     /// being saturated.
     pub fn fill_ratio(&self) -> f64 {
-        self.nonzero as f64 / (self.rows.len() * self.width) as f64
+        self.nonzero as f64 / self.counters.len() as f64
     }
 
     /// Increments recorded since the last reset.
@@ -210,15 +212,144 @@ impl CountMinSketch {
         self.epoch_decays
     }
 
-    /// Approximate memory footprint in bytes.
+    /// Memory footprint in bytes: one per counter.
     pub fn memory_bytes(&self) -> usize {
-        self.rows.len() * self.width * 4
+        self.counters.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The sketch as it was before its counters shrank to a byte: a row of
+    /// `u32` counters per hash, no clamp anyone can reach. What
+    /// [`CountMinSketch`] must equal wherever no counter would pass 255.
+    struct WideSketch {
+        rows: Vec<Vec<u32>>,
+        width: usize,
+        total: u64,
+        saturation: u32,
+        decays: u64,
+        salt: u64,
+        nonzero: u64,
+    }
+
+    impl WideSketch {
+        fn new(width: usize, depth: usize, saturation: u32) -> Self {
+            WideSketch {
+                rows: vec![vec![0u32; width]; depth],
+                width,
+                total: 0,
+                saturation,
+                decays: 0,
+                salt: 0,
+                nonzero: 0,
+            }
+        }
+
+        fn column(&self, key: &[u8], row_no: usize) -> usize {
+            hash_with_seed(key, row_no as u64 ^ self.salt) as usize % self.width
+        }
+
+        fn increment(&mut self, key: &[u8]) -> u32 {
+            let mut est = u32::MAX;
+            for row_no in 0..self.rows.len() {
+                let idx = self.column(key, row_no);
+                let c = &mut self.rows[row_no][idx];
+                if *c == 0 {
+                    self.nonzero += 1;
+                }
+                *c += 1;
+                est = est.min(*c);
+            }
+            self.total += 1;
+            if est >= self.saturation {
+                self.decay();
+                est = self.estimate(key);
+            }
+            est
+        }
+
+        fn estimate(&self, key: &[u8]) -> u32 {
+            let counts =
+                (0..self.rows.len()).map(|row_no| self.rows[row_no][self.column(key, row_no)]);
+            counts.min().unwrap()
+        }
+
+        fn decay(&mut self) {
+            for c in self.rows.iter_mut().flatten() {
+                if *c == 1 {
+                    self.nonzero -= 1;
+                }
+                *c >>= 1;
+            }
+            self.total >>= 1;
+            self.decays += 1;
+        }
+
+        fn reset(&mut self, salt: u64) {
+            self.rows.iter_mut().flatten().for_each(|c| *c = 0);
+            self.total = 0;
+            self.nonzero = 0;
+            self.salt = salt;
+        }
+
+        fn fill_ratio(&self) -> f64 {
+            self.nonzero as f64 / (self.rows.len() * self.width) as f64
+        }
+
+        fn max_counter(&self) -> u32 {
+            *self.rows.iter().flatten().max().unwrap()
+        }
+    }
+
+    proptest! {
+        /// Same answers as the wide sketch at the served saturation, over
+        /// few enough columns that rows collide, decays cascade and some
+        /// counters run far ahead of the estimates.
+        #[test]
+        fn byte_counters_answer_like_wide_ones(
+            width in 3usize..40,
+            ops in proptest::collection::vec((any::<u8>(), 0u8..100), 1..2000),
+        ) {
+            let mut narrow = CountMinSketch::new(width, 4, 8);
+            let mut wide = WideSketch::new(width, 4, 8);
+            for (k, action) in ops {
+                // Few hot keys, many cold ones.
+                let key = [if action < 60 { k % 4 } else { k }];
+                match action {
+                    0 => {
+                        narrow.decay();
+                        wide.decay();
+                    }
+                    1 => {
+                        narrow.reset(k as u64);
+                        wide.reset(k as u64);
+                    }
+                    _ => prop_assert_eq!(narrow.increment(&key), wide.increment(&key)),
+                }
+                prop_assert!(wide.max_counter() <= 255, "the trace left the compared range");
+                prop_assert_eq!(narrow.estimate(&[k]), wide.estimate(&[k]));
+                prop_assert_eq!(narrow.total(), wide.total);
+                prop_assert_eq!(narrow.decays(), wide.decays);
+                prop_assert_eq!(narrow.fill_ratio(), wide.fill_ratio());
+            }
+        }
+    }
+
+    #[test]
+    fn counters_clamp_at_255() {
+        // A saturation no byte reaches: never decays by itself.
+        let mut s = CountMinSketch::new(64, 4, 1000);
+        for i in 1..=300u32 {
+            assert_eq!(s.increment(b"k"), i.min(255));
+        }
+        assert_eq!((s.estimate(b"k"), s.total(), s.decays()), (255, 300, 0));
+        s.decay();
+        assert_eq!((s.estimate(b"k"), s.total()), (127, 150));
+    }
 
     #[test]
     fn estimates_never_undercount_before_decay() {
@@ -289,7 +420,7 @@ mod tests {
     #[test]
     fn memory_footprint_is_reported() {
         let s = CountMinSketch::new(1024, 4, 8);
-        assert_eq!(s.memory_bytes(), 1024 * 4 * 4);
+        assert_eq!(s.memory_bytes(), 1024 * 4);
     }
 
     #[test]
@@ -300,16 +431,16 @@ mod tests {
 
     #[test]
     fn for_keys_clamps_degenerate_sizes() {
-        assert_eq!(CountMinSketch::for_keys(0).memory_bytes(), 1024 * 4 * 4);
-        assert_eq!(CountMinSketch::for_keys(1).memory_bytes(), 1024 * 4 * 4);
+        assert_eq!(CountMinSketch::for_keys(0).memory_bytes(), 1024 * 4);
+        assert_eq!(CountMinSketch::for_keys(1).memory_bytes(), 1024 * 4);
         // A huge key count must neither overflow the sizing multiply nor
         // allocate an unbounded sketch.
         let s = CountMinSketch::for_keys(usize::MAX / 2);
-        assert_eq!(s.memory_bytes(), MAX_SKETCH_WIDTH * 4 * 4);
+        assert_eq!(s.memory_bytes(), MAX_SKETCH_WIDTH * 4);
         // Mid-range sizing is unchanged from the historical formula.
         assert_eq!(
             CountMinSketch::for_keys(100_000).memory_bytes(),
-            (100_000usize * 4).next_power_of_two() * 4 * 4
+            (100_000usize * 4).next_power_of_two() * 4
         );
     }
 

@@ -19,8 +19,8 @@
 use crate::controller::CacheDecision;
 use crate::engine::{EngineConfig, Strategy};
 use adcache_cache::{
-    BlockCache, CacheusPolicy, KvCache, LeCaRPolicy, LruPolicy, PointAdmission, RangeCache,
-    SketchGuard,
+    BlockCache, CacheusPolicy, KvCache, LeCaRPolicy, PointAdmission, RangeCache, SketchGuard,
+    SlotLruPolicy,
 };
 use adcache_obs::{Counter, Gauge, Obs};
 use parking_lot::{Mutex, RwLock};
@@ -144,7 +144,7 @@ impl Partition {
                 range_cache = Some(RangeCache::with_shards(
                     budget,
                     cfg.range_boundaries.clone(),
-                    Box::new(|| Box::new(LruPolicy::new())),
+                    Box::new(|| Box::new(SlotLruPolicy::new())),
                 ));
             }
             Strategy::RangeCacheLeCaR => {
@@ -169,7 +169,7 @@ impl Partition {
                 range_cache = Some(RangeCache::with_shards(
                     (budget as f64 * ratio) as usize,
                     cfg.range_boundaries.clone(),
-                    Box::new(|| Box::new(LruPolicy::new())),
+                    Box::new(|| Box::new(SlotLruPolicy::new())),
                 ));
                 let guard = if cfg.sketch_guard {
                     SketchGuard::default()
