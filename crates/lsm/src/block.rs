@@ -51,6 +51,11 @@ impl BlockBuilder {
 
     /// Appends an entry. Keys must arrive in strictly ascending order.
     pub fn add(&mut self, key: &[u8], entry: &Entry) -> Result<()> {
+        self.add_value(key, entry.value().map(|v| v.as_ref()))
+    }
+
+    /// [`add`](Self::add) from borrowed bytes: `None` appends a tombstone.
+    pub fn add_value(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
         if self.num_entries > 0 && key <= self.last_key.as_slice() {
             return Err(LsmError::InvalidArgument(format!(
                 "keys must be strictly ascending; got {:?} after {:?}",
@@ -66,9 +71,9 @@ impl BlockBuilder {
             common_prefix(&self.last_key, key).min(u16::MAX as usize)
         };
         let unshared = key.len() - shared;
-        let (kind, value): (u8, &[u8]) = match entry {
-            Entry::Put(v) => (KIND_PUT, v.as_ref()),
-            Entry::Tombstone => (KIND_TOMBSTONE, &[]),
+        let (kind, value) = match value {
+            Some(v) => (KIND_PUT, v),
+            None => (KIND_TOMBSTONE, &[][..]),
         };
         self.buf.extend_from_slice(&(shared as u16).to_le_bytes());
         self.buf.extend_from_slice(&(unshared as u16).to_le_bytes());

@@ -16,7 +16,8 @@ pub struct BloomFilter {
 }
 
 /// 64-bit FNV-1a; fast, dependency-free, and adequate for filter probing.
-fn hash64(data: &[u8]) -> u64 {
+/// [`BloomFilter::build_hashed`] takes keys as these hashes.
+pub fn hash64(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
         h ^= b as u64;
@@ -36,14 +37,24 @@ impl BloomFilter {
     /// An empty key set or a zero budget produces a degenerate filter that
     /// reports nothing present.
     pub fn build<K: AsRef<[u8]>>(keys: &[K], bits_per_key: usize) -> Self {
-        if keys.is_empty() || bits_per_key == 0 {
+        Self::from_hashes(keys.iter().map(|k| hash64(k.as_ref())), bits_per_key)
+    }
+
+    /// [`build`](Self::build) over keys given as their [`hash64`]: the same
+    /// filter, bit for bit, without the keys themselves.
+    pub fn build_hashed(hashes: &[u64], bits_per_key: usize) -> Self {
+        Self::from_hashes(hashes.iter().copied(), bits_per_key)
+    }
+
+    fn from_hashes(hashes: impl ExactSizeIterator<Item = u64>, bits_per_key: usize) -> Self {
+        if hashes.len() == 0 || bits_per_key == 0 {
             return BloomFilter {
                 bits: Vec::new(),
                 num_bits: 0,
                 num_probes: 0,
             };
         }
-        let num_bits = (keys.len() * bits_per_key).max(64) as u64;
+        let num_bits = (hashes.len() * bits_per_key).max(64) as u64;
         let num_words = num_bits.div_ceil(64) as usize;
         let num_bits = (num_words * 64) as u64;
         let num_probes =
@@ -53,14 +64,13 @@ impl BloomFilter {
             num_bits,
             num_probes,
         };
-        for key in keys {
-            filter.insert(key.as_ref());
+        for h in hashes {
+            filter.insert(h);
         }
         filter
     }
 
-    fn insert(&mut self, key: &[u8]) {
-        let h = hash64(key);
+    fn insert(&mut self, h: u64) {
         let (h1, mut h2) = (h, h.rotate_left(32) | 1);
         let mut pos = h1;
         for _ in 0..self.num_probes {
@@ -89,11 +99,6 @@ impl BloomFilter {
             h2 = h2.wrapping_add(1);
         }
         true
-    }
-
-    /// Serialized size plus bookkeeping, for memory accounting.
-    pub fn memory_bytes(&self) -> usize {
-        self.bits.len() * 8 + 16
     }
 
     /// Encodes the filter for inclusion in an SSTable.
@@ -220,11 +225,5 @@ mod tests {
         f.encode(&mut buf);
         assert!(BloomFilter::decode(&buf[..8]).is_none());
         assert!(BloomFilter::decode(&buf[..buf.len() - 1]).is_none());
-    }
-
-    #[test]
-    fn memory_accounting_tracks_bits() {
-        let f = BloomFilter::build(&keys(1000), 10);
-        assert!(f.memory_bytes() >= 1000 * 10 / 8);
     }
 }

@@ -5,7 +5,7 @@
 //! `rocksdb` crate merely wraps the C++ cache layer, this crate rebuilds the
 //! relevant engine natively:
 //!
-//! - a [`memtable::MemTable`] over an arena [`skiplist::SkipList`];
+//! - a [`memtable::MemTable`] over an arena skiplist;
 //! - prefix-compressed [`block`]s with restart points, grouped into
 //!   [`sstable`]s with pinned sparse indexes and [`bloom`] filters;
 //! - RocksDB-style 1-leveling: a tiered Level 0 plus leveled deeper levels,
@@ -40,7 +40,7 @@ pub mod iterator;
 pub mod manifest;
 pub mod memtable;
 pub mod options;
-pub mod skiplist;
+mod skiplist;
 pub mod sstable;
 pub mod storage;
 pub mod striped;
@@ -59,7 +59,6 @@ pub use fault::{CrashController, CrashPoint, FaultPlan, FaultStats, FaultStorage
 pub use fs::{MetaFs, RealFs, SimFs, UnsyncedLoss};
 pub use manifest::ManifestSync;
 pub use options::{FsyncSite, Options, SyncPolicy};
-pub use skiplist::SkipList;
 pub use sstable::{
     decode_stored_block, decode_stored_block_at, BlockProvider, DirectProvider, TableMeta,
 };

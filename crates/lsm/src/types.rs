@@ -24,14 +24,6 @@ pub enum Entry {
     Tombstone,
 }
 
-impl Default for Entry {
-    /// The neutral element used when recycling arena slots; a tombstone
-    /// carries no payload.
-    fn default() -> Self {
-        Entry::Tombstone
-    }
-}
-
 impl Entry {
     /// Returns the live value, or `None` for a tombstone.
     pub fn value(&self) -> Option<&Value> {
@@ -44,14 +36,6 @@ impl Entry {
     /// Returns `true` if this entry is a deletion marker.
     pub fn is_tombstone(&self) -> bool {
         matches!(self, Entry::Tombstone)
-    }
-
-    /// Approximate in-memory charge of the entry payload in bytes.
-    pub fn charge(&self) -> usize {
-        match self {
-            Entry::Put(v) => v.len(),
-            Entry::Tombstone => 0,
-        }
     }
 }
 
@@ -111,12 +95,10 @@ mod tests {
         let e = Entry::Put(Bytes::from_static(b"v"));
         assert_eq!(e.value().unwrap().as_ref(), b"v");
         assert!(!e.is_tombstone());
-        assert_eq!(e.charge(), 1);
 
         let t = Entry::Tombstone;
         assert!(t.value().is_none());
         assert!(t.is_tombstone());
-        assert_eq!(t.charge(), 0);
     }
 
     #[test]

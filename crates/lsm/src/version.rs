@@ -215,9 +215,12 @@ impl Version {
 mod tests {
     use super::*;
     use crate::bloom::BloomFilter;
+    use crate::sstable::BlockIndex;
     use bytes::Bytes;
 
     fn meta(id: FileId, smallest: &str, largest: &str, bytes: u64) -> Arc<TableMeta> {
+        let mut index = BlockIndex::default();
+        index.push(smallest.as_bytes());
         Arc::new(TableMeta {
             id,
             num_blocks: 1,
@@ -225,7 +228,7 @@ mod tests {
             total_bytes: bytes,
             smallest: Bytes::copy_from_slice(smallest.as_bytes()),
             largest: Bytes::copy_from_slice(largest.as_bytes()),
-            index: vec![Bytes::copy_from_slice(smallest.as_bytes())],
+            index,
             bloom: BloomFilter::build(&[smallest.as_bytes()], 10),
         })
     }

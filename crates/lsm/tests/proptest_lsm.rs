@@ -27,6 +27,20 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// A memtable write: key, value (`None`: a delete) and a probe key. Values
+/// are empty, 8 or 9 bytes (so overwrites are often of equal length, else
+/// shorter or longer) or, rarely, larger than an arena chunk.
+fn mem_op_strategy() -> impl Strategy<Value = (u8, Option<Bytes>, u8)> {
+    let value = prop_oneof![
+        1 => Just(None),
+        1 => Just(Some(Bytes::new())),
+        4 => any::<u8>().prop_map(|b| Some(Bytes::from(vec![b; 8]))),
+        2 => any::<u8>().prop_map(|b| Some(Bytes::from(vec![b; 9]))),
+        1 => any::<u8>().prop_map(|b| Some(Bytes::from(vec![b; 70_000]))),
+    ];
+    (any::<u8>(), value, any::<u8>())
+}
+
 fn key(k: u16) -> Bytes {
     Bytes::from(format!("key{k:05}"))
 }
@@ -120,29 +134,58 @@ proptest! {
     }
 
     #[test]
-    fn skiplist_matches_btreemap(ops in proptest::collection::vec(
-        (any::<u16>(), any::<u8>(), 0u8..3), 1..500,
-    )) {
-        use adcache_lsm::SkipList;
-        let mut list: SkipList<u8> = SkipList::new();
-        let mut model: BTreeMap<Bytes, u8> = BTreeMap::new();
-        for (k, v, action) in ops {
-            let kb = Bytes::from(format!("{:05}", k % 256));
-            match action {
-                0 => {
-                    prop_assert_eq!(list.insert(kb.clone(), v), model.insert(kb, v));
+    fn memtable_matches_btreemap(ops in proptest::collection::vec(mem_op_strategy(), 1..200)) {
+        use adcache_lsm::memtable::MemTable;
+        use adcache_lsm::{Entry, KeyEntry};
+        let mut table = MemTable::new();
+        let mut model: BTreeMap<Bytes, Entry> = BTreeMap::new();
+        for (k, value, probe) in ops {
+            let key = Bytes::from(format!("key{:03}", k % 32));
+            match value {
+                Some(v) => {
+                    table.put(key.clone(), v.clone());
+                    model.insert(key.clone(), Entry::Put(v));
                 }
-                1 => {
-                    prop_assert_eq!(list.remove(&kb), model.remove(&kb));
-                }
-                _ => {
-                    prop_assert_eq!(list.get(&kb), model.get(&kb));
+                None => {
+                    table.delete(key.clone());
+                    model.insert(key.clone(), Entry::Tombstone);
                 }
             }
+            // Between, on and past the keys.
+            let probe = Bytes::from(format!("key{:03}{}", probe % 34, "x".repeat(probe as usize / 128)));
+            for k in [&key, &probe] {
+                prop_assert_eq!(table.get(k), model.get(k).cloned(), "get {:?}", k);
+            }
+            let got: Vec<KeyEntry> = table.iter_from(&probe).collect();
+            let want: Vec<KeyEntry> = model
+                .range(probe.clone()..)
+                .map(|(k, e)| KeyEntry { key: k.clone(), entry: e.clone() })
+                .collect();
+            prop_assert_eq!(got, want, "iter_from {:?}", probe);
+            prop_assert_eq!(table.len(), model.len());
+            // The charge: `key + value + 16` a key, tombstones 0 B of value.
+            let charge: usize = model
+                .iter()
+                .map(|(k, e)| k.len() + e.value().map_or(0, |v| v.len()) + 16)
+                .sum();
+            prop_assert_eq!(table.approximate_bytes(), charge);
         }
-        let got: Vec<_> = list.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        let want: Vec<_> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        prop_assert_eq!(got, want);
+        let flushed: Vec<(&[u8], Option<&[u8]>)> = table.iter().collect();
+        let want: Vec<(&[u8], Option<&[u8]>)> = model
+            .iter()
+            .map(|(k, e)| (k.as_ref(), e.value().map(|v| v.as_ref())))
+            .collect();
+        prop_assert_eq!(flushed, want);
+    }
+
+    #[test]
+    fn bloom_built_from_hashes_is_the_same_filter(keys in proptest::collection::vec(
+        proptest::collection::vec(any::<u8>(), 0..40), 0..300,
+    ), bits in 0usize..16) {
+        use adcache_lsm::bloom::hash64;
+        use adcache_lsm::BloomFilter;
+        let hashes: Vec<u64> = keys.iter().map(|k| hash64(k)).collect();
+        prop_assert_eq!(BloomFilter::build_hashed(&hashes, bits), BloomFilter::build(&keys, bits));
     }
 
     #[test]

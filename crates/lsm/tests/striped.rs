@@ -4,8 +4,8 @@
 //! scans running against concurrent writers.
 
 use adcache_lsm::{
-    DirectProvider, FileStorage, IoStats, MemStorage, MetaFs, Options, Result as LsmResult, SimFs,
-    Storage, StripedDb,
+    DirectProvider, Entry, FileStorage, IoStats, MemStorage, MetaFs, Options, Result as LsmResult,
+    SimFs, Storage, StripedDb,
 };
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -561,4 +561,30 @@ fn concurrent_scans_see_sorted_prefix_consistent_snapshots() {
         w.join().unwrap();
     }
     assert!(!db.is_poisoned());
+}
+
+/// The served tree's flush and compaction points depend only on the
+/// memtable's charge (`key + value + 16` per key), never on what the write
+/// buffer really occupies: an inline-maintenance load of the benchmark's
+/// 200 k keys (24-byte keys, 100-byte values, batches of 512) flushes,
+/// compacts and amplifies exactly as the tree did when every memtable entry
+/// was three heap allocations.
+#[test]
+fn a_served_load_flushes_and_compacts_where_it_always_did() {
+    let db = StripedDb::new(Options::served_in_memory(4), Arc::new(MemStorage::new())).unwrap();
+    let ids: Vec<u64> = (0..200_000).collect();
+    for batch in ids.chunks(512) {
+        let batch = batch
+            .iter()
+            .map(|i| {
+                let value = Bytes::from(vec![b'v'; 100]);
+                (Bytes::from(format!("user{i:020}")), Entry::Put(value))
+            })
+            .collect();
+        db.write_batch(batch).unwrap();
+    }
+    let flushes = db.stats_sum(|s| s.flushes.load(Ordering::Relaxed));
+    let shape = (flushes, db.compactions(), db.memtable_len());
+    assert_eq!(shape, (24, 4, 18_752), "(flushes, compactions, buffered)");
+    assert_eq!(format!("{:.4}", db.write_amplification()), "1.6667");
 }
