@@ -340,14 +340,13 @@ impl CompactionListener for BlockCache {
 mod tests {
     use super::*;
     use adcache_lsm::sstable::TableBuilder;
-    use adcache_lsm::{Entry, MemStorage, Options};
-    use bytes::Bytes;
+    use adcache_lsm::{MemStorage, Options};
 
     fn table(storage: &dyn Storage, id: FileId, n: usize) -> Arc<TableMeta> {
         let mut b = TableBuilder::new(id, &Options::small());
         for i in 0..n {
             let k = format!("t{id}-k{i:05}");
-            b.add(k.as_bytes(), &Entry::Put(Bytes::from(format!("v{i}"))))
+            b.add_value(k.as_bytes(), Some(format!("v{i}").as_bytes()))
                 .unwrap();
         }
         b.finish(storage).unwrap()

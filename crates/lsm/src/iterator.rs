@@ -233,8 +233,6 @@ mod tests {
     use crate::options::Options;
     use crate::sstable::{DirectProvider, TableBuilder};
     use crate::storage::MemStorage;
-    use crate::types::Entry;
-    use bytes::Bytes;
 
     fn ke(k: &str, v: Option<&str>) -> KeyEntry {
         match v {
@@ -296,14 +294,14 @@ mod tests {
         let mut b = TableBuilder::new(1, &opts);
         for i in 0..50 {
             let k = format!("k{i:04}");
-            b.add(k.as_bytes(), &Entry::Put(Bytes::from(format!("t1-{i}"))))
+            b.add_value(k.as_bytes(), Some(format!("t1-{i}").as_bytes()))
                 .unwrap();
         }
         let t1 = b.finish(&storage).unwrap();
         let mut b = TableBuilder::new(2, &opts);
         for i in 50..100 {
             let k = format!("k{i:04}");
-            b.add(k.as_bytes(), &Entry::Put(Bytes::from(format!("t2-{i}"))))
+            b.add_value(k.as_bytes(), Some(format!("t2-{i}").as_bytes()))
                 .unwrap();
         }
         let t2 = b.finish(&storage).unwrap();
@@ -311,7 +309,7 @@ mod tests {
         let mut b = TableBuilder::new(3, &opts);
         for i in [10usize, 60] {
             let k = format!("k{i:04}");
-            b.add(k.as_bytes(), &Entry::Put(Bytes::from(format!("l0-{i}"))))
+            b.add_value(k.as_bytes(), Some(format!("l0-{i}").as_bytes()))
                 .unwrap();
         }
         let t0 = b.finish(&storage).unwrap();
@@ -339,8 +337,7 @@ mod tests {
             let mut b = TableBuilder::new(t + 1, &opts);
             for i in 0..20 {
                 let k = format!("t{t}-k{i:03}");
-                b.add(k.as_bytes(), &Entry::Put(Bytes::from_static(b"v")))
-                    .unwrap();
+                b.add_value(k.as_bytes(), Some(b"v")).unwrap();
             }
             metas.push(b.finish(&storage).unwrap());
         }
