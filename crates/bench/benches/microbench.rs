@@ -347,6 +347,14 @@ fn bench_served_tree(c: &mut Criterion) {
             black_box(db.scan(&render_key(i), 16, &p).unwrap())
         })
     });
+    // The 64-entry scans that make up nearly all of `phase-shift`'s phase A.
+    g.bench_function("scan64_4stripes", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 7919) % (KEYS - 64);
+            black_box(db.scan(&render_key(i), 64, &p).unwrap())
+        })
+    });
     g.finish();
 }
 

@@ -765,6 +765,42 @@ impl CachedDb {
         part.note_miss();
         let remaining = limit - results.len();
         let admission = *self.scan_admission.read();
+        // The fill runs before the scan's locks drop, so no write can commit
+        // between the read and the fill and then be undone by it.
+        let fill = |tail: &[(Key, Value)]| {
+            if let Some(rc) = &part.range_cache {
+                let admitted = if self.strategy == Strategy::AdCache {
+                    admission.admitted_len(tail.len())
+                } else {
+                    tail.len()
+                };
+                if let Some(h) = self.obs.get() {
+                    if !tail.is_empty() {
+                        let (outcome, reason) = if self.strategy != Strategy::AdCache {
+                            (AdmissionOutcome::Accept, AdmissionReason::Unconditional)
+                        } else if admitted == 0 {
+                            (AdmissionOutcome::Reject, AdmissionReason::ScanZeroLength)
+                        } else if admitted >= tail.len() {
+                            (
+                                AdmissionOutcome::Accept,
+                                AdmissionReason::ScanWithinFullLimit,
+                            )
+                        } else {
+                            (AdmissionOutcome::Partial, AdmissionReason::ScanPartialSlope)
+                        };
+                        h.admission(
+                            CacheStructure::Range,
+                            outcome,
+                            reason,
+                            tail.len() as u64,
+                            admitted.min(tail.len()) as u64,
+                        );
+                    }
+                }
+                rc.insert_scan(&cont_key, tail, admitted);
+                part.publish_bytes();
+            }
+        };
         let tail = match &part.block_cache {
             Some(bc) => {
                 // AdCache also applies partial admission at block
@@ -779,50 +815,13 @@ impl CachedDb {
                 } else {
                     bc.provider()
                 };
-                self.db.scan(&cont_key, remaining, &provider)
+                self.db.scan_then(&cont_key, remaining, &provider, fill)
             }
-            None => self.db.scan(&cont_key, remaining, &DirectProvider),
+            None => self
+                .db
+                .scan_then(&cont_key, remaining, &DirectProvider, fill),
         };
-        let tail = match tail {
-            Ok(t) => t,
-            Err(e) => {
-                self.counters.add_failed_read();
-                return Err(e);
-            }
-        };
-        if let Some(rc) = &part.range_cache {
-            let admitted = if self.strategy == Strategy::AdCache {
-                admission.admitted_len(tail.len())
-            } else {
-                tail.len()
-            };
-            if let Some(h) = self.obs.get() {
-                if !tail.is_empty() {
-                    let (outcome, reason) = if self.strategy != Strategy::AdCache {
-                        (AdmissionOutcome::Accept, AdmissionReason::Unconditional)
-                    } else if admitted == 0 {
-                        (AdmissionOutcome::Reject, AdmissionReason::ScanZeroLength)
-                    } else if admitted >= tail.len() {
-                        (
-                            AdmissionOutcome::Accept,
-                            AdmissionReason::ScanWithinFullLimit,
-                        )
-                    } else {
-                        (AdmissionOutcome::Partial, AdmissionReason::ScanPartialSlope)
-                    };
-                    h.admission(
-                        CacheStructure::Range,
-                        outcome,
-                        reason,
-                        tail.len() as u64,
-                        admitted.min(tail.len()) as u64,
-                    );
-                }
-            }
-            rc.insert_scan(&cont_key, &tail, admitted);
-            part.publish_bytes();
-        }
-        results.extend(tail);
+        results.extend(tail.inspect_err(|_| self.counters.add_failed_read())?);
         self.counters
             .entries_returned
             .fetch_add(results.len() as u64, Ordering::Relaxed);

@@ -9,7 +9,7 @@
 use crate::error::Result;
 use crate::sstable::{BlockProvider, TableIter, TableMeta};
 use crate::storage::Storage;
-use crate::types::KeyEntry;
+use crate::types::{Entry, Key, KeyEntry, Value};
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -211,6 +211,27 @@ impl<'a> MergingIter<'a> {
             }
         }
         Ok(Some(winner))
+    }
+
+    /// The first `limit` live entries; tombstones are dropped uncounted.
+    pub fn take_live(
+        &mut self,
+        limit: usize,
+        provider: &dyn BlockProvider,
+        storage: &dyn Storage,
+    ) -> Result<Vec<(Key, Value)>> {
+        let mut out = Vec::with_capacity(limit);
+        while out.len() < limit {
+            match self.next_entry(provider, storage)? {
+                Some(KeyEntry {
+                    key,
+                    entry: Entry::Put(v),
+                }) => out.push((key, v)),
+                Some(_) => {}
+                None => break,
+            }
+        }
+        Ok(out)
     }
 
     /// Drains the merger into a vector (test helper and compaction input).
