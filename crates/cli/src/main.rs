@@ -2017,8 +2017,9 @@ const ADVCHECK: Command = Command {
 /// `adcache advcheck`: the adversarial-robustness drill. Every attack
 /// kind runs against a fresh in-process engine + TCP server twice —
 /// defenses off, then on — and the legit traffic's hit-rate loss and p99
-/// inflation are compared side by side. `--assert-defenses` exits
-/// nonzero unless defenses-on degrades strictly less on both axes.
+/// inflation are shown side by side. `--assert-defenses` exits nonzero
+/// unless, for every kind, the defenses engaged (quota rejections or
+/// sketch resets, none with them off) and the hit-rate loss is no worse.
 fn cmd_advcheck(flags: &Flags) -> CmdResult {
     let (ops, keys, seed) = (flags.num(DRILL_OPS)?, flags.num(KEYS)?, flags.num(SEED)?);
     let kinds = match AdversaryKind::parse(flags.text(KIND)) {
@@ -2043,7 +2044,11 @@ fn cmd_advcheck(flags: &Flags) -> CmdResult {
     let mut all_bounded = true;
     for kind in kinds {
         let (off, on, base) = off_then_on(|defenses| adv_drill(kind, defenses, ops, keys, seed))?;
+        let mut engaged = [false; 2];
         for (label, defenses, o) in [("off", false, &off), ("on", true, &on)] {
+            let throttled = o.attack_errors.get("quota").copied().unwrap_or(0);
+            let resets = adv_guard_drill(kind, keys, seed, defenses)?;
+            engaged[defenses as usize] = throttled > 0 || resets > 0;
             println!(
                 "{:<17} {:>4}  {:>8.1}pp {:>7.2}ms {:>7.2}ms {:>8.2}x  {:>10} {:>7}",
                 kind.name(),
@@ -2052,19 +2057,17 @@ fn cmd_advcheck(flags: &Flags) -> CmdResult {
                 o.base_p99 as f64 / 1e6,
                 o.attack_p99 as f64 / 1e6,
                 o.p99_inflation(base),
-                o.attack_errors.get("quota").copied().unwrap_or(0),
-                adv_guard_drill(kind, keys, seed, defenses)?
+                throttled,
+                resets
             );
         }
-        // p99 containment must be strict (over the pooled baseline this
-        // is exactly "defended legit p99 under attack is lower").
-        // Hit-drop gets a 1pp allowance: both sides are often near zero,
-        // and a guard re-salt deliberately erases legit frequency state
-        // along with the attacker's, which costs a transient fraction of
-        // a point while admission re-learns — the price of the defense,
-        // not unbounded degradation.
-        let bounded = on.hit_drop() <= off.hit_drop() + 0.01
-            && on.p99_inflation(base) < off.p99_inflation(base);
+        // Decided on what repeats from run to run (the p99 columns do
+        // not): the defenses engaged only when on, and the victims lost no
+        // more hit rate. Hit-drop gets a 1pp allowance: both sides are
+        // often near zero, and a guard re-salt deliberately erases legit
+        // frequency state along with the attacker's, which costs a
+        // transient fraction of a point while admission re-learns.
+        let bounded = engaged == [false, true] && on.hit_drop() <= off.hit_drop() + 0.01;
         all_bounded &= bounded;
         println!(
             "{:<17} {:>4}  degradation bounded: {}",
@@ -2269,21 +2272,11 @@ impl FaultCheckReport {
 struct WriteLedger {
     history: Vec<Vec<(Option<Bytes>, bool, u64)>>,
     seq: u64,
-    /// Highest sequence number covered by a fully *successful* flush.
+    /// Highest sequence number covered by an installed flush.
     flushed_seq: u64,
-    /// No worker pool: flushes run inline on the writer's stack, so one
-    /// that completed *during an acked write* covers that write too. (A
-    /// counter that rose during a failed op proves nothing — the flush may
-    /// have installed and the compaction after it failed — and with a pool
-    /// a rise is another stripe's asynchronous flush.)
-    inline: bool,
 }
 
 impl WriteLedger {
-    fn flushes(db: &adcache_lsm::StripedDb) -> u64 {
-        db.stats_sum(|s| s.flushes.load(std::sync::atomic::Ordering::Relaxed))
-    }
-
     /// The drill's `k`th key.
     fn key(k: u64) -> Bytes {
         Bytes::from(format!("k{k:04}"))
@@ -2292,23 +2285,29 @@ impl WriteLedger {
     /// Puts (`Some`) or deletes (`None`) key `k` and records the outcome.
     fn write(&mut self, db: &adcache_lsm::StripedDb, k: u64, v: Option<Bytes>) {
         self.seq += 1;
-        let before = Self::flushes(db);
         let acked = match &v {
             Some(v) => db.put(Self::key(k), v.clone()),
             None => db.delete(Self::key(k)),
         }
         .is_ok();
         self.history[k as usize].push((v, acked, self.seq));
-        if self.inline && acked && Self::flushes(db) > before {
-            self.flushed_seq = self.seq;
-        }
+        self.raise_floor(db);
     }
 
-    /// An explicit synchronous `flush()` — with a pool, the only event
-    /// that may raise the floor: background completions are asynchronous
-    /// and promise nothing about when they covered a given ack.
+    /// An explicit `flush()`.
     fn flush(&mut self, db: &adcache_lsm::StripedDb) {
-        if db.flush().is_ok() {
+        let _ = db.flush();
+        self.raise_floor(db);
+    }
+
+    /// With nothing left in any memtable, every write so far was flushed:
+    /// a flush drops its memtable only once its table is synced, and keeps
+    /// the WAL segment that covers it until the manifest naming the table
+    /// commits. Under `on_flush` that is the promise, whoever ran the flush
+    /// — the writer that sealed, a pool worker or an explicit `flush()` —
+    /// and even when the op that ran it failed afterwards, in a compaction.
+    fn raise_floor(&mut self, db: &adcache_lsm::StripedDb) {
+        if db.memtable_len() == 0 {
             self.flushed_seq = self.seq;
         }
     }
@@ -2346,11 +2345,11 @@ impl WriteLedger {
 /// the configured sync policy actually promised.
 ///
 /// `stripes` decides who runs maintenance. At 1 the store is the plain
-/// single-tree engine (same directory layout, same inline write path):
-/// flushes and compactions run on the writer's own stack, so that is where
-/// the armed point fires. Above 1 a worker pool runs them, and a point
-/// that fires *inside a background job* poisons its stripe — a process
-/// kill the foreground cannot observe.
+/// single-tree engine (same directory layout): the writer that seals runs
+/// the flush and compactions on its own stack, so that is where the armed
+/// point fires. Above 1 a worker pool runs them, and a point that fires
+/// *inside a background job* poisons its stripe — a process kill the
+/// foreground cannot observe.
 fn faultcheck_cycle(
     cycle: u64,
     seed: u64,
@@ -2389,7 +2388,6 @@ fn faultcheck_cycle(
         history: vec![Vec::new(); key_space as usize],
         seq: 0,
         flushed_seq: 0,
-        inline: !opts.background_maintenance,
     };
     let mut rng = cseed | 1;
     let mut next = move || {
@@ -2408,13 +2406,18 @@ fn faultcheck_cycle(
         }
         ledger.flush(&db);
 
-        // Storm on, one crash point armed somewhere in the cycle.
+        // Storm on, and in two cycles of three one crash point armed. The
+        // third runs all its ops and the power cut lands wherever they
+        // leave the store, often while a retired WAL segment's deletion is
+        // still an unsynced directory entry.
         storage.set_plan(FaultPlan::storm());
         let points = CrashPoint::all();
-        crash.arm(
-            points[(next() % points.len() as u64) as usize],
-            next() % 3 + 1,
-        );
+        if next() % 3 != 0 {
+            crash.arm(
+                points[(next() % points.len() as u64) as usize],
+                next() % 3 + 1,
+            );
+        }
         for i in 0..300u64 {
             let k = next() % key_space;
             match next() % 100 {
@@ -2439,7 +2442,7 @@ fn faultcheck_cycle(
             }
         }
         // Give in-flight background jobs a moment to hit the armed point.
-        if !ledger.inline && !crash.fired() {
+        if opts.background_maintenance && !crash.fired() {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         if crash.fired() {
@@ -3097,12 +3100,11 @@ mod tests {
     }
 
     #[test]
-    fn on_flush_floor_counts_only_flushes_inside_an_acked_write() {
-        // CI's `on_flush x stripes 1` cells: the inline engine's implicit
-        // flushes raise the durability floor, but only when the counter
-        // rose during the acked write itself — crediting a flush that
-        // failed half-way to the next ack reported lost writes that were
-        // never promised.
+    fn on_flush_floor_rises_only_when_nothing_is_buffered() {
+        // CI's `on_flush x stripes 1` cells: the flushes a sealing writer
+        // runs raise the durability floor whenever they leave no memtable
+        // behind, even when a compaction then fails the write — but never
+        // past a write still buffered, which no flush has promised yet.
         for seed in [42, 7] {
             let report = drill(40, seed, adcache_lsm::SyncPolicy::OnFlush, None, 1);
             assert_guarantees_hold(&report, &format!("seed {seed}"));
@@ -3116,7 +3118,7 @@ mod tests {
         // after the manifest rename). Under `always` that single hole
         // must make the drill fail — proving it can detect a real
         // regression in fsync placement, not just pass vacuously.
-        let report = drill(6, 7, SyncPolicy::Always, Some(FsyncSite::ManifestDir), 1);
+        let report = drill(20, 7, SyncPolicy::Always, Some(FsyncSite::ManifestDir), 1);
         assert!(
             !report.ok(),
             "a misplaced manifest-directory fsync must lose acked writes"
@@ -3126,13 +3128,13 @@ mod tests {
     #[test]
     fn faultcheck_goes_red_when_the_wal_reset_sync_is_misplaced() {
         use adcache_lsm::{FsyncSite, SyncPolicy};
-        // Under `on_flush` the WAL truncation must be sync-bracketed;
-        // without it a stale pre-flush segment can resurrect after a
-        // crash and shadow newer flushed data on replay.
+        // Under `on_flush` a seal must sync the outgoing WAL segment;
+        // without it a torn segment whose deletion a crash undid replays
+        // its older records over the newer table it was flushed to.
         let report = drill(12, 7, SyncPolicy::OnFlush, Some(FsyncSite::WalReset), 1);
         assert!(
             !report.ok(),
-            "an unsynced WAL truncation must eventually resurrect stale records"
+            "an unsynced sealed segment must eventually resurrect stale records"
         );
     }
 
@@ -3182,7 +3184,7 @@ admission decisions (journal tail):
 boundary trajectory (0 decisions):
 
 lsm: 11 flushes, 2 compactions (counters: 11 / 2), 0 block-cache invalidations
-  group commit: 2706 batches in 2706 rounds (1.00 batches/round), 0 seals, 0 write stalls
+  group commit: 2706 batches in 2706 rounds (1.00 batches/round), 11 seals, 0 write stalls
 ";
     const GOLDEN_SUMMARY: &str = "requests 0
 stage recv count 0 mean_us 0.0 p99_us 0.0 share_pct 0.0
@@ -3195,10 +3197,10 @@ stage reply_flush count 0 mean_us 0.0 p99_us 0.0 share_pct 0.0
 stage total count 0 mean_us 0.0 p50_us 0.0 p99_us 0.0
 lock_wait_share_pct 0.00
 lock read acquisitions 182 wait_ns 4000000 hold_ns 4000000
-lock write acquisitions 2706 wait_ns 4000000 hold_ns 4000000
-lock flush acquisitions 0 wait_ns 4000000 hold_ns 4000000
-lock compaction acquisitions 0 wait_ns 4000000 hold_ns 4000000
-group_commit rounds 2706 batches 2706 mean_batch 1.00 seals 0 write_stalls 0
+lock write acquisitions 5412 wait_ns 4000000 hold_ns 4000000
+lock flush acquisitions 22 wait_ns 4000000 hold_ns 4000000
+lock compaction acquisitions 13 wait_ns 4000000 hold_ns 4000000
+group_commit rounds 2706 batches 2706 mean_batch 1.00 seals 11 write_stalls 0
 ";
     const GOLDEN_TOP: &str = "
 == adcache top @ golden:1 — tick 3 — 0 ops/s ==

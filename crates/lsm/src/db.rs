@@ -3,8 +3,11 @@
 //! [`LsmTree`] wires together the memtable, the level manifest, flushes and
 //! compactions into the read/write API the cache layer builds on:
 //!
-//! - writes land in the memtable; crossing the flush threshold synchronously
-//!   flushes to Level 0 and runs any compactions that become due;
+//! - writes land in the memtable; the write that fills it *seals* it, and
+//!   one maintenance path flushes the sealed memtable to Level 0 (its SST
+//!   built outside the engine lock) and runs any compactions that become
+//!   due, on the stripe's pool worker when one is attached and otherwise
+//!   on the writer, right after its commit;
 //! - point lookups search memtable, then Level-0 runs newest-first, then one
 //!   candidate table per deeper level, skipping via Bloom filters;
 //! - scans merge the memtable with every overlapping run.
@@ -15,7 +18,7 @@
 //! cache.
 //!
 //! Concurrency follows the paper's Section 4.4: reads share a `RwLock` read
-//! guard; writes, flushes and compactions are exclusive.
+//! guard; writes, seals, flush installs and compactions are exclusive.
 
 use crate::compaction::{run_compaction, CompactionEvent, CompactionListener};
 use crate::error::{LsmError, Result};
@@ -118,8 +121,7 @@ pub struct DbStats {
     /// dropped because the sync policy permits it (`SyncPolicy::Never`
     /// only; under stronger policies this is a hard error).
     pub missing_tables_dropped: AtomicU64,
-    /// Memtables sealed (frozen + WAL segment rotated) for a background
-    /// flush.
+    /// Memtables sealed (frozen + WAL segment rotated) for a flush.
     pub seals: AtomicU64,
     /// Writes that stalled because their stripe's sealed memtable was
     /// still in flight and the active one was over its hard budget (or
@@ -152,7 +154,7 @@ impl DbStats {
         )
     }
 
-    /// Seals (memtables frozen for background flush) snapshot.
+    /// Seals (memtables frozen for a flush) snapshot.
     pub fn seals(&self) -> u64 {
         self.seals.load(Ordering::Relaxed)
     }
@@ -194,12 +196,12 @@ struct SealedSegment {
 
 pub(crate) struct Inner {
     mem: MemTable,
-    /// A frozen memtable awaiting its (background) flush. Reads check it
-    /// between `mem` and Level 0; writers never touch it.
+    /// A frozen memtable awaiting its flush. Reads check it between `mem`
+    /// and Level 0; writers never touch it.
     imm: Option<Arc<MemTable>>,
     version: Version,
     /// Present when durability is enabled; writes are logged before they
-    /// enter the memtable and the log truncates at each flush.
+    /// enter the memtable and the log rotates at each seal.
     wal: Option<WalWriter>,
     /// Rotated WAL segments covering `imm` (or, right after recovery, the
     /// replayed prefix of `mem`).
@@ -254,14 +256,14 @@ pub struct LsmTree {
     /// the process is considered dead and every subsequent operation
     /// errors until the instance is dropped and reopened.
     poisoned: AtomicBool,
-    /// Serializes maintenance work (background worker vs explicit flush).
+    /// Serializes maintenance work (pool worker, writer, explicit flush).
     maintenance: std::sync::Mutex<()>,
     /// Backpressure parking lot: over-budget writers wait here until a
     /// flush or compaction frees room on *this* stripe.
     stall_lock: std::sync::Mutex<()>,
     stall_cv: std::sync::Condvar,
-    /// Invoked (outside the engine lock) when a seal hands flush work to a
-    /// background pool; `None` falls back to inline maintenance.
+    /// The pool's kick, when a pool runs this tree's maintenance; `None`
+    /// runs it on the writer that sealed.
     maintenance_hook: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
@@ -271,26 +273,46 @@ impl LsmTree {
     pub fn new(opts: Options, storage: Arc<dyn Storage>) -> Result<Self> {
         opts.validate()
             .map_err(crate::error::LsmError::InvalidArgument)?;
-        let version = Version::new(opts.max_levels);
         let (stride, offset) = (opts.stripes.max(1) as u64, opts.stripe_index as u64);
-        Ok(LsmTree {
+        let inner = Inner {
+            mem: MemTable::new(),
+            imm: None,
+            version: Version::new(opts.max_levels),
+            wal: None,
+            sealed: Vec::new(),
+            wal_seq: 0,
+        };
+        let next_file = first_file_id(stride, offset);
+        Ok(Self::assemble(
+            opts,
             storage,
-            inner: TimedRwLock::new(Inner {
-                mem: MemTable::new(),
-                imm: None,
-                version,
-                wal: None,
-                sealed: Vec::new(),
-                wal_seq: 0,
-            }),
+            inner,
+            next_file,
+            DbStats::default(),
+            None,
+        ))
+    }
+
+    /// The tree around its empty or recovered state.
+    fn assemble(
+        opts: Options,
+        storage: Arc<dyn Storage>,
+        inner: Inner,
+        next_file: u64,
+        stats: DbStats,
+        durability: Option<Durability>,
+    ) -> Self {
+        LsmTree {
+            storage,
+            inner: TimedRwLock::new(inner),
             listeners: RwLock::new(Vec::new()),
-            next_file: AtomicU64::new(first_file_id(stride, offset)),
-            stats: DbStats::default(),
-            durability: None,
+            next_file: AtomicU64::new(next_file),
+            stats,
+            durability,
             obs: RwLock::new(ObsHooks::default()),
             crash: RwLock::new(None),
             quarantine: RwLock::new(HashSet::new()),
-            id_stride: stride,
+            id_stride: opts.stripes.max(1) as u64,
             commit_queue: std::sync::Mutex::new(VecDeque::new()),
             poisoned: AtomicBool::new(false),
             maintenance: std::sync::Mutex::new(()),
@@ -298,7 +320,7 @@ impl LsmTree {
             stall_cv: std::sync::Condvar::new(),
             maintenance_hook: RwLock::new(None),
             opts,
-        })
+        }
     }
 
     /// Opens (or creates) a durable tree: the manifest in `dir` restores
@@ -332,7 +354,14 @@ impl LsmTree {
         // rolls back to the previous good version; the WAL replay below
         // still covers everything the lost version added from the memtable.
         let stats = DbStats::default();
-        let (manifest_state, rolled_back) = recover_manifest(fs.as_ref(), &dir.join("MANIFEST"))?;
+        let (manifest_state, rolled_back) =
+            match recover_manifest(fs.as_ref(), &dir.join("MANIFEST")) {
+                // Without fsyncs a crash can keep a manifest's rename and lose
+                // its bytes, with no good backup left behind. The user opted
+                // into that loss: reopen with no tables, the WAL on top.
+                Err(LsmError::Corruption(_)) if opts.sync == SyncPolicy::Never => (None, true),
+                r => r?,
+            };
         if rolled_back {
             stats.manifest_rollbacks.store(1, Ordering::Relaxed);
         }
@@ -417,8 +446,8 @@ impl LsmTree {
             }
         }
         segments.sort_unstable();
-        for (seq, path) in segments {
-            wal_seq = wal_seq.max(seq + 1);
+        let logs = segments.into_iter().map(|(seq, path)| (Some(seq), path));
+        for (seq, path) in logs.chain([(None, wal_path.clone())]) {
             let outcome = replay(fs.as_ref(), &path)?;
             let appends = outcome.records.len() as u64;
             replayed += appends;
@@ -429,29 +458,23 @@ impl LsmTree {
                     Entry::Tombstone => mem.delete(ke.key),
                 }
             }
-            let bytes = fs.len(&path).unwrap_or(0);
-            sealed.push(SealedSegment {
-                path,
-                appends,
-                bytes,
-            });
+            if let Some(seq) = seq {
+                wal_seq = seq + 1;
+                let bytes = fs.len(&path).unwrap_or(0);
+                sealed.push(SealedSegment {
+                    path,
+                    appends,
+                    bytes,
+                });
+            }
         }
-        let outcome = replay(fs.as_ref(), &wal_path)?;
-        replayed += outcome.records.len() as u64;
-        torn += outcome.torn_tail_bytes;
         stats
             .wal_replayed_records
             .store(replayed, Ordering::Relaxed);
         stats.wal_torn_tail_bytes.store(torn, Ordering::Relaxed);
-        for ke in outcome.records {
-            match ke.entry {
-                Entry::Put(v) => mem.put(ke.key, v),
-                Entry::Tombstone => mem.delete(ke.key),
-            }
-        }
-        let reset_sync =
+        let sync_at_seal =
             opts.sync != SyncPolicy::Never && opts.misplaced_fsync != Some(FsyncSite::WalReset);
-        let wal = WalWriter::open(fs.clone(), &wal_path, reset_sync)?;
+        let wal = WalWriter::open(fs.clone(), &wal_path, sync_at_seal)?;
         if opts.sync != SyncPolicy::Never {
             // A freshly created WAL is only durable once its directory
             // entry is — without this, a crash before the first manifest
@@ -463,32 +486,18 @@ impl LsmTree {
             io.charge_ns(storage.sync_cost_ns());
         }
 
-        Ok(LsmTree {
-            storage,
-            inner: TimedRwLock::new(Inner {
-                mem,
-                imm: None,
-                version,
-                wal: Some(wal),
-                sealed,
-                wal_seq,
-            }),
-            listeners: RwLock::new(Vec::new()),
-            next_file: AtomicU64::new(next_file),
-            stats,
-            durability: Some(Durability { dir, fs }),
-            obs: RwLock::new(ObsHooks::default()),
-            crash: RwLock::new(None),
-            quarantine: RwLock::new(HashSet::new()),
-            id_stride: stride,
-            commit_queue: std::sync::Mutex::new(VecDeque::new()),
-            poisoned: AtomicBool::new(false),
-            maintenance: std::sync::Mutex::new(()),
-            stall_lock: std::sync::Mutex::new(()),
-            stall_cv: std::sync::Condvar::new(),
-            maintenance_hook: RwLock::new(None),
-            opts,
-        })
+        let inner = Inner {
+            mem,
+            imm: None,
+            version,
+            wal: Some(wal),
+            sealed,
+            wal_seq,
+        };
+        let durability = Some(Durability { dir, fs });
+        Ok(Self::assemble(
+            opts, storage, inner, next_file, stats, durability,
+        ))
     }
 
     fn persist_manifest(&self, inner: &Inner) -> Result<()> {
@@ -756,14 +765,12 @@ impl LsmTree {
 
     /// Inserts or overwrites `key`.
     pub fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.wait_for_write_budget()?;
-        self.commit(vec![(key, Entry::Put(value))])
+        self.write(vec![(key, Entry::Put(value))])
     }
 
     /// Deletes `key` (writes a tombstone).
     pub fn delete(&self, key: Key) -> Result<()> {
-        self.wait_for_write_budget()?;
-        self.commit(vec![(key, Entry::Tombstone)])
+        self.write(vec![(key, Entry::Tombstone)])
     }
 
     /// Applies a batch of writes atomically with respect to readers and to
@@ -774,8 +781,17 @@ impl LsmTree {
         if batch.is_empty() {
             return Ok(());
         }
+        self.write(batch)
+    }
+
+    /// The write path: the budget gate, the group commit, then the
+    /// maintenance a seal made due.
+    fn write(&self, batch: Vec<(Key, Entry)>) -> Result<()> {
         self.wait_for_write_budget()?;
-        self.commit(batch)
+        if self.commit(batch)? {
+            self.run_maintenance()?;
+        }
+        Ok(())
     }
 
     /// Group commit. The batch enters a queue; whichever enqueued writer
@@ -786,14 +802,20 @@ impl LsmTree {
     /// uncontended path costs one extra (uncontended) mutex lock and
     /// nothing else. Never parks on backpressure: callers run
     /// [`wait_for_write_budget`](Self::wait_for_write_budget) first.
-    pub(crate) fn commit(&self, batch: Vec<(Key, Entry)>) -> Result<()> {
+    ///
+    /// Returns whether the leader sealed the memtable; the caller then
+    /// owes [`run_maintenance`](Self::run_maintenance), once it holds no
+    /// lock.
+    pub(crate) fn commit(&self, batch: Vec<(Key, Entry)>) -> Result<bool> {
         self.check_poison()?;
         let slot = Arc::new(CommitSlot::new(batch));
         self.commit_queue.lock().unwrap().push_back(slot.clone());
         let mut inner = self.lock_write(LockPath::Write);
         if let Some(result) = slot.result.lock().unwrap().take() {
             // A concurrent leader already committed this batch.
-            return result.map_err(|msg| LsmError::Io(std::io::Error::other(msg)));
+            return result
+                .map(|()| false)
+                .map_err(|msg| LsmError::Io(std::io::Error::other(msg)));
         }
         let group: Vec<Arc<CommitSlot>> = self.commit_queue.lock().unwrap().drain(..).collect();
         let applied = self.apply_group(&mut inner, &group);
@@ -809,9 +831,13 @@ impl LsmTree {
             });
         }
         applied?;
-        // Only the leader pays for the maintenance the group's application
-        // made due — the same contract as the old per-write flush check.
-        self.post_write_maintenance(&mut inner)
+        // Only the leader seals, when the group filled the memtable. With a
+        // seal already in flight the budget gate stalls writers instead.
+        if inner.imm.is_some() || mem_footprint(&inner.mem) < self.opts.memtable_size {
+            return Ok(false);
+        }
+        self.seal_locked(&mut inner)?;
+        Ok(true)
     }
 
     /// Leader half of group commit: append every queued batch to the WAL
@@ -857,41 +883,13 @@ impl LsmTree {
         Ok(())
     }
 
-    /// After a group lands: flush inline (classic mode) or seal for the
-    /// background pool when the memtable crosses its budget.
-    fn post_write_maintenance(&self, inner: &mut Inner) -> Result<()> {
-        if mem_footprint(&inner.mem) < self.opts.memtable_size {
-            return Ok(());
-        }
-        if !self.background_on() {
-            self.flush_locked(inner)?;
-            return self.compact_due_locked(inner);
-        }
-        if inner.imm.is_none() {
-            self.seal_locked(inner)?;
-            self.kick_maintenance();
-        }
-        // A seal is already in flight: the budget gate at commit entry is
-        // what stalls writers, and this write already paid for its room.
-        Ok(())
-    }
-
-    /// Whether flush/compaction run on background workers (sealing the
-    /// memtable) instead of synchronously inside the write path.
-    fn background_on(&self) -> bool {
-        self.opts.background_maintenance
-    }
-
     /// Backpressure gate: when this stripe's sealed memtable is still in
     /// flight AND the active one blew through its hard budget (2×
     /// `memtable_size`), or Level 0 hit `l0_stop_files`, the writer parks
-    /// here until maintenance frees room. Only this stripe's state is
-    /// consulted — a foreground write never waits on another stripe's
-    /// flush.
+    /// here until maintenance frees room, or runs it itself when no pool
+    /// is attached. Only this stripe's state is consulted — a foreground
+    /// write never waits on another stripe's flush.
     pub(crate) fn wait_for_write_budget(&self) -> Result<()> {
-        if !self.background_on() {
-            return Ok(());
-        }
         let mut stalled = false;
         loop {
             self.check_poison()?;
@@ -909,8 +907,7 @@ impl LsmTree {
                 self.stats.write_stalls.fetch_add(1, Ordering::Relaxed);
                 self.obs.read().write_stalls.add(1);
             }
-            if self.maintenance_hook.read().is_some() {
-                self.kick_maintenance();
+            if self.run_maintenance()? {
                 let parked = self.stall_lock.lock().unwrap();
                 // The timeout bounds a lost-wakeup race between the check
                 // above and parking; correctness never depends on it.
@@ -918,49 +915,39 @@ impl LsmTree {
                     .stall_cv
                     .wait_timeout(parked, std::time::Duration::from_millis(2))
                     .unwrap();
-            } else {
-                // No worker pool attached: do the work on this thread.
-                self.maintain_once()?;
             }
         }
     }
 
-    /// Freezes the memtable for a background flush and rotates the active
-    /// WAL under it. The outgoing segment is fully synced first (policy
-    /// permitting) so a later crash can never tear it into a stale prefix
-    /// that shadows the SST it becomes, and the rename plus the fresh
-    /// `wal.log` are made durable with one directory sync before any
-    /// subsequent write is acked.
+    /// Freezes the memtable for its flush and rotates the active WAL under
+    /// it ([`WalWriter::seal_to`]): the outgoing segment is fully synced
+    /// first (policy permitting) so a later crash can never tear it into a
+    /// stale prefix that shadows the SST it becomes, and the rename plus
+    /// the fresh `wal.log` are made durable with one directory sync before
+    /// any subsequent write is acked.
     fn seal_locked(&self, inner: &mut Inner) -> Result<()> {
         debug_assert!(inner.imm.is_none());
         debug_assert!(!inner.mem.is_empty());
         if let Some(d) = &self.durability {
-            let syncing = self.opts.sync != SyncPolicy::Never;
-            let seal_sync = syncing && self.opts.misplaced_fsync != Some(FsyncSite::WalReset);
-            let (appends, bytes) = {
-                let wal = inner.wal.as_mut().expect("durable tree has a WAL");
-                wal.flush()?;
-                if seal_sync {
-                    wal.sync()?;
-                    self.note_wal_sync(1);
-                }
-                (wal.segment_appends(), wal.segment_bytes())
-            };
-            let seq = inner.wal_seq;
+            let path = d.dir.join(format!("wal-{:06}.log", inner.wal_seq));
             inner.wal_seq += 1;
-            let sealed_path = d.dir.join(format!("wal-{seq:06}.log"));
-            let active = d.dir.join("wal.log");
-            d.fs.rename(&active, &sealed_path)?;
-            inner.wal = Some(WalWriter::open(d.fs.clone(), &active, seal_sync)?);
-            if syncing {
-                d.fs.sync_dir(&d.dir)?;
-                self.charge_meta_syncs(1);
-            }
+            let wal = inner.wal.as_mut().expect("durable tree has a WAL");
+            let (appends, bytes) = (wal.segment_appends(), wal.segment_bytes());
+            let synced = wal.seal_to(&path)?;
+            // Tracked before the directory sync can fail: the active
+            // memtable holds its records either way.
             inner.sealed.push(SealedSegment {
-                path: sealed_path,
+                path,
                 appends,
                 bytes,
             });
+            if synced {
+                self.note_wal_sync(1);
+            }
+            if self.opts.sync != SyncPolicy::Never {
+                d.fs.sync_dir(&d.dir)?;
+                self.charge_meta_syncs(1);
+            }
         }
         inner.imm = Some(Arc::new(std::mem::take(&mut inner.mem)));
         self.stats.seals.fetch_add(1, Ordering::Relaxed);
@@ -968,17 +955,25 @@ impl LsmTree {
         Ok(())
     }
 
-    /// Attaches the background pool's kick. It is invoked (with the engine
-    /// write lock held) whenever a seal or a stall makes maintenance due,
-    /// so it must only enqueue work — never call back into the engine.
+    /// Attaches a pool's kick, which then runs every seal's maintenance in
+    /// place of the writer. It is invoked by a writer holding no engine
+    /// lock, after a seal or during a stall, so it must only enqueue work —
+    /// never call back into the engine.
     pub fn set_maintenance_hook(&self, hook: Arc<dyn Fn() + Send + Sync>) {
         *self.maintenance_hook.write() = Some(hook);
     }
 
-    fn kick_maintenance(&self) {
+    /// Hands due maintenance to its executor: the pool, when one is
+    /// attached (returns `true`: the work is queued), or else this thread,
+    /// which runs [`maintain_once`](Self::maintain_once) now.
+    pub(crate) fn run_maintenance(&self) -> Result<bool> {
         let hook = self.maintenance_hook.read().clone();
-        if let Some(hook) = hook {
-            hook();
+        match hook {
+            Some(kick) => {
+                kick();
+                Ok(true)
+            }
+            None => self.maintain_once().map(|()| false),
         }
     }
 
@@ -1026,40 +1021,35 @@ impl LsmTree {
             .is_some()
     }
 
-    /// One round of background maintenance: flush the sealed memtable if
-    /// one is pending, then run every due compaction. Serialized by the
-    /// maintenance mutex; safe to call from any thread. Returns whether any
-    /// work was done.
-    pub fn maintain_once(&self) -> Result<bool> {
+    /// One round of maintenance: flush the sealed memtable if one is
+    /// pending, then run every due compaction. Pool workers, writers that
+    /// sealed with no pool attached and [`flush`](Self::flush) all run it,
+    /// serialized by the maintenance mutex.
+    pub fn maintain_once(&self) -> Result<()> {
         self.check_poison()?;
         let _serial = self.maintenance.lock().unwrap();
-        let mut did = false;
-        if self.flush_imm_once()? {
-            did = true;
-        }
+        self.flush_imm_once()?;
         while self.maybe_compact_once()? {
-            did = true;
             self.stall_cv.notify_all();
         }
-        Ok(did)
+        Ok(())
     }
 
     /// Flushes the sealed memtable to a Level-0 table, if one is pending.
     /// The SST build runs *outside* the engine lock — reads and writes to
     /// this stripe keep flowing — and only the version install takes it.
     /// Callers serialize through the maintenance mutex.
-    fn flush_imm_once(&self) -> Result<bool> {
-        let imm = match self.lock_read(LockPath::Flush).imm.clone() {
-            Some(m) => m,
-            None => return Ok(false),
+    fn flush_imm_once(&self) -> Result<()> {
+        let Some(imm) = self.lock_read(LockPath::Flush).imm.clone() else {
+            return Ok(());
         };
-        let flushed_entries = imm.len() as u64;
+        let entries = imm.len() as u64;
         let mut builder = TableBuilder::new(self.alloc_file(), &self.opts);
         for (key, value) in imm.iter() {
             builder.add_value(key, value)?;
         }
         let meta = builder.finish(self.storage.as_ref())?;
-        let flushed_blocks = meta.num_blocks as u64;
+        let blocks = meta.num_blocks as u64;
         self.sync_new_tables(&[meta.id])?;
         // Crash here: a durable orphan SST; the sealed segments still
         // cover every record — recovery sweeps the orphan, replays them.
@@ -1071,146 +1061,70 @@ impl LsmTree {
             self.persist_manifest(&inner)?;
             inner.sealed.drain(..).collect()
         };
-        self.note_flush(flushed_entries, flushed_blocks);
-        // Crash here: the manifest references the table, the segments are
-        // not yet deleted — replay re-applies records the table already
-        // holds, so recovery must be (and is) idempotent.
-        self.crash_check(CrashPoint::FlushAfterManifest)?;
-        self.delete_segments(segments)?;
-        self.crash_check(CrashPoint::FlushAfterWalReset)?;
-        self.stall_cv.notify_all();
-        Ok(true)
-    }
-
-    /// Deletes WAL segments whose records the just-committed manifest now
-    /// covers. Deletion durability is deliberately not required: a
-    /// resurrected segment was fully synced at seal time, so replaying it
-    /// on top of the SST built from it is idempotent.
-    fn delete_segments(&self, segments: Vec<SealedSegment>) -> Result<()> {
-        if segments.is_empty() {
-            return Ok(());
-        }
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        for seg in segments {
-            d.fs.remove(&seg.path)?;
-            self.note_wal_reset(seg.appends, seg.bytes);
-        }
-        Ok(())
-    }
-
-    /// Counts an installed flush of `entries` into `blocks` new blocks.
-    fn note_flush(&self, entries: u64, blocks: u64) {
+        // Counted once installed: a flush whose manifest commit failed is
+        // not one.
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         self.stats
             .flush_block_writes
             .fetch_add(blocks, Ordering::Relaxed);
-        let hooks = self.obs.read();
-        hooks.flushes.inc();
-        hooks.flush_entries.add(entries);
-        let bytes = blocks * self.opts.block_size as u64;
-        hooks.obs.emit(|| Event::Flush { entries, bytes });
-    }
-
-    /// Counts a WAL segment retired after its records reached an SST.
-    fn note_wal_reset(&self, appends: u64, bytes: u64) {
-        let hooks = self.obs.read();
-        hooks.wal_appends.add(appends);
-        hooks.wal_bytes.add(bytes);
-        hooks.obs.emit(|| Event::WalReset { appends, bytes });
+        {
+            let hooks = self.obs.read();
+            hooks.flushes.inc();
+            hooks.flush_entries.add(entries);
+            let bytes = blocks * self.opts.block_size as u64;
+            hooks.obs.emit(|| Event::Flush { entries, bytes });
+        }
+        // Crash here: the manifest references the table, the segments are
+        // not yet deleted — replay re-applies records the table already
+        // holds, so recovery must be (and is) idempotent.
+        self.crash_check(CrashPoint::FlushAfterManifest)?;
+        // The deletions need not be durable: a segment a crash resurrects
+        // was synced whole at its seal, so it replays idempotently.
+        if let Some(d) = &self.durability {
+            for seg in segments {
+                d.fs.remove(&seg.path)?;
+                let (appends, bytes) = (seg.appends, seg.bytes);
+                let hooks = self.obs.read();
+                hooks.wal_appends.add(appends);
+                hooks.wal_bytes.add(bytes);
+                hooks.obs.emit(|| Event::WalReset { appends, bytes });
+            }
+        }
+        self.crash_check(CrashPoint::FlushAfterWalReset)?;
+        self.stall_cv.notify_all();
+        Ok(())
     }
 
     /// Forces a flush of everything buffered — the sealed memtable if one
-    /// is pending, then the active one; a no-op when both are empty — then
+    /// is pending, then the active one, sealed here — through the same
+    /// [`maintain_once`](Self::maintain_once) the seals use, so it also
     /// runs any compactions that become due.
     pub fn flush(&self) -> Result<()> {
         self.check_poison()?;
-        if !self.background_on() {
-            let mut inner = self.lock_write(LockPath::Flush);
-            if !inner.mem.is_empty() {
-                self.flush_locked(&mut inner)?;
-                self.compact_due_locked(&mut inner)?;
-            }
-            return Ok(());
-        }
-        let _serial = self.maintenance.lock().unwrap();
         loop {
-            self.flush_imm_once()?;
-            let mut inner = self.lock_write(LockPath::Flush);
-            if inner.imm.is_some() {
-                // A writer sealed a fresh memtable between the imm flush
-                // above and this lock acquisition (sealing needs only the
-                // write lock, not the maintenance mutex). `flush_locked`
-                // drains and deletes *every* sealed WAL segment, so running
-                // it now would delete the segment covering that pending imm
-                // without flushing its records — and flush mem with a lower
-                // file id than the later imm flush, letting the older imm
-                // records shadow newer values at L0. Never flush mem ahead
-                // of a pending imm: go back and flush the imm first.
-                drop(inner);
-                continue;
+            // Only one memtable can be sealed at a time, so a pending one
+            // (perhaps sealed by a writer since the last round) is flushed
+            // before the active one is sealed: never out of write order.
+            let last_round = {
+                let mut inner = self.lock_write(LockPath::Flush);
+                let free = inner.imm.is_none();
+                if free && !inner.mem.is_empty() {
+                    self.seal_locked(&mut inner)?;
+                }
+                free
+            };
+            self.maintain_once()?;
+            if last_round {
+                return Ok(());
             }
-            // Holding the write lock with imm == None: no seal can land
-            // until flush_locked (which keeps the lock) completes.
-            if !inner.mem.is_empty() {
-                self.flush_locked(&mut inner)?;
-            }
-            return self.compact_due_locked(&mut inner);
         }
     }
 
-    fn flush_locked(&self, inner: &mut Inner) -> Result<()> {
-        debug_assert!(!inner.mem.is_empty());
-        let flushed_entries = inner.mem.len() as u64;
-        let mut builder = TableBuilder::new(self.alloc_file(), &self.opts);
-        for (key, value) in inner.mem.iter() {
-            builder.add_value(key, value)?;
-        }
-        let writes_before = self.storage.stats().writes();
-        let meta = builder.finish(self.storage.as_ref())?;
-        self.sync_new_tables(&[meta.id])?;
-        // Crash here: the SST is durable but unreferenced (an orphan) and
-        // the WAL still covers every record — recovery loses nothing.
-        self.crash_check(CrashPoint::FlushAfterSst)?;
-        inner.version.add_l0(meta);
-        inner.mem = MemTable::new();
-        let flushed_blocks = self.storage.stats().writes() - writes_before;
-        // Durable ordering: the SST is on storage, so first make the
-        // manifest point at it, then drop the WAL entries it replaces.
-        self.persist_manifest(inner)?;
-        // Counted once installed, as in `flush_imm_once`: a flush whose
-        // manifest commit failed is not one.
-        self.note_flush(flushed_entries, flushed_blocks);
-        // Crash here: manifest references the table, WAL not yet reset —
-        // replay re-applies records the table already holds, so recovery
-        // must be (and is) idempotent.
-        self.crash_check(CrashPoint::FlushAfterManifest)?;
-        // Sealed segments (recovered, or left by an aborted background
-        // flush) are covered by the manifest just committed.
-        let segments: Vec<SealedSegment> = inner.sealed.drain(..).collect();
-        self.delete_segments(segments)?;
-        if let Some(wal) = inner.wal.as_mut() {
-            let (appends, bytes) = (wal.segment_appends(), wal.segment_bytes());
-            let reset_syncs = if wal.reset_sync() { 2 } else { 0 };
-            wal.reset()?;
-            if reset_syncs > 0 {
-                self.note_wal_sync(reset_syncs);
-            }
-            self.note_wal_reset(appends, bytes);
-        }
-        self.crash_check(CrashPoint::FlushAfterWalReset)?;
-        Ok(())
-    }
-
-    fn compact_due_locked(&self, inner: &mut Inner) -> Result<()> {
-        while self.compact_one_locked(inner)? {}
-        Ok(())
-    }
-
-    /// Runs the compaction `inner`'s version picks, if any; returns whether
-    /// one ran.
-    fn compact_one_locked(&self, inner: &mut Inner) -> Result<bool> {
+    /// Runs at most one due compaction; returns whether one ran. Exposed for
+    /// tests and for experiments that want explicit compaction control.
+    pub fn maybe_compact_once(&self) -> Result<bool> {
+        self.check_poison()?;
+        let mut inner = self.lock_write(LockPath::Compaction);
         let Some(task) = inner.version.pick_compaction(&self.opts) else {
             return Ok(false);
         };
@@ -1227,7 +1141,7 @@ impl LsmTree {
             return Ok(false);
         };
         self.note_compaction(&event);
-        self.finish_compaction(inner, &event)?;
+        self.finish_compaction(&inner, &event)?;
         Ok(true)
     }
 
@@ -1254,13 +1168,6 @@ impl LsmTree {
             }
         }
         Ok(())
-    }
-
-    /// Runs at most one due compaction; returns whether one ran. Exposed for
-    /// tests and for experiments that want explicit compaction control.
-    pub fn maybe_compact_once(&self) -> Result<bool> {
-        self.check_poison()?;
-        self.compact_one_locked(&mut self.lock_write(LockPath::Compaction))
     }
 
     fn note_compaction_start(&self, task: &CompactionTask, version: &Version) {
@@ -1573,8 +1480,8 @@ mod tests {
     fn overwrites_of_changing_length_seal_the_memtable() {
         // One key rewritten at 1 B and 2 B in turn: the charge stays at
         // ~20 B, but every rewrite strands the old record in the arena.
-        // Inline, the seal check flushes it; in the background (no worker
-        // pool, so a stalled writer maintains), the stall check caps it.
+        // The seal check seals it; with a pool still flushing the last
+        // seal, the stall check caps it.
         for background_maintenance in [false, true] {
             let opts = Options {
                 background_maintenance,
@@ -1587,7 +1494,8 @@ mod tests {
             } else {
                 opts.memtable_size
             };
-            let db = LsmTree::new(opts, Arc::new(MemStorage::new())).unwrap();
+            let striped = crate::StripedDb::new(opts, Arc::new(MemStorage::new())).unwrap();
+            let db = striped.stripe(0);
             let p = DirectProvider;
             for i in 0..20_000 {
                 let v = if i % 2 == 0 { &b"x"[..] } else { &b"yy"[..] };
@@ -1597,9 +1505,55 @@ mod tests {
                 assert!(inner.mem.approximate_bytes() <= 3 + 2 + 16);
                 assert!(mem_footprint(&inner.mem) < cap, "write {i}");
             }
+            striped.flush().unwrap();
             assert!(db.stats().flushes.load(Ordering::Relaxed) >= 2);
             assert_eq!(db.get(b"hot", &p).unwrap().unwrap().as_ref(), b"yy");
         }
+    }
+
+    /// One maintenance path, two executors: the same seeded writes build
+    /// the same tree, flush for flush and compaction for compaction,
+    /// whether the writer that seals runs the work or a pool does. The
+    /// pool is drained after every write, so it keeps the writer's pace.
+    #[test]
+    fn the_writer_and_a_pool_build_the_same_tree() {
+        let build = |background_maintenance: bool| {
+            let opts = Options {
+                background_maintenance,
+                ..Options::small()
+            };
+            let db = crate::StripedDb::new(opts, Arc::new(MemStorage::new())).unwrap();
+            let tree = db.stripe(0);
+            let mut x = 42u64;
+            for i in 0..30_000 {
+                x = crate::fault::splitmix64(x);
+                let k = key((x % 6000) as usize);
+                match x % 8 {
+                    0 => db.delete(k),
+                    _ => db.put(k, value(i, "v")),
+                }
+                .unwrap();
+                while tree.flush_pending() || tree.compaction_due() {
+                    std::thread::yield_now();
+                }
+            }
+            let inner = tree.lock_read(LockPath::Read);
+            let tables: Vec<_> = (0..inner.version.max_levels())
+                .flat_map(|level| {
+                    inner.version.level(level).iter().map(move |t| {
+                        let range = (t.smallest.clone(), t.largest.clone());
+                        (level, t.id, range, t.num_entries)
+                    })
+                })
+                .collect();
+            let s = tree.stats();
+            let counts = [&s.flushes, &s.compactions, &s.flush_block_writes, &s.seals]
+                .map(|c| c.load(Ordering::Relaxed));
+            (tables, counts)
+        };
+        let (inline, pooled) = (build(false), build(true));
+        assert!(inline.1[1] > 0, "no compaction ran: {:?}", inline.1);
+        assert_eq!(inline, pooled);
     }
 
     #[test]

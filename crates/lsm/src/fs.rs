@@ -10,9 +10,11 @@
 //! - [`RealFs`] passes through to `std::fs` (production and the
 //!   file-backed integration tests);
 //! - [`SimFs`] keeps everything in memory and buffers completed-but-
-//!   unsynced operations per file, so [`SimFs::crash`] can drop an
-//!   arbitrary unsynced suffix — wholly or torn mid-append — exactly the
-//!   way a power loss treats a volatile device cache.
+//!   unsynced operations per file and per directory entry, so
+//!   [`SimFs::crash`] can drop an arbitrary unsynced suffix of a file —
+//!   wholly or torn mid-append — and any subset of the unsynced creates,
+//!   renames and removes, the way a power loss treats a volatile device
+//!   cache under a filesystem that does not order its metadata.
 
 use crate::error::{LsmError, Result};
 use parking_lot::Mutex;
@@ -210,13 +212,51 @@ struct Inode {
     view: Vec<u8>,
 }
 
+/// One completed-but-unsynced change to a directory entry: `from` stops
+/// naming inode `id` and `to` starts (a create has no `from`, a remove no
+/// `to`). It becomes durable when its directory is synced — a rename's is
+/// its target's.
+#[derive(Debug, Clone)]
+struct NsOp {
+    from: Option<PathBuf>,
+    to: Option<PathBuf>,
+    id: u64,
+}
+
+impl NsOp {
+    fn new(from: Option<&Path>, to: Option<&Path>, id: u64) -> Self {
+        let (from, to) = (from.map(Path::to_path_buf), to.map(Path::to_path_buf));
+        NsOp { from, to, id }
+    }
+
+    fn dir(&self) -> Option<&Path> {
+        self.to.as_ref().or(self.from.as_ref())?.parent()
+    }
+
+    /// Applies the change to `ns`. A lost create does not stop a later
+    /// rename from linking its target: without ordered metadata each
+    /// directory entry is written on its own.
+    fn apply(&self, ns: &mut HashMap<PathBuf, u64>) {
+        if let Some(from) = &self.from {
+            if ns.get(from) == Some(&self.id) {
+                ns.remove(from);
+            }
+        }
+        if let Some(to) = &self.to {
+            ns.insert(to.clone(), self.id);
+        }
+    }
+}
+
 #[derive(Default)]
 struct SimState {
     inodes: HashMap<u64, Inode>,
     /// Live namespace: path -> inode, as the running process sees it.
     dir: HashMap<PathBuf, u64>,
-    /// Namespace as of the last `sync_dir` — what a crash reverts to.
+    /// Namespace as of the last `sync_dir` of each directory.
     durable_dir: HashMap<PathBuf, u64>,
+    /// Namespace changes since then, oldest first.
+    pending_dir: Vec<NsOp>,
     next_inode: u64,
 }
 
@@ -231,13 +271,14 @@ pub struct UnsyncedLoss {
 
 /// In-memory [`MetaFs`] with an explicit write-back cache model.
 ///
-/// Every mutation lands in a per-file pending list; `sync_file` moves a
-/// file's pending list into its durable image, and `sync_dir` makes the
-/// current namespace (creations / renames / removals) the one a crash
-/// reverts to. [`SimFs::crash`] then plays the role of power loss: each
-/// file keeps only a seeded prefix of its pending operations (an append at
-/// the cut may tear mid-record) and the namespace snaps back to the last
-/// synced one.
+/// Every content mutation lands in a per-file pending list and every
+/// create, rename and remove in a namespace pending list; `sync_file`
+/// moves a file's pending list into its durable image, and `sync_dir(dir)`
+/// makes the pending entry changes under `dir` (and only those) durable.
+/// [`SimFs::crash`] then plays the role of power loss: each file keeps
+/// only a seeded prefix of its pending operations (an append at the cut
+/// may tear mid-record), and each unsynced entry change is kept or dropped
+/// on its own seeded coin, the kept ones applied oldest first.
 pub struct SimFs {
     state: Mutex<SimState>,
 }
@@ -252,8 +293,8 @@ impl SimFs {
 
     /// Simulates power loss: drops an arbitrary (seeded) suffix of each
     /// file's unsynced operations — possibly tearing an append mid-record
-    /// — and reverts the namespace to the last `sync_dir`. Returns what
-    /// was lost. Deterministic in `seed`.
+    /// — and keeps each unsynced create, rename and remove independently
+    /// of the others. Returns what was lost. Deterministic in `seed`.
     pub fn crash(&self, seed: u64) -> UnsyncedLoss {
         let mut st = self.state.lock();
         let mut loss = UnsyncedLoss::default();
@@ -287,16 +328,25 @@ impl SimFs {
             inode.pending.clear();
             inode.view = content;
         }
-        // Unsynced namespace changes (creations, renames, removals) are
-        // undone: the directory snaps back to its last synced image.
+        // Each unsynced namespace change (creation, rename, removal)
+        // survives on its own coin; the survivors land oldest first.
+        let mut ns = std::mem::take(&mut st.durable_dir);
+        for (i, op) in std::mem::take(&mut st.pending_dir).iter().enumerate() {
+            let coin = crate::fault::splitmix64(i as u64 ^ 0xC2B2_AE3D_27D4_EB4F);
+            let h = crate::fault::splitmix64(seed ^ coin);
+            if h & 1 == 0 {
+                op.apply(&mut ns);
+            }
+        }
         for (path, id) in &st.dir {
-            if st.durable_dir.get(path) != Some(id) {
+            if ns.get(path) != Some(id) {
                 loss.files += 1;
             }
         }
-        st.dir = st.durable_dir.clone();
-        let live: std::collections::HashSet<u64> = st.dir.values().copied().collect();
+        let live: std::collections::HashSet<u64> = ns.values().copied().collect();
         st.inodes.retain(|id, _| live.contains(id));
+        st.dir = ns.clone();
+        st.durable_dir = ns;
         loss
     }
 
@@ -356,6 +406,7 @@ impl MetaFs for SimFs {
                 },
             );
             st.dir.insert(path.to_path_buf(), id);
+            st.pending_dir.push(NsOp::new(None, Some(path), id));
         }
         Ok(())
     }
@@ -381,12 +432,14 @@ impl MetaFs for SimFs {
         let mut st = self.state.lock();
         let id = st.dir.remove(from).ok_or_else(|| not_found(from))?;
         st.dir.insert(to.to_path_buf(), id);
+        st.pending_dir.push(NsOp::new(Some(from), Some(to), id));
         Ok(())
     }
 
     fn remove(&self, path: &Path) -> Result<()> {
         let mut st = self.state.lock();
-        st.dir.remove(path).ok_or_else(|| not_found(path))?;
+        let id = st.dir.remove(path).ok_or_else(|| not_found(path))?;
+        st.pending_dir.push(NsOp::new(Some(path), None, id));
         Ok(())
     }
 
@@ -405,9 +458,15 @@ impl MetaFs for SimFs {
         })
     }
 
-    fn sync_dir(&self, _dir: &Path) -> Result<()> {
-        let mut st = self.state.lock();
-        st.durable_dir = st.dir.clone();
+    fn sync_dir(&self, dir: &Path) -> Result<()> {
+        let st = &mut *self.state.lock();
+        let (synced, rest): (Vec<NsOp>, _) = std::mem::take(&mut st.pending_dir)
+            .into_iter()
+            .partition(|op| op.dir() == Some(dir));
+        st.pending_dir = rest;
+        for op in synced {
+            op.apply(&mut st.durable_dir);
+        }
         Ok(())
     }
 
@@ -452,12 +511,22 @@ mod tests {
     }
 
     #[test]
-    fn crash_without_sync_loses_everything() {
-        let fs = SimFs::new();
-        fs.write_file(&p("a"), b"data").unwrap();
-        let loss = fs.crash(7);
-        assert!(loss.files >= 1);
-        assert!(!fs.exists(&p("a")), "unsynced creation must not survive");
+    fn crash_without_sync_can_lose_the_file_and_its_bytes() {
+        let (mut gone, mut empty) = (false, false);
+        for seed in 0..16u64 {
+            let fs = SimFs::new();
+            fs.write_file(&p("a"), b"data").unwrap();
+            fs.crash(seed);
+            match fs.read(&p("a")).unwrap() {
+                None => gone = true,
+                Some(bytes) => {
+                    assert!(bytes.is_empty() || bytes == b"data", "seed {seed}");
+                    empty |= bytes.is_empty();
+                }
+            }
+        }
+        assert!(gone, "an unsynced creation must be losable");
+        assert!(empty, "a kept creation may keep none of its unsynced bytes");
     }
 
     #[test]
@@ -509,34 +578,59 @@ mod tests {
         assert!(any_loss, "the write-back model must be able to lose data");
     }
 
+    /// The manifest's commit swap — `cur` to `bak`, then `tmp` to `cur` —
+    /// with the directory left unsynced (or synced).
+    fn swapped(sync_dir: bool, seed: u64) -> (Option<Vec<u8>>, Option<Vec<u8>>) {
+        let fs = SimFs::new();
+        fs.write_file(&p("cur"), b"old").unwrap();
+        fs.sync_file(&p("cur")).unwrap();
+        fs.sync_dir(&p("")).unwrap();
+        fs.write_file(&p("tmp"), b"new").unwrap();
+        fs.sync_file(&p("tmp")).unwrap();
+        fs.rename(&p("cur"), &p("bak")).unwrap();
+        fs.rename(&p("tmp"), &p("cur")).unwrap();
+        if sync_dir {
+            fs.sync_dir(&p("")).unwrap();
+        }
+        fs.crash(seed);
+        (fs.read(&p("cur")).unwrap(), fs.read(&p("bak")).unwrap())
+    }
+
     #[test]
-    fn crash_reverts_unsynced_rename() {
-        let fs = SimFs::new();
-        fs.write_file(&p("cur"), b"old").unwrap();
-        fs.sync_file(&p("cur")).unwrap();
-        fs.sync_dir(&p("")).unwrap();
-        fs.write_file(&p("tmp"), b"new").unwrap();
-        fs.sync_file(&p("tmp")).unwrap();
-        // rename without sync_dir: the swap is not durable.
-        fs.rename(&p("cur"), &p("bak")).unwrap();
-        fs.rename(&p("tmp"), &p("cur")).unwrap();
-        fs.crash(3);
-        assert_eq!(fs.read(&p("cur")).unwrap().unwrap(), b"old");
-        assert!(!fs.exists(&p("bak")));
-        assert!(!fs.exists(&p("tmp")));
+    fn crash_keeps_each_unsynced_rename_on_its_own() {
+        let old = Some(b"old".to_vec());
+        let new = Some(b"new".to_vec());
+        let outcomes: std::collections::HashSet<_> = (0..32).map(|s| swapped(false, s)).collect();
+        // Neither rename, both, or only the first: `cur` is then missing
+        // and only the backup holds the old contents.
+        for want in [
+            (old.clone(), None),
+            (new.clone(), old.clone()),
+            (None, old.clone()),
+        ] {
+            assert!(outcomes.contains(&want), "{want:?} never happened");
+        }
         // With the directory synced, the swap sticks.
-        let fs = SimFs::new();
-        fs.write_file(&p("cur"), b"old").unwrap();
-        fs.sync_file(&p("cur")).unwrap();
-        fs.sync_dir(&p("")).unwrap();
-        fs.write_file(&p("tmp"), b"new").unwrap();
-        fs.sync_file(&p("tmp")).unwrap();
-        fs.rename(&p("cur"), &p("bak")).unwrap();
-        fs.rename(&p("tmp"), &p("cur")).unwrap();
-        fs.sync_dir(&p("")).unwrap();
-        fs.crash(3);
-        assert_eq!(fs.read(&p("cur")).unwrap().unwrap(), b"new");
-        assert_eq!(fs.read(&p("bak")).unwrap().unwrap(), b"old");
+        for seed in 0..32 {
+            assert_eq!(swapped(true, seed), (new.clone(), old.clone()));
+        }
+    }
+
+    #[test]
+    fn sync_dir_makes_only_its_own_directory_durable() {
+        let mut other_lost = false;
+        for seed in 0..16u64 {
+            let fs = SimFs::new();
+            for path in ["/sim/a/x", "/sim/b/y"] {
+                fs.write_file(Path::new(path), b"data").unwrap();
+                fs.sync_file(Path::new(path)).unwrap();
+            }
+            fs.sync_dir(Path::new("/sim/a")).unwrap();
+            fs.crash(seed);
+            assert!(fs.exists(Path::new("/sim/a/x")), "seed {seed}");
+            other_lost |= !fs.exists(Path::new("/sim/b/y"));
+        }
+        assert!(other_lost, "another directory's entry must stay losable");
     }
 
     #[test]
@@ -583,5 +677,113 @@ mod tests {
         fs.remove(&g).unwrap();
         assert!(!fs.exists(&g));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // The crash model against the engine: one store, one power cut, and
+    // the write each `--misplace` hole of `adcache faultcheck` loses.
+
+    use crate::fault::{FaultPlan, FaultStorage};
+    use crate::options::{FsyncSite, Options, SyncPolicy};
+    use crate::sstable::DirectProvider;
+    use crate::storage::MemStorage;
+    use crate::striped::StripedDb;
+    use bytes::Bytes;
+    use std::sync::Arc;
+
+    /// Two stripes, each with its own directory, over this filesystem and
+    /// a write-back device. Stripe 0 writes `k` twice and flushes; stripe
+    /// 1 then flushes a write of its own (its seal syncs only its own
+    /// directory) and acks `m` on top. The power is cut with `seed` and
+    /// the store reopened: returns what `k` and `m` read, or the error
+    /// the open failed with.
+    fn cut_after_a_flush(
+        sync: SyncPolicy,
+        hole: Option<FsyncSite>,
+        seed: u64,
+    ) -> Result<[Option<Bytes>; 2]> {
+        let opts = Options {
+            sync,
+            misplaced_fsync: hole,
+            stripes: 2,
+            ..Options::small()
+        };
+        let fs = Arc::new(SimFs::new());
+        let storage = Arc::new(FaultStorage::new(
+            Arc::new(MemStorage::new()),
+            seed,
+            FaultPlan::none(),
+        ));
+        storage.enable_write_back();
+        let open =
+            || StripedDb::with_durability_fs(opts.clone(), storage.clone(), "/cut", fs.clone());
+        let db = open()?;
+        let on = |stripe| {
+            (0..)
+                .map(|i| Bytes::from(format!("key{i}")))
+                .find(|key| db.stripe_for(key) == stripe)
+                .unwrap()
+        };
+        let (k, m) = (on(0), on(1));
+        db.put(k.clone(), Bytes::from("old"))?;
+        db.put(k.clone(), Bytes::from("new"))?;
+        db.stripe(0).flush()?;
+        db.put(m.clone(), Bytes::from("x"))?;
+        db.stripe(1).flush()?;
+        db.put(m.clone(), Bytes::from("m"))?;
+        drop(db);
+        storage.crash_drop_unsynced(seed);
+        fs.crash(seed);
+        let db = open()?;
+        Ok([db.get(&k, &DirectProvider)?, db.get(&m, &DirectProvider)?])
+    }
+
+    fn value(v: &'static str) -> Option<Bytes> {
+        Some(Bytes::from(v))
+    }
+
+    #[test]
+    fn a_crash_after_a_flush_loses_nothing_the_policy_promised() {
+        for seed in 0..24 {
+            let [k, m] = cut_after_a_flush(SyncPolicy::Always, None, seed).unwrap();
+            assert_eq!((k, m), (value("new"), value("m")), "always, seed {seed}");
+            let [k, _] = cut_after_a_flush(SyncPolicy::OnFlush, None, seed).unwrap();
+            assert_eq!(k, value("new"), "on_flush, seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_crash_loses_an_acked_write_whose_wal_sync_was_left_out() {
+        let [_, m] = cut_after_a_flush(SyncPolicy::Always, Some(FsyncSite::WalAppend), 0).unwrap();
+        assert_eq!(
+            m,
+            value("x"),
+            "the ack of `m` came out of an unsynced buffer"
+        );
+    }
+
+    #[test]
+    fn a_crash_resurrects_a_torn_segment_whose_seal_sync_was_left_out() {
+        // The flushed segment's deletion is lost and its unsynced tail
+        // torn off: the older write replays over the table's newer one.
+        let hole = Some(FsyncSite::WalReset);
+        let [k, _] = cut_after_a_flush(SyncPolicy::OnFlush, hole, 18).unwrap();
+        assert_eq!(k, value("old"));
+    }
+
+    #[test]
+    fn a_crash_loses_a_flush_whose_manifest_dir_sync_was_left_out() {
+        // The manifest's rename into place is lost, the deletion of the
+        // segment it made obsolete is not.
+        let hole = Some(FsyncSite::ManifestDir);
+        let [k, _] = cut_after_a_flush(SyncPolicy::Always, hole, 2).unwrap();
+        assert_eq!(k, None);
+    }
+
+    #[test]
+    fn a_crash_loses_a_table_whose_sst_dir_sync_was_left_out() {
+        // The manifest names a table whose directory entry never became
+        // durable: the store refuses to open rather than serve without it.
+        let hole = Some(FsyncSite::SstDir);
+        assert!(cut_after_a_flush(SyncPolicy::OnFlush, hole, 0).is_err());
     }
 }

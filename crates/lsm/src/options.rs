@@ -57,8 +57,9 @@ pub enum FsyncSite {
     /// Skip the per-batch WAL sync under [`SyncPolicy::Always`]: acks come
     /// out of an unsynced buffer again.
     WalAppend,
-    /// Skip the sync-before-truncate ordering in `WalWriter::reset`: a
-    /// crash can resurrect stale WAL records that shadow newer SSTs.
+    /// Skip the outgoing WAL segment's sync at a seal (the label is older
+    /// than seals): a torn segment whose deletion a crash undoes replays
+    /// stale records over the newer SST it became.
     WalReset,
     /// Skip the parent-directory fsync after the manifest renames: the
     /// committed manifest itself is not durable.
@@ -157,13 +158,11 @@ pub struct Options {
     /// file-id residue class this engine allocates from when several
     /// stripes share one storage device. Leave 0 for standalone trees.
     pub stripe_index: usize,
-    /// Move flush and compaction off the write path: a full memtable is
-    /// *sealed* (frozen + WAL segment rotated) and handed to a background
-    /// worker, and writers only stall when their own stripe's sealed
-    /// memtable is still in flight and the active one is over budget. Off
-    /// (the default) preserves the classic synchronous behavior that the
-    /// deterministic simulations and unit tests rely on; the serving
-    /// layer turns it on.
+    /// Who runs the one maintenance path (seal, flush, due compactions):
+    /// on, a worker pool that [`crate::striped::StripedDb`] attaches; off
+    /// (the default, deterministic, what simulations and tests rely on),
+    /// the writer whose commit sealed, once the commit drops the engine
+    /// lock. The serving layer turns it on above one stripe.
     pub background_maintenance: bool,
 }
 
@@ -214,8 +213,9 @@ impl Options {
     /// with memtable = SSTable = its share (never below 256 KiB, so a
     /// many-stripe server still flushes whole tables) and Level 1 at
     /// `size_ratio` times that. Blocks stay at the 512 B of
-    /// [`small`](Self::small): a cached value is a slice of the block it
-    /// was decoded from and keeps that block's buffer alive.
+    /// [`small`](Self::small): a cached value views the store's block
+    /// buffer, free while its table lives; once a compaction deletes the
+    /// table, it pins the whole block.
     pub fn served_in_memory(stripes: usize) -> Self {
         let base = Options::small();
         let memtable = ((4 << 20) / stripes.max(1)).max(256 << 10);

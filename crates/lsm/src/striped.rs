@@ -6,8 +6,9 @@
 //! File ids never collide because each stripe allocates from its own
 //! residue class (`id % stripes == stripe_index`).
 //!
-//! With [`Options::background_maintenance`] on, a seal hands flush and
-//! compaction work to a small worker pool through a per-stripe queue: a
+//! With [`Options::background_maintenance`] on, the router attaches a
+//! small worker pool, and a seal hands its flush and compactions to it
+//! through a per-stripe queue instead of running them on the writer: a
 //! foreground `put` on stripe B never waits on stripe A's flush, and a
 //! writer stalls only when its *own* stripe's sealed memtable is still in
 //! flight and the active one has blown its hard budget. Group commit lives
@@ -376,7 +377,8 @@ impl StripedDb {
     /// stripes holds the batch gate exclusively, so a scan sees it whole
     /// or not at all. It waits out each stripe's write budget before it
     /// takes the gate, so scans never wait for a stall; a stripe that
-    /// crosses its budget in between takes the batch anyway.
+    /// crosses its budget in between takes the batch anyway. The flushes
+    /// its seals make due run after the gate drops.
     pub fn write_batch(&self, batch: Vec<(Key, Entry)>) -> Result<()> {
         let n = self.stripes.len();
         let mut per: Vec<Vec<(Key, Entry)>> = (0..n).map(|_| Vec::new()).collect();
@@ -387,9 +389,16 @@ impl StripedDb {
         for &i in &involved {
             self.stripes[i].wait_for_write_budget()?;
         }
-        let _gate = (involved.len() > 1).then(|| self.batch_gate.write());
+        let gate = (involved.len() > 1).then(|| self.batch_gate.write());
+        let mut sealed = Vec::new();
         for i in involved {
-            self.stripes[i].commit(std::mem::take(&mut per[i]))?;
+            if self.stripes[i].commit(std::mem::take(&mut per[i]))? {
+                sealed.push(i);
+            }
+        }
+        drop(gate);
+        for i in sealed {
+            self.stripes[i].run_maintenance()?;
         }
         Ok(())
     }

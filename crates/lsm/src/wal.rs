@@ -2,11 +2,13 @@
 //!
 //! When the engine runs with durability enabled, every write is appended
 //! to the WAL before it touches the memtable (the paper's read path checks
-//! "the MemTable and any unflushed data in the Write-ahead Log"). The log
-//! is truncated after each memtable flush: at any instant it holds a
-//! superset of the memtable, so crash recovery is a simple in-order
-//! replay. Records carry a CRC-32 so a torn tail write is detected and
-//! recovery stops cleanly at the last complete record.
+//! "the MemTable and any unflushed data in the Write-ahead Log"). Each
+//! memtable seal renames the log to a numbered segment and starts a fresh
+//! one; the segment is deleted once its memtable's flush is installed, so
+//! the segments plus the log always hold a superset of the memtables and
+//! crash recovery is a simple in-order replay. Records carry a CRC-32 so a
+//! torn tail write is detected and recovery stops cleanly at the last
+//! complete record.
 //!
 //! Record layout: `len:u32 | crc32:u32 | payload[len]` where the payload is
 //! `kind:u8 | klen:u32 | key | (vlen:u32 | value)?` (value only for puts).
@@ -88,21 +90,20 @@ pub struct WalWriter {
     fs: Arc<dyn MetaFs>,
     /// Records encoded but not yet pushed to the filesystem.
     buf: Vec<u8>,
-    /// Bracket [`WalWriter::reset`] with file syncs so the truncation is
-    /// both ordered after the preceding appends and itself durable —
-    /// without this, a crash can resurrect stale records that shadow data
-    /// already flushed to an SSTable. Off under `SyncPolicy::Never` (and
-    /// under the `FsyncSite::WalReset` misplacement hook).
-    reset_sync: bool,
-    /// Records appended to the current segment (since the last reset).
+    /// Fsync a segment when [`WalWriter::seal_to`] seals it, so a crash
+    /// can never tear it into a stale prefix that shadows the SSTable its
+    /// memtable became. Off under `SyncPolicy::Never` (and under the
+    /// `FsyncSite::WalReset` misplacement hook).
+    sync_at_seal: bool,
+    /// Records appended to the current segment (since the last seal).
     segment_appends: u64,
-    /// Bytes appended to the current segment (since the last reset).
+    /// Bytes appended to the current segment (since the last seal).
     segment_bytes: u64,
 }
 
 impl WalWriter {
     /// Opens (appending) or creates the log at `path`.
-    pub fn open(fs: Arc<dyn MetaFs>, path: impl Into<PathBuf>, reset_sync: bool) -> Result<Self> {
+    pub fn open(fs: Arc<dyn MetaFs>, path: impl Into<PathBuf>, sync_at_seal: bool) -> Result<Self> {
         let path = path.into();
         if !fs.exists(&path) {
             fs.write_file(&path, &[])?;
@@ -111,23 +112,18 @@ impl WalWriter {
             path,
             fs,
             buf: Vec::new(),
-            reset_sync,
+            sync_at_seal,
             segment_appends: 0,
             segment_bytes: 0,
         })
     }
 
-    /// Whether [`WalWriter::reset`] brackets the truncation with file syncs.
-    pub fn reset_sync(&self) -> bool {
-        self.reset_sync
-    }
-
-    /// Records appended since the last [`WalWriter::reset`].
+    /// Records appended since the last [`WalWriter::seal_to`].
     pub fn segment_appends(&self) -> u64 {
         self.segment_appends
     }
 
-    /// Bytes appended since the last [`WalWriter::reset`].
+    /// Bytes appended since the last [`WalWriter::seal_to`].
     pub fn segment_bytes(&self) -> u64 {
         self.segment_bytes
     }
@@ -175,26 +171,24 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Truncates the log (after the memtable it protected was flushed to
-    /// an SSTable).
-    ///
-    /// With `reset_sync` on, the truncation is bracketed by file syncs:
-    /// the first orders it after every preceding append, the second makes
-    /// the empty log durable. Skipping the bracket lets a crash keep the
-    /// pre-truncate records — they would replay on top of the SSTable that
-    /// already holds them, and a *stale* record can shadow newer data.
-    pub fn reset(&mut self) -> Result<()> {
+    /// Seals the current segment as `to` (its memtable was sealed for a
+    /// flush) and starts an empty log at the writer's path. The segment is
+    /// fsynced first when the writer was opened with `sync_at_seal`;
+    /// returns whether it was. The rename and the new log are durable only
+    /// once their directory is synced.
+    pub fn seal_to(&mut self, to: &Path) -> Result<bool> {
         self.flush()?;
-        if self.reset_sync {
+        if self.sync_at_seal {
             self.fs.sync_file(&self.path)?;
         }
-        self.fs.truncate(&self.path, 0)?;
-        if self.reset_sync {
-            self.fs.sync_file(&self.path)?;
-        }
+        self.fs.rename(&self.path, to)?;
+        self.fs.write_file(&self.path, &[])?;
+        // The new segment starts as a freshly opened writer does: the
+        // batch buffer goes back to the allocator while the flush builds.
+        self.buf = Vec::new();
         self.segment_appends = 0;
         self.segment_bytes = 0;
-        Ok(())
+        Ok(self.sync_at_seal)
     }
 
     /// The log's path.
@@ -408,15 +402,18 @@ mod tests {
     }
 
     #[test]
-    fn reset_truncates() {
-        let path = tmp("reset");
+    fn seal_moves_the_segment_aside_and_starts_an_empty_log() {
+        let (path, sealed) = (tmp("seal"), tmp("seal-000000"));
         let _ = std::fs::remove_file(&path);
-        let mut w = WalWriter::open(real(), &path, false).unwrap();
+        let mut w = WalWriter::open(real(), &path, true).unwrap();
         w.append(b"k", &Entry::Put(Bytes::from_static(b"v")))
             .unwrap();
-        w.reset().unwrap();
+        assert!(w.seal_to(&sealed).unwrap(), "opened to sync at seal");
+        assert_eq!((w.segment_appends(), w.segment_bytes()), (0, 0));
+        let records = replay(&RealFs::new(), &sealed).unwrap().records;
+        assert_eq!(records.len(), 1);
         assert!(replay(&RealFs::new(), &path).unwrap().records.is_empty());
-        // Usable after reset.
+        // The writer appends to the fresh log.
         w.append(b"k2", &Entry::Put(Bytes::from_static(b"v2")))
             .unwrap();
         w.flush().unwrap();
@@ -424,6 +421,7 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].key.as_ref(), b"k2");
         std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&sealed).unwrap();
     }
 
     #[test]
@@ -512,7 +510,7 @@ mod tests {
         let fs = Arc::new(SimFs::new());
         let path = PathBuf::from("/sim/wal.log");
         let mut w = WalWriter::open(fs.clone(), &path, true).unwrap();
-        fs.sync_dir(&path).unwrap(); // the creation itself must be durable
+        fs.sync_dir(path.parent().unwrap()).unwrap(); // the creation itself must be durable
         w.append(b"k1", &Entry::Put(Bytes::from_static(b"v1")))
             .unwrap();
         w.sync().unwrap();
@@ -526,32 +524,5 @@ mod tests {
         assert!(!records.is_empty());
         assert_eq!(records[0].key.as_ref(), b"k1");
         assert!(records.len() <= 2);
-    }
-
-    #[test]
-    fn unsynced_reset_can_resurrect_stale_records() {
-        // With reset_sync off, the truncation sits in the write-back cache
-        // while the pre-reset records may already be durable: a crash
-        // undoes the truncate and the stale segment replays again. The
-        // sync-bracketed reset closes exactly this hole.
-        let run = |reset_sync: bool| -> bool {
-            let mut resurrected = false;
-            for seed in 0..16u64 {
-                let fs = Arc::new(SimFs::new());
-                let path = PathBuf::from("/sim/wal.log");
-                let mut w = WalWriter::open(fs.clone(), &path, reset_sync).unwrap();
-                fs.sync_dir(&path).unwrap();
-                w.append(b"stale", &Entry::Put(Bytes::from_static(b"old")))
-                    .unwrap();
-                w.sync().unwrap(); // the stale segment is durable
-                w.reset().unwrap(); // ... the memtable it covered flushed
-                fs.crash(seed);
-                let records = replay(fs.as_ref(), &path).unwrap().records;
-                resurrected |= records.iter().any(|r| r.key.as_ref() == b"stale");
-            }
-            resurrected
-        };
-        assert!(run(false), "the unsynced-reset hole must be reachable");
-        assert!(!run(true), "a sync-bracketed reset must never resurrect");
     }
 }

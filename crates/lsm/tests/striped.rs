@@ -703,25 +703,45 @@ fn two_stripes_slow_on_one(
     (db, storage, fast, slow)
 }
 
-/// A scan waiting for a stripe does so holding no other stripe: while an
-/// inline flush holds stripe 1's write lock through a slow SST build and a
+/// A scan waiting for a stripe does so holding no other stripe: while a
+/// compaction holds stripe 1's write lock through a slow SST write and a
 /// scan waits for that lock, puts on stripe 0 stay far below the delay.
 #[test]
 fn a_scan_waiting_on_a_busy_stripe_holds_no_other() {
     const DELAY: Duration = Duration::from_millis(600);
     let (db, storage, fast, slow) = two_stripes_slow_on_one(false, DELAY);
-    for k in &slow[..8] {
-        db.put(k.clone(), Bytes::from("before")).unwrap();
+    // Three Level-0 tables on stripe 1; the fourth flush, below, makes
+    // its Level 0 due for a compaction.
+    let trigger = db.options().l0_compaction_trigger as u64;
+    for round in 1..trigger {
+        for k in &slow[..8] {
+            db.put(k.clone(), Bytes::from(format!("before-{round}")))
+                .unwrap();
+        }
+        db.stripe(1).flush().unwrap();
     }
+    db.put(slow[0].clone(), Bytes::from("last")).unwrap();
     storage.engaged.store(true, Ordering::Relaxed);
     let flusher = {
         let db = db.clone();
         std::thread::spawn(move || db.stripe(1).flush().unwrap())
     };
+    // The flush builds its table outside the lock; the compaction after
+    // it writes under the lock.
+    let flushes = || db.stripe(1).stats().flushes.load(Ordering::Relaxed);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while flushes() < trigger {
+        assert!(Instant::now() < deadline, "the slow flush never landed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     std::thread::sleep(Duration::from_millis(30));
     let scanner = {
         let db = db.clone();
-        std::thread::spawn(move || db.scan(b"", 1024, &DirectProvider).unwrap().len())
+        std::thread::spawn(move || {
+            let t0 = Instant::now();
+            let len = db.scan(b"", 1024, &DirectProvider).unwrap().len();
+            (len, t0.elapsed())
+        })
     };
     std::thread::sleep(Duration::from_millis(30));
 
@@ -741,7 +761,10 @@ fn a_scan_waiting_on_a_busy_stripe_holds_no_other() {
         "a stripe-0 put took {worst:?} behind a scan waiting on stripe 1 (delay {DELAY:?})"
     );
     flusher.join().unwrap();
-    assert!(scanner.join().unwrap() >= 8, "the scan lost stripe-1 keys");
+    assert!(db.stripe(1).stats().compactions() > 0, "no compaction ran");
+    let (len, waited) = scanner.join().unwrap();
+    assert!(len >= 8, "the scan lost stripe-1 keys");
+    assert!(waited > DELAY / 4, "the scan never waited for stripe 1");
 }
 
 /// A multi-stripe batch never parks on backpressure while it holds the
