@@ -566,24 +566,21 @@ impl CachedDb {
         }
         part.note_miss();
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+        // The fill runs before the stripe's read lock drops, so no write to
+        // `key` can commit between the read and the fill and be undone by it.
+        let fill = |found: Option<&Value>| {
+            if let Some(v) = found {
+                self.fill_point_caches(part, key, v);
+            }
+        };
         let result = match &part.block_cache {
-            Some(bc) => self.db.get(key, &bc.provider()),
-            None => self.db.get(key, &DirectProvider),
+            Some(bc) => self.db.get_then(key, &bc.provider(), fill),
+            None => self.db.get_then(key, &DirectProvider, fill),
         };
         // Graceful degradation: a failed read is charged as a miss (the
         // controller must see a failing device as expensive, not as a
         // quiet window) and the error propagates to the caller.
-        let result = match result {
-            Ok(r) => r,
-            Err(e) => {
-                self.counters.add_failed_read();
-                return Err(e);
-            }
-        };
-        if let Some(v) = &result {
-            self.fill_point_caches(part, key, v);
-        }
-        Ok(result)
+        result.inspect_err(|_| self.counters.add_failed_read())
     }
 
     /// [`multi_get_in`](Self::multi_get_in) the default tenant's partition.
@@ -622,21 +619,20 @@ impl CachedDb {
             .cache_misses
             .fetch_add(miss_idx.len() as u64, Ordering::Relaxed);
         let miss_keys: Vec<&[u8]> = miss_idx.iter().map(|&i| keys[i]).collect();
+        // As in `get_in`: each stripe group fills under its read lock.
+        let fill = |group: &[&[u8]], found: &[Option<Value>]| {
+            for (key, value) in group.iter().zip(found) {
+                if let Some(v) = value {
+                    self.fill_point_caches(part, key, v);
+                }
+            }
+        };
         let result = match &part.block_cache {
-            Some(bc) => self.db.multi_get(&miss_keys, &bc.provider()),
-            None => self.db.multi_get(&miss_keys, &DirectProvider),
+            Some(bc) => self.db.multi_get_then(&miss_keys, &bc.provider(), fill),
+            None => self.db.multi_get_then(&miss_keys, &DirectProvider, fill),
         };
-        let values = match result {
-            Ok(v) => v,
-            Err(e) => {
-                self.counters.add_failed_read();
-                return Err(e);
-            }
-        };
+        let values = result.inspect_err(|_| self.counters.add_failed_read())?;
         for (&i, value) in miss_idx.iter().zip(values) {
-            if let Some(v) = &value {
-                self.fill_point_caches(part, keys[i], v);
-            }
             out[i] = value;
         }
         Ok(out)
@@ -670,8 +666,10 @@ impl CachedDb {
 
     /// The cache-fill path for a point read that reached the LSM-tree and
     /// found a value: point admission gates the range cache, the KV cache
-    /// admits unconditionally.
+    /// admits unconditionally. Runs under the key's stripe read lock.
     fn fill_point_caches(&self, part: &Partition, key: &[u8], v: &Value) {
+        #[cfg(test)]
+        tests::fill_pause::pause_at(key);
         // One owned copy of the key, made when the first cache admits it
         // and shared by the second.
         let mut owned: Option<Bytes> = None;
@@ -828,32 +826,21 @@ impl CachedDb {
         Ok(results)
     }
 
-    /// Propagates a write to every partition's result caches: tenants
-    /// share one keyspace, so coherence is key-targeted and global, while
-    /// capacity pressure stays per-partition.
-    fn on_write_all(&self, key: &[u8], value: Option<&Value>) {
+    /// Propagates applied writes, in order, to every partition's result
+    /// caches: tenants share one keyspace, so coherence is key-targeted and
+    /// global, while capacity pressure stays per-partition. Runs under the
+    /// write lock of the stripe that applied them, so it cannot interleave
+    /// with a read's fill of the same keys; a write that never reached the
+    /// memtable never gets here.
+    fn on_write_all(&self, applied: &[(Key, Entry)]) {
         self.for_each_partition(|part| {
-            if let Some(kv) = &part.kv_cache {
-                kv.on_write(key, value);
-            }
-            if let Some(rc) = &part.range_cache {
-                rc.on_write(key, value);
-            }
-        });
-    }
-
-    /// After an engine write error: the write (or, for a batch, the
-    /// stripes ahead of the failing one) may have reached the memtable
-    /// before the seal or inline flush behind it failed, and the error
-    /// does not say — forget every partition's cached results rather than
-    /// serve a stale one.
-    fn forget_cached_results(&self) {
-        self.for_each_partition(|part| {
-            if let Some(kv) = &part.kv_cache {
-                kv.clear();
-            }
-            if let Some(rc) = &part.range_cache {
-                rc.clear();
+            for (key, entry) in applied {
+                if let Some(kv) = &part.kv_cache {
+                    kv.on_write(key, entry.value());
+                }
+                if let Some(rc) = &part.range_cache {
+                    rc.on_write(key, entry.value());
+                }
             }
         });
     }
@@ -870,10 +857,7 @@ impl CachedDb {
         part.note_op();
         self.counters.add_write();
         self.db
-            .put(key.clone(), value.clone())
-            .inspect_err(|_| self.forget_cached_results())?;
-        self.on_write_all(&key, Some(&value));
-        Ok(())
+            .put_then(key, value, |applied| self.on_write_all(applied))
     }
 
     /// [`write_batch_in`](Self::write_batch_in) charged to the default
@@ -895,15 +879,7 @@ impl CachedDb {
             .writes
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
         self.db
-            .write_batch(batch.clone())
-            .inspect_err(|_| self.forget_cached_results())?;
-        for (key, entry) in &batch {
-            match entry {
-                Entry::Put(value) => self.on_write_all(key, Some(value)),
-                Entry::Tombstone => self.on_write_all(key, None),
-            }
-        }
-        Ok(())
+            .write_batch_then(batch, |applied| self.on_write_all(applied))
     }
 
     /// [`delete_in`](Self::delete_in) charged to the default tenant.
@@ -917,10 +893,7 @@ impl CachedDb {
         part.note_op();
         self.counters.add_write();
         self.db
-            .delete(key.clone())
-            .inspect_err(|_| self.forget_cached_results())?;
-        self.on_write_all(&key, None);
-        Ok(())
+            .delete_then(key, |applied| self.on_write_all(applied))
     }
 
     /// Loads a key during the populate phase without counting it as a
@@ -1229,11 +1202,11 @@ pub struct EngineStatsReport {
     pub sstable_bytes: u64,
     /// Level-1 byte budget of each stripe's tree.
     pub l1_bytes: u64,
-    /// Group-commit leader rounds across stripes (each is one WAL push +
-    /// at most one fsync).
+    /// Commit rounds across stripes (each is one WAL push + at most one
+    /// fsync).
     pub group_commit_rounds: u64,
-    /// Write batches committed through group commit; divided by the round
-    /// count this is the mean group size.
+    /// Write batches committed across stripes. Each round commits one
+    /// batch, so this always equals `group_commit_rounds`.
     pub group_commit_batches: u64,
     /// Memtables sealed for background flushes.
     pub seals: u64,
@@ -1249,6 +1222,71 @@ mod tests {
     use super::*;
     use adcache_lsm::MemStorage;
     use adcache_workload::render_key;
+
+    /// A pause between a point read's LSM lookup and its cache fill, armed
+    /// for one key, so a test can commit a write inside that window.
+    pub(super) mod fill_pause {
+        use std::sync::mpsc::{channel, Receiver, Sender};
+        use std::sync::Mutex;
+
+        type Armed = (Vec<u8>, Sender<()>, Receiver<()>);
+        static ARMED: Mutex<Option<Armed>> = Mutex::new(None);
+
+        /// Arms the next fill of `key`: it signals the first channel, then
+        /// waits for the second.
+        pub fn arm(key: &[u8]) -> (Receiver<()>, Sender<()>) {
+            let ((reached_tx, reached_rx), (resume_tx, resume_rx)) = (channel(), channel());
+            *ARMED.lock().unwrap() = Some((key.to_vec(), reached_tx, resume_rx));
+            (reached_rx, resume_tx)
+        }
+
+        /// Called at the top of every point fill.
+        pub fn pause_at(key: &[u8]) {
+            let mut armed = ARMED.lock().unwrap();
+            if armed.as_ref().is_some_and(|(k, _, _)| k == key) {
+                let (_, reached, resume) = armed.take().unwrap();
+                drop(armed);
+                reached.send(()).unwrap();
+                resume.recv().unwrap();
+            }
+        }
+    }
+
+    /// A reader pauses between its LSM lookup of `old` and its fill; a put
+    /// of `new` is issued meanwhile. Filling after the lock dropped, the
+    /// reader would cache `old` after the put committed and serve it from
+    /// then on. Filling under the lock, the put waits for the fill and
+    /// then overwrites it.
+    #[test]
+    fn a_point_fill_cannot_undo_a_write_that_commits_beside_it() {
+        for strategy in [Strategy::RangeCache, Strategy::KvCache] {
+            let db = Arc::new(build(strategy, 1 << 20));
+            let key = Bytes::from_static(b"fill-pause");
+            db.put(key.clone(), Bytes::from_static(b"old")).unwrap();
+            let (reached, resume) = fill_pause::arm(&key);
+            let reader = {
+                let (db, key) = (db.clone(), key.clone());
+                std::thread::spawn(move || db.get(&key).unwrap())
+            };
+            reached.recv().unwrap();
+            let (put_done, put_acked) = std::sync::mpsc::channel();
+            let writer = {
+                let (db, key) = (db.clone(), key.clone());
+                std::thread::spawn(move || {
+                    db.put(key, Bytes::from_static(b"new")).unwrap();
+                    put_done.send(()).unwrap();
+                })
+            };
+            // With nothing holding it off, the put is acked at once; held
+            // off by the paused reader's lock, it waits for the fill.
+            let _ = put_acked.recv_timeout(std::time::Duration::from_millis(200));
+            resume.send(()).unwrap();
+            assert_eq!(reader.join().unwrap().as_deref(), Some(&b"old"[..]));
+            writer.join().unwrap();
+            let got = db.get(&key).unwrap();
+            assert_eq!(got.as_deref(), Some(&b"new"[..]), "{strategy:?}");
+        }
+    }
 
     fn build(strategy: Strategy, cache_bytes: usize) -> CachedDb {
         let storage = Arc::new(MemStorage::new());

@@ -31,14 +31,15 @@ use crate::options::{FsyncSite, Options, SyncPolicy};
 use crate::sstable::{table_get, BlockProvider, TableBuilder, TableIter, TableMeta};
 use crate::storage::Storage;
 use crate::timed_lock::{
-    LockPath, LockPathSnapshot, TimedReadGuard, TimedRwLock, TimedWriteGuard, LOCK_PATHS,
+    outside_lock_probe, LockPath, LockPathSnapshot, TimedReadGuard, TimedRwLock, TimedWriteGuard,
+    LOCK_PATHS,
 };
 use crate::types::{Entry, FileId, Key, Value};
 use crate::version::{CompactionTask, Version};
 use crate::wal::{replay, WalWriter};
 use adcache_obs::{Counter, Event, Obs};
 use parking_lot::RwLock;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -127,11 +128,9 @@ pub struct DbStats {
     /// still in flight and the active one was over its hard budget (or
     /// Level 0 hit the stop threshold).
     pub write_stalls: AtomicU64,
-    /// Group-commit rounds led (each is one WAL push + at most one fsync).
+    /// Commit rounds, one per committed batch (each is one WAL push + at
+    /// most one fsync).
     pub group_commits: AtomicU64,
-    /// Write batches committed through group commit (`/ group_commits` is
-    /// the mean group size).
-    pub group_commit_batches: AtomicU64,
 }
 
 impl DbStats {
@@ -145,13 +144,11 @@ impl DbStats {
         self.compaction_block_reads.load(Ordering::Relaxed)
     }
 
-    /// Group-commit `(rounds, batches)` snapshot; `batches / rounds` is the
-    /// mean group size a leader drained.
+    /// Commit `(rounds, batches)` snapshot. Every round commits one batch,
+    /// so the two are equal.
     pub fn group_commit(&self) -> (u64, u64) {
-        (
-            self.group_commits.load(Ordering::Relaxed),
-            self.group_commit_batches.load(Ordering::Relaxed),
-        )
+        let rounds = self.group_commits.load(Ordering::Relaxed);
+        (rounds, rounds)
     }
 
     /// Seals (memtables frozen for a flush) snapshot.
@@ -210,25 +207,6 @@ pub(crate) struct Inner {
     wal_seq: u64,
 }
 
-/// One writer's batch waiting in the group-commit queue. The leader (the
-/// writer that wins the engine write lock) drains the queue, performs one
-/// WAL push + at most one fsync for the whole group, applies every batch,
-/// and posts each follower's result here; followers discover it when they
-/// acquire the lock themselves.
-struct CommitSlot {
-    batch: std::sync::Mutex<Vec<(Key, Entry)>>,
-    result: std::sync::Mutex<Option<std::result::Result<(), String>>>,
-}
-
-impl CommitSlot {
-    fn new(batch: Vec<(Key, Entry)>) -> Self {
-        CommitSlot {
-            batch: std::sync::Mutex::new(batch),
-            result: std::sync::Mutex::new(None),
-        }
-    }
-}
-
 /// A single-writer, multi-reader LSM-tree over a [`Storage`] device.
 pub struct LsmTree {
     opts: Options,
@@ -250,8 +228,6 @@ pub struct LsmTree {
     /// allocate from their own residue class (`id % stride ==
     /// stripe_index`), so ids never collide without coordination.
     id_stride: u64,
-    /// Writers' group-commit queue (see [`CommitSlot`]).
-    commit_queue: std::sync::Mutex<VecDeque<Arc<CommitSlot>>>,
     /// Set when a crash point fires inside a background maintenance job:
     /// the process is considered dead and every subsequent operation
     /// errors until the instance is dropped and reopened.
@@ -313,7 +289,6 @@ impl LsmTree {
             crash: RwLock::new(None),
             quarantine: RwLock::new(HashSet::new()),
             id_stride: opts.stripes.max(1) as u64,
-            commit_queue: std::sync::Mutex::new(VecDeque::new()),
             poisoned: AtomicBool::new(false),
             maintenance: std::sync::Mutex::new(()),
             stall_lock: std::sync::Mutex::new(()),
@@ -765,12 +740,12 @@ impl LsmTree {
 
     /// Inserts or overwrites `key`.
     pub fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.write(vec![(key, Entry::Put(value))])
+        self.write(vec![(key, Entry::Put(value))], |_| {})
     }
 
     /// Deletes `key` (writes a tombstone).
     pub fn delete(&self, key: Key) -> Result<()> {
-        self.write(vec![(key, Entry::Tombstone)])
+        self.write(vec![(key, Entry::Tombstone)], |_| {})
     }
 
     /// Applies a batch of writes atomically with respect to readers and to
@@ -781,79 +756,48 @@ impl LsmTree {
         if batch.is_empty() {
             return Ok(());
         }
-        self.write(batch)
+        self.write(batch, |_| {})
     }
 
-    /// The write path: the budget gate, the group commit, then the
-    /// maintenance a seal made due.
-    fn write(&self, batch: Vec<(Key, Entry)>) -> Result<()> {
+    /// The write path: the budget gate, the commit (with `then` under its
+    /// lock), then the maintenance a seal made due.
+    pub(crate) fn write(
+        &self,
+        batch: Vec<(Key, Entry)>,
+        then: impl FnOnce(&[(Key, Entry)]),
+    ) -> Result<()> {
         self.wait_for_write_budget()?;
-        if self.commit(batch)? {
+        if self.commit(batch, then)? {
             self.run_maintenance()?;
         }
         Ok(())
     }
 
-    /// Group commit. The batch enters a queue; whichever enqueued writer
-    /// wins the engine write lock becomes the leader and commits *every*
-    /// queued batch with a single WAL push (and at most one fsync under
-    /// `always`). Followers discover their posted result when they acquire
-    /// the lock themselves — the lock handoff is the wakeup, so the
-    /// uncontended path costs one extra (uncontended) mutex lock and
-    /// nothing else. Never parks on backpressure: callers run
+    /// Commits one batch under the engine write lock: appends it to the
+    /// WAL (one flush, or one fsync under `always`), applies it to the
+    /// memtable, runs `then(&batch)` while the lock is still held — so a
+    /// cache the caller updates there changes in the same critical section
+    /// as the store — and seals the memtable if the batch filled it. `then`
+    /// must not call back into the store; the thread's lock probe does not
+    /// count its time as hold. A batch that fails before its memtable apply
+    /// never reaches `then`. Never parks on backpressure: callers run
     /// [`wait_for_write_budget`](Self::wait_for_write_budget) first.
     ///
-    /// Returns whether the leader sealed the memtable; the caller then
-    /// owes [`run_maintenance`](Self::run_maintenance), once it holds no
-    /// lock.
-    pub(crate) fn commit(&self, batch: Vec<(Key, Entry)>) -> Result<bool> {
+    /// Returns whether it sealed the memtable; the caller then owes
+    /// [`run_maintenance`](Self::run_maintenance), once it holds no lock.
+    pub(crate) fn commit(
+        &self,
+        batch: Vec<(Key, Entry)>,
+        then: impl FnOnce(&[(Key, Entry)]),
+    ) -> Result<bool> {
         self.check_poison()?;
-        let slot = Arc::new(CommitSlot::new(batch));
-        self.commit_queue.lock().unwrap().push_back(slot.clone());
         let mut inner = self.lock_write(LockPath::Write);
-        if let Some(result) = slot.result.lock().unwrap().take() {
-            // A concurrent leader already committed this batch.
-            return result
-                .map(|()| false)
-                .map_err(|msg| LsmError::Io(std::io::Error::other(msg)));
-        }
-        let group: Vec<Arc<CommitSlot>> = self.commit_queue.lock().unwrap().drain(..).collect();
-        let applied = self.apply_group(&mut inner, &group);
-        for s in &group {
-            if Arc::ptr_eq(s, &slot) {
-                continue;
-            }
-            *s.result.lock().unwrap() = Some(match &applied {
-                Ok(()) => Ok(()),
-                // Followers get a stringified copy; the leader keeps the
-                // original error (the variant matters to crash drills).
-                Err(e) => Err(e.to_string()),
-            });
-        }
-        applied?;
-        // Only the leader seals, when the group filled the memtable. With a
-        // seal already in flight the budget gate stalls writers instead.
-        if inner.imm.is_some() || mem_footprint(&inner.mem) < self.opts.memtable_size {
-            return Ok(false);
-        }
-        self.seal_locked(&mut inner)?;
-        Ok(true)
-    }
-
-    /// Leader half of group commit: append every queued batch to the WAL
-    /// (one flush, at most one fsync), then apply them to the memtable in
-    /// queue order.
-    fn apply_group(&self, inner: &mut Inner, group: &[Arc<CommitSlot>]) -> Result<()> {
         if inner.version.level_files(0) >= self.opts.l0_slowdown_files {
-            self.stats
-                .write_slowdowns
-                .fetch_add(group.len() as u64, Ordering::Relaxed);
+            self.stats.write_slowdowns.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(wal) = inner.wal.as_mut() {
-            for slot in group {
-                for (key, entry) in slot.batch.lock().unwrap().iter() {
-                    wal.append(key, entry)?;
-                }
+            for (key, entry) in &batch {
+                wal.append(key, entry)?;
             }
             if self.wal_sync_per_write() {
                 wal.sync()?;
@@ -862,25 +806,23 @@ impl LsmTree {
                 wal.flush()?;
             }
         }
-        for slot in group {
-            let batch = std::mem::take(&mut *slot.batch.lock().unwrap());
-            for (key, entry) in batch {
-                match entry {
-                    Entry::Put(v) => inner.mem.put(key, v),
-                    Entry::Tombstone => inner.mem.delete(key),
-                }
-            }
+        for (key, entry) in &batch {
+            inner.mem.apply(key, entry.value().map(AsRef::as_ref));
         }
+        outside_lock_probe(|| then(&batch));
         self.stats.group_commits.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .group_commit_batches
-            .fetch_add(group.len() as u64, Ordering::Relaxed);
         {
             let hooks = self.obs.read();
             hooks.group_commit_rounds.add(1);
-            hooks.group_commit_batches.add(group.len() as u64);
+            hooks.group_commit_batches.add(1);
         }
-        Ok(())
+        // With a seal already in flight the budget gate stalls writers
+        // instead.
+        if inner.imm.is_some() || mem_footprint(&inner.mem) < self.opts.memtable_size {
+            return Ok(false);
+        }
+        self.seal_locked(&mut inner)?;
+        Ok(true)
     }
 
     /// Backpressure gate: when this stripe's sealed memtable is still in
@@ -1241,27 +1183,10 @@ impl LsmTree {
         self.get_locked(&inner, key, provider)
     }
 
-    /// Point lookups for many keys under **one** read-lock acquisition.
-    ///
-    /// Results are positional: `out[i]` answers `keys[i]`. Batched
-    /// callers (the server's BATCH opcode) amortize the lock handshake
-    /// and the version snapshot across the group; semantics per key are
-    /// identical to [`get`](Self::get).
-    pub fn multi_get(
-        &self,
-        keys: &[&[u8]],
-        provider: &dyn BlockProvider,
-    ) -> Result<Vec<Option<Value>>> {
-        let inner = self.read_view()?;
-        keys.iter()
-            .map(|key| self.get_locked(&inner, key, provider))
-            .collect()
-    }
-
     /// The probe sequence of [`get`](Self::get) against an already-locked
     /// version snapshot: memtable → sealed memtable → L0 runs → one
     /// candidate per deeper level.
-    fn get_locked(
+    pub(crate) fn get_locked(
         &self,
         inner: &Inner,
         key: &[u8],

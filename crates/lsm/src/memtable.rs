@@ -44,7 +44,9 @@ impl MemTable {
         self.apply(&key, None);
     }
 
-    fn apply(&mut self, key: &[u8], value: Option<&[u8]>) {
+    /// Writes `value` for `key`, or a tombstone for `None`, from borrowed
+    /// bytes (the memtable copies what it keeps).
+    pub(crate) fn apply(&mut self, key: &[u8], value: Option<&[u8]>) {
         let charge = value.map_or(0, <[u8]>::len);
         match self.list.insert(key, value) {
             // Replacement: the key and per-node overhead stay charged; only

@@ -11,9 +11,13 @@
 //! through a per-stripe queue instead of running them on the writer: a
 //! foreground `put` on stripe B never waits on stripe A's flush, and a
 //! writer stalls only when its *own* stripe's sealed memtable is still in
-//! flight and the active one has blown its hard budget. Group commit lives
-//! one layer down in [`LsmTree`]: concurrent writers to the same stripe
-//! share a single WAL push + fsync per leader round.
+//! flight and the active one has blown its hard budget.
+//!
+//! Every operation has a `_then` form whose callback runs before the
+//! stripe's lock drops: a write's under the write lock that applied it,
+//! a point read's under the read lock it read with. A cache the caller
+//! changes there changes in the same critical section as the store, so a
+//! key's cached state only ever moves while its stripe's lock is held.
 //!
 //! A scan is one instant of the whole store. It holds every stripe's read
 //! lock at once and merges all their sorted runs in one [`MergingIter`];
@@ -26,10 +30,12 @@
 //! exclusively while it commits; scans hold the gate shared, so a scan
 //! sees such a batch whole or not at all.
 //!
-//! Lock order: the batch gate, then stripe locks. A scan waits for at most
-//! one stripe lock and only while it holds no other; a writer holds at
-//! most one stripe lock at a time; maintenance never takes the gate. So no
-//! cycle can form.
+//! Lock order: the batch gate, then stripe locks, then whatever the
+//! callbacks take (the caller's tenant registry, then its cache locks). A
+//! scan waits for at most one stripe lock and only while it holds no
+//! other; a writer or point read holds at most one stripe lock at a time;
+//! maintenance never takes the gate; and a callback never calls back into
+//! the store. So no cycle can form.
 
 use crate::compaction::CompactionListener;
 use crate::db::{DbStats, Inner, LsmTree};
@@ -362,12 +368,32 @@ impl StripedDb {
 
     /// Inserts or overwrites `key` on its stripe.
     pub fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.stripes[self.stripe_for(&key)].put(key, value)
+        self.put_then(key, value, |_| {})
+    }
+
+    /// [`put`](Self::put), then `then(&[(key, Entry::Put(value))])` under
+    /// the stripe's write lock, right after the memtable took the write.
+    /// `then` must not call back into the store.
+    pub fn put_then(
+        &self,
+        key: Key,
+        value: Value,
+        then: impl FnOnce(&[(Key, Entry)]),
+    ) -> Result<()> {
+        let stripe = &self.stripes[self.stripe_for(&key)];
+        stripe.write(vec![(key, Entry::Put(value))], then)
     }
 
     /// Deletes `key` (tombstone) on its stripe.
     pub fn delete(&self, key: Key) -> Result<()> {
-        self.stripes[self.stripe_for(&key)].delete(key)
+        self.delete_then(key, |_| {})
+    }
+
+    /// [`delete`](Self::delete) with `then` run as in
+    /// [`put_then`](Self::put_then).
+    pub fn delete_then(&self, key: Key, then: impl FnOnce(&[(Key, Entry)])) -> Result<()> {
+        let stripe = &self.stripes[self.stripe_for(&key)];
+        stripe.write(vec![(key, Entry::Tombstone)], then)
     }
 
     /// Applies a batch, grouped per stripe. Atomicity holds within each
@@ -380,6 +406,18 @@ impl StripedDb {
     /// crosses its budget in between takes the batch anyway. The flushes
     /// its seals make due run after the gate drops.
     pub fn write_batch(&self, batch: Vec<(Key, Entry)>) -> Result<()> {
+        self.write_batch_then(batch, |_| {})
+    }
+
+    /// [`write_batch`](Self::write_batch), running `then` on each stripe's
+    /// share, in batch order, under that stripe's write lock (and inside
+    /// the gate when the batch spans stripes). `then` must not call back
+    /// into the store.
+    pub fn write_batch_then(
+        &self,
+        batch: Vec<(Key, Entry)>,
+        mut then: impl FnMut(&[(Key, Entry)]),
+    ) -> Result<()> {
         let n = self.stripes.len();
         let mut per: Vec<Vec<(Key, Entry)>> = (0..n).map(|_| Vec::new()).collect();
         for (key, entry) in batch {
@@ -392,7 +430,7 @@ impl StripedDb {
         let gate = (involved.len() > 1).then(|| self.batch_gate.write());
         let mut sealed = Vec::new();
         for i in involved {
-            if self.stripes[i].commit(std::mem::take(&mut per[i]))? {
+            if self.stripes[i].commit(std::mem::take(&mut per[i]), &mut then)? {
                 sealed.push(i);
             }
         }
@@ -405,7 +443,24 @@ impl StripedDb {
 
     /// Point lookup on the owning stripe.
     pub fn get(&self, key: &[u8], provider: &dyn BlockProvider) -> Result<Option<Value>> {
-        self.stripes[self.stripe_for(key)].get(key, provider)
+        self.get_then(key, provider, |_| {})
+    }
+
+    /// [`get`](Self::get), then `then(answer)` before the stripe's read
+    /// lock drops, so no write to `key` commits between the read and what
+    /// `then` does with it (a cache fill). `then` must not call back into
+    /// the store; the thread's lock probe does not count its time as hold.
+    pub fn get_then(
+        &self,
+        key: &[u8],
+        provider: &dyn BlockProvider,
+        then: impl FnOnce(Option<&Value>),
+    ) -> Result<Option<Value>> {
+        let tree = &self.stripes[self.stripe_for(key)];
+        let view = tree.read_view()?;
+        let answer = tree.get_locked(&view, key, provider)?;
+        outside_lock_probe(|| then(answer.as_ref()));
+        Ok(answer)
     }
 
     /// Point lookups for many keys, grouped per owning stripe so each
@@ -416,12 +471,22 @@ impl StripedDb {
         keys: &[&[u8]],
         provider: &dyn BlockProvider,
     ) -> Result<Vec<Option<Value>>> {
+        self.multi_get_then(keys, provider, |_, _| {})
+    }
+
+    /// [`multi_get`](Self::multi_get), calling `then(group_keys, answers)`
+    /// once per stripe group before that stripe's read lock drops, as
+    /// [`get_then`](Self::get_then) does for one key.
+    pub fn multi_get_then(
+        &self,
+        keys: &[&[u8]],
+        provider: &dyn BlockProvider,
+        mut then: impl FnMut(&[&[u8]], &[Option<Value>]),
+    ) -> Result<Vec<Option<Value>>> {
         let n = self.stripes.len();
         if n == 1 || keys.len() == 1 {
-            if keys.len() == 1 {
-                return Ok(vec![self.get(keys[0], provider)?]);
-            }
-            return self.stripes[0].multi_get(keys, provider);
+            let stripe = keys.first().map_or(0, |key| self.stripe_for(key));
+            return self.get_group(stripe, keys, provider, &mut then);
         }
         // Group key *indices* by stripe, probe each group under one lock,
         // then scatter the answers back into request order.
@@ -435,12 +500,31 @@ impl StripedDb {
                 continue;
             }
             let group: Vec<&[u8]> = idxs.iter().map(|&i| keys[i]).collect();
-            let answers = self.stripes[stripe].multi_get(&group, provider)?;
+            let answers = self.get_group(stripe, &group, provider, &mut then)?;
             for (&i, v) in idxs.iter().zip(answers) {
                 out[i] = v;
             }
         }
         Ok(out)
+    }
+
+    /// `keys`, all owned by `stripe`, looked up under one read view, then
+    /// `then(keys, answers)` before it drops.
+    fn get_group(
+        &self,
+        stripe: usize,
+        keys: &[&[u8]],
+        provider: &dyn BlockProvider,
+        then: &mut impl FnMut(&[&[u8]], &[Option<Value>]),
+    ) -> Result<Vec<Option<Value>>> {
+        let tree = &self.stripes[stripe];
+        let view = tree.read_view()?;
+        let answers = keys
+            .iter()
+            .map(|key| tree.get_locked(&view, key, provider))
+            .collect::<Result<Vec<_>>>()?;
+        outside_lock_probe(|| then(keys, &answers));
+        Ok(answers)
     }
 
     /// Range scan: up to `limit` live entries with keys `>= from`, as of
@@ -537,10 +621,10 @@ impl StripedDb {
         self.stats_sum(|s| s.compactions())
     }
 
-    /// Group-commit `(rounds, batches)` summed across stripes.
+    /// Commit `(rounds, batches)` summed across stripes; the two are equal.
     pub fn group_commit(&self) -> (u64, u64) {
         let rounds = self.stats_sum(|s| s.group_commit().0);
-        (rounds, self.stats_sum(|s| s.group_commit().1))
+        (rounds, rounds)
     }
 
     /// Query-path SST block reads: device reads minus every stripe's
