@@ -2245,6 +2245,7 @@ struct FaultCheckReport {
     faults_injected: u64,
     unsynced_files_dropped: u64,
     lost_acked_writes: u64,
+    incoherent_reads: u64,
     failed_opens: u64,
     unstable_reopens: u64,
     orphan_leftovers: u64,
@@ -2256,6 +2257,7 @@ impl FaultCheckReport {
     /// Whether every guarantee held.
     fn ok(&self) -> bool {
         self.lost_acked_writes == 0
+            && self.incoherent_reads == 0
             && self.failed_opens == 0
             && self.unstable_reopens == 0
             && self.orphan_leftovers == 0
@@ -2264,85 +2266,14 @@ impl FaultCheckReport {
     }
 }
 
-/// What a drill cycle knows about the keys it wrote: each key's write
-/// history in order — (value-or-tombstone, acked?, global sequence number)
-/// — and the `on_flush` durability floor. A failed op may still have
-/// reached the WAL before the injected error, so unacked writes are
-/// *candidates*, not forbidden states.
-struct WriteLedger {
-    history: Vec<Vec<(Option<Bytes>, bool, u64)>>,
-    seq: u64,
-    /// Highest sequence number covered by an installed flush.
-    flushed_seq: u64,
-}
-
-impl WriteLedger {
-    /// The drill's `k`th key.
-    fn key(k: u64) -> Bytes {
-        Bytes::from(format!("k{k:04}"))
-    }
-
-    /// Puts (`Some`) or deletes (`None`) key `k` and records the outcome.
-    fn write(&mut self, db: &adcache_lsm::StripedDb, k: u64, v: Option<Bytes>) {
-        self.seq += 1;
-        let acked = match &v {
-            Some(v) => db.put(Self::key(k), v.clone()),
-            None => db.delete(Self::key(k)),
-        }
-        .is_ok();
-        self.history[k as usize].push((v, acked, self.seq));
-        self.raise_floor(db);
-    }
-
-    /// An explicit `flush()`.
-    fn flush(&mut self, db: &adcache_lsm::StripedDb) {
-        let _ = db.flush();
-        self.raise_floor(db);
-    }
-
-    /// With nothing left in any memtable, every write so far was flushed:
-    /// a flush drops its memtable only once its table is synced, and keeps
-    /// the WAL segment that covers it until the manifest naming the table
-    /// commits. Under `on_flush` that is the promise, whoever ran the flush
-    /// — the writer that sealed, a pool worker or an explicit `flush()` —
-    /// and even when the op that ran it failed afterwards, in a compaction.
-    fn raise_floor(&mut self, db: &adcache_lsm::StripedDb) {
-        if db.memtable_len() == 0 {
-            self.flushed_seq = self.seq;
-        }
-    }
-
-    /// Whether recovering `got` for key `k` is justified under `sync`:
-    /// with `always` every acked write must survive; with `on_flush` every
-    /// acked write up to the last successful flush must; with `never`
-    /// nothing is promised beyond serving only values actually written.
-    fn justifies(&self, k: u64, got: Option<&Bytes>, sync: adcache_lsm::SyncPolicy) -> bool {
-        use adcache_lsm::SyncPolicy;
-        let h = &self.history[k as usize];
-        let strong = match sync {
-            SyncPolicy::Always => h.iter().rposition(|(_, acked, _)| *acked),
-            SyncPolicy::OnFlush => h
-                .iter()
-                .rposition(|(_, acked, s)| *acked && *s <= self.flushed_seq),
-            SyncPolicy::Never => None,
-        };
-        let matches = |want: &Option<Bytes>| got == want.as_ref();
-        match strong {
-            // The recovered value must be the newest sync-covered acked
-            // write or any candidate issued after it — never older.
-            Some(idx) => h[idx..].iter().any(|(v, _, _)| matches(v)),
-            None => got.is_none() || h.iter().any(|(v, _, _)| matches(v)),
-        }
-    }
-}
-
 /// One crash-recover-verify cycle, entirely in memory: a durable
 /// [`adcache_lsm::StripedDb`] over write-back-modeling fault storage (SSTs)
 /// and a simulated filesystem (WAL + manifest) takes writes under a fault
 /// storm with one armed crash point; the process "crashes" — the engine
 /// drops AND every completed-but-unsynced write is torn out of both device
-/// models — then the store reopens and every key is checked against what
-/// the configured sync policy actually promised.
+/// models — then the store reopens. One [`History`] judges every read:
+/// the storm's against the store before the crash, the recovered gets and
+/// one full scan against what the configured sync policy promised.
 ///
 /// `stripes` decides who runs maintenance. At 1 the store is the plain
 /// single-tree engine (same directory layout): the writer that seals runs
@@ -2358,6 +2289,7 @@ fn faultcheck_cycle(
     stripes: usize,
     report: &mut FaultCheckReport,
 ) -> Result<(), Box<dyn std::error::Error>> {
+    use adcache_lsm::history::History;
     use adcache_lsm::{
         CrashController, CrashPoint, DirectProvider, FaultPlan, FaultStorage, SimFs, Storage,
         StripedDb,
@@ -2382,13 +2314,9 @@ fn faultcheck_cycle(
     opts.background_maintenance = stripes > 1;
     let meta_dir = std::path::PathBuf::from("/faultcheck/meta");
     let key_space = 64u64;
-    let kb = WriteLedger::key;
+    let kb = |k: u64| Bytes::from(format!("k{k:04}"));
     let pad = "x".repeat(48);
-    let mut ledger = WriteLedger {
-        history: vec![Vec::new(); key_space as usize],
-        seq: 0,
-        flushed_seq: 0,
-    };
+    let mut history = History::default();
     let mut rng = cseed | 1;
     let mut next = move || {
         rng = fc_mix(rng);
@@ -2398,13 +2326,36 @@ fn faultcheck_cycle(
         let db =
             StripedDb::with_durability_fs(opts.clone(), storage.clone(), &meta_dir, fs.clone())?;
         db.set_crash_controller(crash.clone());
+        // With nothing left in any memtable, every write so far was flushed:
+        // a flush drops its memtable only once its table is synced, and keeps
+        // the WAL segment that covers it until the manifest naming the table
+        // commits. Under `on_flush` that is the promise, whoever ran the flush
+        // — the writer that sealed, a pool worker or an explicit `flush()` —
+        // and even when the op that ran it failed afterwards, in a compaction.
+        let raise_floor = |history: &mut History| {
+            if db.memtable_len() == 0 {
+                history.raise_floor();
+            }
+        };
+        // A put of `v`, or a delete when `None`.
+        let write = |history: &mut History, k: u64, v: Option<Bytes>| {
+            let _ = match v {
+                Some(v) => history.put(kb(k), v, |k, v| db.put(k, v)),
+                None => history.delete(kb(k), |k| db.delete(k)),
+            };
+            raise_floor(history);
+        };
+        let flush = |history: &mut History| {
+            let _ = db.flush();
+            raise_floor(history);
+        };
         // Baseline data lands cleanly so the faulted phase reads and
         // compacts real tables.
         for k in 0..key_space {
             let v = Bytes::from(format!("base-{cycle}-{k}-{pad}"));
-            ledger.write(&db, k, Some(v));
+            write(&mut history, k, Some(v));
         }
-        ledger.flush(&db);
+        flush(&mut history);
 
         // Storm on, and in two cycles of three one crash point armed. The
         // third runs all its ops and the power cut lands wherever they
@@ -2423,18 +2374,18 @@ fn faultcheck_cycle(
             match next() % 100 {
                 0..=54 => {
                     let v = Bytes::from(format!("c{cycle}-i{i}-{pad}"));
-                    ledger.write(&db, k, Some(v));
+                    write(&mut history, k, Some(v));
                 }
-                55..=64 => ledger.write(&db, k, None),
-                65..=69 => ledger.flush(&db),
+                55..=64 => write(&mut history, k, None),
+                65..=69 => flush(&mut history),
                 70..=74 => {
                     let _ = db.maybe_compact_once();
                 }
                 75..=79 => {
-                    let _ = db.scan(&kb(k), 8, &DirectProvider);
+                    let _ = history.scan(kb(k), 8, |k, n| db.scan(k, n, &DirectProvider));
                 }
                 _ => {
-                    let _ = db.get(&kb(k), &DirectProvider);
+                    let _ = history.get(kb(k), |k| db.get(k, &DirectProvider));
                 }
             }
             if crash.fired() {
@@ -2451,6 +2402,11 @@ fn faultcheck_cycle(
         report.faults_injected += storage.fault_stats().total();
         // The engine drops here (joining the worker pool, if any): the
         // "process" is fully dead before the device models crash below.
+    }
+    // The storm's reads, judged with every acked write certain.
+    for v in history.crash(sync) {
+        report.incoherent_reads += 1;
+        eprintln!("cycle {cycle}: storm {}", v.what);
     }
 
     // The crash also tears every completed-but-unsynced write out of both
@@ -2479,18 +2435,16 @@ fn faultcheck_cycle(
     };
     let mut state = Vec::with_capacity(key_space as usize);
     for k in 0..key_space {
-        let got = db.get(&kb(k), &DirectProvider)?;
-        if !ledger.justifies(k, got.as_ref(), sync) {
-            report.lost_acked_writes += 1;
-            eprintln!(
-                "cycle {cycle}: key k{k:04} recovered {:?}, not justified under sync={}",
-                got.as_ref()
-                    .map(|v| String::from_utf8_lossy(v).into_owned()),
-                sync.name(),
-            );
-        }
-        state.push(got);
+        state.push(history.get(kb(k), |k| db.get(k, &DirectProvider))?);
     }
+    let all = key_space as usize + 1;
+    history.scan(Bytes::new(), all, |k, n| db.scan(k, n, &DirectProvider))?;
+    let mut lost = std::collections::BTreeSet::new();
+    for v in history.check() {
+        eprintln!("cycle {cycle}: {}, under sync={}", v.what, sync.name());
+        lost.insert(v.key);
+    }
+    report.lost_acked_writes += lost.len() as u64;
     // The recovery sweep (every stripe's, jointly) must leave no table on
     // the device that the recovered version does not reference.
     let live: usize = db.level_summary().iter().map(|(_, files, _)| files).sum();
@@ -2625,8 +2579,11 @@ fn cmd_faultcheck(
         report.unsynced_files_dropped
     );
     println!(
-        "  storage:  {} lost acked writes, {} failed opens, {} unstable reopens",
-        report.lost_acked_writes, report.failed_opens, report.unstable_reopens
+        "  storage:  {} lost acked writes, {} failed opens, {} unstable reopens, {} incoherent reads",
+        report.lost_acked_writes,
+        report.failed_opens,
+        report.unstable_reopens,
+        report.incoherent_reads
     );
     println!(
         "  sweep:    {} orphan tables left behind, {} post-recovery id collisions",
@@ -3066,9 +3023,10 @@ mod tests {
     fn assert_guarantees_hold(report: &FaultCheckReport, what: &str) {
         assert!(
             report.ok(),
-            "guarantees violated ({what}): {} lost acked, {} failed opens, {} unstable, \
-             {} orphans, {} collisions",
+            "guarantees violated ({what}): {} lost acked, {} incoherent, {} failed opens, \
+             {} unstable, {} orphans, {} collisions",
             report.lost_acked_writes,
+            report.incoherent_reads,
             report.failed_opens,
             report.unstable_reopens,
             report.orphan_leftovers,

@@ -7,6 +7,7 @@
 //! what each thread actually issued).
 
 use adcache_core::{CachedDb, EngineConfig, Strategy};
+use adcache_lsm::history::History;
 use adcache_lsm::{MemStorage, Options};
 use adcache_workload::{render_key, Mix, WorkloadConfig, WorkloadGen};
 use bytes::Bytes;
@@ -26,20 +27,24 @@ struct Issued {
     hits_or_misses_ok: u64,
 }
 
-fn build_shared(strategy: Strategy) -> Arc<CachedDb> {
+/// The shared engine, and its seed values recorded as certain writes.
+fn build_shared(strategy: Strategy) -> (Arc<CachedDb>, History) {
     let db = CachedDb::new(
         Options::small(),
         Arc::new(MemStorage::new()),
         EngineConfig::new(strategy, 1 << 20),
     )
     .unwrap();
+    let mut history = History::default();
     for i in 0..4_000u64 {
-        db.load(render_key(i), Bytes::from(format!("seed-{i:05}")))
+        let value = Bytes::from(format!("seed-{i:05}"));
+        history
+            .put(render_key(i), value, |k, v| db.load(k, v))
             .unwrap();
     }
     db.db().flush().unwrap();
     while db.db().maybe_compact_once().unwrap() {}
-    Arc::new(db)
+    (Arc::new(db), history)
 }
 
 /// 8 threads of mixed traffic against one engine: every operation must
@@ -49,7 +54,7 @@ fn build_shared(strategy: Strategy) -> Arc<CachedDb> {
 #[test]
 fn eight_threads_of_mixed_traffic_keep_counters_consistent() {
     for strategy in [Strategy::AdCache, Strategy::RocksDbBlock] {
-        let db = build_shared(strategy);
+        let (db, _) = build_shared(strategy);
         let mix = Mix::new(40.0, 25.0, 5.0, 30.0);
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
@@ -152,39 +157,40 @@ fn eight_threads_of_mixed_traffic_keep_counters_consistent() {
     }
 }
 
-/// Writers and readers race on the same keys; reads must always see either
-/// the seed value or some thread's overwrite — never garbage, never a
-/// phantom deletion.
+/// Writers and readers race on the same keys; every get and scan must be
+/// coherent with the writes around it: no torn value, no phantom deletion,
+/// no value older than one already overwritten.
 #[test]
 fn racing_overwrites_never_yield_torn_values() {
-    let db = build_shared(Strategy::AdCache);
+    let (db, mut history) = build_shared(Strategy::AdCache);
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let db = db.clone();
+            let (db, mut history) = (db.clone(), history.fork());
             std::thread::spawn(move || {
                 // All threads fight over the same 64 keys.
                 for i in 0..1_500u64 {
                     let k = render_key(i % 64);
                     if t % 2 == 0 {
-                        db.put(k, Bytes::from(format!("w{t}-{i:05}"))).unwrap();
+                        let value = Bytes::from(format!("w{t}-{i:05}"));
+                        history.put(k, value, |k, v| db.put(k, v)).unwrap();
                     } else {
-                        if let Some(v) = db.get(&k).unwrap() {
-                            let s = std::str::from_utf8(&v).expect("utf8 value");
-                            assert!(
-                                s.starts_with("seed-") || s.starts_with('w'),
-                                "torn value {s:?}"
-                            );
-                        } else {
-                            panic!("key {i} vanished without a delete");
-                        }
-                        let page = db.scan(&render_key(0), 16).unwrap();
-                        assert!(!page.is_empty());
+                        history.get(k, |k| db.get(k)).unwrap();
+                        let page = history.scan(render_key(0), 16, |k, n| db.scan(k, n));
+                        page.unwrap();
                     }
                 }
+                history
             })
         })
         .collect();
     for h in handles {
-        h.join().expect("worker thread panicked");
+        history.join(h.join().expect("worker thread panicked"));
     }
+    let violations = history.check();
+    assert!(
+        violations.is_empty(),
+        "{} violations, first: {}",
+        violations.len(),
+        violations[0].what
+    );
 }

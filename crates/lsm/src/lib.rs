@@ -36,6 +36,7 @@ pub mod db;
 pub mod error;
 pub mod fault;
 pub mod fs;
+pub mod history;
 pub mod iterator;
 pub mod manifest;
 pub mod memtable;

@@ -10,9 +10,11 @@
 //!    exactly what the policy promised: `always` never loses an acked
 //!    write; `on_flush` never loses an acked write covered by a completed
 //!    flush; `never` may lose unsynced suffixes but still serves only
-//!    values that were actually written. A second recovery reproduces the
-//!    first bit for bit in every case.
+//!    values that were actually written. The one history oracle
+//!    (`adcache_lsm::history`) judges the recovered gets and a full scan. A
+//!    second recovery reproduces the first bit for bit in every case.
 
+use adcache_lsm::history::History;
 use adcache_lsm::{
     CrashController, CrashPoint, DirectProvider, FaultPlan, FaultStorage, FileStorage, LsmTree,
     MemStorage, Options, SimFs, SyncPolicy,
@@ -127,15 +129,7 @@ proptest! {
         ));
         storage.enable_write_back();
         let crash = CrashController::new();
-        // Write history per key, in order: (value-or-tombstone, acked?,
-        // sequence number). A failed op may still have reached the WAL
-        // before its error, so unacked writes are candidates, not
-        // forbidden states.
-        let mut history: Vec<Vec<(Option<Bytes>, bool, u64)>> = vec![Vec::new(); KEYS as usize];
-        let mut seq = 0u64;
-        // Highest sequence covered by a fully successful flush — the
-        // durability floor the `on_flush` policy promises.
-        let mut flushed_seq = 0u64;
+        let mut history = History::default();
 
         // First life: a fault storm plus one armed crash point.
         {
@@ -149,14 +143,10 @@ proptest! {
                 match op {
                     Op::Put(k, v) => {
                         let value = Bytes::from(format!("v{k}-{v}-{i}"));
-                        seq += 1;
-                        let acked = db.put(key(*k), value.clone()).is_ok();
-                        history[*k as usize].push((Some(value), acked, seq));
+                        let _ = history.put(key(*k), value, |k, v| db.put(k, v));
                     }
                     Op::Delete(k) => {
-                        seq += 1;
-                        let acked = db.delete(key(*k)).is_ok();
-                        history[*k as usize].push((None, acked, seq));
+                        let _ = history.delete(key(*k), |k| db.delete(k));
                     }
                     Op::Flush => {
                         let _ = db.flush();
@@ -165,7 +155,7 @@ proptest! {
                 // Nothing buffered: every write so far was flushed, even
                 // if the op failed afterwards, in a compaction.
                 if db.memtable_len() == 0 {
-                    flushed_seq = seq;
+                    history.raise_floor();
                 }
                 if crash.fired() {
                     break;
@@ -175,6 +165,7 @@ proptest! {
         }
 
         // ...and drop whatever the write-back caches still held.
+        history.crash(sync);
         storage.set_active(false);
         storage.crash_drop_unsynced(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
         fs.crash(seed.rotate_left(17) | 1);
@@ -187,27 +178,11 @@ proptest! {
         let p = DirectProvider;
         let mut state = Vec::with_capacity(KEYS as usize);
         for k in 0..KEYS {
-            let got = db.get(&key(k), &p).unwrap();
-            let h = &history[k as usize];
-            let strong = match sync {
-                SyncPolicy::Always => h.iter().rposition(|(_, acked, _)| *acked),
-                SyncPolicy::OnFlush => {
-                    h.iter().rposition(|(_, acked, s)| *acked && *s <= flushed_seq)
-                }
-                SyncPolicy::Never => None,
-            };
-            let matches = |want: &Option<Bytes>| got.as_deref() == want.as_deref();
-            let ok = match strong {
-                Some(idx) => h[idx..].iter().any(|(v, _, _)| matches(v)),
-                None => got.is_none() || h.iter().any(|(v, _, _)| matches(v)),
-            };
-            prop_assert!(
-                ok,
-                "key {k} (sync={}): recovered {:?} not justified by history {:?}",
-                sync.name(), got, h
-            );
-            state.push(got);
+            state.push(history.get(key(k), |k| db.get(k, &p)).unwrap());
         }
+        history.scan(Bytes::new(), KEYS as usize + 1, |k, n| db.scan(k, n, &p)).unwrap();
+        let violations = history.check();
+        prop_assert!(violations.is_empty(), "sync={}: {:#?}", sync.name(), violations);
         drop(db);
 
         // Second recovery must be idempotent: nothing applied twice,

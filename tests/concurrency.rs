@@ -1,13 +1,36 @@
 //! Multi-threaded stress: concurrent clients on one engine (paper Section
-//! 4.4's sharded design). Each thread owns a disjoint key slice, so it can
-//! assert exact read-your-writes coherence under full concurrency, while
-//! cross-partition scans exercise shared cache state.
+//! 4.4's sharded design). Each thread writes its own key slice and reads
+//! it back, while cross-partition scans read everyone's. Every operation
+//! goes into one `lsm::history`, whose per-key register check judges
+//! read-your-writes, deletes then absent, and each scan key by key.
 
 use adcache_suite::core::{CachedDb, EngineConfig, Strategy};
+use adcache_suite::lsm::history::History;
 use adcache_suite::lsm::{MemStorage, Options};
 use adcache_suite::workload::render_key;
 use bytes::Bytes;
 use std::sync::Arc;
+
+/// Loads keys `0..n` as `{prefix}{i}`, recorded as certain initial writes.
+fn preload(db: &CachedDb, history: &mut History, n: u64, prefix: &str) {
+    for i in 0..n {
+        let value = Bytes::from(format!("{prefix}{i}"));
+        history
+            .put(render_key(i), value, |k, v| db.load(k, v))
+            .unwrap();
+    }
+    db.db().flush().unwrap();
+}
+
+fn assert_coherent(history: &History) {
+    let violations = history.check();
+    assert!(
+        violations.is_empty(),
+        "{} violations, first: {}",
+        violations.len(),
+        violations[0].what
+    );
+}
 
 fn run_stress(strategy: Strategy, threads: usize, rounds: usize) {
     let mut ecfg = EngineConfig::new(strategy, 1 << 20);
@@ -16,17 +39,12 @@ fn run_stress(strategy: Strategy, threads: usize, rounds: usize) {
     let keys_total = 8_000u64;
     ecfg.range_boundaries = (1..4).map(|i| render_key(i * keys_total / 4)).collect();
     let db = Arc::new(CachedDb::new(Options::small(), Arc::new(MemStorage::new()), ecfg).unwrap());
-
-    // Preload.
-    for i in 0..keys_total {
-        db.load(render_key(i), Bytes::from(format!("init-{i}")))
-            .unwrap();
-    }
-    db.db().flush().unwrap();
+    let mut history = History::default();
+    preload(&db, &mut history, keys_total, "init-");
 
     let handles: Vec<_> = (0..threads)
         .map(|t| {
-            let db = db.clone();
+            let (db, mut history) = (db.clone(), history.fork());
             std::thread::spawn(move || {
                 let mut state = (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
                 let mut rand = move || {
@@ -36,32 +54,32 @@ fn run_stress(strategy: Strategy, threads: usize, rounds: usize) {
                     state
                 };
                 for round in 0..rounds {
-                    // Write own keys (partition: i % threads == t).
+                    // Write own keys (partition: i % threads == t), then
+                    // read the write back.
                     let base = (rand() % (keys_total / threads as u64)) * threads as u64 + t as u64;
+                    let key = render_key(base);
                     let value = Bytes::from(format!("t{t}-r{round}"));
-                    db.put(render_key(base), value.clone()).unwrap();
-                    // Read-your-write must hold immediately.
-                    let got = db.get(&render_key(base)).unwrap().unwrap();
-                    assert_eq!(got, value, "thread {t} round {round}");
-                    // Cross-partition scan: sorted, correct lengths, no panic.
-                    let from = rand() % keys_total;
-                    let scan = db.scan(&render_key(from), 16).unwrap();
-                    assert!(scan.len() <= 16);
-                    for w in scan.windows(2) {
-                        assert!(w[0].0 < w[1].0, "scan out of order");
-                    }
-                    // Occasional delete + verify.
+                    history
+                        .put(key.clone(), value, |k, v| db.put(k, v))
+                        .unwrap();
+                    history.get(key.clone(), |k| db.get(k)).unwrap();
+                    // Cross-partition scan.
+                    let from = render_key(rand() % keys_total);
+                    history.scan(from, 16, |k, n| db.scan(k, n)).unwrap();
+                    // Occasional delete, read back.
                     if round % 7 == 0 {
-                        db.delete(render_key(base)).unwrap();
-                        assert!(db.get(&render_key(base)).unwrap().is_none());
+                        history.delete(key.clone(), |k| db.delete(k)).unwrap();
+                        history.get(key, |k| db.get(k)).unwrap();
                     }
                 }
+                history
             })
         })
         .collect();
     for h in handles {
-        h.join().expect("stress thread panicked");
+        history.join(h.join().expect("stress thread panicked"));
     }
+    assert_coherent(&history);
 }
 
 #[test]
@@ -90,11 +108,8 @@ fn concurrent_retuning_while_serving() {
         )
         .unwrap(),
     );
-    for i in 0..4_000u64 {
-        db.load(render_key(i), Bytes::from(format!("v{i}")))
-            .unwrap();
-    }
-    db.db().flush().unwrap();
+    let mut history = History::default();
+    preload(&db, &mut history, 4_000, "v");
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let tuner = {
@@ -116,22 +131,23 @@ fn concurrent_retuning_while_serving() {
     };
     let clients: Vec<_> = (0..4)
         .map(|t| {
-            let db = db.clone();
+            let (db, mut history) = (db.clone(), history.fork());
             std::thread::spawn(move || {
                 for i in 0..2_000u64 {
-                    let k = (i * 31 + t * 7) % 4_000;
-                    let got = db.get(&render_key(k)).unwrap().unwrap();
-                    assert!(got.starts_with(b"v"), "corrupt value under retuning");
+                    let key = render_key((i * 31 + t * 7) % 4_000);
+                    history.get(key.clone(), |k| db.get(k)).unwrap();
                     if i % 5 == 0 {
-                        db.scan(&render_key(k), 8).unwrap();
+                        history.scan(key, 8, |k, n| db.scan(k, n)).unwrap();
                     }
                 }
+                history
             })
         })
         .collect();
     for c in clients {
-        c.join().expect("client panicked");
+        history.join(c.join().expect("client panicked"));
     }
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     tuner.join().unwrap();
+    assert_coherent(&history);
 }
