@@ -234,11 +234,12 @@ fn bench_lsm(c: &mut Criterion) {
     let memtable = fill_memtable(&keys, &value);
     g.bench_function("flush_1mib", |b| {
         b.iter(|| {
-            let mut builder = TableBuilder::new(1, &opts);
+            let storage = MemStorage::new();
+            let mut builder = TableBuilder::new(1, &opts, &storage).unwrap();
             for (key, value) in memtable.iter() {
                 builder.add_value(key, value).unwrap();
             }
-            black_box(builder.finish(&MemStorage::new()).unwrap().num_blocks)
+            black_box(builder.finish().unwrap().num_blocks)
         })
     });
     let sorted: Vec<Bytes> = (0..200_000).map(render_key).collect();
@@ -246,17 +247,17 @@ fn bench_lsm(c: &mut Criterion) {
         b.iter(|| {
             let storage = MemStorage::new();
             let mut id = 1;
-            let mut builder = TableBuilder::new(id, &opts);
+            let mut builder = TableBuilder::new(id, &opts, &storage).unwrap();
             for key in &sorted {
                 builder.add_value(key, Some(&value)).unwrap();
                 if builder.estimated_size() >= opts.sstable_size {
                     id += 1;
-                    let full = std::mem::replace(&mut builder, TableBuilder::new(id, &opts));
-                    full.finish(&storage).unwrap();
+                    let next = TableBuilder::new(id, &opts, &storage).unwrap();
+                    std::mem::replace(&mut builder, next).finish().unwrap();
                 }
             }
             if !builder.is_empty() {
-                builder.finish(&storage).unwrap();
+                builder.finish().unwrap();
             }
             black_box(storage.table_count())
         })

@@ -343,13 +343,13 @@ mod tests {
     use adcache_lsm::{MemStorage, Options};
 
     fn table(storage: &dyn Storage, id: FileId, n: usize) -> Arc<TableMeta> {
-        let mut b = TableBuilder::new(id, &Options::small());
+        let mut b = TableBuilder::new(id, &Options::small(), storage).unwrap();
         for i in 0..n {
             let k = format!("t{id}-k{i:05}");
             b.add_value(k.as_bytes(), Some(format!("v{i}").as_bytes()))
                 .unwrap();
         }
-        b.finish(storage).unwrap()
+        b.finish().unwrap()
     }
 
     #[test]

@@ -12,8 +12,8 @@
 
 use crate::controller::{CacheDecision, Controller, ControllerConfig, TuningRecord};
 use crate::stats::WindowSummary;
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -43,7 +43,7 @@ impl AsyncController {
     /// Spawns the tuning thread around an existing (e.g. pretrained)
     /// controller.
     pub fn with_controller(mut controller: Controller) -> Self {
-        let (tx, rx) = unbounded::<Msg>();
+        let (tx, rx) = channel::<Msg>();
         let shared = Arc::new(Shared {
             decision: Mutex::new(controller.decision()),
             history: Mutex::new(Vec::new()),

@@ -131,17 +131,18 @@ pub fn run_compaction(
         if drop_tombstones && ke.entry.is_tombstone() {
             continue;
         }
-        let b = builder.get_or_insert_with(|| TableBuilder::new(next_file(), opts));
+        let b = match &mut builder {
+            Some(b) => b,
+            None => builder.insert(TableBuilder::new(next_file(), opts, storage)?),
+        };
         b.add_value(&ke.key, ke.entry.value().map(AsRef::as_ref))?;
         if b.estimated_size() >= opts.sstable_size {
             let finished = builder.take().expect("just inserted");
-            outputs.push(finished.finish(storage)?);
+            outputs.push(finished.finish()?);
         }
     }
     if let Some(b) = builder {
-        if !b.is_empty() {
-            outputs.push(b.finish(storage)?);
-        }
+        outputs.push(b.finish()?);
     }
 
     let obsolete: Vec<FileId> = inputs_from
@@ -180,11 +181,11 @@ mod tests {
         storage: &dyn Storage,
         entries: &[(&str, Option<&str>)],
     ) -> Arc<TableMeta> {
-        let mut b = TableBuilder::new(id, opts);
+        let mut b = TableBuilder::new(id, opts, storage).unwrap();
         for (k, v) in entries {
             b.add_value(k.as_bytes(), v.map(str::as_bytes)).unwrap();
         }
-        b.finish(storage).unwrap()
+        b.finish().unwrap()
     }
 
     /// Mirrors the engine's post-commit step: obsolete inputs are deleted

@@ -986,11 +986,11 @@ impl LsmTree {
             return Ok(());
         };
         let entries = imm.len() as u64;
-        let mut builder = TableBuilder::new(self.alloc_file(), &self.opts);
+        let mut builder = TableBuilder::new(self.alloc_file(), &self.opts, self.storage.as_ref())?;
         for (key, value) in imm.iter() {
             builder.add_value(key, value)?;
         }
-        let meta = builder.finish(self.storage.as_ref())?;
+        let meta = builder.finish()?;
         let blocks = meta.num_blocks as u64;
         self.sync_new_tables(&[meta.id])?;
         // Crash here: a durable orphan SST; the sealed segments still

@@ -25,7 +25,7 @@
 //! rollback path covers separately.
 
 use crate::error::{LsmError, Result};
-use crate::storage::{IoStats, Storage};
+use crate::storage::{collecting_sink, write_table, IoStats, Storage, TableSink};
 use crate::types::FileId;
 use adcache_obs::{Event, FaultKind, Obs};
 use bytes::Bytes;
@@ -264,9 +264,7 @@ impl FaultStorage {
                     };
                     let kept: u64 = blocks[..keep].iter().map(|b| b.len() as u64).sum();
                     let _ = self.inner.delete_table(id);
-                    let _ = self
-                        .inner
-                        .write_table(id, blocks[..keep].to_vec(), Bytes::new());
+                    let _ = write_table(self.inner.as_ref(), id, &blocks[..keep], Bytes::new());
                     files += 1;
                     bytes += payload - kept;
                 }
@@ -301,11 +299,11 @@ impl FaultStorage {
                     "table {id} already exists"
                 )));
             }
-            self.inner.write_table(id, blocks.clone(), meta.clone())?;
+            write_table(self.inner.as_ref(), id, &blocks, meta.clone())?;
             wb.created.insert(id, (blocks, meta));
             Ok(())
         } else {
-            self.inner.write_table(id, blocks, meta)
+            write_table(self.inner.as_ref(), id, &blocks, meta)
         }
     }
 
@@ -369,10 +367,10 @@ impl FaultStorage {
             .read()
             .emit(|| Event::FaultInjected { kind, file, block });
     }
-}
 
-impl Storage for FaultStorage {
-    fn write_table(&self, id: FileId, blocks: Vec<Bytes>, meta: Bytes) -> Result<()> {
+    /// A finished table reaching the device: fails, tears or completes by
+    /// the plan's draws.
+    fn write_whole(&self, id: FileId, blocks: Vec<Bytes>, meta: Bytes) -> Result<()> {
         if !self.is_active() {
             return self.write_back_write(id, blocks, meta);
         }
@@ -404,6 +402,18 @@ impl Storage for FaultStorage {
             )));
         }
         self.write_back_write(id, blocks, meta)
+    }
+}
+
+impl Storage for FaultStorage {
+    /// Buffers the table's blocks, so that the write-fail, torn-write and
+    /// write-back decisions are made for the whole table at `finish`, as
+    /// one draw on the op counter, whatever the inner device does with a
+    /// stream.
+    fn create_table(&self, id: FileId) -> Result<Box<dyn TableSink + '_>> {
+        Ok(collecting_sink(move |blocks, meta| {
+            self.write_whole(id, blocks, meta)
+        }))
     }
 
     fn read_block(&self, id: FileId, block_no: u32) -> Result<Bytes> {
@@ -681,9 +691,7 @@ mod tests {
     }
 
     fn table(storage: &dyn Storage) {
-        storage
-            .write_table(1, blocks(4), Bytes::from_static(b"meta"))
-            .unwrap();
+        write_table(storage, 1, &blocks(4), Bytes::from_static(b"meta")).unwrap();
     }
 
     #[test]
@@ -799,9 +807,7 @@ mod tests {
                 ..FaultPlan::default()
             },
         );
-        let err = fs
-            .write_table(3, blocks(4), Bytes::from_static(b"meta"))
-            .unwrap_err();
+        let err = write_table(&fs, 3, &blocks(4), Bytes::from_static(b"meta")).unwrap_err();
         assert!(matches!(err, LsmError::Injected(_)));
         // The partial table exists but has fewer blocks than requested and
         // no metadata.
@@ -821,7 +827,7 @@ mod tests {
                 ..FaultPlan::default()
             },
         );
-        assert!(fs.write_table(3, blocks(2), Bytes::new()).is_err());
+        assert!(write_table(&fs, 3, &blocks(2), Bytes::new()).is_err());
         assert_eq!(fs.table_count(), 0);
     }
 

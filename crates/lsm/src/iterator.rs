@@ -312,28 +312,28 @@ mod tests {
         let storage = MemStorage::new();
         let p = DirectProvider;
         // Two non-overlapping L1 tables.
-        let mut b = TableBuilder::new(1, &opts);
+        let mut b = TableBuilder::new(1, &opts, &storage).unwrap();
         for i in 0..50 {
             let k = format!("k{i:04}");
             b.add_value(k.as_bytes(), Some(format!("t1-{i}").as_bytes()))
                 .unwrap();
         }
-        let t1 = b.finish(&storage).unwrap();
-        let mut b = TableBuilder::new(2, &opts);
+        let t1 = b.finish().unwrap();
+        let mut b = TableBuilder::new(2, &opts, &storage).unwrap();
         for i in 50..100 {
             let k = format!("k{i:04}");
             b.add_value(k.as_bytes(), Some(format!("t2-{i}").as_bytes()))
                 .unwrap();
         }
-        let t2 = b.finish(&storage).unwrap();
+        let t2 = b.finish().unwrap();
         // One newer L0 table overwriting a few keys.
-        let mut b = TableBuilder::new(3, &opts);
+        let mut b = TableBuilder::new(3, &opts, &storage).unwrap();
         for i in [10usize, 60] {
             let k = format!("k{i:04}");
             b.add_value(k.as_bytes(), Some(format!("l0-{i}").as_bytes()))
                 .unwrap();
         }
-        let t0 = b.finish(&storage).unwrap();
+        let t0 = b.finish().unwrap();
 
         let l0 = Source::Table(TableIter::seek(t0, &p, &storage, b"k0000").unwrap());
         let chain = Source::level_chain(vec![t1, t2], b"k0000");
@@ -355,12 +355,12 @@ mod tests {
         let p = DirectProvider;
         let mut metas = Vec::new();
         for t in 0..3u64 {
-            let mut b = TableBuilder::new(t + 1, &opts);
+            let mut b = TableBuilder::new(t + 1, &opts, &storage).unwrap();
             for i in 0..20 {
                 let k = format!("t{t}-k{i:03}");
                 b.add_value(k.as_bytes(), Some(b"v")).unwrap();
             }
-            metas.push(b.finish(&storage).unwrap());
+            metas.push(b.finish().unwrap());
         }
         let before = storage.stats().reads();
         let mut src = Source::level_chain(metas, b"t0-k000");

@@ -63,7 +63,7 @@ pub use options::{FsyncSite, Options, SyncPolicy};
 pub use sstable::{
     decode_stored_block, decode_stored_block_at, BlockProvider, DirectProvider, TableMeta,
 };
-pub use storage::{CostModel, FileStorage, IoStats, MemStorage, Storage};
+pub use storage::{CostModel, FileStorage, IoStats, MemStorage, Storage, TableSink};
 pub use striped::StripedDb;
 pub use timed_lock::{
     lock_probe, reset_lock_probe, LockPath, LockPathSnapshot, TimedRwLock, LOCK_PATHS,

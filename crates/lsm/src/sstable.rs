@@ -15,7 +15,7 @@ use crate::bloom::{hash64, BloomFilter};
 use crate::compress::unwrap_block;
 use crate::error::{LsmError, Result};
 use crate::options::Options;
-use crate::storage::Storage;
+use crate::storage::{Storage, TableSink};
 use crate::types::{BlockRef, Entry, FileId, Key, KeyEntry};
 use bytes::Bytes;
 use std::sync::Arc;
@@ -225,18 +225,21 @@ impl BlockProvider for DirectProvider {
     }
 }
 
-/// Builds one SSTable, cutting blocks at the configured size.
+/// Builds one SSTable, cutting blocks at the configured size and handing
+/// each to the table's [`TableSink`] as it is cut.
 ///
-/// Keeps nothing per entry but its [`hash64`] for the Bloom filter: each
-/// block's first key goes straight into the index and the last key added
-/// lives in one reusable buffer.
-pub struct TableBuilder {
+/// Keeps nothing per entry but its [`hash64`] for the Bloom filter, and
+/// nothing per block but its first key in the index: the last key added
+/// lives in one reusable buffer, and the blocks themselves are the sink's.
+/// Over [`crate::FileStorage`] a build therefore holds one block, not the
+/// table.
+pub struct TableBuilder<'a> {
     id: FileId,
     opts: Options,
+    sink: Box<dyn TableSink + 'a>,
     current: BlockBuilder,
-    blocks: Vec<Bytes>,
-    /// Total length of `blocks`, kept as they are cut: compaction asks for
-    /// the table's size after every entry.
+    /// Total length of the blocks cut so far, kept as they are cut:
+    /// compaction asks for the table's size after every entry.
     blocks_len: usize,
     /// First key of every block, the open one included.
     index: BlockIndex,
@@ -244,19 +247,19 @@ pub struct TableBuilder {
     last_key: Vec<u8>,
 }
 
-impl TableBuilder {
-    /// Starts a builder for file `id`.
-    pub fn new(id: FileId, opts: &Options) -> Self {
-        TableBuilder {
+impl<'a> TableBuilder<'a> {
+    /// Starts table `id` on `storage`; fails if the table exists.
+    pub fn new(id: FileId, opts: &Options, storage: &'a dyn Storage) -> Result<Self> {
+        Ok(TableBuilder {
             id,
             opts: opts.clone(),
+            sink: storage.create_table(id)?,
             current: BlockBuilder::new(opts.block_restart_interval),
-            blocks: Vec::new(),
             blocks_len: 0,
             index: BlockIndex::default(),
             hashes: Vec::new(),
             last_key: Vec::new(),
-        }
+        })
     }
 
     /// Appends `key -> value` (`None`: a tombstone) from borrowed bytes;
@@ -271,14 +274,14 @@ impl TableBuilder {
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
         if self.current.size_estimate() >= self.opts.block_size {
-            self.cut_block();
+            self.cut_block()?;
         }
         Ok(())
     }
 
-    fn cut_block(&mut self) {
+    fn cut_block(&mut self) -> Result<()> {
         if self.current.is_empty() {
-            return;
+            return Ok(());
         }
         let builder = std::mem::replace(
             &mut self.current,
@@ -287,7 +290,7 @@ impl TableBuilder {
         // Frame (and optionally compress) the encoded block for storage.
         let block = builder.finish_stored(self.opts.compression);
         self.blocks_len += block.len();
-        self.blocks.push(block);
+        self.sink.append(block)
     }
 
     /// Estimated total encoded size so far (used by compaction to cut
@@ -301,11 +304,11 @@ impl TableBuilder {
         self.hashes.is_empty()
     }
 
-    /// Seals the table, writes blocks + metadata to `storage`, and returns
-    /// the pinned metadata.
-    pub fn finish(mut self, storage: &dyn Storage) -> Result<Arc<TableMeta>> {
-        self.cut_block();
-        if self.blocks.is_empty() {
+    /// Cuts the last block, completes the table with its metadata, and
+    /// returns the pinned metadata.
+    pub fn finish(mut self) -> Result<Arc<TableMeta>> {
+        self.cut_block()?;
+        if self.index.is_empty() {
             return Err(LsmError::InvalidArgument(
                 "cannot finish an empty table".into(),
             ));
@@ -313,7 +316,7 @@ impl TableBuilder {
         self.index.shrink_to_fit();
         let meta = TableMeta {
             id: self.id,
-            num_blocks: self.blocks.len() as u32,
+            num_blocks: self.index.len() as u32,
             num_entries: self.hashes.len() as u64,
             total_bytes: self.blocks_len as u64,
             smallest: Bytes::copy_from_slice(self.index.key(0)),
@@ -321,7 +324,7 @@ impl TableBuilder {
             bloom: BloomFilter::build_hashed(&self.hashes, self.opts.bloom_bits_per_key),
             index: self.index,
         };
-        storage.write_table(self.id, self.blocks, meta.encode())?;
+        self.sink.finish(meta.encode())?;
         Ok(Arc::new(meta))
     }
 }
@@ -444,13 +447,13 @@ mod tests {
     use crate::storage::MemStorage;
 
     fn build_table(n: usize, opts: &Options, storage: &dyn Storage) -> Arc<TableMeta> {
-        let mut b = TableBuilder::new(1, opts);
+        let mut b = TableBuilder::new(1, opts, storage).unwrap();
         for i in 0..n {
             let k = format!("key{i:06}");
             let v = format!("value-{i}");
             b.add_value(k.as_bytes(), Some(v.as_bytes())).unwrap();
         }
-        b.finish(storage).unwrap()
+        b.finish().unwrap()
     }
 
     #[test]
@@ -571,7 +574,7 @@ mod tests {
     #[test]
     fn raw_frames_decode_as_views_of_the_stored_buffer() {
         let storage = MemStorage::new();
-        let mut b = TableBuilder::new(1, &Options::small());
+        let mut b = TableBuilder::new(1, &Options::small(), &storage).unwrap();
         for i in 0..50u64 {
             // Values no match finder shortens, so compression would store
             // them raw as well.
@@ -579,7 +582,7 @@ mod tests {
             b.add_value(format!("key{i:06}").as_bytes(), Some(&v))
                 .unwrap();
         }
-        b.finish(&storage).unwrap();
+        b.finish().unwrap();
         let stored = storage.read_block(1, 0).unwrap();
         assert_eq!(stored[0], crate::compress::FLAG_RAW);
         let block = decode_stored_block(stored.clone()).unwrap();
@@ -631,15 +634,25 @@ mod tests {
     #[test]
     fn estimated_size_is_the_finished_blocks_plus_the_open_one() {
         let opts = Options::small();
-        let mut b = TableBuilder::new(1, &opts);
+        let storage = MemStorage::new();
+        let mut b = TableBuilder::new(1, &opts, &storage).unwrap();
+        let mut sizes = Vec::new();
         for i in 0..2_000 {
             let v = "x".repeat(i % 97);
             b.add_value(format!("key{i:06}").as_bytes(), Some(v.as_bytes()))
                 .unwrap();
-            let finished: usize = b.blocks.iter().map(Bytes::len).sum();
-            assert_eq!(b.estimated_size(), finished + b.current.size_estimate());
+            let cut = b.index.len() - usize::from(!b.current.is_empty());
+            sizes.push((cut, b.estimated_size() - b.current.size_estimate()));
         }
-        assert!(b.blocks.len() > 100);
+        let meta = b.finish().unwrap();
+        assert!(meta.num_blocks > 100);
+        // What was counted as finished is what the store holds.
+        let stored: Vec<usize> = (0..meta.num_blocks)
+            .map(|i| storage.read_block(1, i).unwrap().len())
+            .collect();
+        for (cut, finished) in sizes {
+            assert_eq!(finished, stored[..cut].iter().sum::<usize>());
+        }
     }
 
     #[test]
@@ -716,10 +729,10 @@ mod tests {
     fn tombstones_roundtrip_through_tables() {
         let opts = Options::small();
         let storage = MemStorage::new();
-        let mut b = TableBuilder::new(9, &opts);
+        let mut b = TableBuilder::new(9, &opts, &storage).unwrap();
         b.add_value(b"alive", Some(b"v")).unwrap();
         b.add_value(b"dead", None).unwrap();
-        let meta = b.finish(&storage).unwrap();
+        let meta = b.finish().unwrap();
         let p = DirectProvider;
         assert_eq!(
             table_get(&meta, &p, &storage, b"dead").unwrap(),
@@ -731,7 +744,8 @@ mod tests {
     fn empty_table_finish_is_error() {
         let opts = Options::small();
         let storage = MemStorage::new();
-        let b = TableBuilder::new(2, &opts);
-        assert!(b.finish(&storage).is_err());
+        let b = TableBuilder::new(2, &opts, &storage).unwrap();
+        assert!(b.finish().is_err());
+        assert_eq!(storage.table_count(), 0);
     }
 }

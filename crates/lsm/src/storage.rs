@@ -11,8 +11,8 @@ use crate::error::{LsmError, Result};
 use crate::types::FileId;
 use bytes::{Bytes, BytesMut};
 use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::fs::File;
+use std::collections::{hash_map, HashMap};
+use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
@@ -95,14 +95,31 @@ impl IoStats {
     }
 }
 
+/// A table being written, from [`Storage::create_table`]: the builder
+/// appends each data block as it cuts it, then [`TableSink::finish`] seals
+/// the table with its metadata blob.
+///
+/// A sink dropped before `finish` leaves whatever it wrote on the device,
+/// as a crash mid-build would; no manifest references it, so recovery's
+/// orphan sweep removes it.
+pub trait TableSink: Send {
+    /// Appends the next data block.
+    fn append(&mut self, block: Bytes) -> Result<()>;
+
+    /// Writes the metadata blob and completes the table. Completed is not
+    /// durable: see [`Storage::sync_table`].
+    fn finish(self: Box<Self>, meta: Bytes) -> Result<()>;
+}
+
 /// A block-oriented storage device for SSTables.
 ///
 /// Tables are immutable once written; reads address individual data blocks
 /// by `(file, block_no)`. Implementations must be thread-safe: the engine
 /// serves concurrent readers (Section 4.4 of the paper).
 pub trait Storage: Send + Sync {
-    /// Persists a table's encoded data blocks plus its metadata blob.
-    fn write_table(&self, id: FileId, blocks: Vec<Bytes>, meta: Bytes) -> Result<()>;
+    /// Starts writing table `id`; the table exists for readers once the
+    /// sink's `finish` returns. The only way a table is written.
+    fn create_table(&self, id: FileId) -> Result<Box<dyn TableSink + '_>>;
 
     /// Reads one data block. Counts as one device I/O.
     fn read_block(&self, id: FileId, block_no: u32) -> Result<Bytes>;
@@ -116,7 +133,7 @@ pub trait Storage: Send + Sync {
     fn delete_table(&self, id: FileId) -> Result<()>;
 
     /// Makes a written table's *contents* durable (fsync). Until this (and
-    /// [`Storage::sync_dir`]) succeed, a completed `write_table` may sit in
+    /// [`Storage::sync_dir`]) succeed, a completed table may sit in
     /// a modeled write-back cache and vanish on crash. Charged to the
     /// simulated clock.
     fn sync_table(&self, id: FileId) -> Result<()>;
@@ -173,20 +190,69 @@ impl Default for MemStorage {
     }
 }
 
-impl Storage for MemStorage {
-    fn write_table(&self, id: FileId, blocks: Vec<Bytes>, meta: Bytes) -> Result<()> {
-        let n = blocks.len() as u64;
-        let mut tables = self.tables.write();
-        if tables.insert(id, (blocks, meta)).is_some() {
-            return Err(LsmError::InvalidArgument(format!(
-                "table {id} already exists"
-            )));
-        }
-        self.stats.block_writes.fetch_add(n, Ordering::Relaxed);
-        self.stats
-            .simulated_ns
-            .fetch_add(n * self.cost.write_block_ns, Ordering::Relaxed);
+/// Writes a whole table through [`Storage::create_table`], for callers
+/// that hold every block already: the fault decorator replaying what it
+/// buffered, and tests.
+pub(crate) fn write_table(
+    storage: &dyn Storage,
+    id: FileId,
+    blocks: &[Bytes],
+    meta: Bytes,
+) -> Result<()> {
+    let mut sink = storage.create_table(id)?;
+    for block in blocks {
+        sink.append(block.clone())?;
+    }
+    sink.finish(meta)
+}
+
+fn already_exists(id: FileId) -> LsmError {
+    LsmError::InvalidArgument(format!("table {id} already exists"))
+}
+
+/// A sink for a device that takes a table whole: it collects the blocks
+/// and hands them, with the metadata blob, to `done` at `finish`.
+pub(crate) fn collecting_sink<'a>(
+    done: impl FnOnce(Vec<Bytes>, Bytes) -> Result<()> + Send + 'a,
+) -> Box<dyn TableSink + 'a> {
+    Box::new(Collect {
+        blocks: Vec::new(),
+        done,
+    })
+}
+
+struct Collect<F> {
+    blocks: Vec<Bytes>,
+    done: F,
+}
+
+impl<F: FnOnce(Vec<Bytes>, Bytes) -> Result<()> + Send> TableSink for Collect<F> {
+    fn append(&mut self, block: Bytes) -> Result<()> {
+        self.blocks.push(block);
         Ok(())
+    }
+
+    fn finish(self: Box<Self>, meta: Bytes) -> Result<()> {
+        (self.done)(self.blocks, meta)
+    }
+}
+
+impl Storage for MemStorage {
+    /// The blocks are the store: a table keeps the very buffers the
+    /// builder cut, collected until `finish` files them.
+    fn create_table(&self, id: FileId) -> Result<Box<dyn TableSink + '_>> {
+        Ok(collecting_sink(move |blocks, meta| {
+            let n = blocks.len() as u64;
+            match self.tables.write().entry(id) {
+                hash_map::Entry::Occupied(_) => return Err(already_exists(id)),
+                hash_map::Entry::Vacant(slot) => slot.insert((blocks, meta)),
+            };
+            self.stats.block_writes.fetch_add(n, Ordering::Relaxed);
+            self.stats
+                .simulated_ns
+                .fetch_add(n * self.cost.write_block_ns, Ordering::Relaxed);
+            Ok(())
+        }))
     }
 
     fn read_block(&self, id: FileId, block_no: u32) -> Result<Bytes> {
@@ -257,9 +323,12 @@ impl Storage for MemStorage {
 
 /// File-backed storage: one file per table.
 ///
-/// Layout: `u32 block_count | u32 meta_len | u64 offset × (block_count+1) |
-/// blocks… | meta`. Offsets are absolute; block `i` spans
-/// `offset[i]..offset[i+1]`.
+/// Layout: `blocks… | meta | u64 offset × (n+1) | u32 n | u32 meta_len |
+/// u64 magic`, every integer little-endian. Block `i` spans
+/// `offset[i]..offset[i+1]` from the start of the file, and the metadata
+/// blob starts at `offset[n]`. The offset table and the counts come last,
+/// as in LevelDB's footer, so a table is written front to back as its
+/// blocks are cut and a build holds one block, not the table.
 pub struct FileStorage {
     dir: PathBuf,
     /// One open descriptor and the block offset table per table read so
@@ -269,6 +338,12 @@ pub struct FileStorage {
     stats: IoStats,
     cost: CostModel,
 }
+
+/// The last eight bytes of every table file.
+const TABLE_MAGIC: u64 = u64::from_le_bytes(*b"adcSST\x01\x00");
+
+/// `u32 n | u32 meta_len | u64 magic`.
+const TRAILER_LEN: u64 = 16;
 
 /// A table file open for positioned reads.
 struct OpenTable {
@@ -305,9 +380,9 @@ impl FileStorage {
     }
 
     /// The open handle for table `id`, opening the file and reading its
-    /// header on first use. That first use holds the map's write lock, as
-    /// `delete_table` does around its unlink, so a handle is never
-    /// registered for a table whose deletion it raced.
+    /// trailer and offset table on first use. That first use holds the
+    /// map's write lock, as `delete_table` does around its unlink, so a
+    /// handle is never registered for a table whose deletion it raced.
     fn table(&self, id: FileId) -> Result<Arc<OpenTable>> {
         if let Some(t) = self.open.read().get(&id) {
             return Ok(t.clone());
@@ -320,26 +395,32 @@ impl FileStorage {
             std::io::ErrorKind::NotFound => LsmError::NotFound(format!("table {id}")),
             _ => e.into(),
         })?;
-        // No checksum covers the header, and every read sizes its buffer
-        // from it: hold it to the file's length once, here.
+        // No checksum covers the trailer or the offsets, and every read
+        // sizes its buffer from them: hold them to the file's length once,
+        // here, before the first read they size.
         let corrupt =
-            || LsmError::Corruption(format!("table {id}: header does not match the file"));
+            || LsmError::Corruption(format!("table {id}: trailer does not match the file"));
         let file_len = file.metadata()?.len();
-        let mut hdr = [0u8; 8];
-        file.read_exact_at(&mut hdr, 0)?;
-        let n = u32::from_le_bytes(hdr[0..4].try_into().unwrap()) as usize;
-        let meta_len = u32::from_le_bytes(hdr[4..8].try_into().unwrap()) as usize;
-        if 8 + (n as u64 + 1) * 8 > file_len {
+        let trailer_at = file_len.checked_sub(TRAILER_LEN).ok_or_else(corrupt)?;
+        let mut trailer = [0u8; TRAILER_LEN as usize];
+        file.read_exact_at(&mut trailer, trailer_at)?;
+        let n = u32::from_le_bytes(trailer[0..4].try_into().unwrap()) as usize;
+        let meta_len = u32::from_le_bytes(trailer[4..8].try_into().unwrap()) as usize;
+        if u64::from_le_bytes(trailer[8..16].try_into().unwrap()) != TABLE_MAGIC {
             return Err(corrupt());
         }
+        let offsets_at = trailer_at
+            .checked_sub((n as u64 + 1) * 8)
+            .ok_or_else(corrupt)?;
         let mut buf = vec![0u8; (n + 1) * 8];
-        file.read_exact_at(&mut buf, 8)?;
+        file.read_exact_at(&mut buf, offsets_at)?;
         let offsets: Box<[u64]> = buf
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        if offsets.windows(2).any(|w| w[0] > w[1])
-            || offsets[n].checked_add(meta_len as u64) != Some(file_len)
+        if offsets[0] != 0
+            || offsets.windows(2).any(|w| w[0] > w[1])
+            || offsets[n].checked_add(meta_len as u64) != Some(offsets_at)
         {
             return Err(corrupt());
         }
@@ -353,41 +434,66 @@ impl FileStorage {
     }
 }
 
-impl Storage for FileStorage {
-    fn write_table(&self, id: FileId, blocks: Vec<Bytes>, meta: Bytes) -> Result<()> {
-        let path = self.path(id);
-        if path.exists() {
-            return Err(LsmError::InvalidArgument(format!(
-                "table {id} already exists"
-            )));
+/// Streams a table into its file through a 64 KiB buffer: a block is in
+/// memory only until the buffer drains it.
+struct FileSink<'a> {
+    storage: &'a FileStorage,
+    file: BufWriter<File>,
+    /// Where each appended block starts, then where the next one would.
+    offsets: Vec<u64>,
+}
+
+impl TableSink for FileSink<'_> {
+    fn append(&mut self, block: Bytes) -> Result<()> {
+        self.file.write_all(&block)?;
+        let end = self.offsets.last().expect("starts at offset 0") + block.len() as u64;
+        self.offsets.push(end);
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>, meta: Bytes) -> Result<()> {
+        let FileSink {
+            storage,
+            mut file,
+            offsets,
+        } = *self;
+        let n = offsets.len() as u64 - 1;
+        file.write_all(&meta)?;
+        for offset in &offsets {
+            file.write_all(&offset.to_le_bytes())?;
         }
-        let n = blocks.len();
-        let header_len = 8 + (n + 1) * 8;
-        let mut f = BufWriter::with_capacity(64 << 10, File::create(&path)?);
-        f.write_all(&(n as u32).to_le_bytes())?;
-        f.write_all(&(meta.len() as u32).to_le_bytes())?;
-        let mut pos = header_len as u64;
-        for b in &blocks {
-            f.write_all(&pos.to_le_bytes())?;
-            pos += b.len() as u64;
-        }
-        f.write_all(&pos.to_le_bytes())?;
-        for b in &blocks {
-            f.write_all(b)?;
-        }
-        f.write_all(&meta)?;
+        file.write_all(&(n as u32).to_le_bytes())?;
+        file.write_all(&(meta.len() as u32).to_le_bytes())?;
+        file.write_all(&TABLE_MAGIC.to_le_bytes())?;
         // Completed, not durable: the engine calls `sync_table` +
         // `sync_dir` when its sync policy requires it; an unconditional
         // fsync here would hide exactly the write-back-cache bugs the
         // crash drills exist to catch.
-        f.flush()?;
-        self.stats
-            .block_writes
-            .fetch_add(n as u64, Ordering::Relaxed);
-        self.stats
+        file.flush()?;
+        storage.stats.block_writes.fetch_add(n, Ordering::Relaxed);
+        storage
+            .stats
             .simulated_ns
-            .fetch_add(n as u64 * self.cost.write_block_ns, Ordering::Relaxed);
+            .fetch_add(n * storage.cost.write_block_ns, Ordering::Relaxed);
         Ok(())
+    }
+}
+
+impl Storage for FileStorage {
+    fn create_table(&self, id: FileId) -> Result<Box<dyn TableSink + '_>> {
+        let file = OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(self.path(id))
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::AlreadyExists => already_exists(id),
+                _ => e.into(),
+            })?;
+        Ok(Box::new(FileSink {
+            storage: self,
+            file: BufWriter::with_capacity(64 << 10, file),
+            offsets: vec![0],
+        }))
     }
 
     fn read_block(&self, id: FileId, block_no: u32) -> Result<Bytes> {
@@ -484,12 +590,8 @@ mod tests {
     }
 
     fn exercise(storage: &dyn Storage) {
-        storage
-            .write_table(1, blocks(3), Bytes::from_static(b"meta1"))
-            .unwrap();
-        storage
-            .write_table(2, blocks(2), Bytes::from_static(b"meta2"))
-            .unwrap();
+        write_table(storage, 1, &blocks(3), Bytes::from_static(b"meta1")).unwrap();
+        write_table(storage, 2, &blocks(2), Bytes::from_static(b"meta2")).unwrap();
         assert_eq!(storage.table_count(), 2);
 
         assert_eq!(
@@ -515,7 +617,7 @@ mod tests {
 
         assert!(storage.read_block(1, 3).is_err());
         assert!(storage.read_block(9, 0).is_err());
-        assert!(storage.write_table(1, blocks(1), Bytes::new()).is_err());
+        assert!(write_table(storage, 1, &blocks(1), Bytes::new()).is_err());
 
         assert_eq!(storage.list_tables(), vec![1, 2]);
         storage.sync_table(1).unwrap();
@@ -548,8 +650,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("adcache-fs-test2-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let s = FileStorage::open(&dir).unwrap();
-        s.write_table(7, blocks(4), Bytes::from_static(b"m"))
-            .unwrap();
+        write_table(&s, 7, &blocks(4), Bytes::from_static(b"m")).unwrap();
         // Drop the open handles to force the reopen path.
         s.open.write().clear();
         assert_eq!(s.read_block(7, 3).unwrap().as_ref(), b"block-3-payload");
@@ -558,17 +659,26 @@ mod tests {
     }
 
     #[test]
-    fn file_storage_rejects_a_header_the_file_does_not_bear_out() {
+    fn file_storage_rejects_a_trailer_the_file_does_not_bear_out() {
         let dir = std::env::temp_dir().join(format!("adcache-fs-test4-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let s = FileStorage::open(&dir).unwrap();
-        s.write_table(7, blocks(3), Bytes::from_static(b"m"))
-            .unwrap();
+        write_table(&s, 7, &blocks(3), Bytes::from_static(b"m")).unwrap();
         let good = std::fs::read(s.path(7)).unwrap();
+        let trailer = good.len() - TRAILER_LEN as usize;
+        let offsets = trailer - 4 * 8;
         // The top byte of block 1's offset, of the last offset, of the
         // metadata length and of the block count: each would size a read
-        // buffer in the giga- to exabytes.
-        for byte in [8 + 8 + 7, 8 + 3 * 8 + 7, 7, 3] {
+        // buffer in the giga- to exabytes. Then the first offset, which
+        // must be 0, and the magic.
+        for byte in [
+            offsets + 8 + 7,
+            offsets + 3 * 8 + 7,
+            trailer + 7,
+            trailer + 3,
+            offsets,
+            good.len() - 1,
+        ] {
             let mut bad = good.clone();
             bad[byte] ^= 0x40;
             std::fs::write(s.path(7), &bad).unwrap();
@@ -578,8 +688,38 @@ mod tests {
             );
             assert!(matches!(s.read_meta(7), Err(LsmError::Corruption(_))));
         }
+        // Shorter than a trailer.
+        std::fs::write(s.path(7), &good[good.len() - 9..]).unwrap();
+        assert!(matches!(s.read_meta(7), Err(LsmError::Corruption(_))));
         std::fs::write(s.path(7), &good).unwrap();
         assert_eq!(s.read_block(7, 1).unwrap().as_ref(), b"block-1-payload");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_storage_writes_blocks_then_meta_then_offsets_then_trailer() {
+        let dir = std::env::temp_dir().join(format!("adcache-fs-test5-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = FileStorage::open(&dir).unwrap();
+        let mut sink = s.create_table(3).unwrap();
+        sink.append(Bytes::from_static(b"first")).unwrap();
+        sink.append(Bytes::from_static(b"second")).unwrap();
+        // Creation is exclusive while the first writer is still open.
+        assert!(matches!(
+            s.create_table(3),
+            Err(LsmError::InvalidArgument(_))
+        ));
+        sink.finish(Bytes::from_static(b"meta")).unwrap();
+        let mut want = b"firstsecondmeta".to_vec();
+        for offset in [0u64, 5, 11] {
+            want.extend_from_slice(&offset.to_le_bytes());
+        }
+        want.extend_from_slice(&2u32.to_le_bytes());
+        want.extend_from_slice(&4u32.to_le_bytes());
+        want.extend_from_slice(b"adcSST\x01\x00");
+        assert_eq!(std::fs::read(s.path(3)).unwrap(), want);
+        assert_eq!(s.read_block(3, 1).unwrap().as_ref(), b"second");
+        assert_eq!(s.read_meta(3).unwrap().as_ref(), b"meta");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -594,8 +734,7 @@ mod tests {
         let open_fds = || std::fs::read_dir("/proc/self/fd").unwrap().count();
         let before = open_fds();
         for id in 1..=1000 {
-            s.write_table(id, blocks(2), Bytes::from_static(b"m"))
-                .unwrap();
+            write_table(&s, id, &blocks(2), Bytes::from_static(b"m")).unwrap();
             assert_eq!(s.read_block(id, 1).unwrap().as_ref(), b"block-1-payload");
             assert_eq!(s.read_meta(id).unwrap().as_ref(), b"m");
             s.delete_table(id).unwrap();
@@ -622,7 +761,7 @@ mod tests {
                 ..FaultPlan::default()
             },
         );
-        s.write_table(1, blocks(1), Bytes::new()).unwrap();
+        write_table(&s, 1, &blocks(1), Bytes::new()).unwrap();
         assert!(matches!(s.read_block(1, 0), Err(LsmError::Injected(_))));
         assert!(matches!(s.read_block(1, 0), Err(LsmError::Injected(_))));
         s.set_active(false);
@@ -638,7 +777,7 @@ mod tests {
             write_block_ns: 10,
             sync_ns: 1000,
         });
-        s.write_table(1, blocks(2), Bytes::new()).unwrap();
+        write_table(&s, 1, &blocks(2), Bytes::new()).unwrap();
         assert_eq!(s.stats().simulated_ns(), 20);
         s.read_block(1, 0).unwrap();
         s.read_block(1, 1).unwrap();

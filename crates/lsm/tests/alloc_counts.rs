@@ -4,7 +4,8 @@
 //! `Arc` and one key buffer, a table cursor one key per entry it yields, a
 //! frame whose length field was corrupted is rejected before anything is
 //! allocated for it, a table build allocates per block rather than per
-//! entry, and a memtable holds little more than the bytes it is charged.
+//! entry, a table build over files holds one block of the table at a
+//! time, and a memtable holds little more than the bytes it is charged.
 //!
 //! Counters are thread-local: the test harness runs tests on parallel
 //! threads, and each test must see only its own allocations.
@@ -12,8 +13,8 @@
 use adcache_lsm::memtable::MemTable;
 use adcache_lsm::sstable::{table_get, TableBuilder, TableIter};
 use adcache_lsm::{
-    decode_stored_block, DirectProvider, Entry, LsmError, MemStorage, Options, Storage, StripedDb,
-    TableMeta,
+    decode_stored_block, DirectProvider, Entry, FileStorage, LsmError, MemStorage, Options,
+    Storage, StripedDb, TableMeta,
 };
 use bytes::Bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -26,6 +27,8 @@ thread_local! {
     static REQUESTED_BYTES: Cell<u64> = const { Cell::new(0) };
     /// Bytes of glibc chunks allocated and not yet freed on this thread.
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE_BYTES` has been since [`peak_and_held`] reset it.
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn note(bytes: usize) {
@@ -42,7 +45,10 @@ fn chunk_bytes(size: usize) -> i64 {
 }
 
 fn live(delta: i64) {
-    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + delta));
+    let _ = LIVE_BYTES.try_with(|n| {
+        n.set(n.get() + delta);
+        let _ = PEAK_BYTES.try_with(|p| p.set(p.get().max(n.get())));
+    });
 }
 
 struct Counting;
@@ -93,17 +99,30 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
     )
 }
 
+/// `(peak, held at the end)` live bytes of `f` on this thread, each above
+/// where it started.
+fn peak_and_held<T>(f: impl FnOnce() -> T) -> (i64, i64, T) {
+    let start = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|p| p.set(start));
+    let out = f();
+    (
+        PEAK_BYTES.with(Cell::get) - start,
+        LIVE_BYTES.with(Cell::get) - start,
+        out,
+    )
+}
+
 /// The benchmark's key shape: 24 bytes.
 fn key(i: u32) -> Bytes {
     Bytes::from(format!("user{i:020}"))
 }
 
 fn build_table(opts: &Options, storage: &MemStorage, n: u32, value: &[u8]) -> Arc<TableMeta> {
-    let mut b = TableBuilder::new(1, opts);
+    let mut b = TableBuilder::new(1, opts, storage).unwrap();
     for i in 0..n {
         b.add_value(&key(i), Some(value)).unwrap();
     }
-    b.finish(storage).unwrap()
+    b.finish().unwrap()
 }
 
 #[test]
@@ -238,11 +257,11 @@ fn a_table_build_allocates_per_block_not_per_entry() {
     let storage = MemStorage::new();
     let keys: Vec<Bytes> = (0..20_000).map(key).collect();
     let (allocs, _, meta) = counted(|| {
-        let mut b = TableBuilder::new(1, &opts);
+        let mut b = TableBuilder::new(1, &opts, &storage).unwrap();
         for k in &keys {
             b.add_value(k, Some(b"vvvvvvvv")).unwrap();
         }
-        b.finish(&storage).unwrap()
+        b.finish().unwrap()
     });
     let blocks = meta.num_blocks as u64;
     println!(
@@ -255,6 +274,47 @@ fn a_table_build_allocates_per_block_not_per_entry() {
     // geometrically. Not one per entry.
     assert!(allocs <= 20 * blocks + 100, "{allocs} allocations");
     assert!(allocs * 10 < keys.len() as u64, "{allocs} allocations");
+}
+
+#[test]
+fn a_table_build_over_files_holds_one_block_at_a_time() {
+    // The durable store's shape: 512-byte values in 4 KiB blocks, a table
+    // larger than a 4 MiB memtable.
+    let opts = Options::default();
+    let value = [b'v'; 512];
+    let keys: Vec<Bytes> = (0..8_000).map(key).collect();
+    let build = |storage: &dyn Storage| {
+        let mut b = TableBuilder::new(1, &opts, storage).unwrap();
+        for k in &keys {
+            b.add_value(k, Some(&value)).unwrap();
+        }
+        b.finish().unwrap()
+    };
+    let dir = std::env::temp_dir().join(format!("adcache-alloc-build-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let files = FileStorage::open(&dir).unwrap();
+    let (peak, _, meta) = peak_and_held(|| build(&files));
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(meta.total_bytes >= 4 << 20, "{} bytes", meta.total_bytes);
+    // What the builder keeps by design, in vectors that at most double: a
+    // Bloom hash per entry, and a first key and its end offset per block.
+    let kept = 2 * (8 * keys.len() as i64 + (24 + 4) * meta.num_blocks as i64);
+    println!(
+        "{} B table of {} blocks over files: peak {peak} B live, {kept} B of it index and hashes",
+        meta.total_bytes, meta.num_blocks
+    );
+    assert!(
+        peak - kept < 256 << 10,
+        "peak {peak} B, {kept} B of it index and hashes"
+    );
+    // In memory the blocks are the store: the build ends holding them all.
+    let mem = MemStorage::new();
+    let (_, held, meta) = peak_and_held(|| build(&mem));
+    assert!(
+        held >= meta.total_bytes as i64,
+        "{held} B held for {} B of blocks",
+        meta.total_bytes
+    );
 }
 
 /// 24-byte keys in a scrambled order, as many as fill a memtable to 1 MiB of

@@ -3,18 +3,27 @@
 //! `fixtures/parent_store/` is a small durable store — `MANIFEST`, one WAL
 //! segment with unflushed writes, two SSTables of which `…0001.sst` holds
 //! only raw frames and `…0002.sst` LZSS frames — written by
-//! [`write_store`] compiled against commit `7963166` (the parent of the
-//! change that made block frames zero-copy and the CRC slicing-by-8). The
-//! tests hold the current code to that commit's bytes in both directions:
-//! it reads the parent's store back in full, and the same recipe run now
-//! writes the same files byte for byte.
+//! [`write_store`]. Its `MANIFEST` and WAL are as commit `7963166` (the
+//! parent of the change that made block frames zero-copy and the CRC
+//! slicing-by-8) wrote them. Its SSTables were rewritten by the change
+//! that moved each table's offset table from the head of the file to a
+//! trailer, so a table streams to disk as it is built; the same recipe
+//! rewrote the `MANIFEST` and WAL byte for byte. The tests hold the
+//! current code to these bytes in both directions: it reads the store back
+//! in full, and the same recipe run now writes the same files byte for
+//! byte.
+//!
+//! `fixtures/header_first/` keeps the two SSTables as commit `7a546ec` wrote
+//! them, with the offset table first. They must be refused, never misread,
+//! and their block frames and metadata blobs must be exactly the bytes the
+//! trailer format holds: only the offset table and the counts moved.
 //!
 //! To pin a later format, run `regenerate_fixture` at the commit whose
 //! bytes are to be kept (`cargo test -p adcache-lsm --test format_fixture
 //! -- --ignored`) and check the directory in.
 
 use adcache_lsm::compress::{FLAG_LZSS, FLAG_RAW};
-use adcache_lsm::{DirectProvider, FileStorage, LsmTree, Options, Storage, TableMeta};
+use adcache_lsm::{DirectProvider, FileStorage, LsmError, LsmTree, Options, Storage, TableMeta};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -22,6 +31,22 @@ use std::sync::Arc;
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_store")
+}
+
+fn header_first_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/header_first")
+}
+
+fn table_file(dir: &Path, id: u64) -> Vec<u8> {
+    std::fs::read(dir.join(format!("{id:012}.sst"))).unwrap()
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
 }
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -205,6 +230,59 @@ fn the_same_recipe_writes_the_parents_bytes() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_header_first_table_is_refused_not_misread() {
+    let storage = FileStorage::open(header_first_dir()).unwrap();
+    for id in [1, 2] {
+        assert!(matches!(
+            storage.read_meta(id),
+            Err(LsmError::Corruption(_))
+        ));
+        assert!(matches!(
+            storage.read_block(id, 0),
+            Err(LsmError::Corruption(_))
+        ));
+    }
+}
+
+#[test]
+fn only_the_offset_table_and_the_counts_moved() {
+    for id in [1, 2] {
+        let old = table_file(&header_first_dir(), id);
+        let new = table_file(&fixture_dir().join("sst"), id);
+        // Old: `u32 n | u32 meta_len | u64 offset × (n+1) | blocks | meta`,
+        // offsets from the start of the file.
+        let (n, meta_len) = (u32_at(&old, 0), u32_at(&old, 4));
+        let header = 8 + (n + 1) * 8;
+        let old_offsets: Vec<usize> = (0..=n).map(|i| u64_at(&old, 8 + 8 * i)).collect();
+        // New: `blocks | meta | u64 offset × (n+1) | u32 n | u32 meta_len |
+        // u64 magic`.
+        let trailer = new.len() - 16;
+        assert_eq!(
+            (u32_at(&new, trailer), u32_at(&new, trailer + 4)),
+            (n, meta_len)
+        );
+        let offsets_at = trailer - (n + 1) * 8;
+        let new_offsets: Vec<usize> = (0..=n).map(|i| u64_at(&new, offsets_at + 8 * i)).collect();
+        assert_eq!(
+            new_offsets,
+            old_offsets.iter().map(|o| o - header).collect::<Vec<_>>(),
+            "table {id}: every block keeps its length and order"
+        );
+        assert_eq!(
+            new[..new_offsets[n]],
+            old[header..old_offsets[n]],
+            "table {id}: block region"
+        );
+        assert_eq!(
+            new[new_offsets[n]..offsets_at],
+            old[old_offsets[n]..],
+            "table {id}: meta blob"
+        );
+        assert_eq!(offsets_at - new_offsets[n], meta_len);
+    }
 }
 
 #[test]

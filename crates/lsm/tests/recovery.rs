@@ -1,7 +1,7 @@
 //! Durability tests: WAL + manifest recovery across simulated restarts.
 
 use adcache_lsm::{
-    CrashController, CrashPoint, DirectProvider, FileStorage, LsmTree, Options, Storage,
+    CrashController, CrashPoint, DirectProvider, FileStorage, LsmError, LsmTree, Options, Storage,
 };
 use bytes::Bytes;
 use std::path::PathBuf;
@@ -196,6 +196,56 @@ fn crash_between_flush_and_commit_leaves_no_orphan_and_no_id_collision() {
     db.flush().unwrap();
     assert_eq!(db.get(&key(7), &p).unwrap().unwrap().as_ref(), b"w7");
     cleanup("orphan");
+}
+
+#[test]
+fn a_table_stream_cut_short_is_an_orphan_the_sweep_removes() {
+    // A table streams to its file as it is built, so a build that dies
+    // part way leaves blocks on disk and no trailer. No manifest names the
+    // file; recovery must count it as an orphan and delete it.
+    let (sst_dir, meta_dir) = test_dirs("partial");
+    let partial = 1_000_000;
+    {
+        let storage = Arc::new(FileStorage::open(&sst_dir).unwrap());
+        let db = LsmTree::with_durability(Options::small(), storage.clone(), &meta_dir).unwrap();
+        for i in 0..300 {
+            db.put(key(i), Bytes::from(format!("v{i}"))).unwrap();
+        }
+        db.flush().unwrap();
+        let mut sink = storage.create_table(partial).unwrap();
+        sink.append(Bytes::from(vec![7u8; 4096])).unwrap();
+        sink.append(Bytes::from(vec![8u8; 4096])).unwrap();
+        drop(sink);
+        let file = sst_dir.join(format!("{partial:012}.sst"));
+        assert_eq!(std::fs::metadata(&file).unwrap().len(), 8192);
+        assert!(matches!(
+            storage.read_meta(partial),
+            Err(LsmError::Corruption(_))
+        ));
+    }
+    let storage = Arc::new(FileStorage::open(&sst_dir).unwrap());
+    let db = LsmTree::with_durability(Options::small(), storage.clone(), &meta_dir).unwrap();
+    assert_eq!(
+        db.stats()
+            .orphan_tables_swept
+            .load(std::sync::atomic::Ordering::Relaxed),
+        1
+    );
+    assert!(!storage.list_tables().contains(&partial));
+    let live = db
+        .level_summary()
+        .iter()
+        .map(|(_, files, _)| files)
+        .sum::<usize>();
+    assert_eq!(storage.table_count(), live);
+    let p = DirectProvider;
+    for i in 0..300 {
+        assert_eq!(
+            db.get(&key(i), &p).unwrap().unwrap().as_ref(),
+            format!("v{i}").as_bytes()
+        );
+    }
+    cleanup("partial");
 }
 
 #[test]

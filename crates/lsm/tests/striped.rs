@@ -7,7 +7,7 @@
 use adcache_lsm::history::History;
 use adcache_lsm::{
     DirectProvider, Entry, FileStorage, IoStats, MemStorage, MetaFs, Options, Result as LsmResult,
-    SimFs, Storage, StripedDb,
+    SimFs, Storage, StripedDb, TableSink,
 };
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -184,11 +184,11 @@ struct SlowFlushStorage {
 }
 
 impl Storage for SlowFlushStorage {
-    fn write_table(&self, id: u64, blocks: Vec<Bytes>, meta: Bytes) -> LsmResult<()> {
+    fn create_table(&self, id: u64) -> LsmResult<Box<dyn TableSink + '_>> {
         if self.engaged.load(Ordering::Relaxed) && id % self.stripes == self.slow_residue {
             std::thread::sleep(self.delay);
         }
-        self.inner.write_table(id, blocks, meta)
+        self.inner.create_table(id)
     }
     fn read_block(&self, id: u64, block_no: u32) -> LsmResult<Bytes> {
         self.inner.read_block(id, block_no)
