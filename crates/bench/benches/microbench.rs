@@ -226,10 +226,10 @@ fn prepared_tree() -> (LsmTree, Arc<MemStorage>) {
 fn bench_lsm(c: &mut Criterion) {
     let mut g = c.benchmark_group("lsm");
     g.sample_size(30);
-    // The write path's two table builds at the served tree's shape (512 B
+    // The write path's two table builds at the served tree's shape (4 KiB
     // blocks, 1 MiB tables): a flush of a full memtable, and a compaction's
     // output of 200 k entries cut by the size check after every entry.
-    let opts = Options::served_in_memory(4);
+    let opts = Options::served(4, 4 << 20);
     let (keys, value) = write_shape();
     let memtable = fill_memtable(&keys, &value);
     g.bench_function("flush_1mib", |b| {
@@ -295,14 +295,14 @@ fn bench_lsm(c: &mut Criterion) {
 
 /// The block path on the tree an in-memory server runs on: 200 k keys of
 /// the benchmark's shape (24-byte key, 100-byte value) over four stripes of
-/// `Options::served_in_memory`, every read going to storage — what a miss
+/// `Options::served(4, 4 MiB)`, every read going to storage — what a miss
 /// in every cache costs, one step of the path at a time.
 fn bench_served_tree(c: &mut Criterion) {
     const KEYS: u64 = 200_000;
     let mut g = c.benchmark_group("served_tree");
     g.sample_size(30);
     let storage = Arc::new(MemStorage::new());
-    let db = StripedDb::new(Options::served_in_memory(4), storage.clone()).unwrap();
+    let db = StripedDb::new(Options::served(4, 4 << 20), storage.clone()).unwrap();
     for i in 0..KEYS {
         db.put(render_key(i), Bytes::from(vec![b'v'; 100])).unwrap();
     }
@@ -319,7 +319,7 @@ fn bench_served_tree(c: &mut Criterion) {
         .unwrap();
     let p = DirectProvider;
     let blocks = meta.num_blocks;
-    g.bench_function("block_fetch_512", |b| {
+    g.bench_function("block_fetch_4k", |b| {
         let mut i = 0u32;
         b.iter(|| {
             i = (i + 7919) % blocks;

@@ -297,22 +297,23 @@ fn tree_geometry(block: u64, memtable: u64, sstable: u64, l1: u64) -> String {
 fn build_db(cfg: &CliConfig) -> Result<CachedDb, Box<dyn std::error::Error>> {
     let mut engine = EngineConfig::new(cfg.strategy, cfg.cache_mb << 20);
     engine.sketch_guard = cfg.sketch_guard;
-    let tune = |mut opts: Options| {
-        opts.stripes = cfg.stripes;
-        opts.background_maintenance = cfg.stripes > 1;
-        opts
+    // One tree for both stores: 4 MiB of memtable over the stripes in
+    // memory, 4 MiB per stripe on disk.
+    let tune = |write_buffer: usize| Options {
+        background_maintenance: cfg.stripes > 1,
+        ..Options::served(cfg.stripes, write_buffer)
     };
     let (store, db) = match &cfg.dir {
         Some(dir) => {
             let storage = Arc::new(FileStorage::open(dir.join("sst"))?);
-            let opts = tune(Options::default());
+            let opts = tune(cfg.stripes * (4 << 20));
             (
                 format!("durable store at {}", dir.display()),
                 CachedDb::with_durability(opts, storage, dir.join("meta"), engine)?,
             )
         }
         None => {
-            let opts = tune(Options::served_in_memory(cfg.stripes));
+            let opts = tune(4 << 20);
             (
                 "in-memory store".to_string(),
                 CachedDb::new(opts, Arc::new(MemStorage::new()), engine)?,

@@ -99,7 +99,7 @@ impl FsyncSite {
 /// 1-leveling (leveled compaction with a tiered Level 0), size ratio 10
 /// between levels, Bloom filters at 10 bits per key, write slowdown at 4
 /// Level-0 files and stop at 8.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Options {
     /// Target encoded size of one data block in bytes (paper: 4 KiB).
     pub block_size: usize,
@@ -208,17 +208,15 @@ impl Options {
         }
     }
 
-    /// The tree an in-memory server runs on: the paper's 4 MiB write
-    /// buffer (Section 5.1) divided over `stripes`, each stripe an engine
-    /// with memtable = SSTable = its share (never below 256 KiB, so a
-    /// many-stripe server still flushes whole tables) and Level 1 at
-    /// `size_ratio` times that. Blocks stay at the 512 B of
-    /// [`small`](Self::small): a cached value views the store's block
-    /// buffer, free while its table lives; once a compaction deletes the
-    /// table, it pins the whole block.
-    pub fn served_in_memory(stripes: usize) -> Self {
-        let base = Options::small();
-        let memtable = ((4 << 20) / stripes.max(1)).max(256 << 10);
+    /// The tree a server runs on: the paper's 4 KiB blocks (Section 5.1)
+    /// over `write_buffer` bytes of memtable divided over `stripes`, each
+    /// stripe an engine with memtable = SSTable = its share (never below
+    /// 256 KiB, so a many-stripe server still flushes whole tables) and
+    /// Level 1 at `size_ratio` times that. `served(s, s × 4 MiB)` is
+    /// [`default`](Self::default) with `s` stripes.
+    pub fn served(stripes: usize, write_buffer: usize) -> Self {
+        let base = Options::default();
+        let memtable = (write_buffer / stripes.max(1)).max(256 << 10);
         Options {
             sstable_size: memtable,
             memtable_size: memtable,
@@ -282,14 +280,22 @@ mod tests {
     #[test]
     fn served_geometry_divides_the_write_buffer_over_the_stripes() {
         for stripes in [1, 2, 4, 8, 16] {
-            let o = Options::served_in_memory(stripes);
+            let o = Options::served(stripes, 4 << 20);
             o.validate().unwrap();
             assert_eq!(o.memtable_size * stripes, 4 << 20);
             assert_eq!(o.sstable_size, o.memtable_size);
             assert_eq!(o.l1_max_bytes, o.size_ratio * o.memtable_size);
-            assert_eq!(o.block_size, Options::small().block_size);
+            assert_eq!((o.block_size, o.block_restart_interval), (4096, 16));
+            // A 4 MiB memtable per stripe is the durable tree as it was.
+            assert_eq!(
+                Options::served(stripes, stripes * (4 << 20)),
+                Options {
+                    stripes,
+                    ..Options::default()
+                }
+            );
         }
-        assert_eq!(Options::served_in_memory(64).memtable_size, 256 << 10);
+        assert_eq!(Options::served(64, 4 << 20).memtable_size, 256 << 10);
     }
 
     #[test]

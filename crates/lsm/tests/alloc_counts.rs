@@ -198,7 +198,7 @@ fn scan16_over_4_stripes_by_4_runs_allocates_half_of_what_it_did() {
     let opts = Options {
         // Four flushes stay four Level-0 runs.
         l0_compaction_trigger: 8,
-        ..Options::served_in_memory(4)
+        ..Options::served(4, 4 << 20)
     };
     let db = StripedDb::new(opts, Arc::new(MemStorage::new())).unwrap();
     for run in 0..4 {

@@ -738,7 +738,7 @@ fn batch_opcode_serves_heterogeneous_subs_and_batched_load() {
 fn batch_write_runs_commit_once_per_stripe_and_before_later_reads() {
     let opts = Options {
         background_maintenance: true,
-        ..Options::served_in_memory(4)
+        ..Options::served(4, 4 << 20)
     };
     let db = CachedDb::new(
         opts,

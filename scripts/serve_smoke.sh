@@ -36,11 +36,19 @@ start_server "$TRACE_DIR/serve.log" --fill 5000 --trace "$TRACE_DIR" \
 
 # The server must now drain and exit 0 on its own.
 expect_clean_drain "$TRACE_DIR/serve.log" serve
-# The banner names the tree: an in-memory server runs the served preset
-# (the 4 MiB write buffer over the stripes, 256 KiB at least), never the
-# unit-test preset's 16 KiB memtables.
-if ! grep -qE "^tree per stripe: block 512 B, memtable (256|512|1024|2048|4096) KiB" "$TRACE_DIR/serve.log"; then
+# The banner names the tree: both stores run the served preset at the
+# paper's 4 KiB blocks, never the unit-test preset's 512 B blocks and
+# 16 KiB memtables. In memory the 4 MiB write buffer is divided over the
+# stripes (256 KiB at least); on disk each stripe has 4 MiB.
+if ! grep -qE "^tree per stripe: block 4096 B, memtable (256|512|1024|2048|4096) KiB" "$TRACE_DIR/serve.log"; then
     echo "FAIL: server is not running on the served in-memory tree" >&2
+    exit 1
+fi
+start_server "$TRACE_DIR/durable.log" --dir "$TRACE_DIR/store"
+"$BIN" loadgen --addr "$ADDR" --ops 0 --shutdown
+expect_clean_drain "$TRACE_DIR/durable.log" durable
+if ! grep -q "^tree per stripe: block 4096 B, memtable 4096 KiB, sstable 4096 KiB, L1 40960 KiB$" "$TRACE_DIR/durable.log"; then
+    echo "FAIL: the durable server is not running on the served tree" >&2
     exit 1
 fi
 # The recorded trace must summarize, including the serving section.

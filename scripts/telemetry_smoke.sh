@@ -55,7 +55,7 @@ grep -qE '^lock_wait_share_pct [0-9.]+$' "$TRACE_DIR/summary_live.txt"
 # --- adcache top: two polled frames -------------------------------------
 "$BIN" top --addr "$ADDR" \
     --interval-ms 300 --iterations 2 | tee "$TRACE_DIR/top.txt"
-grep -q '^tree per stripe: block 512 B, memtable ' "$TRACE_DIR/top.txt"
+grep -q '^tree per stripe: block 4096 B, memtable ' "$TRACE_DIR/top.txt"
 grep -q 'stage breakdown (interval)' "$TRACE_DIR/top.txt"
 grep -qE 'tick 2' "$TRACE_DIR/top.txt"
 
