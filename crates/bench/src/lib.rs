@@ -17,8 +17,7 @@ pub mod pretrain;
 
 pub use pretrain::ensure_pretrained;
 
-use adcache_core::{ControllerConfig, CpuModel, RunConfig, Strategy};
-use adcache_lsm::Options;
+use adcache_core::{ControllerConfig, RunConfig, Strategy};
 use adcache_workload::WorkloadConfig;
 use std::fmt::Display;
 use std::io::Write;
@@ -128,25 +127,13 @@ impl ExpParams {
     pub fn run_config(&self, strategy: Strategy, cache_frac: f64) -> RunConfig {
         let cache_bytes = (self.dataset_bytes() as f64 * cache_frac) as usize;
         RunConfig {
-            strategy,
-            total_cache_bytes: cache_bytes,
-            db_options: Options::small(),
-            workload: self.workload(),
             controller: ControllerConfig {
                 window: self.window,
                 alpha: self.alpha,
                 hidden: self.hidden,
                 ..Default::default()
             },
-            cpu: CpuModel::default(),
-            shards: 1,
-            pretrained_agent: None,
-            pinned_decision: None,
-            boundary_hysteresis: 0.02,
-            serve_partial_range: true,
-            compaction_prefetch_blocks: 0,
-            trace_dir: None,
-            continue_on_error: false,
+            ..RunConfig::new(strategy, cache_bytes, self.workload())
         }
     }
 }

@@ -192,7 +192,7 @@ impl BlockCache {
         dropped as usize
     }
 
-    /// Directly admits a decoded block (prefetching and warm-up paths).
+    /// Directly admits a decoded block (warm-up paths and layer benchmarks).
     pub fn insert_block(&self, key: BlockRef, block: Arc<Block>) {
         let charge = block.encoded_len();
         let evicted = self.shards[shard_of(&key, self.shards.len())]

@@ -7,8 +7,8 @@
 //! - [`kv_cache::KvCache`] — point-result cache (Row Cache analogue);
 //! - [`range_cache::RangeCache`] — result cache with covered-segment
 //!   tracking, serving point *and* range lookups across compactions;
-//! - [`policy`] — pluggable eviction: LRU, LFU (plus CR-LFU), FIFO, LeCaR
-//!   and Cacheus, behind one [`policy::Policy`] trait;
+//! - [`policy`] — pluggable eviction: LRU, LFU (plus CR-LFU), LeCaR and
+//!   Cacheus, behind one [`policy::Policy`] trait;
 //! - [`sketch::CountMinSketch`] + [`admission`] — TinyLFU-style frequency
 //!   admission for point lookups and partial admission for scans, the two
 //!   mechanisms AdCache's RL agent tunes online.
@@ -20,7 +20,6 @@ pub mod block_cache;
 pub mod container;
 pub mod kv_cache;
 pub mod policy;
-pub mod prefetch;
 pub mod range_cache;
 pub mod sketch;
 
@@ -29,8 +28,7 @@ pub use block_cache::{BlockCache, ScopedBlockProvider};
 pub use container::{CacheStats, ChargedCache};
 pub use kv_cache::KvCache;
 pub use policy::{
-    CacheusPolicy, FifoPolicy, LeCaRPolicy, LfuPolicy, LruPolicy, Policy, SlotLruPolicy, TieBreak,
+    CacheusPolicy, LeCaRPolicy, LfuPolicy, LruPolicy, Policy, SlotLruPolicy, TieBreak,
 };
-pub use prefetch::CompactionPrefetcher;
 pub use range_cache::{PointLookup, RangeCache, RangeLookup, RangePolicyFactory};
 pub use sketch::CountMinSketch;

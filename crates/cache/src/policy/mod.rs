@@ -7,13 +7,11 @@
 //! Cacheus without touching cache structure (Section 5.1).
 
 mod cacheus;
-mod fifo;
 mod lecar;
 mod lfu;
 mod lru;
 
 pub use cacheus::CacheusPolicy;
-pub use fifo::FifoPolicy;
 pub use lecar::LeCaRPolicy;
 pub use lfu::{LfuPolicy, TieBreak};
 pub use lru::{LruPolicy, SlotLruPolicy};

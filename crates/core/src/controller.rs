@@ -101,18 +101,21 @@ pub struct ControllerConfig {
     /// Agent RNG seed.
     pub seed: u64,
     /// Whether the adversarial-window guard is active: a window whose raw
-    /// hit estimate collapses implausibly fast below the smoothed signal
-    /// gets its reward clamped and the lr/exploration adaptation frozen,
-    /// so one poisoned window cannot destabilize the boundary policy.
+    /// hit estimate falls more than `GUARD_H_DROP` below the smoothed
+    /// signal gets its reward clamped to ±`GUARD_REWARD_CLAMP` and the
+    /// lr/exploration adaptation frozen, so one poisoned window cannot
+    /// destabilize the boundary policy.
     pub adversarial_guard: bool,
-    /// Raw-vs-smoothed hit-estimate drop that flags a window as
-    /// adversarial. Organic shifts move the estimate gradually; a drop
-    /// this steep within one window means the telemetry itself is under
-    /// attack (scan flood, sketch churn).
-    pub guard_h_drop: f64,
-    /// Reward magnitude cap applied to adversarial windows.
-    pub guard_reward_clamp: f64,
 }
+
+/// Raw-vs-smoothed hit-estimate drop that flags a window as adversarial.
+/// Organic shifts move the estimate gradually; a drop this steep within
+/// one window means the telemetry itself is under attack (scan flood,
+/// sketch churn).
+const GUARD_H_DROP: f64 = 0.35;
+
+/// Reward magnitude cap applied to adversarial windows.
+const GUARD_REWARD_CLAMP: f64 = 0.25;
 
 impl Default for ControllerConfig {
     fn default() -> Self {
@@ -126,8 +129,6 @@ impl Default for ControllerConfig {
             hidden: 256,
             seed: 0xADCA,
             adversarial_guard: true,
-            guard_h_drop: 0.35,
-            guard_reward_clamp: 0.25,
         }
     }
 }
@@ -313,12 +314,11 @@ impl Controller {
             reward = 0.0;
             self.nonfinite_repairs += 1;
         }
-        let adversarial = self.cfg.adversarial_guard
-            && prev_smoothed.is_some_and(|prev| prev - h > self.cfg.guard_h_drop);
+        let adversarial =
+            self.cfg.adversarial_guard && prev_smoothed.is_some_and(|prev| prev - h > GUARD_H_DROP);
         if adversarial {
             let raw_reward = reward;
-            let cap = self.cfg.guard_reward_clamp.abs();
-            reward = reward.clamp(-cap, cap);
+            reward = reward.clamp(-GUARD_REWARD_CLAMP, GUARD_REWARD_CLAMP);
             self.adversarial_windows += 1;
             self.obs.counter("core.adversarial_windows").inc();
             self.obs.emit(|| Event::AdversaryDetected {

@@ -10,7 +10,7 @@
 use crate::controller::CacheDecision;
 use crate::stats::{Counters, Snapshot, WindowSummary};
 use crate::tenant::{Partition, TenantId, TenantWindow, DEFAULT_TENANT};
-use adcache_cache::{BlockCache, CompactionPrefetcher, PointLookup, RangeCache, ScanAdmission};
+use adcache_cache::{BlockCache, PointLookup, RangeCache, ScanAdmission};
 use adcache_lsm::{DirectProvider, Entry, Key, Options, Result, Storage, StripedDb, Value};
 use adcache_obs::{AdmissionOutcome, AdmissionReason, CacheStructure, Counter, Event, Gauge, Obs};
 use adcache_rl::{ShareAgent, TenantFeatures};
@@ -76,16 +76,6 @@ pub struct EngineConfig {
     pub range_boundaries: Vec<Bytes>,
     /// Expected distinct hot keys (sizes the admission sketch).
     pub expected_keys: usize,
-    /// Minimum boundary move (fraction of total memory) that triggers a
-    /// resize; smaller moves are deferred (ablation: set 0.0 to disable).
-    pub boundary_hysteresis: f64,
-    /// Serve partially-covered scans from the range cache and read only
-    /// the tail from the LSM (ablation: false = all-or-nothing lookups).
-    pub serve_partial_range: bool,
-    /// Leaper-inspired extension: after each rewriting compaction, reload
-    /// this many leading blocks of every output file into the block cache
-    /// (0 = off, the paper's configuration).
-    pub compaction_prefetch_blocks: usize,
     /// Whether the admission sketch's anomaly guard is armed (auto reset +
     /// re-salt when saturation/decay telemetry looks adversarial).
     pub sketch_guard: bool,
@@ -109,9 +99,6 @@ impl EngineConfig {
             block_shards: 1,
             range_boundaries: Vec::new(),
             expected_keys: 100_000,
-            boundary_hysteresis: 0.02,
-            serve_partial_range: true,
-            compaction_prefetch_blocks: 0,
             sketch_guard: true,
             min_tenant_share: 0.1,
             tenant_partitioning: true,
@@ -199,15 +186,6 @@ pub struct CachedDb {
     b_estimate: RwLock<f64>,
     /// The last applied range ratio (boundary hysteresis).
     applied_ratio: RwLock<f64>,
-    /// Boundary moves smaller than this fraction of total memory are
-    /// deferred: resizing evicts, so micro-jitter from RL exploration must
-    /// not thrash the caches (the eviction-churn concern of Section 3.5).
-    ratio_hysteresis: f64,
-    /// Whether partially-covered scans serve their cached prefix.
-    serve_partial_range: bool,
-    /// Present when post-compaction prefetching is enabled; its read count
-    /// is excluded from the query SST-read metric.
-    prefetcher: Option<Arc<CompactionPrefetcher>>,
     counters: Counters,
     obs: OnceLock<EngineObsHooks>,
 }
@@ -264,24 +242,6 @@ impl CachedDb {
         if let Some(bc) = &default_partition.block_cache {
             db.add_compaction_listener(bc.clone());
         }
-        // Optional Leaper-style re-population after the sweep. Listener
-        // order matters: invalidate first, then prefetch. Prefetch warms
-        // the default partition only — it has no requesting tenant.
-        let prefetcher = match (
-            &default_partition.block_cache,
-            cfg.compaction_prefetch_blocks,
-        ) {
-            (Some(bc), n) if n > 0 => {
-                let p = Arc::new(CompactionPrefetcher::new(
-                    bc.clone(),
-                    db.storage().clone(),
-                    n,
-                ));
-                db.add_compaction_listener(p.clone());
-                Some(p)
-            }
-            _ => None,
-        };
         Ok(CachedDb {
             db,
             strategy: cfg.strategy,
@@ -292,9 +252,6 @@ impl CachedDb {
             total_cache_bytes: total,
             b_estimate: RwLock::new(4.0),
             applied_ratio: RwLock::new(CacheDecision::default().range_ratio),
-            ratio_hysteresis: cfg.boundary_hysteresis,
-            serve_partial_range: cfg.serve_partial_range,
-            prefetcher,
             counters: Counters::default(),
             obs: OnceLock::new(),
             cfg,
@@ -740,15 +697,8 @@ impl CachedDb {
     ) -> Result<Vec<(Key, Value)>> {
         self.counters.add_scan(limit);
         part.note_op();
-        // Range-cache prefix (or all-or-nothing under the ablation flag).
         let (mut results, continuation) = match &part.range_cache {
-            Some(rc) if self.serve_partial_range => rc.get_range_partial(from, limit),
-            Some(rc) => match rc.get_range(from, limit) {
-                adcache_cache::RangeLookup::Hit(res) => (res, None),
-                adcache_cache::RangeLookup::Miss => {
-                    (Vec::new(), Some(Bytes::copy_from_slice(from)))
-                }
-            },
+            Some(rc) => rc.get_range_partial(from, limit),
             None => (Vec::new(), Some(Bytes::copy_from_slice(from))),
         };
         let Some(cont_key) = continuation else {
@@ -902,6 +852,12 @@ impl CachedDb {
         self.db.put(key, value)
     }
 
+    /// Boundary moves smaller than this fraction of total memory are
+    /// deferred, and ratios this close to 0 or 1 snap to the extreme:
+    /// resizing evicts, so micro-jitter from RL exploration must not thrash
+    /// the caches (the eviction-churn concern of Section 3.5).
+    const BOUNDARY_HYSTERESIS: f64 = 0.02;
+
     /// Applies a controller decision: moves the memory boundary and retunes
     /// the admission parameters (AdCache only; no-op otherwise).
     pub fn apply_decision(&self, d: &CacheDecision) {
@@ -910,7 +866,7 @@ impl CachedDb {
         }
         // Boundary hysteresis: tiny exploratory wiggles would evict for
         // nothing, so only real moves (or moves to the extremes) resize.
-        let hyst = self.ratio_hysteresis;
+        let hyst = Self::BOUNDARY_HYSTERESIS;
         let mut applied = self.applied_ratio.write();
         let snapped = if d.range_ratio < hyst {
             0.0
@@ -985,11 +941,7 @@ impl CachedDb {
             range_hits: c.range_hits.load(Ordering::Relaxed),
             kv_hits: c.kv_hits.load(Ordering::Relaxed),
             cache_misses: c.cache_misses.load(Ordering::Relaxed),
-            query_block_reads: self.db.query_block_reads().saturating_sub(
-                self.prefetcher
-                    .as_ref()
-                    .map_or(0, |p| p.blocks_prefetched()),
-            ),
+            query_block_reads: self.db.query_block_reads(),
             block_cache_hits: bstats.hits,
             block_cache_misses: bstats.misses,
             compactions: self.db.compactions(),
@@ -1463,6 +1415,51 @@ mod tests {
         let block_db = build(Strategy::RocksDbBlock, 1 << 20);
         block_db.apply_decision(&d);
         assert_eq!(block_db.block_cache().unwrap().capacity(), 1 << 20);
+    }
+
+    /// The hysteresis is 2 % of the budget: the ratios below are literals so
+    /// that a change to the constant fails here.
+    #[test]
+    fn boundary_moves_under_two_percent_are_deferred_and_extremes_snap() {
+        let budget = 1usize << 20;
+        let db = build(Strategy::AdCache, budget);
+        let capacities = |db: &CachedDb| {
+            let block = db.block_cache().unwrap().capacity();
+            (block, db.range_cache().unwrap().capacity())
+        };
+        let split = |ratio: f64| {
+            let range = (budget as f64 * ratio) as usize;
+            (budget - range, range)
+        };
+        let decide = |range_ratio| {
+            db.apply_decision(&CacheDecision {
+                range_ratio,
+                ..CacheDecision::default()
+            })
+        };
+        assert_eq!(capacities(&db), split(0.5));
+        // A move of less than 2 % leaves both capacities as they were, in
+        // either direction.
+        decide(0.519);
+        assert_eq!(capacities(&db), split(0.5));
+        decide(0.481);
+        assert_eq!(capacities(&db), split(0.5));
+        // A move of at least 2 % resizes.
+        decide(0.53);
+        assert_eq!(capacities(&db), split(0.53));
+        decide(0.555);
+        assert_eq!(capacities(&db), split(0.555));
+        // A ratio within 2 % of 0 or 1 snaps to that extreme, a later ratio
+        // that snaps to the same extreme moves nothing, and one 2.5 % away
+        // from it neither snaps nor waits.
+        decide(0.019);
+        assert_eq!(capacities(&db), (budget, 0));
+        decide(0.01);
+        assert_eq!(capacities(&db), (budget, 0));
+        decide(0.025);
+        assert_eq!(capacities(&db), split(0.025));
+        decide(0.981);
+        assert_eq!(capacities(&db), (0, budget));
     }
 
     #[test]

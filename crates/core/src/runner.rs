@@ -60,12 +60,6 @@ pub struct RunConfig {
     /// Pin AdCache's decision instead of running the controller (used by
     /// controlled experiments and ablations).
     pub pinned_decision: Option<CacheDecision>,
-    /// Boundary hysteresis passed to the engine (ablation knob).
-    pub boundary_hysteresis: f64,
-    /// Partial range serving passed to the engine (ablation knob).
-    pub serve_partial_range: bool,
-    /// Post-compaction prefetch depth passed to the engine (extension).
-    pub compaction_prefetch_blocks: usize,
     /// When set, the run records a structured trace and dumps
     /// `trace.jsonl` + `metrics.json` into this directory on completion.
     /// The `ADCACHE_TRACE` environment variable provides the same behavior
@@ -94,9 +88,6 @@ impl RunConfig {
             shards: 1,
             pretrained_agent: None,
             pinned_decision: None,
-            boundary_hysteresis: 0.02,
-            serve_partial_range: true,
-            compaction_prefetch_blocks: 0,
             trace_dir: None,
             continue_on_error: false,
         }
@@ -228,9 +219,6 @@ pub fn prepare_db_with_storage(
     let mut ecfg = EngineConfig::new(cfg.strategy, cfg.total_cache_bytes);
     ecfg.block_shards = cfg.shards;
     ecfg.expected_keys = cfg.workload.num_keys as usize;
-    ecfg.boundary_hysteresis = cfg.boundary_hysteresis;
-    ecfg.serve_partial_range = cfg.serve_partial_range;
-    ecfg.compaction_prefetch_blocks = cfg.compaction_prefetch_blocks;
     if cfg.shards > 1 {
         // Evenly split the key space for range-cache sharding.
         let per = cfg.workload.num_keys / cfg.shards as u64;

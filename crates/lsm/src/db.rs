@@ -44,6 +44,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Backoff charged to the simulated clock before the first query-path read
+/// retry; doubles per attempt. Never a real sleep.
+const RETRY_BACKOFF_NS: u64 = 50_000;
+
+/// Engine-lock acquisitions that wait longer than this journal a
+/// `LockContention` event (when lock timing is enabled via an attached
+/// `Obs`); the wait counters accumulate either way.
+const LOCK_WAIT_BUDGET_NS: u64 = 1_000_000;
+
 /// Pre-registered observability hooks: the handle plus the counters the
 /// engine bumps, resolved once so event paths never touch the registry lock.
 #[derive(Default)]
@@ -630,14 +639,13 @@ impl LsmTree {
     }
 
     fn note_lock_wait(&self, path: LockPath, wait_ns: u64) {
-        let budget = self.opts.lock_wait_budget_ns;
         // wait_ns is always 0 when lock timing is off, so the disabled
         // path never takes the obs lock here.
-        if budget > 0 && wait_ns > budget {
+        if wait_ns > LOCK_WAIT_BUDGET_NS {
             self.obs.read().obs.emit(|| Event::LockContention {
                 path: path.label().to_string(),
                 wait_ns,
-                budget_ns: budget,
+                budget_ns: LOCK_WAIT_BUDGET_NS,
             });
         }
     }
@@ -683,10 +691,10 @@ impl LsmTree {
     }
 
     /// Runs `f` with up to `opts.read_retries` bounded retries, charging an
-    /// exponentially growing backoff to the simulated clock between
-    /// attempts.
+    /// exponentially growing backoff, from [`RETRY_BACKOFF_NS`], to the
+    /// simulated clock between attempts.
     fn with_read_retries<T>(&self, mut f: impl FnMut() -> Result<T>) -> Result<T> {
-        let mut backoff = self.opts.retry_backoff_ns;
+        let mut backoff = RETRY_BACKOFF_NS;
         let mut attempt = 0u32;
         loop {
             match f() {

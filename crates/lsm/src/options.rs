@@ -132,9 +132,6 @@ pub struct Options {
     /// surfaces (transient device errors and checksum failures resolve on
     /// re-read; see `fault::FaultStorage`). Zero disables retrying.
     pub read_retries: u32,
-    /// Backoff charged to the simulated clock before the first retry;
-    /// doubles per attempt. Never a real sleep.
-    pub retry_backoff_ns: u64,
     /// Fsync placement policy for the durability path (WAL, manifest,
     /// SSTables). Ignored by purely in-memory trees.
     pub sync: SyncPolicy,
@@ -143,10 +140,6 @@ pub struct Options {
     /// `None` (the only sane production value) syncs every site the policy
     /// requires.
     pub misplaced_fsync: Option<FsyncSite>,
-    /// Engine-lock acquisitions that wait longer than this journal a
-    /// `LockContention` event (when lock timing is enabled via an attached
-    /// `Obs`). Zero disables the events; counters still accumulate.
-    pub lock_wait_budget_ns: u64,
     /// Number of keyspace stripes for [`crate::striped::StripedDb`]: each
     /// stripe is an independent engine (own memtable, WAL segments, SST
     /// levels, manifest shard) selected by a hash of the key. `1` keeps
@@ -182,10 +175,8 @@ impl Default for Options {
             max_levels: 7,
             compression: false,
             read_retries: 2,
-            retry_backoff_ns: 50_000,
             sync: SyncPolicy::OnFlush,
             misplaced_fsync: None,
-            lock_wait_budget_ns: 1_000_000,
             stripes: 1,
             stripe_index: 0,
             background_maintenance: false,

@@ -343,8 +343,8 @@ pub enum Event {
         /// truncated.
         key: String,
     },
-    /// An engine lock acquisition waited longer than the configured
-    /// budget (`Options::lock_wait_budget_ns`).
+    /// An engine lock acquisition waited longer than the engine's fixed
+    /// 1 ms budget.
     LockContention {
         /// Acquisition path: `read`, `write`, `flush`, or `compaction`.
         path: String,

@@ -45,6 +45,10 @@ use std::sync::Arc;
 use std::sync::{mpsc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+/// Journal one `RequestServed` (or `BatchServed`) event per this many
+/// requests.
+const SAMPLE_EVERY: u64 = 64;
+
 /// How the serving layer is sized and bounded.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -62,9 +66,6 @@ pub struct ServerConfig {
     /// Per-connection response-buffer cap; beyond it the connection is
     /// not read until the client drains replies (backpressure).
     pub max_write_buffer: usize,
-    /// Emit one `RequestServed` journal event per this many requests
-    /// (0 disables sampling entirely).
-    pub sample_every: u64,
     /// Requests whose total stage time meets this threshold journal a
     /// `SlowRequest` event with the full stage breakdown (0 disables).
     pub slow_request_ns: u64,
@@ -106,7 +107,6 @@ impl Default for ServerConfig {
             max_frame: protocol::DEFAULT_MAX_FRAME,
             idle_timeout: Duration::from_secs(60),
             max_write_buffer: 4 << 20,
-            sample_every: 64,
             slow_request_ns: 10_000_000,
             quota_ops: 0,
             quota_burst: 0,
@@ -1110,8 +1110,7 @@ fn execute(shared: &Shared, conn: &mut Conn, id: u64, req: &Request, parse_ns: u
     }
     let total = shared.requests.fetch_add(1, Ordering::Relaxed) + 1;
     conn.requests += 1;
-    let sample = shared.cfg.sample_every;
-    if sample > 0 && total.is_multiple_of(sample) {
+    if total.is_multiple_of(SAMPLE_EVERY) {
         let status = resp.status();
         if let Some((subs, stripes)) = batch_info {
             shared.obs.emit(|| Event::BatchServed {

@@ -7,8 +7,7 @@
 //!
 //! Run with: `cargo run --release --example compare_strategies`
 
-use adcache_suite::core::{run_static, ControllerConfig, CpuModel, RunConfig, Strategy};
-use adcache_suite::lsm::Options;
+use adcache_suite::core::{run_static, ControllerConfig, RunConfig, Strategy};
 use adcache_suite::workload::{Mix, WorkloadConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,24 +36,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for strategy in Strategy::all() {
         let cfg = RunConfig {
-            strategy,
-            total_cache_bytes: cache_bytes,
-            db_options: Options::small(),
-            workload: workload.clone(),
             controller: ControllerConfig {
                 window: 1000,
                 hidden: 32,
                 ..Default::default()
             },
-            cpu: CpuModel::default(),
-            shards: 1,
-            pretrained_agent: None,
-            pinned_decision: None,
-            boundary_hysteresis: 0.02,
-            serve_partial_range: true,
-            compaction_prefetch_blocks: 0,
-            trace_dir: None,
-            continue_on_error: false,
+            ..RunConfig::new(strategy, cache_bytes, workload.clone())
         };
         let r = run_static(&cfg, mix, ops)?;
         let (p50, _, p99, _) = r.latency.summary();

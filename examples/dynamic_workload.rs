@@ -11,9 +11,8 @@
 //! Run with: `cargo run --release --example dynamic_workload`
 
 use adcache_suite::core::{
-    run_schedule, ControllerConfig, CpuModel, RunConfig, Strategy, ACTION_DIM, STATE_DIM,
+    run_schedule, ControllerConfig, RunConfig, Strategy, ACTION_DIM, STATE_DIM,
 };
-use adcache_suite::lsm::Options;
 use adcache_suite::rl::{pretrain_supervised, ActorCritic, AgentConfig, LabeledSample};
 use adcache_suite::workload::{Mix, Phase, Schedule, WorkloadConfig};
 
@@ -52,24 +51,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cache_bytes = 512 << 10;
 
     let cfg = RunConfig {
-        strategy: Strategy::AdCache,
-        total_cache_bytes: cache_bytes,
-        db_options: Options::small(),
-        workload,
         controller: ControllerConfig {
             window: 1000,
             hidden: 32,
             ..Default::default()
         },
-        cpu: CpuModel::default(),
-        shards: 1,
         pretrained_agent: Some(demo_agent().to_json()),
-        pinned_decision: None,
-        boundary_hysteresis: 0.02,
-        serve_partial_range: true,
-        compaction_prefetch_blocks: 0,
-        trace_dir: None,
-        continue_on_error: false,
+        ..RunConfig::new(Strategy::AdCache, cache_bytes, workload)
     };
 
     let schedule = Schedule {

@@ -10,9 +10,8 @@
 //! Run with: `cargo run --release --example pretrain_and_deploy`
 
 use adcache_suite::core::{
-    run_static, ControllerConfig, CpuModel, RunConfig, Strategy, ACTION_DIM, STATE_DIM,
+    run_static, ControllerConfig, RunConfig, Strategy, ACTION_DIM, STATE_DIM,
 };
-use adcache_suite::lsm::Options;
 use adcache_suite::rl::{pretrain_supervised, ActorCritic, AgentConfig, LabeledSample};
 use adcache_suite::workload::{Mix, WorkloadConfig};
 
@@ -64,25 +63,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..Default::default()
     };
     let base = RunConfig {
-        strategy: Strategy::AdCache,
-        total_cache_bytes: 256 << 10,
-        db_options: Options::small(),
-        workload,
         controller: ControllerConfig {
             window: 500,
             hidden: 32,
             online: false, // inference-only deployment
             ..Default::default()
         },
-        cpu: CpuModel::default(),
-        shards: 1,
         pretrained_agent: Some(deployed.to_json()),
-        pinned_decision: None,
-        boundary_hysteresis: 0.02,
-        serve_partial_range: true,
-        compaction_prefetch_blocks: 0,
-        trace_dir: None,
-        continue_on_error: false,
+        ..RunConfig::new(Strategy::AdCache, 256 << 10, workload)
     };
 
     for (name, mix) in [

@@ -2,8 +2,7 @@
 //! the full tuning loop, multi-client execution, and trace replay.
 
 use adcache_suite::core::{
-    run_multiclient, run_static, CachedDb, ControllerConfig, CpuModel, EngineConfig, RunConfig,
-    Strategy,
+    run_multiclient, run_static, CachedDb, ControllerConfig, EngineConfig, RunConfig, Strategy,
 };
 use adcache_suite::lsm::{FileStorage, Options, Storage};
 use adcache_suite::workload::{render_key, Mix, Operation, Trace, WorkloadConfig, WorkloadGen};
@@ -20,24 +19,12 @@ fn small_workload(keys: u64) -> WorkloadConfig {
 
 fn quick_config(strategy: Strategy) -> RunConfig {
     RunConfig {
-        strategy,
-        total_cache_bytes: 256 << 10,
-        db_options: Options::small(),
-        workload: small_workload(5_000),
         controller: ControllerConfig {
             window: 250,
             hidden: 16,
             ..Default::default()
         },
-        cpu: CpuModel::default(),
-        shards: 1,
-        pretrained_agent: None,
-        pinned_decision: None,
-        boundary_hysteresis: 0.02,
-        serve_partial_range: true,
-        compaction_prefetch_blocks: 0,
-        trace_dir: None,
-        continue_on_error: false,
+        ..RunConfig::new(strategy, 256 << 10, small_workload(5_000))
     }
 }
 

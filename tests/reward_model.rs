@@ -6,35 +6,24 @@
 //! context of block cache"; this test is that validation for our engine.
 
 use adcache_suite::core::{
-    h_estimate, io_estimate_of, run_static, ControllerConfig, CpuModel, RunConfig, Strategy,
+    h_estimate, io_estimate_of, run_static, ControllerConfig, RunConfig, Strategy,
 };
-use adcache_suite::lsm::Options;
 use adcache_suite::workload::{Mix, WorkloadConfig};
 
 fn no_cache_config() -> RunConfig {
+    let workload = WorkloadConfig {
+        num_keys: 20_000,
+        value_size: 64,
+        ..Default::default()
+    };
     RunConfig {
-        strategy: Strategy::RocksDbBlock,
-        total_cache_bytes: 0, // block cache admits nothing: every read hits the device
-        db_options: Options::small(),
-        workload: WorkloadConfig {
-            num_keys: 20_000,
-            value_size: 64,
-            ..Default::default()
-        },
         controller: ControllerConfig {
             window: 1000,
             hidden: 16,
             ..Default::default()
         },
-        cpu: CpuModel::default(),
-        shards: 1,
-        pretrained_agent: None,
-        pinned_decision: None,
-        boundary_hysteresis: 0.02,
-        serve_partial_range: true,
-        compaction_prefetch_blocks: 0,
-        trace_dir: None,
-        continue_on_error: false,
+        // A zero budget admits nothing: every read hits the device.
+        ..RunConfig::new(Strategy::RocksDbBlock, 0, workload)
     }
 }
 
