@@ -92,9 +92,8 @@ pub struct PointAdmission {
     /// Sketch decay count at the last guard check.
     checked_decays: u64,
     /// Auto-resets performed.
-    resets: u64,
+    resets: Counter,
     obs: Obs,
-    reset_counter: Counter,
 }
 
 impl PointAdmission {
@@ -115,16 +114,16 @@ impl PointAdmission {
             guard,
             since_check: 0,
             checked_decays: 0,
-            resets: 0,
+            resets: Counter::new(),
             obs: Obs::disabled(),
-            reset_counter: Counter::default(),
         }
     }
 
     /// Attaches an observability handle; each guard reset then journals an
-    /// [`Event::SketchReset`] and bumps the `cache.sketch.resets` counter.
+    /// [`Event::SketchReset`], and the registry names the reset count
+    /// `cache.sketch.resets`.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.reset_counter = obs.counter("cache.sketch.resets");
+        obs.adopt_counter("cache.sketch.resets", &self.resets);
         self.obs = obs;
     }
 
@@ -166,9 +165,8 @@ impl PointAdmission {
                 fill_pct: (fill * 100.0) as u64,
                 increments: window,
             });
-            self.reset_counter.inc();
             self.sketch.reset(salt);
-            self.resets += 1;
+            self.resets.inc();
         }
         self.since_check = 0;
         self.checked_decays = self.sketch.decays();
@@ -205,7 +203,7 @@ impl PointAdmission {
 
     /// Auto-resets performed by the guard.
     pub fn resets(&self) -> u64 {
-        self.resets
+        self.resets.get()
     }
 
     /// `(admitted, rejected)` counters.

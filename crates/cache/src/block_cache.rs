@@ -17,39 +17,13 @@ use crate::policy::{LruPolicy, Policy};
 use adcache_lsm::compaction::{CompactionEvent, CompactionListener};
 use adcache_lsm::sstable::{decode_stored_block_at, BlockProvider, TableMeta};
 use adcache_lsm::{Block, BlockRef, FileId, Result, Storage};
-use adcache_obs::{CacheStructure, Counter, Event, EvictionCause, Obs};
+use adcache_obs::{CacheStructure, Event, EvictionCause, Obs};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Factory producing one eviction policy per shard.
 pub type PolicyFactory = Box<dyn Fn() -> Box<dyn Policy<BlockRef>> + Send + Sync>;
-
-/// Pre-resolved observability handles: counters are registered once when
-/// tracing is attached, so the per-block hot path never touches the
-/// registry. When tracing is never attached the `OnceLock` stays empty and
-/// every hook reduces to one relaxed load plus an untaken branch.
-struct BlockObsHooks {
-    obs: Obs,
-    hits: Counter,
-    misses: Counter,
-    inserts: Counter,
-    evictions: Counter,
-    invalidations: Counter,
-}
-
-impl BlockObsHooks {
-    fn new(obs: Obs) -> Self {
-        BlockObsHooks {
-            hits: obs.counter("cache.block.hits"),
-            misses: obs.counter("cache.block.misses"),
-            inserts: obs.counter("cache.block.inserts"),
-            evictions: obs.counter("cache.block.evictions"),
-            invalidations: obs.counter("cache.block.invalidations"),
-            obs,
-        }
-    }
-}
 
 fn evicted_block_bytes(evicted: &[(BlockRef, Arc<Block>)]) -> u64 {
     evicted.iter().map(|(_, b)| b.encoded_len() as u64).sum()
@@ -58,7 +32,9 @@ fn evicted_block_bytes(evicted: &[(BlockRef, Arc<Block>)]) -> u64 {
 /// A sharded, byte-charged cache of decoded SSTable blocks.
 pub struct BlockCache {
     shards: Vec<Mutex<ChargedCache<BlockRef, Arc<Block>>>>,
-    obs: OnceLock<BlockObsHooks>,
+    /// Set once by `set_obs`; absent, every event hook is one relaxed load
+    /// and an untaken branch.
+    obs: OnceLock<Obs>,
     decode_failures: AtomicU64,
 }
 
@@ -91,10 +67,26 @@ impl BlockCache {
         }
     }
 
-    /// Attaches an observability handle. Hit/miss/eviction counters and
-    /// eviction events flow into it from now on; a second call is a no-op.
+    /// Attaches an observability handle: the registry names every shard's
+    /// counter cells `cache.block.*`, and eviction events flow into it from
+    /// now on. A second call is a no-op.
     pub fn set_obs(&self, obs: Obs) {
-        let _ = self.obs.set(BlockObsHooks::new(obs));
+        if self.obs.set(obs.clone()).is_err() {
+            return;
+        }
+        for s in &self.shards {
+            let s = s.lock();
+            let c = s.counters();
+            for (name, cell) in [
+                ("cache.block.hits", &c.hits),
+                ("cache.block.misses", &c.misses),
+                ("cache.block.inserts", &c.inserts),
+                ("cache.block.evictions", &c.evictions),
+                ("cache.block.invalidations", &c.invalidations),
+            ] {
+                obs.adopt_counter(name, cell);
+            }
+        }
     }
 
     /// Re-targets the total byte budget (split evenly across shards),
@@ -108,16 +100,13 @@ impl BlockCache {
             count += evicted.len() as u64;
             bytes += evicted_block_bytes(&evicted);
         }
-        if let Some(h) = self.obs.get() {
-            if count > 0 {
-                h.evictions.add(count);
-                h.obs.emit(|| Event::Eviction {
-                    cache: CacheStructure::Block,
-                    cause: EvictionCause::Resize,
-                    count,
-                    bytes,
-                });
-            }
+        if let Some(obs) = self.obs.get().filter(|_| count > 0) {
+            obs.emit(|| Event::Eviction {
+                cache: CacheStructure::Block,
+                cause: EvictionCause::Resize,
+                count,
+                bytes,
+            });
         }
         count as usize
     }
@@ -174,20 +163,17 @@ impl BlockCache {
             dropped += shard.retain(|k| !files.contains(&k.file)) as u64;
             bytes += before - shard.used() as u64;
         }
-        if let Some(h) = self.obs.get() {
-            if dropped > 0 {
-                h.invalidations.add(dropped);
-                h.obs.emit(|| Event::BlockCacheInvalidation {
-                    files: files.len() as u64,
-                    blocks_dropped: dropped,
-                });
-                h.obs.emit(|| Event::Eviction {
-                    cache: CacheStructure::Block,
-                    cause: EvictionCause::Invalidation,
-                    count: dropped,
-                    bytes,
-                });
-            }
+        if let Some(obs) = self.obs.get().filter(|_| dropped > 0) {
+            obs.emit(|| Event::BlockCacheInvalidation {
+                files: files.len() as u64,
+                blocks_dropped: dropped,
+            });
+            obs.emit(|| Event::Eviction {
+                cache: CacheStructure::Block,
+                cause: EvictionCause::Invalidation,
+                count: dropped,
+                bytes,
+            });
         }
         dropped as usize
     }
@@ -201,12 +187,11 @@ impl BlockCache {
         self.note_insert(&key, &evicted);
     }
 
-    /// Counter/event bookkeeping shared by the admission paths. Entries in
+    /// Event bookkeeping shared by the admission paths. Entries in
     /// `evicted` carrying the inserted key itself (same-key replacement, or
     /// an oversized refusal bounced straight back) are not policy evictions.
     fn note_insert(&self, inserted: &BlockRef, mut evicted: &[(BlockRef, Arc<Block>)]) {
-        let Some(h) = self.obs.get() else { return };
-        h.inserts.inc();
+        let Some(obs) = self.obs.get() else { return };
         while let Some((k, _)) = evicted.first() {
             if k == inserted {
                 evicted = &evicted[1..];
@@ -215,8 +200,7 @@ impl BlockCache {
             }
         }
         if !evicted.is_empty() {
-            h.evictions.add(evicted.len() as u64);
-            h.obs.emit(|| Event::Eviction {
+            obs.emit(|| Event::Eviction {
                 cache: CacheStructure::Block,
                 cause: EvictionCause::Capacity,
                 count: evicted.len() as u64,
@@ -267,13 +251,7 @@ impl BlockCache {
         let key = BlockRef::new(meta.id, block_no);
         let shard = &self.shards[shard_of(&key, self.shards.len())];
         if let Some(block) = shard.lock().get(&key).cloned() {
-            if let Some(h) = self.obs.get() {
-                h.hits.inc();
-            }
             return Ok(block);
-        }
-        if let Some(h) = self.obs.get() {
-            h.misses.inc();
         }
         // Miss: fetch outside the shard lock (the device read dominates).
         let stored = storage.read_block(meta.id, block_no)?;
@@ -286,8 +264,8 @@ impl BlockCache {
                 // cannot keep serving stale decodes from memory.
                 self.decode_failures.fetch_add(1, Ordering::Relaxed);
                 self.invalidate(&[meta.id]);
-                if let Some(h) = self.obs.get() {
-                    h.obs.emit(|| Event::BlockQuarantined {
+                if let Some(obs) = self.obs.get() {
+                    obs.emit(|| Event::BlockQuarantined {
                         file: meta.id,
                         block: block_no as u64,
                     });

@@ -6,6 +6,7 @@
 //! immediately until the new budget holds.
 
 use crate::policy::Policy;
+use adcache_obs::Counter;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -28,6 +29,22 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
+/// The live cells behind a [`CacheStats`]: what a cache counts, once, and
+/// what its `set_obs` names in the registry.
+#[derive(Debug, Default)]
+pub struct CacheCounters {
+    /// Lookups that found a resident entry.
+    pub hits: Counter,
+    /// Lookups that found nothing.
+    pub misses: Counter,
+    /// Entries admitted.
+    pub inserts: Counter,
+    /// Entries evicted by policy decision.
+    pub evictions: Counter,
+    /// Entries dropped by invalidation or explicit removal.
+    pub invalidations: Counter,
+}
+
 impl CacheStats {
     /// Hit rate over all lookups, or 0 when idle.
     pub fn hit_rate(&self) -> f64 {
@@ -47,7 +64,7 @@ pub struct ChargedCache<K, V> {
     policy: Box<dyn Policy<K>>,
     capacity: usize,
     used: usize,
-    stats: CacheStats,
+    stats: CacheCounters,
 }
 
 impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
@@ -58,7 +75,7 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
             policy,
             capacity,
             used: 0,
-            stats: CacheStats::default(),
+            stats: CacheCounters::default(),
         }
     }
 
@@ -72,12 +89,12 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
     {
         match self.map.get_key_value(key) {
             Some((k, (v, _))) => {
-                self.stats.hits += 1;
+                self.stats.hits.inc();
                 self.policy.on_hit(k);
                 Some(v)
             }
             None => {
-                self.stats.misses += 1;
+                self.stats.misses.inc();
                 None
             }
         }
@@ -112,7 +129,7 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
             self.policy.on_external_remove(&key);
             evicted.push((key.clone(), old_v));
         }
-        self.stats.inserts += 1;
+        self.stats.inserts.inc();
         self.used += charge;
         self.map.insert(key.clone(), (value, charge));
         self.policy.on_insert(&key);
@@ -122,7 +139,7 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
             };
             if let Some((v, c)) = self.map.remove(&victim) {
                 self.used -= c;
-                self.stats.evictions += 1;
+                self.stats.evictions.inc();
                 evicted.push((victim, v));
             }
         }
@@ -138,7 +155,7 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
         let (k, (v, c)) = self.map.remove_entry(key)?;
         self.used -= c;
         self.policy.on_external_remove(&k);
-        self.stats.invalidations += 1;
+        self.stats.invalidations.inc();
         Some(v)
     }
 
@@ -163,7 +180,7 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
             };
             if let Some((v, c)) = self.map.remove(&victim) {
                 self.used -= c;
-                self.stats.evictions += 1;
+                self.stats.evictions.inc();
                 evicted.push((victim, v));
             }
         }
@@ -192,7 +209,19 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        let c = &self.stats;
+        CacheStats {
+            hits: c.hits.get(),
+            misses: c.misses.get(),
+            inserts: c.inserts.get(),
+            evictions: c.evictions.get(),
+            invalidations: c.invalidations.get(),
+        }
+    }
+
+    /// The live counter cells.
+    pub fn counters(&self) -> &CacheCounters {
+        &self.stats
     }
 
     /// The policy's display name.

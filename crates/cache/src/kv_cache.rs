@@ -6,7 +6,7 @@
 
 use crate::container::{CacheStats, ChargedCache};
 use crate::policy::{LruPolicy, Policy};
-use adcache_obs::{CacheStructure, Counter, Event, EvictionCause, Obs};
+use adcache_obs::{CacheStructure, Event, EvictionCause, Obs};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::sync::OnceLock;
@@ -14,29 +14,11 @@ use std::sync::OnceLock;
 /// Per-entry bookkeeping overhead added to the byte charge.
 const ENTRY_OVERHEAD: usize = 32;
 
-/// Pre-resolved observability handles (see `BlockCache` for the pattern).
-struct KvObsHooks {
-    obs: Obs,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-}
-
-impl KvObsHooks {
-    fn new(obs: Obs) -> Self {
-        KvObsHooks {
-            hits: obs.counter("cache.kv.hits"),
-            misses: obs.counter("cache.kv.misses"),
-            evictions: obs.counter("cache.kv.evictions"),
-            obs,
-        }
-    }
-}
-
 /// A thread-safe key-value result cache.
 pub struct KvCache {
     inner: Mutex<ChargedCache<Bytes, Bytes>>,
-    obs: OnceLock<KvObsHooks>,
+    /// Set once by `set_obs`, for eviction events.
+    obs: OnceLock<Obs>,
 }
 
 impl KvCache {
@@ -53,9 +35,18 @@ impl KvCache {
         }
     }
 
-    /// Attaches an observability handle (no-op when called twice).
+    /// Attaches an observability handle: the registry names the cache's
+    /// hit, miss and eviction cells `cache.kv.*`, and eviction events flow
+    /// into it. A second call is a no-op.
     pub fn set_obs(&self, obs: Obs) {
-        let _ = self.obs.set(KvObsHooks::new(obs));
+        if self.obs.set(obs.clone()).is_err() {
+            return;
+        }
+        let inner = self.inner.lock();
+        let c = inner.counters();
+        obs.adopt_counter("cache.kv.hits", &c.hits);
+        obs.adopt_counter("cache.kv.misses", &c.misses);
+        obs.adopt_counter("cache.kv.evictions", &c.evictions);
     }
 
     fn note_evictions(
@@ -76,9 +67,8 @@ impl KvCache {
         if evicted.is_empty() {
             return;
         }
-        if let Some(h) = self.obs.get() {
-            h.evictions.add(evicted.len() as u64);
-            h.obs.emit(|| Event::Eviction {
+        if let Some(obs) = self.obs.get() {
+            obs.emit(|| Event::Eviction {
                 cache: CacheStructure::Kv,
                 cause,
                 count: evicted.len() as u64,
@@ -92,15 +82,7 @@ impl KvCache {
 
     /// Looks up a point result.
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
-        let result = self.inner.lock().get(key).cloned();
-        if let Some(h) = self.obs.get() {
-            if result.is_some() {
-                h.hits.inc();
-            } else {
-                h.misses.inc();
-            }
-        }
-        result
+        self.inner.lock().get(key).cloned()
     }
 
     /// Admits a point result.

@@ -25,7 +25,7 @@ pub mod sketch;
 
 pub use admission::{PointAdmission, ScanAdmission, SketchGuard};
 pub use block_cache::{BlockCache, ScopedBlockProvider};
-pub use container::{CacheStats, ChargedCache};
+pub use container::{CacheCounters, CacheStats, ChargedCache};
 pub use kv_cache::KvCache;
 pub use policy::{
     CacheusPolicy, LeCaRPolicy, LfuPolicy, LruPolicy, Policy, SlotLruPolicy, TieBreak,

@@ -101,7 +101,7 @@ impl RecencyList {
 
 /// Classic LRU: the victim is the key whose last access is oldest.
 ///
-/// One `HashMap<K, node>` finds a key's node on a [`RecencyList`]. Freed
+/// One `HashMap<K, node>` finds a key's node on a recency list. Freed
 /// nodes are recycled, so the node vectors are as long as the largest
 /// resident set seen.
 pub struct LruPolicy<K> {
@@ -197,7 +197,7 @@ impl<K: Clone + Eq + Hash + Send> Policy<K> for LruPolicy<K> {
 }
 
 /// [`LruPolicy`] for keys that are already dense, recycled node numbers —
-/// the range cache's slot ids: the id indexes the [`RecencyList`] itself,
+/// the range cache's slot ids: the id indexes the recency list itself,
 /// so there is no map to probe on a hit and 8 bytes of links per slot.
 /// Same victim order as `LruPolicy<u32>` on every trace.
 pub struct SlotLruPolicy(RecencyList);

@@ -51,7 +51,6 @@ use slots::{Entry, HashIndex, Slab};
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, RandomState};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Per-entry bookkeeping overhead added to the byte charge.
@@ -113,14 +112,14 @@ struct Shard {
     policy: Box<dyn Policy<u32>>,
     capacity: usize,
     used: usize,
-    evictions: u64,
+    evictions: Counter,
     /// Entries removed by a delete or `clear`; nothing else but the policy
     /// removes one.
     invalidations: u64,
     inserts: u64,
     /// Segments the backstop forgot.
-    coverage_dropped: u64,
-    obs: Option<CoverageObs>,
+    coverage_dropped: Counter,
+    obs: Option<SegmentsGauge>,
 }
 
 impl Shard {
@@ -134,10 +133,10 @@ impl Shard {
             policy,
             capacity,
             used: 0,
-            evictions: 0,
+            evictions: Counter::new(),
             invalidations: 0,
             inserts: 0,
-            coverage_dropped: 0,
+            coverage_dropped: Counter::new(),
             obs: None,
         }
     }
@@ -204,7 +203,7 @@ impl Shard {
         self.ordered.remove(&entry.key);
         self.used -= Self::charge_of(&entry.key, &entry.value);
         if via_eviction {
-            self.evictions += 1;
+            self.evictions.inc();
         } else {
             self.policy.on_external_remove(&slot);
             self.invalidations += 1;
@@ -267,7 +266,7 @@ impl Shard {
 
     /// Evicts down to the byte budget; returns `(entries, bytes)` evicted.
     fn evict_to_capacity(&mut self) -> (u64, u64) {
-        let (ev_before, used_before) = (self.evictions, self.used);
+        let (ev_before, used_before) = (self.evictions.get(), self.used);
         while self.used > self.capacity {
             let Some(victim) = self.policy.victim() else {
                 break;
@@ -276,7 +275,10 @@ impl Shard {
             self.split_at(&entry.key);
         }
         self.prune_segments();
-        (self.evictions - ev_before, (used_before - self.used) as u64)
+        (
+            self.evictions.get() - ev_before,
+            (used_before - self.used) as u64,
+        )
     }
 
     /// How many segments the map may hold. Those with a resident entry
@@ -301,11 +303,8 @@ impl Shard {
                 while residents.next_if(|k| k[..] < s[..]).is_some() {}
                 residents.peek().is_some_and(|k| k[..] < e[..])
             });
-            let dropped = (before - self.segments.len()) as u64;
-            self.coverage_dropped += dropped;
-            if let Some(obs) = &self.obs {
-                obs.coverage_dropped.add(dropped);
-            }
+            self.coverage_dropped
+                .add((before - self.segments.len()) as u64);
         }
         self.publish_segments();
     }
@@ -398,44 +397,14 @@ impl Shard {
     }
 }
 
-/// Pre-resolved observability handles (see `BlockCache` for the pattern:
-/// registered once on attach, lock-free afterwards, absent = inert).
-struct RangeObsHooks {
-    obs: Obs,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-}
-
-impl RangeObsHooks {
-    fn new(obs: Obs) -> Self {
-        RangeObsHooks {
-            hits: obs.counter("cache.range.hits"),
-            misses: obs.counter("cache.range.misses"),
-            evictions: obs.counter("cache.range.evictions"),
-            obs,
-        }
-    }
-}
-
-/// A shard's handles on the coverage metrics: its segment map changes
-/// under its own lock, several calls deep, so it publishes for itself.
-struct CoverageObs {
+/// A shard's handle on the `cache.range.segments` gauge: its segment map
+/// changes under its own lock, several calls deep, so it publishes for
+/// itself.
+struct SegmentsGauge {
     /// Segments across every shard on the handle; each adds its changes.
     segments: Gauge,
     /// This shard's contribution to `segments` so far.
     published: usize,
-    coverage_dropped: Counter,
-}
-
-impl CoverageObs {
-    fn new(obs: &Obs) -> Self {
-        CoverageObs {
-            segments: obs.gauge("cache.range.segments"),
-            published: 0,
-            coverage_dropped: obs.counter("cache.range.coverage_dropped"),
-        }
-    }
 }
 
 /// A sharded, coverage-tracking result cache for point and range lookups.
@@ -443,9 +412,10 @@ pub struct RangeCache {
     shards: Vec<Mutex<Shard>>,
     /// Shard split points; shard `i` owns `[boundaries[i-1], boundaries[i])`.
     boundaries: Vec<Bytes>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    obs: OnceLock<RangeObsHooks>,
+    hits: Counter,
+    misses: Counter,
+    /// Set once by `set_obs`, for eviction events.
+    obs: OnceLock<Obs>,
 }
 
 impl RangeCache {
@@ -475,45 +445,37 @@ impl RangeCache {
                 .map(|_| Mutex::new(Shard::new(per_shard, factory())))
                 .collect(),
             boundaries,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: Counter::new(),
+            misses: Counter::new(),
             obs: OnceLock::new(),
         }
     }
 
-    /// Attaches an observability handle (no-op when called twice).
+    /// Attaches an observability handle: the registry names the hit and
+    /// miss cells and every shard's eviction and coverage-drop cells
+    /// `cache.range.*`, and the shards publish their segments. A second
+    /// call is a no-op.
     pub fn set_obs(&self, obs: Obs) {
-        if self.obs.set(RangeObsHooks::new(obs.clone())).is_err() {
+        if self.obs.set(obs.clone()).is_err() {
             return;
         }
+        obs.adopt_counter("cache.range.hits", &self.hits);
+        obs.adopt_counter("cache.range.misses", &self.misses);
         for s in &self.shards {
             let mut s = s.lock();
-            s.obs = Some(CoverageObs::new(&obs));
+            obs.adopt_counter("cache.range.evictions", &s.evictions);
+            obs.adopt_counter("cache.range.coverage_dropped", &s.coverage_dropped);
+            s.obs = Some(SegmentsGauge {
+                segments: obs.gauge("cache.range.segments"),
+                published: 0,
+            });
             s.publish_segments();
         }
     }
 
-    fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(h) = self.obs.get() {
-            h.hits.inc();
-        }
-    }
-
-    fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(h) = self.obs.get() {
-            h.misses.inc();
-        }
-    }
-
     fn note_evictions(&self, cause: EvictionCause, count: u64, bytes: u64) {
-        if count == 0 {
-            return;
-        }
-        if let Some(h) = self.obs.get() {
-            h.evictions.add(count);
-            h.obs.emit(|| Event::Eviction {
+        if let Some(obs) = self.obs.get().filter(|_| count > 0) {
+            obs.emit(|| Event::Eviction {
                 cache: CacheStructure::Range,
                 cause,
                 count,
@@ -539,16 +501,16 @@ impl RangeCache {
             let value = shard.slab.get(slot).value.clone();
             shard.policy.on_hit(&slot);
             drop(shard);
-            self.note_hit();
+            self.hits.inc();
             return PointLookup::Hit(value);
         }
         if shard.segment_covering(key).is_some() {
             drop(shard);
-            self.note_hit();
+            self.hits.inc();
             return PointLookup::NegativeHit;
         }
         drop(shard);
-        self.note_miss();
+        self.misses.inc();
         PointLookup::Miss
     }
 
@@ -583,10 +545,10 @@ impl RangeCache {
         }
         let (out, cont) = self.walk_range(from, n);
         if cont.is_none() {
-            self.note_hit();
+            self.hits.inc();
             RangeLookup::Hit(out)
         } else {
-            self.note_miss();
+            self.misses.inc();
             RangeLookup::Miss
         }
     }
@@ -602,9 +564,9 @@ impl RangeCache {
         }
         let (out, cont) = self.walk_range(from, n);
         if cont.is_none() {
-            self.note_hit();
+            self.hits.inc();
         } else {
-            self.note_miss();
+            self.misses.inc();
         }
         (out, cont)
     }
@@ -757,7 +719,10 @@ impl RangeCache {
     /// Segments the backstop has forgotten to keep the segment map under
     /// its cap (coverage only; see `stats().invalidations` for entries).
     pub fn coverage_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().coverage_dropped).sum()
+        self.shards
+            .iter()
+            .map(|s| s.lock().coverage_dropped.get())
+            .sum()
     }
 
     /// Query-level counters (one hit or miss per lookup, as the paper
@@ -766,14 +731,14 @@ impl RangeCache {
     /// every other removal is a policy eviction.
     pub fn stats(&self) -> CacheStats {
         let mut st = CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
             ..CacheStats::default()
         };
         for s in &self.shards {
             let s = s.lock();
             st.inserts += s.inserts;
-            st.evictions += s.evictions;
+            st.evictions += s.evictions.get();
             st.invalidations += s.invalidations;
         }
         st
@@ -974,10 +939,11 @@ mod tests {
         // Attached late: what is already covered is published on attach.
         let obs = Obs::enabled();
         c.set_obs(obs.clone());
-        let (segments, dropped) = (
-            obs.gauge("cache.range.segments"),
-            obs.counter("cache.range.coverage_dropped"),
-        );
+        let segments = obs.gauge("cache.range.segments");
+        let dropped = || {
+            let reg = obs.registry().unwrap();
+            reg.counter_value("cache.range.coverage_dropped")
+        };
         assert_eq!(segments.get(), 1);
         c.insert_scan(&kv(8).0, &scan_result(8, 4), 4);
         assert_eq!((c.segment_count(), segments.get()), (3, 3));
@@ -986,8 +952,8 @@ mod tests {
             c.insert_scan(format!("nokey{i:02}").as_bytes(), &[], 0);
         }
         assert_eq!(segments.get(), c.segment_count() as i64);
-        assert_eq!(dropped.get(), c.coverage_dropped());
-        assert!(dropped.get() > 0);
+        assert_eq!(dropped(), c.coverage_dropped());
+        assert!(dropped() > 0);
         c.clear();
         assert_eq!(segments.get(), 0);
     }

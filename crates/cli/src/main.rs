@@ -375,8 +375,7 @@ fn cmd_stats(db: &CachedDb) {
         "engine: {} SST reads (queries), {} compactions, {} flushes, {} runs / {} levels",
         db.db().query_block_reads(),
         db.db().compactions(),
-        db.db()
-            .stats_sum(|s| s.flushes.load(std::sync::atomic::Ordering::Relaxed)),
+        db.db().stats_sum(|s| s.flushes.get()),
         db.db().num_runs(),
         db.db().num_levels(),
     );
@@ -839,12 +838,9 @@ fn render_trace(dir: &std::path::Path, out: Out) -> Result<(), Box<dyn std::erro
     )?;
     let gc_rounds = m.counter("lsm.group_commit.rounds");
     if gc_rounds > 0 {
-        let gc_batches = m.counter("lsm.group_commit.batches");
         writeln!(
             out,
-            "  group commit: {gc_batches} batches in {gc_rounds} rounds \
-             ({:.2} batches/round), {} seals, {} write stalls",
-            gc_batches as f64 / gc_rounds as f64,
+            "  group commit: {gc_rounds} rounds, {} seals, {} write stalls",
             m.counter("lsm.seals"),
             m.counter("lsm.write_stalls"),
         )?;
@@ -1396,16 +1392,10 @@ fn render_metrics_summary(m: &MetricsView, out: Out) -> std::io::Result<()> {
             "lock {path} acquisitions {acquisitions} wait_ns {wait_ns} hold_ns {hold_ns}"
         )?;
     }
-    let gc_rounds = m.counter("lsm.group_commit.rounds");
-    let gc_batches = m.counter("lsm.group_commit.batches");
     writeln!(
         out,
-        "group_commit rounds {gc_rounds} batches {gc_batches} mean_batch {:.2} seals {} write_stalls {}",
-        if gc_rounds > 0 {
-            gc_batches as f64 / gc_rounds as f64
-        } else {
-            0.0
-        },
+        "group_commit rounds {} seals {} write_stalls {}",
+        m.counter("lsm.group_commit.rounds"),
         m.counter("lsm.seals"),
         m.counter("lsm.write_stalls"),
     )
@@ -2272,7 +2262,7 @@ impl FaultCheckReport {
 /// and a simulated filesystem (WAL + manifest) takes writes under a fault
 /// storm with one armed crash point; the process "crashes" — the engine
 /// drops AND every completed-but-unsynced write is torn out of both device
-/// models — then the store reopens. One [`History`] judges every read:
+/// models — then the store reopens. One [`adcache_lsm::history::History`] judges every read:
 /// the storm's against the store before the crash, the recovered gets and
 /// one full scan against what the configured sync policy promised.
 ///
@@ -3143,7 +3133,7 @@ admission decisions (journal tail):
 boundary trajectory (0 decisions):
 
 lsm: 11 flushes, 2 compactions (counters: 11 / 2), 0 block-cache invalidations
-  group commit: 2706 batches in 2706 rounds (1.00 batches/round), 11 seals, 0 write stalls
+  group commit: 2706 rounds, 11 seals, 0 write stalls
 ";
     const GOLDEN_SUMMARY: &str = "requests 0
 stage recv count 0 mean_us 0.0 p99_us 0.0 share_pct 0.0
@@ -3159,7 +3149,7 @@ lock read acquisitions 182 wait_ns 4000000 hold_ns 4000000
 lock write acquisitions 5412 wait_ns 4000000 hold_ns 4000000
 lock flush acquisitions 22 wait_ns 4000000 hold_ns 4000000
 lock compaction acquisitions 13 wait_ns 4000000 hold_ns 4000000
-group_commit rounds 2706 batches 2706 mean_batch 1.00 seals 11 write_stalls 0
+group_commit rounds 2706 seals 11 write_stalls 0
 ";
     const GOLDEN_TOP: &str = "
 == adcache top @ golden:1 — tick 3 — 0 ops/s ==

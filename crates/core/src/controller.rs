@@ -8,7 +8,7 @@
 
 use crate::reward::{h_estimate, RewardSmoother};
 use crate::stats::WindowSummary;
-use adcache_obs::{Event, Obs};
+use adcache_obs::{Counter, Event, Obs};
 use adcache_rl::{ActorCritic, AgentConfig, Transition};
 
 /// Number of state features fed to the agent.
@@ -162,7 +162,7 @@ pub struct Controller {
     base_std: f32,
     nonfinite_repairs: u64,
     feature_clamps: u64,
-    adversarial_windows: u64,
+    adversarial_windows: Counter,
     obs: Obs,
 }
 
@@ -196,14 +196,16 @@ impl Controller {
             base_std,
             nonfinite_repairs: 0,
             feature_clamps: 0,
-            adversarial_windows: 0,
+            adversarial_windows: Counter::new(),
             obs: Obs::disabled(),
         }
     }
 
     /// Attaches an observability handle: every subsequent window journals
-    /// its train step and decision.
+    /// its train step and decision, and the registry names the
+    /// adversarial-window count `core.adversarial_windows`.
     pub fn set_obs(&mut self, obs: Obs) {
+        obs.adopt_counter("core.adversarial_windows", &self.adversarial_windows);
         self.obs = obs;
     }
 
@@ -278,7 +280,7 @@ impl Controller {
     /// Windows the adversarial guard flagged (reward clamped, adaptation
     /// frozen).
     pub fn adversarial_windows(&self) -> u64 {
-        self.adversarial_windows
+        self.adversarial_windows.get()
     }
 
     /// Replaces any NaN/Inf element with 0.0 and clips the rest into the
@@ -319,8 +321,7 @@ impl Controller {
         if adversarial {
             let raw_reward = reward;
             reward = reward.clamp(-GUARD_REWARD_CLAMP, GUARD_REWARD_CLAMP);
-            self.adversarial_windows += 1;
-            self.obs.counter("core.adversarial_windows").inc();
+            self.adversarial_windows.inc();
             self.obs.emit(|| Event::AdversaryDetected {
                 source: "controller".into(),
                 h_estimate: h,

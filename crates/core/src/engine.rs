@@ -106,9 +106,10 @@ impl EngineConfig {
     }
 }
 
-/// Pre-resolved observability handles for the engine's admission paths
-/// (see `BlockCache` in `adcache-cache` for the pattern: registered once on
-/// attach, lock-free afterwards, absent = inert).
+/// The engine's observability handle plus the counters and gauges only
+/// telemetry keeps (no engine statistic counts admission verdicts or
+/// boundary moves), resolved once on attach so the admission paths never
+/// touch the registry lock; absent until `set_obs`.
 struct EngineObsHooks {
     obs: Obs,
     admission_accepts: Counter,
@@ -144,10 +145,11 @@ impl EngineObsHooks {
         admitted: u64,
     ) {
         match outcome {
-            AdmissionOutcome::Accept => self.admission_accepts.inc(),
-            AdmissionOutcome::Reject => self.admission_rejects.inc(),
-            AdmissionOutcome::Partial => self.admission_partials.inc(),
+            AdmissionOutcome::Accept => &self.admission_accepts,
+            AdmissionOutcome::Reject => &self.admission_rejects,
+            AdmissionOutcome::Partial => &self.admission_partials,
         }
+        .inc();
         self.obs.emit(|| Event::Admission {
             cache,
             outcome,
@@ -262,9 +264,11 @@ impl CachedDb {
     /// below it: the LSM-tree (flush/compaction/WAL events) and each cache
     /// structure the strategy instantiated. A second call is a no-op.
     pub fn set_obs(&self, obs: Obs) {
+        if self.obs.set(EngineObsHooks::new(obs.clone())).is_err() {
+            return;
+        }
         self.db.set_obs(obs.clone());
         self.for_each_partition(|part| part.attach_obs(&obs));
-        let _ = self.obs.set(EngineObsHooks::new(obs));
         // Publish the current boundary position so live views see it
         // before the first controller decision moves it.
         if let Some(h) = self.obs.get() {
@@ -1044,9 +1048,7 @@ impl CachedDb {
             failed_reads: snap.failed_reads,
             query_block_reads: snap.query_block_reads,
             compactions: snap.compactions,
-            flushes: self
-                .db
-                .stats_sum(|s| s.flushes.load(std::sync::atomic::Ordering::Relaxed)),
+            flushes: self.db.stats_sum(|s| s.flushes.get()),
             runs: self.db.num_runs() as u64,
             levels: self.db.num_levels() as u64,
             block_cache: block,
@@ -1061,10 +1063,10 @@ impl CachedDb {
             memtable_bytes: opts.memtable_size as u64,
             sstable_bytes: opts.sstable_size as u64,
             l1_bytes: opts.l1_max_bytes as u64,
-            group_commit_rounds: self.db.group_commit().0,
-            group_commit_batches: self.db.group_commit().1,
-            seals: self.db.stats_sum(|s| s.seals()),
-            write_stalls: self.db.stats_sum(|s| s.write_stalls()),
+            group_commit_rounds: self.db.group_commits(),
+            group_commit_batches: self.db.group_commits(),
+            seals: self.db.stats_sum(|s| s.seals.get()),
+            write_stalls: self.db.stats_sum(|s| s.write_stalls.get()),
             tenants: self.tenant_reports(),
         }
     }
@@ -1783,5 +1785,132 @@ mod tests {
         }
         let total: f64 = reports.iter().map(|r| r.share).sum();
         assert!((total - 1.0).abs() < 1e-9, "shares must sum to 1: {total}");
+    }
+
+    /// What each layer counts for itself, keyed by the registry name that
+    /// reads it; a name several partitions or stripes count into is their
+    /// sum.
+    fn owned_counts(db: &CachedDb) -> BTreeMap<String, u64> {
+        let mut out = BTreeMap::new();
+        let mut add = |name: String, v: u64| *out.entry(name).or_insert(0) += v;
+        db.for_each_partition(|p| {
+            if let Some(bc) = &p.block_cache {
+                let s = bc.stats();
+                add("cache.block.hits".into(), s.hits);
+                add("cache.block.misses".into(), s.misses);
+                add("cache.block.inserts".into(), s.inserts);
+                add("cache.block.evictions".into(), s.evictions);
+                add("cache.block.invalidations".into(), s.invalidations);
+            }
+            if let Some(rc) = &p.range_cache {
+                let s = rc.stats();
+                add("cache.range.hits".into(), s.hits);
+                add("cache.range.misses".into(), s.misses);
+                add("cache.range.evictions".into(), s.evictions);
+                add("cache.range.coverage_dropped".into(), rc.coverage_dropped());
+            }
+            if let Some(kv) = &p.kv_cache {
+                let s = kv.stats();
+                add("cache.kv.hits".into(), s.hits);
+                add("cache.kv.misses".into(), s.misses);
+                add("cache.kv.evictions".into(), s.evictions);
+            }
+            if let Some(adm) = &p.point_admission {
+                add("cache.sketch.resets".into(), adm.lock().resets());
+            }
+            let (hits, misses) = p.hit_counters();
+            add(format!("cache.tenant.{}.hits", p.tenant()), hits);
+            add(format!("cache.tenant.{}.misses", p.tenant()), misses);
+        });
+        let lsm = db.db();
+        add("lsm.flushes".into(), lsm.stats_sum(|s| s.flushes.get()));
+        add("lsm.compactions".into(), lsm.compactions());
+        add(
+            "lsm.compaction_block_reads".into(),
+            lsm.stats_sum(|s| s.compaction_block_reads.get()),
+        );
+        add(
+            "lsm.compaction_block_writes".into(),
+            lsm.stats_sum(|s| s.compaction_block_writes.get()),
+        );
+        add("lsm.seals".into(), lsm.stats_sum(|s| s.seals.get()));
+        add(
+            "lsm.write_stalls".into(),
+            lsm.stats_sum(|s| s.write_stalls.get()),
+        );
+        add("lsm.group_commit.rounds".into(), lsm.group_commits());
+        add("lsm.group_commit.batches".into(), lsm.group_commits());
+        out
+    }
+
+    /// One seeded mix of gets, scans, puts and deletes over the default
+    /// partition and every registered tenant's.
+    fn mixed_ops(db: &CachedDb, seed: u64, n: usize) {
+        let parts: Vec<Arc<Partition>> = db.all_partitions();
+        let mut x = seed;
+        for _ in 0..n {
+            // xorshift64
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let part = &parts[(x % parts.len() as u64) as usize];
+            let key = render_key((x >> 8) % 3000);
+            match (x >> 32) % 10 {
+                0..=4 => drop(db.get_in(part, &key).unwrap()),
+                5 | 6 => drop(db.scan_in(part, &key, 8).unwrap()),
+                7 | 8 => db.put_in(part, key, Bytes::from(format!("v{x}"))).unwrap(),
+                _ => db.delete_in(part, key).unwrap(),
+            }
+        }
+    }
+
+    /// Each quantity has one cell, owned by the layer that counts it, and
+    /// the registry reads that cell rather than a copy: over two stripes,
+    /// four block-cache shards and two tenants, every name reads what its owner counted since the
+    /// handle was attached (work before the attach, and a tenant
+    /// registered after it, included), and `engine.lock.*` reads the sum
+    /// of the stripes' own lock cells.
+    #[test]
+    fn the_registry_reads_what_each_layer_counts_since_attach() {
+        for strategy in [Strategy::AdCache, Strategy::RocksDbBlock, Strategy::KvCache] {
+            let opts = Options {
+                stripes: 2,
+                ..Options::small()
+            };
+            let cfg = EngineConfig {
+                block_shards: 4,
+                ..EngineConfig::new(strategy, 64 << 10)
+            };
+            let db = CachedDb::new(opts, Arc::new(MemStorage::new()), cfg).unwrap();
+            populate(&db, 3000);
+            db.register_tenant(1);
+            mixed_ops(&db, 7, 3000);
+            let before = owned_counts(&db);
+            let obs = Obs::enabled();
+            db.set_obs(obs.clone());
+            db.register_tenant(2);
+            mixed_ops(&db, 42, 6000);
+            let after = owned_counts(&db);
+            let reg = obs.registry().unwrap();
+            for (name, now) in &after {
+                let since = now - before.get(name).copied().unwrap_or(0);
+                assert_eq!(reg.counter_value(name), since, "{strategy:?} {name}");
+            }
+            for name in ["lsm.flushes", "lsm.compactions", "lsm.group_commit.rounds"] {
+                assert!(reg.counter_value(name) > 0, "{strategy:?}: no {name}");
+            }
+            for path in ["read", "write", "flush", "compaction"] {
+                for what in ["acquisitions", "wait_ns", "hold_ns"] {
+                    let per_stripe: u64 = (0..2)
+                        .map(|i| {
+                            reg.counter_value(&format!("engine.stripe.{i}.lock.{path}.{what}"))
+                        })
+                        .sum();
+                    let name = format!("engine.lock.{path}.{what}");
+                    assert_eq!(reg.counter_value(&name), per_stripe, "{strategy:?} {name}");
+                }
+            }
+            assert!(reg.counter_value("engine.lock.write.acquisitions") > 0);
+        }
     }
 }

@@ -52,25 +52,6 @@ pub fn tenant_salt(tenant: TenantId) -> u64 {
     }
 }
 
-/// Pre-resolved per-tenant telemetry handles (`cache.tenant.<id>.*`),
-/// following the engine's hooks pattern: resolved once on attach,
-/// lock-free afterwards, absent = inert.
-pub(crate) struct TenantObsHooks {
-    pub(crate) hits: Counter,
-    pub(crate) misses: Counter,
-    pub(crate) bytes: Gauge,
-}
-
-impl TenantObsHooks {
-    fn new(obs: &Obs, tenant: TenantId) -> Self {
-        TenantObsHooks {
-            hits: obs.counter(&format!("cache.tenant.{tenant}.hits")),
-            misses: obs.counter(&format!("cache.tenant.{tenant}.misses")),
-            bytes: obs.gauge(&format!("cache.tenant.{tenant}.bytes")),
-        }
-    }
-}
-
 /// One tenant's window of activity, consumed by the share arbiter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantWindow {
@@ -108,14 +89,15 @@ pub struct Partition {
     budget: AtomicUsize,
     /// Current share of the engine total, in `[0, 1]`.
     share: RwLock<f64>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Counter,
+    misses: Counter,
     ops: AtomicU64,
     /// Marks from the last [`window`](Self::window) call.
     mark_hits: AtomicU64,
     mark_misses: AtomicU64,
     mark_ops: AtomicU64,
-    obs: OnceLock<TenantObsHooks>,
+    /// `cache.tenant.<id>.bytes`, set once by `attach_obs`.
+    bytes_gauge: OnceLock<Gauge>,
 }
 
 impl Partition {
@@ -192,13 +174,13 @@ impl Partition {
             point_admission,
             budget: AtomicUsize::new(budget),
             share: RwLock::new(0.0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits: Counter::new(),
+            misses: Counter::new(),
             ops: AtomicU64::new(0),
             mark_hits: AtomicU64::new(0),
             mark_misses: AtomicU64::new(0),
             mark_ops: AtomicU64::new(0),
-            obs: OnceLock::new(),
+            bytes_gauge: OnceLock::new(),
         }
     }
 
@@ -231,10 +213,7 @@ impl Partition {
     /// Result-cache `(hits, misses)` charged to the tenant since
     /// construction.
     pub fn hit_counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        (self.hits.get(), self.misses.get())
     }
 
     /// Operations the tenant has issued since construction.
@@ -265,9 +244,20 @@ impl Partition {
         self.publish_bytes();
     }
 
-    /// Wires the partition's caches and per-tenant telemetry to `obs`.
-    /// A second call is a no-op (hooks resolve once).
+    /// Wires the partition's caches and per-tenant telemetry to `obs`: the
+    /// registry names the hit and miss cells `cache.tenant.<id>.*`. A
+    /// second call is a no-op.
     pub(crate) fn attach_obs(&self, obs: &Obs) {
+        let tenant = self.tenant;
+        if self
+            .bytes_gauge
+            .set(obs.gauge(&format!("cache.tenant.{tenant}.bytes")))
+            .is_err()
+        {
+            return;
+        }
+        obs.adopt_counter(&format!("cache.tenant.{tenant}.hits"), &self.hits);
+        obs.adopt_counter(&format!("cache.tenant.{tenant}.misses"), &self.misses);
         if let Some(bc) = &self.block_cache {
             bc.set_obs(obs.clone());
         }
@@ -280,24 +270,17 @@ impl Partition {
         if let Some(adm) = &self.point_admission {
             adm.lock().set_obs(obs.clone());
         }
-        let _ = self.obs.set(TenantObsHooks::new(obs, self.tenant));
         self.publish_bytes();
     }
 
     /// Charges a result-cache hit to the tenant.
     pub(crate) fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(h) = self.obs.get() {
-            h.hits.inc();
-        }
+        self.hits.inc();
     }
 
     /// Charges a result-cache miss to the tenant.
     pub(crate) fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(h) = self.obs.get() {
-            h.misses.inc();
-        }
+        self.misses.inc();
     }
 
     /// Charges one operation (read or write) to the tenant.
@@ -307,16 +290,15 @@ impl Partition {
 
     /// Publishes the partition's resident bytes to its gauge.
     pub(crate) fn publish_bytes(&self) {
-        if let Some(h) = self.obs.get() {
-            h.bytes.set(self.used_bytes() as i64);
+        if let Some(bytes) = self.bytes_gauge.get() {
+            bytes.set(self.used_bytes() as i64);
         }
     }
 
     /// Drains the tenant's activity window (deltas since the previous
     /// call) for the share arbiter.
     pub(crate) fn window(&self) -> TenantWindow {
-        let hits = self.hits.load(Ordering::Relaxed);
-        let misses = self.misses.load(Ordering::Relaxed);
+        let (hits, misses) = self.hit_counters();
         let ops = self.ops.load(Ordering::Relaxed);
         TenantWindow {
             tenant: self.tenant,

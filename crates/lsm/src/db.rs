@@ -31,8 +31,7 @@ use crate::options::{FsyncSite, Options, SyncPolicy};
 use crate::sstable::{table_get, BlockProvider, TableBuilder, TableIter, TableMeta};
 use crate::storage::Storage;
 use crate::timed_lock::{
-    outside_lock_probe, LockPath, LockPathSnapshot, TimedReadGuard, TimedRwLock, TimedWriteGuard,
-    LOCK_PATHS,
+    outside_lock_probe, LockPath, TimedReadGuard, TimedRwLock, TimedWriteGuard,
 };
 use crate::types::{Entry, FileId, Key, Value};
 use crate::version::{CompactionTask, Version};
@@ -53,56 +52,43 @@ const RETRY_BACKOFF_NS: u64 = 50_000;
 /// `Obs`); the wait counters accumulate either way.
 const LOCK_WAIT_BUDGET_NS: u64 = 1_000_000;
 
-/// Pre-registered observability hooks: the handle plus the counters the
-/// engine bumps, resolved once so event paths never touch the registry lock.
+/// The attached observability handle plus the `lsm.*` counters that no
+/// [`DbStats`] field keeps, resolved once so event paths never touch the
+/// registry lock.
 #[derive(Default)]
 struct ObsHooks {
     obs: Obs,
-    flushes: Counter,
     flush_entries: Counter,
-    compactions: Counter,
-    compaction_block_reads: Counter,
-    compaction_block_writes: Counter,
     wal_appends: Counter,
     wal_bytes: Counter,
-    group_commit_rounds: Counter,
-    group_commit_batches: Counter,
-    seals: Counter,
-    write_stalls: Counter,
 }
 
 impl ObsHooks {
     fn new(obs: Obs) -> Self {
         ObsHooks {
-            flushes: obs.counter("lsm.flushes"),
             flush_entries: obs.counter("lsm.flush_entries"),
-            compactions: obs.counter("lsm.compactions"),
-            compaction_block_reads: obs.counter("lsm.compaction_block_reads"),
-            compaction_block_writes: obs.counter("lsm.compaction_block_writes"),
             wal_appends: obs.counter("lsm.wal_appends"),
             wal_bytes: obs.counter("lsm.wal_bytes"),
-            group_commit_rounds: obs.counter("lsm.group_commit.rounds"),
-            group_commit_batches: obs.counter("lsm.group_commit.batches"),
-            seals: obs.counter("lsm.seals"),
-            write_stalls: obs.counter("lsm.write_stalls"),
             obs,
         }
     }
 }
 
 /// Engine-level counters (distinct from device I/O counters, which live in
-/// [`crate::storage::IoStats`]).
+/// [`crate::storage::IoStats`]). The [`Counter`] fields are what
+/// [`LsmTree::set_obs`] names in the registry (`lsm.*`), so STATS and
+/// METRICS read the same cells.
 #[derive(Debug, Default)]
 pub struct DbStats {
     /// Memtable flushes performed.
-    pub flushes: AtomicU64,
+    pub flushes: Counter,
     /// Compactions performed.
-    pub compactions: AtomicU64,
+    pub compactions: Counter,
     /// Device block reads attributable to compactions. Subtract from the
     /// storage read counter to obtain query-path SST reads.
-    pub compaction_block_reads: AtomicU64,
+    pub compaction_block_reads: Counter,
     /// Device block writes attributable to compactions.
-    pub compaction_block_writes: AtomicU64,
+    pub compaction_block_writes: Counter,
     /// Times a write observed Level 0 at or beyond the slowdown threshold.
     pub write_slowdowns: AtomicU64,
     /// Device blocks written by memtable flushes (the denominator of write
@@ -132,43 +118,14 @@ pub struct DbStats {
     /// only; under stronger policies this is a hard error).
     pub missing_tables_dropped: AtomicU64,
     /// Memtables sealed (frozen + WAL segment rotated) for a flush.
-    pub seals: AtomicU64,
+    pub seals: Counter,
     /// Writes that stalled because their stripe's sealed memtable was
     /// still in flight and the active one was over its hard budget (or
     /// Level 0 hit the stop threshold).
-    pub write_stalls: AtomicU64,
+    pub write_stalls: Counter,
     /// Commit rounds, one per committed batch (each is one WAL push + at
     /// most one fsync).
-    pub group_commits: AtomicU64,
-}
-
-impl DbStats {
-    /// Compactions counter snapshot.
-    pub fn compactions(&self) -> u64 {
-        self.compactions.load(Ordering::Relaxed)
-    }
-
-    /// Compaction read counter snapshot.
-    pub fn compaction_block_reads(&self) -> u64 {
-        self.compaction_block_reads.load(Ordering::Relaxed)
-    }
-
-    /// Commit `(rounds, batches)` snapshot. Every round commits one batch,
-    /// so the two are equal.
-    pub fn group_commit(&self) -> (u64, u64) {
-        let rounds = self.group_commits.load(Ordering::Relaxed);
-        (rounds, rounds)
-    }
-
-    /// Seals (memtables frozen for a flush) snapshot.
-    pub fn seals(&self) -> u64 {
-        self.seals.load(Ordering::Relaxed)
-    }
-
-    /// Write-stall counter snapshot.
-    pub fn write_stalls(&self) -> u64 {
-        self.write_stalls.load(Ordering::Relaxed)
-    }
+    pub group_commits: Counter,
 }
 
 impl LsmTree {
@@ -589,8 +546,9 @@ impl LsmTree {
     }
 
     /// Attaches an observability handle. Flushes, compactions and WAL resets
-    /// emit journal events and bump `lsm.*` counters through it; a disabled
-    /// handle (the default) keeps all of that free.
+    /// emit journal events through it, and the registry names this tree's
+    /// [`DbStats`] counters and lock cells; a disabled handle (the default)
+    /// keeps all of that free.
     pub fn set_obs(&self, obs: Obs) {
         // Recovery runs before an Obs handle can be attached, so journal
         // what the open had to repair retroactively.
@@ -610,10 +568,24 @@ impl LsmTree {
         if swept > 0 {
             obs.emit(|| Event::OrphanSwept { files: swept });
         }
+        let s = &self.stats;
+        for (name, cell) in [
+            ("lsm.flushes", &s.flushes),
+            ("lsm.compactions", &s.compactions),
+            ("lsm.compaction_block_reads", &s.compaction_block_reads),
+            ("lsm.compaction_block_writes", &s.compaction_block_writes),
+            ("lsm.seals", &s.seals),
+            ("lsm.write_stalls", &s.write_stalls),
+            // Every round commits one batch: one cell, both names.
+            ("lsm.group_commit.rounds", &s.group_commits),
+            ("lsm.group_commit.batches", &s.group_commits),
+        ] {
+            obs.adopt_counter(name, cell);
+        }
         if self.opts.stripes > 1 {
-            // Striped engines account the lock twice: once into the
-            // aggregate `engine.lock.*` counters every stripe shares, once
-            // into this stripe's own `engine.stripe.<i>.lock.*` set.
+            // A striped engine's lock cells read under the aggregate
+            // `engine.lock.*` names every stripe adds into, and under this
+            // stripe's own `engine.stripe.<i>.lock.*`.
             let stripe = format!("engine.stripe.{}.lock", self.opts.stripe_index);
             self.inner
                 .attach_obs_prefixes(&obs, &["engine.lock", &stripe]);
@@ -648,12 +620,6 @@ impl LsmTree {
                 budget_ns: LOCK_WAIT_BUDGET_NS,
             });
         }
-    }
-
-    /// Per-path engine-lock counters ([`LockPath::ALL`] order). All zero
-    /// until an enabled obs handle is attached.
-    pub fn lock_stats(&self) -> [LockPathSnapshot; LOCK_PATHS] {
-        self.inner.stats()
     }
 
     /// Installs a [`CrashController`] whose armed [`CrashPoint`] will abort
@@ -739,7 +705,7 @@ impl LsmTree {
         self.storage
             .stats()
             .reads()
-            .saturating_sub(self.stats.compaction_block_reads.load(Ordering::Relaxed))
+            .saturating_sub(self.stats.compaction_block_reads.get())
     }
 
     fn alloc_file(&self) -> u64 {
@@ -818,12 +784,7 @@ impl LsmTree {
             inner.mem.apply(key, entry.value().map(AsRef::as_ref));
         }
         outside_lock_probe(|| then(&batch));
-        self.stats.group_commits.fetch_add(1, Ordering::Relaxed);
-        {
-            let hooks = self.obs.read();
-            hooks.group_commit_rounds.add(1);
-            hooks.group_commit_batches.add(1);
-        }
+        self.stats.group_commits.inc();
         // With a seal already in flight the budget gate stalls writers
         // instead.
         if inner.imm.is_some() || mem_footprint(&inner.mem) < self.opts.memtable_size {
@@ -854,8 +815,7 @@ impl LsmTree {
             }
             if !stalled {
                 stalled = true;
-                self.stats.write_stalls.fetch_add(1, Ordering::Relaxed);
-                self.obs.read().write_stalls.add(1);
+                self.stats.write_stalls.inc();
             }
             if self.run_maintenance()? {
                 let parked = self.stall_lock.lock().unwrap();
@@ -900,8 +860,7 @@ impl LsmTree {
             }
         }
         inner.imm = Some(Arc::new(std::mem::take(&mut inner.mem)));
-        self.stats.seals.fetch_add(1, Ordering::Relaxed);
-        self.obs.read().seals.add(1);
+        self.stats.seals.inc();
         Ok(())
     }
 
@@ -1013,13 +972,12 @@ impl LsmTree {
         };
         // Counted once installed: a flush whose manifest commit failed is
         // not one.
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
+        self.stats.flushes.inc();
         self.stats
             .flush_block_writes
             .fetch_add(blocks, Ordering::Relaxed);
         {
             let hooks = self.obs.read();
-            hooks.flushes.inc();
             hooks.flush_entries.add(entries);
             let bytes = blocks * self.opts.block_size as u64;
             hooks.obs.emit(|| Event::Flush { entries, bytes });
@@ -1136,28 +1094,18 @@ impl LsmTree {
     }
 
     fn note_compaction(&self, event: &CompactionEvent) {
-        self.stats.compactions.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .compaction_block_reads
-            .fetch_add(event.blocks_read, Ordering::Relaxed);
-        self.stats
-            .compaction_block_writes
-            .fetch_add(event.blocks_written, Ordering::Relaxed);
-        {
-            let hooks = self.obs.read();
-            hooks.compactions.inc();
-            hooks.compaction_block_reads.add(event.blocks_read);
-            hooks.compaction_block_writes.add(event.blocks_written);
-            hooks.obs.emit(|| Event::CompactionFinish {
-                from_level: event.from_level as u64,
-                to_level: event.to_level as u64,
-                blocks_read: event.blocks_read,
-                blocks_written: event.blocks_written,
-                obsolete_files: event.obsolete_files.len() as u64,
-                new_files: event.new_files.len() as u64,
-                trivial_move: event.trivial_move,
-            });
-        }
+        self.stats.compactions.inc();
+        self.stats.compaction_block_reads.add(event.blocks_read);
+        self.stats.compaction_block_writes.add(event.blocks_written);
+        self.obs.read().obs.emit(|| Event::CompactionFinish {
+            from_level: event.from_level as u64,
+            to_level: event.to_level as u64,
+            blocks_read: event.blocks_read,
+            blocks_written: event.blocks_written,
+            obsolete_files: event.obsolete_files.len() as u64,
+            new_files: event.new_files.len() as u64,
+            trivial_move: event.trivial_move,
+        });
         for l in self.listeners.read().iter() {
             l.on_compaction(event);
         }
@@ -1398,7 +1346,7 @@ mod tests {
             db.put(key(i), value(i, "a")).unwrap();
         }
         // Some data flushed, some still in memtable.
-        assert!(db.stats().flushes.load(Ordering::Relaxed) > 0);
+        assert!(db.stats().flushes.get() > 0);
         for i in (0..2000).step_by(97) {
             assert_eq!(
                 db.get(&key(i), &p).unwrap().unwrap(),
@@ -1439,7 +1387,7 @@ mod tests {
                 assert!(mem_footprint(&inner.mem) < cap, "write {i}");
             }
             striped.flush().unwrap();
-            assert!(db.stats().flushes.load(Ordering::Relaxed) >= 2);
+            assert!(db.stats().flushes.get() >= 2);
             assert_eq!(db.get(b"hot", &p).unwrap().unwrap().as_ref(), b"yy");
         }
     }
@@ -1480,8 +1428,12 @@ mod tests {
                 })
                 .collect();
             let s = tree.stats();
-            let counts = [&s.flushes, &s.compactions, &s.flush_block_writes, &s.seals]
-                .map(|c| c.load(Ordering::Relaxed));
+            let counts = [
+                s.flushes.get(),
+                s.compactions.get(),
+                s.flush_block_writes.load(Ordering::Relaxed),
+                s.seals.get(),
+            ];
             (tables, counts)
         };
         let (inline, pooled) = (build(false), build(true));
@@ -1583,7 +1535,10 @@ mod tests {
         for i in 0..20_000 {
             db.put(key(i % 4000), value(i, "x")).unwrap();
         }
-        assert!(db.stats().compactions() > 0, "compactions should have run");
+        assert!(
+            db.stats().compactions.get() > 0,
+            "compactions should have run"
+        );
         let summary = db.level_summary();
         assert!(
             summary.iter().skip(1).any(|(_, files, _)| *files > 0),
@@ -1625,7 +1580,7 @@ mod tests {
             db.put(key(i % 2000), value(i, "x")).unwrap();
         }
         let total = db.storage().stats().reads();
-        let compaction = db.stats().compaction_block_reads();
+        let compaction = db.stats().compaction_block_reads.get();
         assert!(compaction > 0);
         // No queries ran yet, so query reads must be zero.
         assert_eq!(db.query_block_reads(), total - compaction);
@@ -1732,7 +1687,7 @@ mod tests {
             .map(|i| (key(i), Entry::Put(value(i, "big"))))
             .collect();
         db.write_batch(big).unwrap();
-        assert!(db.stats().flushes.load(Ordering::Relaxed) > 0);
+        assert!(db.stats().flushes.get() > 0);
         assert_eq!(db.get(&key(1999), &p).unwrap().unwrap(), value(1999, "big"));
     }
 
@@ -1847,7 +1802,7 @@ mod tests {
         .unwrap();
         let cc = CrashController::new();
         db.set_crash_controller(cc.clone());
-        let flushes = || db.stats().flushes.load(Ordering::Relaxed);
+        let flushes = || db.stats().flushes.get();
         db.put(key(0), value(0, "x")).unwrap();
         db.flush().unwrap();
         assert_eq!(flushes(), 1);

@@ -65,8 +65,6 @@ pub use sstable::{
 };
 pub use storage::{CostModel, FileStorage, IoStats, MemStorage, Storage, TableSink};
 pub use striped::StripedDb;
-pub use timed_lock::{
-    lock_probe, reset_lock_probe, LockPath, LockPathSnapshot, TimedRwLock, LOCK_PATHS,
-};
+pub use timed_lock::{lock_probe, reset_lock_probe, LockPath, TimedRwLock, LOCK_PATHS};
 pub use types::{BlockRef, Entry, FileId, Key, KeyEntry, Value};
 pub use wal::{crc32, ReplayOutcome, WalWriter};

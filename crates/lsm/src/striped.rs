@@ -618,13 +618,12 @@ impl StripedDb {
 
     /// Total compactions across stripes.
     pub fn compactions(&self) -> u64 {
-        self.stats_sum(|s| s.compactions())
+        self.stats_sum(|s| s.compactions.get())
     }
 
-    /// Commit `(rounds, batches)` summed across stripes; the two are equal.
-    pub fn group_commit(&self) -> (u64, u64) {
-        let rounds = self.stats_sum(|s| s.group_commit().0);
-        (rounds, rounds)
+    /// Commit rounds summed across stripes; each round commits one batch.
+    pub fn group_commits(&self) -> u64 {
+        self.stats_sum(|s| s.group_commits.get())
     }
 
     /// Query-path SST block reads: device reads minus every stripe's
@@ -633,7 +632,7 @@ impl StripedDb {
         self.storage
             .stats()
             .reads()
-            .saturating_sub(self.stats_sum(|s| s.compaction_block_reads.load(Ordering::Relaxed)))
+            .saturating_sub(self.stats_sum(|s| s.compaction_block_reads.get()))
     }
 
     /// Write amplification across the device: all blocks written per block
@@ -813,7 +812,7 @@ mod tests {
         }
         // The pool should have flushed something in the background.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while db.stats_sum(|s| s.flushes.load(Ordering::Relaxed)) == 0 {
+        while db.stats_sum(|s| s.flushes.get()) == 0 {
             assert!(std::time::Instant::now() < deadline, "no background flush");
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
@@ -822,6 +821,9 @@ mod tests {
             let got = db.get(&kb(i), &DirectProvider).unwrap();
             assert_eq!(got.unwrap().as_ref(), vec![b'x'; 64].as_slice());
         }
-        assert!(db.stats_sum(|s| s.seals()) > 0, "writes should have sealed");
+        assert!(
+            db.stats_sum(|s| s.seals.get()) > 0,
+            "writes should have sealed"
+        );
     }
 }

@@ -6,8 +6,8 @@
 //! acquisitions and accumulates wait/hold nanoseconds per *path* —
 //! [`LockPath::Read`], [`Write`](LockPath::Write),
 //! [`Flush`](LockPath::Flush), [`Compaction`](LockPath::Compaction) —
-//! surfaced as `engine.lock.{path}.{acquisitions,wait_ns,hold_ns}`
-//! registry counters.
+//! cells the registry names `engine.lock.{path}.{acquisitions,wait_ns,hold_ns}`
+//! once an `Obs` is attached.
 //!
 //! Costs: timing is off until [`TimedRwLock::attach_obs`] enables it, and
 //! the off path adds exactly one relaxed atomic load per acquisition (no
@@ -26,9 +26,8 @@ use adcache_obs::{Counter, Obs};
 use parking_lot::RwLock;
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 // The vendored parking_lot shim's read()/write() hand back std guards.
-use std::sync::OnceLock;
 use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -70,13 +69,6 @@ impl LockPath {
 
 #[derive(Default)]
 struct PathStats {
-    acquisitions: AtomicU64,
-    wait_ns: AtomicU64,
-    hold_ns: AtomicU64,
-    max_wait_ns: AtomicU64,
-}
-
-struct PathCounters {
     acquisitions: Counter,
     wait_ns: Counter,
     hold_ns: Counter,
@@ -145,25 +137,11 @@ pub fn lock_probe() -> (u64, u64) {
     (p.wait_ns, p.hold_ns)
 }
 
-/// Point-in-time counters for one acquisition path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockPathSnapshot {
-    /// Completed acquisitions.
-    pub acquisitions: u64,
-    /// Total nanoseconds spent blocked acquiring.
-    pub wait_ns: u64,
-    /// Total nanoseconds the guard was held.
-    pub hold_ns: u64,
-    /// Longest single acquisition wait.
-    pub max_wait_ns: u64,
-}
-
 /// An `RwLock` that accounts wait/hold time per [`LockPath`].
 pub struct TimedRwLock<T> {
     lock: RwLock<T>,
     timing: AtomicBool,
     stats: [PathStats; LOCK_PATHS],
-    counters: OnceLock<Vec<[PathCounters; LOCK_PATHS]>>,
 }
 
 impl<T> TimedRwLock<T> {
@@ -173,38 +151,34 @@ impl<T> TimedRwLock<T> {
             lock: RwLock::new(value),
             timing: AtomicBool::new(false),
             stats: Default::default(),
-            counters: OnceLock::new(),
         }
     }
 
-    /// Registers `{prefix}.{path}.{acquisitions,wait_ns,hold_ns}` counters
-    /// and enables timing when `obs` is live. Safe to call more than once;
-    /// the first live registration wins.
+    /// Names the per-path cells `{prefix}.{path}.{acquisitions,wait_ns,hold_ns}`
+    /// in the registry and enables timing when `obs` is live. Safe to call
+    /// more than once.
     pub fn attach_obs(&self, obs: &Obs, prefix: &str) {
         self.attach_obs_prefixes(obs, &[prefix]);
     }
 
-    /// Like [`attach_obs`](Self::attach_obs) but exports the same per-path
-    /// counters under several prefixes at once — e.g. a striped engine
-    /// registering both the aggregate `engine.lock` set and its own
-    /// `engine.stripe.<i>.lock` set. Registry counters are shared by name,
-    /// so the aggregate prefix accumulates across every stripe. One timing
-    /// read feeds all sets; the per-acquisition cost stays a handful of
-    /// relaxed atomics and is still gated on the cached timing flag.
+    /// Like [`attach_obs`](Self::attach_obs) but names the same per-path
+    /// cells under several prefixes at once — e.g. a striped engine
+    /// naming both the aggregate `engine.lock` set and its own
+    /// `engine.stripe.<i>.lock` set. A name reads the sum of its cells, so
+    /// the aggregate prefix adds up every stripe; an acquisition still
+    /// bumps one cell per quantity.
     pub fn attach_obs_prefixes(&self, obs: &Obs, prefixes: &[&str]) {
         if !obs.is_enabled() {
             return;
         }
-        let mk = |prefix: &str, path: &str| PathCounters {
-            acquisitions: obs.counter(&format!("{prefix}.{path}.acquisitions")),
-            wait_ns: obs.counter(&format!("{prefix}.{path}.wait_ns")),
-            hold_ns: obs.counter(&format!("{prefix}.{path}.hold_ns")),
-        };
-        let sets = prefixes
-            .iter()
-            .map(|prefix| LockPath::ALL.map(|p| mk(prefix, p.label())))
-            .collect();
-        let _ = self.counters.set(sets);
+        for prefix in prefixes {
+            for p in LockPath::ALL {
+                let (s, path) = (&self.stats[p as usize], p.label());
+                obs.adopt_counter(&format!("{prefix}.{path}.acquisitions"), &s.acquisitions);
+                obs.adopt_counter(&format!("{prefix}.{path}.wait_ns"), &s.wait_ns);
+                obs.adopt_counter(&format!("{prefix}.{path}.hold_ns"), &s.hold_ns);
+            }
+        }
         self.timing.store(true, Ordering::Release);
     }
 
@@ -256,19 +230,6 @@ impl<T> TimedRwLock<T> {
         self.timing.load(Ordering::Relaxed).then(Instant::now)
     }
 
-    /// Per-path counter snapshot, [`LockPath::ALL`] order.
-    pub fn stats(&self) -> [LockPathSnapshot; LOCK_PATHS] {
-        LockPath::ALL.map(|p| {
-            let s = &self.stats[p as usize];
-            LockPathSnapshot {
-                acquisitions: s.acquisitions.load(Ordering::Relaxed),
-                wait_ns: s.wait_ns.load(Ordering::Relaxed),
-                hold_ns: s.hold_ns.load(Ordering::Relaxed),
-                max_wait_ns: s.max_wait_ns.load(Ordering::Relaxed),
-            }
-        })
-    }
-
     /// Accounts an acquisition whose wait began at `t0` and ended now; an
     /// untimed one (`t0` is `None`) costs nothing.
     fn note_acquire(&self, path: LockPath, t0: Option<Instant>) -> Option<GuardTiming<'_, T>> {
@@ -276,16 +237,8 @@ impl<T> TimedRwLock<T> {
         let acquired = Instant::now();
         let wait_ns = acquired.saturating_duration_since(t0).as_nanos() as u64;
         let s = &self.stats[path as usize];
-        s.acquisitions.fetch_add(1, Ordering::Relaxed);
-        s.wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
-        s.max_wait_ns.fetch_max(wait_ns, Ordering::Relaxed);
-        if let Some(sets) = self.counters.get() {
-            for counters in sets {
-                let c = &counters[path as usize];
-                c.acquisitions.inc();
-                c.wait_ns.add(wait_ns);
-            }
-        }
+        s.acquisitions.inc();
+        s.wait_ns.add(wait_ns);
         probe(|p| {
             p.wait_ns += wait_ns;
             p.close(t0);
@@ -305,14 +258,7 @@ impl<T> TimedRwLock<T> {
     fn note_release(&self, path: LockPath, acquired: Instant) {
         let now = Instant::now();
         let hold_ns = now.saturating_duration_since(acquired).as_nanos() as u64;
-        self.stats[path as usize]
-            .hold_ns
-            .fetch_add(hold_ns, Ordering::Relaxed);
-        if let Some(sets) = self.counters.get() {
-            for counters in sets {
-                counters[path as usize].hold_ns.add(hold_ns);
-            }
-        }
+        self.stats[path as usize].hold_ns.add(hold_ns);
         probe(|p| {
             // Runs inside a guard's `Drop`, which must not panic.
             p.depth = p.depth.saturating_sub(1);
@@ -408,6 +354,12 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// `[acquisitions, wait_ns, hold_ns]` the lock counted on `path`.
+    fn counts<T>(l: &TimedRwLock<T>, path: LockPath) -> [u64; 3] {
+        let s = &l.stats[path as usize];
+        [&s.acquisitions, &s.wait_ns, &s.hold_ns].map(Counter::get)
+    }
+
     #[test]
     fn untimed_lock_records_nothing() {
         let l = TimedRwLock::new(1u32);
@@ -420,8 +372,8 @@ mod tests {
         *l.write(LockPath::Write) = 2;
         assert_eq!(*l.read(LockPath::Read), 2);
         assert_eq!(lock_probe(), (0, 0));
-        for s in l.stats() {
-            assert_eq!(s, LockPathSnapshot::default());
+        for p in LockPath::ALL {
+            assert_eq!(counts(&l, p), [0; 3]);
         }
     }
 
@@ -437,11 +389,11 @@ mod tests {
         }
         let _ = *l.read(LockPath::Read);
         let _ = *l.read(LockPath::Read);
-        let stats = l.stats();
-        assert_eq!(stats[LockPath::Write as usize].acquisitions, 1);
-        assert!(stats[LockPath::Write as usize].hold_ns >= 2_000_000);
-        assert_eq!(stats[LockPath::Read as usize].acquisitions, 2);
-        assert_eq!(stats[LockPath::Flush as usize].acquisitions, 0);
+        let [writes, _, write_hold] = counts(&l, LockPath::Write);
+        assert_eq!(writes, 1);
+        assert!(write_hold >= 2_000_000);
+        assert_eq!(counts(&l, LockPath::Read)[0], 2);
+        assert_eq!(counts(&l, LockPath::Flush)[0], 0);
         let (_wait, hold) = lock_probe();
         assert!(hold >= 2_000_000, "probe hold {hold}");
     }
@@ -460,9 +412,7 @@ mod tests {
         let (_, hold) = lock_probe();
         // Each lock still accounts its own guard, about t each; the probe
         // counts t once, not 2t.
-        let per_guard: Vec<u64> = [&a, &b]
-            .map(|l| l.stats()[LockPath::Read as usize].hold_ns)
-            .into();
+        let per_guard: Vec<u64> = [&a, &b].map(|l| counts(l, LockPath::Read)[2]).into();
         assert!(per_guard.iter().all(|&h| h >= 20_000_000), "{per_guard:?}");
         let sum: u64 = per_guard.iter().sum();
         assert!(
@@ -481,7 +431,7 @@ mod tests {
             outside_lock_probe(|| std::thread::sleep(Duration::from_millis(30)));
         }
         let (_, hold) = lock_probe();
-        let guard_hold = l.stats()[LockPath::Read as usize].hold_ns;
+        let guard_hold = counts(&l, LockPath::Read)[2];
         assert!(guard_hold >= 30_000_000, "{guard_hold}");
         assert!(
             hold < guard_hold / 3,
@@ -527,7 +477,7 @@ mod tests {
         assert!(l.try_read(LockPath::Read).is_none(), "a writer excludes");
         drop(w);
         assert!(l.try_read(LockPath::Read).is_some());
-        assert_eq!(l.stats()[LockPath::Read as usize].acquisitions, 3);
+        assert_eq!(counts(&l, LockPath::Read)[0], 3);
     }
 
     #[test]
@@ -550,8 +500,7 @@ mod tests {
         );
         drop(g);
         holder.join().unwrap();
-        let stats = l.stats();
-        assert!(stats[LockPath::Write as usize].max_wait_ns >= 1_000_000);
+        assert!(counts(&l, LockPath::Write)[1] >= 1_000_000);
     }
 
     #[test]
@@ -562,8 +511,11 @@ mod tests {
         assert!(l.timing_enabled());
         drop(l.read(LockPath::Read));
         drop(l.write(LockPath::Compaction));
-        assert_eq!(obs.counter("engine.lock.read.acquisitions").get(), 1);
-        assert_eq!(obs.counter("engine.lock.compaction.acquisitions").get(), 1);
+        let reg = obs.registry().unwrap();
+        assert_eq!(reg.counter_value("engine.lock.read.acquisitions"), 1);
+        assert_eq!(reg.counter_value("engine.lock.compaction.acquisitions"), 1);
+        let held = counts(&l, LockPath::Compaction)[2];
+        assert_eq!(reg.counter_value("engine.lock.compaction.hold_ns"), held);
         // Disabled obs leaves timing off.
         let l2 = TimedRwLock::new(());
         l2.attach_obs(&Obs::disabled(), "engine.lock");

@@ -206,7 +206,7 @@ fn store_written_by_the_parent_reads_back_in_full() {
     db.delete(key(0)).unwrap();
     db.flush().unwrap();
     while db.maybe_compact_once().unwrap() {}
-    assert!(db.stats().compactions() > 0);
+    assert!(db.stats().compactions.get() > 0);
     assert_eq!(db.level_summary()[0].1, 0, "Level 0 was merged down");
     assert_eq!(db.scan(b"", 10_000, &DirectProvider).unwrap(), live);
     std::fs::remove_dir_all(&dir).unwrap();

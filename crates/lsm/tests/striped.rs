@@ -297,7 +297,7 @@ fn foreground_put_is_bounded_while_another_stripes_flush_is_slow() {
         assert_eq!(db.get(k, &p).unwrap().as_deref(), Some(b"fast".as_ref()));
     }
     assert!(
-        db.stats_sum(|s| s.seals()) >= 1,
+        db.stats_sum(|s| s.seals.get()) >= 1,
         "stripe A never sealed — the test exercised nothing"
     );
 }
@@ -452,7 +452,7 @@ fn background_worker_backs_off_on_persistent_flush_errors() {
         .unwrap();
     }
     let deadline = Instant::now() + Duration::from_secs(5);
-    while db.stats_sum(|s| s.seals()) == 0 {
+    while db.stats_sum(|s| s.seals.get()) == 0 {
         assert!(Instant::now() < deadline, "no seal happened");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -698,7 +698,7 @@ fn a_scan_waiting_on_a_busy_stripe_holds_no_other() {
     };
     // The flush builds its table outside the lock; the compaction after
     // it writes under the lock.
-    let flushes = || db.stripe(1).stats().flushes.load(Ordering::Relaxed);
+    let flushes = || db.stripe(1).stats().flushes.get();
     let deadline = Instant::now() + Duration::from_secs(5);
     while flushes() < trigger {
         assert!(Instant::now() < deadline, "the slow flush never landed");
@@ -731,7 +731,10 @@ fn a_scan_waiting_on_a_busy_stripe_holds_no_other() {
         "a stripe-0 put took {worst:?} behind a scan waiting on stripe 1 (delay {DELAY:?})"
     );
     flusher.join().unwrap();
-    assert!(db.stripe(1).stats().compactions() > 0, "no compaction ran");
+    assert!(
+        db.stripe(1).stats().compactions.get() > 0,
+        "no compaction ran"
+    );
     let (len, waited) = scanner.join().unwrap();
     assert!(len >= 8, "the scan lost stripe-1 keys");
     assert!(waited > DELAY / 4, "the scan never waited for stripe 1");
@@ -755,14 +758,14 @@ fn a_stalled_multi_stripe_batch_does_not_hold_up_scans() {
             for i in 0.. {
                 let k = slow[1 + i % (slow.len() - 1)].clone();
                 db.put(k, Bytes::from(format!("{i}-{pad}"))).unwrap();
-                if db.stripe(1).stats().write_stalls() > 0 {
+                if db.stripe(1).stats().write_stalls.get() > 0 {
                     break;
                 }
             }
         })
     };
     let deadline = Instant::now() + Duration::from_secs(5);
-    while db.stripe(1).stats().write_stalls() == 0 {
+    while db.stripe(1).stats().write_stalls.get() == 0 {
         assert!(Instant::now() < deadline, "stripe 1 never stalled");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -822,7 +825,7 @@ fn a_served_load_flushes_and_compacts_where_it_always_did() {
             .collect();
         db.write_batch(batch).unwrap();
     }
-    let flushes = db.stats_sum(|s| s.flushes.load(Ordering::Relaxed));
+    let flushes = db.stats_sum(|s| s.flushes.get());
     let shape = (flushes, db.compactions(), db.memtable_len());
     assert_eq!(shape, (24, 4, 18_752), "(flushes, compactions, buffered)");
     assert_eq!(format!("{:.4}", db.write_amplification()), "1.6642");

@@ -18,14 +18,17 @@
 //! when tracing is off:
 //!
 //! ```
-//! use adcache_obs::{Event, Obs};
+//! use adcache_obs::{Counter, Event, Obs};
 //!
 //! let obs = Obs::enabled();
 //! obs.set_window(3);
 //! obs.emit(|| Event::Flush { entries: 100, bytes: 4096 });
-//! let c = obs.counter("lsm.flushes");
-//! c.inc();
+//! // A layer counts in its own cell; the registry names it.
+//! let flushes = Counter::new();
+//! obs.adopt_counter("lsm.flushes", &flushes);
+//! flushes.inc();
 //! assert_eq!(obs.journal().unwrap().len(), 1);
+//! assert_eq!(obs.registry().unwrap().counter_value("lsm.flushes"), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -150,7 +153,17 @@ impl Obs {
     pub fn counter(&self, name: &str) -> Counter {
         self.inner
             .as_ref()
-            .map_or_else(Counter::default, |i| i.registry.counter(name))
+            .map_or_else(Counter::inert, |i| i.registry.counter(name))
+    }
+
+    /// Names a cell a layer already counts in: `name` reads it from now
+    /// on, summed with any other cells of that name
+    /// ([`Registry::adopt_counter`]). Does nothing when disabled; the cell
+    /// counts either way.
+    pub fn adopt_counter(&self, name: &str, counter: &Counter) {
+        if let Some(inner) = &self.inner {
+            inner.registry.adopt_counter(name, counter);
+        }
     }
 
     /// Gauge handle for `name`; inert when disabled.
@@ -180,11 +193,6 @@ impl Obs {
     /// Metrics snapshot as pretty JSON, when enabled.
     pub fn metrics_json(&self) -> Option<String> {
         self.inner.as_ref().map(|i| i.registry.snapshot_json())
-    }
-
-    /// Metrics snapshot as CSV, when enabled.
-    pub fn metrics_csv(&self) -> Option<String> {
-        self.inner.as_ref().map(|i| i.registry.snapshot_csv())
     }
 
     /// Journal contents as JSONL, when enabled.
@@ -250,6 +258,19 @@ mod tests {
         assert_eq!(recs[1].window, 7);
         obs.counter("x").add(2);
         assert!(obs.metrics_json().unwrap().contains("\"x\": 2"));
+    }
+
+    #[test]
+    fn adopting_on_a_disabled_handle_does_nothing() {
+        let cell = Counter::new();
+        Obs::disabled().adopt_counter("x", &cell);
+        cell.inc();
+        assert_eq!(cell.get(), 1, "the cell counts without telemetry");
+        let obs = Obs::enabled();
+        obs.adopt_counter("x", &cell);
+        cell.add(2);
+        assert_eq!(obs.registry().unwrap().counter_value("x"), 2);
+        assert_eq!(cell.get(), 3);
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! remain valid for the registry's lifetime. A handle obtained from a
 //! disabled [`crate::Obs`] is inert: recording through it is a no-op with
 //! no allocation and no synchronization.
+//!
+//! A layer that keeps its own statistic keeps it in a live [`Counter`] and
+//! lets the registry name that cell ([`Registry::adopt_counter`]) instead
+//! of bumping a second copy: each quantity is counted once.
 
 use crate::histogram::{AtomicHistogram, Histogram};
 use parking_lot::Mutex;
@@ -13,28 +17,61 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// One counter cell on a cache line of its own, so the cells of different
+/// shards or stripes never share one.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct Cell(AtomicU64);
+
+impl Cell {
+    fn load(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
 /// A monotonically increasing counter handle.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(pub(crate) Option<Arc<AtomicU64>>);
+///
+/// [`Counter::new`] (or `default`) makes a live cell that counts whether
+/// or not telemetry is on: a layer's own statistic, which the registry can
+/// adopt. A handle from a disabled [`crate::Obs`] is inert.
+#[derive(Debug, Clone)]
+pub struct Counter(pub(crate) Option<Arc<Cell>>);
+
+impl Default for Counter {
+    fn default() -> Self {
+        Counter::new()
+    }
+}
 
 impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
+    /// A live cell at 0, owned by no registry until one adopts it.
+    pub fn new() -> Self {
+        Counter(Some(Arc::default()))
     }
 
-    /// Adds `n`. Lock-free; no-op on an inert handle.
+    /// An inert handle: counts nothing, reads 0.
+    pub(crate) fn inert() -> Self {
+        Counter(None)
+    }
+
+    /// Adds one; returns the count reached.
     #[inline]
-    pub fn add(&self, n: u64) {
-        if let Some(c) = &self.0 {
-            c.fetch_add(n, Ordering::Relaxed);
-        }
+    pub fn inc(&self) -> u64 {
+        self.add(1)
+    }
+
+    /// Adds `n` and returns the count reached (0 on an inert handle).
+    /// Lock-free.
+    #[inline]
+    pub fn add(&self, n: u64) -> u64 {
+        self.0
+            .as_ref()
+            .map_or(0, |c| c.0.fetch_add(n, Ordering::Relaxed).wrapping_add(n))
     }
 
     /// Current value (0 on an inert handle).
     pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+        self.0.as_ref().map_or(0, |c| c.load())
     }
 }
 
@@ -89,10 +126,29 @@ impl HistogramHandle {
     }
 }
 
+/// The cells one counter name reads: the registry's own (what
+/// [`Registry::counter`] hands out) and every adopted cell with its value
+/// at adoption. The name's value is their sum, each adopted cell counted
+/// from its adoption on.
+#[derive(Debug, Default)]
+struct CounterCells {
+    own: Option<Arc<Cell>>,
+    adopted: Vec<(Arc<Cell>, u64)>,
+}
+
+impl CounterCells {
+    fn value(&self) -> u64 {
+        let own = self.own.as_ref().map_or(0, |c| c.load());
+        self.adopted.iter().fold(own, |sum, (cell, base)| {
+            sum + cell.load().wrapping_sub(*base)
+        })
+    }
+}
+
 /// Named metric storage. Maps are ordered so exports are deterministic.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
+    counters: Mutex<BTreeMap<String, CounterCells>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<AtomicHistogram>>>,
 }
@@ -106,10 +162,28 @@ impl Registry {
     /// Returns the counter registered under `name`, creating it if new.
     pub fn counter(&self, name: &str) -> Counter {
         let mut map = self.counters.lock();
-        let cell = map
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)));
-        Counter(Some(cell.clone()))
+        let cells = map.entry(name.to_string()).or_default();
+        Counter(Some(cells.own.get_or_insert_with(Arc::default).clone()))
+    }
+
+    /// Counts `counter`'s cell under `name` from its current value on,
+    /// beside any other cells of that name. Adopting a cell a second time
+    /// under the same name changes nothing; an inert handle is ignored.
+    pub fn adopt_counter(&self, name: &str, counter: &Counter) {
+        let Some(cell) = &counter.0 else { return };
+        let mut map = self.counters.lock();
+        let cells = map.entry(name.to_string()).or_default();
+        if !cells.adopted.iter().any(|(c, _)| Arc::ptr_eq(c, cell)) {
+            cells.adopted.push((cell.clone(), cell.load()));
+        }
+    }
+
+    /// The value of the counter named `name` (0 when none is).
+    pub fn counter_value(&self, name: &str) -> u64 {
+        self.counters
+            .lock()
+            .get(name)
+            .map_or(0, CounterCells::value)
     }
 
     /// Returns the gauge registered under `name`, creating it if new.
@@ -135,7 +209,7 @@ impl Registry {
         self.counters
             .lock()
             .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+            .map(|(k, v)| (k.clone(), v.value()))
             .collect()
     }
 
@@ -163,27 +237,23 @@ impl Registry {
     /// "histograms": {name: {count, sum_ns, mean_ns, p50_ns, p95_ns,
     /// p99_ns, max_ns}}}`.
     pub fn snapshot_value(&self) -> Value {
-        let counters: Vec<(String, Value)> = self
-            .counters
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::from(v.load(Ordering::Relaxed))))
+        let counters = self
+            .counters_snapshot()
+            .into_iter()
+            .map(|(k, v)| (k, Value::from(v)))
             .collect();
-        let gauges: Vec<(String, Value)> = self
-            .gauges
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::from(v.load(Ordering::Relaxed))))
+        let gauges = self
+            .gauges_snapshot()
+            .into_iter()
+            .map(|(k, v)| (k, Value::from(v)))
             .collect();
-        let histograms: Vec<(String, Value)> = self
-            .histograms
-            .lock()
-            .iter()
-            .map(|(k, v)| {
-                let h = v.snapshot();
+        let histograms = self
+            .histograms_snapshot()
+            .into_iter()
+            .map(|(k, h)| {
                 let (p50, p95, p99, max) = h.summary();
                 (
-                    k.clone(),
+                    k,
                     Value::Object(vec![
                         ("count".into(), Value::from(h.count())),
                         ("sum_ns".into(), Value::from(h.sum())),
@@ -206,32 +276,6 @@ impl Registry {
     /// Snapshot as pretty-printed JSON text.
     pub fn snapshot_json(&self) -> String {
         serde_json::to_string_pretty(&self.snapshot_value()).expect("metrics serialize")
-    }
-
-    /// Snapshot as CSV (`kind,name,field,value` rows; histograms exploded
-    /// into one row per summary statistic).
-    pub fn snapshot_csv(&self) -> String {
-        let mut out = String::from("kind,name,field,value\n");
-        for (k, v) in self.counters.lock().iter() {
-            out.push_str(&format!(
-                "counter,{k},value,{}\n",
-                v.load(Ordering::Relaxed)
-            ));
-        }
-        for (k, v) in self.gauges.lock().iter() {
-            out.push_str(&format!("gauge,{k},value,{}\n", v.load(Ordering::Relaxed)));
-        }
-        for (k, v) in self.histograms.lock().iter() {
-            let h = v.snapshot();
-            let (p50, p95, p99, max) = h.summary();
-            out.push_str(&format!("histogram,{k},count,{}\n", h.count()));
-            out.push_str(&format!("histogram,{k},mean_ns,{}\n", h.mean()));
-            out.push_str(&format!("histogram,{k},p50_ns,{p50}\n"));
-            out.push_str(&format!("histogram,{k},p95_ns,{p95}\n"));
-            out.push_str(&format!("histogram,{k},p99_ns,{p99}\n"));
-            out.push_str(&format!("histogram,{k},max_ns,{max}\n"));
-        }
-        out
     }
 
     /// Snapshot in the Prometheus text exposition format (version 0.0.4).
@@ -295,9 +339,29 @@ mod tests {
     }
 
     #[test]
+    fn adopted_cells_sum_each_from_its_adoption() {
+        let r = Registry::new();
+        let (a, b) = (Counter::new(), Counter::new());
+        a.add(5);
+        r.adopt_counter("x", &a);
+        r.adopt_counter("x", &b);
+        r.adopt_counter("x", &a);
+        a.add(2);
+        b.add(3);
+        r.counter("x").inc();
+        // The 5 counted before adoption is the cell's own, not the name's;
+        // adopting `a` twice counts it once.
+        assert_eq!((a.get(), b.get()), (7, 3));
+        assert_eq!(r.counter_value("x"), 6);
+        assert_eq!(r.counters_snapshot(), vec![("x".to_string(), 6)]);
+        assert!(r.prometheus_text().contains("adcache_x 6\n"));
+        assert_eq!(r.counter_value("absent"), 0);
+    }
+
+    #[test]
     fn inert_handles_are_noops() {
-        let c = Counter::default();
-        c.inc();
+        let c = Counter::inert();
+        assert_eq!(c.inc(), 0);
         assert_eq!(c.get(), 0);
         let g = Gauge::default();
         g.set(9);
@@ -332,9 +396,6 @@ mod tests {
                 .and_then(Value::as_u64),
             Some(1)
         );
-        let csv = r.snapshot_csv();
-        assert!(csv.contains("counter,ops,value,5"));
-        assert!(csv.contains("histogram,lat,p99_ns,"));
     }
 
     #[test]

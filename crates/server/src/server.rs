@@ -155,13 +155,10 @@ pub struct ServeReport {
     pub bytes_out: u64,
 }
 
-/// Pre-resolved metric handles (inert when the engine has no `Obs`).
+/// Pre-resolved gauge and histogram handles (inert when the engine has no
+/// `Obs`). The serving counters live in [`Shared`], which the registry
+/// names.
 struct Metrics {
-    requests: Counter,
-    protocol_errors: Counter,
-    quota_throttled: Counter,
-    bytes_in: Counter,
-    bytes_out: Counter,
     conns_active: Gauge,
     inflight: Gauge,
     /// Indexed by opcode discriminant.
@@ -179,11 +176,6 @@ impl Metrics {
     fn new(obs: &Obs) -> Self {
         let lat = |op: Opcode| obs.histogram(&format!("server.latency.{}", op.label()));
         Metrics {
-            requests: obs.counter("server.requests"),
-            protocol_errors: obs.counter("server.protocol_errors"),
-            quota_throttled: obs.counter("server.quota.throttled"),
-            bytes_in: obs.counter("server.bytes_in"),
-            bytes_out: obs.counter("server.bytes_out"),
             conns_active: obs.gauge("server.conns.active"),
             inflight: obs.gauge("server.inflight"),
             latency: [
@@ -221,15 +213,15 @@ struct Shared {
     shutdown: AtomicBool,
     active: AtomicU64,
     conn_seq: AtomicU64,
-    requests: AtomicU64,
-    protocol_errors: AtomicU64,
+    requests: Counter,
+    protocol_errors: Counter,
     conns_accepted: AtomicU64,
     conns_closed: AtomicU64,
     conns_refused: AtomicU64,
-    quota_throttled: AtomicU64,
+    quota_throttled: Counter,
     tenant_throttled: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
+    bytes_in: Counter,
+    bytes_out: Counter,
     /// Per-tenant serving state, created on first `AUTH` for a tenant.
     /// Looked up only at bind time — connections cache the `Arc` — so
     /// the data-plane hot path never takes this lock (nor the engine's
@@ -247,10 +239,9 @@ struct TenantState {
     /// Aggregated token bucket — one per tenant, not per connection, so
     /// opening more sockets does not multiply the budget.
     bucket: Mutex<TokenBucket>,
-    /// Requests shed for this tenant.
-    throttled: AtomicU64,
-    /// `server.tenant.<id>.quota.throttled`, resolved once at creation.
-    throttled_counter: Counter,
+    /// Requests shed for this tenant, named
+    /// `server.tenant.<id>.quota.throttled`.
+    throttled: Counter,
 }
 
 /// An admission-quota token bucket, refilled lazily when taken from. One
@@ -297,7 +288,7 @@ impl TokenBucket {
 impl Shared {
     fn new(db: Arc<CachedDb>, cfg: ServerConfig) -> Self {
         let obs = db.obs();
-        Shared {
+        let shared = Shared {
             default_partition: db.partition_for(DEFAULT_TENANT),
             metrics: Metrics::new(&obs),
             telemetry: obs.is_enabled(),
@@ -307,30 +298,40 @@ impl Shared {
             shutdown: AtomicBool::new(false),
             active: AtomicU64::new(0),
             conn_seq: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
+            requests: Counter::new(),
+            protocol_errors: Counter::new(),
             conns_accepted: AtomicU64::new(0),
             conns_closed: AtomicU64::new(0),
             conns_refused: AtomicU64::new(0),
-            quota_throttled: AtomicU64::new(0),
+            quota_throttled: Counter::new(),
             tenant_throttled: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
+            bytes_in: Counter::new(),
+            bytes_out: Counter::new(),
             tenants: RwLock::new(BTreeMap::new()),
+        };
+        for (name, cell) in [
+            ("server.requests", &shared.requests),
+            ("server.protocol_errors", &shared.protocol_errors),
+            ("server.quota.throttled", &shared.quota_throttled),
+            ("server.bytes_in", &shared.bytes_in),
+            ("server.bytes_out", &shared.bytes_out),
+        ] {
+            shared.obs.adopt_counter(name, cell);
         }
+        shared
     }
 
     fn report(&self) -> ServeReport {
         ServeReport {
-            requests: self.requests.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+            requests: self.requests.get(),
+            protocol_errors: self.protocol_errors.get(),
             conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
             conns_closed: self.conns_closed.load(Ordering::Relaxed),
             conns_refused: self.conns_refused.load(Ordering::Relaxed),
-            quota_throttled: self.quota_throttled.load(Ordering::Relaxed),
+            quota_throttled: self.quota_throttled.get(),
             tenant_throttled: self.tenant_throttled.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
+            bytes_in: self.bytes_in.get(),
+            bytes_out: self.bytes_out.get(),
         }
     }
 
@@ -344,18 +345,18 @@ impl Shared {
         let mut map = self.tenants.write().unwrap();
         map.entry(tenant)
             .or_insert_with(|| {
-                Arc::new(TenantState {
+                let ts = TenantState {
                     id: tenant,
                     partition: self.db.partition_for(tenant),
                     bucket: Mutex::new(TokenBucket::full(
                         self.cfg.tenant_quota_ops,
                         self.cfg.tenant_quota_burst,
                     )),
-                    throttled: AtomicU64::new(0),
-                    throttled_counter: self
-                        .obs
-                        .counter(&format!("server.tenant.{tenant}.quota.throttled")),
-                })
+                    throttled: Counter::new(),
+                };
+                let name = format!("server.tenant.{tenant}.quota.throttled");
+                self.obs.adopt_counter(&name, &ts.throttled);
+                Arc::new(ts)
             })
             .clone()
     }
@@ -803,8 +804,7 @@ fn flush_writes(shared: &Shared, conn: &mut Conn) -> bool {
             Ok(n) => {
                 conn.wq.advance(n);
                 conn.bytes_out += n as u64;
-                shared.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-                shared.metrics.bytes_out.add(n as u64);
+                shared.bytes_out.add(n as u64);
                 conn.last_active = Instant::now();
                 progressed = true;
             }
@@ -872,8 +872,7 @@ fn service_reads(shared: &Shared, conn: &mut Conn, scratch: &mut [u8]) -> bool {
             Ok(n) => {
                 conn.rbuf.extend_from_slice(&scratch[..n]);
                 conn.bytes_in += n as u64;
-                shared.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                shared.metrics.bytes_in.add(n as u64);
+                shared.bytes_in.add(n as u64);
                 conn.last_active = Instant::now();
                 if let Some(t0) = read_start {
                     conn.last_read_ns = t0.elapsed().as_nanos() as u64;
@@ -925,8 +924,7 @@ fn drain_buffered(shared: &Shared, conn: &mut Conn, enforce_cap: bool) -> bool {
         match decode_request(&conn.rbuf[at..], shared.cfg.max_frame) {
             Progress::Incomplete => break,
             Progress::Fatal(err) => {
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.protocol_errors.inc();
+                shared.protocol_errors.inc();
                 conn.wq
                     .encode_with(|out| encode_response(out, 0, &Response::Error(err.to_string())));
                 debug_assert!(is_fatal(&err));
@@ -935,8 +933,7 @@ fn drain_buffered(shared: &Shared, conn: &mut Conn, enforce_cap: bool) -> bool {
                 break;
             }
             Progress::Frame(Err((id, err)), consumed) => {
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.protocol_errors.inc();
+                shared.protocol_errors.inc();
                 conn.wq
                     .encode_with(|out| encode_response(out, id, &Response::Error(err.to_string())));
                 at += consumed;
@@ -1103,12 +1100,11 @@ fn execute(shared: &Shared, conn: &mut Conn, id: u64, req: &Request, parse_ns: u
     let latency_ns = start.elapsed().as_nanos() as u64;
     shared.metrics.inflight.sub(1);
     shared.metrics.latency[op as usize].record(latency_ns);
-    shared.metrics.requests.inc();
     if let Some((subs, stripes)) = batch_info {
         shared.metrics.batch_subs.record(subs);
         shared.metrics.batch_stripes.record(stripes);
     }
-    let total = shared.requests.fetch_add(1, Ordering::Relaxed) + 1;
+    let total = shared.requests.inc();
     conn.requests += 1;
     if total.is_multiple_of(SAMPLE_EVERY) {
         let status = resp.status();
@@ -1258,9 +1254,8 @@ fn quota_check(shared: &Shared, conn: &mut Conn, req: &Request) -> Option<Respon
         return None;
     }
     drop(bucket);
-    let throttled = ts.throttled.fetch_add(1, Ordering::Relaxed) + 1;
+    let throttled = ts.throttled.inc();
     shared.tenant_throttled.fetch_add(1, Ordering::Relaxed);
-    ts.throttled_counter.inc();
     note_throttle(shared, throttled, || Event::TenantThrottled {
         tenant: ts.id as u64,
         opcode: req.opcode().label().to_string(),
@@ -1276,8 +1271,7 @@ fn quota_check(shared: &Shared, conn: &mut Conn, req: &Request) -> Option<Respon
 /// defense activated) or a 1024th of its connection or tenant — a
 /// sustained attack must not flood the journal either.
 fn note_throttle(shared: &Shared, nth: u64, event: impl FnOnce() -> Event) {
-    shared.quota_throttled.fetch_add(1, Ordering::Relaxed);
-    shared.metrics.quota_throttled.inc();
+    shared.quota_throttled.inc();
     if nth == 1 || nth.is_multiple_of(1024) {
         shared.obs.emit(event);
     }
@@ -1310,13 +1304,10 @@ fn stats_json(shared: &Shared) -> String {
     let engine = serde_json::to_value(&shared.db.stats_report())
         .unwrap_or_else(|_| Value::Object(Vec::new()));
     let server = Value::Object(vec![
-        (
-            "requests".to_string(),
-            Value::from(shared.requests.load(Ordering::Relaxed)),
-        ),
+        ("requests".to_string(), Value::from(shared.requests.get())),
         (
             "protocol_errors".to_string(),
-            Value::from(shared.protocol_errors.load(Ordering::Relaxed)),
+            Value::from(shared.protocol_errors.get()),
         ),
         (
             "conns_active".to_string(),
@@ -1332,20 +1323,14 @@ fn stats_json(shared: &Shared) -> String {
         ),
         (
             "quota_throttled".to_string(),
-            Value::from(shared.quota_throttled.load(Ordering::Relaxed)),
+            Value::from(shared.quota_throttled.get()),
         ),
         (
             "tenant_throttled".to_string(),
             Value::from(shared.tenant_throttled.load(Ordering::Relaxed)),
         ),
-        (
-            "bytes_in".to_string(),
-            Value::from(shared.bytes_in.load(Ordering::Relaxed)),
-        ),
-        (
-            "bytes_out".to_string(),
-            Value::from(shared.bytes_out.load(Ordering::Relaxed)),
-        ),
+        ("bytes_in".to_string(), Value::from(shared.bytes_in.get())),
+        ("bytes_out".to_string(), Value::from(shared.bytes_out.get())),
     ]);
     let root = Value::Object(vec![
         ("engine".to_string(), engine),

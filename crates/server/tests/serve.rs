@@ -328,6 +328,90 @@ fn malformed_frames_get_error_replies_and_the_connection_survives() {
     assert_eq!(report.requests, 1, "only the Ping executed");
 }
 
+/// STATS and METRICS read the serving counters from the same cells: after
+/// a loadgen run, one malformed frame and one throttled request, every
+/// `server.*` counter METRICS names equals the STATS total — on the wire
+/// (where the STATS request itself is the one request between the two)
+/// and in the drained server's report.
+#[test]
+fn stats_and_metrics_read_the_same_serving_counters() {
+    let db = test_db(true);
+    let server = start_server(db.clone(), |cfg| {
+        cfg.tenant_quota_ops = 1;
+        cfg.tenant_quota_burst = 1;
+    });
+    let addr = server.local_addr().to_string();
+    // Unauthenticated loadgen connections are exempt from tenant quotas.
+    let load = loadgen::run(&LoadgenConfig {
+        addr: addr.clone(),
+        connections: 4,
+        ops: 2_000,
+        mix: Mix::new(40.0, 25.0, 5.0, 30.0),
+        workload: WorkloadConfig {
+            num_keys: 2_000,
+            value_size: 64,
+            seed: 11,
+            ..Default::default()
+        },
+        target_qps: None,
+        ..Default::default()
+    })
+    .unwrap();
+    assert_eq!(load.protocol_errors, 0);
+
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    let mut bad = Vec::new();
+    bad.extend_from_slice(&9u32.to_le_bytes());
+    bad.extend_from_slice(&1u64.to_le_bytes());
+    bad.push(77); // no such opcode
+    stream.write_all(&bad).unwrap();
+    assert!(stream.read(&mut [0u8; 256]).unwrap() > 0, "an Err reply");
+    drop(stream);
+
+    let mut c = Client::connect(&addr).unwrap();
+    c.auth(1).unwrap();
+    let key = render_key(1);
+    assert!(matches!(
+        c.call(&Request::Get { key: key.clone() }).unwrap(),
+        Response::Value(_)
+    ));
+    assert!(matches!(
+        c.call(&Request::Get { key }).unwrap(),
+        Response::Error(_)
+    ));
+
+    let stats: serde_json::Value = serde_json::from_str(&c.stats().unwrap()).unwrap();
+    let metrics: serde_json::Value =
+        serde_json::from_str(&c.metrics(MetricsFormat::Json).unwrap()).unwrap();
+    let read = |v: &serde_json::Value, group: &str, name: &str| {
+        let n = v.get(group).and_then(|g| g.get(name));
+        n.and_then(serde_json::Value::as_u64).unwrap()
+    };
+    let stat = |field: &str| read(&stats, "server", field);
+    let metric = |name: &str| read(&metrics, "counters", name);
+    assert_eq!(stat("protocol_errors"), 1);
+    assert_eq!(stat("quota_throttled"), 1);
+    assert_eq!(metric("server.protocol_errors"), stat("protocol_errors"));
+    assert_eq!(metric("server.quota.throttled"), stat("quota_throttled"));
+    assert_eq!(metric("server.requests"), stat("requests") + 1);
+    assert_eq!(metric("server.tenant.1.quota.throttled"), 1);
+    drop(c);
+
+    let report = server.shutdown();
+    let reg = db.obs();
+    let reg = reg.registry().unwrap();
+    for (name, total) in [
+        ("server.requests", report.requests),
+        ("server.protocol_errors", report.protocol_errors),
+        ("server.quota.throttled", report.quota_throttled),
+        ("server.bytes_in", report.bytes_in),
+        ("server.bytes_out", report.bytes_out),
+    ] {
+        assert_eq!(reg.counter_value(name), total, "{name}");
+    }
+    assert!(report.requests > 2_000 && report.bytes_in > 0 && report.bytes_out > 0);
+}
+
 /// An oversized declared length poisons framing: the server answers with
 /// one `Err` frame and closes that connection, but keeps serving others.
 #[test]
@@ -786,10 +870,10 @@ fn batch_write_runs_commit_once_per_stripe_and_before_later_reads() {
     );
 
     let keys: Vec<Bytes> = (100..612).map(render_key).collect();
-    let rounds = db.db().group_commit().0;
+    let rounds = db.db().group_commits();
     let replies = batch(&mut c, keys.iter().map(|k| put(k, "loaded")).collect());
     assert!(replies.iter().all(|r| *r == Response::Ok));
-    let rounds = db.db().group_commit().0 - rounds;
+    let rounds = db.db().group_commits() - rounds;
     assert!(
         rounds <= 4,
         "512 PUTs took {rounds} commit rounds on 4 stripes"

@@ -37,10 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "first life: {} entries still only in the memtable (WAL-protected), {} flushes so far",
             db.db().memtable_len(),
-            db.db()
-                .stats()
-                .flushes
-                .load(std::sync::atomic::Ordering::Relaxed),
+            db.db().stats().flushes.get(),
         );
         // Dropped here without flushing = simulated crash.
     }

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "totals: {} SST reads, {} compactions, tree has {} runs across {} levels",
         db.db().query_block_reads(),
-        db.db().stats().compactions(),
+        db.db().stats().compactions.get(),
         db.db().num_runs(),
         db.db().num_levels(),
     );
