@@ -259,7 +259,7 @@ fn bench_lsm(c: &mut Criterion) {
             if !builder.is_empty() {
                 builder.finish().unwrap();
             }
-            black_box(storage.table_count())
+            black_box(storage.list_tables().unwrap().len())
         })
     });
     let (db, _storage) = prepared_tree();
@@ -312,6 +312,7 @@ fn bench_served_tree(c: &mut Criterion) {
     // blocks: keys it is sure to hold.
     let meta = storage
         .list_tables()
+        .unwrap()
         .into_iter()
         .map(|id| TableMeta::decode(&storage.read_meta(id).unwrap()).unwrap())
         .max_by_key(|m| m.num_blocks)

@@ -191,11 +191,6 @@ impl PointAdmission {
         self.threshold
     }
 
-    /// Reconfigures the anomaly guard.
-    pub fn set_guard(&mut self, guard: SketchGuard) {
-        self.guard = guard;
-    }
-
     /// The active guard configuration.
     pub fn guard(&self) -> SketchGuard {
         self.guard

@@ -223,11 +223,6 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
     pub fn counters(&self) -> &CacheCounters {
         &self.stats
     }
-
-    /// The policy's display name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
 }
 
 #[cfg(test)]

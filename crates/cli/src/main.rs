@@ -2258,11 +2258,12 @@ impl FaultCheckReport {
 }
 
 /// One crash-recover-verify cycle, entirely in memory: a durable
-/// [`adcache_lsm::StripedDb`] over write-back-modeling fault storage (SSTs)
-/// and a simulated filesystem (WAL + manifest) takes writes under a fault
-/// storm with one armed crash point; the process "crashes" — the engine
-/// drops AND every completed-but-unsynced write is torn out of both device
-/// models — then the store reopens. One [`adcache_lsm::history::History`] judges every read:
+/// [`adcache_lsm::StripedDb`] whose WAL, manifest and SSTables (through
+/// fault-injecting [`adcache_lsm::FileStorage`]) all live on one simulated
+/// filesystem takes writes under a fault storm with one armed crash point;
+/// the process "crashes" — the engine drops AND one power cut tears every
+/// completed-but-unsynced write out of that filesystem — then the store
+/// reopens on fresh handles. One [`adcache_lsm::history::History`] judges every read:
 /// the storm's against the store before the crash, the recovered gets and
 /// one full scan against what the configured sync policy promised.
 ///
@@ -2288,12 +2289,8 @@ fn faultcheck_cycle(
 
     let cseed = fc_mix(seed ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let fs = Arc::new(SimFs::new());
-    let storage = Arc::new(FaultStorage::new(
-        Arc::new(MemStorage::new()),
-        cseed,
-        FaultPlan::none(),
-    ));
-    storage.enable_write_back();
+    let tables = || FileStorage::with_fs("/faultcheck/sst", fs.clone()).map(Arc::new);
+    let storage = Arc::new(FaultStorage::new(tables()?, cseed, FaultPlan::none()));
     let crash = CrashController::new();
     // Tiny memtable + padded values so one cycle crosses several flush and
     // compaction seams — that is where the crash points live.
@@ -2392,7 +2389,7 @@ fn faultcheck_cycle(
         }
         report.faults_injected += storage.fault_stats().total();
         // The engine drops here (joining the worker pool, if any): the
-        // "process" is fully dead before the device models crash below.
+        // "process" is fully dead before the power is cut below.
     }
     // The storm's reads, judged with every acked write certain.
     for v in history.crash(sync) {
@@ -2400,19 +2397,17 @@ fn faultcheck_cycle(
         eprintln!("cycle {cycle}: storm {}", v.what);
     }
 
-    // The crash also tears every completed-but-unsynced write out of both
-    // device models: SST files from the storage write-back cache,
-    // WAL/manifest bytes and directory entries from the simulated fs.
-    storage.set_active(false);
-    let (sst_files, _) = storage.crash_drop_unsynced(fc_mix(cseed ^ 0xA5A5));
-    let meta_loss = fs.crash(fc_mix(cseed ^ 0x5A5A));
-    report.unsynced_files_dropped += sst_files + meta_loss.files;
+    // The power cut tears every completed-but-unsynced write out of the
+    // filesystem: SST and WAL bytes, manifests and directory entries.
+    drop(storage);
+    report.unsynced_files_dropped += fs.crash(fc_mix(cseed ^ 0x5A5A)).files;
 
-    // Recovery runs against a quiet device, with background maintenance
+    // Recovery runs on a fresh, quiet device, with background maintenance
     // off: recovery is identical (the option only affects the write path)
     // and the verification reads are deterministic.
     let mut verify_opts = opts.clone();
     verify_opts.background_maintenance = false;
+    let storage = tables()?;
     let reopen = || {
         StripedDb::with_durability_fs(verify_opts.clone(), storage.clone(), &meta_dir, fs.clone())
     };
@@ -2439,7 +2434,7 @@ fn faultcheck_cycle(
     // The recovery sweep (every stripe's, jointly) must leave no table on
     // the device that the recovered version does not reference.
     let live: usize = db.level_summary().iter().map(|(_, files, _)| files).sum();
-    let on_device = storage.table_count();
+    let on_device = storage.list_tables()?.len();
     if on_device > live {
         report.orphan_leftovers += (on_device - live) as u64;
         eprintln!("cycle {cycle}: {on_device} tables on device, only {live} referenced");

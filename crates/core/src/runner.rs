@@ -269,17 +269,6 @@ pub fn execute(db: &CachedDb, op: &Operation) -> Result<()> {
     Ok(())
 }
 
-/// The engine as an [`adcache_workload::OpSink`]: lets trace replay and the
-/// phase drivers target an in-process [`CachedDb`] through the same trait
-/// the network load generator uses for a remote server.
-impl adcache_workload::OpSink for &CachedDb {
-    type Error = adcache_lsm::LsmError;
-
-    fn apply(&mut self, op: &Operation) -> std::result::Result<(), Self::Error> {
-        execute(self, op)
-    }
-}
-
 /// Runs `schedule` against a fresh engine and returns the per-window
 /// series. Deterministic in the workload seed.
 pub fn run_schedule(cfg: &RunConfig, schedule: &Schedule) -> Result<RunResult> {

@@ -230,9 +230,9 @@ mod tests {
         assert!(ev.blocks_written >= 1);
         // Inputs survive until the caller commits and deletes them; after
         // that only the output remains, and it is readable.
-        assert_eq!(storage.table_count(), 3);
+        assert_eq!(storage.list_tables().unwrap().len(), 3);
         apply_deletes(&storage, &ev);
-        assert_eq!(storage.table_count(), 1);
+        assert_eq!(storage.list_tables().unwrap().len(), 1);
         let out = v.level(1)[0].clone();
         let p = DirectProvider;
         assert_eq!(
@@ -295,7 +295,7 @@ mod tests {
             0,
             "tombstone plus shadowed value annihilate"
         );
-        assert_eq!(storage.table_count(), 0);
+        assert!(storage.list_tables().unwrap().is_empty());
     }
 
     #[test]

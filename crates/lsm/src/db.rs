@@ -342,7 +342,7 @@ impl LsmTree {
         // leftover file when it re-allocates an id the lost manifest had
         // handed out.
         let mut swept = 0u64;
-        for id in storage.list_tables() {
+        for id in storage.list_tables()? {
             if stride > 1 && id % stride != offset {
                 // Another stripe's file on the shared device: its manifest
                 // shard, not ours, decides whether it lives.

@@ -30,7 +30,7 @@ use crate::types::FileId;
 use adcache_obs::{Event, FaultKind, Obs};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -57,8 +57,6 @@ const SALT_BIT_FLIP: u64 = 0x06;
 const SALT_FLIP_POS: u64 = 0x07;
 const SALT_DELETE_FAIL: u64 = 0x08;
 const SALT_LATENCY: u64 = 0x09;
-const SALT_CRASH_DROP: u64 = 0x0A;
-const SALT_CRASH_KEEP: u64 = 0x0B;
 
 /// Per-fault-kind probabilities for a [`FaultStorage`].
 ///
@@ -164,27 +162,6 @@ pub struct FaultStorage {
     permanent_bad: RwLock<HashSet<(FileId, u32)>>,
     stats: FaultStats,
     obs: RwLock<Obs>,
-    /// Write-back cache model (`None` until enabled): tracks which
-    /// completed operations are not yet durable, so a crash can undo them.
-    write_back: Mutex<Option<WriteBack>>,
-}
-
-/// Completed-but-unsynced device state, from the write-back cache's point
-/// of view. Writes pass through to the inner device (so reads and I/O
-/// accounting stay exact) while this undo log remembers what a power loss
-/// would take back.
-#[derive(Debug, Default)]
-struct WriteBack {
-    /// Tables written since their last `sync_table`: a crash may drop them
-    /// wholly or tear them to a block prefix. Keeps a copy of the payload
-    /// so the torn remnant can be re-materialized.
-    created: HashMap<FileId, (Vec<Bytes>, Bytes)>,
-    /// Contents synced, directory entry not: a crash erases the file from
-    /// the namespace even though its bytes hit the platter.
-    await_dir: HashSet<FileId>,
-    /// Deletions deferred until the next `sync_dir`; a crash undoes them
-    /// and the obsolete tables resurrect as orphans.
-    pending_delete: HashSet<FileId>,
 }
 
 impl FaultStorage {
@@ -200,110 +177,6 @@ impl FaultStorage {
             permanent_bad: RwLock::new(HashSet::new()),
             stats: FaultStats::default(),
             obs: RwLock::new(Obs::disabled()),
-            write_back: Mutex::new(None),
-        }
-    }
-
-    /// Enables the write-back cache model: completed writes and deletes
-    /// stay undoable until the matching `sync_table` / `sync_dir`, and
-    /// [`FaultStorage::crash_drop_unsynced`] can take them back. Stays on
-    /// for the life of the decorator (and across `set_active(false)` —
-    /// cache volatility is device semantics, not a fault).
-    pub fn enable_write_back(&self) {
-        let mut wb = self.write_back.lock();
-        if wb.is_none() {
-            *wb = Some(WriteBack::default());
-        }
-    }
-
-    /// Number of tables with any unsynced state (test / drill helper).
-    pub fn unsynced_tables(&self) -> usize {
-        self.write_back
-            .lock()
-            .as_ref()
-            .map(|wb| wb.created.len() + wb.await_dir.len() + wb.pending_delete.len())
-            .unwrap_or(0)
-    }
-
-    /// Simulates power loss against the write-back cache: every unsynced
-    /// table creation is dropped wholly, torn to a strict block prefix
-    /// (metadata lost), or survives by luck — seeded per table; tables
-    /// whose contents were synced but whose directory entry was not vanish
-    /// from the namespace; unsynced deletions are undone, resurrecting
-    /// obsolete tables as orphans. Returns `(files affected, bytes
-    /// dropped)` and journals an `UnsyncedLoss` event. No-op until
-    /// [`FaultStorage::enable_write_back`].
-    pub fn crash_drop_unsynced(&self, seed: u64) -> (u64, u64) {
-        let mut guard = self.write_back.lock();
-        let Some(wb) = guard.as_mut() else {
-            return (0, 0);
-        };
-        let mut files = 0u64;
-        let mut bytes = 0u64;
-        let mut ids: Vec<FileId> = wb.created.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let (blocks, meta) = wb.created.remove(&id).expect("listed id");
-            let h = splitmix64(seed ^ splitmix64(id ^ (SALT_CRASH_DROP << 56)));
-            let payload = blocks.iter().map(|b| b.len() as u64).sum::<u64>() + meta.len() as u64;
-            match h % 4 {
-                3 => continue, // the cache happened to drain in time
-                0 => {
-                    // Dropped wholly: the file never reached the platter.
-                    let _ = self.inner.delete_table(id);
-                    files += 1;
-                    bytes += payload;
-                }
-                _ => {
-                    // Torn: a strict prefix of the blocks survives and the
-                    // trailing metadata is gone — an unreadable orphan.
-                    let keep = if blocks.is_empty() {
-                        0
-                    } else {
-                        (splitmix64(h ^ (SALT_CRASH_KEEP << 56)) % blocks.len() as u64) as usize
-                    };
-                    let kept: u64 = blocks[..keep].iter().map(|b| b.len() as u64).sum();
-                    let _ = self.inner.delete_table(id);
-                    let _ = write_table(self.inner.as_ref(), id, &blocks[..keep], Bytes::new());
-                    files += 1;
-                    bytes += payload - kept;
-                }
-            }
-        }
-        let mut await_dir: Vec<FileId> = wb.await_dir.drain().collect();
-        await_dir.sort_unstable();
-        for id in await_dir {
-            // fsync'd contents without a durable directory entry are
-            // unreachable after restart: the file is lost all the same.
-            let _ = self.inner.delete_table(id);
-            files += 1;
-        }
-        files += wb.pending_delete.len() as u64;
-        wb.pending_delete.clear();
-        drop(guard);
-        if files > 0 || bytes > 0 {
-            self.obs
-                .read()
-                .emit(|| Event::UnsyncedLoss { files, bytes });
-        }
-        (files, bytes)
-    }
-
-    /// Completed write: passes through to the device, and when the
-    /// write-back model is on, remembers the payload as undoable.
-    fn write_back_write(&self, id: FileId, blocks: Vec<Bytes>, meta: Bytes) -> Result<()> {
-        let mut guard = self.write_back.lock();
-        if let Some(wb) = guard.as_mut() {
-            if wb.pending_delete.contains(&id) {
-                return Err(LsmError::InvalidArgument(format!(
-                    "table {id} already exists"
-                )));
-            }
-            write_table(self.inner.as_ref(), id, &blocks, meta.clone())?;
-            wb.created.insert(id, (blocks, meta));
-            Ok(())
-        } else {
-            write_table(self.inner.as_ref(), id, &blocks, meta)
         }
     }
 
@@ -372,7 +245,7 @@ impl FaultStorage {
     /// the plan's draws.
     fn write_whole(&self, id: FileId, blocks: Vec<Bytes>, meta: Bytes) -> Result<()> {
         if !self.is_active() {
-            return self.write_back_write(id, blocks, meta);
+            return write_table(self.inner.as_ref(), id, &blocks, meta);
         }
         let plan = self.plan.read().clone();
         let op = self.ops.fetch_add(1, Ordering::Relaxed);
@@ -396,20 +269,19 @@ impl FaultStorage {
             let total = blocks.len();
             self.stats.torn_write.fetch_add(1, Ordering::Relaxed);
             self.emit(FaultKind::TornWrite, id, keep as u64);
-            self.write_back_write(id, blocks[..keep].to_vec(), Bytes::new())?;
+            write_table(self.inner.as_ref(), id, &blocks[..keep], Bytes::new())?;
             return Err(LsmError::Injected(format!(
                 "torn write: table {id} persisted {keep}/{total} blocks"
             )));
         }
-        self.write_back_write(id, blocks, meta)
+        write_table(self.inner.as_ref(), id, &blocks, meta)
     }
 }
 
 impl Storage for FaultStorage {
-    /// Buffers the table's blocks, so that the write-fail, torn-write and
-    /// write-back decisions are made for the whole table at `finish`, as
-    /// one draw on the op counter, whatever the inner device does with a
-    /// stream.
+    /// Buffers the table's blocks, so that the write-fail and torn-write
+    /// decisions are made for the whole table at `finish`, as one draw on
+    /// the op counter, whatever the inner device does with a stream.
     fn create_table(&self, id: FileId) -> Result<Box<dyn TableSink + '_>> {
         Ok(collecting_sink(move |blocks, meta| {
             self.write_whole(id, blocks, meta)
@@ -474,63 +346,19 @@ impl Storage for FaultStorage {
                 )));
             }
         }
-        let mut guard = self.write_back.lock();
-        if let Some(wb) = guard.as_mut() {
-            if wb.created.remove(&id).is_some() {
-                // Deleting a never-synced table cancels it outright; there
-                // is nothing for a crash to resurrect.
-                wb.await_dir.remove(&id);
-                return self.inner.delete_table(id);
-            }
-            if wb.pending_delete.contains(&id) {
-                return Err(LsmError::NotFound(format!("table {id}")));
-            }
-            if !self.inner.list_tables().contains(&id) {
-                return Err(LsmError::NotFound(format!("table {id}")));
-            }
-            // The unlink completes from the caller's perspective but only
-            // becomes durable at the next directory sync.
-            wb.await_dir.remove(&id);
-            wb.pending_delete.insert(id);
-            return Ok(());
-        }
-        drop(guard);
         self.inner.delete_table(id)
     }
 
     fn sync_table(&self, id: FileId) -> Result<()> {
-        let mut guard = self.write_back.lock();
-        if let Some(wb) = guard.as_mut() {
-            if wb.created.remove(&id).is_some() {
-                // Contents are now durable; the directory entry still needs
-                // a `sync_dir` before the file survives a crash.
-                wb.await_dir.insert(id);
-            }
-        }
-        drop(guard);
         self.inner.sync_table(id)
     }
 
     fn sync_dir(&self) -> Result<()> {
-        let mut guard = self.write_back.lock();
-        if let Some(wb) = guard.as_mut() {
-            wb.await_dir.clear();
-            let mut doomed: Vec<FileId> = wb.pending_delete.drain().collect();
-            doomed.sort_unstable();
-            for id in doomed {
-                let _ = self.inner.delete_table(id);
-            }
-        }
-        drop(guard);
         self.inner.sync_dir()
     }
 
-    fn list_tables(&self) -> Vec<FileId> {
-        let mut ids = self.inner.list_tables();
-        if let Some(wb) = self.write_back.lock().as_ref() {
-            ids.retain(|id| !wb.pending_delete.contains(id));
-        }
-        ids
+    fn list_tables(&self) -> Result<Vec<FileId>> {
+        self.inner.list_tables()
     }
 
     fn sync_cost_ns(&self) -> u64 {
@@ -539,13 +367,6 @@ impl Storage for FaultStorage {
 
     fn stats(&self) -> &IoStats {
         self.inner.stats()
-    }
-
-    fn table_count(&self) -> usize {
-        if self.write_back.lock().is_some() {
-            return self.list_tables().len();
-        }
-        self.inner.table_count()
     }
 }
 
@@ -811,7 +632,7 @@ mod tests {
         assert!(matches!(err, LsmError::Injected(_)));
         // The partial table exists but has fewer blocks than requested and
         // no metadata.
-        assert_eq!(fs.table_count(), 1);
+        assert_eq!(fs.list_tables().unwrap().len(), 1);
         fs.set_active(false);
         assert!(fs.read_block(3, 3).is_err());
         assert_eq!(fs.read_meta(3).unwrap().len(), 0);
@@ -828,7 +649,7 @@ mod tests {
             },
         );
         assert!(write_table(&fs, 3, &blocks(2), Bytes::new()).is_err());
-        assert_eq!(fs.table_count(), 0);
+        assert!(fs.list_tables().unwrap().is_empty());
     }
 
     #[test]
@@ -861,10 +682,10 @@ mod tests {
         );
         table(&fs);
         assert!(fs.delete_table(1).is_err());
-        assert_eq!(fs.table_count(), 1);
+        assert_eq!(fs.list_tables().unwrap().len(), 1);
         fs.set_active(false);
         fs.delete_table(1).unwrap();
-        assert_eq!(fs.table_count(), 0);
+        assert!(fs.list_tables().unwrap().is_empty());
     }
 
     #[test]

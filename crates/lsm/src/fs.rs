@@ -1,11 +1,11 @@
-//! The metadata filesystem seam.
+//! The filesystem seam.
 //!
-//! WAL and manifest I/O go through the [`MetaFs`] trait instead of
-//! `std::fs` directly, so crash drills can model an OS write-back cache:
-//! a write that *completed* is not *durable* until an explicit
-//! [`MetaFs::sync_file`], and a rename / create / remove is not durable
-//! until the parent directory is synced with [`MetaFs::sync_dir`]. Two
-//! implementations exist:
+//! WAL, manifest and SSTable file I/O go through the [`MetaFs`] trait
+//! instead of `std::fs` directly, so crash drills can model an OS
+//! write-back cache: a write that *completed* is not *durable* until an
+//! explicit [`MetaFs::sync_file`], and a rename / create / remove is not
+//! durable until the parent directory is synced with
+//! [`MetaFs::sync_dir`]. Two implementations exist:
 //!
 //! - [`RealFs`] passes through to `std::fs` (production and the
 //!   file-backed integration tests);
@@ -20,16 +20,24 @@ use crate::error::{LsmError, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{ErrorKind, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-/// Filesystem operations used by the durability path (WAL + manifest).
+/// Filesystem operations used by the durability path: WAL, manifest and
+/// SSTable files.
 ///
-/// All operations are whole-file or append-oriented; nothing in the
-/// engine needs random-access writes. `sync_file` and `sync_dir` are the
-/// only operations that promise durability — everything else may sit in a
+/// All writes are whole-file or append-oriented; nothing in the engine
+/// needs random-access writes. `sync_file` and `sync_dir` are the only
+/// operations that promise durability — everything else may sit in a
 /// modeled write-back cache until then.
 pub trait MetaFs: Send + Sync {
+    /// Creates `path`, failing with an [`ErrorKind::AlreadyExists`] I/O
+    /// error when it exists, and returns an unbuffered writer that appends
+    /// to it (not durable until synced).
+    fn create(&self, path: &Path) -> Result<Box<dyn Write + Send + '_>>;
+    /// Opens `path` for positioned reads.
+    fn open(&self, path: &Path) -> Result<Box<dyn ReadAt>>;
     /// Creates `path` and all missing parents.
     fn create_dir_all(&self, path: &Path) -> Result<()>;
     /// Reads the full contents of `path`; `Ok(None)` when it does not
@@ -59,6 +67,24 @@ pub trait MetaFs: Send + Sync {
     /// Paths of the files directly under `dir` (in the possibly-unsynced
     /// view), in unspecified order. A missing directory lists as empty.
     fn list_dir(&self, dir: &Path) -> Result<Vec<PathBuf>>;
+}
+
+/// A file open for positioned reads, from [`MetaFs::open`].
+pub trait ReadAt: Send + Sync {
+    /// Fills `buf` from `offset`; fails when the file ends first.
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()>;
+    /// The file's size in bytes.
+    fn size(&self) -> std::io::Result<u64>;
+}
+
+impl ReadAt for File {
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        FileExt::read_exact_at(self, buf, offset)
+    }
+
+    fn size(&self) -> std::io::Result<u64> {
+        Ok(self.metadata()?.len())
+    }
 }
 
 fn not_found(path: &Path) -> LsmError {
@@ -94,6 +120,19 @@ impl Default for RealFs {
 }
 
 impl MetaFs for RealFs {
+    fn create(&self, path: &Path) -> Result<Box<dyn Write + Send + '_>> {
+        let file = OpenOptions::new().write(true).create_new(true).open(path)?;
+        Ok(Box::new(file))
+    }
+
+    fn open(&self, path: &Path) -> Result<Box<dyn ReadAt>> {
+        match File::open(path) {
+            Ok(file) => Ok(Box::new(file)),
+            Err(e) if e.kind() == ErrorKind::NotFound => Err(not_found(path)),
+            Err(e) => Err(e.into()),
+        }
+    }
+
     fn create_dir_all(&self, path: &Path) -> Result<()> {
         std::fs::create_dir_all(path)?;
         Ok(())
@@ -102,7 +141,7 @@ impl MetaFs for RealFs {
     fn read(&self, path: &Path) -> Result<Option<Vec<u8>>> {
         match std::fs::read(path) {
             Ok(data) => Ok(Some(data)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
         }
     }
@@ -176,7 +215,7 @@ impl MetaFs for RealFs {
     fn list_dir(&self, dir: &Path) -> Result<Vec<PathBuf>> {
         let rd = match std::fs::read_dir(dir) {
             Ok(rd) => rd,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e.into()),
         };
         let mut out = Vec::new();
@@ -350,11 +389,6 @@ impl SimFs {
         loss
     }
 
-    /// Number of distinct files in the live namespace (test helper).
-    pub fn file_count(&self) -> usize {
-        self.state.lock().dir.len()
-    }
-
     fn with_inode<T>(&self, path: &Path, f: impl FnOnce(&mut Inode) -> T) -> Result<T> {
         let mut st = self.state.lock();
         let id = *st.dir.get(path).ok_or_else(|| not_found(path))?;
@@ -369,6 +403,59 @@ impl Default for SimFs {
     }
 }
 
+impl SimState {
+    /// Links a new, empty file at `path`: an unsynced create.
+    fn create(&mut self, path: &Path) -> u64 {
+        let id = self.next_inode;
+        self.next_inode += 1;
+        self.inodes.insert(id, Inode::default());
+        self.dir.insert(path.to_path_buf(), id);
+        self.pending_dir.push(NsOp::new(None, Some(path), id));
+        id
+    }
+}
+
+/// The writer [`SimFs::create`] returns: each write is one unsynced
+/// append to the file it created, wherever that file is linked now.
+struct SimWriter<'a> {
+    fs: &'a SimFs,
+    id: u64,
+}
+
+impl Write for SimWriter<'_> {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        let mut st = self.fs.state.lock();
+        // A crash that dropped the file closed the writer with it.
+        let inode = st.inodes.get_mut(&self.id).ok_or(ErrorKind::NotFound)?;
+        inode.pending.push(PendingOp::Append(data.to_vec()));
+        inode.view.extend_from_slice(data);
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// What [`SimFs::open`] returns: the file as it was at the open.
+struct Snapshot(Vec<u8>);
+
+impl ReadAt for Snapshot {
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        let start = usize::try_from(offset).unwrap_or(usize::MAX);
+        let src = start
+            .checked_add(buf.len())
+            .and_then(|end| self.0.get(start..end))
+            .ok_or(ErrorKind::UnexpectedEof)?;
+        buf.copy_from_slice(src);
+        Ok(())
+    }
+
+    fn size(&self) -> std::io::Result<u64> {
+        Ok(self.0.len() as u64)
+    }
+}
+
 fn apply(content: &mut Vec<u8>, op: &PendingOp) {
     match op {
         PendingOp::SetContent(data) => *content = data.clone(),
@@ -378,6 +465,22 @@ fn apply(content: &mut Vec<u8>, op: &PendingOp) {
 }
 
 impl MetaFs for SimFs {
+    fn create(&self, path: &Path) -> Result<Box<dyn Write + Send + '_>> {
+        let mut st = self.state.lock();
+        if st.dir.contains_key(path) {
+            let exists = format!("{} exists", path.display());
+            return Err(std::io::Error::new(ErrorKind::AlreadyExists, exists).into());
+        }
+        let id = st.create(path);
+        Ok(Box::new(SimWriter { fs: self, id }))
+    }
+
+    fn open(&self, path: &Path) -> Result<Box<dyn ReadAt>> {
+        self.with_inode(path, |inode| {
+            Box::new(Snapshot(inode.view.clone())) as Box<dyn ReadAt>
+        })
+    }
+
     fn create_dir_all(&self, _path: &Path) -> Result<()> {
         // The simulated namespace is flat; directories always exist.
         Ok(())
@@ -390,24 +493,13 @@ impl MetaFs for SimFs {
 
     fn write_file(&self, path: &Path, data: &[u8]) -> Result<()> {
         let mut st = self.state.lock();
-        if let Some(id) = st.dir.get(path).copied() {
-            let inode = st.inodes.get_mut(&id).expect("dir entry has an inode");
-            inode.pending.push(PendingOp::SetContent(data.to_vec()));
-            inode.view = data.to_vec();
-        } else {
-            let id = st.next_inode;
-            st.next_inode += 1;
-            st.inodes.insert(
-                id,
-                Inode {
-                    durable: None,
-                    pending: vec![PendingOp::SetContent(data.to_vec())],
-                    view: data.to_vec(),
-                },
-            );
-            st.dir.insert(path.to_path_buf(), id);
-            st.pending_dir.push(NsOp::new(None, Some(path), id));
-        }
+        let id = match st.dir.get(path) {
+            Some(&id) => id,
+            None => st.create(path),
+        };
+        let inode = st.inodes.get_mut(&id).expect("dir entry has an inode");
+        inode.pending.push(PendingOp::SetContent(data.to_vec()));
+        inode.view = data.to_vec();
         Ok(())
     }
 
@@ -682,20 +774,19 @@ mod tests {
     // The crash model against the engine: one store, one power cut, and
     // the write each `--misplace` hole of `adcache faultcheck` loses.
 
-    use crate::fault::{FaultPlan, FaultStorage};
     use crate::options::{FsyncSite, Options, SyncPolicy};
     use crate::sstable::DirectProvider;
-    use crate::storage::MemStorage;
+    use crate::storage::FileStorage;
     use crate::striped::StripedDb;
     use bytes::Bytes;
     use std::sync::Arc;
 
-    /// Two stripes, each with its own directory, over this filesystem and
-    /// a write-back device. Stripe 0 writes `k` twice and flushes; stripe
-    /// 1 then flushes a write of its own (its seal syncs only its own
+    /// Two stripes, each with its own directory, and their tables, all on
+    /// this filesystem. Stripe 0 writes `k` twice and flushes; stripe 1
+    /// then flushes a write of its own (its seal syncs only its own
     /// directory) and acks `m` on top. The power is cut with `seed` and
-    /// the store reopened: returns what `k` and `m` read, or the error
-    /// the open failed with.
+    /// the store reopened on fresh handles: returns what `k` and `m` read,
+    /// or the error the open failed with.
     fn cut_after_a_flush(
         sync: SyncPolicy,
         hole: Option<FsyncSite>,
@@ -708,14 +799,10 @@ mod tests {
             ..Options::small()
         };
         let fs = Arc::new(SimFs::new());
-        let storage = Arc::new(FaultStorage::new(
-            Arc::new(MemStorage::new()),
-            seed,
-            FaultPlan::none(),
-        ));
-        storage.enable_write_back();
-        let open =
-            || StripedDb::with_durability_fs(opts.clone(), storage.clone(), "/cut", fs.clone());
+        let open = || {
+            let storage = Arc::new(FileStorage::with_fs("/cut/sst", fs.clone())?);
+            StripedDb::with_durability_fs(opts.clone(), storage, "/cut", fs.clone())
+        };
         let db = open()?;
         let on = |stripe| {
             (0..)
@@ -731,7 +818,6 @@ mod tests {
         db.stripe(1).flush()?;
         db.put(m.clone(), Bytes::from("m"))?;
         drop(db);
-        storage.crash_drop_unsynced(seed);
         fs.crash(seed);
         let db = open()?;
         Ok([db.get(&k, &DirectProvider)?, db.get(&m, &DirectProvider)?])
@@ -781,9 +867,17 @@ mod tests {
 
     #[test]
     fn a_crash_loses_a_table_whose_sst_dir_sync_was_left_out() {
-        // The manifest names a table whose directory entry never became
-        // durable: the store refuses to open rather than serve without it.
+        // The manifest can name a table whose directory entry never became
+        // durable: the store then refuses to open rather than serve
+        // without it. Where the entry survived, `k` reads its flush.
         let hole = Some(FsyncSite::SstDir);
-        assert!(cut_after_a_flush(SyncPolicy::OnFlush, hole, 0).is_err());
+        let mut refused = false;
+        for seed in 0..16 {
+            match cut_after_a_flush(SyncPolicy::OnFlush, hole, seed) {
+                Err(_) => refused = true,
+                Ok([k, _]) => assert_eq!(k, value("new"), "seed {seed}"),
+            }
+        }
+        assert!(refused, "no seed lost the table");
     }
 }

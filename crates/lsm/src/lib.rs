@@ -57,7 +57,7 @@ pub use compress::{lzss_compress, lzss_decompress};
 pub use db::{DbStats, LsmTree};
 pub use error::{LsmError, Result};
 pub use fault::{CrashController, CrashPoint, FaultPlan, FaultStats, FaultStorage};
-pub use fs::{MetaFs, RealFs, SimFs, UnsyncedLoss};
+pub use fs::{MetaFs, ReadAt, RealFs, SimFs, UnsyncedLoss};
 pub use manifest::ManifestSync;
 pub use options::{FsyncSite, Options, SyncPolicy};
 pub use sstable::{

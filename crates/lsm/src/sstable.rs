@@ -16,7 +16,7 @@ use crate::compress::unwrap_block;
 use crate::error::{LsmError, Result};
 use crate::options::Options;
 use crate::storage::{Storage, TableSink};
-use crate::types::{BlockRef, Entry, FileId, Key, KeyEntry};
+use crate::types::{Entry, FileId, Key, KeyEntry};
 use bytes::Bytes;
 use std::sync::Arc;
 
@@ -436,11 +436,6 @@ impl TableIter {
     }
 }
 
-/// Convenience: a [`BlockRef`] for a position in `meta`.
-pub fn block_ref(meta: &TableMeta, block_no: u32) -> BlockRef {
-    BlockRef::new(meta.id, block_no)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,6 +741,6 @@ mod tests {
         let storage = MemStorage::new();
         let b = TableBuilder::new(2, &opts, &storage).unwrap();
         assert!(b.finish().is_err());
-        assert_eq!(storage.table_count(), 0);
+        assert!(storage.list_tables().unwrap().is_empty());
     }
 }

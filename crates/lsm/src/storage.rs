@@ -8,13 +8,12 @@
 //! (the substitution for the paper's NVMe testbed; see DESIGN.md §2).
 
 use crate::error::{LsmError, Result};
+use crate::fs::{MetaFs, ReadAt, RealFs};
 use crate::types::FileId;
 use bytes::{Bytes, BytesMut};
 use parking_lot::RwLock;
 use std::collections::{hash_map, HashMap};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::os::unix::fs::FileExt;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -133,9 +132,9 @@ pub trait Storage: Send + Sync {
     fn delete_table(&self, id: FileId) -> Result<()>;
 
     /// Makes a written table's *contents* durable (fsync). Until this (and
-    /// [`Storage::sync_dir`]) succeed, a completed table may sit in
-    /// a modeled write-back cache and vanish on crash. Charged to the
-    /// simulated clock.
+    /// [`Storage::sync_dir`]) succeed, a completed table may sit in a
+    /// write-back cache (modeled by [`crate::fs::SimFs`]) and vanish or
+    /// tear on a crash. Charged to the simulated clock.
     fn sync_table(&self, id: FileId) -> Result<()>;
 
     /// Makes the device's *namespace* durable (directory fsync): table
@@ -145,8 +144,9 @@ pub trait Storage: Send + Sync {
 
     /// Ids of every table currently present on the device — including
     /// files an interrupted flush left behind that no manifest references.
-    /// Recovery uses this to sweep orphans. Sorted ascending.
-    fn list_tables(&self) -> Vec<FileId>;
+    /// Recovery uses this to sweep orphans, so a device it cannot list
+    /// fails the open. Sorted ascending.
+    fn list_tables(&self) -> Result<Vec<FileId>>;
 
     /// Simulated nanoseconds one explicit sync costs on this device (the
     /// engine charges this for WAL / manifest fsyncs, which bypass the
@@ -155,9 +155,6 @@ pub trait Storage: Send + Sync {
 
     /// Shared I/O counters.
     fn stats(&self) -> &IoStats;
-
-    /// Number of live tables (for tests and space accounting).
-    fn table_count(&self) -> usize;
 }
 
 /// In-memory storage: blocks live in a hash map, reads are counted and
@@ -302,10 +299,10 @@ impl Storage for MemStorage {
         Ok(())
     }
 
-    fn list_tables(&self) -> Vec<FileId> {
+    fn list_tables(&self) -> Result<Vec<FileId>> {
         let mut ids: Vec<FileId> = self.tables.read().keys().copied().collect();
         ids.sort_unstable();
-        ids
+        Ok(ids)
     }
 
     fn sync_cost_ns(&self) -> u64 {
@@ -315,13 +312,11 @@ impl Storage for MemStorage {
     fn stats(&self) -> &IoStats {
         &self.stats
     }
-
-    fn table_count(&self) -> usize {
-        self.tables.read().len()
-    }
 }
 
-/// File-backed storage: one file per table.
+/// File-backed storage: one file per table, through a [`MetaFs`] — the
+/// real filesystem ([`FileStorage::open`]) or, in the crash drills, the
+/// simulated one the WAL and manifest live on.
 ///
 /// Layout: `blocks… | meta | u64 offset × (n+1) | u32 n | u32 meta_len |
 /// u64 magic`, every integer little-endian. Block `i` spans
@@ -330,6 +325,7 @@ impl Storage for MemStorage {
 /// as in LevelDB's footer, so a table is written front to back as its
 /// blocks are cut and a build holds one block, not the table.
 pub struct FileStorage {
+    fs: Arc<dyn MetaFs>,
     dir: PathBuf,
     /// One open descriptor and the block offset table per table read so
     /// far, so a block read is one positioned read. Dropped (descriptor
@@ -347,7 +343,7 @@ const TRAILER_LEN: u64 = 16;
 
 /// A table file open for positioned reads.
 struct OpenTable {
-    file: File,
+    file: Box<dyn ReadAt>,
     meta_len: usize,
     /// `block_count + 1` absolute offsets; the last is where the metadata
     /// blob starts.
@@ -365,9 +361,15 @@ impl OpenTable {
 impl FileStorage {
     /// Opens (creating if needed) a directory-backed device.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self> {
+        Self::with_fs(dir, Arc::new(RealFs::new()))
+    }
+
+    /// [`FileStorage::open`] over an explicit [`MetaFs`].
+    pub fn with_fs(dir: impl Into<PathBuf>, fs: Arc<dyn MetaFs>) -> Result<Self> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
+        fs.create_dir_all(&dir)?;
         Ok(FileStorage {
+            fs,
             dir,
             open: RwLock::new(HashMap::new()),
             stats: IoStats::default(),
@@ -391,16 +393,13 @@ impl FileStorage {
         if let Some(t) = open.get(&id) {
             return Ok(t.clone());
         }
-        let file = File::open(self.path(id)).map_err(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => LsmError::NotFound(format!("table {id}")),
-            _ => e.into(),
-        })?;
+        let file = self.fs.open(&self.path(id))?;
         // No checksum covers the trailer or the offsets, and every read
         // sizes its buffer from them: hold them to the file's length once,
         // here, before the first read they size.
         let corrupt =
             || LsmError::Corruption(format!("table {id}: trailer does not match the file"));
-        let file_len = file.metadata()?.len();
+        let file_len = file.size()?;
         let trailer_at = file_len.checked_sub(TRAILER_LEN).ok_or_else(corrupt)?;
         let mut trailer = [0u8; TRAILER_LEN as usize];
         file.read_exact_at(&mut trailer, trailer_at)?;
@@ -438,7 +437,7 @@ impl FileStorage {
 /// memory only until the buffer drains it.
 struct FileSink<'a> {
     storage: &'a FileStorage,
-    file: BufWriter<File>,
+    file: BufWriter<Box<dyn Write + Send + 'a>>,
     /// Where each appended block starts, then where the next one would.
     offsets: Vec<u64>,
 }
@@ -481,14 +480,10 @@ impl TableSink for FileSink<'_> {
 
 impl Storage for FileStorage {
     fn create_table(&self, id: FileId) -> Result<Box<dyn TableSink + '_>> {
-        let file = OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(self.path(id))
-            .map_err(|e| match e.kind() {
-                std::io::ErrorKind::AlreadyExists => already_exists(id),
-                _ => e.into(),
-            })?;
+        let file = self.fs.create(&self.path(id)).map_err(|e| match e {
+            LsmError::Io(e) if e.kind() == ErrorKind::AlreadyExists => already_exists(id),
+            e => e,
+        })?;
         Ok(Box::new(FileSink {
             storage: self,
             file: BufWriter::with_capacity(64 << 10, file),
@@ -522,42 +517,30 @@ impl Storage for FileStorage {
     fn delete_table(&self, id: FileId) -> Result<()> {
         let mut open = self.open.write();
         open.remove(&id);
-        std::fs::remove_file(self.path(id))?;
-        Ok(())
+        self.fs.remove(&self.path(id))
     }
 
     fn sync_table(&self, id: FileId) -> Result<()> {
-        let f = std::fs::File::open(self.path(id))?;
-        f.sync_all()?;
+        self.fs.sync_file(&self.path(id))?;
         self.stats.syncs.fetch_add(1, Ordering::Relaxed);
         self.stats.charge_ns(self.cost.sync_ns);
         Ok(())
     }
 
     fn sync_dir(&self) -> Result<()> {
-        let f = std::fs::File::open(&self.dir)?;
-        f.sync_all()?;
+        self.fs.sync_dir(&self.dir)?;
         self.stats.syncs.fetch_add(1, Ordering::Relaxed);
         self.stats.charge_ns(self.cost.sync_ns);
         Ok(())
     }
 
-    fn list_tables(&self) -> Vec<FileId> {
-        let mut ids: Vec<FileId> = std::fs::read_dir(&self.dir)
-            .map(|d| {
-                d.filter_map(|e| e.ok())
-                    .map(|e| e.path())
-                    .filter(|p| p.extension().is_some_and(|x| x == "sst"))
-                    .filter_map(|p| {
-                        p.file_stem()
-                            .and_then(|s| s.to_str())
-                            .and_then(|s| s.parse::<FileId>().ok())
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
+    fn list_tables(&self) -> Result<Vec<FileId>> {
+        let mut ids: Vec<FileId> = (self.fs.list_dir(&self.dir)?.iter())
+            .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+            .filter_map(|p| p.file_stem()?.to_str()?.parse().ok())
+            .collect();
         ids.sort_unstable();
-        ids
+        Ok(ids)
     }
 
     fn sync_cost_ns(&self) -> u64 {
@@ -567,21 +550,14 @@ impl Storage for FileStorage {
     fn stats(&self) -> &IoStats {
         &self.stats
     }
-
-    fn table_count(&self) -> usize {
-        std::fs::read_dir(&self.dir)
-            .map(|d| {
-                d.filter_map(|e| e.ok())
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "sst"))
-                    .count()
-            })
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::db::LsmTree;
+    use crate::fs::SimFs;
+    use crate::options::Options;
 
     fn blocks(n: usize) -> Vec<Bytes> {
         (0..n)
@@ -592,7 +568,6 @@ mod tests {
     fn exercise(storage: &dyn Storage) {
         write_table(storage, 1, &blocks(3), Bytes::from_static(b"meta1")).unwrap();
         write_table(storage, 2, &blocks(2), Bytes::from_static(b"meta2")).unwrap();
-        assert_eq!(storage.table_count(), 2);
 
         assert_eq!(
             storage.read_block(1, 0).unwrap().as_ref(),
@@ -619,7 +594,7 @@ mod tests {
         assert!(storage.read_block(9, 0).is_err());
         assert!(write_table(storage, 1, &blocks(1), Bytes::new()).is_err());
 
-        assert_eq!(storage.list_tables(), vec![1, 2]);
+        assert_eq!(storage.list_tables().unwrap(), vec![1, 2]);
         storage.sync_table(1).unwrap();
         storage.sync_dir().unwrap();
         assert_eq!(storage.stats().syncs(), 2);
@@ -628,8 +603,7 @@ mod tests {
         storage.delete_table(1).unwrap();
         assert!(storage.read_block(1, 0).is_err());
         assert!(storage.delete_table(1).is_err());
-        assert_eq!(storage.table_count(), 1);
-        assert_eq!(storage.list_tables(), vec![2]);
+        assert_eq!(storage.list_tables().unwrap(), vec![2]);
     }
 
     #[test]
@@ -643,6 +617,112 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         exercise(&FileStorage::open(&dir).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn file_storage_on_a_simulated_filesystem_semantics() {
+        exercise(&FileStorage::with_fs("/sim/sst", Arc::new(SimFs::new())).unwrap());
+    }
+
+    #[test]
+    fn an_unlistable_table_directory_fails_the_open() {
+        let dir = std::env::temp_dir().join(format!("adcache-fs-test6-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sst = dir.join("sst");
+        let storage = Arc::new(FileStorage::open(&sst).unwrap());
+        std::fs::remove_dir(&sst).unwrap();
+        std::fs::write(&sst, b"not a directory").unwrap();
+        assert!(storage.list_tables().is_err());
+        let opened = LsmTree::with_durability(Options::small(), storage, dir.join("meta"));
+        assert!(opened.is_err(), "recovery cannot sweep what it cannot list");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // The SSTable side of the one crash model: a table's bytes and its
+    // directory entry sit in `SimFs`'s write-back cache beside the WAL's
+    // and the manifest's, and each reopen runs on a fresh `FileStorage`,
+    // as a restarted process would.
+
+    const SST: &str = "/sim/sst";
+
+    fn table_on(fs: &Arc<SimFs>) -> FileStorage {
+        FileStorage::with_fs(SST, fs.clone()).unwrap()
+    }
+
+    /// Whether `storage` serves table 1 as `blocks(3)` and `meta1`.
+    fn serves_table_1(storage: &FileStorage) -> bool {
+        storage.read_meta(1).unwrap().as_ref() == b"meta1"
+            && (0..3).all(|i| storage.read_block(1, i).unwrap() == blocks(3)[i as usize])
+    }
+
+    #[test]
+    fn a_synced_table_survives_every_crash() {
+        for seed in 0..32 {
+            let fs = Arc::new(SimFs::new());
+            let storage = table_on(&fs);
+            write_table(&storage, 1, &blocks(3), Bytes::from_static(b"meta1")).unwrap();
+            storage.sync_table(1).unwrap();
+            storage.sync_dir().unwrap();
+            fs.crash(seed);
+            let storage = table_on(&fs);
+            assert_eq!(storage.list_tables().unwrap(), vec![1], "seed {seed}");
+            assert!(serves_table_1(&storage), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn an_unsynced_table_is_kept_whole_lost_or_torn() {
+        let (mut whole, mut lost, mut torn) = (0, 0, 0);
+        for seed in 0..32 {
+            let fs = Arc::new(SimFs::new());
+            let storage = table_on(&fs);
+            write_table(&storage, 1, &blocks(3), Bytes::from_static(b"meta1")).unwrap();
+            fs.crash(seed);
+            let storage = table_on(&fs);
+            if storage.list_tables().unwrap().is_empty() {
+                lost += 1;
+            } else if storage.read_meta(1).is_ok() {
+                assert!(serves_table_1(&storage), "seed {seed}: kept is kept whole");
+                whole += 1;
+            } else {
+                // A torn table fails its trailer check: never served.
+                assert!(matches!(storage.read_meta(1), Err(LsmError::Corruption(_))));
+                assert!(matches!(
+                    storage.read_block(1, 0),
+                    Err(LsmError::Corruption(_))
+                ));
+                torn += 1;
+            }
+        }
+        assert!(whole > 0 && lost > 0 && torn > 0, "{whole}/{lost}/{torn}");
+    }
+
+    #[test]
+    fn an_unsynced_delete_can_come_back_and_the_next_open_sweeps_it() {
+        let mut came_back = false;
+        for seed in 0..16 {
+            let fs = Arc::new(SimFs::new());
+            let storage = table_on(&fs);
+            write_table(&storage, 1, &blocks(3), Bytes::from_static(b"meta1")).unwrap();
+            storage.sync_table(1).unwrap();
+            storage.sync_dir().unwrap();
+            storage.delete_table(1).unwrap();
+            fs.crash(seed);
+            let storage = Arc::new(table_on(&fs));
+            if storage.list_tables().unwrap().is_empty() {
+                continue;
+            }
+            came_back = true;
+            assert!(serves_table_1(&storage), "seed {seed}");
+            // No manifest names it: the open sweeps it, durably.
+            LsmTree::with_durability_fs(Options::small(), storage, "/sim/db", fs.clone()).unwrap();
+            fs.crash(seed);
+            assert!(
+                table_on(&fs).list_tables().unwrap().is_empty(),
+                "seed {seed}"
+            );
+        }
+        assert!(came_back, "an unsynced delete must be undoable");
     }
 
     #[test]

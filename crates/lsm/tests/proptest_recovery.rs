@@ -5,8 +5,9 @@
 //!    write is either in an SSTable referenced by the manifest or in the
 //!    WAL.
 //! 2. Under an injected fault storm, a randomly armed internal crash
-//!    point, a random sync policy, AND a modeled write-back cache that
-//!    drops completed-but-unsynced writes at the crash, recovery keeps
+//!    point, a random sync policy, AND a power cut that drops
+//!    completed-but-unsynced writes from the one simulated filesystem the
+//!    WAL, manifest and SSTables all live on, recovery keeps
 //!    exactly what the policy promised: `always` never loses an acked
 //!    write; `on_flush` never loses an acked write covered by a completed
 //!    flush; `never` may lose unsynced suffixes but still serves only
@@ -17,7 +18,7 @@
 use adcache_lsm::history::History;
 use adcache_lsm::{
     CrashController, CrashPoint, DirectProvider, FaultPlan, FaultStorage, FileStorage, LsmTree,
-    MemStorage, Options, SimFs, SyncPolicy,
+    Options, SimFs, SyncPolicy,
 };
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -119,15 +120,11 @@ proptest! {
         tiny.sync = sync;
         let meta_dir = "/pfault/meta";
 
-        // Both device models buffer completed-but-unsynced writes: the
-        // storage wrapper for SSTs, the simulated fs for WAL + manifest.
+        // One simulated filesystem buffers every completed-but-unsynced
+        // write: SSTs through `FileStorage`, WAL and manifest directly.
         let fs = Arc::new(SimFs::new());
-        let storage = Arc::new(FaultStorage::new(
-            Arc::new(MemStorage::new()),
-            seed,
-            FaultPlan::none(),
-        ));
-        storage.enable_write_back();
+        let tables = || Arc::new(FileStorage::with_fs("/pfault/sst", fs.clone()).unwrap());
+        let storage = Arc::new(FaultStorage::new(tables(), seed, FaultPlan::none()));
         let crash = CrashController::new();
         let mut history = History::default();
 
@@ -164,17 +161,15 @@ proptest! {
             // Crash: drop mid-storm...
         }
 
-        // ...and drop whatever the write-back caches still held.
+        // ...and cut the power: whatever the write-back cache still held
+        // is dropped or torn.
         history.crash(sync);
-        storage.set_active(false);
-        storage.crash_drop_unsynced(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        drop(storage);
         fs.crash(seed.rotate_left(17) | 1);
 
-        // Recovery against a quiet device must succeed under EVERY policy:
-        // weaker sync loses more data, never the ability to reopen.
-        let db = LsmTree::with_durability_fs(
-            tiny.clone(), storage.clone(), meta_dir, fs.clone(),
-        ).unwrap();
+        // Recovery on a fresh, quiet device must succeed under EVERY
+        // policy: weaker sync loses more data, never the ability to reopen.
+        let db = LsmTree::with_durability_fs(tiny.clone(), tables(), meta_dir, fs.clone()).unwrap();
         let p = DirectProvider;
         let mut state = Vec::with_capacity(KEYS as usize);
         for k in 0..KEYS {
@@ -187,7 +182,7 @@ proptest! {
 
         // Second recovery must be idempotent: nothing applied twice,
         // nothing re-lost.
-        let db = LsmTree::with_durability_fs(tiny, storage, meta_dir, fs).unwrap();
+        let db = LsmTree::with_durability_fs(tiny, tables(), meta_dir, fs.clone()).unwrap();
         for k in 0..KEYS {
             prop_assert_eq!(
                 db.get(&key(k), &p).unwrap(),

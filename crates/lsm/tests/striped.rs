@@ -6,8 +6,8 @@
 
 use adcache_lsm::history::History;
 use adcache_lsm::{
-    DirectProvider, Entry, FileStorage, IoStats, MemStorage, MetaFs, Options, Result as LsmResult,
-    SimFs, Storage, StripedDb, TableSink,
+    DirectProvider, Entry, FileStorage, IoStats, MemStorage, MetaFs, Options, ReadAt,
+    Result as LsmResult, SimFs, Storage, StripedDb, TableSink,
 };
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -205,7 +205,7 @@ impl Storage for SlowFlushStorage {
     fn sync_dir(&self) -> LsmResult<()> {
         self.inner.sync_dir()
     }
-    fn list_tables(&self) -> Vec<u64> {
+    fn list_tables(&self) -> LsmResult<Vec<u64>> {
         self.inner.list_tables()
     }
     fn sync_cost_ns(&self) -> u64 {
@@ -213,9 +213,6 @@ impl Storage for SlowFlushStorage {
     }
     fn stats(&self) -> &IoStats {
         self.inner.stats()
-    }
-    fn table_count(&self) -> usize {
-        self.inner.table_count()
     }
 }
 
@@ -313,6 +310,12 @@ struct SlowRemoveFs {
 }
 
 impl MetaFs for SlowRemoveFs {
+    fn create(&self, path: &std::path::Path) -> LsmResult<Box<dyn std::io::Write + Send + '_>> {
+        self.inner.create(path)
+    }
+    fn open(&self, path: &std::path::Path) -> LsmResult<Box<dyn ReadAt>> {
+        self.inner.open(path)
+    }
     fn create_dir_all(&self, path: &std::path::Path) -> LsmResult<()> {
         self.inner.create_dir_all(path)
     }

@@ -255,14 +255,6 @@ pub enum Event {
         /// Table id for SST syncs (0 when not table-specific).
         file: u64,
     },
-    /// A modeled crash dropped completed-but-unsynced writes from the
-    /// device's write-back cache.
-    UnsyncedLoss {
-        /// Files whose unsynced contents or directory entries were lost.
-        files: u64,
-        /// Content bytes dropped (including torn suffixes).
-        bytes: u64,
-    },
     /// Recovery deleted table files no manifest references (orphans left
     /// by an interrupted flush or compaction).
     OrphanSwept {
@@ -464,7 +456,6 @@ impl Event {
             Event::ManifestRollback { .. } => "ManifestRollback",
             Event::CrashInjected { .. } => "CrashInjected",
             Event::SyncIssued { .. } => "SyncIssued",
-            Event::UnsyncedLoss { .. } => "UnsyncedLoss",
             Event::OrphanSwept { .. } => "OrphanSwept",
             Event::ConnAccepted { .. } => "ConnAccepted",
             Event::ConnClosed { .. } => "ConnClosed",

@@ -147,13 +147,6 @@ fn exemplars() -> Vec<(Event, &'static str)> {
             r#"{"SyncIssued":{"target":"manifest","file":0}}"#,
         ),
         (
-            Event::UnsyncedLoss {
-                files: 3,
-                bytes: 4096,
-            },
-            r#"{"UnsyncedLoss":{"files":3,"bytes":4096}}"#,
-        ),
-        (
             Event::OrphanSwept { files: 2 },
             r#"{"OrphanSwept":{"files":2}}"#,
         ),
@@ -287,7 +280,7 @@ fn every_event_kind_serializes_to_its_golden_form() {
     let exemplars = exemplars();
     assert_eq!(
         exemplars.len(),
-        33,
+        32,
         "new Event variants need a golden exemplar here"
     );
     for (event, golden) in &exemplars {

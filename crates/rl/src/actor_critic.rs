@@ -207,12 +207,6 @@ impl ActorCritic {
         self.actor_lr
     }
 
-    /// Resets the actor learning rate (e.g. after loading a pretrained
-    /// model).
-    pub fn set_actor_lr(&mut self, lr: f32) {
-        self.actor_lr = lr.clamp(1e-5, 0.1);
-    }
-
     /// Enables or disables the adaptive learning-rate rule (ablations and
     /// pretrained deployments retune this after loading).
     pub fn set_adaptive_lr(&mut self, enabled: bool) {
@@ -259,11 +253,6 @@ impl ActorCritic {
         let grads = model;
         let adam = self.actor_adam.memory_bytes() + self.critic_adam.memory_bytes();
         (model, grads, adam)
-    }
-
-    /// Direct access to the actor network (pretraining).
-    pub fn actor_mut(&mut self) -> &mut Mlp {
-        &mut self.actor
     }
 
     /// Direct access to the actor Adam state (pretraining).

@@ -23,7 +23,7 @@ use crate::protocol::{
 };
 use adcache_obs::Histogram;
 use adcache_workload::{
-    AdversaryConfig, AdversaryGen, AttackPlan, Mix, OpSink, Operation, WorkloadConfig, WorkloadGen,
+    AdversaryConfig, AdversaryGen, AttackPlan, Mix, Operation, WorkloadConfig, WorkloadGen,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
@@ -163,8 +163,8 @@ pub fn classify_error(msg: &str) -> &'static str {
     }
 }
 
-/// A [`Client`] as an operation sink, so any generated or recorded
-/// workload replays over the wire exactly as it would in-process.
+/// A [`Client`] as an operation sink, so any generated workload replays
+/// over the wire exactly as it would in-process.
 pub struct NetSink {
     client: Client,
     /// Round-trip latencies of every applied operation.
@@ -189,13 +189,6 @@ impl NetSink {
         }
     }
 
-    /// The wrapped client back (e.g. to send `Shutdown`).
-    pub fn into_client(self) -> Client {
-        self.client
-    }
-}
-
-impl NetSink {
     /// Books one sub-reply into the per-sink tallies.
     fn account(&mut self, resp: &Response) {
         match resp {
@@ -210,12 +203,9 @@ impl NetSink {
             _ => {}
         }
     }
-}
 
-impl OpSink for NetSink {
-    type Error = std::io::Error;
-
-    fn apply(&mut self, op: &Operation) -> Result<(), Self::Error> {
+    /// Sends one operation and books its reply.
+    pub fn apply(&mut self, op: &Operation) -> std::io::Result<()> {
         let req = request_of(op);
         let start = Instant::now();
         let resp = self.client.call(&req)?;
@@ -229,7 +219,7 @@ impl OpSink for NetSink {
     /// exactly one sub-response per sub-request with matching opcode
     /// echoes in FIFO order; any mismatch is a protocol violation
     /// (`InvalidData`). Latency records the batch round trip once.
-    fn apply_batch(&mut self, ops: &[Operation]) -> Result<(), Self::Error> {
+    pub fn apply_batch(&mut self, ops: &[Operation]) -> std::io::Result<()> {
         if ops.len() <= 1 {
             return match ops {
                 [op] => self.apply(op),

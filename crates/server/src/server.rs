@@ -585,11 +585,6 @@ impl Server {
         let _ = self.shared.db.db().flush();
         self.shared.report()
     }
-
-    /// Whether shutdown has been requested (test hook).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
 }
 
 fn accept_loop(shared: &Shared, listener: &TcpListener, senders: &[mpsc::Sender<TcpStream>]) {

@@ -55,13 +55,6 @@ pub enum Operation {
     },
 }
 
-impl Operation {
-    /// Whether this operation is a read (get or scan).
-    pub fn is_read(&self) -> bool {
-        matches!(self, Operation::Get { .. } | Operation::Scan { .. })
-    }
-}
-
 /// Operation-type proportions; they need not sum to 1 (normalized on use).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Mix {

@@ -7,10 +7,6 @@
 //!   configurable value size), with deterministic seeding;
 //! - [`phases`] — the Table 3 dynamic schedule (phases A→F) and the four
 //!   Figure 7 static workloads;
-//! - [`trace`] — JSON-lines operation traces for exact replay across cache
-//!   strategies and for pretraining data collection;
-//! - [`sink`] — the [`OpSink`] abstraction that lets the same operation
-//!   stream drive an in-process engine, a network client, or a recorder;
 //! - [`adversary`] — hostile traffic generators (scan floods, one-hit
 //!   storms, counter churn, sketch-collision pollution) for robustness
 //!   drills.
@@ -20,8 +16,6 @@
 pub mod adversary;
 pub mod generator;
 pub mod phases;
-pub mod sink;
-pub mod trace;
 pub mod zipf;
 
 pub use adversary::{AdversaryConfig, AdversaryGen, AdversaryKind, AttackPlan};
@@ -29,6 +23,4 @@ pub use generator::{
     parse_key, render_key, Distribution, Mix, Operation, WorkloadConfig, WorkloadGen,
 };
 pub use phases::{paper_dynamic_schedule, static_workloads, Phase, Schedule, TABLE3};
-pub use sink::{replay, OpSink, RecordingSink};
-pub use trace::Trace;
 pub use zipf::Zipf;
