@@ -362,6 +362,11 @@ fn bench_served_tree(c: &mut Criterion) {
 
 fn bench_range_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("range_cache");
+    // Fill rows keep their cursor outside the closure: the harness calls
+    // the closure once per sample, and a cursor reset there re-admits what
+    // the first sample admitted, timing updates instead of fills. This row
+    // alone resets: after its first sample it times scan fills over
+    // resident entries, and so never evicts.
     let cache = RangeCache::new(64 << 20);
     g.bench_function("insert_scan_64", |b| {
         let mut start = 0u64;
@@ -431,8 +436,8 @@ fn bench_range_cache(c: &mut Criterion) {
     // The budget is exactly full, so every insert of an absent key also
     // evicts the oldest resident: a steady 200 k. (Last in the group: it
     // turns the resident set over.)
+    let mut next = RESIDENT as usize;
     g.bench_function("insert_point_200k", |b| {
-        let mut next = RESIDENT as usize;
         b.iter(|| {
             cache.insert_point(keys[next].clone(), value.clone());
             next = (next + 1) % keys.len();
@@ -463,8 +468,8 @@ fn bench_range_cache(c: &mut Criterion) {
         }
     }
     assert!(cache.stats().evictions > 100_000, "the cache is churning");
+    let mut i = 120_000u64;
     g.bench_function("insert_scan16_churn_200k", |b| {
-        let mut i = 120_000u64;
         b.iter(|| {
             i += 1;
             let results = scan16(scramble(i));
@@ -484,8 +489,8 @@ fn bench_range_cache(c: &mut Criterion) {
         cache.insert_point(keys[scramble(i)].clone(), value.clone());
     }
     assert!(cache.stats().evictions > 20_000, "the shard is full");
+    let mut i = 50_000u64;
     g.bench_function("insert_point_scrambled_25k", |b| {
-        let mut i = 50_000u64;
         b.iter(|| {
             i += 1;
             cache.insert_point(keys[scramble(i)].clone(), value.clone());
@@ -497,12 +502,41 @@ fn bench_range_cache(c: &mut Criterion) {
         cache.insert_scan(&results[0].0, &results, 16);
     }
     assert!(cache.stats().evictions > 40_000, "the shard is full");
+    let mut i = 5_000u64;
     g.bench_function("insert_scan16_scrambled_25k", |b| {
-        let mut i = 5_000u64;
         b.iter(|| {
             i += 1;
             let results = scan16(scramble(i));
             cache.insert_scan(&results[0].0, &results, 16);
+        })
+    });
+    // The served warm-up sweep: point fills of 200 k keys in ascending
+    // order into a fresh 32 MiB cache, which holds all but the last ~5 k
+    // of them (the shape of `get-hot`'s set-up). Every iteration is one
+    // fill; a finished sweep starts over on a fresh cache, and the full
+    // one is dropped between samples, outside the timed loop.
+    const SWEEP_BUDGET: usize = 32 << 20;
+    assert!(
+        (RESIDENT as usize - 10_000) * CHARGE < SWEEP_BUDGET,
+        "just too small"
+    );
+    assert!(
+        RESIDENT as usize * CHARGE > SWEEP_BUDGET,
+        "the sweep evicts"
+    );
+    let keys: Vec<Bytes> = (0..RESIDENT).map(render_key).collect();
+    let mut sweep = (RangeCache::new(SWEEP_BUDGET), 0usize);
+    let mut swept: Vec<RangeCache> = Vec::new();
+    g.bench_function("insert_point_sweep_200k", |b| {
+        swept.clear();
+        b.iter(|| {
+            let (cache, next) = &mut sweep;
+            cache.insert_point(keys[*next].clone(), value.clone());
+            *next += 1;
+            if *next == keys.len() {
+                swept.push(std::mem::replace(cache, RangeCache::new(SWEEP_BUDGET)));
+                *next = 0;
+            }
         })
     });
     let mut charged: ChargedCache<u64, u64> =

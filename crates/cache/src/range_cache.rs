@@ -3,13 +3,16 @@
 //! Caches query *results* — individual key-value pairs — decoupled from
 //! the physical block layout, so entries survive compaction. Each entry
 //! lives in one slab slot, found by key through a hash index (point
-//! lookups, O(1), no allocation), in key order through an ordered index
-//! (scans) and by slot id through the eviction policy (see DESIGN.md).
-//! Alongside the entries, the cache tracks **covered segments**: maximal key
-//! intervals `[start, end)` within which *every live key of the database*
-//! is resident. A resident entry covers its own key, `[k, k⁺)`, without a
-//! segment; segments record what scans and deletes established. Coverage
-//! is what makes range lookups answerable from cache:
+//! lookups, O(1), no allocation) and by slot id through the eviction policy
+//! (see DESIGN.md). Alongside the entries, the cache tracks **covered
+//! segments**: maximal key intervals `[start, end)` within which *every
+//! live key of the database* is resident. A resident entry covers its own
+//! key, `[k, k⁺)`, without a segment; segments record what scans and
+//! deletes established. An ordered index finds, in key order, exactly the
+//! entries inside a segment — the only place scans, splits and the
+//! backstop look — so an entry no segment covers (every point fill outside
+//! scanned ranges) costs no B-tree node. Coverage is what makes range
+//! lookups answerable from cache:
 //!
 //! - a scan `(from, n)` hits iff, walking coverage from `from`, `n` entries
 //!   are found without leaving covered territory (a partial hit still
@@ -93,17 +96,20 @@ fn next_key(k: &[u8]) -> Bytes {
 }
 
 /// One lock's worth of the cache. A resident entry lives in one slab slot
-/// and is reached three ways: `index` (by key bytes, point probes),
-/// `ordered` (by key order; scans, inserts and evictions) and `policy`
-/// (by slot id, recency). The key's bytes exist once; slab and `ordered`
-/// share them through a 16-byte handle each.
+/// and is reached through `index` (by key bytes, point probes) and
+/// `policy` (by slot id, recency), and through `ordered` (by key order;
+/// scans, splits and the backstop) when a segment covers it. The key's
+/// bytes exist once; slab and `ordered` share them through a 16-byte
+/// handle each, and a bit beside each slot says whether `ordered` holds it.
 struct Shard {
     slab: Slab,
     index: HashIndex,
     /// Keys the index's hashes; random per shard, since keys come from
     /// clients.
     hasher: RandomState,
-    /// Resident keys in order, each with its slot id.
+    /// The resident keys some segment covers, in order, each with its slot
+    /// id; an entry outside every segment is its own coverage and needs no
+    /// place in key order.
     ordered: BTreeMap<Arc<[u8]>, u32>,
     /// Covered segments: start -> end (end exclusive), disjoint, sorted.
     /// Only what scans and deletes established: a resident entry covers
@@ -164,10 +170,14 @@ impl Shard {
         (e.as_ref() > key).then_some((s, e))
     }
 
-    fn upsert_entry(&mut self, key: Bytes, value: Bytes) {
+    /// Admits `key` or replaces its value; returns its slot.
+    fn upsert_entry(&mut self, key: Bytes, value: Bytes) -> u32 {
         let hash = self.hasher.hash_one(&key[..]);
         match self.find_hashed(hash, &key) {
-            Some(slot) => self.update_entry(slot, value),
+            Some(slot) => {
+                self.update_entry(slot, value);
+                slot
+            }
             None => self.insert_entry(hash, key.into(), value),
         }
     }
@@ -180,27 +190,36 @@ impl Shard {
         self.policy.on_hit(&slot);
     }
 
-    /// Admits `key`, which hashes to `hash` and is not resident.
-    fn insert_entry(&mut self, hash: u64, key: Arc<[u8]>, value: Bytes) {
+    /// Admits `key`, which hashes to `hash` and is not resident, outside
+    /// `ordered`; returns its slot.
+    fn insert_entry(&mut self, hash: u64, key: Arc<[u8]>, value: Bytes) -> u32 {
         self.used += Self::charge_of(&key, &value);
-        let slot = self.slab.insert(Entry {
-            key: key.clone(),
-            value,
-        });
+        let slot = self.slab.insert(Entry { key, value });
         self.index.insert(hash, slot);
-        self.ordered.insert(key, slot);
         self.policy.on_insert_as(&slot, hash);
         self.inserts += 1;
+        slot
     }
 
-    /// Takes the entry in `slot` out of the slab and both indexes. An
-    /// eviction comes from the policy, which has already forgotten the
-    /// slot; any other removal tells it.
+    /// Puts the entry in `slot`, which a segment covers or is about to,
+    /// into `ordered` unless it is there already (no search then).
+    fn enter_ordered(&mut self, slot: u32) {
+        if !self.slab.is_ordered(slot) {
+            self.slab.mark_ordered(slot);
+            self.ordered.insert(self.slab.get(slot).key.clone(), slot);
+        }
+    }
+
+    /// Takes the entry in `slot` out of the slab and the indexes that hold
+    /// it. An eviction comes from the policy, which has already forgotten
+    /// the slot; any other removal tells it.
     fn remove_entry(&mut self, slot: u32, via_eviction: bool) -> Entry {
-        let entry = self.slab.remove(slot);
+        let (entry, ordered) = self.slab.remove(slot);
         self.index
             .remove(self.hasher.hash_one(&entry.key[..]), slot);
-        self.ordered.remove(&entry.key);
+        if ordered {
+            self.ordered.remove(&entry.key);
+        }
         self.used -= Self::charge_of(&entry.key, &entry.value);
         if via_eviction {
             self.evictions.inc();
@@ -293,7 +312,8 @@ impl Shard {
     /// Backstop for the segments the byte budget does not bound, run after
     /// whatever can grow the map (a new segment, a split): past the cap,
     /// forgets every segment that holds no resident entry, in one merge
-    /// pass over the two ordered maps — which always gets back under it.
+    /// pass over the two ordered maps (`ordered` holds every entry inside
+    /// a segment) — which always gets back under it.
     /// Forgets coverage only; entries leave through the policy.
     fn prune_segments(&mut self) {
         if self.segments.len() > self.segment_cap() {
@@ -374,25 +394,36 @@ impl Shard {
             self.segments.len() <= self.segment_cap(),
             "segment map over its cap"
         );
-        // Slab, hash index and ordered index hold the same entries, and
-        // every entry is covered: what the hash index finds is its own
-        // coverage. (The policy cannot be asked what it tracks; it
-        // disagrees visibly: a victim that is not resident panics in the
-        // slab, a resident it lost can never be evicted and `used` stays
-        // above `capacity`.)
-        assert_eq!(self.slab.len(), self.ordered.len(), "ordered index size");
+        // Slab and hash index hold the same entries, and every entry is
+        // covered: what the hash index finds is its own coverage. The
+        // ordered index holds exactly the entries a segment covers, and
+        // each slot's bit says whether it does. (The policy cannot be
+        // asked what it tracks; it disagrees visibly: a victim that is not
+        // resident panics in the slab, a resident it lost can never be
+        // evicted and `used` stays above `capacity`.)
         assert_eq!(self.slab.len(), self.index.len(), "hash index size");
         let mut used = 0usize;
-        for (key, &slot) in &self.ordered {
-            let entry = self.slab.get(slot);
-            assert!(
-                Arc::ptr_eq(&entry.key, key),
-                "slot {slot} holds another key"
-            );
+        let mut covered = 0usize;
+        for (slot, entry) in self.slab.iter() {
+            let key = &entry.key;
             assert_eq!(self.find(key), Some(slot), "hash index misses {key:?}");
+            let in_segment = self.segment_covering(key).is_some();
+            assert_eq!(
+                self.slab.is_ordered(slot),
+                in_segment,
+                "ordered bit of {key:?}"
+            );
+            covered += in_segment as usize;
             used += Self::charge_of(key, &entry.value);
         }
         assert_eq!(used, self.used, "byte accounting drifted");
+        assert_eq!(covered, self.ordered.len(), "ordered index size");
+        for (key, &slot) in &self.ordered {
+            assert!(
+                Arc::ptr_eq(&self.slab.get(slot).key, key) && self.slab.is_ordered(slot),
+                "ordered index names slot {slot} for {key:?}"
+            );
+        }
         assert!(self.used <= self.capacity, "over budget after eviction");
     }
 }
@@ -575,11 +606,24 @@ impl RangeCache {
     /// started at `from` (partial admission; pass `results.len()` for full
     /// admission). An empty result covers `[from, from⁺)` as a negative
     /// range.
+    ///
+    /// `results` must list every live key in `[from, last admitted]`, in
+    /// order: the segment this makes covers that range, and an entry
+    /// already resident there but missing from `results` would be left out
+    /// of the key order the segment's scans walk. The engine meets it by
+    /// filling while the scan still holds its read locks: no write lands
+    /// in the range between the read and this call, so every key a point
+    /// fill admits there meanwhile is one the scan read.
     pub fn insert_scan(&self, from: &[u8], results: &[(Bytes, Bytes)], admitted_len: usize) {
         let admitted = admitted_len.min(results.len());
         if results.is_empty() {
             let idx = self.shard_idx(from);
             let mut shard = self.shards[idx].lock();
+            // `[from, from⁺)` holds one key; if it is resident, it enters
+            // the key order before the segment is merged and pruned.
+            if let Some(slot) = shard.find(from) {
+                shard.enter_ordered(slot);
+            }
             let start = Bytes::copy_from_slice(from);
             let end = next_key(from);
             shard.add_segment(start, end);
@@ -596,7 +640,8 @@ impl RangeCache {
             let shard_upper = self.shard_end(idx);
             let mut shard = self.shards[idx].lock();
             while i < admitted && shard_upper.is_none_or(|ub| results[i].0 < *ub) {
-                shard.upsert_entry(results[i].0.clone(), results[i].1.clone());
+                let slot = shard.upsert_entry(results[i].0.clone(), results[i].1.clone());
+                shard.enter_ordered(slot);
                 i += 1;
             }
             // Cover this shard's part of the key space: up to the boundary
@@ -612,11 +657,16 @@ impl RangeCache {
         }
     }
 
-    /// Admits a single point-lookup result.
+    /// Admits a single point-lookup result. Outside every segment the
+    /// entry is its own coverage and stays out of the key order.
     pub fn insert_point(&self, key: Bytes, value: Bytes) {
         let idx = self.shard_idx(&key);
         let mut shard = self.shards[idx].lock();
-        shard.upsert_entry(key, value);
+        let covered = shard.segment_covering(&key).is_some();
+        let slot = shard.upsert_entry(key, value);
+        if covered {
+            shard.enter_ordered(slot);
+        }
         let (ev_count, ev_bytes) = shard.evict_to_capacity();
         drop(shard);
         self.note_evictions(EvictionCause::Capacity, ev_count, ev_bytes);
@@ -634,7 +684,8 @@ impl RangeCache {
                 match shard.find_hashed(hash, key) {
                     Some(slot) => shard.update_entry(slot, v.clone()),
                     None if shard.segment_covering(key).is_some() => {
-                        shard.insert_entry(hash, Arc::from(key), v.clone());
+                        let slot = shard.insert_entry(hash, Arc::from(key), v.clone());
+                        shard.enter_ordered(slot);
                     }
                     None => return,
                 }
@@ -744,10 +795,10 @@ impl RangeCache {
         st
     }
 
-    /// Panics unless every shard's slab, hash index and ordered index hold
-    /// the same entries, every entry is covered, segments are disjoint and
-    /// within their cap, and the byte accounting adds up and fits the
-    /// budget. For tests.
+    /// Panics unless every shard's slab and hash index hold the same
+    /// entries, its ordered index holds exactly those a segment covers,
+    /// segments are disjoint and within their cap, and the byte accounting
+    /// adds up and fits the budget. For tests.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         for s in &self.shards {
@@ -1012,6 +1063,62 @@ mod tests {
             RangeLookup::Hit(v) => assert_eq!(v.len(), 1),
             RangeLookup::Miss => panic!(),
         }
+        c.check_invariants();
+    }
+
+    #[test]
+    fn point_entries_a_scan_returns_become_walkable() {
+        let c = RangeCache::new(1 << 20);
+        // Two point entries, outside every segment, hence out of key order.
+        c.insert_point(kv(1).0, kv(1).1);
+        c.insert_point(kv(3).0, kv(3).1);
+        assert!(c.shards[0].lock().ordered.is_empty());
+        // A scan over them updates both; the segment it makes must walk
+        // through them as through the entries it adds.
+        c.insert_scan(&kv(0).0, &scan_result(0, 5), 5);
+        assert_eq!(c.shards[0].lock().ordered.len(), 5);
+        let (prefix, cont) = c.get_range_partial(&kv(0).0, 5);
+        assert_eq!((prefix, cont), (scan_result(0, 5), None));
+        assert_eq!(c.stats().hits, 1);
+        c.check_invariants();
+    }
+
+    #[test]
+    fn an_empty_scan_over_a_resident_point_keeps_it_walkable() {
+        let c = RangeCache::new(1 << 20);
+        c.insert_point(kv(5).0, kv(5).1);
+        c.insert_scan(&kv(5).0, &[], 0);
+        assert_eq!(c.segment_count(), 1);
+        let (prefix, cont) = c.get_range_partial(&kv(5).0, 2);
+        assert_eq!(prefix, vec![kv(5)]);
+        assert_eq!(cont, Some(next_key(&kv(5).0)));
+        assert_eq!(c.get_range(&kv(5).0, 1), RangeLookup::Hit(vec![kv(5)]));
+        c.check_invariants();
+    }
+
+    #[test]
+    fn evicting_a_point_only_entry_leaves_key_order_and_segments_alone() {
+        let c = RangeCache::new(1 << 20);
+        // Least recently used first: the point entry outside coverage.
+        c.insert_point(kv(50).0, kv(50).1);
+        c.insert_scan(&kv(10).0, &scan_result(10, 4), 4);
+        c.insert_point(kv(51).0, kv(51).1);
+        let snapshot = |c: &RangeCache| {
+            let shard = c.shards[0].lock();
+            let ordered: Vec<(Arc<[u8]>, u32)> = shard
+                .ordered
+                .iter()
+                .map(|(k, &slot)| (k.clone(), slot))
+                .collect();
+            (ordered, shard.segments.clone())
+        };
+        let before = snapshot(&c);
+        assert_eq!(before.0.len(), 4, "only the scanned entries are ordered");
+        c.set_capacity(5 * (7 + 7 + 48));
+        assert_eq!((c.len(), c.stats().evictions), (5, 1));
+        assert_eq!(snapshot(&c), before);
+        assert_eq!(c.get_point(&kv(50).0), PointLookup::Miss);
+        assert_eq!(c.get_point(&kv(51).0), PointLookup::Hit(kv(51).1));
         c.check_invariants();
     }
 

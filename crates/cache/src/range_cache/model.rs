@@ -512,11 +512,13 @@ impl Pair {
             );
             resident.extend(
                 shard
-                    .ordered
+                    .slab
                     .iter()
-                    .map(|(k, &slot)| (k.clone().into(), shard.slab.get(slot).value.clone())),
+                    .map(|(_, e)| (e.key.clone().into(), e.value.clone())),
             );
         }
+        // The slab lists its entries in slot order.
+        resident.sort();
         let want: Vec<(Bytes, Bytes)> = reference
             .entries
             .iter()

@@ -3,9 +3,11 @@
 //!
 //! Both are sized for honest memory accounting. The slab grows one fixed
 //! chunk at a time, so growing never copies resident entries and never
-//! holds an old and a doubled buffer at once; the index stores 8 bytes per
-//! bucket (a 32-bit hash tag and the slot id) and finds the key itself in
-//! the slab, so no second copy of the key exists.
+//! holds an old and a doubled buffer at once. Beside the chunks it keeps
+//! one bit per slot: whether the shard's ordered index holds the entry, so
+//! an entry it does not hold leaves without a search. The index stores 8
+//! bytes per bucket (a 32-bit hash tag and the slot id) and finds the key
+//! itself in the slab, so no second copy of the key exists.
 
 use bytes::Bytes;
 use std::sync::Arc;
@@ -16,9 +18,12 @@ pub(super) const NIL: u32 = u32::MAX;
 const CHUNK_BITS: u32 = 10;
 /// Slots per slab chunk (48 KiB of slots).
 const CHUNK: usize = 1 << CHUNK_BITS;
+/// Words of the ordered bits per chunk.
+const CHUNK_WORDS: usize = CHUNK / 64;
 
 /// One resident key-value pair. The key is always the whole of one
-/// allocation, so a 16-byte handle holds it; the ordered index shares it.
+/// allocation, so a 16-byte handle holds it; the ordered index, when it
+/// holds the entry, shares it.
 pub(super) struct Entry {
     pub(super) key: Arc<[u8]>,
     pub(super) value: Bytes,
@@ -33,6 +38,9 @@ enum Slot {
 /// Slot storage addressed by a stable 4-byte id. Freed ids are recycled.
 pub(super) struct Slab {
     chunks: Vec<Vec<Slot>>,
+    /// One bit per slot id, set while the ordered index holds its entry;
+    /// a free slot's bit is clear.
+    ordered: Vec<u64>,
     /// Head of the free list.
     free: u32,
     len: usize,
@@ -42,6 +50,7 @@ impl Slab {
     pub(super) fn new() -> Self {
         Slab {
             chunks: Vec::new(),
+            ordered: Vec::new(),
             free: NIL,
             len: 0,
         }
@@ -77,7 +86,18 @@ impl Slab {
         }
     }
 
-    /// Stores `entry`, returning its slot id.
+    /// Whether the ordered index holds the entry in slot `id`.
+    pub(super) fn is_ordered(&self, id: u32) -> bool {
+        self.ordered[id as usize / 64] & (1 << (id % 64)) != 0
+    }
+
+    /// Records that the ordered index now holds the entry in slot `id`;
+    /// the bit clears when the slot is freed.
+    pub(super) fn mark_ordered(&mut self, id: u32) {
+        self.ordered[id as usize / 64] |= 1 << (id % 64);
+    }
+
+    /// Stores `entry`, returning its slot id; its ordered bit is clear.
     pub(super) fn insert(&mut self, entry: Entry) -> u32 {
         self.len += 1;
         if self.free != NIL {
@@ -92,6 +112,7 @@ impl Slab {
         }
         if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
             self.chunks.push(Vec::with_capacity(CHUNK));
+            self.ordered.extend([0; CHUNK_WORDS]);
         }
         let chunk = self.chunks.len() - 1;
         let last = &mut self.chunks[chunk];
@@ -101,14 +122,17 @@ impl Slab {
         id as u32
     }
 
-    /// Empties slot `id` and returns what it held (panics when free).
-    pub(super) fn remove(&mut self, id: u32) -> Entry {
+    /// Empties slot `id` and returns what it held and whether the ordered
+    /// index held it (panics when free).
+    pub(super) fn remove(&mut self, id: u32) -> (Entry, bool) {
         let next = self.free;
         match std::mem::replace(self.slot_mut(id), Slot::Free(next)) {
             Slot::Full(entry) => {
+                let ordered = self.is_ordered(id);
+                self.ordered[id as usize / 64] &= !(1 << (id % 64));
                 self.free = id;
                 self.len -= 1;
-                entry
+                (entry, ordered)
             }
             Slot::Free(_) => panic!("slot {id} is free"),
         }
@@ -266,8 +290,11 @@ mod tests {
         assert_eq!(slab.len(), n as usize);
         assert_eq!(&*slab.get(CHUNK as u32 + 1).key, b"k1025");
         assert_eq!(std::mem::size_of::<Slot>(), 48);
-        assert_eq!(slab.remove(7).value, "v7");
-        assert_eq!(slab.remove(CHUNK as u32).value, "v1024");
+        slab.mark_ordered(7);
+        assert!(slab.is_ordered(7) && !slab.is_ordered(8));
+        assert_eq!(slab.remove(7).0.value, "v7");
+        assert!(!slab.is_ordered(7), "a freed slot keeps no ordered bit");
+        assert_eq!(slab.remove(CHUNK as u32).0.value, "v1024");
         // Last freed, first reused.
         assert_eq!(slab.insert(entry(9000)), CHUNK as u32);
         assert_eq!(slab.insert(entry(9001)), 7);
@@ -275,9 +302,11 @@ mod tests {
         slab.get_mut(7).value = Bytes::from("changed");
         assert_eq!(slab.get(7).value, "changed");
         assert_eq!(slab.iter().count(), slab.len());
+        slab.mark_ordered(0);
         slab.clear();
         assert_eq!(slab.len(), 0);
         assert_eq!(slab.insert(entry(1)), 0);
+        assert!(!slab.is_ordered(0));
     }
 
     #[test]
