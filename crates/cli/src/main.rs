@@ -2347,8 +2347,8 @@ fn faultcheck_cycle(
 
         // Storm on, and in two cycles of three one crash point armed. The
         // third runs all its ops and the power cut lands wherever they
-        // leave the store, often while a retired WAL segment's deletion is
-        // still an unsynced directory entry.
+        // leave the store, often while a table's deletion or a manifest's
+        // rename is still an unsynced directory entry.
         storage.set_plan(FaultPlan::storm());
         let points = CrashPoint::all();
         if next() % 3 != 0 {
@@ -3072,9 +3072,10 @@ mod tests {
     #[test]
     fn faultcheck_goes_red_when_the_wal_reset_sync_is_misplaced() {
         use adcache_lsm::{FsyncSite, SyncPolicy};
-        // Under `on_flush` a seal must sync the outgoing WAL segment;
-        // without it a torn segment whose deletion a crash undid replays
-        // its older records over the newer table it was flushed to.
+        // Under `on_flush` a seal must sync the outgoing WAL segment, and
+        // its retirement must be durable before its zero fill; without
+        // those a segment whose retirement a crash undid comes back torn
+        // or half zeroed, and replays stale records or fails the open.
         let report = drill(12, 7, SyncPolicy::OnFlush, Some(FsyncSite::WalReset), 1);
         assert!(
             !report.ok(),

@@ -35,7 +35,7 @@ use crate::timed_lock::{
 };
 use crate::types::{Entry, FileId, Key, Value};
 use crate::version::{CompactionTask, Version};
-use crate::wal::{replay, WalWriter};
+use crate::wal::{replay, zero_fill, WalWriter};
 use adcache_obs::{Counter, Event, Obs};
 use parking_lot::RwLock;
 use std::collections::HashSet;
@@ -142,17 +142,38 @@ impl LsmTree {
     }
 }
 
+/// Spare logs a stripe keeps ready for its seals. A flush recycles its
+/// segment while fewer are ready and removes it otherwise; in steady state
+/// each seal takes the spare the flush before it left.
+const MAX_SPARES: usize = 2;
+
 /// Where (and through which filesystem) the WAL and manifest live.
 struct Durability {
     dir: PathBuf,
     fs: Arc<dyn MetaFs>,
+    /// Recycled segments whose zeros are durable, for the next seals
+    /// ([`LsmTree::recycle`]).
+    spares: parking_lot::Mutex<Vec<PathBuf>>,
+}
+
+impl Durability {
+    /// Sealed segment `seq`'s file.
+    fn segment(&self, seq: u64) -> PathBuf {
+        self.dir.join(format!("wal-{seq:06}.log"))
+    }
+
+    /// The name segment `seq` takes as a spare: replay ignores it, and
+    /// recovery removes it.
+    fn spare(&self, seq: u64) -> PathBuf {
+        self.dir.join(format!("spare-{seq:06}.log"))
+    }
 }
 
 /// A WAL segment rotated out of the active log by a seal; its records are
 /// wholly contained in the sealed (or recovered) memtable and the file is
-/// deleted once a flush commits a manifest that covers them.
+/// recycled once a flush commits a manifest that covers them.
 struct SealedSegment {
-    path: PathBuf,
+    seq: u64,
     appends: u64,
     bytes: u64,
 }
@@ -366,7 +387,9 @@ impl LsmTree {
         // oldest first, then the active log on top. A torn tail (crash
         // mid-append) was truncated by `replay` and is not an error;
         // mid-log corruption is. Surviving segments are carried in the
-        // recovered state so the next flush deletes them.
+        // recovered state so the next flush recycles them. A spare's zeros
+        // may not have been durable when the power went, so no spare is
+        // reused across a restart: each is removed.
         let wal_path = dir.join("wal.log");
         let mut mem = MemTable::new();
         let mut sealed: Vec<SealedSegment> = Vec::new();
@@ -378,16 +401,20 @@ impl LsmTree {
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                 continue;
             };
-            if let Some(seq) = name
-                .strip_prefix("wal-")
-                .and_then(|r| r.strip_suffix(".log"))
-                .and_then(|r| r.parse::<u64>().ok())
-            {
+            let numbered = |prefix| {
+                name.strip_prefix(prefix)
+                    .and_then(|r| r.strip_suffix(".log"))
+                    .and_then(|r| r.parse::<u64>().ok())
+            };
+            if let Some(seq) = numbered("wal-") {
                 segments.push((seq, path));
+            } else if numbered("spare-").is_some() {
+                fs.remove(&path)?;
             }
         }
         segments.sort_unstable();
         let logs = segments.into_iter().map(|(seq, path)| (Some(seq), path));
+        let mut wal_end = 0;
         for (seq, path) in logs.chain([(None, wal_path.clone())]) {
             let outcome = replay(fs.as_ref(), &path)?;
             let appends = outcome.records.len() as u64;
@@ -399,14 +426,17 @@ impl LsmTree {
                     Entry::Tombstone => mem.delete(ke.key),
                 }
             }
-            if let Some(seq) = seq {
-                wal_seq = seq + 1;
-                let bytes = fs.len(&path).unwrap_or(0);
-                sealed.push(SealedSegment {
-                    path,
-                    appends,
-                    bytes,
-                });
+            match seq {
+                Some(seq) => {
+                    wal_seq = seq + 1;
+                    let bytes = outcome.end;
+                    sealed.push(SealedSegment {
+                        seq,
+                        appends,
+                        bytes,
+                    });
+                }
+                None => wal_end = outcome.end,
             }
         }
         stats
@@ -415,7 +445,7 @@ impl LsmTree {
         stats.wal_torn_tail_bytes.store(torn, Ordering::Relaxed);
         let sync_at_seal =
             opts.sync != SyncPolicy::Never && opts.misplaced_fsync != Some(FsyncSite::WalReset);
-        let wal = WalWriter::open(fs.clone(), &wal_path, sync_at_seal)?;
+        let wal = WalWriter::open_at(fs.clone(), &wal_path, wal_end, sync_at_seal)?;
         if opts.sync != SyncPolicy::Never {
             // A freshly created WAL is only durable once its directory
             // entry is — without this, a crash before the first manifest
@@ -435,7 +465,11 @@ impl LsmTree {
             sealed,
             wal_seq,
         };
-        let durability = Some(Durability { dir, fs });
+        let durability = Some(Durability {
+            dir,
+            fs,
+            spares: parking_lot::Mutex::new(Vec::new()),
+        });
         Ok(Self::assemble(
             opts, storage, inner, next_file, stats, durability,
         ))
@@ -830,30 +864,40 @@ impl LsmTree {
     }
 
     /// Freezes the memtable for its flush and rotates the active WAL under
-    /// it ([`WalWriter::seal_to`]): the outgoing segment is fully synced
-    /// first (policy permitting) so a later crash can never tear it into a
-    /// stale prefix that shadows the SST it becomes, and the rename plus
-    /// the fresh `wal.log` are made durable with one directory sync before
-    /// any subsequent write is acked.
+    /// it ([`WalWriter::seal_to`], then [`WalWriter::restart`]): the
+    /// outgoing segment is fully synced first (policy permitting) so a
+    /// later crash can never tear it into a stale prefix that shadows the
+    /// SST it becomes, and the renames of the segment and of the next
+    /// `wal.log` (a ready spare when there is one) are made durable with a
+    /// directory sync before any subsequent write is acked.
     fn seal_locked(&self, inner: &mut Inner) -> Result<()> {
         debug_assert!(inner.imm.is_none());
         debug_assert!(!inner.mem.is_empty());
         if let Some(d) = &self.durability {
-            let path = d.dir.join(format!("wal-{:06}.log", inner.wal_seq));
+            let seq = inner.wal_seq;
             inner.wal_seq += 1;
             let wal = inner.wal.as_mut().expect("durable tree has a WAL");
             let (appends, bytes) = (wal.segment_appends(), wal.segment_bytes());
-            let synced = wal.seal_to(&path)?;
+            let synced = wal.seal_to(&d.segment(seq))?;
             // Tracked before the directory sync can fail: the active
             // memtable holds its records either way.
             inner.sealed.push(SealedSegment {
-                path,
+                seq,
                 appends,
                 bytes,
             });
             if synced {
                 self.note_wal_sync(1);
             }
+            if self.opts.sync == SyncPolicy::Always {
+                // The segment holds acked records: its new name must be
+                // durable before the next log takes `wal.log`, or a crash
+                // that keeps only the second entry change unlinks it.
+                d.fs.sync_dir(&d.dir)?;
+                self.charge_meta_syncs(1);
+            }
+            let spare = d.spares.lock().pop();
+            wal.restart(spare.as_deref())?;
             if self.opts.sync != SyncPolicy::Never {
                 d.fs.sync_dir(&d.dir)?;
                 self.charge_meta_syncs(1);
@@ -983,14 +1027,21 @@ impl LsmTree {
             hooks.obs.emit(|| Event::Flush { entries, bytes });
         }
         // Crash here: the manifest references the table, the segments are
-        // not yet deleted — replay re-applies records the table already
+        // not yet retired — replay re-applies records the table already
         // holds, so recovery must be (and is) idempotent.
         self.crash_check(CrashPoint::FlushAfterManifest)?;
-        // The deletions need not be durable: a segment a crash resurrects
-        // was synced whole at its seal, so it replays idempotently.
+        // Each segment becomes a spare for a later seal (two syncs, no
+        // block freed), or is removed when enough are ready. A removal
+        // need not be durable: a segment a crash resurrects was synced
+        // whole at its seal, so it replays idempotently.
         if let Some(d) = &self.durability {
             for seg in segments {
-                d.fs.remove(&seg.path)?;
+                if d.spares.lock().len() < MAX_SPARES {
+                    let spare = self.recycle(d, seg.seq)?;
+                    d.spares.lock().push(spare);
+                } else {
+                    d.fs.remove(&d.segment(seg.seq))?;
+                }
                 let (appends, bytes) = (seg.appends, seg.bytes);
                 let hooks = self.obs.read();
                 hooks.wal_appends.add(appends);
@@ -1001,6 +1052,43 @@ impl LsmTree {
         self.crash_check(CrashPoint::FlushAfterWalReset)?;
         self.stall_cv.notify_all();
         Ok(())
+    }
+
+    /// Turns flushed segment `seq` into a spare log for a later seal, in
+    /// this order: rename it to its spare name (which replay ignores), sync
+    /// the directory, overwrite the file with zeros in place
+    /// ([`zero_fill`]), sync the file. Returns the spare. Frees no disk
+    /// block. The two syncs run under every policy: they are what makes
+    /// reusing the file safe, not a promise about user data.
+    ///
+    /// The order is the safety argument. Were the zeros to land before the
+    /// rename is durable, a crash could bring the segment back under its
+    /// old name half zeroed, and its damaged records would fail the open
+    /// or a stale prefix of them shadow the table the segment became. Once
+    /// the rename is durable no crash replays the file until a seal renames
+    /// it into place as a log, and a seal takes only a spare this returned,
+    /// whose zeros are durable.
+    fn recycle(&self, d: &Durability, seq: u64) -> Result<PathBuf> {
+        let spare = d.spare(seq);
+        d.fs.rename(&d.segment(seq), &spare)?;
+        // Crash here: the rename is kept or lost, and the segment is what
+        // its seal left either way — replayed idempotently, or gone.
+        self.crash_check(CrashPoint::FlushAfterSpareRename)?;
+        // The misplacement hooks leave syncs out here with the ones they
+        // name: `wal_reset` both, as every sync that guards a segment's
+        // retirement; `manifest_dir` the directory's, which would make the
+        // manifest it left unsynced durable one rename later.
+        let hole = self.opts.misplaced_fsync;
+        if !matches!(hole, Some(FsyncSite::WalReset | FsyncSite::ManifestDir)) {
+            d.fs.sync_dir(&d.dir)?;
+            self.note_wal_sync(1);
+        }
+        zero_fill(d.fs.as_ref(), &spare)?;
+        if hole != Some(FsyncSite::WalReset) {
+            d.fs.sync_file(&spare)?;
+            self.note_wal_sync(1);
+        }
+        Ok(spare)
     }
 
     /// Forces a flush of everything buffered — the sealed memtable if one

@@ -388,6 +388,11 @@ pub enum CrashPoint {
     /// WAL is reset. Replay re-applies records already in the table —
     /// recovery must stay idempotent.
     FlushAfterManifest,
+    /// Flush: after a flushed WAL segment is renamed to a spare, before
+    /// the rename is made durable. The crash keeps or loses the rename;
+    /// the manifest's commit must already be durable, and the segment
+    /// whole.
+    FlushAfterSpareRename,
     /// Flush: after the WAL reset — the fully-committed end state.
     FlushAfterWalReset,
     /// Compaction: after outputs are written and the in-memory version
@@ -406,6 +411,7 @@ impl CrashPoint {
             CrashPoint::FlushAfterSst => "flush_after_sst",
             CrashPoint::BeforeManifestCommit => "before_manifest_commit",
             CrashPoint::FlushAfterManifest => "flush_after_manifest",
+            CrashPoint::FlushAfterSpareRename => "flush_after_spare_rename",
             CrashPoint::FlushAfterWalReset => "flush_after_wal_reset",
             CrashPoint::CompactionAfterRun => "compaction_after_run",
             CrashPoint::CompactionAfterManifest => "compaction_after_manifest",
@@ -418,6 +424,7 @@ impl CrashPoint {
             CrashPoint::FlushAfterSst,
             CrashPoint::BeforeManifestCommit,
             CrashPoint::FlushAfterManifest,
+            CrashPoint::FlushAfterSpareRename,
             CrashPoint::FlushAfterWalReset,
             CrashPoint::CompactionAfterRun,
             CrashPoint::CompactionAfterManifest,

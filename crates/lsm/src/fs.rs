@@ -12,9 +12,16 @@
 //! - [`SimFs`] keeps everything in memory and buffers completed-but-
 //!   unsynced operations per file and per directory entry, so
 //!   [`SimFs::crash`] can drop an arbitrary unsynced suffix of a file —
-//!   wholly or torn mid-append — and any subset of the unsynced creates,
+//!   wholly or torn mid-write — and any subset of the unsynced creates,
 //!   renames and removes, the way a power loss treats a volatile device
 //!   cache under a filesystem that does not order its metadata.
+//!
+//! The write path frees no disk blocks in steady state: the WAL writes
+//! at an offset into segments it recycles, and the manifest overwrites
+//! its superseded copy in place ([`MetaFs::write_at`]). On a filesystem
+//! mounted with online discard an unlink or a rename over a file blocks
+//! its caller for tens to hundreds of milliseconds, and a concurrent
+//! fsync waits behind it.
 
 use crate::error::{LsmError, Result};
 use parking_lot::Mutex;
@@ -23,12 +30,13 @@ use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Filesystem operations used by the durability path: WAL, manifest and
 /// SSTable files.
 ///
-/// All writes are whole-file or append-oriented; nothing in the engine
-/// needs random-access writes. `sync_file` and `sync_dir` are the only
+/// Files are written whole, appended through [`MetaFs::create`]'s writer
+/// or overwritten at an offset. `sync_file` and `sync_dir` are the only
 /// operations that promise durability — everything else may sit in a
 /// modeled write-back cache until then.
 pub trait MetaFs: Send + Sync {
@@ -45,8 +53,10 @@ pub trait MetaFs: Send + Sync {
     fn read(&self, path: &Path) -> Result<Option<Vec<u8>>>;
     /// Creates or replaces `path` with `data` (not durable until synced).
     fn write_file(&self, path: &Path, data: &[u8]) -> Result<()>;
-    /// Appends `data` to `path`, creating it when missing.
-    fn append(&self, path: &Path, data: &[u8]) -> Result<()>;
+    /// Writes `data` at byte `offset` of `path`, creating the file when
+    /// missing and filling any gap past its end with zeros (not durable
+    /// until synced).
+    fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> Result<()>;
     /// Truncates `path` to `len` bytes.
     fn truncate(&self, path: &Path, len: u64) -> Result<()>;
     /// Renames `from` to `to`, replacing `to` when it exists. Durable
@@ -93,23 +103,37 @@ fn not_found(path: &Path) -> LsmError {
 
 /// Pass-through [`MetaFs`] over `std::fs`.
 ///
-/// Keeps a small cache of append handles so per-write WAL appends do not
-/// reopen the log file each time (the handles are opened `O_APPEND`, so
-/// they stay correct across truncation).
+/// Keeps a small cache of write handles so per-batch WAL writes do not
+/// reopen the log file each time. A handle is cloned out of the map and
+/// the map's lock dropped before any I/O, so one stripe's fsync never
+/// holds up another stripe's write.
 pub struct RealFs {
-    appenders: Mutex<HashMap<PathBuf, File>>,
+    handles: Mutex<HashMap<PathBuf, Arc<File>>>,
 }
 
 impl RealFs {
     /// A new pass-through filesystem.
     pub fn new() -> Self {
         RealFs {
-            appenders: Mutex::new(HashMap::new()),
+            handles: Mutex::new(HashMap::new()),
         }
     }
 
     fn drop_handle(&self, path: &Path) {
-        self.appenders.lock().remove(path);
+        self.handles.lock().remove(path);
+    }
+
+    /// The cached write handle of `path`, opening (and creating) it on a
+    /// miss.
+    fn handle(&self, path: &Path) -> Result<Arc<File>> {
+        if let Some(file) = self.handles.lock().get(path) {
+            return Ok(file.clone());
+        }
+        let mut options = OpenOptions::new();
+        options.create(true).write(true).truncate(false);
+        let file = Arc::new(options.open(path)?);
+        let mut handles = self.handles.lock();
+        Ok(handles.entry(path.to_path_buf()).or_insert(file).clone())
     }
 }
 
@@ -152,22 +176,14 @@ impl MetaFs for RealFs {
         Ok(())
     }
 
-    fn append(&self, path: &Path, data: &[u8]) -> Result<()> {
-        let mut handles = self.appenders.lock();
-        let file = match handles.entry(path.to_path_buf()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let f = OpenOptions::new().create(true).append(true).open(path)?;
-                e.insert(f)
-            }
-        };
-        file.write_all(data)?;
+    fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> Result<()> {
+        self.handle(path)?.write_all_at(data, offset)?;
         Ok(())
     }
 
     fn truncate(&self, path: &Path, len: u64) -> Result<()> {
-        // O_APPEND handles keep writing at the (new) end, so the cached
-        // appender stays valid across truncation.
+        // Writes name their offset, so a cached handle stays valid across
+        // truncation.
         let f = OpenOptions::new().write(true).open(path)?;
         f.set_len(len)?;
         Ok(())
@@ -195,7 +211,8 @@ impl MetaFs for RealFs {
     }
 
     fn sync_file(&self, path: &Path) -> Result<()> {
-        if let Some(f) = self.appenders.lock().get(path) {
+        let cached = self.handles.lock().get(path).cloned();
+        if let Some(f) = cached {
             f.sync_data()?;
             return Ok(());
         }
@@ -235,8 +252,9 @@ enum PendingOp {
     /// Whole-file replacement (`write_file`). Atomic: survives a crash
     /// entirely or not at all.
     SetContent(Vec<u8>),
-    /// An append, which a crash may tear (persist a strict byte prefix).
-    Append(Vec<u8>),
+    /// A write at an offset (an append writes at the end), which a crash
+    /// may tear (persist a strict byte prefix of it).
+    Write(u64, Vec<u8>),
     /// A truncation to the given length. Atomic under crash.
     Truncate(u64),
 }
@@ -249,6 +267,14 @@ struct Inode {
     pending: Vec<PendingOp>,
     /// Contents as the running process sees them (durable + all pending).
     view: Vec<u8>,
+}
+
+impl Inode {
+    /// An unsynced write of `data` at `offset`.
+    fn write(&mut self, offset: u64, data: &[u8]) {
+        write_into(&mut self.view, offset, data);
+        self.pending.push(PendingOp::Write(offset, data.to_vec()));
+    }
 }
 
 /// One completed-but-unsynced change to a directory entry: `from` stops
@@ -304,7 +330,7 @@ struct SimState {
 pub struct UnsyncedLoss {
     /// Files whose unsynced contents or directory entries were affected.
     pub files: u64,
-    /// Content bytes dropped (including torn-append suffixes).
+    /// Content bytes dropped (including torn-write suffixes).
     pub bytes: u64,
 }
 
@@ -315,7 +341,7 @@ pub struct UnsyncedLoss {
 /// moves a file's pending list into its durable image, and `sync_dir(dir)`
 /// makes the pending entry changes under `dir` (and only those) durable.
 /// [`SimFs::crash`] then plays the role of power loss: each file keeps
-/// only a seeded prefix of its pending operations (an append at the cut
+/// only a seeded prefix of its pending operations (a write at the cut
 /// may tear mid-record), and each unsynced entry change is kept or dropped
 /// on its own seeded coin, the kept ones applied oldest first.
 pub struct SimFs {
@@ -331,7 +357,7 @@ impl SimFs {
     }
 
     /// Simulates power loss: drops an arbitrary (seeded) suffix of each
-    /// file's unsynced operations — possibly tearing an append mid-record
+    /// file's unsynced operations — possibly tearing a write mid-record
     /// — and keeps each unsynced create, rename and remove independently
     /// of the others. Returns what was lost. Deterministic in `seed`.
     pub fn crash(&self, seed: u64) -> UnsyncedLoss {
@@ -351,18 +377,22 @@ impl SimFs {
             for op in &inode.pending[..keep] {
                 apply(&mut content, op);
             }
-            // The operation at the cut: an append may tear (a strict byte
+            // The operation at the cut: a write may tear (a strict byte
             // prefix persists); whole-file writes and truncations are
             // atomic and simply vanish.
             if keep < n {
-                if let PendingOp::Append(data) = &inode.pending[keep] {
+                if let PendingOp::Write(offset, data) = &inode.pending[keep] {
                     let h2 = crate::fault::splitmix64(h ^ 0xD1B5_4A32_D192_ED03);
                     let torn = (h2 % (data.len() as u64 + 1)) as usize;
-                    content.extend_from_slice(&data[..torn]);
+                    write_into(&mut content, *offset, &data[..torn]);
                 }
                 loss.files += 1;
             }
-            loss.bytes += (inode.view.len() as u64).saturating_sub(content.len() as u64);
+            // Bytes the view holds that the survivor does not: a shorter
+            // file, or an overwrite that did not land.
+            let (view, kept) = (&inode.view, &content);
+            let changed = view.iter().zip(kept).filter(|(a, b)| a != b).count();
+            loss.bytes += (view.len().saturating_sub(kept.len()) + changed) as u64;
             inode.durable = Some(content.clone());
             inode.pending.clear();
             inode.view = content;
@@ -416,7 +446,7 @@ impl SimState {
 }
 
 /// The writer [`SimFs::create`] returns: each write is one unsynced
-/// append to the file it created, wherever that file is linked now.
+/// write at the end of the file it created, wherever that file is linked now.
 struct SimWriter<'a> {
     fs: &'a SimFs,
     id: u64,
@@ -427,8 +457,7 @@ impl Write for SimWriter<'_> {
         let mut st = self.fs.state.lock();
         // A crash that dropped the file closed the writer with it.
         let inode = st.inodes.get_mut(&self.id).ok_or(ErrorKind::NotFound)?;
-        inode.pending.push(PendingOp::Append(data.to_vec()));
-        inode.view.extend_from_slice(data);
+        inode.write(inode.view.len() as u64, data);
         Ok(data.len())
     }
 
@@ -459,9 +488,19 @@ impl ReadAt for Snapshot {
 fn apply(content: &mut Vec<u8>, op: &PendingOp) {
     match op {
         PendingOp::SetContent(data) => *content = data.clone(),
-        PendingOp::Append(data) => content.extend_from_slice(data),
+        PendingOp::Write(offset, data) => write_into(content, *offset, data),
         PendingOp::Truncate(len) => content.truncate(*len as usize),
     }
+}
+
+/// Overwrites `content` with `data` from `offset`, zero-filling any gap.
+fn write_into(content: &mut Vec<u8>, offset: u64, data: &[u8]) {
+    let start = offset as usize;
+    let end = start + data.len();
+    if content.len() < end {
+        content.resize(end, 0);
+    }
+    content[start..end].copy_from_slice(data);
 }
 
 impl MetaFs for SimFs {
@@ -503,14 +542,17 @@ impl MetaFs for SimFs {
         Ok(())
     }
 
-    fn append(&self, path: &Path, data: &[u8]) -> Result<()> {
-        if !self.exists(path) {
-            return self.write_file(path, data);
-        }
-        self.with_inode(path, |inode| {
-            inode.pending.push(PendingOp::Append(data.to_vec()));
-            inode.view.extend_from_slice(data);
-        })
+    fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> Result<()> {
+        let mut st = self.state.lock();
+        let id = match st.dir.get(path) {
+            Some(&id) => id,
+            None => st.create(path),
+        };
+        st.inodes
+            .get_mut(&id)
+            .expect("dir entry has an inode")
+            .write(offset, data);
+        Ok(())
     }
 
     fn truncate(&self, path: &Path, len: u64) -> Result<()> {
@@ -575,6 +617,174 @@ impl MetaFs for SimFs {
     }
 }
 
+/// One operation a [`Probe`] passed on, for tests that count or order
+/// them.
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Op {
+    Create(PathBuf),
+    /// A whole-file write, and whether it replaced an existing file.
+    WriteFile(PathBuf, bool),
+    WriteAt(PathBuf),
+    Truncate(PathBuf),
+    /// A rename, and whether its target existed (and was replaced).
+    Rename(PathBuf, PathBuf, bool),
+    Remove(PathBuf),
+    SyncFile(PathBuf),
+    SyncDir(PathBuf),
+}
+
+#[cfg(test)]
+impl Op {
+    /// Whether the operation can free disk blocks: a removal, or a rename
+    /// or whole-file write over an existing file.
+    pub(crate) fn frees(&self) -> bool {
+        matches!(
+            self,
+            Op::Remove(_) | Op::Rename(_, _, true) | Op::WriteFile(_, true)
+        )
+    }
+}
+
+/// A [`MetaFs`] over a [`SimFs`] that logs every write, namespace change
+/// and sync, and can cut the power: from its `cut`-th such operation on,
+/// every operation fails, reads included, as in a process that died. The
+/// test then crashes the [`SimFs`] underneath and reopens on it.
+#[cfg(test)]
+pub(crate) struct Probe {
+    sim: Arc<SimFs>,
+    log: Mutex<Vec<Op>>,
+    cut: Option<usize>,
+}
+
+#[cfg(test)]
+impl Probe {
+    pub(crate) fn new(sim: Arc<SimFs>, cut: Option<usize>) -> Self {
+        Probe {
+            sim,
+            log: Mutex::new(Vec::new()),
+            cut,
+        }
+    }
+
+    /// The operations passed on so far, in order.
+    pub(crate) fn log(&self) -> Vec<Op> {
+        self.log.lock().clone()
+    }
+
+    /// Whether the power is off.
+    pub(crate) fn is_cut(&self) -> bool {
+        self.cut.is_some_and(|cut| self.log.lock().len() >= cut)
+    }
+
+    fn alive(&self) -> Result<()> {
+        if self.is_cut() {
+            return Err(LsmError::Injected("power cut".into()));
+        }
+        Ok(())
+    }
+
+    fn pass(&self, op: Op) -> Result<()> {
+        self.alive()?;
+        self.log.lock().push(op);
+        Ok(())
+    }
+}
+
+/// A [`Probe`]'s table writer: dead once the power is.
+#[cfg(test)]
+struct ProbeWriter<'a> {
+    probe: &'a Probe,
+    inner: Box<dyn Write + Send + 'a>,
+}
+
+#[cfg(test)]
+impl Write for ProbeWriter<'_> {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        if self.probe.is_cut() {
+            return Err(std::io::Error::other("power cut"));
+        }
+        self.inner.write(data)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+impl MetaFs for Probe {
+    fn create(&self, path: &Path) -> Result<Box<dyn Write + Send + '_>> {
+        self.pass(Op::Create(path.into()))?;
+        let inner = self.sim.create(path)?;
+        Ok(Box::new(ProbeWriter { probe: self, inner }))
+    }
+
+    fn open(&self, path: &Path) -> Result<Box<dyn ReadAt>> {
+        self.alive()?;
+        self.sim.open(path)
+    }
+
+    fn create_dir_all(&self, path: &Path) -> Result<()> {
+        self.alive()?;
+        self.sim.create_dir_all(path)
+    }
+
+    fn read(&self, path: &Path) -> Result<Option<Vec<u8>>> {
+        self.alive()?;
+        self.sim.read(path)
+    }
+
+    fn write_file(&self, path: &Path, data: &[u8]) -> Result<()> {
+        self.pass(Op::WriteFile(path.into(), self.sim.exists(path)))?;
+        self.sim.write_file(path, data)
+    }
+
+    fn write_at(&self, path: &Path, offset: u64, data: &[u8]) -> Result<()> {
+        self.pass(Op::WriteAt(path.into()))?;
+        self.sim.write_at(path, offset, data)
+    }
+
+    fn truncate(&self, path: &Path, len: u64) -> Result<()> {
+        self.pass(Op::Truncate(path.into()))?;
+        self.sim.truncate(path, len)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+        self.pass(Op::Rename(from.into(), to.into(), self.sim.exists(to)))?;
+        self.sim.rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> Result<()> {
+        self.pass(Op::Remove(path.into()))?;
+        self.sim.remove(path)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        self.sim.exists(path)
+    }
+
+    fn len(&self, path: &Path) -> Result<u64> {
+        self.alive()?;
+        self.sim.len(path)
+    }
+
+    fn sync_file(&self, path: &Path) -> Result<()> {
+        self.pass(Op::SyncFile(path.into()))?;
+        self.sim.sync_file(path)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> Result<()> {
+        self.pass(Op::SyncDir(dir.into()))?;
+        self.sim.sync_dir(dir)
+    }
+
+    fn list_dir(&self, dir: &Path) -> Result<Vec<PathBuf>> {
+        self.alive()?;
+        self.sim.list_dir(dir)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,7 +800,7 @@ mod tests {
         assert!(fs.read(&p("a")).unwrap().is_none());
         fs.write_file(&p("a"), b"hello").unwrap();
         assert_eq!(fs.read(&p("a")).unwrap().unwrap(), b"hello");
-        fs.append(&p("a"), b" world").unwrap();
+        fs.write_at(&p("a"), 5, b" world").unwrap();
         assert_eq!(fs.len(&p("a")).unwrap(), 11);
         fs.truncate(&p("a"), 5).unwrap();
         assert_eq!(fs.read(&p("a")).unwrap().unwrap(), b"hello");
@@ -639,8 +849,8 @@ mod tests {
         fs.sync_file(&p("log")).unwrap();
         fs.sync_dir(&p("")).unwrap();
         let full: Vec<u8> = (0..100u8).collect();
-        for chunk in full.chunks(10) {
-            fs.append(&p("log"), chunk).unwrap();
+        for (i, chunk) in full.chunks(10).enumerate() {
+            fs.write_at(&p("log"), i as u64 * 10, chunk).unwrap();
         }
         // Whatever the seed, the surviving content is a strict prefix of
         // what was appended.
@@ -649,8 +859,8 @@ mod tests {
             probe.write_file(&p("log"), b"").unwrap();
             probe.sync_file(&p("log")).unwrap();
             probe.sync_dir(&p("")).unwrap();
-            for chunk in full.chunks(10) {
-                probe.append(&p("log"), chunk).unwrap();
+            for (i, chunk) in full.chunks(10).enumerate() {
+                probe.write_at(&p("log"), i as u64 * 10, chunk).unwrap();
             }
             probe.crash(seed);
             let got = probe.read(&p("log")).unwrap().unwrap();
@@ -664,7 +874,7 @@ mod tests {
             probe.write_file(&p("log"), b"").unwrap();
             probe.sync_file(&p("log")).unwrap();
             probe.sync_dir(&p("")).unwrap();
-            probe.append(&p("log"), &full).unwrap();
+            probe.write_at(&p("log"), 0, &full).unwrap();
             any_loss |= probe.crash(seed).bytes > 0;
         }
         assert!(any_loss, "the write-back model must be able to lose data");
@@ -733,7 +943,7 @@ mod tests {
             fs.sync_file(&p("log")).unwrap();
             fs.sync_dir(&p("")).unwrap();
             for i in 0..20u8 {
-                fs.append(&p("log"), &[i; 7]).unwrap();
+                fs.write_at(&p("log"), 4 + 7 * i as u64, &[i; 7]).unwrap();
             }
             fs
         };
@@ -752,14 +962,14 @@ mod tests {
         let f = dir.join("x.log");
         assert!(fs.read(&f).unwrap().is_none());
         fs.write_file(&f, b"abc").unwrap();
-        fs.append(&f, b"def").unwrap();
+        fs.write_at(&f, 3, b"def").unwrap();
         assert_eq!(fs.read(&f).unwrap().unwrap(), b"abcdef");
         assert_eq!(fs.len(&f).unwrap(), 6);
         fs.sync_file(&f).unwrap();
         fs.truncate(&f, 3).unwrap();
         assert_eq!(fs.read(&f).unwrap().unwrap(), b"abc");
-        // O_APPEND keeps the cached handle valid across truncation.
-        fs.append(&f, b"xyz").unwrap();
+        // The cached handle stays valid across truncation.
+        fs.write_at(&f, 3, b"xyz").unwrap();
         assert_eq!(fs.read(&f).unwrap().unwrap(), b"abcxyz");
         let g = dir.join("y.log");
         fs.rename(&f, &g).unwrap();
@@ -849,16 +1059,21 @@ mod tests {
 
     #[test]
     fn a_crash_resurrects_a_torn_segment_whose_seal_sync_was_left_out() {
-        // The flushed segment's deletion is lost and its unsynced tail
-        // torn off: the older write replays over the table's newer one.
+        // The flushed segment's rename to a spare is lost and its unsynced
+        // tail torn off: the older write replays over the table's newer
+        // one. (Where the torn tail holds part of the zero fill instead,
+        // the open fails.)
         let hole = Some(FsyncSite::WalReset);
-        let [k, _] = cut_after_a_flush(SyncPolicy::OnFlush, hole, 18).unwrap();
-        assert_eq!(k, value("old"));
+        let stale = (0..32).any(|seed| {
+            let read = cut_after_a_flush(SyncPolicy::OnFlush, hole, seed);
+            matches!(read, Ok([k, _]) if k == value("old"))
+        });
+        assert!(stale, "no seed replayed the torn segment");
     }
 
     #[test]
     fn a_crash_loses_a_flush_whose_manifest_dir_sync_was_left_out() {
-        // The manifest's rename into place is lost, the deletion of the
+        // The manifest's rename into place is lost, the retirement of the
         // segment it made obsolete is not.
         let hole = Some(FsyncSite::ManifestDir);
         let [k, _] = cut_after_a_flush(SyncPolicy::Always, hole, 2).unwrap();

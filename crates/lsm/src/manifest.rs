@@ -5,6 +5,9 @@
 //! (table metadata itself is re-read from each table's meta blob in
 //! storage). The manifest is rewritten atomically (temp file + rename) on
 //! every version change — it is tiny, so rewrite beats journaling here.
+//! The rewrite reuses the file of the copy two versions back: the
+//! superseded backup becomes the temp file and is overwritten in place, so
+//! a commit frees no disk block (a manifest fits in one).
 //!
 //! Format (text, line-oriented, CRC-protected as a whole):
 //! ```text
@@ -74,6 +77,11 @@ pub fn backup_path(path: &Path) -> PathBuf {
 /// directory (when `sync.dir`) so the renames themselves survive a crash.
 /// Any single crash point leaves either the new manifest at `path` or the
 /// previous one at the backup path — [`recover_manifest`] checks both.
+///
+/// The temp file is the previous backup, renamed and overwritten in place
+/// when one exists. With the last commit's directory sync done, its file
+/// is named nowhere but `.bak`, and a crash before the renames below keeps
+/// `path` itself intact.
 pub fn write_manifest(
     fs: &dyn MetaFs,
     path: &Path,
@@ -89,12 +97,19 @@ pub fn write_manifest(
     body.push_str(&format!("crc {crc:08x}\n"));
 
     let tmp: PathBuf = path.with_extension("tmp");
-    fs.write_file(&tmp, body.as_bytes())?;
+    let bak = backup_path(path);
+    if fs.exists(&bak) {
+        fs.rename(&bak, &tmp)?;
+        fs.write_at(&tmp, 0, body.as_bytes())?;
+        fs.truncate(&tmp, body.len() as u64)?;
+    } else {
+        fs.write_file(&tmp, body.as_bytes())?;
+    }
     if sync.file {
         fs.sync_file(&tmp)?;
     }
     if fs.exists(path) {
-        fs.rename(path, &backup_path(path))?;
+        fs.rename(path, &bak)?;
     }
     // Rename is atomic on POSIX filesystems — but only durable once the
     // parent directory is synced.

@@ -57,11 +57,16 @@ pub enum FsyncSite {
     /// Skip the per-batch WAL sync under [`SyncPolicy::Always`]: acks come
     /// out of an unsynced buffer again.
     WalAppend,
-    /// Skip the outgoing WAL segment's sync at a seal (the label is older
-    /// than seals): a torn segment whose deletion a crash undoes replays
-    /// stale records over the newer SST it became.
+    /// Skip the syncs that make retiring a WAL segment safe: the outgoing
+    /// segment's sync at a seal, and the directory and file syncs that
+    /// make a flushed segment's rename to a spare and its zero fill
+    /// durable (the label is older than seals and recycling). A segment
+    /// whose retirement a crash undoes comes back torn or half zeroed: it
+    /// replays stale records over the newer SST it became, or fails the
+    /// open.
     WalReset,
-    /// Skip the parent-directory fsync after the manifest renames: the
+    /// Skip the parent-directory fsync after the manifest renames, and the
+    /// one a flush's segment recycling issues right after them: the
     /// committed manifest itself is not durable.
     ManifestDir,
     /// Skip the storage-directory fsync after SSTable creation: flushed

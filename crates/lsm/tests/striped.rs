@@ -299,17 +299,18 @@ fn foreground_put_is_bounded_while_another_stripes_flush_is_slow() {
     );
 }
 
-/// A [`MetaFs`] decorator that sleeps inside `remove`. WAL segment
-/// deletion runs in `flush()`'s imm drain *after* the engine write lock is
-/// released, so the sleep stretches the seal-vs-explicit-flush race window
-/// from nanoseconds to milliseconds — wide enough for writers to seal a
-/// fresh imm (and land more batches) before `flush()` reacquires the lock.
-struct SlowRemoveFs {
+/// A [`MetaFs`] decorator that sleeps as it retires a WAL segment: in its
+/// rename to a spare, or its removal. Retirement runs in `flush()`'s imm
+/// drain *after* the engine write lock is released, so the sleep stretches
+/// the seal-vs-explicit-flush race window from nanoseconds to milliseconds
+/// — wide enough for writers to seal a fresh imm (and land more batches)
+/// before `flush()` reacquires the lock.
+struct SlowRetireFs {
     inner: SimFs,
     delay: Duration,
 }
 
-impl MetaFs for SlowRemoveFs {
+impl MetaFs for SlowRetireFs {
     fn create(&self, path: &std::path::Path) -> LsmResult<Box<dyn std::io::Write + Send + '_>> {
         self.inner.create(path)
     }
@@ -325,13 +326,17 @@ impl MetaFs for SlowRemoveFs {
     fn write_file(&self, path: &std::path::Path, data: &[u8]) -> LsmResult<()> {
         self.inner.write_file(path, data)
     }
-    fn append(&self, path: &std::path::Path, data: &[u8]) -> LsmResult<()> {
-        self.inner.append(path, data)
+    fn write_at(&self, path: &std::path::Path, offset: u64, data: &[u8]) -> LsmResult<()> {
+        self.inner.write_at(path, offset, data)
     }
     fn truncate(&self, path: &std::path::Path, len: u64) -> LsmResult<()> {
         self.inner.truncate(path, len)
     }
     fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> LsmResult<()> {
+        let name = to.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if name.starts_with("spare-") {
+            std::thread::sleep(self.delay);
+        }
         self.inner.rename(from, to)
     }
     fn remove(&self, path: &std::path::Path) -> LsmResult<()> {
@@ -363,14 +368,14 @@ impl MetaFs for SlowRemoveFs {
 /// without flushing its records — lost acked writes on crash — and
 /// (b) give the older imm records a higher file id, L0-newest rank, so
 /// they shadow newer values even without a crash. This drives that
-/// window: [`SlowRemoveFs`] holds `flush()` in its post-lock segment
-/// deletion while writers seal over a hot key set; afterwards every key
+/// window: [`SlowRetireFs`] holds `flush()` in its post-lock segment
+/// retirement while writers seal over a hot key set; afterwards every key
 /// must read back the last value its writer acked.
 #[test]
 fn explicit_flush_racing_seals_never_reorders_writes() {
     let mut opts = striped_opts(1);
     opts.memtable_size = 1024;
-    let fs = Arc::new(SlowRemoveFs {
+    let fs = Arc::new(SlowRetireFs {
         inner: SimFs::new(),
         delay: Duration::from_millis(1),
     });
