@@ -297,28 +297,10 @@ fn tree_geometry(block: u64, memtable: u64, sstable: u64, l1: u64) -> String {
 fn build_db(cfg: &CliConfig) -> Result<CachedDb, Box<dyn std::error::Error>> {
     let mut engine = EngineConfig::new(cfg.strategy, cfg.cache_mb << 20);
     engine.sketch_guard = cfg.sketch_guard;
-    // One tree for both stores: 4 MiB of memtable over the stripes in
-    // memory, 4 MiB per stripe on disk.
-    let tune = |write_buffer: usize| Options {
-        background_maintenance: cfg.stripes > 1,
-        ..Options::served(cfg.stripes, write_buffer)
-    };
-    let (store, db) = match &cfg.dir {
-        Some(dir) => {
-            let storage = Arc::new(FileStorage::open(dir.join("sst"))?);
-            let opts = tune(cfg.stripes * (4 << 20));
-            (
-                format!("durable store at {}", dir.display()),
-                CachedDb::with_durability(opts, storage, dir.join("meta"), engine)?,
-            )
-        }
-        None => {
-            let opts = tune(4 << 20);
-            (
-                "in-memory store".to_string(),
-                CachedDb::new(opts, Arc::new(MemStorage::new()), engine)?,
-            )
-        }
+    let db = CachedDb::served(engine, cfg.stripes, cfg.dir.as_deref())?;
+    let store = match &cfg.dir {
+        Some(dir) => format!("durable store at {}", dir.display()),
+        None => "in-memory store".to_string(),
     };
     let opts = db.db().options();
     println!(
@@ -1757,7 +1739,8 @@ impl DrillOutcome {
     }
 }
 
-/// A fresh in-memory engine for a drill, `keys` keys loaded and flushed.
+/// A fresh one-stripe in-memory served store for a drill, `keys` keys
+/// loaded and flushed.
 fn drill_db(
     keys: u64,
     defenses: impl FnOnce(&mut EngineConfig),
@@ -1765,7 +1748,7 @@ fn drill_db(
     let mut engine = EngineConfig::new(Strategy::AdCache, 256 << 10);
     engine.expected_keys = keys as usize;
     defenses(&mut engine);
-    let db = CachedDb::new(Options::small(), Arc::new(MemStorage::new()), engine)?;
+    let db = CachedDb::served(engine, 1, None)?;
     // No controller runs inside a drill, so pin a small admission
     // threshold: frequency admission must actually gate the KV cache for
     // pollution attacks to have a defended surface (new tenant partitions
@@ -2886,31 +2869,15 @@ mod tests {
             .contains("--max-conns N\n        concurrent-connection ceiling (default 1024)\n"));
     }
 
-    /// The tree `serve` and the shell run without `--dir` is the served
-    /// preset, not the unit-test one: a load flushes whole memtables and
-    /// neither storms compactions nor stalls.
+    /// The drills attack the tree a server runs: one in-memory stripe of
+    /// the served preset, not the unit tests' 512 B blocks.
     #[test]
-    fn build_db_in_memory_serves_from_the_served_tree() {
-        let flags = Flags::parse(&SERVE, &["--cache-mb".into(), "8".into()]);
-        let db = build_db(&CliConfig::from_flags(&flags.unwrap().unwrap(), 4).unwrap()).unwrap();
-        let value = Bytes::from(vec![b'v'; 100]);
-        let mut bytes = 0;
-        for i in 0..50_000 {
-            let key = render_key(i);
-            bytes += (key.len() + value.len()) as u64;
-            db.put(key, value.clone()).unwrap();
-        }
-        // Settle: flush every stripe's tail and run due compactions.
-        db.db().flush().unwrap();
-        let s = db.stats_report();
-        assert_eq!(s.memtable_bytes * s.stripes, 4 << 20);
-        let bound = 2 * bytes.div_ceil(s.memtable_bytes) + s.stripes;
-        assert!(s.flushes <= bound, "{} flushes > {bound}", s.flushes);
-        assert!(s.compactions <= s.flushes, "{} compactions", s.compactions);
-        assert_eq!(s.write_stalls, 0);
-        for i in 0..50_000 {
-            assert_eq!(db.get(&render_key(i)).unwrap().as_ref(), Some(&value));
-        }
+    fn drills_run_the_served_tree() {
+        let engine = EngineConfig::new(Strategy::AdCache, 256 << 10);
+        let served = CachedDb::served(engine, 1, None).unwrap();
+        let drill = drill_db(10, |_| {}).unwrap();
+        assert_eq!(drill.db().options(), served.db().options());
+        assert_eq!(drill.db().options().block_size, 4096);
     }
 
     /// A table's `a|b|c` placeholder admits exactly the words the library

@@ -11,12 +11,15 @@ use crate::controller::CacheDecision;
 use crate::stats::{Counters, Snapshot, WindowSummary};
 use crate::tenant::{Partition, TenantId, TenantWindow, DEFAULT_TENANT};
 use adcache_cache::{BlockCache, PointLookup, RangeCache, ScanAdmission};
-use adcache_lsm::{DirectProvider, Entry, Key, Options, Result, Storage, StripedDb, Value};
+use adcache_lsm::{
+    DirectProvider, Entry, FileStorage, Key, MemStorage, Options, Result, Storage, StripedDb, Value,
+};
 use adcache_obs::{AdmissionOutcome, AdmissionReason, CacheStructure, Counter, Event, Gauge, Obs};
 use adcache_rl::{ShareAgent, TenantFeatures};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
@@ -212,23 +215,29 @@ impl CachedDb {
         Self::from_tree(db, cfg)
     }
 
-    /// [`CachedDb::with_durability`] over an explicit [`adcache_lsm::MetaFs`],
-    /// so crash drills can interpose a simulated write-back cache under the
-    /// WAL and manifest (see [`StripedDb::with_durability_fs`]).
-    pub fn with_durability_fs(
-        opts: Options,
-        storage: Arc<dyn Storage>,
-        meta_dir: impl Into<std::path::PathBuf>,
-        fs: Arc<dyn adcache_lsm::MetaFs>,
-        cfg: EngineConfig,
-    ) -> Result<Self> {
-        let db = StripedDb::with_durability_fs(opts, storage, meta_dir, fs)?;
-        Self::from_tree(db, cfg)
+    /// The store a server runs, and the one place its tree is sized:
+    /// [`Options::served`] over `stripes` stripes, maintained in the
+    /// background when there are several. In memory they share a 4 MiB
+    /// write buffer; under `dir` each gets 4 MiB, with tables in `dir/sst`
+    /// and WAL and manifest under `dir/meta`.
+    pub fn served(engine: EngineConfig, stripes: usize, dir: Option<&Path>) -> Result<Self> {
+        let write_buffer = dir.map_or(4 << 20, |_| stripes * (4 << 20));
+        let opts = Options {
+            background_maintenance: stripes > 1,
+            ..Options::served(stripes, write_buffer)
+        };
+        match dir {
+            Some(dir) => {
+                let storage = Arc::new(FileStorage::open(dir.join("sst"))?);
+                Self::with_durability(opts, storage, dir.join("meta"), engine)
+            }
+            None => Self::new(opts, Arc::new(MemStorage::new()), engine),
+        }
     }
 
     /// Wraps an already-constructed (possibly recovered) striped tree with
     /// the cache strategy.
-    pub fn from_tree(db: StripedDb, cfg: EngineConfig) -> Result<Self> {
+    fn from_tree(db: StripedDb, cfg: EngineConfig) -> Result<Self> {
         let total = cfg.total_cache_bytes;
         // Start at the default even split; the controller moves it.
         let d = CacheDecision::default();
@@ -1174,7 +1183,6 @@ pub struct EngineStatsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adcache_lsm::MemStorage;
     use adcache_workload::render_key;
 
     /// A pause between a point read's LSM lookup and its cache fill, armed

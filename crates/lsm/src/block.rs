@@ -27,7 +27,8 @@ const HEADER: usize = 2 + 2 + 4 + 1;
 /// Builds one encoded data block from entries added in ascending key order.
 pub struct BlockBuilder {
     /// [`FRAME_HEADER`] bytes left free for the storage frame, then the
-    /// entries: a raw frame is this buffer, not a copy of it.
+    /// entries. `Bytes::from` still copies the finished frame once, into
+    /// an exact-size `Arc<[u8]>`, which cannot adopt a `Vec`'s allocation.
     buf: Vec<u8>,
     restarts: Vec<u32>,
     restart_interval: usize,

@@ -159,8 +159,9 @@ pub const FLAG_LZSS: u8 = 1;
 pub const FRAME_HEADER: usize = 5;
 
 /// Frames an encoded block for storage, compressing when it pays. `buf`
-/// holds the block after [`FRAME_HEADER`] reserved bytes, so a raw frame is
-/// the caller's buffer with its header filled in.
+/// holds the block after [`FRAME_HEADER`] reserved bytes, so a raw frame
+/// needs no second buffer; `Bytes::from` still copies either frame once,
+/// into an exact-size `Arc<[u8]>`, which cannot adopt a `Vec`'s allocation.
 pub fn frame_block(mut buf: Vec<u8>, compression: bool) -> Bytes {
     let encoded = &buf[FRAME_HEADER..];
     let raw_len = (encoded.len() as u32).to_le_bytes();

@@ -820,16 +820,7 @@ fn batch_opcode_serves_heterogeneous_subs_and_batched_load() {
 /// executes.
 #[test]
 fn batch_write_runs_commit_once_per_stripe_and_before_later_reads() {
-    let opts = Options {
-        background_maintenance: true,
-        ..Options::served(4, 4 << 20)
-    };
-    let db = CachedDb::new(
-        opts,
-        Arc::new(MemStorage::new()),
-        EngineConfig::new(Strategy::AdCache, 1 << 20),
-    )
-    .unwrap();
+    let db = CachedDb::served(EngineConfig::new(Strategy::AdCache, 1 << 20), 4, None).unwrap();
     db.set_obs(Obs::enabled());
     let db = Arc::new(db);
     let server = start_server(db.clone(), |_| {});
