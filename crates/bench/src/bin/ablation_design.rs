@@ -1,11 +1,8 @@
 //! Design-choice ablations beyond the paper's Figure 11(b) — the
 //! implementation decisions called out in DESIGN.md §5 that still have two
-//! settings:
-//!
-//! 1. **Adaptive learning rate** (on/off): the paper's `lr ← lr·(1−r)`
-//!    rule vs a fixed actor learning rate, across a workload shift.
-//! 2. **Block compression** (off/LZSS): on-disk footprint and write
-//!    amplification against the steady hit rate.
+//! settings. One is left: the **adaptive learning rate** (on/off), the
+//! paper's `lr ← lr·(1−r)` rule vs a fixed actor learning rate, across a
+//! workload shift.
 //!
 //! Boundary hysteresis and partial range serving are fixed parts of the
 //! design (paper §3.4–3.5), not switches, so they have no arm here.
@@ -40,7 +37,7 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut csv: Vec<Vec<String>> = Vec::new();
 
-    // --- 1: adaptive-lr across a shift. ---
+    // Adaptive lr across a shift.
     for (label, adaptive_lr) in [
         ("baseline (hyst on, adaptive-lr on)", true),
         ("fixed learning rate", false),
@@ -59,46 +56,15 @@ fn main() {
         ]);
     }
 
-    // --- 2: block compression. The cache stores decoded blocks and the
-    // device model charges per block, so compression buys on-disk
-    // footprint. Level sizes count stored bytes, though, so a compressed
-    // tree can sit a level shallower, and the hit estimate's I/O model
-    // charges per level (EXPERIMENTS.md, "Design ablations"). ---
-    for (label, compression) in [("compression off", false), ("compression on (lzss)", true)] {
-        let mut cfg: RunConfig = params.run_config(Strategy::RocksDbBlock, 0.25);
-        cfg.db_options.compression = compression;
-        let db = adcache_core::prepare_db(&cfg).expect("prepare");
-        let schedule = adcache_workload::Schedule {
-            phases: vec![adcache_workload::Phase {
-                name: "mix".into(),
-                mix: Mix::new(40.0, 20.0, 0.0, 40.0),
-                ops: params.ops / 2,
-            }],
-        };
-        let r = adcache_core::run_schedule_on(&cfg, &schedule, &db).expect("run");
-        let disk_bytes: u64 = db.db().level_summary().iter().map(|(_, _, b)| b).sum();
-        let half = r.windows.len() / 2;
-        let steady = r.mean_hit_rate(half, r.windows.len());
-        rows.push(vec![
-            label.to_string(),
-            f4(steady),
-            format!(
-                "{} KiB on disk, write amp {:.1}x",
-                disk_bytes >> 10,
-                db.db().write_amplification()
-            ),
-        ]);
-        csv.push(vec![
-            label.to_string(),
-            format!("{steady:.6}"),
-            disk_bytes.to_string(),
-        ]);
-    }
-
     print_table(
         "Design ablations (steady-state hit rate)",
-        &["variant", "steady hit", "note"],
+        &["variant", "steady hit", "overall hit"],
         &rows,
     );
-    write_csv("ablation_design", &["variant", "steady_hit", "note"], &csv).expect("csv");
+    write_csv(
+        "ablation_design",
+        &["variant", "steady_hit", "overall_hit"],
+        &csv,
+    )
+    .expect("csv");
 }

@@ -14,7 +14,6 @@
 //! covers everything before it, so storage bit-rot is detected at decode
 //! time rather than surfacing as silently wrong query results.
 
-use crate::compress::{frame_block, FRAME_HEADER};
 use crate::error::{LsmError, Result};
 use crate::types::{Entry, KeyEntry};
 use crate::wal::crc32;
@@ -26,9 +25,9 @@ const HEADER: usize = 2 + 2 + 4 + 1;
 
 /// Builds one encoded data block from entries added in ascending key order.
 pub struct BlockBuilder {
-    /// [`FRAME_HEADER`] bytes left free for the storage frame, then the
-    /// entries. `Bytes::from` still copies the finished frame once, into
-    /// an exact-size `Arc<[u8]>`, which cannot adopt a `Vec`'s allocation.
+    /// The encoding so far. `Bytes::from` copies the finished block once,
+    /// into an exact-size `Arc<[u8]>`, which cannot adopt a `Vec`'s
+    /// allocation.
     buf: Vec<u8>,
     restarts: Vec<u32>,
     restart_interval: usize,
@@ -41,7 +40,7 @@ impl BlockBuilder {
     /// Creates a builder; `restart_interval` keys share each prefix run.
     pub fn new(restart_interval: usize) -> Self {
         BlockBuilder {
-            buf: vec![0; FRAME_HEADER],
+            buf: Vec::new(),
             restarts: vec![0],
             restart_interval: restart_interval.max(1),
             count_since_restart: 0,
@@ -65,7 +64,7 @@ impl BlockBuilder {
             )));
         }
         let shared = if self.count_since_restart == self.restart_interval {
-            self.restarts.push((self.buf.len() - FRAME_HEADER) as u32);
+            self.restarts.push(self.buf.len() as u32);
             self.count_since_restart = 0;
             0
         } else {
@@ -92,7 +91,7 @@ impl BlockBuilder {
 
     /// Encoded size so far, including the trailer that `finish` will append.
     pub fn size_estimate(&self) -> usize {
-        self.buf.len() - FRAME_HEADER + self.restarts.len() * 4 + 4 + 4
+        self.buf.len() + self.restarts.len() * 4 + 4 + 4
     }
 
     /// Number of entries added so far.
@@ -105,26 +104,17 @@ impl BlockBuilder {
         self.num_entries == 0
     }
 
-    /// Appends the trailer (restart array, count, checksum of the block).
-    fn seal(mut self) -> Vec<u8> {
+    /// Appends the trailer (restart array, count, checksum of the block)
+    /// and returns the encoded bytes, which are also the stored bytes.
+    pub fn finish(mut self) -> Bytes {
         for r in &self.restarts {
             self.buf.extend_from_slice(&r.to_le_bytes());
         }
         self.buf
             .extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
-        let crc = crc32(&self.buf[FRAME_HEADER..]);
+        let crc = crc32(&self.buf);
         self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.buf
-    }
-
-    /// Seals the block and returns its encoded bytes (checksummed).
-    pub fn finish(self) -> Bytes {
-        Bytes::from(self.seal()).slice(FRAME_HEADER..)
-    }
-
-    /// Seals the block and frames it for storage (see [`frame_block`]).
-    pub fn finish_stored(self, compression: bool) -> Bytes {
-        frame_block(self.seal(), compression)
+        Bytes::from(self.buf)
     }
 }
 

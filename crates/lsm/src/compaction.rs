@@ -386,13 +386,13 @@ mod tests {
             })
             .collect();
         let want = [
-            ("k00000", 30, 4, 2070),
-            ("k00030", 30, 4, 2070),
-            ("k00060", 30, 4, 2070),
-            ("k00090", 30, 4, 2071),
-            ("k00120", 30, 4, 2070),
-            ("k00150", 30, 4, 2070),
-            ("k00180", 20, 3, 1387),
+            ("k00000", 30, 4, 2050),
+            ("k00030", 30, 4, 2050),
+            ("k00060", 30, 4, 2050),
+            ("k00090", 30, 4, 2051),
+            ("k00120", 30, 4, 2050),
+            ("k00150", 30, 4, 2050),
+            ("k00180", 20, 3, 1372),
         ]
         .map(|(k, e, b, t)| (k.to_string(), e, b, t));
         assert_eq!(cuts, want);

@@ -1718,42 +1718,6 @@ mod tests {
     }
 
     #[test]
-    fn compression_is_transparent_and_saves_bytes() {
-        // Values with heavy internal redundancy compress well.
-        let run = |compression: bool| -> (LsmTree, usize) {
-            let mut opts = Options::small();
-            opts.compression = compression;
-            let db = LsmTree::new(opts, Arc::new(MemStorage::new())).unwrap();
-            for i in 0..2000 {
-                db.put(key(i), Bytes::from(format!("padding-{}", "x".repeat(60))))
-                    .unwrap();
-            }
-            db.flush().unwrap();
-            while db.maybe_compact_once().unwrap() {}
-            let bytes: u64 = db.level_summary().iter().map(|(_, _, b)| *b).sum();
-            (db, bytes as usize)
-        };
-        let (plain_db, plain_bytes) = run(false);
-        let (packed_db, packed_bytes) = run(true);
-        assert!(
-            packed_bytes * 2 < plain_bytes,
-            "compression should at least halve redundant data: {packed_bytes} vs {plain_bytes}"
-        );
-        // Reads and scans are identical through both trees.
-        let p = DirectProvider;
-        for i in (0..2000).step_by(97) {
-            assert_eq!(
-                plain_db.get(&key(i), &p).unwrap(),
-                packed_db.get(&key(i), &p).unwrap()
-            );
-        }
-        assert_eq!(
-            plain_db.scan(&key(500), 40, &p).unwrap(),
-            packed_db.scan(&key(500), 40, &p).unwrap()
-        );
-    }
-
-    #[test]
     fn write_batch_applies_atomically() {
         let db = tree();
         let p = DirectProvider;

@@ -31,7 +31,6 @@
 pub mod block;
 pub mod bloom;
 pub mod compaction;
-pub mod compress;
 pub mod db;
 pub mod error;
 pub mod fault;
@@ -53,16 +52,13 @@ pub mod wal;
 pub use block::{Block, BlockBuilder};
 pub use bloom::BloomFilter;
 pub use compaction::{CompactionEvent, CompactionListener};
-pub use compress::{lzss_compress, lzss_decompress};
 pub use db::{DbStats, LsmTree};
 pub use error::{LsmError, Result};
 pub use fault::{CrashController, CrashPoint, FaultPlan, FaultStats, FaultStorage};
 pub use fs::{MetaFs, ReadAt, RealFs, SimFs, UnsyncedLoss};
 pub use manifest::ManifestSync;
 pub use options::{FsyncSite, Options, SyncPolicy};
-pub use sstable::{
-    decode_stored_block, decode_stored_block_at, BlockProvider, DirectProvider, TableMeta,
-};
+pub use sstable::{decode_stored_block_at, BlockProvider, DirectProvider, TableMeta};
 pub use storage::{CostModel, FileStorage, IoStats, MemStorage, Storage, TableSink};
 pub use striped::StripedDb;
 pub use timed_lock::{lock_probe, reset_lock_probe, LockPath, TimedRwLock, LOCK_PATHS};

@@ -129,10 +129,6 @@ pub struct Options {
     pub bloom_bits_per_key: usize,
     /// Hard cap on the number of levels.
     pub max_levels: usize,
-    /// Compress data blocks on disk (LZSS; incompressible blocks are
-    /// stored raw automatically). The paper's evaluation runs without
-    /// compression, so this defaults to off.
-    pub compression: bool,
     /// Retries for a failed query-path block read before the error
     /// surfaces (transient device errors and checksum failures resolve on
     /// re-read; see `fault::FaultStorage`). Zero disables retrying.
@@ -178,7 +174,6 @@ impl Default for Options {
             l1_max_bytes: 40 << 20,
             bloom_bits_per_key: 10,
             max_levels: 7,
-            compression: false,
             read_retries: 2,
             sync: SyncPolicy::OnFlush,
             misplaced_fsync: None,

@@ -12,7 +12,6 @@
 
 use crate::block::{Block, BlockBuilder, BlockCursor};
 use crate::bloom::{hash64, BloomFilter};
-use crate::compress::unwrap_block;
 use crate::error::{LsmError, Result};
 use crate::options::Options;
 use crate::storage::{Storage, TableSink};
@@ -196,17 +195,12 @@ pub trait BlockProvider: Send + Sync {
     fn invalidate_files(&self, _files: &[FileId]) {}
 }
 
-/// Decodes a block as stored on the device: unwraps the compression frame,
-/// then parses (and checksum-verifies) the block encoding.
-pub fn decode_stored_block(stored: Bytes) -> Result<Block> {
-    Block::decode(unwrap_block(stored)?)
-}
-
-/// [`decode_stored_block`] with the block's address stamped into any
-/// corruption error, so quarantine bookkeeping and fault journals can name
-/// the damaged block instead of an anonymous payload.
+/// [`Block::decode`] of a block as stored on the device, with the block's
+/// address stamped into any corruption error, so quarantine bookkeeping and
+/// fault journals can name the damaged block instead of an anonymous
+/// payload.
 pub fn decode_stored_block_at(file: FileId, block_no: u32, stored: Bytes) -> Result<Block> {
-    decode_stored_block(stored).map_err(|e| match e {
+    Block::decode(stored).map_err(|e| match e {
         crate::error::LsmError::Corruption(msg) => {
             crate::error::LsmError::Corruption(format!("table {file} block {block_no}: {msg}"))
         }
@@ -287,8 +281,7 @@ impl<'a> TableBuilder<'a> {
             &mut self.current,
             BlockBuilder::new(self.opts.block_restart_interval),
         );
-        // Frame (and optionally compress) the encoded block for storage.
-        let block = builder.finish_stored(self.opts.compression);
+        let block = builder.finish();
         self.blocks_len += block.len();
         self.sink.append(block)
     }
@@ -567,43 +560,24 @@ mod tests {
     }
 
     #[test]
-    fn raw_frames_decode_as_views_of_the_stored_buffer() {
+    fn blocks_decode_as_views_of_the_stored_buffer() {
         let storage = MemStorage::new();
         let mut b = TableBuilder::new(1, &Options::small(), &storage).unwrap();
         for i in 0..50u64 {
-            // Values no match finder shortens, so compression would store
-            // them raw as well.
             let v = i.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_le_bytes();
             b.add_value(format!("key{i:06}").as_bytes(), Some(&v))
                 .unwrap();
         }
         b.finish().unwrap();
         let stored = storage.read_block(1, 0).unwrap();
-        assert_eq!(stored[0], crate::compress::FLAG_RAW);
-        let block = decode_stored_block(stored.clone()).unwrap();
+        let block = Block::decode(stored.clone()).unwrap();
         let value = block.get(b"key000001").unwrap().unwrap();
         let value = value.value().unwrap();
-        assert!(points_into(value, &stored), "a raw block's value is a view");
+        assert!(points_into(value, &stored), "a block's value is a view");
         // And of the store itself: a second read is the same buffer.
         assert!(points_into(value, &storage.read_block(1, 0).unwrap()));
         let from_cursor = block.iter().next().unwrap().unwrap();
         assert!(points_into(from_cursor.entry.value().unwrap(), &stored));
-    }
-
-    #[test]
-    fn lzss_frames_decode_into_a_buffer_of_their_own() {
-        let opts = Options {
-            compression: true,
-            ..Options::small()
-        };
-        let storage = MemStorage::new();
-        build_table(200, &opts, &storage);
-        let stored = storage.read_block(1, 0).unwrap();
-        assert_eq!(stored[0], crate::compress::FLAG_LZSS);
-        let block = decode_stored_block(stored.clone()).unwrap();
-        let value = block.get(b"key000001").unwrap().unwrap();
-        assert_eq!(value.value().unwrap().as_ref(), b"value-1");
-        assert!(!points_into(value.value().unwrap(), &stored));
     }
 
     #[test]

@@ -336,7 +336,7 @@ pub struct FileStorage {
 }
 
 /// The last eight bytes of every table file.
-const TABLE_MAGIC: u64 = u64::from_le_bytes(*b"adcSST\x01\x00");
+const TABLE_MAGIC: u64 = u64::from_le_bytes(*b"adcSST\x02\x00");
 
 /// `u32 n | u32 meta_len | u64 magic`.
 const TRAILER_LEN: u64 = 16;
@@ -796,7 +796,7 @@ mod tests {
         }
         want.extend_from_slice(&2u32.to_le_bytes());
         want.extend_from_slice(&4u32.to_le_bytes());
-        want.extend_from_slice(b"adcSST\x01\x00");
+        want.extend_from_slice(b"adcSST\x02\x00");
         assert_eq!(std::fs::read(s.path(3)).unwrap(), want);
         assert_eq!(s.read_block(3, 1).unwrap().as_ref(), b"second");
         assert_eq!(s.read_meta(3).unwrap().as_ref(), b"meta");

@@ -2,10 +2,9 @@
 //! with a counting global allocator (the one of
 //! `cache/tests/alloc_footprint.rs`): a point lookup allocates the block's
 //! `Arc` and one key buffer, a table cursor one key per entry it yields, a
-//! frame whose length field was corrupted is rejected before anything is
-//! allocated for it, a table build allocates per block rather than per
-//! entry, a table build over files holds one block of the table at a
-//! time, and a memtable holds little more than the bytes it is charged.
+//! table build allocates per block rather than per entry, a table build
+//! over files holds one block of the table at a time, and a memtable holds
+//! little more than the bytes it is charged.
 //!
 //! Counters are thread-local: the test harness runs tests on parallel
 //! threads, and each test must see only its own allocations.
@@ -13,8 +12,7 @@
 use adcache_lsm::memtable::MemTable;
 use adcache_lsm::sstable::{table_get, TableBuilder, TableIter};
 use adcache_lsm::{
-    decode_stored_block, DirectProvider, Entry, FileStorage, LsmError, MemStorage, Options,
-    Storage, StripedDb, TableMeta,
+    DirectProvider, Entry, FileStorage, MemStorage, Options, Storage, StripedDb, TableMeta,
 };
 use bytes::Bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -123,34 +121,6 @@ fn build_table(opts: &Options, storage: &MemStorage, n: u32, value: &[u8]) -> Ar
         b.add_value(&key(i), Some(value)).unwrap();
     }
     b.finish().unwrap()
-}
-
-#[test]
-fn corrupt_frame_length_is_rejected_before_it_is_allocated() {
-    let opts = Options {
-        compression: true,
-        ..Options::default()
-    };
-    let storage = MemStorage::new();
-    build_table(&opts, &storage, 200, &b"abcdefgh".repeat(12));
-    let stored = storage.read_block(1, 0).unwrap();
-    assert_eq!(stored[0], adcache_lsm::compress::FLAG_LZSS);
-    // Each of the four length bytes, no checksum covering any: one flipped
-    // bit in the top one asks for up to 4 GiB.
-    for (byte, flip) in [(4, 0x80), (4, 0x01), (3, 0x10), (2, 0x40), (1, 0xFF)] {
-        let mut bad = stored.to_vec();
-        bad[byte] ^= flip;
-        let bad = Bytes::from(bad);
-        let (_, bytes, result) = counted(|| decode_stored_block(bad));
-        assert!(
-            matches!(result, Err(LsmError::Corruption(_))),
-            "byte {byte} ^ {flip:#x}: {result:?}"
-        );
-        assert!(
-            bytes < 64 << 10,
-            "byte {byte} ^ {flip:#x} allocated {bytes}"
-        );
-    }
 }
 
 #[test]
@@ -269,8 +239,8 @@ fn a_table_build_allocates_per_block_not_per_entry() {
         keys.len()
     );
     assert!(blocks > 50);
-    // The block's buffer growing to 4 KiB, its restart array, its frame,
-    // and what storage keeps of it; the per-table vectors grow
+    // The block's buffer growing to 4 KiB, its restart array, its
+    // finished copy, and what storage keeps of it; the per-table vectors grow
     // geometrically. Not one per entry.
     assert!(allocs <= 20 * blocks + 100, "{allocs} allocations");
     assert!(allocs * 10 < keys.len() as u64, "{allocs} allocations");

@@ -1,30 +1,32 @@
 //! The on-disk format, pinned by a store another commit wrote.
 //!
 //! `fixtures/parent_store/` is a small durable store — `MANIFEST`, one WAL
-//! segment with unflushed writes, two SSTables of which `…0001.sst` holds
-//! only raw frames and `…0002.sst` LZSS frames — written by
-//! [`write_store`]. Its `MANIFEST` and WAL are as commit `7963166` (the
-//! parent of the change that made block frames zero-copy and the CRC
-//! slicing-by-8) wrote them. Its SSTables were rewritten by the change
-//! that moved each table's offset table from the head of the file to a
-//! trailer, so a table streams to disk as it is built; the same recipe
-//! rewrote the `MANIFEST` and WAL byte for byte. The tests hold the
-//! current code to these bytes in both directions: it reads the store back
-//! in full, and the same recipe run now writes the same files byte for
-//! byte, beside a spare log of zeros (a recycled WAL segment) the parent
-//! did not leave.
+//! segment with unflushed writes, two SSTables — written by
+//! [`write_fixture`]. Its `MANIFEST` and WAL are as commit `7963166` wrote
+//! them; its SSTables as the change that dropped the 5-byte block frame
+//! (`flag | raw_len`) wrote them, where a stored block is exactly its
+//! encoding. The tests hold the current code to these bytes in both
+//! directions: it reads the store back in full, and the same recipe run
+//! now writes the same files byte for byte.
 //!
-//! `fixtures/header_first/` keeps the two SSTables as commit `7a546ec` wrote
-//! them, with the offset table first. They must be refused, never misread,
-//! and their block frames and metadata blobs must be exactly the bytes the
-//! trailer format holds: only the offset table and the counts moved.
+//! Two older table formats are kept beside it, and each must be refused,
+//! never misread: the table trailer's magic names the format.
+//! - `fixtures/framed/` holds the two SSTables as the parent of that change
+//!   wrote them (trailer magic `adcSST\x01\x00`), every block behind a
+//!   frame, the second table's LZSS-compressed. Table 1's blocks and
+//!   metadata are exactly today's but for the frames: only they went.
+//! - `fixtures/header_first/` holds them as commit `7a546ec` wrote them,
+//!   with the offset table first. Its blocks and metadata blobs are
+//!   exactly the bytes of `framed/`: only the offset table and the counts
+//!   moved.
 //!
 //! To pin a later format, run `regenerate_fixture` at the commit whose
 //! bytes are to be kept (`cargo test -p adcache-lsm --test format_fixture
 //! -- --ignored`) and check the directory in.
 
-use adcache_lsm::compress::{FLAG_LZSS, FLAG_RAW};
-use adcache_lsm::{DirectProvider, FileStorage, LsmError, LsmTree, Options, Storage, TableMeta};
+use adcache_lsm::{
+    Block, DirectProvider, FileStorage, LsmError, LsmTree, Options, Storage, TableMeta,
+};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -34,9 +36,17 @@ fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_store")
 }
 
+fn framed_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/framed")
+}
+
 fn header_first_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/header_first")
 }
+
+/// Bytes in front of every block of a `framed/` table: `flag:u8 (0 raw,
+/// 1 LZSS) | raw_len:u32`.
+const FRAME: usize = 5;
 
 fn table_file(dir: &Path, id: u64) -> Vec<u8> {
     std::fs::read(dir.join(format!("{id:012}.sst"))).unwrap()
@@ -60,7 +70,7 @@ fn key(i: u32) -> Bytes {
     Bytes::from(format!("user{i:020}"))
 }
 
-/// 40 bytes no LZSS match finder can shorten.
+/// 40 bytes of xorshift noise.
 fn noise_value(i: u32) -> Bytes {
     let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ ((i as u64 + 1) << 17);
     (0..40)
@@ -77,31 +87,34 @@ fn text_value(i: u32) -> Bytes {
     Bytes::from(format!("value-{i:06}-").repeat(6))
 }
 
-fn options(compression: bool) -> Options {
+fn options() -> Options {
     Options {
         // One flush, one table: nothing rotates or compacts on its own.
         memtable_size: 1 << 20,
         sstable_size: 1 << 20,
-        compression,
         ..Options::small()
     }
 }
 
-fn open(dir: &Path, compression: bool) -> LsmTree {
+fn try_open(dir: &Path) -> adcache_lsm::Result<LsmTree> {
     let storage = Arc::new(FileStorage::open(dir.join("sst")).unwrap());
-    LsmTree::with_durability(options(compression), storage, dir.join("meta")).unwrap()
+    LsmTree::with_durability(options(), storage, dir.join("meta"))
+}
+
+fn open(dir: &Path) -> LsmTree {
+    try_open(dir).unwrap()
 }
 
 /// The recipe: two lives of one store. What it leaves is [`expected`].
 fn write_store(dir: &Path) {
     {
-        let db = open(dir, false);
+        let db = open(dir);
         for i in 0..300 {
             db.put(key(i), noise_value(i)).unwrap();
         }
         db.flush().unwrap();
     }
-    let db = open(dir, true);
+    let db = open(dir);
     for i in 200..500 {
         db.put(key(i), text_value(i)).unwrap();
     }
@@ -154,12 +167,34 @@ fn copy_store(from: &Path, to: &Path) {
     }
 }
 
-/// The frame flag of every block of table `id`.
-fn frame_flags(storage: &FileStorage, id: u64) -> Vec<u8> {
-    let meta = TableMeta::decode(&storage.read_meta(id).unwrap()).unwrap();
-    (0..meta.num_blocks)
-        .map(|b| storage.read_block(id, b).unwrap()[0])
-        .collect()
+/// [`write_store`], less the spare logs it leaves: flushed WAL segments
+/// kept for reuse, all zeros, which replay ignores and an open removes.
+fn write_fixture(dir: &Path) {
+    write_store(dir);
+    for entry in std::fs::read_dir(dir.join("meta")).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_str().unwrap();
+        if name.starts_with("spare-") {
+            let spare = std::fs::read(&path).unwrap();
+            assert!(
+                spare.iter().all(|&b| b == 0),
+                "{name} holds more than zeros"
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+}
+
+/// A table file split at its trailer (`blocks | meta | u64 offset × (n+1)
+/// | u32 n | u32 meta_len | u64 magic`): its blocks and its meta blob.
+fn split_table(file: &[u8]) -> (Vec<&[u8]>, &[u8]) {
+    let trailer = file.len() - 16;
+    let (n, meta_len) = (u32_at(file, trailer), u32_at(file, trailer + 4));
+    let offsets_at = trailer - (n + 1) * 8;
+    let offsets: Vec<usize> = (0..=n).map(|i| u64_at(file, offsets_at + 8 * i)).collect();
+    assert_eq!(offsets_at - offsets[n], meta_len);
+    let blocks = offsets.windows(2).map(|w| &file[w[0]..w[1]]).collect();
+    (blocks, &file[offsets[n]..offsets_at])
 }
 
 #[test]
@@ -177,11 +212,21 @@ fn fixture_is_the_store_the_header_describes() {
         ]
     );
     assert!(!files["meta/wal.log"].is_empty(), "the WAL holds the tail");
+    // What storage returns is the block's encoding, nothing in front.
     let storage = FileStorage::open(fixture_dir().join("sst")).unwrap();
-    let raw = frame_flags(&storage, 1);
-    assert!(raw.len() > 1 && raw.iter().all(|&f| f == FLAG_RAW));
-    let packed = frame_flags(&storage, 2);
-    assert!(packed.len() > 1 && packed.iter().all(|&f| f == FLAG_LZSS));
+    for id in [1, 2] {
+        let meta = TableMeta::decode(&storage.read_meta(id).unwrap()).unwrap();
+        assert!(meta.num_blocks > 1);
+        let stored: u64 = (0..meta.num_blocks)
+            .map(|b| {
+                let block = storage.read_block(id, b).unwrap();
+                let len = block.len() as u64;
+                Block::decode(block).unwrap();
+                len
+            })
+            .sum();
+        assert_eq!(stored, meta.total_bytes, "table {id}");
+    }
 }
 
 #[test]
@@ -189,7 +234,7 @@ fn store_written_by_the_parent_reads_back_in_full() {
     // Opening replays (and may repair) the WAL: work on a copy.
     let dir = scratch_dir("read");
     copy_store(&fixture_dir(), &dir);
-    let db = open(&dir, true);
+    let db = open(&dir);
     let model = expected();
     for i in 0..520 {
         assert_eq!(
@@ -216,22 +261,8 @@ fn store_written_by_the_parent_reads_back_in_full() {
 #[test]
 fn the_same_recipe_writes_the_parents_bytes() {
     let dir = scratch_dir("write");
-    write_store(&dir);
-    let (mut ours, theirs) = (files_of(&dir), files_of(&fixture_dir()));
-    // The one file the parent did not leave: a flushed WAL segment kept
-    // as a spare log, all zeros, which replay ignores and an open removes.
-    let spares: Vec<String> = ours
-        .keys()
-        .filter(|name| name.starts_with("meta/spare-"))
-        .cloned()
-        .collect();
-    for name in spares {
-        let spare = ours.remove(&name).unwrap();
-        assert!(
-            spare.iter().all(|&b| b == 0),
-            "{name} holds more than zeros"
-        );
-    }
+    write_fixture(&dir);
+    let (ours, theirs) = (files_of(&dir), files_of(&fixture_dir()));
     assert_eq!(
         ours.keys().collect::<Vec<_>>(),
         theirs.keys().collect::<Vec<_>>()
@@ -266,7 +297,7 @@ fn a_header_first_table_is_refused_not_misread() {
 fn only_the_offset_table_and_the_counts_moved() {
     for id in [1, 2] {
         let old = table_file(&header_first_dir(), id);
-        let new = table_file(&fixture_dir().join("sst"), id);
+        let new = table_file(&framed_dir(), id);
         // Old: `u32 n | u32 meta_len | u64 offset × (n+1) | blocks | meta`,
         // offsets from the start of the file.
         let (n, meta_len) = (u32_at(&old, 0), u32_at(&old, 4));
@@ -301,8 +332,57 @@ fn only_the_offset_table_and_the_counts_moved() {
 }
 
 #[test]
+fn a_framed_table_is_refused_not_misread() {
+    let storage = FileStorage::open(framed_dir()).unwrap();
+    for id in [1, 2] {
+        assert!(matches!(
+            storage.read_meta(id),
+            Err(LsmError::Corruption(_))
+        ));
+        assert!(matches!(
+            storage.read_block(id, 0),
+            Err(LsmError::Corruption(_))
+        ));
+    }
+    // The store as the parent left it: its manifest names both tables, and
+    // under `on_flush` a table that does not open fails the open.
+    let dir = scratch_dir("framed");
+    copy_store(&fixture_dir(), &dir);
+    for id in [1, 2] {
+        let name = format!("{id:012}.sst");
+        std::fs::copy(framed_dir().join(&name), dir.join("sst").join(&name)).unwrap();
+    }
+    assert_eq!(options().sync, adcache_lsm::SyncPolicy::OnFlush);
+    assert!(matches!(try_open(&dir), Err(LsmError::Corruption(_))));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn only_the_frames_went() {
+    let old = table_file(&framed_dir(), 1);
+    let new = table_file(&fixture_dir().join("sst"), 1);
+    let ((old_blocks, old_meta), (new_blocks, new_meta)) = (split_table(&old), split_table(&new));
+    assert_eq!(old_blocks.len(), new_blocks.len());
+    for (i, (old, new)) in old_blocks.iter().zip(&new_blocks).enumerate() {
+        // A raw frame: flag 0, then the length of the block it carries.
+        let frame = [&[0u8][..], &(new.len() as u32).to_le_bytes()].concat();
+        assert_eq!(old[..FRAME], frame[..], "block {i}: frame");
+        assert_eq!(old[FRAME..], new[..], "block {i}");
+    }
+    // The meta blobs differ only in the stored bytes they count.
+    let mut old_meta = TableMeta::decode(old_meta).unwrap();
+    let new_meta_decoded = TableMeta::decode(new_meta).unwrap();
+    assert_eq!(
+        old_meta.total_bytes - new_meta_decoded.total_bytes,
+        (FRAME * new_blocks.len()) as u64
+    );
+    old_meta.total_bytes = new_meta_decoded.total_bytes;
+    assert_eq!(old_meta.encode()[..], new_meta[..]);
+}
+
+#[test]
 #[ignore = "rewrites the checked-in fixture with whatever code is checked out"]
 fn regenerate_fixture() {
     let _ = std::fs::remove_dir_all(fixture_dir());
-    write_store(&fixture_dir());
+    write_fixture(&fixture_dir());
 }
