@@ -26,7 +26,6 @@ use bytes::Bytes;
 use serde_json::Value;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -1166,40 +1165,6 @@ fn start_obs(enabled: bool, cfg: &CliConfig) -> Obs {
     obs
 }
 
-/// The share-arbitration ticker: re-learns the tenant cache split every
-/// `every` until dropped. A no-op until a second tenant authenticates, so
-/// single-tenant serving pays nothing but the clock.
-struct Arbiter {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Arbiter {
-    fn start(db: Arc<CachedDb>, every: Duration) -> Arbiter {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stopped = stop.clone();
-        let thread = std::thread::spawn(move || {
-            while !stopped.load(Ordering::Relaxed) {
-                std::thread::sleep(every);
-                db.rebalance_tenants();
-            }
-        });
-        Arbiter {
-            stop,
-            thread: Some(thread),
-        }
-    }
-}
-
-impl Drop for Arbiter {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
 fn server_config(flags: &Flags) -> Result<adcache_server::ServerConfig, String> {
     Ok(adcache_server::ServerConfig {
         addr: flags.text(LISTEN).to_string(),
@@ -1272,9 +1237,7 @@ fn cmd_serve(flags: &Flags) -> CmdResult {
         "serving on {} (shutdown: protocol opcode 6)",
         server.local_addr()
     );
-    let arbiter = Arbiter::start(db.clone(), Duration::from_secs(1));
     let report = server.wait();
-    drop(arbiter);
     if let Some(snap) = snapshotter {
         let lines = snap.stop();
         println!("snapshot thread stopped after {lines} timeseries lines");
@@ -1774,8 +1737,6 @@ struct Drill {
     kind: AdversaryKind,
     /// The server-side defenses under test (quotas); the rest is default.
     server: adcache_server::ServerConfig,
-    /// Run the tenant share arbiter at this cadence while the phases run.
-    arbiter: Option<Duration>,
     /// The victims' p99 in one phase's load report, ns.
     victim_p99: fn(&adcache_server::LoadReport) -> u64,
 }
@@ -1801,7 +1762,6 @@ impl Drill {
             ..self.server
         };
         let server = adcache_server::Server::start(db.clone(), server_cfg)?;
-        let arbiter = self.arbiter.map(|every| Arbiter::start(db.clone(), every));
         let attack =
             adcache_workload::AdversaryConfig::new(self.kind, self.keys, self.seed ^ 0xA11);
         let phase = |attacking: bool| {
@@ -1831,7 +1791,6 @@ impl Drill {
         let c = phase(false)?;
         let s3 = db.stats_report();
 
-        drop(arbiter);
         let shares = db.tenant_reports();
         let report = server.shutdown();
         if a.protocol_errors + b.protocol_errors + c.protocol_errors > 0 {
@@ -1903,7 +1862,6 @@ fn adv_drill(
             quota_burst: if defenses { 400 } else { 0 },
             ..Default::default()
         },
-        arbiter: None,
         victim_p99: |report| report.legit_latency.quantile(0.99),
     };
     // 2000 ops/s per connection. The blended phase adds 2 attack
@@ -2106,9 +2064,6 @@ fn tenant_drill(
             tenant_quota_burst: if defenses { 400 } else { 0 },
             ..Default::default()
         },
-        // As `adcache serve` runs it, at a fast-forward cadence so the
-        // split re-learns within drill timescales.
-        arbiter: Some(Duration::from_millis(100)),
         victim_p99: quiet_p99,
     };
     drill.run(|cfg, attacking| {

@@ -56,7 +56,7 @@ pub use engine::{
 pub use reward::{h_estimate, io_estimate, io_estimate_of, RewardSmoother};
 pub use runner::{
     execute, prepare_db, prepare_db_with_storage, run_multiclient, run_schedule, run_schedule_on,
-    run_static, CpuModel, RunConfig, RunResult, WindowRecord,
+    run_static, RunConfig, RunResult, WindowRecord,
 };
 pub use stats::{Counters, Snapshot, WindowSummary};
 pub use tenant::{tenant_salt, Partition, TenantId, TenantWindow, DEFAULT_TENANT};

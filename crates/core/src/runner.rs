@@ -20,23 +20,11 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// CPU cost model added to device time when computing simulated QPS.
-#[derive(Debug, Clone, Copy)]
-pub struct CpuModel {
-    /// Fixed nanoseconds charged per operation.
-    pub ns_per_op: u64,
-    /// Nanoseconds charged per entry returned by scans.
-    pub ns_per_entry: u64,
-}
-
-impl Default for CpuModel {
-    fn default() -> Self {
-        CpuModel {
-            ns_per_op: 2_000,
-            ns_per_entry: 100,
-        }
-    }
-}
+/// CPU nanoseconds charged per operation on top of device time when
+/// computing simulated QPS.
+const CPU_NS_PER_OP: u64 = 2_000;
+/// CPU nanoseconds charged per entry a scan returns.
+const CPU_NS_PER_ENTRY: u64 = 100;
 
 /// Full experiment configuration.
 #[derive(Clone)]
@@ -51,8 +39,6 @@ pub struct RunConfig {
     pub workload: WorkloadConfig,
     /// Controller configuration (used only by [`Strategy::AdCache`]).
     pub controller: ControllerConfig,
-    /// CPU cost model for simulated throughput.
-    pub cpu: CpuModel,
     /// Shards for block/range caches (multi-client runs).
     pub shards: usize,
     /// Optional pretrained agent JSON (AdCache only).
@@ -84,7 +70,6 @@ impl RunConfig {
                 hidden: 64,
                 ..Default::default()
             },
-            cpu: CpuModel::default(),
             shards: 1,
             pretrained_agent: None,
             pinned_decision: None,
@@ -199,8 +184,8 @@ impl RunResult {
     }
 }
 
-fn simulated_window_ns(w: &WindowSummary, cpu: &CpuModel, entries_delta: u64) -> u64 {
-    w.simulated_ns + w.ops() * cpu.ns_per_op + entries_delta * cpu.ns_per_entry
+fn simulated_window_ns(w: &WindowSummary, entries_delta: u64) -> u64 {
+    w.simulated_ns + w.ops() * CPU_NS_PER_OP + entries_delta * CPU_NS_PER_ENTRY
 }
 
 /// Builds the engine, loads `workload.num_keys` keys, and settles
@@ -318,8 +303,8 @@ pub fn run_schedule_on(cfg: &RunConfig, schedule: &Schedule, db: &CachedDb) -> R
         let sim_now = io_stats.simulated_ns();
         let entries_now = db.counters().entries_returned.load(Ordering::Relaxed);
         let op_ns = (sim_now - last_sim_ns)
-            + cfg.cpu.ns_per_op
-            + (entries_now - last_entries) * cfg.cpu.ns_per_entry;
+            + CPU_NS_PER_OP
+            + (entries_now - last_entries) * CPU_NS_PER_ENTRY;
         latency.record(op_ns);
         obs_latency.record(op_ns);
         last_sim_ns = sim_now;
@@ -328,7 +313,7 @@ pub fn run_schedule_on(cfg: &RunConfig, schedule: &Schedule, db: &CachedDb) -> R
         if executed.is_multiple_of(window) {
             let w = db.window_summary(&win_start);
             let entries_now = db.counters().entries_returned.load(Ordering::Relaxed);
-            let sim_ns = simulated_window_ns(&w, &cfg.cpu, entries_now - entries_at_win_start);
+            let sim_ns = simulated_window_ns(&w, entries_now - entries_at_win_start);
             let qps = if sim_ns == 0 {
                 0.0
             } else {
@@ -356,7 +341,7 @@ pub fn run_schedule_on(cfg: &RunConfig, schedule: &Schedule, db: &CachedDb) -> R
 
     let overall = db.window_summary(&run_start_snapshot);
     let entries_total = db.counters().entries_returned.load(Ordering::Relaxed);
-    let sim_ns = simulated_window_ns(&overall, &cfg.cpu, entries_total);
+    let sim_ns = simulated_window_ns(&overall, entries_total);
     if let Some(dir) = &trace_dir {
         obs.gauge("run.total_ops").set(overall.ops() as i64);
         obs.gauge("run.windows").set(windows.len() as i64);

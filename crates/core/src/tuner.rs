@@ -3,8 +3,9 @@
 //! Serving threads call [`Tuner::tick`] after every operation. The thread
 //! whose operation closes a window builds the window's observation, hands
 //! it to the background [`AsyncController`], applies the freshest decision
-//! the tuning thread has produced, and re-snapshots the counters for the
-//! next window. Every other tick is one relaxed atomic increment.
+//! the tuning thread has produced, re-snapshots the counters for the
+//! next window and runs one tenant share-arbitration step. Every other
+//! tick is one relaxed atomic increment.
 
 use crate::async_controller::AsyncController;
 use crate::controller::Controller;
@@ -18,16 +19,18 @@ pub struct Tuner {
     window: u64,
     ops: AtomicU64,
     /// Counters at the start of the open window. Held across a whole
-    /// cycle, so two threads closing adjacent windows back to back cannot
-    /// summarize overlapping spans.
+    /// cycle, so two threads closing adjacent windows back to back can
+    /// neither summarize overlapping spans nor interleave two share
+    /// splits.
     win_start: Mutex<Snapshot>,
     controller: Option<AsyncController>,
 }
 
 impl Tuner {
     /// A tuner over `db` closing a window every `window` operations. With
-    /// no controller (the baselines) a window only advances the window id
-    /// stamped on `db`'s trace events.
+    /// no controller (the baselines and `serve`) a window advances the
+    /// window id stamped on `db`'s trace events and re-learns the tenant
+    /// shares.
     pub fn new(db: &CachedDb, controller: Option<Controller>, window: u64) -> Self {
         Tuner {
             window: window.max(1),
@@ -38,19 +41,21 @@ impl Tuner {
     }
 
     /// Counts one executed operation; on a window boundary runs the cycle
-    /// window summary → submit → apply latest decision → re-snapshot.
+    /// window summary → submit → apply latest decision → re-snapshot →
+    /// rebalance tenant shares (a no-op below two partitions).
     pub fn tick(&self, db: &CachedDb) {
         let n = self.ops.fetch_add(1, Ordering::Relaxed) + 1;
         if !n.is_multiple_of(self.window) {
             return;
         }
         db.obs().set_window(n / self.window);
+        let mut start = self.win_start.lock();
         if let Some(ctl) = &self.controller {
-            let mut start = self.win_start.lock();
             ctl.submit(db.window_summary(&start));
             db.apply_decision(&ctl.latest_decision());
             *start = db.snapshot();
         }
+        db.rebalance_tenants();
     }
 
     /// The background controller (`None` for strategies that are not tuned).
@@ -126,5 +131,36 @@ mod tests {
         }
         assert_eq!(db.obs().window(), 2);
         assert!(tuner.controller().is_none() && tuner.shutdown().is_none());
+    }
+
+    #[test]
+    fn each_window_runs_one_share_arbitration_step() {
+        let db = CachedDb::new(
+            Options::small(),
+            Arc::new(MemStorage::new()),
+            EngineConfig::new(Strategy::AdCache, 1 << 20),
+        )
+        .unwrap();
+        db.set_obs(adcache_obs::Obs::enabled());
+        db.register_tenant(1);
+        db.register_tenant(2);
+        let partitions = db.tenant_ids().len();
+        assert_eq!(partitions, 3, "the default partition and two tenants");
+        let tuner = Tuner::new(&db, None, 10);
+        for i in 0..25u64 {
+            db.get(format!("k{i}").as_bytes()).unwrap();
+            tuner.tick(&db);
+        }
+        let resized_in = |window: u64| {
+            let records = db.obs().journal().unwrap().records();
+            records
+                .iter()
+                .filter(|r| r.window == window)
+                .filter(|r| matches!(r.event, adcache_obs::Event::TenantShareResized { .. }))
+                .count()
+        };
+        assert_eq!(resized_in(1), partitions, "window 1: one step");
+        assert_eq!(resized_in(2), partitions, "window 2: one step");
+        assert_eq!(db.obs().window(), 2, "the half window closes none");
     }
 }

@@ -20,6 +20,9 @@
 //!   executes the requests it has already buffered, flushes the replies,
 //!   closes its connections, and the engine's memtable is flushed before
 //!   the report is returned — no accepted request is dropped.
+//! - **Tuning windows**: every executed GET, PUT, DELETE and SCAN, a
+//!   `Batch`'s subs included, ticks one [`Tuner`]; each window of the
+//!   paper's 1 000 operations re-learns the tenant cache shares.
 //!
 //! Everything is instrumented through the engine's [`Obs`] handle:
 //! `ConnAccepted` / `ConnClosed` / `ServerOverload` journal events, a
@@ -31,7 +34,7 @@ use crate::protocol::{
     self, decode_request, encode_response, is_fatal, MetricsFormat, Opcode, Progress, Request,
     Response,
 };
-use adcache_core::{CachedDb, Partition, TenantId, DEFAULT_TENANT};
+use adcache_core::{CachedDb, ControllerConfig, Partition, TenantId, Tuner, DEFAULT_TENANT};
 use adcache_lsm::{lock_probe, reset_lock_probe, Entry, Key};
 use adcache_obs::{
     ConnCloseCause, Counter, Event, Gauge, HistogramHandle, Obs, Stage, StageSet, StageTimer,
@@ -200,6 +203,9 @@ impl Metrics {
 /// State shared by the accept loop, every worker, and the handle.
 struct Shared {
     db: Arc<CachedDb>,
+    /// Counts executed engine operations into the tuning windows that
+    /// re-learn the tenant shares.
+    tuner: Tuner,
     /// The default tenant's cache partition, resolved once at start: what
     /// every connection that never sent `AUTH` is served from.
     default_partition: Arc<Partition>,
@@ -289,6 +295,7 @@ impl Shared {
     fn new(db: Arc<CachedDb>, cfg: ServerConfig) -> Self {
         let obs = db.obs();
         let shared = Shared {
+            tuner: Tuner::new(&db, None, ControllerConfig::default().window),
             default_partition: db.partition_for(DEFAULT_TENANT),
             metrics: Metrics::new(&obs),
             telemetry: obs.is_enabled(),
@@ -1044,6 +1051,19 @@ fn execute_batch(shared: &Shared, part: &Partition, subs: &[Request]) -> (Respon
     (Response::Batch(out), (subs.len() as u64, stripes))
 }
 
+/// The engine operations `req` runs: one per GET, PUT, DELETE and SCAN,
+/// a `Batch`'s subs included; none for a PING or a control opcode.
+fn engine_ops(req: &Request) -> usize {
+    match req {
+        Request::Get { .. }
+        | Request::Put { .. }
+        | Request::Delete { .. }
+        | Request::Scan { .. } => 1,
+        Request::Batch { subs } => subs.iter().map(engine_ops).sum(),
+        _ => 0,
+    }
+}
+
 fn execute(shared: &Shared, conn: &mut Conn, id: u64, req: &Request, parse_ns: u64) {
     let op = req.opcode();
     shared.metrics.inflight.add(1);
@@ -1063,7 +1083,7 @@ fn execute(shared: &Shared, conn: &mut Conn, id: u64, req: &Request, parse_ns: u
     let resp = if let Some(denied) = quota_check(shared, conn, req) {
         denied
     } else {
-        match req {
+        let resp = match req {
             Request::Ping
             | Request::Get { .. }
             | Request::Put { .. }
@@ -1090,7 +1110,11 @@ fn execute(shared: &Shared, conn: &mut Conn, id: u64, req: &Request, parse_ns: u
                 }),
                 None => Response::Error("telemetry disabled".into()),
             },
+        };
+        for _ in 0..engine_ops(req) {
+            shared.tuner.tick(&shared.db);
         }
+        resp
     };
     let latency_ns = start.elapsed().as_nanos() as u64;
     shared.metrics.inflight.sub(1);

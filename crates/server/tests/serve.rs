@@ -1033,10 +1033,11 @@ fn shutdown_opcode_drains_the_server() {
 /// heard of AUTH sends byte-identical pre-tenant frames (hand-encoded
 /// here so a protocol-layer change cannot mask a drift) and gets exactly
 /// the old behavior — served by the default tenant, full cache budget,
-/// no extra partitions, no throttling.
+/// no extra partitions, no throttling, and no share moves however many
+/// tuning windows it crosses.
 #[test]
 fn legacy_connections_without_auth_are_served_unchanged() {
-    let db = test_db(false);
+    let db = test_db(true);
     let server = start_server(db.clone(), |cfg| {
         // Tenant quotas on: they must not touch unauthenticated traffic.
         cfg.tenant_quota_ops = 10;
@@ -1063,10 +1064,11 @@ fn legacy_connections_without_auth_are_served_unchanged() {
     assert_eq!(&reply[17..], b"seed-00042", "pre-tenant GET still serves");
     drop(sock);
 
-    // Far more ops than the 10-token tenant bucket: none may throttle,
-    // because this connection never bound a tenant.
+    // Far more ops than the 10-token tenant bucket, and two and a half
+    // tuning windows: none may throttle, because this connection never
+    // bound a tenant.
     let mut c = Client::connect(&addr).unwrap();
-    for i in 0..100u64 {
+    for i in 0..2_500u64 {
         match c.call(&Request::Get { key: render_key(i) }).unwrap() {
             Response::Value(_) | Response::NotFound => {}
             other => panic!("legacy traffic must never throttle: {other:?}"),
@@ -1079,6 +1081,10 @@ fn legacy_connections_without_auth_are_served_unchanged() {
     let reports = db.tenant_reports();
     assert_eq!(reports.len(), 1);
     assert!((reports[0].share - 1.0).abs() < 1e-9);
+    let obs = db.obs();
+    assert_eq!(obs.window(), 2);
+    let resizes = obs.registry().unwrap().counter_value("core.tenant.resizes");
+    assert_eq!(resizes, 0, "one partition is never arbitrated");
 
     let report = server.shutdown();
     assert_eq!(report.protocol_errors, 0);
@@ -1242,4 +1248,58 @@ fn auth_binds_the_partition_and_auth_zero_returns_to_the_default() {
         "tenant 5 saw none of it"
     );
     assert_eq!(server.shutdown().protocol_errors, 0);
+}
+
+/// Served operations are the tuner's clock: every GET, PUT, DELETE and
+/// SCAN, a batch's subs included, counts toward the 1 000-op window, a
+/// PING or a control opcode does not, and each closed window runs one
+/// share-arbitration step, journaled under that window's id.
+#[test]
+fn served_windows_rebalance_tenant_shares_once_each() {
+    let db = test_db(true);
+    let server = start_server(db.clone(), |_| {});
+    let addr = server.local_addr().to_string();
+    let mut batched = Client::connect(&addr).unwrap();
+    batched.auth(1).unwrap();
+    let mut single = Client::connect(&addr).unwrap();
+    single.auth(2).unwrap();
+    let partitions = db.tenant_ids().len();
+    assert_eq!(partitions, 3);
+
+    // 199 batches of 10 engine subs and a PING, then 1 000 single GETs
+    // with a PING and a STATS every 100: 2 990 engine ops, so exactly two
+    // windows close. Counting a PING would close a third; counting a
+    // batch as one op, only one.
+    for b in 0..199u64 {
+        let mut subs: Vec<Request> = (0..10)
+            .map(|i| Request::Get {
+                key: render_key(b * 10 + i),
+            })
+            .collect();
+        subs.push(Request::Ping);
+        assert!(matches!(
+            batched.call(&Request::Batch { subs }).unwrap(),
+            Response::Batch(_)
+        ));
+    }
+    for i in 0..1_000u64 {
+        if i % 100 == 0 {
+            single.call(&Request::Ping).unwrap();
+            single.stats().unwrap();
+        }
+        single.call(&Request::Get { key: render_key(i) }).unwrap();
+    }
+    assert_eq!(server.shutdown().protocol_errors, 0);
+
+    assert_eq!(db.obs().window(), 2);
+    let records = db.obs().journal().unwrap().records();
+    let resized_in = |window: u64| {
+        records
+            .iter()
+            .filter(|r| r.window == window)
+            .filter(|r| matches!(r.event, adcache_obs::Event::TenantShareResized { .. }))
+            .count()
+    };
+    assert_eq!(resized_in(1), partitions, "window 1: one step");
+    assert_eq!(resized_in(2), partitions, "window 2: one step");
 }
