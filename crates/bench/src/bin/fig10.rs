@@ -52,17 +52,12 @@ fn run_variant(
     let r = run_schedule(&cfg, &shift_schedule(ops_per_phase)).expect("run");
     // Aggregate to fixed 1000-op buckets so curves are comparable across
     // window sizes.
-    let bucket_ops = 1000u64;
-    let per_bucket = (bucket_ops / window).max(1) as usize;
-    let windows_per_bucket = if window >= bucket_ops { 1 } else { per_bucket };
+    let windows_per_bucket = (1000 / window).max(1) as usize;
     let mut i = 0usize;
     let mut bucket = 0u64;
     while i < r.windows.len() {
         let end = (i + windows_per_bucket).min(r.windows.len());
         let hit: f64 = r.windows[i..end].iter().map(|w| w.hit_rate).sum::<f64>() / (end - i) as f64;
-        let ops_at =
-            (i as u64 + 1) * window * windows_per_bucket as u64 / windows_per_bucket as u64;
-        let _ = ops_at;
         csv.push(vec![
             label.to_string(),
             (bucket * window * windows_per_bucket as u64).to_string(),

@@ -376,6 +376,8 @@ struct Shell {
     db: CachedDb,
     tuner: Tuner,
     obs: Obs,
+    /// The start-up banner's line naming what the tuner runs.
+    tuning: String,
 }
 
 impl Shell {
@@ -383,17 +385,25 @@ impl Shell {
         if obs.is_enabled() {
             db.set_obs(obs.clone());
         }
-        let controller = (db.strategy() == Strategy::AdCache).then(|| {
-            let mut c = Controller::new(ControllerConfig {
-                window: 1000,
-                hidden: 64,
-                ..Default::default()
-            });
-            c.set_obs(obs.clone());
-            c
-        });
-        let tuner = Tuner::new(&db, controller, 1000);
-        Shell { db, tuner, obs }
+        let cfg = ControllerConfig::scaled_down();
+        let window = cfg.window;
+        let controller = Controller::for_store(&db, None, cfg, None);
+        // No committed agent was trained on the served tree, so the shell's
+        // agent starts untrained.
+        let tuning = match &controller {
+            Some(c) => format!(
+                "tuning: untrained agent, hidden width {}, window {window} ops",
+                c.config().hidden
+            ),
+            None => format!("tuning: none ({} is not tuned)", db.strategy().name()),
+        };
+        let tuner = Tuner::background(&db, controller, window);
+        Shell {
+            db,
+            tuner,
+            obs,
+            tuning,
+        }
     }
 
     /// Runs one data operation and counts it toward the tuning window.
@@ -2575,15 +2585,13 @@ fn handle(shell: &Shell, line: &str) -> Result<bool, Box<dyn std::error::Error>>
                         rc.capacity() as f64 * 100.0 / total as f64
                     );
                 }
-                if let Some(t) = shell.tuner.controller() {
-                    let d = t.latest_decision();
+                if let Some((d, tuned)) = shell.tuner.latest() {
                     println!(
-                        "latest decision: range_ratio {:.2}, point threshold {:.4}, a {}, b {:.2} ({} windows tuned)",
+                        "latest decision: range_ratio {:.2}, point threshold {:.4}, a {}, b {:.2} ({tuned} windows tuned)",
                         d.range_ratio,
                         d.point_threshold,
                         d.scan_a,
                         d.scan_b,
-                        t.history().len()
                     );
                 }
             } else {
@@ -2604,7 +2612,7 @@ fn cmd_shell(flags: &Flags) -> CmdResult {
     let cfg = CliConfig::from_flags(flags, flags.num(SHELL_STRIPES)?)?;
     let db = build_db(&cfg)?;
     let shell = Shell::new(db, start_obs(cfg.trace.is_some(), &cfg));
-    println!("type 'help' for commands");
+    println!("{}\ntype 'help' for commands", shell.tuning);
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
     loop {
@@ -2879,7 +2887,7 @@ mod tests {
         for i in 0..999 {
             assert!(handle(&shell, &format!("del key{i}")).unwrap());
         }
-        let tuned = || shell.tuner.controller().unwrap().history().len();
+        let tuned = || shell.tuner.latest().unwrap().1;
         assert_eq!(tuned(), 0, "999 operations close no window");
         assert!(handle(&shell, "del key999").unwrap());
         let controller = shell.tuner.shutdown().expect("adcache is tuned");
@@ -3008,8 +3016,18 @@ mod tests {
     #[test]
     fn baselines_have_no_tuner() {
         let shell = mem_shell(Strategy::RocksDbBlock);
-        assert!(shell.tuner.controller().is_none());
+        assert!(shell.tuner.latest().is_none());
+        assert_eq!(shell.tuning, "tuning: none (rocksdb-block is not tuned)");
         assert!(handle(&shell, "tune").unwrap());
+    }
+
+    #[test]
+    fn the_banner_says_the_shell_agent_is_untrained() {
+        let shell = mem_shell(Strategy::AdCache);
+        assert_eq!(
+            shell.tuning,
+            "tuning: untrained agent, hidden width 64, window 1000 ops"
+        );
     }
     /// One seeded shell run (no controller, so nothing but the engine lock
     /// timers depends on the clock, and those are pinned), recorded after

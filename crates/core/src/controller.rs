@@ -6,6 +6,7 @@
 //! *following* window — "cache parameter updates are always one window
 //! behind the latest observed workload" (Section 4.2).
 
+use crate::engine::{CachedDb, Strategy};
 use crate::reward::{h_estimate, RewardSmoother};
 use crate::stats::WindowSummary;
 use adcache_obs::{Counter, Event, Obs};
@@ -133,6 +134,17 @@ impl Default for ControllerConfig {
     }
 }
 
+impl ControllerConfig {
+    /// The paper's settings with the agent's hidden width cut from 256 to
+    /// 64: the experiment runner's and the shell's starting point.
+    pub fn scaled_down() -> Self {
+        ControllerConfig {
+            hidden: 64,
+            ..Default::default()
+        }
+    }
+}
+
 /// One record of what the controller saw and decided (experiment output).
 #[derive(Debug, Clone)]
 pub struct TuningRecord {
@@ -199,6 +211,31 @@ impl Controller {
             adversarial_windows: Counter::new(),
             obs: Obs::disabled(),
         }
+    }
+
+    /// The controller that tunes `db`, or `None` when nothing is tuned
+    /// there: every strategy but AdCache, and a store whose decision is
+    /// `pinned` (applied here, once). It starts from `pretrained` (an
+    /// agent's JSON) when given, untrained otherwise, and journals to
+    /// `db`'s trace.
+    pub fn for_store(
+        db: &CachedDb,
+        pinned: Option<&CacheDecision>,
+        cfg: ControllerConfig,
+        pretrained: Option<&str>,
+    ) -> Option<Self> {
+        if let Some(d) = pinned {
+            db.apply_decision(d);
+        }
+        if pinned.is_some() || db.strategy() != Strategy::AdCache {
+            return None;
+        }
+        let mut controller = match pretrained.map(ActorCritic::from_json) {
+            Some(agent) => Self::with_agent(cfg, agent.expect("invalid pretrained agent JSON")),
+            None => Self::new(cfg),
+        };
+        controller.set_obs(db.obs());
+        Some(controller)
     }
 
     /// Attaches an observability handle: every subsequent window journals

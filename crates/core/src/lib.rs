@@ -35,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod async_controller;
 pub mod controller;
 pub mod engine;
 pub mod reward;
@@ -45,7 +44,6 @@ pub mod tenant;
 pub mod tuner;
 
 pub use adcache_obs::Histogram;
-pub use async_controller::AsyncController;
 pub use controller::{
     featurize_with, CacheDecision, Controller, ControllerConfig, TuningRecord, ACTION_DIM,
     STATE_DIM,
@@ -60,4 +58,4 @@ pub use runner::{
 };
 pub use stats::{Counters, Snapshot, WindowSummary};
 pub use tenant::{tenant_salt, Partition, TenantId, TenantWindow, DEFAULT_TENANT};
-pub use tuner::Tuner;
+pub use tuner::{ClosedWindow, Tuner};

@@ -1,12 +1,13 @@
-//! The experiment runner: drives workloads against a [`CachedDb`], runs the
-//! windowed controller, and records the per-window series the paper plots.
+//! The experiment runner: drives workloads against a [`CachedDb`], ticks
+//! the tuning cycle ([`Tuner`]) after every operation, and records the
+//! per-window series the paper plots.
 //!
 //! Throughput is reported against *simulated time*: device time accumulated
 //! by the storage cost model plus a per-operation CPU charge. This is the
 //! substitution for the paper's NVMe testbed (DESIGN.md §2) — relative
-//! throughput between strategies is meaningful, absolute QPS is not. Wall
-//! time is recorded separately for the training-overhead experiment
-//! (Figure 11a), where real CPU interference is the quantity of interest.
+//! throughput between strategies is meaningful, absolute QPS is not. Only
+//! [`run_multiclient`] reports wall-clock QPS: the training-overhead
+//! experiment (Figure 11a) measures real CPU interference.
 
 use crate::controller::{CacheDecision, Controller, ControllerConfig};
 use crate::engine::{CachedDb, EngineConfig, Strategy};
@@ -66,10 +67,7 @@ impl RunConfig {
             total_cache_bytes,
             db_options: Options::small(),
             workload,
-            controller: ControllerConfig {
-                hidden: 64,
-                ..Default::default()
-            },
+            controller: ControllerConfig::scaled_down(),
             shards: 1,
             pretrained_agent: None,
             pinned_decision: None,
@@ -77,34 +75,20 @@ impl RunConfig {
             continue_on_error: false,
         }
     }
-
-    /// The directory traces should be dumped to, honoring the
-    /// `ADCACHE_TRACE` environment variable as a fallback.
-    pub fn effective_trace_dir(&self) -> Option<PathBuf> {
-        self.trace_dir
-            .clone()
-            .or_else(|| std::env::var_os("ADCACHE_TRACE").map(PathBuf::from))
-    }
 }
 
-/// Builds the observability handle for a run and attaches it to the engine
-/// and (optional) controller. Returns the handle plus the dump directory;
-/// both sides are no-ops when tracing is off.
-fn attach_obs(
-    cfg: &RunConfig,
-    db: &CachedDb,
-    controller: Option<&mut Controller>,
-) -> (Obs, Option<PathBuf>) {
-    let Some(dir) = cfg.effective_trace_dir() else {
+/// Builds the observability handle for a run and attaches it to the engine.
+/// Returns the handle plus the dump directory (`trace_dir`, else
+/// `ADCACHE_TRACE`); both are no-ops when tracing is off.
+fn attach_obs(cfg: &RunConfig, db: &CachedDb) -> (Obs, Option<PathBuf>) {
+    let env = || std::env::var_os("ADCACHE_TRACE").map(PathBuf::from);
+    let Some(dir) = cfg.trace_dir.clone().or_else(env) else {
         return (Obs::disabled(), None);
     };
     db.set_obs(Obs::enabled());
     // `set_obs` is first-write-wins, so read back the handle actually wired
     // into the engine (a shared db may have been traced by an earlier run).
     let obs = db.obs();
-    if let Some(c) = controller {
-        c.set_obs(obs.clone());
-    }
     let strategy = cfg.strategy.name();
     let total = cfg.total_cache_bytes as u64;
     obs.emit(|| Event::RunStart {
@@ -148,8 +132,6 @@ pub struct RunResult {
     pub overall_hit_rate: f64,
     /// Overall simulated QPS.
     pub overall_qps: f64,
-    /// Wall-clock seconds for the measured portion.
-    pub wall_secs: f64,
     /// Distribution of per-operation simulated latencies (device time plus
     /// the CPU charge), in nanoseconds.
     pub latency: Histogram,
@@ -159,33 +141,36 @@ pub struct RunResult {
     /// Non-finite controller inputs repaired before training (see
     /// [`Controller::nonfinite_repairs`]); always 0 for baselines.
     pub nonfinite_repairs: u64,
-    /// Device fsyncs issued over the whole run (file and directory syncs
-    /// charged to the simulated clock; 0 unless a sync policy is active).
-    pub device_syncs: u64,
 }
 
 impl RunResult {
     /// Mean hit rate over windows in `[from, to)` (e.g. one phase).
     pub fn mean_hit_rate(&self, from: usize, to: usize) -> f64 {
-        let slice = &self.windows[from.min(self.windows.len())..to.min(self.windows.len())];
-        if slice.is_empty() {
-            return 0.0;
-        }
-        slice.iter().map(|w| w.hit_rate).sum::<f64>() / slice.len() as f64
+        self.mean(from, to, |w| w.hit_rate)
     }
 
     /// Mean QPS over windows in `[from, to)`.
     pub fn mean_qps(&self, from: usize, to: usize) -> f64 {
+        self.mean(from, to, |w| w.qps)
+    }
+
+    fn mean(&self, from: usize, to: usize, f: impl Fn(&WindowRecord) -> f64) -> f64 {
         let slice = &self.windows[from.min(self.windows.len())..to.min(self.windows.len())];
         if slice.is_empty() {
             return 0.0;
         }
-        slice.iter().map(|w| w.qps).sum::<f64>() / slice.len() as f64
+        slice.iter().map(f).sum::<f64>() / slice.len() as f64
     }
 }
 
-fn simulated_window_ns(w: &WindowSummary, entries_delta: u64) -> u64 {
-    w.simulated_ns + w.ops() * CPU_NS_PER_OP + entries_delta * CPU_NS_PER_ENTRY
+/// Simulated QPS over `w`, whose scans returned `entries` entries.
+fn simulated_qps(w: &WindowSummary, entries: u64) -> f64 {
+    let ns = w.simulated_ns + w.ops() * CPU_NS_PER_OP + entries * CPU_NS_PER_ENTRY;
+    if ns == 0 {
+        0.0
+    } else {
+        w.ops() as f64 * 1e9 / ns as f64
+    }
 }
 
 /// Builds the engine, loads `workload.num_keys` keys, and settles
@@ -224,15 +209,15 @@ pub fn prepare_db_with_storage(
     Ok(db)
 }
 
-fn make_controller(cfg: &RunConfig) -> Controller {
-    match &cfg.pretrained_agent {
-        Some(json) => {
-            let agent =
-                adcache_rl::ActorCritic::from_json(json).expect("invalid pretrained agent JSON");
-            Controller::with_agent(cfg.controller.clone(), agent)
-        }
-        None => Controller::new(cfg.controller.clone()),
-    }
+/// [`Controller::for_store`] for a run; after [`attach_obs`], so the
+/// controller journals to the run's trace.
+fn controller_for(cfg: &RunConfig, db: &CachedDb) -> Option<Controller> {
+    Controller::for_store(
+        db,
+        cfg.pinned_decision.as_ref(),
+        cfg.controller.clone(),
+        cfg.pretrained_agent.as_deref(),
+    )
 }
 
 /// Executes one operation against the engine.
@@ -265,22 +250,12 @@ pub fn run_schedule(cfg: &RunConfig, schedule: &Schedule) -> Result<RunResult> {
 /// experiments share the load phase across runs of the same strategy).
 pub fn run_schedule_on(cfg: &RunConfig, schedule: &Schedule, db: &CachedDb) -> Result<RunResult> {
     let mut gen = WorkloadGen::new(cfg.workload.clone());
-    let mut controller = if cfg.strategy == Strategy::AdCache && cfg.pinned_decision.is_none() {
-        Some(make_controller(cfg))
-    } else {
-        None
-    };
-    let (obs, trace_dir) = attach_obs(cfg, db, controller.as_mut());
-    if let Some(d) = &cfg.pinned_decision {
-        db.apply_decision(d);
-    }
+    let (obs, trace_dir) = attach_obs(cfg, db);
+    let tuner = Tuner::inline(db, controller_for(cfg, db), cfg.controller.window);
 
-    let window = cfg.controller.window.max(1);
     let mut windows = Vec::new();
     let run_start_snapshot = db.snapshot();
-    let mut win_start = run_start_snapshot;
     let mut entries_at_win_start = 0u64;
-    let wall_start = std::time::Instant::now();
     let mut executed = 0u64;
     let mut latency = Histogram::new();
     let obs_latency = obs.histogram("op.latency_ns");
@@ -310,38 +285,25 @@ pub fn run_schedule_on(cfg: &RunConfig, schedule: &Schedule, db: &CachedDb) -> R
         last_sim_ns = sim_now;
         last_entries = entries_now;
         executed += 1;
-        if executed.is_multiple_of(window) {
-            let w = db.window_summary(&win_start);
+        if let Some(closed) = tuner.tick(db) {
+            let w = closed.summary;
             let entries_now = db.counters().entries_returned.load(Ordering::Relaxed);
-            let sim_ns = simulated_window_ns(&w, entries_now - entries_at_win_start);
-            let qps = if sim_ns == 0 {
-                0.0
-            } else {
-                w.ops() as f64 * 1e9 / sim_ns as f64
-            };
-            let decision = controller.as_mut().map(|c| {
-                let d = c.end_of_window(&w);
-                db.apply_decision(&d);
-                d
-            });
             windows.push(WindowRecord {
-                index: executed / window - 1,
+                index: closed.index,
                 phase: phase.name.clone(),
                 hit_rate: h_estimate(&w),
                 sst_reads: w.io_miss,
-                qps,
-                decision,
+                qps: simulated_qps(&w, entries_now - entries_at_win_start),
+                decision: closed.decision,
                 summary: w,
             });
-            win_start = db.snapshot();
             entries_at_win_start = entries_now;
-            obs.set_window(executed / window);
         }
     }
+    let controller = tuner.shutdown();
 
     let overall = db.window_summary(&run_start_snapshot);
     let entries_total = db.counters().entries_returned.load(Ordering::Relaxed);
-    let sim_ns = simulated_window_ns(&overall, entries_total);
     if let Some(dir) = &trace_dir {
         obs.gauge("run.total_ops").set(overall.ops() as i64);
         obs.gauge("run.windows").set(windows.len() as i64);
@@ -355,17 +317,11 @@ pub fn run_schedule_on(cfg: &RunConfig, schedule: &Schedule, db: &CachedDb) -> R
         total_ops: overall.ops(),
         total_sst_reads: overall.io_miss,
         overall_hit_rate: h_estimate(&overall),
-        overall_qps: if sim_ns == 0 {
-            0.0
-        } else {
-            overall.ops() as f64 * 1e9 / sim_ns as f64
-        },
-        wall_secs: wall_start.elapsed().as_secs_f64(),
+        overall_qps: simulated_qps(&overall, entries_total),
         windows,
         latency,
         op_errors,
         nonfinite_repairs: controller.as_ref().map_or(0, |c| c.nonfinite_repairs()),
-        device_syncs: io_stats.syncs(),
     })
 }
 
@@ -382,7 +338,7 @@ pub fn run_static(cfg: &RunConfig, mix: Mix, ops: u64) -> Result<RunResult> {
 }
 
 /// Multi-client run (Figure 11a): `clients` threads share the engine and
-/// one [`Tuner`], whose controller trains on its own background thread —
+/// one background [`Tuner`], whose controller runs on its own thread —
 /// "model inference and training occur asynchronously in the background"
 /// (paper Section 3.1). Returns per-client *wall-clock* QPS, since the
 /// experiment measures real CPU interference from training.
@@ -392,35 +348,34 @@ pub fn run_multiclient(
     clients: usize,
     ops_per_client: u64,
 ) -> Result<Vec<f64>> {
-    let db = Arc::new(prepare_db(cfg)?);
-    let mut controller = if cfg.strategy == Strategy::AdCache && cfg.controller.online {
-        Some(make_controller(cfg))
-    } else {
-        None
-    };
-    let (obs, trace_dir) = attach_obs(cfg, &db, controller.as_mut());
-    let tuner = Arc::new(Tuner::new(&db, controller, cfg.controller.window));
-
-    let mut handles = Vec::new();
-    for client in 0..clients {
-        let db = db.clone();
-        let tuner = tuner.clone();
-        let mut wcfg = cfg.workload.clone();
-        wcfg.seed = cfg.workload.seed.wrapping_add(client as u64 * 7919 + 1);
-        handles.push(std::thread::spawn(move || -> Result<f64> {
-            let mut gen = WorkloadGen::new(wcfg);
-            let start = std::time::Instant::now();
-            for _ in 0..ops_per_client {
-                execute(&db, &gen.next_op(&mix))?;
-                tuner.tick(&db);
-            }
-            Ok(ops_per_client as f64 / start.elapsed().as_secs_f64())
-        }));
-    }
-    let qps = handles
-        .into_iter()
-        .map(|h| h.join().expect("client thread panicked"))
-        .collect::<Result<Vec<f64>>>()?;
+    let db = prepare_db(cfg)?;
+    let (obs, trace_dir) = attach_obs(cfg, &db);
+    let tuner = Tuner::background(&db, controller_for(cfg, &db), cfg.controller.window);
+    let qps = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients)
+            .map(|client| {
+                let (db, tuner) = (&db, &tuner);
+                let mut wcfg = cfg.workload.clone();
+                wcfg.seed = cfg.workload.seed.wrapping_add(client as u64 * 7919 + 1);
+                s.spawn(move || -> Result<f64> {
+                    let mut gen = WorkloadGen::new(wcfg);
+                    let start = std::time::Instant::now();
+                    for _ in 0..ops_per_client {
+                        execute(db, &gen.next_op(&mix))?;
+                        tuner.tick(db);
+                    }
+                    Ok(ops_per_client as f64 / start.elapsed().as_secs_f64())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread panicked"))
+            .collect::<Result<Vec<f64>>>()
+    })?;
+    // Waits for the tuning thread to drain, so it cannot compete with
+    // whatever runs next.
+    tuner.shutdown();
     if let Some(dir) = &trace_dir {
         obs.dump_to_dir(dir)?;
     }
@@ -540,6 +495,14 @@ mod tests {
             "admission verdicts must be journaled"
         );
         assert!(trace.contains("\"BoundaryResize\""));
+        // The first window's decision is stamped with the window it opens,
+        // as the shell's and `serve`'s tuners stamp theirs.
+        let records = adcache_obs::parse_jsonl(&trace).unwrap();
+        let first_decision = records
+            .iter()
+            .find(|r| matches!(r.event, Event::ControllerDecision { .. }))
+            .unwrap();
+        assert_eq!(first_decision.window, 1);
 
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
         assert!(metrics.contains("cache.block.hits"));
@@ -585,6 +548,7 @@ mod tests {
         };
         let r = run_schedule_on(&cfg, &schedule, &db).unwrap();
         assert!(r.op_errors > 0, "the storm plan must actually bite");
+        assert_eq!(r.windows.len(), 10, "a failed operation still counts");
         assert_eq!(
             r.nonfinite_repairs, 0,
             "fault storms must not poison controller inputs"

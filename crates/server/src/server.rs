@@ -295,7 +295,7 @@ impl Shared {
     fn new(db: Arc<CachedDb>, cfg: ServerConfig) -> Self {
         let obs = db.obs();
         let shared = Shared {
-            tuner: Tuner::new(&db, None, ControllerConfig::default().window),
+            tuner: Tuner::background(&db, None, ControllerConfig::default().window),
             default_partition: db.partition_for(DEFAULT_TENANT),
             metrics: Metrics::new(&obs),
             telemetry: obs.is_enabled(),
