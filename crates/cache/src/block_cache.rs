@@ -12,11 +12,11 @@
 //! the budget is consumed, further misses still read from storage but are
 //! not admitted.
 
-use crate::container::{CacheStats, ChargedCache};
+use crate::container::{CacheFootprint, CacheStats, ChargedCache};
 use crate::policy::{LruPolicy, Policy};
 use adcache_lsm::compaction::{CompactionEvent, CompactionListener};
 use adcache_lsm::sstable::{decode_stored_block_at, BlockProvider, TableMeta};
-use adcache_lsm::{Block, BlockRef, FileId, Result, Storage};
+use adcache_lsm::{heap, Block, BlockRef, FileId, Result, Storage};
 use adcache_obs::{CacheStructure, Event, EvictionCause, Obs};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -143,6 +143,20 @@ impl BlockCache {
             agg.invalidations += st.invalidations;
         }
         agg
+    }
+
+    /// What the cache holds, for the memory ledger: each block's stored
+    /// buffer (its encoding and checksum) as the payload, and its shared
+    /// handle.
+    pub fn footprint(&self) -> CacheFootprint {
+        let mut sum = CacheFootprint::default();
+        for s in &self.shards {
+            sum.add(&s.lock().footprint(|_, block| {
+                let handle = heap::chunk(16 + std::mem::size_of::<Block>());
+                (heap::arc_bytes(block.encoded_len() + 4), handle)
+            }));
+        }
+        sum
     }
 
     /// Drops every resident block (capacity unchanged).

@@ -6,6 +6,7 @@
 //! immediately until the new budget holds.
 
 use crate::policy::Policy;
+use adcache_lsm::heap;
 use adcache_obs::Counter;
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -222,6 +223,44 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
     /// The live counter cells.
     pub fn counters(&self) -> &CacheCounters {
         &self.stats
+    }
+
+    /// What the cache holds, for the memory ledger. `heap_of` gives an
+    /// entry's `(payload, other)` heap bytes; the table and the policy's
+    /// bookkeeping are added to the second.
+    pub fn footprint(&self, heap_of: impl Fn(&K, &V) -> (usize, usize)) -> CacheFootprint {
+        let mut f = CacheFootprint {
+            charged: self.used,
+            payload_heap: 0,
+            structure_heap: heap::hash_map(&self.map) + self.policy.heap_bytes(),
+        };
+        for (k, (v, _)) in &self.map {
+            let (payload, other) = heap_of(k, v);
+            f.payload_heap += payload;
+            f.structure_heap += other;
+        }
+        f
+    }
+}
+
+/// What a [`ChargedCache`] holds, for the memory ledger, in bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheFootprint {
+    /// Charged bytes.
+    pub charged: usize,
+    /// Heap bytes of the cached payloads (values, block buffers) were each
+    /// one allocation of its own.
+    pub payload_heap: usize,
+    /// Heap bytes of everything else: table, policy, keys, handles.
+    pub structure_heap: usize,
+}
+
+impl CacheFootprint {
+    /// Adds `other`'s terms to these.
+    pub fn add(&mut self, other: &CacheFootprint) {
+        self.charged += other.charged;
+        self.payload_heap += other.payload_heap;
+        self.structure_heap += other.structure_heap;
     }
 }
 

@@ -4,8 +4,9 @@
 //! layout, so entries survive compactions. Only point lookups can hit it;
 //! scans bypass it entirely (the paper's "KV Cache" baseline, Section 5.1).
 
-use crate::container::{CacheStats, ChargedCache};
+use crate::container::{CacheFootprint, CacheStats, ChargedCache};
 use crate::policy::{LruPolicy, Policy};
+use adcache_lsm::heap;
 use adcache_obs::{CacheStructure, Event, EvictionCause, Obs};
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -143,6 +144,12 @@ impl KvCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// What the cache holds, for the memory ledger: the values as the
+    /// payload, each key an allocation of its own.
+    pub fn footprint(&self) -> CacheFootprint {
+        (self.inner.lock()).footprint(|k, v| (heap::arc_bytes(v.len()), heap::arc_bytes(k.len())))
     }
 }
 

@@ -25,10 +25,10 @@ pub mod sketch;
 
 pub use admission::{PointAdmission, ScanAdmission, SketchGuard};
 pub use block_cache::{BlockCache, ScopedBlockProvider};
-pub use container::{CacheCounters, CacheStats, ChargedCache};
+pub use container::{CacheCounters, CacheFootprint, CacheStats, ChargedCache};
 pub use kv_cache::KvCache;
 pub use policy::{
     CacheusPolicy, LeCaRPolicy, LfuPolicy, LruPolicy, Policy, SlotLruPolicy, TieBreak,
 };
-pub use range_cache::{PointLookup, RangeCache, RangeLookup, RangePolicyFactory};
+pub use range_cache::{PointLookup, RangeCache, RangeFootprint, RangeLookup, RangePolicyFactory};
 pub use sketch::CountMinSketch;

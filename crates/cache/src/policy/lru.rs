@@ -1,6 +1,7 @@
 //! Least-recently-used eviction.
 
 use super::Policy;
+use adcache_lsm::heap;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -194,6 +195,10 @@ impl<K: Clone + Eq + Hash + Send> Policy<K> for LruPolicy<K> {
     fn name(&self) -> &'static str {
         "lru"
     }
+
+    fn heap_bytes(&self) -> usize {
+        heap::vec(&self.list.links) + heap::vec(&self.keys) + heap::hash_map(&self.index)
+    }
 }
 
 /// [`LruPolicy`] for keys that are already dense, recycled node numbers —
@@ -236,6 +241,10 @@ impl Policy<u32> for SlotLruPolicy {
 
     fn name(&self) -> &'static str {
         "lru"
+    }
+
+    fn heap_bytes(&self) -> usize {
+        heap::vec(&self.0.links)
     }
 }
 

@@ -94,6 +94,12 @@ pub trait Policy<K: Clone + Eq + Hash>: Send {
     fn on_external_remove(&mut self, key: &K);
     /// Human-readable policy name for logs and experiment output.
     fn name(&self) -> &'static str;
+    /// Heap bytes of the policy's bookkeeping, for the memory ledger. The
+    /// LRU policies, which the served caches run, measure theirs; the
+    /// others report 0, and what they hold is left unattributed.
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// Shared test-suite applied to every policy: residency bookkeeping must be

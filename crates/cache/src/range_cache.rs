@@ -47,6 +47,7 @@ mod slots;
 
 use crate::container::CacheStats;
 use crate::policy::{Policy, SlotLruPolicy};
+use adcache_lsm::heap;
 use adcache_obs::{CacheStructure, Counter, Event, EvictionCause, Gauge, Obs};
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
@@ -58,6 +59,51 @@ use std::sync::{Arc, OnceLock};
 
 /// Per-entry bookkeeping overhead added to the byte charge.
 const ENTRY_OVERHEAD: usize = 48;
+
+/// What a range cache holds, for the memory ledger
+/// ([`RangeCache::footprint`]): the charge by term, and the heap bytes of
+/// each structure, in bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RangeFootprint {
+    /// Charged bytes: keys, values and a fixed overhead per entry.
+    pub charged: usize,
+    /// Σ key length.
+    pub key_bytes: usize,
+    /// Σ value length.
+    pub value_bytes: usize,
+    /// Heap bytes of the keys, one allocation each.
+    pub key_heap: usize,
+    /// Heap bytes of the values were each one allocation of its own, as
+    /// a copied value is; a view of a buffer another structure keeps takes
+    /// none of them.
+    pub value_heap: usize,
+    /// Slab chunks and their ordered bits.
+    pub slab: usize,
+    /// The hash index's buckets.
+    pub hash_index: usize,
+    /// Nodes of the key-ordered index (its keys are the slab's).
+    pub ordered_index: usize,
+    /// Covered segments: map nodes and bound keys.
+    pub segments: usize,
+    /// The eviction policy's bookkeeping.
+    pub lru: usize,
+}
+
+impl RangeFootprint {
+    /// Adds `other`'s terms to these.
+    pub fn add(&mut self, other: &RangeFootprint) {
+        self.charged += other.charged;
+        self.key_bytes += other.key_bytes;
+        self.value_bytes += other.value_bytes;
+        self.key_heap += other.key_heap;
+        self.value_heap += other.value_heap;
+        self.slab += other.slab;
+        self.hash_index += other.hash_index;
+        self.ordered_index += other.ordered_index;
+        self.segments += other.segments;
+        self.lru += other.lru;
+    }
+}
 
 /// Outcome of a point lookup against the range cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,6 +164,12 @@ struct Shard {
     policy: Box<dyn Policy<u32>>,
     capacity: usize,
     used: usize,
+    /// Σ key and value lengths, and the heap bytes of the same keys and
+    /// values as allocations of their own: the ledger's variable terms.
+    key_bytes: usize,
+    value_bytes: usize,
+    key_heap: usize,
+    value_heap: usize,
     evictions: Counter,
     /// Entries removed by a delete or `clear`; nothing else but the policy
     /// removes one.
@@ -139,6 +191,10 @@ impl Shard {
             policy,
             capacity,
             used: 0,
+            key_bytes: 0,
+            value_bytes: 0,
+            key_heap: 0,
+            value_heap: 0,
             evictions: Counter::new(),
             invalidations: 0,
             inserts: 0,
@@ -186,6 +242,9 @@ impl Shard {
     fn update_entry(&mut self, slot: u32, value: Bytes) {
         let entry = self.slab.get_mut(slot);
         self.used = self.used - entry.value.len() + value.len();
+        self.value_bytes = self.value_bytes - entry.value.len() + value.len();
+        self.value_heap =
+            self.value_heap - heap::arc_bytes(entry.value.len()) + heap::arc_bytes(value.len());
         entry.value = value;
         self.policy.on_hit(&slot);
     }
@@ -194,11 +253,49 @@ impl Shard {
     /// `ordered`; returns its slot.
     fn insert_entry(&mut self, hash: u64, key: Arc<[u8]>, value: Bytes) -> u32 {
         self.used += Self::charge_of(&key, &value);
+        self.note_payload(&key, &value, true);
         let slot = self.slab.insert(Entry { key, value });
         self.index.insert(hash, slot);
         self.policy.on_insert_as(&slot, hash);
         self.inserts += 1;
         slot
+    }
+
+    /// Adds (`admitted`) or takes away an entry's key and value from the
+    /// ledger's payload terms.
+    fn note_payload(&mut self, key: &[u8], value: &[u8], admitted: bool) {
+        let terms = [
+            (&mut self.key_bytes, key.len()),
+            (&mut self.value_bytes, value.len()),
+            (&mut self.key_heap, heap::arc_bytes(key.len())),
+            (&mut self.value_heap, heap::arc_bytes(value.len())),
+        ];
+        for (term, n) in terms {
+            if admitted {
+                *term += n;
+            } else {
+                *term -= n;
+            }
+        }
+    }
+
+    /// This shard's terms of a [`RangeFootprint`].
+    fn footprint(&self) -> RangeFootprint {
+        let segment_keys: usize = (self.segments.iter())
+            .map(|(s, e)| heap::arc_bytes(s.len()) + heap::arc_bytes(e.len()))
+            .sum();
+        RangeFootprint {
+            charged: self.used,
+            key_bytes: self.key_bytes,
+            value_bytes: self.value_bytes,
+            key_heap: self.key_heap,
+            value_heap: self.value_heap,
+            slab: self.slab.heap_bytes(),
+            hash_index: self.index.heap_bytes(),
+            ordered_index: heap::btree_map(&self.ordered),
+            segments: heap::btree_map(&self.segments) + segment_keys,
+            lru: self.policy.heap_bytes(),
+        }
     }
 
     /// Puts the entry in `slot`, which a segment covers or is about to,
@@ -221,6 +318,7 @@ impl Shard {
             self.ordered.remove(&entry.key);
         }
         self.used -= Self::charge_of(&entry.key, &entry.value);
+        self.note_payload(&entry.key, &entry.value, false);
         if via_eviction {
             self.evictions.inc();
         } else {
@@ -723,6 +821,7 @@ impl RangeCache {
             s.ordered.clear();
             s.segments.clear();
             s.used = 0;
+            (s.key_bytes, s.value_bytes, s.key_heap, s.value_heap) = (0, 0, 0, 0);
             s.publish_segments();
         }
     }
@@ -755,6 +854,15 @@ impl RangeCache {
     /// Resident entry count.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().slab.len()).sum()
+    }
+
+    /// What the cache holds, for the memory ledger, summed over shards.
+    pub fn footprint(&self) -> RangeFootprint {
+        let mut sum = RangeFootprint::default();
+        for s in &self.shards {
+            sum.add(&s.lock().footprint());
+        }
+        sum
     }
 
     /// Whether no entries are resident.

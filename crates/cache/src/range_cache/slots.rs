@@ -9,6 +9,7 @@
 //! bytes per bucket (a 32-bit hash tag and the slot id) and finds the key
 //! itself in the slab, so no second copy of the key exists.
 
+use adcache_lsm::heap;
 use bytes::Bytes;
 use std::sync::Arc;
 
@@ -155,6 +156,13 @@ impl Slab {
     pub(super) fn clear(&mut self) {
         *self = Slab::new();
     }
+
+    /// Heap bytes of the chunks and the ordered bits (the entries' keys
+    /// and values are their own allocations).
+    pub(super) fn heap_bytes(&self) -> usize {
+        let chunks: usize = self.chunks.iter().map(heap::vec).sum();
+        chunks + heap::vec(&self.chunks) + heap::vec(&self.ordered)
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -265,6 +273,11 @@ impl HashIndex {
     /// Forgets every slot and releases the table.
     pub(super) fn clear(&mut self) {
         *self = HashIndex::new();
+    }
+
+    /// Heap bytes of the bucket array.
+    pub(super) fn heap_bytes(&self) -> usize {
+        heap::vec(&self.buckets)
     }
 }
 

@@ -7,14 +7,24 @@
 //! resident); it is what a later re-basing of the charge to within 1.1× of
 //! real bytes has to stand on.
 //!
+//!
+//! The same live bytes pin the memory ledger's estimates: what each cache
+//! reports as its real bytes (`footprint`) is within 10 % of what the
+//! allocator holds for it.
+//!
 //! Counters are thread-local: the test harness runs tests on parallel
 //! threads, and each test must see only its own allocations.
 
-use adcache_cache::{CountMinSketch, PointLookup, RangeCache, RangeLookup};
+use adcache_cache::{
+    BlockCache, CacheFootprint, CountMinSketch, KvCache, PointLookup, RangeCache, RangeFootprint,
+    RangeLookup,
+};
+use adcache_lsm::{Block, BlockBuilder, BlockRef};
 use bytes::Bytes;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -74,6 +84,27 @@ fn allocations() -> u64 {
 
 fn live_bytes() -> i64 {
     LIVE_BYTES.with(Cell::get)
+}
+
+/// The ledger's estimate must be within 10 % of the live bytes measured.
+fn assert_ledger_matches(what: &str, reported: usize, live: i64) {
+    // No printing: the leak checks after it count every byte this thread
+    // still holds, stdout's buffer included.
+    let ratio = reported as f64 / live as f64;
+    assert!(
+        (0.9..=1.1).contains(&ratio),
+        "{what}: the ledger reports {reported} B for {live} live"
+    );
+}
+
+/// A range cache's real bytes as the ledger counts them when every value
+/// is an allocation of its own, as these tests' values are.
+fn range_real(f: &RangeFootprint) -> usize {
+    f.key_heap + f.value_heap + f.slab + f.hash_index + f.ordered_index + f.segments + f.lru
+}
+
+fn cache_real(f: &CacheFootprint) -> usize {
+    f.structure_heap + f.payload_heap
 }
 
 /// The benchmark's key shape: 24 bytes.
@@ -165,7 +196,9 @@ fn resident_point_entry_fits_260_real_bytes() {
             cache.insert_point(key(id), Bytes::from(vec![7u8; 100]));
         }
         assert_eq!(cache.len(), n as usize);
-        let per_entry = (live_bytes() - before) as f64 / n as f64;
+        let live = live_bytes() - before;
+        assert_ledger_matches("points", range_real(&cache.footprint()), live);
+        let per_entry = live as f64 / n as f64;
         assert!(
             per_entry <= 260.0,
             "{per_entry:.1} bytes per entry at n={n}"
@@ -212,7 +245,9 @@ fn resident_entry_fits_300_real_bytes_under_churn() {
     assert_eq!((cache.len(), cache.segment_count()), (24_385, 1_432));
     assert_eq!(stats.invalidations, 0, "entries removed behind the policy");
     assert_eq!(cache.coverage_dropped(), 0);
-    let per_entry = (live_bytes() - before) as f64 / cache.len() as f64;
+    let live = live_bytes() - before;
+    assert_ledger_matches("churn", range_real(&cache.footprint()), live);
+    let per_entry = live as f64 / cache.len() as f64;
     assert!(
         per_entry <= 300.0,
         "{per_entry:.1} bytes per entry, {} entries, {} segments",
@@ -221,4 +256,36 @@ fn resident_entry_fits_300_real_bytes_under_churn() {
     );
     drop(cache);
     assert_eq!(live_bytes(), before, "the cache leaked");
+}
+
+/// The KV cache's and the block cache's ledger rows, against the allocator:
+/// keys, values and blocks are each an allocation of their own here, as
+/// over `FileStorage`, where the copy rule makes them so.
+#[test]
+fn kv_and_block_cache_ledgers_match_live_bytes() {
+    let before = live_bytes();
+    let kv = KvCache::new(64 << 20);
+    for i in 0..50_000 {
+        kv.insert(key(i), Bytes::from(vec![7u8; 100]));
+    }
+    let live = live_bytes() - before;
+    assert_ledger_matches("kv", cache_real(&kv.footprint()), live);
+    drop(kv);
+
+    let before = live_bytes();
+    let blocks = BlockCache::new(64 << 20, 4);
+    for i in 0..2_000u32 {
+        let mut b = BlockBuilder::new(16);
+        for j in 0..7 {
+            b.add_value(&key(i * 7 + j), Some(&[7u8; 512])).unwrap();
+        }
+        let block = Arc::new(Block::decode(b.finish()).unwrap());
+        let at = BlockRef {
+            file: u64::from(i / 100),
+            block_no: i % 100,
+        };
+        blocks.insert_block(at, block);
+    }
+    let live = live_bytes() - before;
+    assert_ledger_matches("block", cache_real(&blocks.footprint()), live);
 }

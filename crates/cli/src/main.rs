@@ -18,7 +18,9 @@
 //! drills. `adcache --help` and `adcache SUBCOMMAND --help` list every
 //! flag; both are generated from the flag tables below.
 
-use adcache_core::{CachedDb, Controller, ControllerConfig, EngineConfig, Strategy, Tuner};
+use adcache_core::{
+    CachedDb, Controller, ControllerConfig, EngineConfig, MemoryReport, Strategy, Tuner,
+};
 use adcache_lsm::{FileStorage, MemStorage, Options};
 use adcache_obs::{parse_jsonl_lenient, Event, Obs};
 use adcache_workload::{render_key, AdversaryKind, Mix, Operation, WorkloadConfig, WorkloadGen};
@@ -367,6 +369,7 @@ fn cmd_stats(db: &CachedDb) {
         db.db().storage().stats().writes(),
         db.db().storage().stats().simulated_ns() as f64 / 1e6,
     );
+    let _ = render_memory(&db.memory_report(), &mut std::io::stdout().lock());
 }
 
 /// The shell's engine plus the online loop of the paper, driven from a
@@ -1392,6 +1395,13 @@ fn cmd_top(flags: &Flags) -> CmdResult {
         )
     );
 
+    if let Some(memory) = stats.get("memory").cloned() {
+        render_memory(
+            &serde_json::from_value(memory)?,
+            &mut std::io::stdout().lock(),
+        )?;
+    }
+
     let mut prev = fetch_metrics_value(addr)?;
     let mut prev_at = std::time::Instant::now();
     let mut tick = 0u64;
@@ -1412,6 +1422,24 @@ fn cmd_top(flags: &Flags) -> CmdResult {
             return Ok(true);
         }
     }
+}
+
+/// The memory ledger, greppable: one `mem` line per row in bytes, then
+/// the totals against the resident set. `top` prints it from `STATS` as
+/// it starts, the shell's `stats` from the engine.
+fn render_memory(m: &MemoryReport, out: Out) -> std::io::Result<()> {
+    for r in &m.rows {
+        writeln!(
+            out,
+            "mem {} charged {} real {} shared {}",
+            r.name, r.charged, r.real, r.shared
+        )?;
+    }
+    writeln!(
+        out,
+        "memory vm_rss {} attributed {} unattributed {}",
+        m.vm_rss, m.attributed, m.unattributed
+    )
 }
 
 /// One `adcache top` frame: everything derived from the delta between
@@ -3115,11 +3143,30 @@ group_commit rounds 2706 seals 11 write_stalls 0
             };
             assert_eq!(lines(&out), lines(&golden));
         };
+        // A wall-clock lock wait over the budget journals a
+        // `LockContention`, so on a loaded host the journal holds a few
+        // more events than the golden run's 54; like the lock counters
+        // `recorded_pair` pins, the header takes them as they came, and
+        // each must be a wait that really was over its budget.
+        let journal = std::fs::read_to_string(dir.join("trace.jsonl")).unwrap();
+        let mut contentions = 0;
+        for line in journal.lines() {
+            let record: Value = serde_json::from_str(line).unwrap();
+            if let Some(c) = record.get("event").and_then(|e| e.get("LockContention")) {
+                let ns = |field: &str| c.get(field).and_then(Value::as_u64).unwrap();
+                assert!(ns("wait_ns") > ns("budget_ns"), "{line}");
+                contentions += 1;
+            }
+        }
         let mut out = Vec::new();
         render_trace(&dir, &mut out).unwrap();
         check(
             out,
-            &format!("trace: {} (54 events)\n{GOLDEN_TRACE}", dir.display()),
+            &format!(
+                "trace: {} ({} events)\n{GOLDEN_TRACE}",
+                dir.display(),
+                54 + contentions
+            ),
         );
         let mut out = Vec::new();
         render_metrics_summary(&MetricsView::of(&after), &mut out).unwrap();

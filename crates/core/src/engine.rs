@@ -8,9 +8,12 @@
 //! differing only in which caches exist and how admission behaves.
 
 use crate::controller::CacheDecision;
+use crate::memory::{self, MemoryReport};
 use crate::stats::{Counters, Snapshot, WindowSummary};
 use crate::tenant::{Partition, TenantId, TenantWindow, DEFAULT_TENANT};
-use adcache_cache::{BlockCache, PointLookup, RangeCache, ScanAdmission};
+use adcache_cache::{
+    BlockCache, CacheFootprint, PointLookup, RangeCache, RangeFootprint, ScanAdmission,
+};
 use adcache_lsm::{
     DirectProvider, Entry, FileStorage, Key, MemStorage, Options, Result, Storage, StripedDb, Value,
 };
@@ -18,6 +21,7 @@ use adcache_obs::{AdmissionOutcome, AdmissionReason, CacheStructure, Counter, Ev
 use adcache_rl::{ShareAgent, TenantFeatures};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -193,6 +197,11 @@ pub struct CachedDb {
     applied_ratio: RwLock<f64>,
     counters: Counters,
     obs: OnceLock<EngineObsHooks>,
+    /// The copy rule, read from the store once: whether the result caches
+    /// copy the values they admit, which they do when the store's blocks
+    /// are private read buffers (see [`Storage::blocks_are_the_store`]).
+    /// Only [`keep`](Self::keep) and [`keep_all`](Self::keep_all) read it.
+    copy_values: bool,
 }
 
 impl CachedDb {
@@ -254,7 +263,6 @@ impl CachedDb {
             db.add_compaction_listener(bc.clone());
         }
         Ok(CachedDb {
-            db,
             strategy: cfg.strategy,
             default_partition,
             tenants: RwLock::new(BTreeMap::new()),
@@ -265,6 +273,8 @@ impl CachedDb {
             applied_ratio: RwLock::new(CacheDecision::default().range_ratio),
             counters: Counters::default(),
             obs: OnceLock::new(),
+            copy_values: !db.storage().blocks_are_the_store(),
+            db,
             cfg,
         })
     }
@@ -640,14 +650,16 @@ impl CachedDb {
     fn fill_point_caches(&self, part: &Partition, key: &[u8], v: &Value) {
         #[cfg(test)]
         tests::fill_pause::pause_at(key);
-        // One owned copy of the key, made when the first cache admits it
-        // and shared by the second.
+        // One owned copy of the key, and the value as the caches keep it,
+        // made when the first cache admits them and shared by the second.
         let mut owned: Option<Bytes> = None;
         let mut owned_key = || {
             owned
                 .get_or_insert_with(|| Bytes::copy_from_slice(key))
                 .clone()
         };
+        let mut kept: Option<Value> = None;
+        let mut kept_value = || kept.get_or_insert_with(|| self.keep(v)).clone();
         if let Some(rc) = &part.range_cache {
             let (admit, reason) = match &part.point_admission {
                 Some(adm) => {
@@ -670,7 +682,7 @@ impl CachedDb {
                 h.admission(CacheStructure::Range, outcome, reason, 1, admit as u64);
             }
             if admit {
-                rc.insert_point(owned_key(), v.clone());
+                rc.insert_point(owned_key(), kept_value());
             }
         }
         if let Some(kv) = &part.kv_cache {
@@ -683,9 +695,36 @@ impl CachedDb {
                     1,
                 );
             }
-            kv.insert(owned_key(), v.clone());
+            kv.insert(owned_key(), kept_value());
         }
         part.publish_bytes();
+    }
+
+    /// A value as a result cache keeps it: the copy rule. Over a store
+    /// whose blocks are private read buffers (`FileStorage`), a view would
+    /// pin the whole buffer it was read into, so the cache gets an
+    /// exact-size copy; where the blocks are the store (`MemStorage`), the
+    /// view costs nothing the store does not hold anyway, and is kept.
+    fn keep(&self, v: &Value) -> Value {
+        if self.copy_values {
+            Bytes::copy_from_slice(v)
+        } else {
+            v.clone()
+        }
+    }
+
+    /// A scan tail as the range cache keeps its first `admitted` entries
+    /// ([`keep`](Self::keep)): only those are copied, and nothing is when
+    /// the store keeps its blocks or nothing is admitted (an empty tail
+    /// still records its negative range).
+    fn keep_all<'a>(&self, tail: &'a [(Key, Value)], admitted: usize) -> Cow<'a, [(Key, Value)]> {
+        if !self.copy_values || admitted == 0 {
+            return Cow::Borrowed(tail);
+        }
+        let kept = tail[..admitted]
+            .iter()
+            .map(|(k, v)| (k.clone(), self.keep(v)));
+        Cow::Owned(kept.collect())
     }
 
     /// [`scan_in`](Self::scan_in) the default tenant's partition.
@@ -758,7 +797,8 @@ impl CachedDb {
                         );
                     }
                 }
-                rc.insert_scan(&cont_key, tail, admitted);
+                let admitted = admitted.min(tail.len());
+                rc.insert_scan(&cont_key, &self.keep_all(tail, admitted), admitted);
                 part.publish_bytes();
             }
         };
@@ -1012,6 +1052,42 @@ impl CachedDb {
     /// The engine configuration this instance was built with.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
+    }
+
+    /// The memory ledger (see [`crate::memory`]): every term the served
+    /// path holds, summed over tenant partitions and stripes, against the
+    /// process's resident set. Computed now, from sizes the structures
+    /// keep; `STATS.memory` on the wire.
+    pub fn memory_report(&self) -> MemoryReport {
+        let mut range = RangeFootprint::default();
+        let (mut block, mut kv) = (CacheFootprint::default(), CacheFootprint::default());
+        let mut sketch = 0;
+        self.for_each_partition(|p| {
+            if let Some(rc) = &p.range_cache {
+                range.add(&rc.footprint());
+            }
+            if let Some(bc) = &p.block_cache {
+                block.add(&bc.footprint());
+            }
+            if let Some(c) = &p.kv_cache {
+                kv.add(&c.footprint());
+            }
+            if let Some(adm) = &p.point_admission {
+                sketch += adm.lock().sketch().memory_bytes();
+            }
+        });
+        let storage = self.db.storage();
+        memory::report(memory::Terms {
+            blocks_are_the_store: storage.blocks_are_the_store(),
+            range,
+            block,
+            kv,
+            sketch,
+            trees: (0..self.db.num_stripes())
+                .map(|i| self.db.stripe(i).memory())
+                .collect(),
+            store: storage.resident_bytes(),
+        })
     }
 
     /// A serializable point-in-time statistics report covering the engine,

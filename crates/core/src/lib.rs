@@ -37,6 +37,7 @@
 
 pub mod controller;
 pub mod engine;
+pub mod memory;
 pub mod reward;
 pub mod runner;
 pub mod stats;
@@ -51,6 +52,7 @@ pub use controller::{
 pub use engine::{
     CacheStatsReport, CachedDb, EngineConfig, EngineStatsReport, Strategy, TenantStatsReport,
 };
+pub use memory::{MemoryReport, MemoryRow};
 pub use reward::{h_estimate, io_estimate, io_estimate_of, RewardSmoother};
 pub use runner::{
     execute, prepare_db, prepare_db_with_storage, run_multiclient, run_schedule, run_schedule_on,

@@ -7,6 +7,8 @@
 //! to `[1, 30]`, and probes use the Kirsch–Mitzenmacher double-hashing
 //! scheme over a single 64-bit hash.
 
+use crate::heap;
+
 /// A serializable Bloom filter over byte-string keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
@@ -32,6 +34,11 @@ pub fn hash64(data: &[u8]) -> u64 {
 }
 
 impl BloomFilter {
+    /// Heap bytes of the filter's bit array.
+    pub fn heap_bytes(&self) -> usize {
+        heap::vec(&self.bits)
+    }
+
     /// Builds a filter sized for `keys.len()` keys at `bits_per_key`.
     ///
     /// An empty key set or a zero budget produces a degenerate filter that

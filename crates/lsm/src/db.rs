@@ -24,6 +24,7 @@ use crate::compaction::{run_compaction, CompactionEvent, CompactionListener};
 use crate::error::{LsmError, Result};
 use crate::fault::{CrashController, CrashPoint};
 use crate::fs::{MetaFs, RealFs};
+use crate::heap;
 use crate::iterator::{MergingIter, Source};
 use crate::manifest::{recover_manifest, write_manifest, ManifestState, ManifestSync};
 use crate::memtable::MemTable;
@@ -1345,6 +1346,26 @@ impl LsmTree {
             .collect()
     }
 
+    /// What this tree holds in memory, for the memory ledger: both
+    /// memtables, and the index and filter of every live table.
+    pub fn memory(&self) -> TreeMemory {
+        let inner = self.lock_read(LockPath::Read);
+        let mut m = TreeMemory::default();
+        for mem in std::iter::once(&inner.mem).chain(inner.imm.as_deref()) {
+            m.memtable_charged += mem.approximate_bytes();
+            m.memtable_heap += mem.heap_bytes();
+            m.memtable_stranded += mem.stranded_bytes();
+        }
+        for t in inner.version.tables() {
+            m.index_bytes += heap::chunk(16 + std::mem::size_of::<TableMeta>())
+                + t.index.heap_bytes()
+                + heap::arc_bytes(t.smallest.len())
+                + heap::arc_bytes(t.largest.len());
+            m.bloom_bytes += t.bloom.heap_bytes();
+        }
+        m
+    }
+
     /// Number of sorted runs (`r` in the paper's reward model).
     pub fn num_runs(&self) -> usize {
         self.lock_read(LockPath::Read).version.num_runs()
@@ -1375,6 +1396,24 @@ impl LsmTree {
         }
         (entries, blocks)
     }
+}
+
+/// One stripe's terms of the memory ledger ([`LsmTree::memory`]), in
+/// bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TreeMemory {
+    /// What the active and the sealed memtable charge: `key + value + 16`
+    /// a key.
+    pub memtable_charged: usize,
+    /// Heap bytes of both memtables, stranded bytes included.
+    pub memtable_heap: usize,
+    /// Arena bytes that unequal overwrites stranded (part of
+    /// `memtable_heap`).
+    pub memtable_stranded: usize,
+    /// Block indexes, key bounds and metadata of every live table.
+    pub index_bytes: usize,
+    /// Bloom filter bits of every live table.
+    pub bloom_bytes: usize,
 }
 
 /// What the seal and stall checks weigh a memtable at: its charge plus the

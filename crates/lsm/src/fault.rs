@@ -368,6 +368,14 @@ impl Storage for FaultStorage {
     fn stats(&self) -> &IoStats {
         self.inner.stats()
     }
+
+    fn blocks_are_the_store(&self) -> bool {
+        self.inner.blocks_are_the_store()
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.inner.resident_bytes()
+    }
 }
 
 /// Crash-consistency seams where the engine volunteers to "die".

@@ -35,6 +35,7 @@ pub mod db;
 pub mod error;
 pub mod fault;
 pub mod fs;
+pub mod heap;
 pub mod history;
 pub mod iterator;
 pub mod manifest;
@@ -52,7 +53,7 @@ pub mod wal;
 pub use block::{Block, BlockBuilder};
 pub use bloom::BloomFilter;
 pub use compaction::{CompactionEvent, CompactionListener};
-pub use db::{DbStats, LsmTree};
+pub use db::{DbStats, LsmTree, TreeMemory};
 pub use error::{LsmError, Result};
 pub use fault::{CrashController, CrashPoint, FaultPlan, FaultStats, FaultStorage};
 pub use fs::{MetaFs, ReadAt, RealFs, SimFs, UnsyncedLoss};

@@ -95,6 +95,12 @@ impl MemTable {
         self.list.stranded()
     }
 
+    /// Heap bytes the memtable really holds: its arena, stranded bytes
+    /// included, and its node and tower vectors.
+    pub fn heap_bytes(&self) -> usize {
+        self.list.heap_bytes()
+    }
+
     /// Number of distinct keys buffered.
     pub fn len(&self) -> usize {
         self.list.len()

@@ -21,6 +21,8 @@
 //! shape (and a test failure) reproduces exactly. The list is not
 //! synchronized; the engine guards each memtable with its stripe's lock.
 
+use crate::heap;
+
 /// Bytes per arena chunk.
 const CHUNK: usize = 64 << 10;
 const MAX_HEIGHT: usize = 12;
@@ -84,6 +86,13 @@ impl SkipList {
     /// behind: held until the list is dropped, read by nothing.
     pub(crate) fn stranded(&self) -> usize {
         self.stranded
+    }
+
+    /// Heap bytes the list holds: every chunk, the chunk list, the node
+    /// and tower vectors.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let chunks: usize = self.chunks.iter().map(heap::vec).sum();
+        chunks + heap::vec(&self.chunks) + heap::vec(&self.nodes) + heap::vec(&self.towers)
     }
 
     fn random_height(&mut self) -> usize {

@@ -13,6 +13,7 @@
 use crate::block::{Block, BlockBuilder, BlockCursor};
 use crate::bloom::{hash64, BloomFilter};
 use crate::error::{LsmError, Result};
+use crate::heap;
 use crate::options::Options;
 use crate::storage::{Storage, TableSink};
 use crate::types::{Entry, FileId, Key, KeyEntry};
@@ -144,6 +145,11 @@ impl BlockIndex {
         self.keys.extend_from_slice(first_key);
         let end = u32::try_from(self.keys.len()).expect("block index under 4 GiB");
         self.ends.push(end);
+    }
+
+    /// Heap bytes of the index: its key buffer and its offsets.
+    pub fn heap_bytes(&self) -> usize {
+        heap::vec(&self.keys) + heap::vec(&self.ends)
     }
 
     /// Number of blocks indexed.

@@ -9,6 +9,7 @@
 
 use crate::error::{LsmError, Result};
 use crate::fs::{MetaFs, ReadAt, RealFs};
+use crate::heap;
 use crate::types::FileId;
 use bytes::{Bytes, BytesMut};
 use parking_lot::RwLock;
@@ -155,6 +156,18 @@ pub trait Storage: Send + Sync {
 
     /// Shared I/O counters.
     fn stats(&self) -> &IoStats;
+
+    /// Whether a block [`read_block`](Self::read_block) returns is a view
+    /// of bytes the device keeps in memory anyway — the blocks *are* the
+    /// store (`MemStorage`) — rather than a buffer private to that read
+    /// (`FileStorage`). A cache that keeps a slice of a private buffer pins
+    /// all of it, so the engine copies the values it caches when this is
+    /// false and keeps the view when it is true.
+    fn blocks_are_the_store(&self) -> bool;
+
+    /// Heap bytes the device itself holds: `MemStorage`'s tables,
+    /// `FileStorage`'s open-table offsets. A row of the memory ledger.
+    fn resident_bytes(&self) -> usize;
 }
 
 /// In-memory storage: blocks live in a hash map, reads are counted and
@@ -311,6 +324,21 @@ impl Storage for MemStorage {
 
     fn stats(&self) -> &IoStats {
         &self.stats
+    }
+
+    fn blocks_are_the_store(&self) -> bool {
+        true
+    }
+
+    fn resident_bytes(&self) -> usize {
+        let tables = self.tables.read();
+        let held: usize = (tables.values())
+            .map(|(blocks, meta)| {
+                let data: usize = blocks.iter().map(|b| heap::arc_bytes(b.len())).sum();
+                data + heap::vec(blocks) + heap::arc_bytes(meta.len())
+            })
+            .sum();
+        held + heap::hash_map(&tables)
     }
 }
 
@@ -549,6 +577,23 @@ impl Storage for FileStorage {
 
     fn stats(&self) -> &IoStats {
         &self.stats
+    }
+
+    fn blocks_are_the_store(&self) -> bool {
+        false
+    }
+
+    /// Each open table's handle and offsets; the blocks themselves are in
+    /// the files, and a read's buffer belongs to whoever keeps it.
+    fn resident_bytes(&self) -> usize {
+        let open = self.open.read();
+        let handles: usize = (open.values())
+            .map(|t| {
+                heap::chunk(16 + std::mem::size_of::<OpenTable>())
+                    + heap::chunk(t.offsets.len() * 8)
+            })
+            .sum();
+        handles + heap::hash_map(&open)
     }
 }
 

@@ -484,14 +484,18 @@ mod tests {
     fn contended_write_measures_wait() {
         let l = Arc::new(TimedRwLock::new(0u32));
         l.set_timing(true);
+        let (held_tx, held) = std::sync::mpsc::channel();
         let holder = {
             let l = l.clone();
             std::thread::spawn(move || {
                 let _g = l.write(LockPath::Flush);
+                held_tx.send(()).unwrap();
                 std::thread::sleep(Duration::from_millis(10));
             })
         };
-        std::thread::sleep(Duration::from_millis(2)); // let holder acquire
+        // The holder has the lock before the contender asks for it: the
+        // order is forced, not left to a sleep.
+        held.recv().unwrap();
         let g = l.write(LockPath::Write);
         assert!(
             g.wait_ns() >= 1_000_000,

@@ -115,6 +115,11 @@ impl Version {
         self.levels[level].iter().map(|t| t.total_bytes).sum()
     }
 
+    /// Every live table, level by level.
+    pub fn tables(&self) -> impl Iterator<Item = &Arc<TableMeta>> {
+        self.levels.iter().flatten()
+    }
+
     /// Number of files in `level`.
     pub fn level_files(&self, level: usize) -> usize {
         self.levels[level].len()

@@ -4,7 +4,7 @@
 //! `Arc` and one key buffer, a table cursor one key per entry it yields, a
 //! table build allocates per block rather than per entry, a table build
 //! over files holds one block of the table at a time, and a memtable holds
-//! little more than the bytes it is charged.
+//! little more than the bytes it is charged, as the memory ledger reads it.
 //!
 //! Counters are thread-local: the test harness runs tests on parallel
 //! threads, and each test must see only its own allocations.
@@ -315,6 +315,13 @@ fn a_full_memtable_holds_little_more_than_its_charge() {
         real / charged
     );
     assert!(real <= 1.35 * charged, "{real} B for {charged} charged");
+    // The memory ledger's memtable row reads the arena's real bytes, and
+    // must stay within 10 % of the allocator's count.
+    let ledger = m.heap_bytes() as f64;
+    assert!(
+        (0.9 * real..=1.1 * real).contains(&ledger),
+        "the ledger reports {ledger} B for {real} live"
+    );
 }
 
 #[test]

@@ -214,6 +214,14 @@ impl Storage for SlowFlushStorage {
     fn stats(&self) -> &IoStats {
         self.inner.stats()
     }
+
+    fn blocks_are_the_store(&self) -> bool {
+        self.inner.blocks_are_the_store()
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.inner.resident_bytes()
+    }
 }
 
 /// The backpressure contract: a writer stalls only on its OWN stripe.

@@ -1318,9 +1318,11 @@ fn slow_request_key(req: &Request) -> String {
 }
 
 /// The `Stats` payload: the engine's report wrapped with serving-layer
-/// totals, as one JSON object.
+/// totals and the memory ledger, as one JSON object.
 fn stats_json(shared: &Shared) -> String {
     let engine = serde_json::to_value(&shared.db.stats_report())
+        .unwrap_or_else(|_| Value::Object(Vec::new()));
+    let memory = serde_json::to_value(&shared.db.memory_report())
         .unwrap_or_else(|_| Value::Object(Vec::new()));
     let server = Value::Object(vec![
         ("requests".to_string(), Value::from(shared.requests.get())),
@@ -1354,6 +1356,7 @@ fn stats_json(shared: &Shared) -> String {
     let root = Value::Object(vec![
         ("engine".to_string(), engine),
         ("server".to_string(), server),
+        ("memory".to_string(), memory),
     ]);
     serde_json::to_string(&root).unwrap_or_else(|_| "{}".to_string())
 }

@@ -4,6 +4,8 @@
 # high-connection pass (256 conns, --batch 16) — require zero protocol
 # errors on both, and verify the Shutdown opcode drains the server
 # cleanly (exit 0, every accepted connection closed, trace summarizable).
+# A second, durable server (`--dir`) must answer STATS with a whole memory
+# ledger.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,6 +47,36 @@ if ! grep -qE "^tree per stripe: block 4096 B, memtable (256|512|1024|2048|4096)
     exit 1
 fi
 start_server "$TRACE_DIR/durable.log" --dir "$TRACE_DIR/store"
+# The memory ledger on a durable store: a short write-heavy pass (512 B
+# values, as the benchmark's write-durable), a mixed pass that fills the
+# result caches, then `top` prints STATS.memory. Every row must
+# be there and non-negative, and the rows' real bytes may not add up to
+# more than the resident set the same report read.
+"$BIN" loadgen --addr "$ADDR" --ops 20000 --connections 4 --keys 5000 \
+    --value-size 512 --mix write
+"$BIN" loadgen --addr "$ADDR" --ops 10000 --connections 4 --keys 5000 \
+    --value-size 512 --mix mixed
+"$BIN" top --addr "$ADDR" --iterations 1 --interval-ms 50 > "$TRACE_DIR/top.txt"
+grep -E "^mem(ory)? " "$TRACE_DIR/top.txt"
+awk -v want="range.keys range.values range.slab range.hash_index range.ordered_index \
+range.segments range.lru block.blocks block.table kv.values kv.keys_and_table \
+admission.sketch memtable.0 memtable.0.stranded sst.index sst.bloom store.tables" '
+    /^mem / {
+        seen[$2] = 1
+        if ($4 < 0 || $6 < 0 || $8 < 0) bad = bad " " $2
+        real += $6
+    }
+    /^memory / { rss = $3 }
+    END {
+        n = split(want, rows, " ")
+        for (i = 1; i <= n; i++) if (!(rows[i] in seen)) bad = bad " missing:" rows[i]
+        if (bad != "") { print "FAIL: memory ledger rows:" bad > "/dev/stderr"; exit 1 }
+        if (rss == 0 || real > rss) {
+            print "FAIL: ledger rows hold " real " B against VmRSS " rss > "/dev/stderr"
+            exit 1
+        }
+        printf "memory ledger: %d B of %d B resident attributed\n", real, rss
+    }' "$TRACE_DIR/top.txt"
 "$BIN" loadgen --addr "$ADDR" --ops 0 --shutdown
 expect_clean_drain "$TRACE_DIR/durable.log" durable
 if ! grep -q "^tree per stripe: block 4096 B, memtable 4096 KiB, sstable 4096 KiB, L1 40960 KiB$" "$TRACE_DIR/durable.log"; then
