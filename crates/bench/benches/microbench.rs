@@ -7,8 +7,8 @@
 //! Run with `cargo bench -p adcache-bench`.
 
 use adcache_cache::{
-    BlockCache, CacheusPolicy, ChargedCache, CountMinSketch, LeCaRPolicy, LfuPolicy, LruPolicy,
-    PointLookup, Policy, RangeCache, RangeLookup, SlotLruPolicy,
+    BlockCache, CacheusPolicy, ChargedCache, CountMinSketch, LeCaRPolicy, LfuPolicy, PointLookup,
+    Policy, RangeCache, RangeLookup, SlotLruPolicy,
 };
 use adcache_core::{CachedDb, EngineConfig, Strategy};
 use adcache_lsm::memtable::MemTable;
@@ -25,48 +25,30 @@ use std::sync::Arc;
 
 fn bench_policies(c: &mut Criterion) {
     let mut g = c.benchmark_group("policy");
-    // `key` makes the policy's key of a number: the range cache hands its
-    // policy 4-byte slot ids, the other containers wider keys.
-    fn run<K: Clone + Eq + std::hash::Hash>(p: &mut dyn Policy<K>, key: fn(u64) -> K) {
-        for i in 0..64 {
-            p.on_insert(&key(i));
+    // A policy ranks the range cache's slot ids; each entry's identity is
+    // its slot's number here.
+    fn run(p: &mut dyn Policy) {
+        for slot in 0..64 {
+            p.on_insert(slot, u64::from(slot));
         }
-        for i in 0..64 {
-            p.on_hit(&key(i % 16));
+        for slot in 0..64 {
+            p.on_hit(slot % 16);
         }
         for _ in 0..32 {
             black_box(p.victim());
         }
     }
-    g.bench_function("lru_insert_hit_evict", |b| {
-        b.iter(|| {
-            let mut p = LruPolicy::new();
-            run(&mut p, |i| i);
-        })
-    });
     g.bench_function("lfu_insert_hit_evict", |b| {
-        b.iter(|| {
-            let mut p = LfuPolicy::new();
-            run(&mut p, |i| i);
-        })
+        b.iter(|| run(&mut LfuPolicy::new()))
     });
     g.bench_function("lecar_insert_hit_evict", |b| {
-        b.iter(|| {
-            let mut p = LeCaRPolicy::new();
-            run(&mut p, |i| i);
-        })
+        b.iter(|| run(&mut LeCaRPolicy::new()))
     });
     g.bench_function("cacheus_insert_hit_evict", |b| {
-        b.iter(|| {
-            let mut p = CacheusPolicy::new();
-            run(&mut p, |i| i);
-        })
+        b.iter(|| run(&mut CacheusPolicy::new()))
     });
     g.bench_function("slot_lru_insert_hit_evict", |b| {
-        b.iter(|| {
-            let mut p = SlotLruPolicy::new();
-            run(&mut p, |i| i as u32);
-        })
+        b.iter(|| run(&mut SlotLruPolicy::new()))
     });
     g.finish();
 }
@@ -539,8 +521,7 @@ fn bench_range_cache(c: &mut Criterion) {
             }
         })
     });
-    let mut charged: ChargedCache<u64, u64> =
-        ChargedCache::new(1 << 20, Box::new(LruPolicy::new()));
+    let mut charged: ChargedCache<u64, u64> = ChargedCache::new(1 << 20);
     g.bench_function("charged_cache_insert_get", |b| {
         let mut i = 0u64;
         b.iter(|| {

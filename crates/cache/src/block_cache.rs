@@ -13,7 +13,6 @@
 //! not admitted.
 
 use crate::container::{CacheFootprint, CacheStats, ChargedCache};
-use crate::policy::{LruPolicy, Policy};
 use adcache_lsm::compaction::{CompactionEvent, CompactionListener};
 use adcache_lsm::sstable::{decode_stored_block_at, BlockProvider, TableMeta};
 use adcache_lsm::{heap, Block, BlockRef, FileId, Result, Storage};
@@ -21,9 +20,6 @@ use adcache_obs::{CacheStructure, Event, EvictionCause, Obs};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Factory producing one eviction policy per shard.
-pub type PolicyFactory = Box<dyn Fn() -> Box<dyn Policy<BlockRef>> + Send + Sync>;
 
 fn evicted_block_bytes(evicted: &[(BlockRef, Arc<Block>)]) -> u64 {
     evicted.iter().map(|(_, b)| b.encoded_len() as u64).sum()
@@ -49,18 +45,13 @@ fn shard_of(key: &BlockRef, n: usize) -> usize {
 
 impl BlockCache {
     /// Creates a cache with `capacity` total bytes split over `shards`
-    /// LRU-managed shards.
+    /// LRU shards.
     pub fn new(capacity: usize, shards: usize) -> Self {
-        Self::with_policy(capacity, shards, Box::new(|| Box::new(LruPolicy::new())))
-    }
-
-    /// Creates a cache with a custom per-shard eviction policy.
-    pub fn with_policy(capacity: usize, shards: usize, factory: PolicyFactory) -> Self {
         let shards = shards.max(1);
         let per_shard = capacity / shards;
         BlockCache {
             shards: (0..shards)
-                .map(|_| Mutex::new(ChargedCache::new(per_shard, factory())))
+                .map(|_| Mutex::new(ChargedCache::new(per_shard)))
                 .collect(),
             obs: OnceLock::new(),
             decode_failures: AtomicU64::new(0),

@@ -1,11 +1,11 @@
-//! A byte-charged cache container with pluggable eviction.
+//! A byte-charged LRU cache container.
 //!
-//! [`ChargedCache`] owns the resident map and the byte budget; a
-//! [`Policy`] chooses victims. Capacity can be re-set at runtime — the
-//! mechanism behind AdCache's dynamic cache boundary — and shrinking evicts
-//! immediately until the new budget holds.
+//! [`ChargedCache`] holds the entries, their recency order and the byte
+//! budget of the block and KV caches. Capacity can be re-set at runtime —
+//! the mechanism behind AdCache's dynamic cache boundary — and shrinking
+//! evicts immediately until the new budget holds.
 
-use crate::policy::Policy;
+use crate::policy::RecencyList;
 use adcache_lsm::heap;
 use adcache_obs::Counter;
 use std::borrow::Borrow;
@@ -58,26 +58,46 @@ impl CacheStats {
     }
 }
 
-/// A capacity-bounded map from `K` to `V` where each entry carries an
+/// A capacity-bounded LRU map from `K` to `V` where each entry carries an
 /// explicit byte charge.
+///
+/// One hash map finds a key's node; the node holds the entry and sits on a
+/// recency list, least recently used first, so a hit is one probe and a
+/// victim none. Freed nodes are recycled, so the node vectors are as long
+/// as the largest resident set seen.
 pub struct ChargedCache<K, V> {
-    map: HashMap<K, (V, usize)>,
-    policy: Box<dyn Policy<K>>,
+    index: HashMap<K, u32>,
+    /// The entries by node number; `None` while a node is free.
+    nodes: Vec<Option<Node<K, V>>>,
+    recency: RecencyList,
     capacity: usize,
     used: usize,
     stats: CacheCounters,
 }
 
+struct Node<K, V> {
+    key: K,
+    value: V,
+    charge: usize,
+}
+
 impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
     /// Creates a cache bounded at `capacity` bytes.
-    pub fn new(capacity: usize, policy: Box<dyn Policy<K>>) -> Self {
+    pub fn new(capacity: usize) -> Self {
         ChargedCache {
-            map: HashMap::new(),
-            policy,
+            index: HashMap::new(),
+            nodes: Vec::new(),
+            recency: RecencyList::new(),
             capacity,
             used: 0,
             stats: CacheCounters::default(),
         }
+    }
+
+    fn node(&self, i: u32) -> &Node<K, V> {
+        self.nodes[i as usize]
+            .as_ref()
+            .expect("indexed node is resident")
     }
 
     /// Looks up `key`, updating recency on hit and the hit/miss counters.
@@ -88,11 +108,11 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        match self.map.get_key_value(key) {
-            Some((k, (v, _))) => {
+        match self.index.get(key) {
+            Some(&i) => {
                 self.stats.hits.inc();
-                self.policy.on_hit(k);
-                Some(v)
+                self.recency.touch(i);
+                Some(&self.node(i).value)
             }
             None => {
                 self.stats.misses.inc();
@@ -103,7 +123,8 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
 
     /// Looks up without touching recency or counters (for introspection).
     pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|(v, _)| v)
+        let &i = self.index.get(key)?;
+        Some(&self.node(i).value)
     }
 
     /// Whether `key` is resident (no side effects).
@@ -112,39 +133,61 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.map.contains_key(key)
+        self.index.contains_key(key)
     }
 
-    /// Inserts `key -> value` charged at `charge` bytes, evicting as needed.
-    /// Returns the evicted entries. An entry larger than the whole capacity
-    /// is refused (returned back as the sole "evicted" item).
+    /// Inserts `key -> value` charged at `charge` bytes as the most recently
+    /// used entry, evicting as needed. Returns the evicted entries, led by
+    /// the value `key` replaced, if any. An entry larger than the whole
+    /// capacity is refused (returned back as the sole "evicted" item).
     pub fn insert(&mut self, key: K, value: V, charge: usize) -> Vec<(K, V)> {
-        let mut evicted = Vec::new();
         if charge > self.capacity {
-            // Refuse oversized entries outright.
-            evicted.push((key, value));
-            return evicted;
+            return vec![(key, value)];
         }
-        if let Some((old_v, old_charge)) = self.map.remove(&key) {
-            self.used -= old_charge;
-            self.policy.on_external_remove(&key);
-            evicted.push((key.clone(), old_v));
-        }
+        let mut evicted = Vec::new();
         self.stats.inserts.inc();
         self.used += charge;
-        self.map.insert(key.clone(), (value, charge));
-        self.policy.on_insert(&key);
-        while self.used > self.capacity {
-            let Some(victim) = self.policy.victim() else {
-                break;
-            };
-            if let Some((v, c)) = self.map.remove(&victim) {
-                self.used -= c;
-                self.stats.evictions.inc();
-                evicted.push((victim, v));
+        match self.index.get(&key) {
+            Some(&i) => {
+                let node = self.nodes[i as usize].as_mut().expect("resident");
+                self.used -= std::mem::replace(&mut node.charge, charge);
+                evicted.push((key, std::mem::replace(&mut node.value, value)));
+                self.recency.touch(i);
+            }
+            None => {
+                let i = self.recency.push_new();
+                self.index.insert(key.clone(), i);
+                let node = Some(Node { key, value, charge });
+                match self.nodes.get_mut(i as usize) {
+                    Some(free) => *free = node,
+                    None => self.nodes.push(node),
+                }
             }
         }
+        self.evict_to_capacity(&mut evicted);
         evicted
+    }
+
+    /// Frees node `i`, which is resident and already out of the index.
+    fn release(&mut self, i: u32) -> Node<K, V> {
+        self.recency.release(i);
+        let node = self.nodes[i as usize].take().expect("resident");
+        self.used -= node.charge;
+        node
+    }
+
+    /// Evicts least recently used entries into `evicted` until the charge
+    /// fits the capacity.
+    fn evict_to_capacity(&mut self, evicted: &mut Vec<(K, V)>) {
+        while self.used > self.capacity {
+            let Some(i) = self.recency.pop_lru() else {
+                break;
+            };
+            let node = self.release(i);
+            self.index.remove(&node.key);
+            self.stats.evictions.inc();
+            evicted.push((node.key, node.value));
+        }
     }
 
     /// Removes `key` (invalidation path). Returns the value if present.
@@ -153,21 +196,25 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let (k, (v, c)) = self.map.remove_entry(key)?;
-        self.used -= c;
-        self.policy.on_external_remove(&k);
+        let i = self.index.remove(key)?;
         self.stats.invalidations.inc();
-        Some(v)
+        Some(self.release(i).value)
     }
 
     /// Removes every entry matching `pred`, returning how many were dropped.
     pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) -> usize {
-        let doomed: Vec<K> = self.map.keys().filter(|k| !keep(k)).cloned().collect();
-        let n = doomed.len();
-        for k in doomed {
-            self.remove(&k);
+        let mut doomed = Vec::new();
+        self.index.retain(|k, &mut i| {
+            keep(k) || {
+                doomed.push(i);
+                false
+            }
+        });
+        for &i in &doomed {
+            self.release(i);
+            self.stats.invalidations.inc();
         }
-        n
+        doomed.len()
     }
 
     /// Re-targets the byte budget, evicting down to it when shrinking.
@@ -175,16 +222,7 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
     pub fn set_capacity(&mut self, capacity: usize) -> Vec<(K, V)> {
         self.capacity = capacity;
         let mut evicted = Vec::new();
-        while self.used > self.capacity {
-            let Some(victim) = self.policy.victim() else {
-                break;
-            };
-            if let Some((v, c)) = self.map.remove(&victim) {
-                self.used -= c;
-                self.stats.evictions.inc();
-                evicted.push((victim, v));
-            }
-        }
+        self.evict_to_capacity(&mut evicted);
         evicted
     }
 
@@ -200,12 +238,12 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     /// Counter snapshot.
@@ -226,16 +264,18 @@ impl<K: Clone + Eq + Hash, V> ChargedCache<K, V> {
     }
 
     /// What the cache holds, for the memory ledger. `heap_of` gives an
-    /// entry's `(payload, other)` heap bytes; the table and the policy's
-    /// bookkeeping are added to the second.
+    /// entry's `(payload, other)` heap bytes; the index, the nodes and the
+    /// recency links are added to the second.
     pub fn footprint(&self, heap_of: impl Fn(&K, &V) -> (usize, usize)) -> CacheFootprint {
         let mut f = CacheFootprint {
             charged: self.used,
             payload_heap: 0,
-            structure_heap: heap::hash_map(&self.map) + self.policy.heap_bytes(),
+            structure_heap: heap::hash_map(&self.index)
+                + heap::vec(&self.nodes)
+                + self.recency.heap_bytes(),
         };
-        for (k, (v, _)) in &self.map {
-            let (payload, other) = heap_of(k, v);
+        for node in self.nodes.iter().flatten() {
+            let (payload, other) = heap_of(&node.key, &node.value);
             f.payload_heap += payload;
             f.structure_heap += other;
         }
@@ -251,7 +291,7 @@ pub struct CacheFootprint {
     /// Heap bytes of the cached payloads (values, block buffers) were each
     /// one allocation of its own.
     pub payload_heap: usize,
-    /// Heap bytes of everything else: table, policy, keys, handles.
+    /// Heap bytes of everything else: index, nodes, links, keys, handles.
     pub structure_heap: usize,
 }
 
@@ -267,10 +307,9 @@ impl CacheFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::LruPolicy;
 
     fn cache(cap: usize) -> ChargedCache<u32, String> {
-        ChargedCache::new(cap, Box::new(LruPolicy::new()))
+        ChargedCache::new(cap)
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! scans bypass it entirely (the paper's "KV Cache" baseline, Section 5.1).
 
 use crate::container::{CacheFootprint, CacheStats, ChargedCache};
-use crate::policy::{LruPolicy, Policy};
 use adcache_lsm::heap;
 use adcache_obs::{CacheStructure, Event, EvictionCause, Obs};
 use bytes::Bytes;
@@ -23,15 +22,10 @@ pub struct KvCache {
 }
 
 impl KvCache {
-    /// Creates an LRU-managed cache bounded at `capacity` bytes.
+    /// Creates an LRU cache bounded at `capacity` bytes.
     pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, Box::new(LruPolicy::new()))
-    }
-
-    /// Creates a cache with a custom eviction policy.
-    pub fn with_policy(capacity: usize, policy: Box<dyn Policy<Bytes>>) -> Self {
         KvCache {
-            inner: Mutex::new(ChargedCache::new(capacity, policy)),
+            inner: Mutex::new(ChargedCache::new(capacity)),
             obs: OnceLock::new(),
         }
     }

@@ -7,8 +7,11 @@
 //! - [`kv_cache::KvCache`] — point-result cache (Row Cache analogue);
 //! - [`range_cache::RangeCache`] — result cache with covered-segment
 //!   tracking, serving point *and* range lookups across compactions;
-//! - [`policy`] — pluggable eviction: LRU, LFU (plus CR-LFU), LeCaR and
-//!   Cacheus, behind one [`policy::Policy`] trait;
+//! - [`container::ChargedCache`] — the byte-charged LRU the block and KV
+//!   caches are made of;
+//! - [`policy`] — the range cache's pluggable eviction over slot ids: LRU,
+//!   LFU (plus CR-LFU), LeCaR and Cacheus, behind one [`policy::Policy`]
+//!   trait;
 //! - [`sketch::CountMinSketch`] + [`admission`] — TinyLFU-style frequency
 //!   admission for point lookups and partial admission for scans, the two
 //!   mechanisms AdCache's RL agent tunes online.
@@ -27,8 +30,6 @@ pub use admission::{PointAdmission, ScanAdmission, SketchGuard};
 pub use block_cache::{BlockCache, ScopedBlockProvider};
 pub use container::{CacheCounters, CacheFootprint, CacheStats, ChargedCache};
 pub use kv_cache::KvCache;
-pub use policy::{
-    CacheusPolicy, LeCaRPolicy, LfuPolicy, LruPolicy, Policy, SlotLruPolicy, TieBreak,
-};
+pub use policy::{CacheusPolicy, LeCaRPolicy, LfuPolicy, Policy, SlotLruPolicy, TieBreak};
 pub use range_cache::{PointLookup, RangeCache, RangeFootprint, RangeLookup, RangePolicyFactory};
 pub use sketch::CountMinSketch;

@@ -14,9 +14,8 @@
 //!    improves, following the gradient heuristic in the Cacheus paper.
 
 use super::lfu::TieBreak;
-use super::{fingerprint, GhostHistory, LfuPolicy, Policy};
+use super::{GhostHistory, LfuPolicy, Policy};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
 
 const DISCOUNT: f64 = 0.005;
 
@@ -25,14 +24,14 @@ const DISCOUNT: f64 = 0.005;
 /// Residents split into a probationary segment `S` (first touch) and a
 /// protected segment `R` (re-accessed). Victims come from `S` first; `R` is
 /// demoted into `S` only when `S` is empty.
-struct SrLru<K> {
-    s: BTreeMap<u64, K>,
-    r: BTreeMap<u64, K>,
-    meta: HashMap<K, (bool, u64)>, // (protected, tick)
+struct SrLru {
+    s: BTreeMap<u64, u32>,
+    r: BTreeMap<u64, u32>,
+    meta: HashMap<u32, (bool, u64)>, // (protected, tick)
     clock: u64,
 }
 
-impl<K: Clone + Eq + Hash> SrLru<K> {
+impl SrLru {
     fn new() -> Self {
         SrLru {
             s: BTreeMap::new(),
@@ -47,14 +46,14 @@ impl<K: Clone + Eq + Hash> SrLru<K> {
         self.clock
     }
 
-    fn insert(&mut self, key: &K) {
+    fn insert(&mut self, slot: u32) {
         let t = self.tick();
-        self.s.insert(t, key.clone());
-        self.meta.insert(key.clone(), (false, t));
+        self.s.insert(t, slot);
+        self.meta.insert(slot, (false, t));
     }
 
-    fn hit(&mut self, key: &K) {
-        let Some(&(protected, tick)) = self.meta.get(key) else {
+    fn hit(&mut self, slot: u32) {
+        let Some(&(protected, tick)) = self.meta.get(&slot) else {
             return;
         };
         if protected {
@@ -63,22 +62,20 @@ impl<K: Clone + Eq + Hash> SrLru<K> {
             self.s.remove(&tick);
         }
         let t = self.tick();
-        self.r.insert(t, key.clone());
-        self.meta.insert(key.clone(), (true, t));
+        self.r.insert(t, slot);
+        self.meta.insert(slot, (true, t));
     }
 
-    fn victim(&mut self) -> Option<K> {
+    fn victim(&mut self) -> Option<u32> {
         let from_s = !self.s.is_empty();
         let map = if from_s { &mut self.s } else { &mut self.r };
-        let (&t, k) = map.iter().next()?;
-        let k = k.clone();
-        map.remove(&t);
-        self.meta.remove(&k);
-        Some(k)
+        let (_, slot) = map.pop_first()?;
+        self.meta.remove(&slot);
+        Some(slot)
     }
 
-    fn remove(&mut self, key: &K) {
-        if let Some((protected, tick)) = self.meta.remove(key) {
+    fn remove(&mut self, slot: u32) {
+        if let Some((protected, tick)) = self.meta.remove(&slot) {
             if protected {
                 self.r.remove(&tick);
             } else {
@@ -89,11 +86,11 @@ impl<K: Clone + Eq + Hash> SrLru<K> {
 }
 
 /// Cacheus policy state.
-pub struct CacheusPolicy<K> {
-    srlru: SrLru<K>,
-    crlfu: LfuPolicy<K>,
-    /// Identity of every resident key (see [`Policy::on_insert_as`]).
-    identities: HashMap<K, u64>,
+pub struct CacheusPolicy {
+    srlru: SrLru,
+    crlfu: LfuPolicy,
+    /// Identity of every resident slot's entry (see [`Policy::on_insert`]).
+    identities: HashMap<u32, u64>,
     hist_lru: GhostHistory,
     hist_lfu: GhostHistory,
     w_lru: f64,
@@ -109,7 +106,7 @@ pub struct CacheusPolicy<K> {
     rng_state: u64,
 }
 
-impl<K: Clone + Eq + Hash> CacheusPolicy<K> {
+impl CacheusPolicy {
     /// Creates the policy with equal expert weights and the paper's initial
     /// learning rate.
     pub fn new() -> Self {
@@ -195,40 +192,36 @@ impl<K: Clone + Eq + Hash> CacheusPolicy<K> {
     }
 }
 
-impl<K: Clone + Eq + Hash> Default for CacheusPolicy<K> {
+impl Default for CacheusPolicy {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Clone + Eq + Hash + Send> Policy<K> for CacheusPolicy<K> {
-    fn on_insert(&mut self, key: &K) {
-        self.on_insert_as(key, fingerprint(key));
-    }
-
-    fn on_insert_as(&mut self, key: &K, identity: u64) {
+impl Policy for CacheusPolicy {
+    fn on_insert(&mut self, slot: u32, identity: u64) {
         self.step += 1;
         if let Some(at) = self.hist_lru.take(identity) {
             self.penalize(true, at);
         } else if let Some(at) = self.hist_lfu.take(identity) {
             self.penalize(false, at);
         }
-        self.identities.insert(key.clone(), identity);
-        self.srlru.insert(key);
-        self.crlfu.on_insert(key);
+        self.identities.insert(slot, identity);
+        self.srlru.insert(slot);
+        self.crlfu.on_insert(slot, identity);
         self.resident += 1;
         self.maybe_adapt_lr();
         self.trim_history();
     }
 
-    fn on_hit(&mut self, key: &K) {
+    fn on_hit(&mut self, slot: u32) {
         self.step += 1;
-        self.srlru.hit(key);
-        self.crlfu.on_hit(key);
+        self.srlru.hit(slot);
+        self.crlfu.on_hit(slot);
         self.maybe_adapt_lr();
     }
 
-    fn victim(&mut self) -> Option<K> {
+    fn victim(&mut self) -> Option<u32> {
         if self.resident == 0 {
             return None;
         }
@@ -240,10 +233,10 @@ impl<K: Clone + Eq + Hash + Send> Policy<K> for CacheusPolicy<K> {
         }?;
         let identity = self.identities.remove(&victim)?;
         if use_lru {
-            self.crlfu.on_external_remove(&victim);
+            self.crlfu.on_external_remove(victim);
             self.hist_lru.record(identity, self.step);
         } else {
-            self.srlru.remove(&victim);
+            self.srlru.remove(victim);
             self.hist_lfu.record(identity, self.step);
         }
         self.resident -= 1;
@@ -251,15 +244,11 @@ impl<K: Clone + Eq + Hash + Send> Policy<K> for CacheusPolicy<K> {
         Some(victim)
     }
 
-    fn on_external_remove(&mut self, key: &K) {
-        self.identities.remove(key);
-        self.srlru.remove(key);
-        self.crlfu.on_external_remove(key);
+    fn on_external_remove(&mut self, slot: u32) {
+        self.identities.remove(&slot);
+        self.srlru.remove(slot);
+        self.crlfu.on_external_remove(slot);
         self.resident = self.resident.saturating_sub(1);
-    }
-
-    fn name(&self) -> &'static str {
-        "cacheus"
     }
 }
 
@@ -272,15 +261,15 @@ mod tests {
         // Protected (re-accessed) keys survive a one-pass scan that flows
         // through the probationary segment.
         let mut p = CacheusPolicy::with_seed(1);
-        p.on_insert(&900u32);
-        p.on_insert(&901);
-        p.on_hit(&900);
-        p.on_hit(&901);
+        p.on_insert(900, 900);
+        p.on_insert(901, 901);
+        p.on_hit(900);
+        p.on_hit(901);
         // Force expert choice to SR-LRU by pinning the weights.
         p.w_lru = 1.0;
         p.w_lfu = 0.0;
         for k in 0..100u32 {
-            p.on_insert(&k);
+            p.on_insert(k, u64::from(k));
             while p.resident > 6 {
                 let v = p.victim().unwrap();
                 assert!(v != 900 && v != 901, "protected key {v} evicted by scan");
@@ -293,8 +282,8 @@ mod tests {
         let mut p = CacheusPolicy::with_seed(1);
         p.w_lru = 0.0;
         p.w_lfu = 1.0;
-        p.on_insert(&1u32);
-        p.on_insert(&2);
+        p.on_insert(1, 1);
+        p.on_insert(2, 2);
         // Same frequency: CR-LFU evicts the newest insert.
         assert_eq!(p.victim(), Some(2));
     }
@@ -306,7 +295,7 @@ mod tests {
         // Build regret: insert, evict, re-insert the evicted key repeatedly.
         for round in 0..400u32 {
             for k in 0..8 {
-                p.on_insert(&(round * 8 + k));
+                p.on_insert(round * 8 + k, u64::from(round * 8 + k));
             }
             let mut evicted = Vec::new();
             while p.resident > 8 {
@@ -315,10 +304,10 @@ mod tests {
             // Re-insert a few historical keys to generate regret.
             let ghosts = evicted
                 .into_iter()
-                .filter(|v| p.hist_lru.evicted_at.contains_key(&fingerprint(v)))
+                .filter(|&v| p.hist_lru.evicted_at.contains_key(&u64::from(v)))
                 .take(2);
             for g in ghosts.collect::<Vec<u32>>() {
-                p.on_insert(&g);
+                p.on_insert(g, u64::from(g));
             }
         }
         assert_ne!(
@@ -332,7 +321,7 @@ mod tests {
     fn weights_stay_normalized_under_pressure() {
         let mut p = CacheusPolicy::with_seed(9);
         for k in 0..500u32 {
-            p.on_insert(&k);
+            p.on_insert(k, u64::from(k));
             if k % 3 == 0 {
                 p.victim();
             }
@@ -344,6 +333,6 @@ mod tests {
 
     #[test]
     fn contract() {
-        super::super::check_policy_contract(Box::new(CacheusPolicy::<u32>::new()));
+        super::super::check_policy_contract(Box::new(CacheusPolicy::new()));
     }
 }

@@ -11,19 +11,18 @@
 //! combination of ML eviction with an LSM cache structure; this module is
 //! that expert mechanism, driven through the shared [`Policy`] trait.
 
-use super::{fingerprint, GhostHistory, LfuPolicy, LruPolicy, Policy};
+use super::{GhostHistory, LfuPolicy, Policy, SlotLruPolicy};
 use std::collections::HashMap;
-use std::hash::Hash;
 
 const LAMBDA: f64 = 0.45;
 const DISCOUNT: f64 = 0.005;
 
 /// LeCaR policy state.
-pub struct LeCaRPolicy<K> {
-    lru: LruPolicy<K>,
-    lfu: LfuPolicy<K>,
-    /// Identity of every resident key (see [`Policy::on_insert_as`]).
-    identities: HashMap<K, u64>,
+pub struct LeCaRPolicy {
+    lru: SlotLruPolicy,
+    lfu: LfuPolicy,
+    /// Identity of every resident slot's entry (see [`Policy::on_insert`]).
+    identities: HashMap<u32, u64>,
     /// Ghost history of LRU's evictions.
     hist_lru: GhostHistory,
     /// Ghost history of LFU's evictions.
@@ -35,7 +34,7 @@ pub struct LeCaRPolicy<K> {
     rng_state: u64,
 }
 
-impl<K: Clone + Eq + Hash> LeCaRPolicy<K> {
+impl LeCaRPolicy {
     /// Creates the policy with equal initial expert weights.
     pub fn new() -> Self {
         Self::with_seed(0xD1CE_5EED)
@@ -44,7 +43,7 @@ impl<K: Clone + Eq + Hash> LeCaRPolicy<K> {
     /// Deterministic construction for tests and reproducible experiments.
     pub fn with_seed(seed: u64) -> Self {
         LeCaRPolicy {
-            lru: LruPolicy::new(),
+            lru: SlotLruPolicy::new(),
             lfu: LfuPolicy::new(),
             identities: HashMap::new(),
             hist_lru: GhostHistory::new(),
@@ -93,18 +92,14 @@ impl<K: Clone + Eq + Hash> LeCaRPolicy<K> {
     }
 }
 
-impl<K: Clone + Eq + Hash> Default for LeCaRPolicy<K> {
+impl Default for LeCaRPolicy {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Clone + Eq + Hash + Send> Policy<K> for LeCaRPolicy<K> {
-    fn on_insert(&mut self, key: &K) {
-        self.on_insert_as(key, fingerprint(key));
-    }
-
-    fn on_insert_as(&mut self, key: &K, identity: u64) {
+impl Policy for LeCaRPolicy {
+    fn on_insert(&mut self, slot: u32, identity: u64) {
         self.step += 1;
         // A miss on an item a specific expert evicted is that expert's
         // regret.
@@ -113,20 +108,20 @@ impl<K: Clone + Eq + Hash + Send> Policy<K> for LeCaRPolicy<K> {
         } else if let Some(at) = self.hist_lfu.take(identity) {
             self.penalize(false, at);
         }
-        self.identities.insert(key.clone(), identity);
-        self.lru.on_insert(key);
-        self.lfu.on_insert(key);
+        self.identities.insert(slot, identity);
+        self.lru.on_insert(slot, identity);
+        self.lfu.on_insert(slot, identity);
         self.resident += 1;
         self.trim_history();
     }
 
-    fn on_hit(&mut self, key: &K) {
+    fn on_hit(&mut self, slot: u32) {
         self.step += 1;
-        self.lru.on_hit(key);
-        self.lfu.on_hit(key);
+        self.lru.on_hit(slot);
+        self.lfu.on_hit(slot);
     }
 
-    fn victim(&mut self) -> Option<K> {
+    fn victim(&mut self) -> Option<u32> {
         if self.resident == 0 {
             return None;
         }
@@ -139,10 +134,10 @@ impl<K: Clone + Eq + Hash + Send> Policy<K> for LeCaRPolicy<K> {
         }?;
         let identity = self.identities.remove(&victim)?;
         if use_lru {
-            self.lfu.on_external_remove(&victim);
+            self.lfu.on_external_remove(victim);
             self.hist_lru.record(identity, self.step);
         } else {
-            self.lru.on_external_remove(&victim);
+            self.lru.on_external_remove(victim);
             self.hist_lfu.record(identity, self.step);
         }
         self.resident -= 1;
@@ -150,15 +145,11 @@ impl<K: Clone + Eq + Hash + Send> Policy<K> for LeCaRPolicy<K> {
         Some(victim)
     }
 
-    fn on_external_remove(&mut self, key: &K) {
-        self.identities.remove(key);
-        self.lru.on_external_remove(key);
-        self.lfu.on_external_remove(key);
+    fn on_external_remove(&mut self, slot: u32) {
+        self.identities.remove(&slot);
+        self.lru.on_external_remove(slot);
+        self.lfu.on_external_remove(slot);
         self.resident = self.resident.saturating_sub(1);
-    }
-
-    fn name(&self) -> &'static str {
-        "lecar"
     }
 }
 
@@ -168,7 +159,7 @@ mod tests {
 
     #[test]
     fn weights_start_equal_and_stay_normalized() {
-        let p: LeCaRPolicy<u32> = LeCaRPolicy::new();
+        let p = LeCaRPolicy::new();
         let (a, b) = p.weights();
         assert_eq!(a, 0.5);
         assert_eq!(b, 0.5);
@@ -178,21 +169,21 @@ mod tests {
     fn regret_shifts_weight_away_from_blamed_expert() {
         let mut p = LeCaRPolicy::with_seed(3);
         for k in 0..8u32 {
-            p.on_insert(&k);
+            p.on_insert(k, u64::from(k));
         }
         // Force evictions and find one from the LRU history, then re-insert
         // it: LRU is blamed, so w_lru must drop.
         let mut lru_victim = None;
         for _ in 0..6 {
             let v = p.victim().unwrap();
-            if p.hist_lru.evicted_at.contains_key(&fingerprint(&v)) {
+            if p.hist_lru.evicted_at.contains_key(&u64::from(v)) {
                 lru_victim = Some(v);
                 break;
             }
         }
         if let Some(v) = lru_victim {
             let (w_before, _) = p.weights();
-            p.on_insert(&v);
+            p.on_insert(v, u64::from(v));
             let (w_after, w_lfu_after) = p.weights();
             assert!(w_after < w_before, "LRU blamed: {w_before} -> {w_after}");
             assert!((w_after + w_lfu_after - 1.0).abs() < 1e-9);
@@ -207,16 +198,16 @@ mod tests {
         for round in 0..200u32 {
             for k in 0..8 {
                 let key = round * 100 + k;
-                p.on_insert(&key);
+                p.on_insert(key, u64::from(key));
                 // Bias frequencies so the experts disagree.
                 if k == 0 {
-                    p.on_hit(&key);
-                    p.on_hit(&key);
+                    p.on_hit(key);
+                    p.on_hit(key);
                 }
             }
             for _ in 0..8 {
                 let v = p.victim().unwrap();
-                if p.hist_lru.evicted_at.contains_key(&fingerprint(&v)) {
+                if p.hist_lru.evicted_at.contains_key(&u64::from(v)) {
                     lru_picks += 1;
                 } else {
                     lfu_picks += 1;
@@ -231,6 +222,6 @@ mod tests {
 
     #[test]
     fn contract() {
-        super::super::check_policy_contract(Box::new(LeCaRPolicy::<u32>::new()));
+        super::super::check_policy_contract(Box::new(LeCaRPolicy::new()));
     }
 }

@@ -2,7 +2,6 @@
 
 use super::Policy;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
 
 /// How frequency ties are broken when choosing among equally cold keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,16 +17,16 @@ pub enum TieBreak {
 
 /// LFU with configurable tie-breaking.
 ///
-/// Keys are indexed by `(frequency, tick)`; the victim is the minimal
+/// Slots are indexed by `(frequency, tick)`; the victim is the minimal
 /// frequency with the tie broken by recency per [`TieBreak`].
-pub struct LfuPolicy<K> {
-    by_priority: BTreeMap<(u64, u64), K>,
-    meta: HashMap<K, (u64, u64)>,
+pub struct LfuPolicy {
+    by_priority: BTreeMap<(u64, u64), u32>,
+    meta: HashMap<u32, (u64, u64)>,
     clock: u64,
     tie: TieBreak,
 }
 
-impl<K: Clone + Eq + Hash> LfuPolicy<K> {
+impl LfuPolicy {
     /// Classic LFU (LRU tie-break).
     pub fn new() -> Self {
         Self::with_tiebreak(TieBreak::Lru)
@@ -43,84 +42,68 @@ impl<K: Clone + Eq + Hash> LfuPolicy<K> {
         }
     }
 
-    fn bump(&mut self, key: &K, start_freq: u64) {
-        let freq = match self.meta.get(key).copied() {
+    fn bump(&mut self, slot: u32) {
+        let freq = match self.meta.get(&slot).copied() {
             Some((f, t)) => {
                 self.by_priority.remove(&(f, t));
                 f + 1
             }
-            None => start_freq,
+            None => 1,
         };
         self.clock += 1;
         let prio = (freq, self.clock);
-        self.by_priority.insert(prio, key.clone());
-        self.meta.insert(key.clone(), prio);
+        self.by_priority.insert(prio, slot);
+        self.meta.insert(slot, prio);
     }
 
-    /// Current frequency estimate of a tracked key.
-    pub fn frequency(&self, key: &K) -> Option<u64> {
-        self.meta.get(key).map(|(f, _)| *f)
+    /// Current frequency estimate of a tracked slot.
+    pub fn frequency(&self, slot: u32) -> Option<u64> {
+        self.meta.get(&slot).map(|(f, _)| *f)
     }
 
-    /// Number of tracked keys.
+    /// Number of tracked slots.
     pub fn len(&self) -> usize {
         self.meta.len()
     }
 
-    /// Whether no keys are tracked.
+    /// Whether no slots are tracked.
     pub fn is_empty(&self) -> bool {
         self.meta.is_empty()
     }
 }
 
-impl<K: Clone + Eq + Hash> Default for LfuPolicy<K> {
+impl Default for LfuPolicy {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Clone + Eq + Hash + Send> Policy<K> for LfuPolicy<K> {
-    fn on_insert(&mut self, key: &K) {
-        self.bump(key, 1);
+impl Policy for LfuPolicy {
+    fn on_insert(&mut self, slot: u32, _identity: u64) {
+        self.bump(slot);
     }
 
-    fn on_hit(&mut self, key: &K) {
-        self.bump(key, 1);
+    fn on_hit(&mut self, slot: u32) {
+        self.bump(slot);
     }
 
-    fn victim(&mut self) -> Option<K> {
+    fn victim(&mut self) -> Option<u32> {
         let min_freq = self.by_priority.keys().next()?.0;
-        let key = match self.tie {
-            TieBreak::Lru => {
-                let (&prio, k) = self.by_priority.range((min_freq, 0)..).next()?;
-                let k = k.clone();
-                self.by_priority.remove(&prio);
-                k
-            }
-            TieBreak::Mru => {
-                let (&prio, k) = self
-                    .by_priority
-                    .range((min_freq, 0)..=(min_freq, u64::MAX))
-                    .next_back()?;
-                let k = k.clone();
-                self.by_priority.remove(&prio);
-                k
-            }
+        let (&prio, &slot) = match self.tie {
+            TieBreak::Lru => self.by_priority.range((min_freq, 0)..).next()?,
+            TieBreak::Mru => self
+                .by_priority
+                .range((min_freq, 0)..=(min_freq, u64::MAX))
+                .next_back()?,
         };
-        self.meta.remove(&key);
-        Some(key)
+        self.by_priority.remove(&prio);
+        self.meta.remove(&slot);
+        Some(slot)
     }
 
-    fn on_external_remove(&mut self, key: &K) {
-        if let Some(prio) = self.meta.remove(key) {
+    fn on_external_remove(&mut self, slot: u32) {
+        if let Some(prio) = self.meta.remove(&slot) {
             self.by_priority.remove(&prio);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self.tie {
-            TieBreak::Lru => "lfu",
-            TieBreak::Mru => "cr-lfu",
         }
     }
 }
@@ -133,11 +116,11 @@ mod tests {
     fn evicts_least_frequent() {
         let mut p = LfuPolicy::new();
         for k in [1u32, 2, 3] {
-            p.on_insert(&k);
+            p.on_insert(k, 0);
         }
-        p.on_hit(&1);
-        p.on_hit(&1);
-        p.on_hit(&2);
+        p.on_hit(1);
+        p.on_hit(1);
+        p.on_hit(2);
         // freq: 1 -> 3, 2 -> 2, 3 -> 1
         assert_eq!(p.victim(), Some(3));
         assert_eq!(p.victim(), Some(2));
@@ -148,28 +131,28 @@ mod tests {
     #[test]
     fn lru_tiebreak_prefers_oldest() {
         let mut p = LfuPolicy::new();
-        p.on_insert(&1u32);
-        p.on_insert(&2);
+        p.on_insert(1u32, 0);
+        p.on_insert(2, 0);
         assert_eq!(p.victim(), Some(1));
     }
 
     #[test]
     fn mru_tiebreak_prefers_newest() {
         let mut p = LfuPolicy::with_tiebreak(TieBreak::Mru);
-        p.on_insert(&1u32);
-        p.on_insert(&2);
+        p.on_insert(1u32, 0);
+        p.on_insert(2, 0);
         assert_eq!(p.victim(), Some(2), "CR-LFU keeps the older tied key");
     }
 
     #[test]
     fn frequency_tracking() {
         let mut p = LfuPolicy::new();
-        p.on_insert(&7u32);
-        assert_eq!(p.frequency(&7), Some(1));
-        p.on_hit(&7);
-        assert_eq!(p.frequency(&7), Some(2));
-        p.on_external_remove(&7);
-        assert_eq!(p.frequency(&7), None);
+        p.on_insert(7u32, 0);
+        assert_eq!(p.frequency(7), Some(1));
+        p.on_hit(7);
+        assert_eq!(p.frequency(7), Some(2));
+        p.on_external_remove(7);
+        assert_eq!(p.frequency(7), None);
         assert!(p.is_empty());
     }
 

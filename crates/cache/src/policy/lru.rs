@@ -1,9 +1,8 @@
-//! Least-recently-used eviction.
+//! Least-recently-used eviction: the recency list every LRU in this crate
+//! runs on, and the range cache's LRU over slot ids.
 
 use super::Policy;
 use adcache_lsm::heap;
-use std::collections::HashMap;
-use std::hash::Hash;
 
 const NIL: u32 = u32::MAX;
 /// `prev` of a node that is not on the list.
@@ -13,7 +12,8 @@ const OFF: u32 = u32::MAX - 1;
 struct Link {
     /// Towards the LRU end; [`OFF`] while the node is not on the list.
     prev: u32,
-    /// Towards the MRU end. Free for the owner's use while off the list.
+    /// Towards the MRU end; while the node is released, the next released
+    /// node.
     next: u32,
 }
 
@@ -21,29 +21,37 @@ struct Link {
 /// vector indexed by the node number itself, so touch, removal and victim
 /// are O(1) without a lookup, no unsafe, deterministic. The vector is as
 /// long as the largest node number seen.
-struct RecencyList {
+///
+/// The node numbers are either the owner's own (the range cache's slot
+/// ids) or handed out by [`push_new`](RecencyList::push_new), which
+/// recycles the numbers given back through
+/// [`release`](RecencyList::release).
+pub(crate) struct RecencyList {
     links: Vec<Link>,
     /// Least recently used node.
     head: u32,
     /// Most recently used node.
     tail: u32,
+    /// The last released node (a chain through `next`).
+    free: u32,
 }
 
 impl RecencyList {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RecencyList {
             links: Vec::new(),
             head: NIL,
             tail: NIL,
+            free: NIL,
         }
     }
 
-    fn contains(&self, i: u32) -> bool {
+    pub(crate) fn contains(&self, i: u32) -> bool {
         self.links.get(i as usize).is_some_and(|l| l.prev != OFF)
     }
 
     /// Takes node `i`, which is on the list, off it.
-    fn unlink(&mut self, i: u32) {
+    pub(crate) fn unlink(&mut self, i: u32) {
         let Link { prev, next } = self.links[i as usize];
         match prev {
             NIL => self.head = next,
@@ -80,7 +88,7 @@ impl RecencyList {
 
     /// Makes node `i` the most recently used, whether or not it was on
     /// the list.
-    fn touch(&mut self, i: u32) {
+    pub(crate) fn touch(&mut self, i: u32) {
         if self.tail == i {
             return;
         }
@@ -91,120 +99,47 @@ impl RecencyList {
     }
 
     /// Takes the least recently used node off the list.
-    fn pop_lru(&mut self) -> Option<u32> {
+    pub(crate) fn pop_lru(&mut self) -> Option<u32> {
         let i = self.head;
         (i != NIL).then(|| {
             self.unlink(i);
             i
         })
     }
-}
 
-/// Classic LRU: the victim is the key whose last access is oldest.
-///
-/// One `HashMap<K, node>` finds a key's node on a recency list. Freed
-/// nodes are recycled, so the node vectors are as long as the largest
-/// resident set seen.
-pub struct LruPolicy<K> {
-    list: RecencyList,
-    /// Each node's key; `None` while the node is free.
-    keys: Vec<Option<K>>,
-    index: HashMap<K, u32>,
-    /// Head of the free-node list (linked through `next`).
-    free: u32,
-}
-
-impl<K: Clone + Eq + Hash> LruPolicy<K> {
-    /// Creates an empty policy.
-    pub fn new() -> Self {
-        LruPolicy {
-            list: RecencyList::new(),
-            keys: Vec::new(),
-            index: HashMap::new(),
-            free: NIL,
-        }
-    }
-
-    /// Frees node `i`, which is off the list, returning its key.
-    fn release(&mut self, i: u32) -> Option<K> {
-        self.list.links[i as usize].next = self.free;
-        self.free = i;
-        self.keys[i as usize].take()
-    }
-
-    fn touch(&mut self, key: &K) {
-        if let Some(&i) = self.index.get(key) {
-            self.list.touch(i);
-            return;
-        }
+    /// Puts a new node at the MRU end and returns its number: the last
+    /// released one, or one past the largest seen.
+    pub(crate) fn push_new(&mut self) -> u32 {
         let i = match self.free {
-            NIL => {
-                self.keys.push(None);
-                (self.keys.len() - 1) as u32
-            }
+            NIL => self.links.len() as u32,
             i => {
-                self.free = self.list.links[i as usize].next;
+                self.free = self.links[i as usize].next;
                 i
             }
         };
-        self.keys[i as usize] = Some(key.clone());
-        self.index.insert(key.clone(), i);
-        self.list.push_mru(i);
+        self.push_mru(i);
+        i
     }
 
-    /// Number of tracked keys.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether no keys are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-}
-
-impl<K: Clone + Eq + Hash> Default for LruPolicy<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Clone + Eq + Hash + Send> Policy<K> for LruPolicy<K> {
-    fn on_insert(&mut self, key: &K) {
-        self.touch(key);
-    }
-
-    fn on_hit(&mut self, key: &K) {
-        self.touch(key);
-    }
-
-    fn victim(&mut self) -> Option<K> {
-        let i = self.list.pop_lru()?;
-        let key = self.release(i)?;
-        self.index.remove(&key);
-        Some(key)
-    }
-
-    fn on_external_remove(&mut self, key: &K) {
-        if let Some(i) = self.index.remove(key) {
-            self.list.unlink(i);
-            self.release(i);
+    /// Takes node `i` off the list if it is on it, and gives its number
+    /// back for [`push_new`](RecencyList::push_new).
+    pub(crate) fn release(&mut self, i: u32) {
+        if self.contains(i) {
+            self.unlink(i);
         }
+        self.links[i as usize].next = self.free;
+        self.free = i;
     }
 
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
-    fn heap_bytes(&self) -> usize {
-        heap::vec(&self.list.links) + heap::vec(&self.keys) + heap::hash_map(&self.index)
+    /// Heap bytes of the links.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        heap::vec(&self.links)
     }
 }
 
-/// [`LruPolicy`] for keys that are already dense, recycled node numbers —
-/// the range cache's slot ids: the id indexes the recency list itself,
-/// so there is no map to probe on a hit and 8 bytes of links per slot.
-/// Same victim order as `LruPolicy<u32>` on every trace.
+/// LRU over the range cache's slot ids, which are dense, recycled
+/// numbers: the id indexes the recency list itself, so there is no map to
+/// probe on a hit and 8 bytes of links per slot.
 pub struct SlotLruPolicy(RecencyList);
 
 impl SlotLruPolicy {
@@ -220,31 +155,27 @@ impl Default for SlotLruPolicy {
     }
 }
 
-impl Policy<u32> for SlotLruPolicy {
-    fn on_insert(&mut self, key: &u32) {
-        self.0.touch(*key);
+impl Policy for SlotLruPolicy {
+    fn on_insert(&mut self, slot: u32, _identity: u64) {
+        self.0.touch(slot);
     }
 
-    fn on_hit(&mut self, key: &u32) {
-        self.0.touch(*key);
+    fn on_hit(&mut self, slot: u32) {
+        self.0.touch(slot);
     }
 
     fn victim(&mut self) -> Option<u32> {
         self.0.pop_lru()
     }
 
-    fn on_external_remove(&mut self, key: &u32) {
-        if self.0.contains(*key) {
-            self.0.unlink(*key);
+    fn on_external_remove(&mut self, slot: u32) {
+        if self.0.contains(slot) {
+            self.0.unlink(slot);
         }
     }
 
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-
     fn heap_bytes(&self) -> usize {
-        heap::vec(&self.0.links)
+        self.0.heap_bytes()
     }
 }
 
@@ -252,46 +183,33 @@ impl Policy<u32> for SlotLruPolicy {
 mod tests {
     use super::*;
 
-    fn both() -> [Box<dyn Policy<u32>>; 2] {
-        [Box::new(LruPolicy::new()), Box::new(SlotLruPolicy::new())]
-    }
-
     #[test]
     fn evicts_least_recently_used() {
-        for mut p in both() {
-            for k in [1u32, 2, 3] {
-                p.on_insert(&k);
-            }
-            p.on_hit(&1); // order now: 2, 3, 1
-            assert_eq!(p.victim(), Some(2));
-            assert_eq!(p.victim(), Some(3));
-            assert_eq!(p.victim(), Some(1));
-            assert_eq!(p.victim(), None);
+        let mut p = SlotLruPolicy::new();
+        for k in [1u32, 2, 3] {
+            p.on_insert(k, 0);
         }
+        p.on_hit(1); // order now: 2, 3, 1
+        assert_eq!(p.victim(), Some(2));
+        assert_eq!(p.victim(), Some(3));
+        assert_eq!(p.victim(), Some(1));
+        assert_eq!(p.victim(), None);
     }
 
     #[test]
     fn external_remove_drops_tracking() {
-        for mut p in both() {
-            p.on_insert(&1u32);
-            p.on_insert(&2);
-            p.on_external_remove(&1);
-            p.on_external_remove(&7); // never tracked: ignored
-            assert_eq!(p.victim(), Some(2));
-            assert_eq!(p.victim(), None);
-        }
-        let mut p = LruPolicy::new();
-        p.on_insert(&1u32);
-        assert_eq!(p.len(), 1);
-        p.on_external_remove(&1);
-        assert!(p.is_empty());
+        let mut p = SlotLruPolicy::new();
+        p.on_insert(1, 0);
+        p.on_insert(2, 0);
+        p.on_external_remove(1);
+        p.on_external_remove(7); // never tracked: ignored
+        assert_eq!(p.victim(), Some(2));
+        assert_eq!(p.victim(), None);
     }
 
     #[test]
     fn contract() {
-        for p in both() {
-            super::super::check_policy_contract(p);
-        }
+        super::super::check_policy_contract(Box::new(SlotLruPolicy::new()));
     }
 
     /// A recycled slot id comes back as the most recent, in the links it
@@ -300,15 +218,31 @@ mod tests {
     fn slot_lru_reuses_ids_in_place() {
         let mut p = SlotLruPolicy::new();
         for k in 0..4u32 {
-            p.on_insert(&k);
+            p.on_insert(k, 0);
         }
         assert_eq!(p.victim(), Some(0));
-        p.on_external_remove(&2);
-        p.on_insert(&0);
-        p.on_insert(&2);
+        p.on_external_remove(2);
+        p.on_insert(0, 0);
+        p.on_insert(2, 0);
         assert_eq!(p.0.links.len(), 4);
         assert_eq!(std::mem::size_of::<Link>(), 8);
         let drained: Vec<u32> = std::iter::from_fn(|| p.victim()).collect();
         assert_eq!(drained, [1, 3, 0, 2]);
+    }
+
+    /// `push_new` hands out the most recently released number first and
+    /// grows the links only when none is released.
+    #[test]
+    fn released_numbers_are_reused_last_in_first_out() {
+        let mut l = RecencyList::new();
+        let ids: Vec<u32> = (0..4).map(|_| l.push_new()).collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        l.release(1);
+        assert_eq!(l.pop_lru(), Some(0));
+        l.release(0);
+        assert_eq!((l.push_new(), l.push_new(), l.push_new()), (0, 1, 4));
+        assert_eq!(l.links.len(), 5);
+        let order: Vec<u32> = std::iter::from_fn(|| l.pop_lru()).collect();
+        assert_eq!(order, [2, 3, 0, 1, 4]);
     }
 }

@@ -1,10 +1,13 @@
-//! Eviction policies.
+//! Eviction policies for the range cache.
 //!
-//! Every cache container in this crate delegates victim selection to a
-//! [`Policy`]. The trait is deliberately small: containers own the data and
-//! the byte accounting; policies own only ordering metadata. This is what
-//! lets the paper's baselines swap the Range Cache's LRU for LeCaR or
-//! Cacheus without touching cache structure (Section 5.1).
+//! The block and KV caches are plain LRU caches: [`ChargedCache`] keeps
+//! its entries on the same recency list [`SlotLruPolicy`] runs on. Only
+//! the Range Cache swaps its eviction policy, to LeCaR or Cacheus in the
+//! paper's baselines (Section 5.1), so a [`Policy`] ranks the range
+//! cache's slot ids. The trait is deliberately small: the cache owns the
+//! data and the byte accounting; a policy owns only ordering metadata.
+//!
+//! [`ChargedCache`]: crate::ChargedCache
 
 mod cacheus;
 mod lecar;
@@ -14,17 +17,10 @@ mod lru;
 pub use cacheus::CacheusPolicy;
 pub use lecar::LeCaRPolicy;
 pub use lfu::{LfuPolicy, TieBreak};
-pub use lru::{LruPolicy, SlotLruPolicy};
+pub(crate) use lru::RecencyList;
+pub use lru::SlotLruPolicy;
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
-
-/// The identity a ghost-history policy files `key` under when its
-/// container supplied none (plain [`Policy::on_insert`]): `K` is then the
-/// cached item's own key, so its hash is as stable as the key.
-fn fingerprint<K: Hash>(key: &K) -> u64 {
-    BuildHasherDefault::<DefaultHasher>::default().hash_one(key)
-}
 
 /// One expert's ghost history in LeCaR and Cacheus: which items it evicted
 /// and at which step, oldest first, filed under the items' identities.
@@ -60,43 +56,35 @@ impl GhostHistory {
     }
 }
 
-/// Victim-selection strategy for a cache holding keys of type `K`.
+/// Victim-selection strategy over the slot ids of one range-cache shard.
 ///
-/// Call discipline (enforced by the containers):
-/// - `on_insert` exactly once when a key enters the cache;
-/// - `on_hit` on every access to a resident key;
-/// - `victim` only while at least one key is resident; the returned key is
-///   removed by the container (no separate notification);
-/// - `on_external_remove` when a resident key is dropped for another reason
-///   (compaction invalidation, resize, explicit delete).
+/// Call discipline (enforced by the range cache):
+/// - `on_insert` exactly once when a slot's entry enters the cache;
+/// - `on_hit` on every access to a resident slot;
+/// - `victim` only while at least one slot is resident; the returned slot
+///   is emptied by the cache (no separate notification);
+/// - `on_external_remove` when a resident slot is emptied for another
+///   reason (a delete, `clear`).
 ///
-/// `K` need not be the cached item's own key: the range cache hands its
-/// policies 4-byte slot ids, which are recycled once an entry leaves. A
-/// policy that remembers keys *after* evicting them (LeCaR's and Cacheus's
-/// ghost histories) must therefore match its history on the `identity`
-/// passed to [`on_insert_as`](Policy::on_insert_as), not on `K`.
-pub trait Policy<K: Clone + Eq + Hash>: Send {
-    /// A key was inserted into the cache.
-    fn on_insert(&mut self, key: &K);
-    /// [`on_insert`](Policy::on_insert) by a container whose `K` is a
-    /// recyclable handle: `identity` is a hash of the cached item itself,
-    /// equal across an eviction and the item's later re-admission even
-    /// when the handle differs. Policies without eviction history ignore it.
-    fn on_insert_as(&mut self, key: &K, identity: u64) {
-        let _ = identity;
-        self.on_insert(key);
-    }
-    /// A resident key was accessed.
-    fn on_hit(&mut self, key: &K);
-    /// Chooses the key to evict. Must return a currently resident key.
-    fn victim(&mut self) -> Option<K>;
-    /// A resident key was removed without going through `victim`.
-    fn on_external_remove(&mut self, key: &K);
-    /// Human-readable policy name for logs and experiment output.
-    fn name(&self) -> &'static str;
-    /// Heap bytes of the policy's bookkeeping, for the memory ledger. The
-    /// LRU policies, which the served caches run, measure theirs; the
-    /// others report 0, and what they hold is left unattributed.
+/// Slot ids are recycled once an entry leaves, so a policy that remembers
+/// entries *after* evicting them (LeCaR's and Cacheus's ghost histories)
+/// matches its history on the `identity` passed to
+/// [`on_insert`](Policy::on_insert), not on the slot.
+pub trait Policy: Send {
+    /// An entry was admitted into `slot`. `identity` is a hash of the
+    /// entry's key, equal across an eviction and the key's later
+    /// re-admission even when the slot differs. Policies without eviction
+    /// history ignore it.
+    fn on_insert(&mut self, slot: u32, identity: u64);
+    /// A resident slot was accessed.
+    fn on_hit(&mut self, slot: u32);
+    /// Chooses the slot to evict. Must return a currently resident slot.
+    fn victim(&mut self) -> Option<u32>;
+    /// A resident slot was emptied without going through `victim`.
+    fn on_external_remove(&mut self, slot: u32);
+    /// Heap bytes of the policy's bookkeeping, for the memory ledger.
+    /// [`SlotLruPolicy`], which the served range cache runs, measures its
+    /// own; the others report 0, and what they hold is left unattributed.
     fn heap_bytes(&self) -> usize {
         0
     }
@@ -105,7 +93,7 @@ pub trait Policy<K: Clone + Eq + Hash>: Send {
 /// Shared test-suite applied to every policy: residency bookkeeping must be
 /// consistent regardless of the eviction order the policy chooses.
 #[cfg(test)]
-pub(crate) fn check_policy_contract(mut p: Box<dyn Policy<u32>>) {
+pub(crate) fn check_policy_contract(mut p: Box<dyn Policy>) {
     use std::collections::HashSet;
     let mut resident: HashSet<u32> = HashSet::new();
     let mut state = 7u64;
@@ -120,14 +108,14 @@ pub(crate) fn check_policy_contract(mut p: Box<dyn Policy<u32>>) {
             0..=4 => {
                 let k = (rand() % 64) as u32;
                 if !resident.contains(&k) {
-                    p.on_insert(&k);
+                    p.on_insert(k, u64::from(k));
                     resident.insert(k);
                 }
             }
             5..=6 => {
                 let k = (rand() % 64) as u32;
                 if resident.contains(&k) {
-                    p.on_hit(&k);
+                    p.on_hit(k);
                 }
             }
             7..=8 => {
@@ -139,7 +127,7 @@ pub(crate) fn check_policy_contract(mut p: Box<dyn Policy<u32>>) {
             _ => {
                 let k = (rand() % 64) as u32;
                 if resident.contains(&k) {
-                    p.on_external_remove(&k);
+                    p.on_external_remove(k);
                     resident.remove(&k);
                 }
             }

@@ -130,8 +130,8 @@ pub enum RangeLookup {
 /// Factory producing one eviction policy per shard. The policy orders the
 /// shard's 4-byte slot ids, which are recycled; policies with eviction
 /// history are told each entry's lasting identity through
-/// [`Policy::on_insert_as`].
-pub type RangePolicyFactory = Box<dyn Fn() -> Box<dyn Policy<u32>> + Send + Sync>;
+/// [`Policy::on_insert`].
+pub type RangePolicyFactory = Box<dyn Fn() -> Box<dyn Policy> + Send + Sync>;
 
 /// The immediate successor of `k` in byte order, so `[k, next_key(k))`
 /// contains `k` alone: `k` and a zero byte, built in its one allocation.
@@ -161,7 +161,7 @@ struct Shard {
     /// Only what scans and deletes established: a resident entry covers
     /// its own key without a segment.
     segments: BTreeMap<Bytes, Bytes>,
-    policy: Box<dyn Policy<u32>>,
+    policy: Box<dyn Policy>,
     capacity: usize,
     used: usize,
     /// Σ key and value lengths, and the heap bytes of the same keys and
@@ -181,7 +181,7 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(capacity: usize, policy: Box<dyn Policy<u32>>) -> Self {
+    fn new(capacity: usize, policy: Box<dyn Policy>) -> Self {
         Shard {
             slab: Slab::new(),
             index: HashIndex::new(),
@@ -246,7 +246,7 @@ impl Shard {
         self.value_heap =
             self.value_heap - heap::arc_bytes(entry.value.len()) + heap::arc_bytes(value.len());
         entry.value = value;
-        self.policy.on_hit(&slot);
+        self.policy.on_hit(slot);
     }
 
     /// Admits `key`, which hashes to `hash` and is not resident, outside
@@ -256,7 +256,7 @@ impl Shard {
         self.note_payload(&key, &value, true);
         let slot = self.slab.insert(Entry { key, value });
         self.index.insert(hash, slot);
-        self.policy.on_insert_as(&slot, hash);
+        self.policy.on_insert(slot, hash);
         self.inserts += 1;
         slot
     }
@@ -322,7 +322,7 @@ impl Shard {
         if via_eviction {
             self.evictions.inc();
         } else {
-            self.policy.on_external_remove(&slot);
+            self.policy.on_external_remove(slot);
             self.invalidations += 1;
         }
         entry
@@ -460,14 +460,14 @@ impl Shard {
                         return true;
                     }
                     out.push((k.clone().into(), self.slab.get(slot).value.clone()));
-                    self.policy.on_hit(&slot);
+                    self.policy.on_hit(slot);
                 }
                 *current = seg_end;
             } else if let Some(slot) = self.find(current) {
                 // A resident entry is its own coverage: `[k, k⁺)`.
                 let entry = self.slab.get(slot);
                 out.push((entry.key.clone().into(), entry.value.clone()));
-                self.policy.on_hit(&slot);
+                self.policy.on_hit(slot);
                 if out.len() >= n {
                     return true;
                 }
@@ -628,7 +628,7 @@ impl RangeCache {
         let mut shard = self.shards[self.shard_idx(key)].lock();
         if let Some(slot) = shard.find(key) {
             let value = shard.slab.get(slot).value.clone();
-            shard.policy.on_hit(&slot);
+            shard.policy.on_hit(slot);
             drop(shard);
             self.hits.inc();
             return PointLookup::Hit(value);
@@ -813,7 +813,7 @@ impl RangeCache {
             let mut s = s.lock();
             let Shard { slab, policy, .. } = &mut *s;
             for (slot, _) in slab.iter() {
-                policy.on_external_remove(&slot);
+                policy.on_external_remove(slot);
             }
             s.invalidations += s.slab.len() as u64;
             s.slab.clear();

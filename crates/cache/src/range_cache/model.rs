@@ -302,35 +302,32 @@ struct Audited {
     tracked: Tracked,
 }
 
-impl Policy<u32> for Audited {
-    fn on_insert(&mut self, key: &u32) {
+impl Policy for Audited {
+    fn on_insert(&mut self, slot: u32, identity: u64) {
         assert!(
-            self.tracked.lock().insert(*key),
-            "slot {key} inserted twice"
+            self.tracked.lock().insert(slot),
+            "slot {slot} inserted twice"
         );
-        self.inner.on_insert(key);
+        self.inner.on_insert(slot, identity);
     }
-    fn on_hit(&mut self, key: &u32) {
+    fn on_hit(&mut self, slot: u32) {
         assert!(
-            self.tracked.lock().contains(key),
-            "hit on untracked slot {key}"
+            self.tracked.lock().contains(&slot),
+            "hit on untracked slot {slot}"
         );
-        self.inner.on_hit(key);
+        self.inner.on_hit(slot);
     }
     fn victim(&mut self) -> Option<u32> {
         let victim = self.inner.victim()?;
         assert!(self.tracked.lock().remove(&victim));
         Some(victim)
     }
-    fn on_external_remove(&mut self, key: &u32) {
+    fn on_external_remove(&mut self, slot: u32) {
         assert!(
-            self.tracked.lock().remove(key),
-            "removed untracked slot {key}"
+            self.tracked.lock().remove(&slot),
+            "removed untracked slot {slot}"
         );
-        self.inner.on_external_remove(key);
-    }
-    fn name(&self) -> &'static str {
-        "audited-lru"
+        self.inner.on_external_remove(slot);
     }
 }
 

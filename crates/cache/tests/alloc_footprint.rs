@@ -261,15 +261,23 @@ fn resident_entry_fits_300_real_bytes_under_churn() {
 /// The KV cache's and the block cache's ledger rows, against the allocator:
 /// keys, values and blocks are each an allocation of their own here, as
 /// over `FileStorage`, where the copy rule makes them so.
+///
+/// A KV entry is indexed once, by its key in the cache's own LRU: at 24 B
+/// of key and 100 of value it takes 334.6 bytes, and took 377.9 while an
+/// eviction policy kept a second hash map and a second copy of each key
+/// handle beside the cache's.
 #[test]
 fn kv_and_block_cache_ledgers_match_live_bytes() {
+    const ENTRIES: u32 = 50_000;
     let before = live_bytes();
     let kv = KvCache::new(64 << 20);
-    for i in 0..50_000 {
+    for i in 0..ENTRIES {
         kv.insert(key(i), Bytes::from(vec![7u8; 100]));
     }
     let live = live_bytes() - before;
     assert_ledger_matches("kv", cache_real(&kv.footprint()), live);
+    let per_entry = live as f64 / f64::from(ENTRIES);
+    assert!(per_entry <= 345.0, "{per_entry:.1} bytes per KV entry");
     drop(kv);
 
     let before = live_bytes();

@@ -134,25 +134,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn charged_cache_capacity_invariant(
-        ops in proptest::collection::vec((any::<u16>(), 1usize..200, any::<bool>()), 1..300),
-        cap in 100usize..2000,
-    ) {
-        use adcache_cache::{ChargedCache, LfuPolicy};
-        let mut c: ChargedCache<u16, u64> = ChargedCache::new(cap, Box::new(LfuPolicy::new()));
-        for (k, charge, is_get) in ops {
-            if is_get {
-                c.get(&k);
-            } else {
-                c.insert(k, k as u64, charge);
-            }
-            prop_assert!(c.used() <= c.capacity(), "used {} > cap {}", c.used(), c.capacity());
-        }
-        let stats = c.stats();
-        prop_assert!(stats.inserts >= c.len() as u64);
-    }
-
     /// Partial scan admission never admits more than the scan returned,
     /// never truncates a scan short enough to fit under `a`, and is
     /// monotone: longer scans and larger `b` admit at least as much.
@@ -228,12 +209,12 @@ proptest! {
     }
 }
 
-/// Reference-model check: `LruPolicy` and `SlotLruPolicy` must agree
-/// exactly with a simple `VecDeque`-based LRU — and so with each other —
-/// under arbitrary access traces over a small set of ids, each of which
-/// leaves and comes back many times, as the range cache's slot ids do.
+/// Reference-model check: `SlotLruPolicy` must agree exactly with a
+/// simple `VecDeque`-based LRU under arbitrary access traces over a small
+/// set of ids, each of which leaves and comes back many times, as the range
+/// cache's slot ids do.
 mod lru_reference {
-    use adcache_cache::{LruPolicy, Policy, SlotLruPolicy};
+    use adcache_cache::{Policy, SlotLruPolicy};
     use proptest::prelude::*;
     use std::collections::VecDeque;
 
@@ -255,29 +236,25 @@ mod lru_reference {
     proptest! {
         #[test]
         fn lru_matches_reference(ops in proptest::collection::vec((any::<u32>(), 0u8..4), 1..400)) {
-            let mut policies: [Box<dyn Policy<u32>>; 2] =
-                [Box::new(LruPolicy::new()), Box::new(SlotLruPolicy::new())];
+            let mut p = SlotLruPolicy::new();
             let mut reference = RefLru { order: VecDeque::new() };
             for (k, action) in ops {
                 let k = k % 32;
                 let resident = reference.order.contains(&k);
                 match action {
                     0 if !resident => {
-                        policies.iter_mut().for_each(|p| p.on_insert(&k));
+                        p.on_insert(k, u64::from(k));
                         reference.touch(k);
                     }
                     1 if resident => {
-                        policies.iter_mut().for_each(|p| p.on_hit(&k));
+                        p.on_hit(k);
                         reference.touch(k);
                     }
                     2 if resident => {
-                        let expect = reference.order.pop_front();
-                        for p in &mut policies {
-                            prop_assert_eq!(p.victim(), expect);
-                        }
+                        prop_assert_eq!(p.victim(), reference.order.pop_front());
                     }
                     3 if resident => {
-                        policies.iter_mut().for_each(|p| p.on_external_remove(&k));
+                        p.on_external_remove(k);
                         reference.remove(k);
                     }
                     _ => {}
@@ -285,13 +262,123 @@ mod lru_reference {
             }
             // Full drain agrees.
             while let Some(expect) = reference.order.pop_front() {
-                for p in &mut policies {
-                    prop_assert_eq!(p.victim(), Some(expect));
+                prop_assert_eq!(p.victim(), Some(expect));
+            }
+            prop_assert_eq!(p.victim(), None);
+        }
+    }
+}
+
+/// Reference-model check for `ChargedCache`, the block and KV caches' LRU:
+/// under mixed charges, same-key re-inserts, hits, removals, sweeps and
+/// budget changes it must return exactly the entries a `VecDeque` LRU
+/// evicts, in the same order, and keep the charge within the budget.
+mod charged_cache_reference {
+    use adcache_cache::ChargedCache;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(u8, usize),
+        Get(u8),
+        Remove(u8),
+        /// Keeps the keys whose bit is set.
+        Retain(u16),
+        SetCapacity(usize),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            6 => (any::<u8>(), 1usize..120).prop_map(|(k, c)| Op::Insert(k % 16, c)),
+            4 => any::<u8>().prop_map(|k| Op::Get(k % 16)),
+            1 => any::<u8>().prop_map(|k| Op::Remove(k % 16)),
+            1 => any::<u16>().prop_map(Op::Retain),
+            1 => (0usize..600).prop_map(Op::SetCapacity),
+        ]
+    }
+
+    /// `(key, value, charge)`, least recently used first.
+    struct Reference {
+        order: VecDeque<(u8, u64, usize)>,
+        capacity: usize,
+    }
+
+    impl Reference {
+        fn used(&self) -> usize {
+            self.order.iter().map(|e| e.2).sum()
+        }
+
+        fn take(&mut self, k: u8) -> Option<(u8, u64, usize)> {
+            let at = self.order.iter().position(|e| e.0 == k)?;
+            self.order.remove(at)
+        }
+
+        fn evict(&mut self, evicted: &mut Vec<(u8, u64)>) {
+            while self.used() > self.capacity {
+                let (k, v, _) = self.order.pop_front().unwrap();
+                evicted.push((k, v));
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn charged_cache_matches_reference(
+            ops in proptest::collection::vec(op(), 1..300),
+            cap in 0usize..600,
+        ) {
+            let mut c: ChargedCache<u8, u64> = ChargedCache::new(cap);
+            let mut reference = Reference { order: VecDeque::new(), capacity: cap };
+            for (step, op) in ops.into_iter().enumerate() {
+                let value = step as u64;
+                match op {
+                    Op::Insert(k, charge) => {
+                        let mut expect = Vec::new();
+                        if charge > reference.capacity {
+                            expect.push((k, value));
+                        } else {
+                            if let Some((_, old, _)) = reference.take(k) {
+                                expect.push((k, old));
+                            }
+                            reference.order.push_back((k, value, charge));
+                            reference.evict(&mut expect);
+                        }
+                        prop_assert_eq!(c.insert(k, value, charge), expect);
+                    }
+                    Op::Get(k) => {
+                        let hit = reference.take(k);
+                        if let Some(e) = hit {
+                            reference.order.push_back(e);
+                        }
+                        prop_assert_eq!(c.get(&k).copied(), hit.map(|e| e.1));
+                    }
+                    Op::Remove(k) => {
+                        let gone = reference.take(k).map(|e| e.1);
+                        prop_assert_eq!(c.remove(&k), gone);
+                    }
+                    Op::Retain(mask) => {
+                        let keep = |k: &u8| mask & (1 << k) != 0;
+                        let before = reference.order.len();
+                        reference.order.retain(|e| keep(&e.0));
+                        prop_assert_eq!(c.retain(keep), before - reference.order.len());
+                    }
+                    Op::SetCapacity(capacity) => {
+                        reference.capacity = capacity;
+                        let mut expect = Vec::new();
+                        reference.evict(&mut expect);
+                        prop_assert_eq!(c.set_capacity(capacity), expect);
+                    }
                 }
+                prop_assert_eq!(c.used(), reference.used());
+                prop_assert_eq!(c.len(), reference.order.len());
+                prop_assert!(c.used() <= c.capacity(), "used {} > cap {}", c.used(), c.capacity());
             }
-            for p in &mut policies {
-                prop_assert_eq!(p.victim(), None);
-            }
+            // The recency order agrees to the last entry.
+            let drained: Vec<(u8, u64)> = c.set_capacity(0);
+            let expect: Vec<(u8, u64)> = reference.order.iter().map(|e| (e.0, e.1)).collect();
+            prop_assert_eq!(drained, expect);
+            prop_assert!(c.is_empty());
         }
     }
 }

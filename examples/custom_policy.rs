@@ -1,33 +1,35 @@
-//! Plug a custom eviction policy into the cache substrate.
+//! Plug a custom eviction policy into the range cache.
 //!
-//! Every cache in this workspace takes its victim-selection strategy
-//! through the `Policy` trait — the same seam the paper uses to evaluate
-//! "Range Cache with LeCaR" and "Range Cache with Cacheus". This example
+//! The range cache takes its victim-selection strategy through the
+//! `Policy` trait, which ranks the cache's slot ids — the same seam the
+//! paper uses to evaluate "Range Cache with LeCaR" and "Range Cache with
+//! Cacheus" (the block and KV caches are plain LRU). This example
 //! implements a toy *random-eviction* policy from scratch, mounts it in a
 //! range cache, and compares its hit rate against LRU and LeCaR on a
 //! skewed point workload.
 //!
 //! Run with: `cargo run --release --example custom_policy`
 
-use adcache_suite::cache::{LeCaRPolicy, LruPolicy, PointLookup, Policy, RangeCache};
+use adcache_suite::cache::{LeCaRPolicy, PointLookup, Policy, RangeCache, SlotLruPolicy};
 use adcache_suite::workload::{Mix, Operation, WorkloadConfig, WorkloadGen};
 use bytes::Bytes;
-use std::collections::HashMap;
-use std::hash::Hash;
 
-/// Evicts a pseudo-random resident key. Simple, and a useful worst-case
+/// Evicts a pseudo-random resident slot. Simple, and a useful worst-case
 /// baseline: any policy that loses to random eviction is broken.
-struct RandomPolicy<K> {
-    keys: Vec<K>,
-    index: HashMap<K, usize>,
+struct RandomPolicy {
+    /// The resident slots, in no order.
+    slots: Vec<u32>,
+    /// Each resident slot's place in `slots`, indexed by slot id (slot ids
+    /// are small, dense numbers).
+    place: Vec<usize>,
     rng: u64,
 }
 
-impl<K: Clone + Eq + Hash> RandomPolicy<K> {
+impl RandomPolicy {
     fn new(seed: u64) -> Self {
         RandomPolicy {
-            keys: Vec::new(),
-            index: HashMap::new(),
+            slots: Vec::new(),
+            place: Vec::new(),
             rng: seed.max(1),
         }
     }
@@ -38,42 +40,39 @@ impl<K: Clone + Eq + Hash> RandomPolicy<K> {
         self.rng ^= self.rng << 17;
         self.rng
     }
+
+    /// Takes the slot at `i` out of `slots`, filling the hole with the last.
+    fn take(&mut self, i: usize) -> u32 {
+        let slot = self.slots.swap_remove(i);
+        if let Some(&moved) = self.slots.get(i) {
+            self.place[moved as usize] = i;
+        }
+        slot
+    }
 }
 
-impl<K: Clone + Eq + Hash + Send> Policy<K> for RandomPolicy<K> {
-    fn on_insert(&mut self, key: &K) {
-        if !self.index.contains_key(key) {
-            self.index.insert(key.clone(), self.keys.len());
-            self.keys.push(key.clone());
+impl Policy for RandomPolicy {
+    fn on_insert(&mut self, slot: u32, _identity: u64) {
+        let slot_at = slot as usize;
+        if slot_at >= self.place.len() {
+            self.place.resize(slot_at + 1, 0);
         }
+        self.place[slot_at] = self.slots.len();
+        self.slots.push(slot);
     }
 
-    fn on_hit(&mut self, _key: &K) {}
+    fn on_hit(&mut self, _slot: u32) {}
 
-    fn victim(&mut self) -> Option<K> {
-        if self.keys.is_empty() {
+    fn victim(&mut self) -> Option<u32> {
+        if self.slots.is_empty() {
             return None;
         }
-        let i = (self.next_rand() as usize) % self.keys.len();
-        let victim = self.keys.swap_remove(i);
-        self.index.remove(&victim);
-        if let Some(moved) = self.keys.get(i) {
-            self.index.insert(moved.clone(), i);
-        }
-        Some(victim)
+        let i = (self.next_rand() as usize) % self.slots.len();
+        Some(self.take(i))
     }
 
-    fn on_external_remove(&mut self, key: &K) {
-        if let Some(i) = self.index.remove(key) {
-            self.keys.swap_remove(i);
-            if let Some(moved) = self.keys.get(i) {
-                self.index.insert(moved.clone(), i);
-            }
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
+    fn on_external_remove(&mut self, slot: u32) {
+        self.take(self.place[slot as usize]);
     }
 }
 
@@ -110,7 +109,7 @@ fn main() {
         "random",
     );
     measure(
-        &RangeCache::with_policy(capacity, Box::new(|| Box::new(LruPolicy::new()))),
+        &RangeCache::with_policy(capacity, Box::new(|| Box::new(SlotLruPolicy::new()))),
         "lru",
     );
     measure(
