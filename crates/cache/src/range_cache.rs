@@ -51,7 +51,7 @@ use adcache_lsm::heap;
 use adcache_obs::{CacheStructure, Counter, Event, EvictionCause, Gauge, Obs};
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
-use slots::{Entry, HashIndex, Slab};
+use slots::{Entry, HashIndex, Slab, SlotKey};
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, RandomState};
 use std::ops::Bound;
@@ -69,15 +69,19 @@ pub struct RangeFootprint {
     pub charged: usize,
     /// Σ key length.
     pub key_bytes: usize,
+    /// Σ length of the keys stored as shared allocations; the rest of
+    /// `key_bytes` lies in place, in the slab's slots.
+    pub shared_key_bytes: usize,
     /// Σ value length.
     pub value_bytes: usize,
-    /// Heap bytes of the keys, one allocation each.
+    /// Heap bytes of the shared keys, one allocation each. A key stored in
+    /// place takes none: its bytes are part of its slot.
     pub key_heap: usize,
     /// Heap bytes of the values were each one allocation of its own, as
     /// a copied value is; a view of a buffer another structure keeps takes
     /// none of them.
     pub value_heap: usize,
-    /// Slab chunks and their ordered bits.
+    /// Slab chunks (in-place keys included) and their ordered bits.
     pub slab: usize,
     /// The hash index's buckets.
     pub hash_index: usize,
@@ -94,6 +98,7 @@ impl RangeFootprint {
     pub fn add(&mut self, other: &RangeFootprint) {
         self.charged += other.charged;
         self.key_bytes += other.key_bytes;
+        self.shared_key_bytes += other.shared_key_bytes;
         self.value_bytes += other.value_bytes;
         self.key_heap += other.key_heap;
         self.value_heap += other.value_heap;
@@ -145,8 +150,9 @@ fn next_key(k: &[u8]) -> Bytes {
 /// and is reached through `index` (by key bytes, point probes) and
 /// `policy` (by slot id, recency), and through `ordered` (by key order;
 /// scans, splits and the backstop) when a segment covers it. The key's
-/// bytes exist once; slab and `ordered` share them through a 16-byte
-/// handle each, and a bit beside each slot says whether `ordered` holds it.
+/// bytes exist once: in its slot while short and outside `ordered`, else in
+/// one allocation that slot and `ordered` share through a 16-byte handle
+/// each. A bit beside each slot says whether `ordered` holds it.
 struct Shard {
     slab: Slab,
     index: HashIndex,
@@ -164,9 +170,11 @@ struct Shard {
     policy: Box<dyn Policy>,
     capacity: usize,
     used: usize,
-    /// Σ key and value lengths, and the heap bytes of the same keys and
-    /// values as allocations of their own: the ledger's variable terms.
+    /// Σ key and value lengths, the length of the shared keys, and the
+    /// heap bytes of the shared keys and of the values as allocations of
+    /// their own: the ledger's variable terms.
     key_bytes: usize,
+    shared_key_bytes: usize,
     value_bytes: usize,
     key_heap: usize,
     value_heap: usize,
@@ -192,6 +200,7 @@ impl Shard {
             capacity,
             used: 0,
             key_bytes: 0,
+            shared_key_bytes: 0,
             value_bytes: 0,
             key_heap: 0,
             value_heap: 0,
@@ -226,15 +235,21 @@ impl Shard {
         (e.as_ref() > key).then_some((s, e))
     }
 
-    /// Admits `key` or replaces its value; returns its slot.
-    fn upsert_entry(&mut self, key: Bytes, value: Bytes) -> u32 {
+    /// Admits `key` or replaces its value. When a segment covers the key
+    /// (`covered`), the entry enters `ordered`, and a new one is shared
+    /// from the start.
+    fn upsert_entry(&mut self, key: Bytes, value: Bytes, covered: bool) {
         let hash = self.hasher.hash_one(&key[..]);
-        match self.find_hashed(hash, &key) {
+        let slot = match self.find_hashed(hash, &key) {
             Some(slot) => {
                 self.update_entry(slot, value);
                 slot
             }
-            None => self.insert_entry(hash, key.into(), value),
+            None if covered => self.insert_entry(hash, SlotKey::Shared(key.into()), value),
+            None => self.insert_entry(hash, SlotKey::new(key), value),
+        };
+        if covered {
+            self.enter_ordered(slot);
         }
     }
 
@@ -251,10 +266,11 @@ impl Shard {
 
     /// Admits `key`, which hashes to `hash` and is not resident, outside
     /// `ordered`; returns its slot.
-    fn insert_entry(&mut self, hash: u64, key: Arc<[u8]>, value: Bytes) -> u32 {
-        self.used += Self::charge_of(&key, &value);
-        self.note_payload(&key, &value, true);
-        let slot = self.slab.insert(Entry { key, value });
+    fn insert_entry(&mut self, hash: u64, key: SlotKey, value: Bytes) -> u32 {
+        let entry = Entry { key, value };
+        self.used += Self::charge_of(&entry.key, &entry.value);
+        self.note_payload(&entry, true);
+        let slot = self.slab.insert(entry);
         self.index.insert(hash, slot);
         self.policy.on_insert(slot, hash);
         self.inserts += 1;
@@ -263,11 +279,14 @@ impl Shard {
 
     /// Adds (`admitted`) or takes away an entry's key and value from the
     /// ledger's payload terms.
-    fn note_payload(&mut self, key: &[u8], value: &[u8], admitted: bool) {
+    fn note_payload(&mut self, entry: &Entry, admitted: bool) {
+        let (key, value) = (&entry.key, &entry.value);
+        let shared = key.shared().map_or(0, |k| k.len());
         let terms = [
             (&mut self.key_bytes, key.len()),
+            (&mut self.shared_key_bytes, shared),
             (&mut self.value_bytes, value.len()),
-            (&mut self.key_heap, heap::arc_bytes(key.len())),
+            (&mut self.key_heap, key.heap_bytes()),
             (&mut self.value_heap, heap::arc_bytes(value.len())),
         ];
         for (term, n) in terms {
@@ -287,6 +306,7 @@ impl Shard {
         RangeFootprint {
             charged: self.used,
             key_bytes: self.key_bytes,
+            shared_key_bytes: self.shared_key_bytes,
             value_bytes: self.value_bytes,
             key_heap: self.key_heap,
             value_heap: self.value_heap,
@@ -299,11 +319,17 @@ impl Shard {
     }
 
     /// Puts the entry in `slot`, which a segment covers or is about to,
-    /// into `ordered` unless it is there already (no search then).
+    /// into `ordered` unless it is there already (no search then). An
+    /// in-place key moves into an allocation that `ordered` shares.
     fn enter_ordered(&mut self, slot: u32) {
         if !self.slab.is_ordered(slot) {
             self.slab.mark_ordered(slot);
-            self.ordered.insert(self.slab.get(slot).key.clone(), slot);
+            let key = &mut self.slab.get_mut(slot).key;
+            if key.shared().is_none() {
+                self.shared_key_bytes += key.len();
+                self.key_heap += heap::arc_bytes(key.len());
+            }
+            self.ordered.insert(key.share(), slot);
         }
     }
 
@@ -315,10 +341,10 @@ impl Shard {
         self.index
             .remove(self.hasher.hash_one(&entry.key[..]), slot);
         if ordered {
-            self.ordered.remove(&entry.key);
+            self.ordered.remove(&entry.key[..]);
         }
         self.used -= Self::charge_of(&entry.key, &entry.value);
-        self.note_payload(&entry.key, &entry.value, false);
+        self.note_payload(&entry, false);
         if via_eviction {
             self.evictions.inc();
         } else {
@@ -389,7 +415,10 @@ impl Shard {
                 break;
             };
             let entry = self.remove_entry(victim, true);
-            self.split_at(&entry.key);
+            // An in-place key was never ordered, so no segment covers it.
+            if let Some(key) = entry.key.shared() {
+                self.split_at(key);
+            }
         }
         self.prune_segments();
         (
@@ -464,9 +493,10 @@ impl Shard {
                 }
                 *current = seg_end;
             } else if let Some(slot) = self.find(current) {
-                // A resident entry is its own coverage: `[k, k⁺)`.
-                let entry = self.slab.get(slot);
-                out.push((entry.key.clone().into(), entry.value.clone()));
+                // A resident entry is its own coverage: `[k, k⁺)`. The
+                // cursor has just matched its key byte for byte, so it
+                // serves as the key, whichever way the slot holds it.
+                out.push((current.clone(), self.slab.get(slot).value.clone()));
                 self.policy.on_hit(slot);
                 if out.len() >= n {
                     return true;
@@ -502,8 +532,9 @@ impl Shard {
         assert_eq!(self.slab.len(), self.index.len(), "hash index size");
         let mut used = 0usize;
         let mut covered = 0usize;
+        let (mut key_bytes, mut shared_key_bytes, mut key_heap) = (0, 0, 0);
         for (slot, entry) in self.slab.iter() {
-            let key = &entry.key;
+            let key = &entry.key[..];
             assert_eq!(self.find(key), Some(slot), "hash index misses {key:?}");
             let in_segment = self.segment_covering(key).is_some();
             assert_eq!(
@@ -511,14 +542,27 @@ impl Shard {
                 in_segment,
                 "ordered bit of {key:?}"
             );
+            assert!(
+                entry.key.shared().is_some() || !self.slab.is_ordered(slot),
+                "{key:?} is ordered but stored in place"
+            );
+            key_bytes += key.len();
+            shared_key_bytes += entry.key.shared().map_or(0, |k| k.len());
+            key_heap += entry.key.heap_bytes();
             covered += in_segment as usize;
             used += Self::charge_of(key, &entry.value);
         }
         assert_eq!(used, self.used, "byte accounting drifted");
+        assert_eq!(
+            (key_bytes, shared_key_bytes, key_heap),
+            (self.key_bytes, self.shared_key_bytes, self.key_heap),
+            "key terms drifted"
+        );
         assert_eq!(covered, self.ordered.len(), "ordered index size");
         for (key, &slot) in &self.ordered {
+            let shared = self.slab.get(slot).key.shared();
             assert!(
-                Arc::ptr_eq(&self.slab.get(slot).key, key) && self.slab.is_ordered(slot),
+                shared.is_some_and(|k| Arc::ptr_eq(k, key)) && self.slab.is_ordered(slot),
                 "ordered index names slot {slot} for {key:?}"
             );
         }
@@ -738,8 +782,7 @@ impl RangeCache {
             let shard_upper = self.shard_end(idx);
             let mut shard = self.shards[idx].lock();
             while i < admitted && shard_upper.is_none_or(|ub| results[i].0 < *ub) {
-                let slot = shard.upsert_entry(results[i].0.clone(), results[i].1.clone());
-                shard.enter_ordered(slot);
+                shard.upsert_entry(results[i].0.clone(), results[i].1.clone(), true);
                 i += 1;
             }
             // Cover this shard's part of the key space: up to the boundary
@@ -761,10 +804,7 @@ impl RangeCache {
         let idx = self.shard_idx(&key);
         let mut shard = self.shards[idx].lock();
         let covered = shard.segment_covering(&key).is_some();
-        let slot = shard.upsert_entry(key, value);
-        if covered {
-            shard.enter_ordered(slot);
-        }
+        shard.upsert_entry(key, value, covered);
         let (ev_count, ev_bytes) = shard.evict_to_capacity();
         drop(shard);
         self.note_evictions(EvictionCause::Capacity, ev_count, ev_bytes);
@@ -782,7 +822,8 @@ impl RangeCache {
                 match shard.find_hashed(hash, key) {
                     Some(slot) => shard.update_entry(slot, v.clone()),
                     None if shard.segment_covering(key).is_some() => {
-                        let slot = shard.insert_entry(hash, Arc::from(key), v.clone());
+                        let key = SlotKey::Shared(Arc::from(key));
+                        let slot = shard.insert_entry(hash, key, v.clone());
                         shard.enter_ordered(slot);
                     }
                     None => return,
@@ -795,13 +836,13 @@ impl RangeCache {
                 let Some(slot) = shard.find(key) else {
                     return;
                 };
-                let entry = shard.remove_entry(slot, false);
+                shard.remove_entry(slot, false);
                 if shard.segment_covering(key).is_none() {
                     // The entry was its own coverage. The key stays
                     // covered, now as absent — what a delete inside a
                     // segment leaves behind too.
                     let end = next_key(key);
-                    shard.add_segment(entry.key.into(), end);
+                    shard.add_segment(Bytes::copy_from_slice(key), end);
                 }
             }
         }
@@ -821,7 +862,8 @@ impl RangeCache {
             s.ordered.clear();
             s.segments.clear();
             s.used = 0;
-            (s.key_bytes, s.value_bytes, s.key_heap, s.value_heap) = (0, 0, 0, 0);
+            (s.key_bytes, s.shared_key_bytes, s.value_bytes) = (0, 0, 0);
+            (s.key_heap, s.value_heap) = (0, 0);
             s.publish_segments();
         }
     }

@@ -331,8 +331,18 @@ impl Policy for Audited {
     }
 }
 
+/// Key `k`, in every form a slot stores: a quarter of the keys are 4
+/// bytes, a quarter exactly fit in place (30), a quarter are one byte over
+/// (31) and a quarter are 40 to 64 bytes. The padding sorts below `x`, so
+/// the probes `k…x` still fall between key `k` and key `k + 1`.
 fn key(k: u16) -> Bytes {
-    Bytes::from(format!("k{k:03}"))
+    let len = match k % 4 {
+        0 => 4,
+        1 => slots::IN_PLACE,
+        2 => slots::IN_PLACE + 1,
+        _ => 40 + usize::from(k % 25),
+    };
+    Bytes::from(format!("k{k:03}{}", ".".repeat(len - 4)))
 }
 
 #[derive(Debug, Clone)]
@@ -348,6 +358,12 @@ enum Op {
     Clear,
     GetPoint(u16),
     GetRange(u16, u8),
+    /// Admits the key as a point entry, covers it with a scan of up to
+    /// `n + 1` keys from it (which moves an in-place key into a shared
+    /// allocation), then makes it its shard's least recently used entry and
+    /// shrinks the shard just below its bytes, so the entry is evicted and
+    /// its segment split at it; the capacity is restored afterwards.
+    CoverThenEvict(u16, u8),
 }
 
 const KEYS: u16 = 160;
@@ -363,6 +379,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::Clear),
         16 => (0..KEYS).prop_map(Op::GetPoint),
         12 => (0..KEYS, 0u8..24).prop_map(|(k, n)| Op::GetRange(k, n)),
+        6 => (0..KEYS, 0u8..8).prop_map(|(k, n)| Op::CoverThenEvict(k, n)),
     ]
 }
 
@@ -486,6 +503,39 @@ impl Pair {
                 let want = reference.get_range_partial(&key(k), n as usize);
                 prop_assert_eq!(got, want, "{:?}", op);
             }
+            Op::CoverThenEvict(k, n) => {
+                let value = db
+                    .entry(key(k))
+                    .or_insert_with(|| Bytes::from(format!("c{n}")))
+                    .clone();
+                cache.insert_point(key(k), value.clone());
+                reference.insert_point(key(k), value);
+                let results: Vec<(Bytes, Bytes)> = db
+                    .range(key(k)..)
+                    .take(n as usize + 1)
+                    .map(|(a, b)| (a.clone(), b.clone()))
+                    .collect();
+                cache.insert_scan(&key(k), &results, results.len());
+                reference.insert_scan(&key(k), &results, results.len());
+                let shard = reference.shard_of(&key(k));
+                if reference.entries.contains_key(&key(k)) {
+                    let others: Vec<Bytes> = (reference.shards[shard].lru.iter())
+                        .filter(|&other| *other != key(k))
+                        .cloned()
+                        .collect();
+                    for other in &others {
+                        prop_assert_eq!(cache.get_point(other), reference.get_point(other));
+                    }
+                    let restore = cache.capacity();
+                    let below = (reference.shards[shard].used - 1) * reference.shards.len();
+                    cache.set_capacity(below);
+                    reference.set_capacity(below);
+                    prop_assert!(!reference.entries.contains_key(&key(k)));
+                    prop_assert_eq!(cache.get_point(&key(k)), reference.get_point(&key(k)));
+                    cache.set_capacity(restore);
+                    reference.set_capacity(restore);
+                }
+            }
         }
         cache.check_invariants();
         Ok(())
@@ -511,7 +561,7 @@ impl Pair {
                 shard
                     .slab
                     .iter()
-                    .map(|(_, e)| (e.key.clone().into(), e.value.clone())),
+                    .map(|(_, e)| (Bytes::copy_from_slice(&e.key), e.value.clone())),
             );
         }
         // The slab lists its entries in slot order.

@@ -5,28 +5,92 @@
 //! chunk at a time, so growing never copies resident entries and never
 //! holds an old and a doubled buffer at once. Beside the chunks it keeps
 //! one bit per slot: whether the shard's ordered index holds the entry, so
-//! an entry it does not hold leaves without a search. The index stores 8
-//! bytes per bucket (a 32-bit hash tag and the slot id) and finds the key
-//! itself in the slab, so no second copy of the key exists.
+//! an entry it does not hold leaves without a search. A slot is 56 bytes:
+//! a 32-byte key field and the value's 24-byte handle. A key of up to
+//! [`IN_PLACE`] bytes lives in the field itself until a scan covers its
+//! entry; a longer key, and every key the ordered index holds, is one
+//! shared allocation, so the ordered index keeps a handle on the slot's own
+//! copy. The index stores 8 bytes per bucket (a 32-bit hash tag and the
+//! slot id) and finds the key itself in the slab, so it holds no key.
 
 use adcache_lsm::heap;
 use bytes::Bytes;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// "No slot": list terminator and empty-bucket marker.
 pub(super) const NIL: u32 = u32::MAX;
 
 const CHUNK_BITS: u32 = 10;
-/// Slots per slab chunk (48 KiB of slots).
+/// Slots per slab chunk (56 KiB of slots).
 const CHUNK: usize = 1 << CHUNK_BITS;
 /// Words of the ordered bits per chunk.
 const CHUNK_WORDS: usize = CHUNK / 64;
 
-/// One resident key-value pair. The key is always the whole of one
-/// allocation, so a 16-byte handle holds it; the ordered index, when it
-/// holds the entry, shares it.
+/// The longest key a slot stores in place: its 32-byte key field less the
+/// variant tag and the length byte.
+pub(super) const IN_PLACE: usize = 30;
+
+/// A slot's key. In place while it fits and the ordered index does not
+/// hold it; otherwise the whole of one allocation, which the ordered index
+/// shares through a handle of its own.
+pub(super) enum SlotKey {
+    InPlace { len: u8, bytes: [u8; IN_PLACE] },
+    Shared(Arc<[u8]>),
+}
+
+impl SlotKey {
+    /// `key` in place when it fits, else shared (the same allocation when
+    /// `key` spans all of its buffer).
+    pub(super) fn new(key: Bytes) -> Self {
+        if key.len() <= IN_PLACE {
+            let mut bytes = [0; IN_PLACE];
+            bytes[..key.len()].copy_from_slice(&key);
+            SlotKey::InPlace {
+                len: key.len() as u8,
+                bytes,
+            }
+        } else {
+            SlotKey::Shared(key.into())
+        }
+    }
+
+    /// The shared allocation, if the key is one.
+    pub(super) fn shared(&self) -> Option<&Arc<[u8]>> {
+        match self {
+            SlotKey::Shared(key) => Some(key),
+            SlotKey::InPlace { .. } => None,
+        }
+    }
+
+    /// A handle on the key's shared allocation, moving an in-place key
+    /// into one first.
+    pub(super) fn share(&mut self) -> Arc<[u8]> {
+        if let SlotKey::InPlace { .. } = self {
+            *self = SlotKey::Shared(Arc::from(&**self));
+        }
+        self.shared().expect("just shared").clone()
+    }
+
+    /// Heap bytes of the key: its allocation when shared, none in place.
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.shared().map_or(0, |key| heap::arc_bytes(key.len()))
+    }
+}
+
+impl Deref for SlotKey {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            SlotKey::InPlace { len, bytes } => &bytes[..*len as usize],
+            SlotKey::Shared(key) => key,
+        }
+    }
+}
+
+/// One resident key-value pair.
 pub(super) struct Entry {
-    pub(super) key: Arc<[u8]>,
+    pub(super) key: SlotKey,
     pub(super) value: Bytes,
 }
 
@@ -157,8 +221,8 @@ impl Slab {
         *self = Slab::new();
     }
 
-    /// Heap bytes of the chunks and the ordered bits (the entries' keys
-    /// and values are their own allocations).
+    /// Heap bytes of the chunks and the ordered bits (in-place keys
+    /// included; shared keys and the values are allocations of their own).
     pub(super) fn heap_bytes(&self) -> usize {
         let chunks: usize = self.chunks.iter().map(heap::vec).sum();
         chunks + heap::vec(&self.chunks) + heap::vec(&self.ordered)
@@ -288,9 +352,34 @@ mod tests {
 
     fn entry(i: u32) -> Entry {
         Entry {
-            key: Arc::from(format!("k{i}").as_bytes()),
+            key: SlotKey::new(Bytes::from(format!("k{i}"))),
             value: Bytes::from(format!("v{i}")),
         }
+    }
+
+    #[test]
+    fn short_keys_live_in_place_until_shared() {
+        assert_eq!(std::mem::size_of::<SlotKey>(), 32);
+        assert_eq!(std::mem::size_of::<Entry>(), 56);
+        let fits = Bytes::from(vec![b'a'; IN_PLACE]);
+        let mut key = SlotKey::new(fits.clone());
+        assert!(key.shared().is_none());
+        assert_eq!((&*key, key.heap_bytes()), (&fits[..], 0));
+        let shared = key.share();
+        assert!(Arc::ptr_eq(key.shared().unwrap(), &shared));
+        assert_eq!(
+            (&*key, key.heap_bytes()),
+            (&fits[..], heap::arc_bytes(IN_PLACE))
+        );
+        assert!(
+            Arc::ptr_eq(&key.share(), &shared),
+            "sharing twice copies once"
+        );
+        // One byte longer is shared from the start, with the caller's buffer.
+        let long = Bytes::from(vec![b'b'; IN_PLACE + 1]);
+        let key = SlotKey::new(long.clone());
+        assert_eq!(key.shared().unwrap().as_ptr(), long.as_ptr());
+        assert_eq!(&*SlotKey::new(Bytes::new()), b"");
     }
 
     #[test]
@@ -302,7 +391,7 @@ mod tests {
         }
         assert_eq!(slab.len(), n as usize);
         assert_eq!(&*slab.get(CHUNK as u32 + 1).key, b"k1025");
-        assert_eq!(std::mem::size_of::<Slot>(), 48);
+        assert_eq!(std::mem::size_of::<Slot>(), 56);
         slab.mark_ordered(7);
         assert!(slab.is_ordered(7) && !slab.is_ordered(8));
         assert_eq!(slab.remove(7).0.value, "v7");

@@ -17,6 +17,10 @@
 //! those count as `shared` too and show up as unattributed; over
 //! `FileStorage` every cached value owns its bytes (the engine's copy rule).
 //!
+//! Where the allocator is glibc's, the `malloc.free` row names the free
+//! bytes it holds (`mallinfo2().fordblks`): memory the process touched,
+//! freed, and has not returned to the system. Elsewhere the row is absent.
+//!
 //! [`CachedDb::memory_report`]: crate::CachedDb::memory_report
 
 use adcache_cache::{CacheFootprint, RangeFootprint};
@@ -47,10 +51,10 @@ pub struct MemoryReport {
     pub attributed: u64,
     /// The process's resident set (`VmRSS`), 0 where it cannot be read.
     pub vm_rss: u64,
-    /// `vm_rss − attributed`: the allocator's slack, the binary, thread
-    /// stacks, and every consumer no row names (connection buffers, the
-    /// journal, the agent, values pinned in deleted tables). 0 when
-    /// `vm_rss` is unknown.
+    /// `vm_rss − attributed`: the allocator's chunk headers and rounding,
+    /// the binary, thread stacks, and every consumer no row names
+    /// (connection buffers, the journal, the agent, values pinned in
+    /// deleted tables). 0 when `vm_rss` is unknown.
     pub unattributed: i64,
 }
 
@@ -92,7 +96,10 @@ pub(crate) fn report(t: Terms) -> MemoryReport {
     };
     let r = &t.range;
     let (values, values_shared) = split(r.value_heap);
-    row("range.keys", r.key_bytes, r.key_heap, 0);
+    // An in-place key's bytes are part of its slot, in `range.slab`.
+    let in_place = r.key_bytes - r.shared_key_bytes;
+    row("range.keys.in_place", in_place, 0, 0);
+    row("range.keys.shared", r.shared_key_bytes, r.key_heap, 0);
     row("range.values", r.value_bytes, values, values_shared);
     row(
         "range.slab",
@@ -120,6 +127,9 @@ pub(crate) fn report(t: Terms) -> MemoryReport {
     row("sst.index", 0, sst(|m| m.index_bytes), 0);
     row("sst.bloom", 0, sst(|m| m.bloom_bytes), 0);
     row("store.tables", 0, t.store, 0);
+    if let Some(free) = malloc_free() {
+        row("malloc.free", 0, free, 0);
+    }
     let attributed: u64 = rows.iter().map(|r| r.real).sum();
     let vm_rss = resident_set();
     MemoryReport {
@@ -132,6 +142,38 @@ pub(crate) fn report(t: Terms) -> MemoryReport {
             vm_rss as i64 - attributed as i64
         },
     }
+}
+
+/// Free bytes glibc's allocator holds over all its arenas, the top chunks
+/// included.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn malloc_free() -> Option<usize> {
+    /// glibc's `struct mallinfo2` (glibc 2.33 and later): ten `size_t`s.
+    #[repr(C)]
+    struct MallInfo2 {
+        arena: usize,
+        ordblks: usize,
+        smblks: usize,
+        hblks: usize,
+        hblkhd: usize,
+        usmblks: usize,
+        fsmblks: usize,
+        uordblks: usize,
+        fordblks: usize,
+        keepcost: usize,
+    }
+    extern "C" {
+        fn mallinfo2() -> MallInfo2;
+    }
+    // SAFETY: `mallinfo2` takes no argument, returns the struct by value
+    // and only reads the allocator's own state under its arena locks.
+    let info = unsafe { mallinfo2() };
+    Some(info.fordblks)
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn malloc_free() -> Option<usize> {
+    None
 }
 
 /// `VmRSS` of this process in bytes, from `/proc/self/status`; 0 where
@@ -164,8 +206,9 @@ mod tests {
             range: RangeFootprint {
                 charged: 2 * (24 + 100 + 48),
                 key_bytes: 48,
+                shared_key_bytes: 24,
                 value_bytes: 200,
-                key_heap: 96,
+                key_heap: 48,
                 value_heap: 256,
                 slab: 1000,
                 ..RangeFootprint::default()
@@ -191,6 +234,8 @@ mod tests {
             (row.charged, row.real, row.shared)
         };
         let files = report(terms(false));
+        assert_eq!(row(&files, "range.keys.in_place"), (24, 0, 0));
+        assert_eq!(row(&files, "range.keys.shared"), (24, 48, 0));
         assert_eq!(row(&files, "range.values"), (200, 256, 0));
         assert_eq!(row(&files, "range.slab"), (96, 1000, 0));
         assert_eq!(row(&files, "block.blocks"), (4096, 4128, 0));
@@ -202,7 +247,17 @@ mod tests {
         for r in [&files, &memory] {
             assert_eq!(r.attributed, r.rows.iter().map(|row| row.real).sum::<u64>());
         }
-        assert_eq!(files.attributed - memory.attributed, 256 + 4128);
+        // The allocator's free bytes move between the two reports.
+        let structures = |r: &MemoryReport| {
+            let rows = r.rows.iter().filter(|row| row.name != "malloc.free");
+            rows.map(|row| row.real).sum::<u64>()
+        };
+        assert_eq!(structures(&files) - structures(&memory), 256 + 4128);
+        // glibc names its free heap; no other allocator has the row.
+        let free = files.rows.iter().find(|row| row.name == "malloc.free");
+        let glibc = cfg!(all(target_os = "linux", target_env = "gnu"));
+        assert_eq!(free.is_some(), glibc);
+        assert!(free.is_none_or(|row| row.real > 0 && row.charged == 0));
         // This process has a resident set, and the ledger reads it.
         if std::path::Path::new("/proc/self/status").exists() {
             assert!(files.vm_rss > 0);

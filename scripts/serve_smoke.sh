@@ -50,17 +50,18 @@ start_server "$TRACE_DIR/durable.log" --dir "$TRACE_DIR/store"
 # The memory ledger on a durable store: a short write-heavy pass (512 B
 # values, as the benchmark's write-durable), a mixed pass that fills the
 # result caches, then `top` prints STATS.memory. Every row must
-# be there and non-negative, and the rows' real bytes may not add up to
-# more than the resident set the same report read.
+# be there and non-negative (glibc's free heap, `malloc.free`, included),
+# and the rows' real bytes may not add up to more than the resident set
+# the same report read.
 "$BIN" loadgen --addr "$ADDR" --ops 20000 --connections 4 --keys 5000 \
     --value-size 512 --mix write
 "$BIN" loadgen --addr "$ADDR" --ops 10000 --connections 4 --keys 5000 \
     --value-size 512 --mix mixed
 "$BIN" top --addr "$ADDR" --iterations 1 --interval-ms 50 > "$TRACE_DIR/top.txt"
 grep -E "^mem(ory)? " "$TRACE_DIR/top.txt"
-awk -v want="range.keys range.values range.slab range.hash_index range.ordered_index \
+awk -v want="range.keys.in_place range.keys.shared range.values range.slab range.hash_index range.ordered_index \
 range.segments range.lru block.blocks block.table kv.values kv.keys_and_table \
-admission.sketch memtable.0 memtable.0.stranded sst.index sst.bloom store.tables" '
+admission.sketch memtable.0 memtable.0.stranded sst.index sst.bloom store.tables malloc.free" '
     /^mem / {
         seen[$2] = 1
         if ($4 < 0 || $6 < 0 || $8 < 0) bad = bad " " $2
