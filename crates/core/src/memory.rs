@@ -20,6 +20,9 @@
 //! Where the allocator is glibc's, the `malloc.free` row names the free
 //! bytes it holds (`mallinfo2().fordblks`): memory the process touched,
 //! freed, and has not returned to the system. Elsewhere the row is absent.
+//! It is memory an earlier peak touched, not a term of the peak: a change
+//! that lowers the peak can leave more of it free at the end, so the row
+//! can rise while VmHWM falls.
 //!
 //! [`CachedDb::memory_report`]: crate::CachedDb::memory_report
 

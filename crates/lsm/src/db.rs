@@ -193,6 +193,9 @@ pub(crate) struct Inner {
     sealed: Vec<SealedSegment>,
     /// Name counter for the next sealed segment file.
     wal_seq: u64,
+    /// Footprint at which the active memtable seals: the stripe's phase
+    /// ([`first_seal_at`]) until its first seal, `memtable_size` after.
+    seal_at: usize,
 }
 
 /// A single-writer, multi-reader LSM-tree over a [`Storage`] device.
@@ -245,6 +248,7 @@ impl LsmTree {
             wal: None,
             sealed: Vec::new(),
             wal_seq: 0,
+            seal_at: first_seal_at(&opts, 0),
         };
         let next_file = first_file_id(stride, offset);
         Ok(Self::assemble(
@@ -459,6 +463,7 @@ impl LsmTree {
         }
 
         let inner = Inner {
+            seal_at: first_seal_at(&opts, mem_footprint(&mem)),
             mem,
             imm: None,
             version,
@@ -822,7 +827,7 @@ impl LsmTree {
         self.stats.group_commits.inc();
         // With a seal already in flight the budget gate stalls writers
         // instead.
-        if inner.imm.is_some() || mem_footprint(&inner.mem) < self.opts.memtable_size {
+        if inner.imm.is_some() || mem_footprint(&inner.mem) < inner.seal_at {
             return Ok(false);
         }
         self.seal_locked(&mut inner)?;
@@ -905,6 +910,7 @@ impl LsmTree {
             }
         }
         inner.imm = Some(Arc::new(std::mem::take(&mut inner.mem)));
+        inner.seal_at = self.opts.memtable_size;
         self.stats.seals.inc();
         Ok(())
     }
@@ -1422,6 +1428,23 @@ fn mem_footprint(mem: &MemTable) -> usize {
     mem.approximate_bytes() + mem.stranded_bytes()
 }
 
+/// Where the first memtable a stripe fills after open seals, so that
+/// stripes sharing one stream of writes seal out of phase: for stripe *i*
+/// of *n*, the first point of `(i+1)·S/n + k·S` above the `opened` bytes
+/// replay left in it (`S` = `memtable_size`). Every later memtable seals
+/// at `S`, so the active memtables hold `(n−1)/2` to `(n+1)/2` of `S`
+/// together instead of filling in lockstep to `n·S`. A replay already at
+/// `S` seals at its first write, and a single stripe at `S`, as before.
+fn first_seal_at(opts: &Options, opened: usize) -> usize {
+    let s = opts.memtable_size;
+    let phase = (opts.stripe_index + 1) * s / opts.stripes.max(1);
+    if opened < phase || opened >= s {
+        phase
+    } else {
+        phase + s
+    }
+}
+
 /// First file id a stripe may allocate: ids stay in the stripe's residue
 /// class (`id % stride == stripe_index`) and are never 0, so stripes
 /// sharing one storage device never collide without coordination.
@@ -1482,6 +1505,29 @@ mod tests {
             );
         }
         assert!(db.get(b"missing", &p).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_stripe_seals_its_first_memtable_at_its_phase() {
+        let at = |stripes, stripe_index, opened| {
+            let opts = Options {
+                memtable_size: 1000,
+                stripes,
+                stripe_index,
+                ..Options::small()
+            };
+            first_seal_at(&opts, opened)
+        };
+        // One stripe seals at the full size from any replay, as ever.
+        for opened in [0, 400, 999, 1000, 2500] {
+            assert_eq!(at(1, 0, opened), 1000, "opened {opened}");
+        }
+        // Stripe i of 4: the first point of (i+1)·250 + k·1000 above the
+        // replay, and at the first write once the replay is full.
+        assert_eq!([0, 1, 2, 3].map(|i| at(4, i, 0)), [250, 500, 750, 1000]);
+        assert_eq!([0, 1, 2, 3].map(|i| at(4, i, 600)), [1250, 1500, 750, 1000]);
+        assert_eq!(at(4, 1, 500), 1500);
+        assert_eq!(at(4, 0, 1000), 250);
     }
 
     #[test]

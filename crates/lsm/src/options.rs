@@ -112,7 +112,9 @@ pub struct Options {
     pub block_restart_interval: usize,
     /// Target total size of one SSTable in bytes (paper: 4 MiB).
     pub sstable_size: usize,
-    /// Memtable flush threshold in bytes.
+    /// Memtable flush threshold in bytes. A stripe's first memtable after
+    /// open seals at its phase instead, between `(stripe_index + 1) /
+    /// stripes` of this and below twice this, so stripes seal out of phase.
     pub memtable_size: usize,
     /// Number of Level-0 files that triggers an L0->L1 compaction.
     pub l0_compaction_trigger: usize,
@@ -150,7 +152,8 @@ pub struct Options {
     pub stripes: usize,
     /// Which stripe this engine instance is (`0..stripes`). Determines the
     /// file-id residue class this engine allocates from when several
-    /// stripes share one storage device. Leave 0 for standalone trees.
+    /// stripes share one storage device, and the seal phase of its first
+    /// memtable. Leave 0 for standalone trees.
     pub stripe_index: usize,
     /// Who runs the one maintenance path (seal, flush, due compactions):
     /// on, a worker pool that [`crate::striped::StripedDb`] attaches; off

@@ -818,17 +818,18 @@ fn a_stalled_multi_stripe_batch_does_not_hold_up_scans() {
 }
 
 /// The served tree's flush and compaction points depend only on the
-/// memtable's charge (`key + value + 16` per key), never on what the write
-/// buffer really occupies: an inline-maintenance load of the benchmark's
-/// 200 k keys (24-byte keys, 100-byte values, batches of 512) flushes and
-/// compacts exactly as the tree did when every memtable entry was three
-/// heap allocations. The write amplification, a ratio of block counts,
-/// moves with the block encoding's size instead: each block's restart
-/// array and checksum and each table's partial last block weigh
-/// differently in a flush and in a compaction, and compactions cut tables
-/// at stored bytes.
+/// memtable's charge (`key + value + 16` per key) and on each stripe's seal
+/// phase, never on what the write buffer really occupies: an
+/// inline-maintenance load of the benchmark's 200 k keys (24-byte keys,
+/// 100-byte values, batches of 512) spreads ~6.7 memtables over each of the
+/// four stripes. Stripes 0, 1 and 2 seal their first memtable at 1/4, 2/4
+/// and 3/4 of it and stripe 3 at all of it, so 7 + 7 + 6 + 6 = 26 flushes
+/// leave 0.43 + 0.18 + 0.93 + 0.68 memtables buffered (with every stripe
+/// sealing at the full size, 24 flushes left 4 × 0.68). The write
+/// amplification, a ratio of block counts, moves with the block encoding's
+/// size and with what the flushes cut.
 #[test]
-fn a_served_load_flushes_and_compacts_where_it_always_did() {
+fn a_served_load_flushes_and_compacts_where_its_stripes_seal() {
     let db = StripedDb::new(Options::served(4, 4 << 20), Arc::new(MemStorage::new())).unwrap();
     let ids: Vec<u64> = (0..200_000).collect();
     for batch in ids.chunks(512) {
@@ -843,6 +844,121 @@ fn a_served_load_flushes_and_compacts_where_it_always_did() {
     }
     let flushes = db.stats_sum(|s| s.flushes.get());
     let shape = (flushes, db.compactions(), db.memtable_len());
-    assert_eq!(shape, (24, 4, 18_752), "(flushes, compactions, buffered)");
-    assert_eq!(format!("{:.4}", db.write_amplification()), "1.6659");
+    assert_eq!(shape, (26, 4, 14_912), "(flushes, compactions, buffered)");
+    assert_eq!(format!("{:.4}", db.write_amplification()), "1.5912");
+}
+
+/// Memtable size of the seal-phase tests: 64 KiB, about 500 of their keys.
+const PHASE_S: usize = 64 << 10;
+/// What one key of the seal-phase tests charges: a 13-byte key, a
+/// 100-byte value and 16 bytes.
+const PHASE_KEY: usize = 13 + 100 + 16;
+/// Keys that fill every stripe's memtable once.
+const PHASE_CYCLE: usize = 4 * PHASE_S / PHASE_KEY;
+/// Keys a batch of the seal-phase tests writes (about 1/64 of `PHASE_S`).
+const PHASE_BATCH: usize = 8;
+
+/// Four stripes of `PHASE_S` with maintenance on the writer: a batch
+/// returns with its sealed memtable flushed, so what the stripes buffer
+/// between batches is their active memtables.
+fn phase_opts() -> Options {
+    let mut o = Options::small();
+    o.memtable_size = PHASE_S;
+    o.sstable_size = PHASE_S;
+    o.stripes = 4;
+    o.background_maintenance = false;
+    o
+}
+
+/// Writes unique keys `from..to` in batches of `PHASE_BATCH`. After each
+/// batch it records every stripe's memtable charge and how many seals that
+/// stripe had made by then.
+fn stream_unique_keys(db: &StripedDb, from: usize, to: usize) -> Vec<Vec<(usize, u64)>> {
+    let ids: Vec<usize> = (from..to).collect();
+    let mut trace = Vec::new();
+    for batch in ids.chunks(PHASE_BATCH) {
+        let batch = batch
+            .iter()
+            .map(|i| {
+                let key = Bytes::from(format!("key{i:010}"));
+                (key, Entry::Put(Bytes::from(vec![b'v'; 100])))
+            })
+            .collect();
+        db.write_batch(batch).unwrap();
+        let stripes = (0..db.num_stripes()).map(|i| {
+            let tree = db.stripe(i);
+            (tree.memory().memtable_charged, tree.stats().seals.get())
+        });
+        trace.push(stripes.collect());
+    }
+    trace
+}
+
+/// Asserts that once every stripe of `trace` has sealed, the four
+/// memtables never held more than 2.5 memtables between them, give or
+/// take the batch that sealed one. Sealing in lockstep they held nearly 4.
+fn assert_out_of_phase(trace: &[Vec<(usize, u64)>]) {
+    let after = trace
+        .iter()
+        .skip_while(|stripes| stripes.iter().any(|&(_, seals)| seals == 0));
+    let sums = after.map(|stripes| stripes.iter().map(|&(bytes, _)| bytes).sum::<usize>());
+    let peak = sums.max().expect("some stripe never sealed");
+    assert!(
+        peak <= 5 * PHASE_S / 2 + PHASE_BATCH * PHASE_KEY,
+        "the four memtables peaked at {peak} B, {:.2} memtables",
+        peak as f64 / PHASE_S as f64
+    );
+}
+
+/// Stripes that split one stream of writes evenly seal out of phase: stripe
+/// *i* of 4 seals its first memtable at (i+1)/4 of `memtable_size`.
+#[test]
+fn stripes_fed_evenly_seal_out_of_phase() {
+    let db = StripedDb::new(phase_opts(), Arc::new(MemStorage::new())).unwrap();
+    assert_out_of_phase(&stream_unique_keys(&db, 0, 3 * PHASE_CYCLE));
+}
+
+/// A durable store reopened over memtables that replay in lockstep, each at
+/// 0.6 of `memtable_size`, is out of phase from the first seals on: stripe
+/// *i* seals its first memtable at the first point of its grid `(i+1)/4 +
+/// k` memtables above 0.6, so at 1.25, 1.5, 0.75 and 1, and no first
+/// memtable passes twice `memtable_size`.
+#[test]
+fn a_reopen_over_lockstep_memtables_seals_out_of_phase() {
+    let (fs, storage) = (Arc::new(SimFs::new()), Arc::new(MemStorage::new()));
+    let open = |memtable_size| {
+        let mut o = phase_opts();
+        o.memtable_size = memtable_size;
+        let fs: Arc<dyn MetaFs> = fs.clone();
+        StripedDb::with_durability_fs(o, storage.clone(), "/phase", fs).unwrap()
+    };
+    // With 4 × the memtable no stripe seals below one memtable, so every
+    // stripe's log replays into a memtable of about 0.6 of `PHASE_S`.
+    let lockstep = PHASE_CYCLE * 6 / 10;
+    {
+        let db = open(4 * PHASE_S);
+        stream_unique_keys(&db, 0, lockstep);
+        assert_eq!(db.stats_sum(|s| s.seals.get()), 0);
+    }
+    let db = open(PHASE_S);
+    for i in 0..4 {
+        let opened = db.stripe(i).memory().memtable_charged as f64 / PHASE_S as f64;
+        assert!(
+            (0.55..0.65).contains(&opened),
+            "stripe {i} replayed {opened:.2}"
+        );
+    }
+    let trace = stream_unique_keys(&db, lockstep, lockstep + 3 * PHASE_CYCLE);
+    for stripe in 0..4 {
+        let first = trace
+            .iter()
+            .take_while(|stripes| stripes[stripe].1 == 0)
+            .map(|stripes| stripes[stripe].0);
+        let first = first.max().unwrap_or(0);
+        assert!(
+            first <= 2 * PHASE_S,
+            "stripe {stripe}'s first memtable reached {first} B"
+        );
+    }
+    assert_out_of_phase(&trace);
 }
