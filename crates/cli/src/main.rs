@@ -2075,8 +2075,8 @@ fn quiet_p99(report: &adcache_server::LoadReport) -> u64 {
 
 /// Runs the noisy-neighbor drill against a fresh in-process engine +
 /// server: 1 noisy tenant + `tenants - 1` quiet ones, each tenant two
-/// connections. Defenses on = partitioned per-tenant caches, learned
-/// share arbitration, and aggregated per-tenant quotas; off = tenants
+/// connections. Defenses on = partitioned per-tenant caches split by
+/// each window's demand, and aggregated per-tenant quotas; off = tenants
 /// are labels on one shared cache with no tenant quota.
 fn tenant_drill(
     defenses: bool,

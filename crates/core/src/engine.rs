@@ -10,7 +10,7 @@
 use crate::controller::CacheDecision;
 use crate::memory::{self, MemoryReport};
 use crate::stats::{Counters, Snapshot, WindowSummary};
-use crate::tenant::{Partition, TenantId, TenantWindow, DEFAULT_TENANT};
+use crate::tenant::{guarded_shares, Partition, TenantId, DEFAULT_TENANT};
 use adcache_cache::{
     BlockCache, CacheFootprint, PointLookup, RangeCache, RangeFootprint, ScanAdmission,
 };
@@ -18,9 +18,8 @@ use adcache_lsm::{
     DirectProvider, Entry, FileStorage, Key, MemStorage, Options, Result, Storage, StripedDb, Value,
 };
 use adcache_obs::{AdmissionOutcome, AdmissionReason, CacheStructure, Counter, Event, Gauge, Obs};
-use adcache_rl::{ShareAgent, TenantFeatures};
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -87,12 +86,13 @@ pub struct EngineConfig {
     /// re-salt when saturation/decay telemetry looks adversarial).
     pub sketch_guard: bool,
     /// Guaranteed minimum share of the cache budget per registered
-    /// tenant: the share arbiter can never starve a tenant below this
-    /// fraction (clamped to `1/n` when infeasible for `n` tenants).
+    /// tenant: however little a tenant issued in a window, its partition
+    /// never shrinks below this fraction (clamped to `1/n` when
+    /// infeasible for `n` tenants).
     pub min_tenant_share: f64,
     /// Whether registering a tenant creates a shared-nothing cache
     /// partition for it. Off = tenants are labels only: every tenant
-    /// shares the default partition and no share arbitration runs (the
+    /// shares the default partition and no share rebalance runs (the
     /// `tenantcheck` drill's defenses-off baseline).
     pub tenant_partitioning: bool,
 }
@@ -185,8 +185,6 @@ pub struct CachedDb {
     default_partition: Arc<Partition>,
     /// Non-default tenant partitions, keyed by tenant id.
     tenants: RwLock<BTreeMap<TenantId, Arc<Partition>>>,
-    /// The learned share arbiter; rebuilt when the tenant set changes.
-    share_agent: Mutex<Option<ShareAgent>>,
     /// Construction parameters retained for late tenant registration.
     cfg: EngineConfig,
     scan_admission: RwLock<ScanAdmission>,
@@ -266,7 +264,6 @@ impl CachedDb {
             strategy: cfg.strategy,
             default_partition,
             tenants: RwLock::new(BTreeMap::new()),
-            share_agent: Mutex::new(None),
             scan_admission: RwLock::new(ScanAdmission::default()),
             total_cache_bytes: total,
             b_estimate: RwLock::new(4.0),
@@ -415,8 +412,7 @@ impl CachedDb {
             }
             map.insert(tenant, part);
         }
-        // The tenant set changed: restart arbitration from equal shares.
-        *self.share_agent.lock() = None;
+        // The tenant set changed: restart from equal shares.
         let parts = self.all_partitions();
         let equal: Vec<(TenantId, f64)> = parts
             .iter()
@@ -431,7 +427,7 @@ impl CachedDb {
     }
 
     /// Applies a share split across tenant partitions. Shares are passed
-    /// through the guarded floor ([`adcache_rl::guarded_shares`]): they
+    /// through the guarded floor ([`guarded_shares`]): they
     /// are renormalized to sum to 1 with every tenant kept at or above
     /// the configured minimum, then each partition is resized to
     /// `share × total_cache_bytes` (block/range split by the current
@@ -447,7 +443,7 @@ impl CachedDb {
                     .map_or(p.share(), |&(_, w)| w)
             })
             .collect();
-        let shares = adcache_rl::guarded_shares(&weights, self.cfg.min_tenant_share);
+        let shares = guarded_shares(&weights, self.cfg.min_tenant_share);
         let ratio = *self.applied_ratio.read();
         for (part, &share) in parts.iter().zip(&shares) {
             let budget = (self.total_cache_bytes as f64 * share) as usize;
@@ -464,49 +460,25 @@ impl CachedDb {
         }
     }
 
-    /// One share-arbitration step: drains each tenant's activity window,
-    /// feeds hit-rate/footprint/demand features to the learned arbiter,
-    /// and applies the new split. With fewer than two tenants this is a
-    /// no-op report. Returns the `(tenant, share)` split in force.
+    /// Splits the cache by demand: drains each tenant's operations for
+    /// the window just closed and applies them as the share weights
+    /// ([`set_tenant_shares`](Self::set_tenant_shares)), so a tenant idle
+    /// for the whole window falls to the guaranteed minimum and a window
+    /// with no operations at all restores the equal split. With fewer
+    /// than two tenants it only drains the window, so the first split
+    /// after a second tenant registers weighs one window's demand, not
+    /// everything the default tenant did before. Returns the `(tenant,
+    /// share)` split in force.
     pub fn rebalance_tenants(&self) -> Vec<(TenantId, f64)> {
         let parts = self.all_partitions();
-        if parts.len() < 2 {
-            return parts.iter().map(|p| (p.tenant(), p.share())).collect();
+        let demand: Vec<(TenantId, f64)> = parts
+            .iter()
+            .map(|p| (p.tenant(), p.window_ops() as f64))
+            .collect();
+        if parts.len() >= 2 {
+            self.set_tenant_shares(&demand);
         }
-        let windows: Vec<TenantWindow> = parts.iter().map(|p| p.window()).collect();
-        let ids: Vec<TenantId> = parts.iter().map(|p| p.tenant()).collect();
-        let shares = {
-            let mut slot = self.share_agent.lock();
-            let rebuild = !matches!(&*slot, Some(a) if a.ids() == ids.as_slice());
-            if rebuild {
-                let mut agent = ShareAgent::new(ids, self.cfg.min_tenant_share);
-                for p in &parts {
-                    agent.seed_share(p.tenant(), p.share());
-                }
-                *slot = Some(agent);
-            }
-            let agent = slot.as_mut().expect("agent just installed");
-            let feats: Vec<TenantFeatures> = windows
-                .iter()
-                .map(|w| TenantFeatures {
-                    tenant: w.tenant,
-                    hit_rate: if w.hits + w.misses == 0 {
-                        0.0
-                    } else {
-                        w.hits as f64 / (w.hits + w.misses) as f64
-                    },
-                    occupancy: if w.budget_bytes == 0 {
-                        1.0
-                    } else {
-                        (w.used_bytes as f64 / w.budget_bytes as f64).min(1.0)
-                    },
-                    ops: w.ops,
-                })
-                .collect();
-            agent.observe(&feats)
-        };
-        self.set_tenant_shares(&shares);
-        shares
+        parts.iter().map(|p| (p.tenant(), p.share())).collect()
     }
 
     /// Per-tenant statistics (share, budget, residency, hit counters),
@@ -1177,7 +1149,7 @@ pub struct CacheStatsReport {
 pub struct TenantStatsReport {
     /// Tenant id (`0` is the default tenant).
     pub tenant: u32,
-    /// Arbitrated share of the total cache budget, in `[0, 1]`.
+    /// Current share of the total cache budget, in `[0, 1]`.
     pub share: f64,
     /// Byte budget the share currently maps to.
     pub budget_bytes: u64,
@@ -1869,6 +1841,39 @@ mod tests {
         }
         let total: f64 = reports.iter().map(|r| r.share).sum();
         assert!((total - 1.0).abs() < 1e-9, "shares must sum to 1: {total}");
+    }
+
+    #[test]
+    fn rebalance_splits_the_headroom_by_the_window_s_operations() {
+        let db = build(Strategy::AdCache, 256 << 10);
+        populate(&db, 500);
+        // The default tenant's demand while it is alone closes with its
+        // window and weighs nothing in the next one.
+        for i in 0..1000 {
+            db.get(&render_key(i % 500)).unwrap();
+        }
+        db.rebalance_tenants();
+        for t in [1, 2, 3] {
+            db.register_tenant(t);
+        }
+        let parts = [1, 2].map(|t| db.partition_for(t));
+        for i in 0..300 {
+            db.get_in(&parts[0], &render_key(i)).unwrap();
+        }
+        for i in 0..100 {
+            db.get_in(&parts[1], &render_key(i)).unwrap();
+        }
+        let shares = db.rebalance_tenants();
+        // Each tenant gets the floor (0.1), the rest goes by operations:
+        // min + (1 − n·min) · ops / Σops = 0.1 + 0.6 · 300/400 for tenant 1.
+        let want = [(DEFAULT_TENANT, 0.10), (1, 0.55), (2, 0.25), (3, 0.10)];
+        assert_eq!(shares.len(), want.len());
+        for ((t, s), (wt, ws)) in shares.iter().zip(want) {
+            assert_eq!(*t, wt);
+            assert!((s - ws).abs() < 1e-9, "tenant {t}: share {s}, want {ws}");
+        }
+        let budget = db.partition_for(1).budget();
+        assert_eq!(budget, (db.total_cache_bytes as f64 * 0.55) as usize);
     }
 
     /// What each layer counts for itself, keyed by the registry name that

@@ -15,8 +15,8 @@
 //! AdCache itself over the same native LSM engine, and [`runner`] drives
 //! whole experiments: static mixes, the Table 3 dynamic schedule, and
 //! multi-client runs. [`tenant`] partitions the cache budget into
-//! per-tenant shared-nothing slices whose shares are re-learned online
-//! by `adcache-rl`'s share arbiter.
+//! per-tenant shared-nothing slices whose shares follow each tuning
+//! window's demand above a guaranteed minimum.
 //!
 //! ```
 //! use adcache_core::{CachedDb, EngineConfig, Strategy};
@@ -59,5 +59,5 @@ pub use runner::{
     run_static, RunConfig, RunResult, WindowRecord,
 };
 pub use stats::{Counters, Snapshot, WindowSummary};
-pub use tenant::{tenant_salt, Partition, TenantId, TenantWindow, DEFAULT_TENANT};
+pub use tenant::{tenant_salt, Partition, TenantId, DEFAULT_TENANT};
 pub use tuner::{ClosedWindow, Tuner};

@@ -6,9 +6,10 @@
 //! sub-caches — each tenant owns its own block cache, result caches, and
 //! tenant-salted admission sketch — so eviction pressure from tenant A
 //! structurally *cannot* touch tenant B's entries: there is no shared
-//! policy state to pressure. The split across tenants starts equal and
-//! is re-learned online by the share arbiter (`adcache_rl::ShareAgent`),
-//! with a guarded minimum share per tenant.
+//! policy state to pressure. The split across tenants starts equal; at
+//! every tuning-window close it follows demand — each tenant's share of
+//! the window's operations — above a guarded minimum share per tenant
+//! ([`guarded_shares`]).
 //!
 //! [`Partition`] is the unit of isolation. The engine keeps one per
 //! registered tenant plus the default partition serving tenant
@@ -52,21 +53,27 @@ pub fn tenant_salt(tenant: TenantId) -> u64 {
     }
 }
 
-/// One tenant's window of activity, consumed by the share arbiter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TenantWindow {
-    /// Tenant the window describes.
-    pub tenant: TenantId,
-    /// Result-cache hits in the window.
-    pub hits: u64,
-    /// Result-cache misses in the window.
-    pub misses: u64,
-    /// Operations charged to the tenant in the window.
-    pub ops: u64,
-    /// Resident bytes across the partition's caches.
-    pub used_bytes: u64,
-    /// The partition's current byte budget.
-    pub budget_bytes: u64,
+/// Floor-guaranteed share split: every tenant receives `min_share`
+/// outright and the remaining headroom is distributed proportionally to
+/// `weights`. The result always sums to 1 and every entry is at least
+/// the (feasible) minimum; when `min_share · n > 1` the floor is
+/// infeasible and the split degrades to equal shares, as it does when
+/// every weight is zero.
+pub fn guarded_shares(weights: &[f64], min_share: f64) -> Vec<f64> {
+    let n = weights.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let min = min_share.clamp(0.0, 1.0 / n as f64);
+    let head = 1.0 - min * n as f64;
+    let sum: f64 = weights.iter().map(|w| w.max(0.0)).sum();
+    if sum <= 0.0 || head <= 0.0 {
+        return vec![1.0 / n as f64; n];
+    }
+    weights
+        .iter()
+        .map(|w| min + head * w.max(0.0) / sum)
+        .collect()
 }
 
 /// One tenant's shared-nothing slice of the cache layer: its own block
@@ -92,9 +99,7 @@ pub struct Partition {
     hits: Counter,
     misses: Counter,
     ops: AtomicU64,
-    /// Marks from the last [`window`](Self::window) call.
-    mark_hits: AtomicU64,
-    mark_misses: AtomicU64,
+    /// `ops` at the last [`window_ops`](Self::window_ops) call.
     mark_ops: AtomicU64,
     /// `cache.tenant.<id>.bytes`, set once by `attach_obs`.
     bytes_gauge: OnceLock<Gauge>,
@@ -177,8 +182,6 @@ impl Partition {
             hits: Counter::new(),
             misses: Counter::new(),
             ops: AtomicU64::new(0),
-            mark_hits: AtomicU64::new(0),
-            mark_misses: AtomicU64::new(0),
             mark_ops: AtomicU64::new(0),
             bytes_gauge: OnceLock::new(),
         }
@@ -295,19 +298,11 @@ impl Partition {
         }
     }
 
-    /// Drains the tenant's activity window (deltas since the previous
-    /// call) for the share arbiter.
-    pub(crate) fn window(&self) -> TenantWindow {
-        let (hits, misses) = self.hit_counters();
+    /// Drains the operations charged to the tenant since the previous
+    /// call: its demand over the window the call closes.
+    pub(crate) fn window_ops(&self) -> u64 {
         let ops = self.ops.load(Ordering::Relaxed);
-        TenantWindow {
-            tenant: self.tenant,
-            hits: hits - self.mark_hits.swap(hits, Ordering::Relaxed),
-            misses: misses - self.mark_misses.swap(misses, Ordering::Relaxed),
-            ops: ops - self.mark_ops.swap(ops, Ordering::Relaxed),
-            used_bytes: self.used_bytes() as u64,
-            budget_bytes: self.budget() as u64,
-        }
+        ops - self.mark_ops.swap(ops, Ordering::Relaxed)
     }
 
     /// Applies the controller's admission retune to this partition.
@@ -352,14 +347,28 @@ mod tests {
     fn partition_window_drains_deltas() {
         let cfg = EngineConfig::new(Strategy::AdCache, 1 << 20);
         let p = Partition::build(3, &cfg, 1 << 20, 0.5, 0.0);
-        p.note_hit();
-        p.note_hit();
-        p.note_miss();
         p.note_op();
-        let w = p.window();
-        assert_eq!((w.hits, w.misses, w.ops), (2, 1, 1));
-        let w = p.window();
-        assert_eq!((w.hits, w.misses, w.ops), (0, 0, 0), "window must drain");
-        assert_eq!(w.tenant, 3);
+        p.note_op();
+        assert_eq!(p.window_ops(), 2);
+        assert_eq!(p.window_ops(), 0, "window must drain");
+        p.note_op();
+        assert_eq!(p.window_ops(), 1);
+        assert_eq!(p.ops(), 3, "the drain leaves the lifetime count");
+    }
+
+    #[test]
+    fn guarded_shares_respects_floor_and_sum() {
+        let s = guarded_shares(&[100.0, 1.0, 0.0], 0.2);
+        assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        for &x in &s {
+            assert!(x >= 0.2 - 1e-9);
+        }
+        // Infeasible floor degrades to equal shares.
+        let s = guarded_shares(&[9.0, 1.0], 0.9);
+        assert_eq!(s, vec![0.5, 0.5]);
+        // Zero weights degrade to equal shares.
+        let s = guarded_shares(&[0.0, 0.0], 0.1);
+        assert_eq!(s, vec![0.5, 0.5]);
+        assert!(guarded_shares(&[], 0.1).is_empty());
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! Every caller calls [`Tuner::tick`] once per executed operation. The
 //! tick that closes a window runs the cycle: stamp the next window id,
-//! summarize the window, decide, apply, re-snapshot, and run one tenant
-//! share-arbitration step. Other ticks are one relaxed atomic increment.
+//! summarize the window, decide, apply, re-snapshot, and split the tenant
+//! shares by the window's demand. Other ticks are one relaxed atomic
+//! increment.
 //! Each caller picks its mode in code:
 //!
 //! - [`Tuner::inline`]: the closing thread runs [`Controller::end_of_window`]

@@ -3,9 +3,9 @@
 //! Two invariants from the multi-tenant design:
 //!
 //! - **Share soundness**: whatever sequence of tenant registrations,
-//!   arbitrary (even degenerate) share requests, and learned rebalance
-//!   steps occurs, the shares in force always sum to 1 and every tenant
-//!   keeps the guaranteed minimum.
+//!   arbitrary (even degenerate) share requests, and demand rebalances
+//!   occurs, the shares in force always sum to 1 and every tenant keeps
+//!   the guaranteed minimum.
 //! - **Capacity isolation**: partitions are shared-nothing, so no read
 //!   issued by one tenant can evict another tenant's resident entries.
 //!   Writes are deliberately out of scope: write coherence invalidates
@@ -38,7 +38,7 @@ enum ShareOp {
     Register(u8),
     /// Request an arbitrary — possibly zero or unregistered — split.
     Want(Vec<(u8, f64)>),
-    /// One learned-arbiter step over the current activity windows.
+    /// One demand split over the operations since the last one.
     Rebalance,
 }
 

@@ -414,7 +414,8 @@ pub enum Event {
         /// Tenant id the connection now serves.
         tenant: u64,
     },
-    /// The share arbiter resized one tenant's cache partition.
+    /// A tenant's cache partition was resized: at registration (equal
+    /// split) or at a window close (split by the window's demand).
     TenantShareResized {
         /// Tenant whose partition was resized.
         tenant: u64,

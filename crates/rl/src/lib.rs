@@ -14,10 +14,7 @@
 //! - [`actor_critic`] — Gaussian-policy actor + TD critic, with the
 //!   adaptive learning-rate rule `lr ← lr · (1 − reward)`;
 //! - [`pretrain`] — supervised and unsupervised pretraining plus on-disk
-//!   model persistence (paper Section 3.6);
-//! - [`share`] — a gradient-bandit arbiter that re-learns the share
-//!   split across tenant cache partitions from per-tenant hit-rate and
-//!   footprint features.
+//!   model persistence (paper Section 3.6).
 
 #![warn(missing_docs)]
 
@@ -27,7 +24,6 @@ pub mod layers;
 pub mod matrix;
 pub mod mlp;
 pub mod pretrain;
-pub mod share;
 
 pub use actor_critic::{ActorCritic, AgentConfig, Transition};
 pub use adam::Adam;
@@ -37,4 +33,3 @@ pub use mlp::Mlp;
 pub use pretrain::{
     load_agent, pretrain_supervised, pretrain_unsupervised, save_agent, LabeledSample,
 };
-pub use share::{guarded_shares, ShareAgent, TenantFeatures};

@@ -22,7 +22,8 @@
 //!   the report is returned — no accepted request is dropped.
 //! - **Tuning windows**: every executed GET, PUT, DELETE and SCAN, a
 //!   `Batch`'s subs included, ticks one [`Tuner`]; each window of the
-//!   paper's 1 000 operations re-learns the tenant cache shares.
+//!   paper's 1 000 operations re-splits the tenant cache shares by that
+//!   window's demand.
 //!
 //! Everything is instrumented through the engine's [`Obs`] handle:
 //! `ConnAccepted` / `ConnClosed` / `ServerOverload` journal events, a
@@ -204,7 +205,7 @@ impl Metrics {
 struct Shared {
     db: Arc<CachedDb>,
     /// Counts executed engine operations into the tuning windows that
-    /// re-learn the tenant shares.
+    /// re-split the tenant shares by demand.
     tuner: Tuner,
     /// The default tenant's cache partition, resolved once at start: what
     /// every connection that never sent `AUTH` is served from.

@@ -1252,8 +1252,8 @@ fn auth_binds_the_partition_and_auth_zero_returns_to_the_default() {
 
 /// Served operations are the tuner's clock: every GET, PUT, DELETE and
 /// SCAN, a batch's subs included, counts toward the 1 000-op window, a
-/// PING or a control opcode does not, and each closed window runs one
-/// share-arbitration step, journaled under that window's id.
+/// PING or a control opcode does not, and each closed window splits the
+/// tenant shares once, journaled under that window's id.
 #[test]
 fn served_windows_rebalance_tenant_shares_once_each() {
     let db = test_db(true);
