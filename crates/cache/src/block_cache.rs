@@ -16,20 +16,15 @@ use crate::container::{CacheFootprint, CacheStats, ChargedCache};
 use adcache_lsm::compaction::{CompactionEvent, CompactionListener};
 use adcache_lsm::sstable::{decode_stored_block_at, BlockProvider, TableMeta};
 use adcache_lsm::{heap, Block, BlockRef, FileId, Result, Storage};
-use adcache_obs::{CacheStructure, Event, EvictionCause, Obs};
+use adcache_obs::{Event, Obs};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-fn evicted_block_bytes(evicted: &[(BlockRef, Arc<Block>)]) -> u64 {
-    evicted.iter().map(|(_, b)| b.encoded_len() as u64).sum()
-}
-
 /// A sharded, byte-charged cache of decoded SSTable blocks.
 pub struct BlockCache {
     shards: Vec<Mutex<ChargedCache<BlockRef, Arc<Block>>>>,
-    /// Set once by `set_obs`; absent, every event hook is one relaxed load
-    /// and an untaken branch.
+    /// Set once by `set_obs`, for invalidation events.
     obs: OnceLock<Obs>,
     decode_failures: AtomicU64,
 }
@@ -59,8 +54,8 @@ impl BlockCache {
     }
 
     /// Attaches an observability handle: the registry names every shard's
-    /// counter cells `cache.block.*`, and eviction events flow into it from
-    /// now on. A second call is a no-op.
+    /// counter cells `cache.block.*`, and invalidation events flow into it
+    /// from now on. A second call is a no-op.
     pub fn set_obs(&self, obs: Obs) {
         if self.obs.set(obs.clone()).is_err() {
             return;
@@ -84,22 +79,12 @@ impl BlockCache {
     /// evicting overflow immediately. Returns how many blocks were evicted.
     pub fn set_capacity(&self, capacity: usize) -> usize {
         let per_shard = capacity / self.shards.len();
-        let mut count = 0u64;
-        let mut bytes = 0u64;
+        let mut count = 0;
         for s in &self.shards {
             let evicted = s.lock().set_capacity(per_shard);
-            count += evicted.len() as u64;
-            bytes += evicted_block_bytes(&evicted);
+            count += evicted.len();
         }
-        if let Some(obs) = self.obs.get().filter(|_| count > 0) {
-            obs.emit(|| Event::Eviction {
-                cache: CacheStructure::Block,
-                cause: EvictionCause::Resize,
-                count,
-                bytes,
-            });
-        }
-        count as usize
+        count
     }
 
     /// Total byte budget.
@@ -160,58 +145,26 @@ impl BlockCache {
     /// Drops every cached block belonging to `files`. Returns the number of
     /// blocks invalidated.
     pub fn invalidate(&self, files: &[FileId]) -> usize {
-        let mut dropped = 0u64;
-        let mut bytes = 0u64;
-        for s in &self.shards {
-            let mut shard = s.lock();
-            let before = shard.used() as u64;
-            dropped += shard.retain(|k| !files.contains(&k.file)) as u64;
-            bytes += before - shard.used() as u64;
-        }
+        let dropped: usize = self
+            .shards
+            .iter()
+            .map(|s| s.lock().retain(|k| !files.contains(&k.file)))
+            .sum();
         if let Some(obs) = self.obs.get().filter(|_| dropped > 0) {
             obs.emit(|| Event::BlockCacheInvalidation {
                 files: files.len() as u64,
-                blocks_dropped: dropped,
-            });
-            obs.emit(|| Event::Eviction {
-                cache: CacheStructure::Block,
-                cause: EvictionCause::Invalidation,
-                count: dropped,
-                bytes,
+                blocks_dropped: dropped as u64,
             });
         }
-        dropped as usize
+        dropped
     }
 
     /// Directly admits a decoded block (warm-up paths and layer benchmarks).
     pub fn insert_block(&self, key: BlockRef, block: Arc<Block>) {
         let charge = block.encoded_len();
-        let evicted = self.shards[shard_of(&key, self.shards.len())]
+        let _evicted = self.shards[shard_of(&key, self.shards.len())]
             .lock()
             .insert(key, block, charge);
-        self.note_insert(&key, &evicted);
-    }
-
-    /// Event bookkeeping shared by the admission paths. Entries in
-    /// `evicted` carrying the inserted key itself (same-key replacement, or
-    /// an oversized refusal bounced straight back) are not policy evictions.
-    fn note_insert(&self, inserted: &BlockRef, mut evicted: &[(BlockRef, Arc<Block>)]) {
-        let Some(obs) = self.obs.get() else { return };
-        while let Some((k, _)) = evicted.first() {
-            if k == inserted {
-                evicted = &evicted[1..];
-            } else {
-                break;
-            }
-        }
-        if !evicted.is_empty() {
-            obs.emit(|| Event::Eviction {
-                cache: CacheStructure::Block,
-                cause: EvictionCause::Capacity,
-                count: evicted.len() as u64,
-                bytes: evicted_block_bytes(evicted),
-            });
-        }
     }
 
     /// Blocks that failed checksum/decode verification on load and were
@@ -269,12 +222,6 @@ impl BlockCache {
                 // cannot keep serving stale decodes from memory.
                 self.decode_failures.fetch_add(1, Ordering::Relaxed);
                 self.invalidate(&[meta.id]);
-                if let Some(obs) = self.obs.get() {
-                    obs.emit(|| Event::BlockQuarantined {
-                        file: meta.id,
-                        block: block_no as u64,
-                    });
-                }
                 return Err(e);
             }
         };
@@ -282,8 +229,8 @@ impl BlockCache {
         if budget > 0 {
             admit.store(budget.saturating_sub(1), Ordering::Relaxed);
             let charge = block.encoded_len();
-            let evicted = shard.lock().insert(key, block.clone(), charge);
-            self.note_insert(&key, &evicted);
+            // The evicted blocks drop after the shard lock is released.
+            let _evicted = shard.lock().insert(key, block.clone(), charge);
         }
         Ok(block)
     }

@@ -6,10 +6,9 @@
 
 use crate::container::{CacheFootprint, CacheStats, ChargedCache};
 use adcache_lsm::heap;
-use adcache_obs::{CacheStructure, Event, EvictionCause, Obs};
+use adcache_obs::Obs;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::sync::OnceLock;
 
 /// Per-entry bookkeeping overhead added to the byte charge.
 const ENTRY_OVERHEAD: usize = 32;
@@ -17,8 +16,6 @@ const ENTRY_OVERHEAD: usize = 32;
 /// A thread-safe key-value result cache.
 pub struct KvCache {
     inner: Mutex<ChargedCache<Bytes, Bytes>>,
-    /// Set once by `set_obs`, for eviction events.
-    obs: OnceLock<Obs>,
 }
 
 impl KvCache {
@@ -26,53 +23,17 @@ impl KvCache {
     pub fn new(capacity: usize) -> Self {
         KvCache {
             inner: Mutex::new(ChargedCache::new(capacity)),
-            obs: OnceLock::new(),
         }
     }
 
     /// Attaches an observability handle: the registry names the cache's
-    /// hit, miss and eviction cells `cache.kv.*`, and eviction events flow
-    /// into it. A second call is a no-op.
+    /// hit, miss and eviction cells `cache.kv.*`.
     pub fn set_obs(&self, obs: Obs) {
-        if self.obs.set(obs.clone()).is_err() {
-            return;
-        }
         let inner = self.inner.lock();
         let c = inner.counters();
         obs.adopt_counter("cache.kv.hits", &c.hits);
         obs.adopt_counter("cache.kv.misses", &c.misses);
         obs.adopt_counter("cache.kv.evictions", &c.evictions);
-    }
-
-    fn note_evictions(
-        &self,
-        cause: EvictionCause,
-        inserted: Option<&Bytes>,
-        mut evicted: &[(Bytes, Bytes)],
-    ) {
-        // A same-key replacement (or an oversized refusal bounced back) is
-        // not a policy eviction.
-        while let (Some(ins), Some((k, _))) = (inserted, evicted.first()) {
-            if k == ins {
-                evicted = &evicted[1..];
-            } else {
-                break;
-            }
-        }
-        if evicted.is_empty() {
-            return;
-        }
-        if let Some(obs) = self.obs.get() {
-            obs.emit(|| Event::Eviction {
-                cache: CacheStructure::Kv,
-                cause,
-                count: evicted.len() as u64,
-                bytes: evicted
-                    .iter()
-                    .map(|(k, v)| (k.len() + v.len() + ENTRY_OVERHEAD) as u64)
-                    .sum(),
-            });
-        }
     }
 
     /// Looks up a point result.
@@ -83,9 +44,8 @@ impl KvCache {
     /// Admits a point result.
     pub fn insert(&self, key: Bytes, value: Bytes) {
         let charge = key.len() + value.len() + ENTRY_OVERHEAD;
-        let key_probe = key.clone();
-        let evicted = self.inner.lock().insert(key, value, charge);
-        self.note_evictions(EvictionCause::Capacity, Some(&key_probe), &evicted);
+        // The evicted entries drop after the lock is released.
+        let _evicted = self.inner.lock().insert(key, value, charge);
     }
 
     /// Applies a write: overwrites a resident entry or drops it on delete,
@@ -111,8 +71,7 @@ impl KvCache {
 
     /// Re-targets the byte budget.
     pub fn set_capacity(&self, capacity: usize) {
-        let evicted = self.inner.lock().set_capacity(capacity);
-        self.note_evictions(EvictionCause::Resize, None, &evicted);
+        let _evicted = self.inner.lock().set_capacity(capacity);
     }
 
     /// Counter snapshot.

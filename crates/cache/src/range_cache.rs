@@ -48,14 +48,14 @@ mod slots;
 use crate::container::CacheStats;
 use crate::policy::{Policy, SlotLruPolicy};
 use adcache_lsm::heap;
-use adcache_obs::{CacheStructure, Counter, Event, EvictionCause, Gauge, Obs};
+use adcache_obs::{Counter, Gauge, Obs};
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use slots::{Entry, HashIndex, Slab, SlotKey};
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, RandomState};
 use std::ops::Bound;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Per-entry bookkeeping overhead added to the byte charge.
 const ENTRY_OVERHEAD: usize = 48;
@@ -407,9 +407,8 @@ impl Shard {
         }
     }
 
-    /// Evicts down to the byte budget; returns `(entries, bytes)` evicted.
-    fn evict_to_capacity(&mut self) -> (u64, u64) {
-        let (ev_before, used_before) = (self.evictions.get(), self.used);
+    /// Evicts down to the byte budget.
+    fn evict_to_capacity(&mut self) {
         while self.used > self.capacity {
             let Some(victim) = self.policy.victim() else {
                 break;
@@ -421,10 +420,6 @@ impl Shard {
             }
         }
         self.prune_segments();
-        (
-            self.evictions.get() - ev_before,
-            (used_before - self.used) as u64,
-        )
     }
 
     /// How many segments the map may hold. Those with a resident entry
@@ -587,8 +582,6 @@ pub struct RangeCache {
     boundaries: Vec<Bytes>,
     hits: Counter,
     misses: Counter,
-    /// Set once by `set_obs`, for eviction events.
-    obs: OnceLock<Obs>,
 }
 
 impl RangeCache {
@@ -620,7 +613,6 @@ impl RangeCache {
             boundaries,
             hits: Counter::new(),
             misses: Counter::new(),
-            obs: OnceLock::new(),
         }
     }
 
@@ -629,7 +621,7 @@ impl RangeCache {
     /// `cache.range.*`, and the shards publish their segments. A second
     /// call is a no-op.
     pub fn set_obs(&self, obs: Obs) {
-        if self.obs.set(obs.clone()).is_err() {
+        if self.shards[0].lock().obs.is_some() {
             return;
         }
         obs.adopt_counter("cache.range.hits", &self.hits);
@@ -643,17 +635,6 @@ impl RangeCache {
                 published: 0,
             });
             s.publish_segments();
-        }
-    }
-
-    fn note_evictions(&self, cause: EvictionCause, count: u64, bytes: u64) {
-        if let Some(obs) = self.obs.get().filter(|_| count > 0) {
-            obs.emit(|| Event::Eviction {
-                cache: CacheStructure::Range,
-                cause,
-                count,
-                bytes,
-            });
         }
     }
 
@@ -792,9 +773,7 @@ impl RangeCache {
                 _ => next_key(&results[i - 1].0),
             };
             shard.add_segment(std::mem::replace(&mut seg_start, seg_end.clone()), seg_end);
-            let (ev_count, ev_bytes) = shard.evict_to_capacity();
-            drop(shard);
-            self.note_evictions(EvictionCause::Capacity, ev_count, ev_bytes);
+            shard.evict_to_capacity();
         }
     }
 
@@ -805,9 +784,7 @@ impl RangeCache {
         let mut shard = self.shards[idx].lock();
         let covered = shard.segment_covering(&key).is_some();
         shard.upsert_entry(key, value, covered);
-        let (ev_count, ev_bytes) = shard.evict_to_capacity();
-        drop(shard);
-        self.note_evictions(EvictionCause::Capacity, ev_count, ev_bytes);
+        shard.evict_to_capacity();
     }
 
     /// Applies a write so covered ranges never serve stale data: upserts
@@ -828,9 +805,7 @@ impl RangeCache {
                     }
                     None => return,
                 }
-                let (ev_count, ev_bytes) = shard.evict_to_capacity();
-                drop(shard);
-                self.note_evictions(EvictionCause::Capacity, ev_count, ev_bytes);
+                shard.evict_to_capacity();
             }
             None => {
                 let Some(slot) = shard.find(key) else {
@@ -871,16 +846,11 @@ impl RangeCache {
     /// Re-targets the total byte budget (split across shards).
     pub fn set_capacity(&self, capacity: usize) {
         let per_shard = capacity / self.shards.len();
-        let mut count = 0u64;
-        let mut bytes = 0u64;
         for s in &self.shards {
             let mut s = s.lock();
             s.capacity = per_shard;
-            let (ev_count, ev_bytes) = s.evict_to_capacity();
-            count += ev_count;
-            bytes += ev_bytes;
+            s.evict_to_capacity();
         }
-        self.note_evictions(EvictionCause::Resize, count, bytes);
     }
 
     /// Total byte budget.

@@ -670,8 +670,9 @@ const TRACE: Command = Command {
 fn render_trace(dir: &std::path::Path, out: Out) -> Result<(), Box<dyn std::error::Error>> {
     let metrics: Value = serde_json::from_str(&std::fs::read_to_string(dir.join("metrics.json"))?)?;
     let m = MetricsView::of(&metrics);
-    // Lenient parse: a trace written by a newer build may contain event
-    // kinds this binary does not know; skip and count them instead of
+    // Lenient parse: a trace written by another build may contain event
+    // kinds this binary does not know (added by a newer build, or retired
+    // since an older one wrote it); skip and count them instead of
     // refusing the whole file.
     let (records, skipped) =
         parse_jsonl_lenient(&std::fs::read_to_string(dir.join("trace.jsonl"))?)?;
@@ -680,7 +681,7 @@ fn render_trace(dir: &std::path::Path, out: Out) -> Result<(), Box<dyn std::erro
     if skipped > 0 {
         writeln!(
             out,
-            "  ({skipped} events of unknown kind skipped — newer trace format?)"
+            "  ({skipped} events of a kind this build does not know skipped — written by another build?)"
         )?;
     }
     // Journal loss: the ring drops oldest records under pressure. A
@@ -3145,7 +3146,7 @@ group_commit rounds 2706 seals 11 write_stalls 0
         };
         // A wall-clock lock wait over the budget journals a
         // `LockContention`, so on a loaded host the journal holds a few
-        // more events than the golden run's 54; like the lock counters
+        // more events than the golden run's 52; like the lock counters
         // `recorded_pair` pins, the header takes them as they came, and
         // each must be a wait that really was over its budget.
         let journal = std::fs::read_to_string(dir.join("trace.jsonl")).unwrap();
@@ -3165,7 +3166,7 @@ group_commit rounds 2706 seals 11 write_stalls 0
             &format!(
                 "trace: {} ({} events)\n{GOLDEN_TRACE}",
                 dir.display(),
-                54 + contentions
+                52 + contentions
             ),
         );
         let mut out = Vec::new();

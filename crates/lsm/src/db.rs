@@ -35,7 +35,7 @@ use crate::timed_lock::{
     outside_lock_probe, LockPath, TimedReadGuard, TimedRwLock, TimedWriteGuard,
 };
 use crate::types::{Entry, FileId, Key, Value};
-use crate::version::{CompactionTask, Version};
+use crate::version::Version;
 use crate::wal::{replay, zero_fill, WalWriter};
 use adcache_obs::{Counter, Event, Obs};
 use parking_lot::RwLock;
@@ -60,7 +60,6 @@ const LOCK_WAIT_BUDGET_NS: u64 = 1_000_000;
 struct ObsHooks {
     obs: Obs,
     flush_entries: Counter,
-    wal_appends: Counter,
     wal_bytes: Counter,
 }
 
@@ -68,7 +67,6 @@ impl ObsHooks {
     fn new(obs: Obs) -> Self {
         ObsHooks {
             flush_entries: obs.counter("lsm.flush_entries"),
-            wal_appends: obs.counter("lsm.wal_appends"),
             wal_bytes: obs.counter("lsm.wal_bytes"),
             obs,
         }
@@ -175,7 +173,6 @@ impl Durability {
 /// recycled once a flush commits a manifest that covers them.
 struct SealedSegment {
     seq: u64,
-    appends: u64,
     bytes: u64,
 }
 
@@ -422,8 +419,7 @@ impl LsmTree {
         let mut wal_end = 0;
         for (seq, path) in logs.chain([(None, wal_path.clone())]) {
             let outcome = replay(fs.as_ref(), &path)?;
-            let appends = outcome.records.len() as u64;
-            replayed += appends;
+            replayed += outcome.records.len() as u64;
             torn += outcome.torn_tail_bytes;
             for ke in outcome.records {
                 match ke.entry {
@@ -434,11 +430,9 @@ impl LsmTree {
             match seq {
                 Some(seq) => {
                     wal_seq = seq + 1;
-                    let bytes = outcome.end;
                     sealed.push(SealedSegment {
                         seq,
-                        appends,
-                        bytes,
+                        bytes: outcome.end,
                     });
                 }
                 None => wal_end = outcome.end,
@@ -505,10 +499,6 @@ impl LsmTree {
         let syncs = sync.file as u64 + sync.dir as u64;
         if syncs > 0 {
             self.charge_meta_syncs(syncs);
-            self.obs.read().obs.emit(|| Event::SyncIssued {
-                target: "manifest".into(),
-                file: 0,
-            });
         }
         Ok(())
     }
@@ -529,15 +519,6 @@ impl LsmTree {
             && self.opts.misplaced_fsync != Some(FsyncSite::WalAppend)
     }
 
-    /// Charges `n` WAL fsyncs and journals them.
-    fn note_wal_sync(&self, n: u64) {
-        self.charge_meta_syncs(n);
-        self.obs.read().obs.emit(|| Event::SyncIssued {
-            target: "wal".into(),
-            file: 0,
-        });
-    }
-
     /// Makes a freshly written table durable per the sync policy: fsync the
     /// file, then the device directory so the entry itself survives. Runs
     /// *before* the manifest references the table — the ordering the
@@ -548,17 +529,9 @@ impl LsmTree {
         }
         for &id in ids {
             self.storage.sync_table(id)?;
-            self.obs.read().obs.emit(|| Event::SyncIssued {
-                target: "sst".into(),
-                file: id,
-            });
         }
         if self.opts.misplaced_fsync != Some(FsyncSite::SstDir) {
             self.storage.sync_dir()?;
-            self.obs.read().obs.emit(|| Event::SyncIssued {
-                target: "dir".into(),
-                file: 0,
-            });
         }
         Ok(())
     }
@@ -585,29 +558,11 @@ impl LsmTree {
         self.listeners.write().push(l);
     }
 
-    /// Attaches an observability handle. Flushes, compactions and WAL resets
-    /// emit journal events through it, and the registry names this tree's
+    /// Attaches an observability handle. Flushes and compactions emit
+    /// journal events through it, and the registry names this tree's
     /// [`DbStats`] counters and lock cells; a disabled handle (the default)
     /// keeps all of that free.
     pub fn set_obs(&self, obs: Obs) {
-        // Recovery runs before an Obs handle can be attached, so journal
-        // what the open had to repair retroactively.
-        let torn = self.stats.wal_torn_tail_bytes.load(Ordering::Relaxed);
-        if torn > 0 {
-            obs.emit(|| Event::WalTornTail {
-                truncated_bytes: torn,
-                recovered_records: self.stats.wal_replayed_records.load(Ordering::Relaxed),
-            });
-        }
-        if self.stats.manifest_rollbacks.load(Ordering::Relaxed) > 0 {
-            obs.emit(|| Event::ManifestRollback {
-                reason: "current manifest missing or corrupt at open".into(),
-            });
-        }
-        let swept = self.stats.orphan_tables_swept.load(Ordering::Relaxed);
-        if swept > 0 {
-            obs.emit(|| Event::OrphanSwept { files: swept });
-        }
         let s = &self.stats;
         for (name, cell) in [
             ("lsm.flushes", &s.flushes),
@@ -671,18 +626,10 @@ impl LsmTree {
     }
 
     fn crash_check(&self, point: CrashPoint) -> Result<()> {
-        let guard = self.crash.read();
-        let Some(cc) = guard.as_ref() else {
-            return Ok(());
-        };
-        let r = cc.check(point);
-        if r.is_err() {
-            let hooks = self.obs.read();
-            hooks.obs.emit(|| Event::CrashInjected {
-                point: point.label().to_string(),
-            });
+        match self.crash.read().as_ref() {
+            Some(cc) => cc.check(point),
+            None => Ok(()),
         }
-        r
     }
 
     /// Whether an error class is worth retrying on the read path: injected
@@ -716,18 +663,13 @@ impl LsmTree {
     }
 
     /// Records a block that failed verification after retries: the address
-    /// is quarantined, the journal notified, and every cached block of the
-    /// file is invalidated so a stale or corrupt copy cannot be served.
+    /// is quarantined and every cached block of the file is invalidated so
+    /// a stale or corrupt copy cannot be served.
     fn note_quarantine(&self, provider: &dyn BlockProvider, file: FileId, block: u32) {
         if self.quarantine.write().insert((file, block)) {
             self.stats
                 .quarantined_blocks
                 .fetch_add(1, Ordering::Relaxed);
-            let hooks = self.obs.read();
-            hooks.obs.emit(|| Event::BlockQuarantined {
-                file,
-                block: block as u64,
-            });
         }
         provider.invalidate_files(&[file]);
     }
@@ -815,7 +757,7 @@ impl LsmTree {
             }
             if self.wal_sync_per_write() {
                 wal.sync()?;
-                self.note_wal_sync(1);
+                self.charge_meta_syncs(1);
             } else {
                 wal.flush()?;
             }
@@ -883,17 +825,13 @@ impl LsmTree {
             let seq = inner.wal_seq;
             inner.wal_seq += 1;
             let wal = inner.wal.as_mut().expect("durable tree has a WAL");
-            let (appends, bytes) = (wal.segment_appends(), wal.segment_bytes());
+            let bytes = wal.segment_bytes();
             let synced = wal.seal_to(&d.segment(seq))?;
             // Tracked before the directory sync can fail: the active
             // memtable holds its records either way.
-            inner.sealed.push(SealedSegment {
-                seq,
-                appends,
-                bytes,
-            });
+            inner.sealed.push(SealedSegment { seq, bytes });
             if synced {
-                self.note_wal_sync(1);
+                self.charge_meta_syncs(1);
             }
             if self.opts.sync == SyncPolicy::Always {
                 // The segment holds acked records: its new name must be
@@ -1049,11 +987,7 @@ impl LsmTree {
                 } else {
                     d.fs.remove(&d.segment(seg.seq))?;
                 }
-                let (appends, bytes) = (seg.appends, seg.bytes);
-                let hooks = self.obs.read();
-                hooks.wal_appends.add(appends);
-                hooks.wal_bytes.add(bytes);
-                hooks.obs.emit(|| Event::WalReset { appends, bytes });
+                self.obs.read().wal_bytes.add(seg.bytes);
             }
         }
         self.crash_check(CrashPoint::FlushAfterWalReset)?;
@@ -1088,12 +1022,12 @@ impl LsmTree {
         let hole = self.opts.misplaced_fsync;
         if !matches!(hole, Some(FsyncSite::WalReset | FsyncSite::ManifestDir)) {
             d.fs.sync_dir(&d.dir)?;
-            self.note_wal_sync(1);
+            self.charge_meta_syncs(1);
         }
         zero_fill(d.fs.as_ref(), &spare)?;
         if hole != Some(FsyncSite::WalReset) {
             d.fs.sync_file(&spare)?;
-            self.note_wal_sync(1);
+            self.charge_meta_syncs(1);
         }
         Ok(spare)
     }
@@ -1131,7 +1065,6 @@ impl LsmTree {
         let Some(task) = inner.version.pick_compaction(&self.opts) else {
             return Ok(false);
         };
-        self.note_compaction_start(&task, &inner.version);
         let mut alloc = || self.alloc_file();
         let Some(event) = run_compaction(
             &mut inner.version,
@@ -1171,21 +1104,6 @@ impl LsmTree {
             }
         }
         Ok(())
-    }
-
-    fn note_compaction_start(&self, task: &CompactionTask, version: &Version) {
-        let hooks = self.obs.read();
-        hooks.obs.emit(|| {
-            let (from, to, input_files) = match *task {
-                CompactionTask::L0ToL1 => (0, 1, version.level_files(0)),
-                CompactionTask::LevelDown { level } => (level, level + 1, 1),
-            };
-            Event::CompactionStart {
-                from_level: from as u64,
-                to_level: to as u64,
-                input_files: input_files as u64,
-            }
-        });
     }
 
     fn note_compaction(&self, event: &CompactionEvent) {

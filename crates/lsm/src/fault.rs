@@ -27,7 +27,6 @@
 use crate::error::{LsmError, Result};
 use crate::storage::{collecting_sink, write_table, IoStats, Storage, TableSink};
 use crate::types::FileId;
-use adcache_obs::{Event, FaultKind, Obs};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
@@ -161,7 +160,6 @@ pub struct FaultStorage {
     /// Addresses that have served a permanent fault, for reporting.
     permanent_bad: RwLock<HashSet<(FileId, u32)>>,
     stats: FaultStats,
-    obs: RwLock<Obs>,
 }
 
 impl FaultStorage {
@@ -176,7 +174,6 @@ impl FaultStorage {
             ops: AtomicU64::new(0),
             permanent_bad: RwLock::new(HashSet::new()),
             stats: FaultStats::default(),
-            obs: RwLock::new(Obs::disabled()),
         }
     }
 
@@ -194,11 +191,6 @@ impl FaultStorage {
     /// Replaces the fault plan (e.g. to escalate a storm mid-run).
     pub fn set_plan(&self, plan: FaultPlan) {
         *self.plan.write() = plan;
-    }
-
-    /// Attaches an observability handle; each injected fault is journaled.
-    pub fn set_obs(&self, obs: Obs) {
-        *self.obs.write() = obs;
     }
 
     /// Injected-fault counters.
@@ -235,12 +227,6 @@ impl FaultStorage {
         u01(h) < p
     }
 
-    fn emit(&self, kind: FaultKind, file: FileId, block: u64) {
-        self.obs
-            .read()
-            .emit(|| Event::FaultInjected { kind, file, block });
-    }
-
     /// A finished table reaching the device: fails, tears or completes by
     /// the plan's draws.
     fn write_whole(&self, id: FileId, blocks: Vec<Bytes>, meta: Bytes) -> Result<()> {
@@ -251,7 +237,6 @@ impl FaultStorage {
         let op = self.ops.fetch_add(1, Ordering::Relaxed);
         if self.roll(op, SALT_WRITE_FAIL) < plan.write_fail {
             self.stats.write_fail.fetch_add(1, Ordering::Relaxed);
-            self.emit(FaultKind::WriteFail, id, 0);
             return Err(LsmError::Injected(format!(
                 "write failure: table {id} not persisted"
             )));
@@ -268,7 +253,6 @@ impl FaultStorage {
             };
             let total = blocks.len();
             self.stats.torn_write.fetch_add(1, Ordering::Relaxed);
-            self.emit(FaultKind::TornWrite, id, keep as u64);
             write_table(self.inner.as_ref(), id, &blocks[..keep], Bytes::new())?;
             return Err(LsmError::Injected(format!(
                 "torn write: table {id} persisted {keep}/{total} blocks"
@@ -296,7 +280,6 @@ impl Storage for FaultStorage {
         if self.address_is_permanent_bad(plan.read_permanent, id, block_no) {
             self.permanent_bad.write().insert((id, block_no));
             self.stats.read_permanent.fetch_add(1, Ordering::Relaxed);
-            self.emit(FaultKind::ReadPermanent, id, block_no as u64);
             return Err(LsmError::Injected(format!(
                 "permanent read fault: table {id} block {block_no}"
             )));
@@ -304,14 +287,12 @@ impl Storage for FaultStorage {
         let op = self.ops.fetch_add(1, Ordering::Relaxed);
         if self.roll(op, SALT_READ_TRANSIENT) < plan.read_transient {
             self.stats.read_transient.fetch_add(1, Ordering::Relaxed);
-            self.emit(FaultKind::ReadTransient, id, block_no as u64);
             return Err(LsmError::Injected(format!(
                 "transient read fault: table {id} block {block_no}"
             )));
         }
         if self.roll(op, SALT_LATENCY) < plan.latency_spike {
             self.stats.latency_spike.fetch_add(1, Ordering::Relaxed);
-            self.emit(FaultKind::LatencySpike, id, block_no as u64);
             self.inner
                 .stats()
                 .simulated_ns
@@ -324,7 +305,6 @@ impl Storage for FaultStorage {
             let mut corrupted = data.to_vec();
             corrupted[pos] ^= 0x40;
             self.stats.bit_flip.fetch_add(1, Ordering::Relaxed);
-            self.emit(FaultKind::BitFlip, id, block_no as u64);
             return Ok(Bytes::from(corrupted));
         }
         Ok(data)
@@ -340,7 +320,6 @@ impl Storage for FaultStorage {
             let op = self.ops.fetch_add(1, Ordering::Relaxed);
             if self.roll(op, SALT_DELETE_FAIL) < plan.delete_fail {
                 self.stats.delete_fail.fetch_add(1, Ordering::Relaxed);
-                self.emit(FaultKind::DeleteFail, id, 0);
                 return Err(LsmError::Injected(format!(
                     "delete/sync failure: table {id} left behind"
                 )));
@@ -413,7 +392,7 @@ pub enum CrashPoint {
 }
 
 impl CrashPoint {
-    /// Stable journal/debug label.
+    /// Stable label, used in the injected error message.
     pub fn label(&self) -> &'static str {
         match self {
             CrashPoint::FlushAfterSst => "flush_after_sst",

@@ -604,13 +604,6 @@ impl StripedDb {
         Ok(false)
     }
 
-    /// Stripe 0's counters when single-striped (bit-compatible with the
-    /// old single-engine `stats()`); use [`StripedDb::stats_sum`] for
-    /// cross-stripe aggregates.
-    pub fn stats(&self) -> &DbStats {
-        self.stripes[0].stats()
-    }
-
     /// Sums a counter across stripes via `f`.
     pub fn stats_sum(&self, f: impl Fn(&DbStats) -> u64) -> u64 {
         self.stripes.iter().map(|t| f(t.stats())).sum()

@@ -112,8 +112,6 @@ pub struct WalWriter {
     /// memtable became. Off under `SyncPolicy::Never` (and under the
     /// `FsyncSite::WalReset` misplacement hook).
     sync_at_seal: bool,
-    /// Records appended to the current segment (since the last seal).
-    segment_appends: u64,
     /// Bytes appended to the current segment (since the last seal).
     segment_bytes: u64,
 }
@@ -147,14 +145,8 @@ impl WalWriter {
             offset,
             buf: Vec::new(),
             sync_at_seal,
-            segment_appends: 0,
             segment_bytes: 0,
         })
-    }
-
-    /// Records appended since the last [`WalWriter::seal_to`].
-    pub fn segment_appends(&self) -> u64 {
-        self.segment_appends
     }
 
     /// Bytes appended since the last [`WalWriter::seal_to`].
@@ -183,7 +175,6 @@ impl WalWriter {
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.buf.extend_from_slice(&crc32(&payload).to_le_bytes());
         self.buf.extend_from_slice(&payload);
-        self.segment_appends += 1;
         self.segment_bytes += 8 + payload.len() as u64;
         Ok(())
     }
@@ -232,7 +223,6 @@ impl WalWriter {
         // The new segment starts as a freshly opened writer does: the
         // batch buffer goes back to the allocator while the flush builds.
         self.buf = Vec::new();
-        self.segment_appends = 0;
         self.segment_bytes = 0;
         Ok(())
     }
@@ -484,7 +474,7 @@ mod tests {
             .unwrap();
         assert!(w.seal_to(&sealed).unwrap(), "opened to sync at seal");
         w.restart(None).unwrap();
-        assert_eq!((w.segment_appends(), w.segment_bytes()), (0, 0));
+        assert_eq!(w.segment_bytes(), 0);
         let records = replay(&RealFs::new(), &sealed).unwrap().records;
         assert_eq!(records.len(), 1);
         assert!(replay(&RealFs::new(), &path).unwrap().records.is_empty());

@@ -1,10 +1,11 @@
 //! The structured event taxonomy.
 //!
-//! Every observable action in the stack maps to one [`Event`] variant.
-//! Serialized field and variant names are a **stable schema**: trace
-//! consumers (the CLI `trace` subcommand, plotting scripts, the golden
-//! schema test in `tests/schema.rs`) parse them by name, so renames are
-//! breaking changes.
+//! Every action the journal records maps to one [`Event`] variant, and a
+//! variant stays only while something reads it: the CLI `trace`
+//! subcommand, a script or a test (`scripts/event_readers.sh` checks).
+//! Serialized field and variant names are a **stable schema**: those
+//! readers and the golden schema test in `tests/schema.rs` parse them by
+//! name, so renames are breaking changes.
 
 use serde::{Deserialize, Serialize};
 
@@ -47,36 +48,6 @@ pub enum AdmissionReason {
     /// Admission control disabled or not applicable for this strategy; the
     /// insert is unconditional.
     Unconditional,
-}
-
-/// What triggered an eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EvictionCause {
-    /// Capacity pressure: the policy chose a victim to make room.
-    Capacity,
-    /// Compaction invalidated cached data for obsolete files.
-    Invalidation,
-    /// A boundary resize shrank the structure's budget.
-    Resize,
-}
-
-/// The class of an injected storage fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FaultKind {
-    /// A one-shot read error; the retried read succeeds.
-    ReadTransient,
-    /// A sticky per-address read error that never heals.
-    ReadPermanent,
-    /// A table write that failed atomically (nothing persisted).
-    WriteFail,
-    /// A table write torn mid-append (a strict prefix persisted).
-    TornWrite,
-    /// A read that returned a block with a flipped byte.
-    BitFlip,
-    /// A table delete / sync that failed, leaving the file behind.
-    DeleteFail,
-    /// A read charged extra simulated device time.
-    LatencySpike,
 }
 
 /// Why a server connection was closed.
@@ -155,32 +126,12 @@ pub enum Event {
         /// Entries actually admitted.
         admitted: u64,
     },
-    /// Evictions from one cache structure (possibly batched).
-    Eviction {
-        /// The structure evicting.
-        cache: CacheStructure,
-        /// What triggered it.
-        cause: EvictionCause,
-        /// Number of entries evicted.
-        count: u64,
-        /// Bytes released.
-        bytes: u64,
-    },
     /// Compaction dropped cached blocks of obsolete files.
     BlockCacheInvalidation {
         /// Obsolete files whose blocks were dropped.
         files: u64,
         /// Blocks dropped across all shards.
         blocks_dropped: u64,
-    },
-    /// A compaction started.
-    CompactionStart {
-        /// Source level.
-        from_level: u64,
-        /// Destination level.
-        to_level: u64,
-        /// Input SSTables feeding the merge.
-        input_files: u64,
     },
     /// A compaction finished.
     CompactionFinish {
@@ -205,61 +156,6 @@ pub enum Event {
         entries: u64,
         /// Approximate bytes flushed.
         bytes: u64,
-    },
-    /// The write-ahead log was reset after a successful flush.
-    WalReset {
-        /// Appends accumulated in the segment being retired.
-        appends: u64,
-        /// Bytes accumulated in the segment being retired.
-        bytes: u64,
-    },
-    /// The fault-injection layer injected one storage fault.
-    FaultInjected {
-        /// The fault class.
-        kind: FaultKind,
-        /// Table the fault targeted (0 when not table-specific).
-        file: u64,
-        /// Block the fault targeted, or the persisted-prefix length for
-        /// torn writes (0 when not block-specific).
-        block: u64,
-    },
-    /// A block failed checksum verification and its file was quarantined.
-    BlockQuarantined {
-        /// Table holding the corrupt block.
-        file: u64,
-        /// Block number that failed verification.
-        block: u64,
-    },
-    /// WAL replay found a torn tail, truncated it, and continued.
-    WalTornTail {
-        /// Bytes dropped from the end of the log.
-        truncated_bytes: u64,
-        /// Intact records recovered before the tear.
-        recovered_records: u64,
-    },
-    /// Manifest recovery fell back to the previous good manifest.
-    ManifestRollback {
-        /// Why the current manifest was unusable.
-        reason: String,
-    },
-    /// An armed crash point fired (the engine simulated process death).
-    CrashInjected {
-        /// Stable crash-point label (`CrashPoint::label`).
-        point: String,
-    },
-    /// The engine issued an explicit device sync (fsync) per its sync
-    /// policy.
-    SyncIssued {
-        /// What was synced: `"wal"`, `"manifest"`, `"sst"`, or `"dir"`.
-        target: String,
-        /// Table id for SST syncs (0 when not table-specific).
-        file: u64,
-    },
-    /// Recovery deleted table files no manifest references (orphans left
-    /// by an interrupted flush or compaction).
-    OrphanSwept {
-        /// Orphan table files deleted.
-        files: u64,
     },
     /// The TCP server accepted a client connection.
     ConnAccepted {
@@ -287,8 +183,8 @@ pub enum Event {
     RequestServed {
         /// Connection the request arrived on.
         conn: u64,
-        /// Stable opcode label (`get`, `put`, `delete`, `scan`, `stats`,
-        /// `ping`, `shutdown`).
+        /// Stable opcode label (`get`, `put`, `delete`, `scan`, `batch`,
+        /// `stats`, `ping`, `shutdown`, `metrics`, `auth`).
         opcode: String,
         /// Stable status label (`ok`, `not_found`, `err`).
         status: String,
@@ -345,16 +241,6 @@ pub enum Event {
         /// The budget it exceeded, ns.
         budget_ns: u64,
     },
-    /// The snapshot thread appended one rolling delta to
-    /// `timeseries.jsonl`.
-    SnapshotWritten {
-        /// Snapshot sequence number (0-based, monotone within a run).
-        seq: u64,
-        /// Counters included in the snapshot line.
-        counters: u64,
-        /// Histograms included in the snapshot line.
-        histograms: u64,
-    },
     /// The controller flagged a window as adversarial: the smoothed hit
     /// estimate collapsed faster than any organic drift allows, so the
     /// reward was clamped and policy adaptation frozen for the window.
@@ -382,19 +268,6 @@ pub enum Event {
         fill_pct: u64,
         /// Increments observed in the window that tripped the guard.
         increments: u64,
-    },
-    /// One served `Batch` frame (sampled like `RequestServed`): many
-    /// data-plane sub-requests executed under one envelope, with
-    /// consecutive point-gets grouped per engine stripe.
-    BatchServed {
-        /// Connection the batch arrived on.
-        conn: u64,
-        /// Sub-requests carried by the frame.
-        subs: u64,
-        /// Distinct engine stripes the batch's keys routed to.
-        stripes: u64,
-        /// Wall-clock service latency of the whole batch, ns.
-        latency_ns: u64,
     },
     /// A per-connection admission quota throttled a request; the request
     /// was answered with an `Err` reply without touching the engine.
@@ -434,61 +307,4 @@ pub enum Event {
         /// Requests throttled for this tenant so far.
         throttled: u64,
     },
-}
-
-impl Event {
-    /// Stable kind label (the serialized variant name).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RunStart { .. } => "RunStart",
-            Event::ControllerDecision { .. } => "ControllerDecision",
-            Event::TrainStep { .. } => "TrainStep",
-            Event::BoundaryResize { .. } => "BoundaryResize",
-            Event::Admission { .. } => "Admission",
-            Event::Eviction { .. } => "Eviction",
-            Event::BlockCacheInvalidation { .. } => "BlockCacheInvalidation",
-            Event::CompactionStart { .. } => "CompactionStart",
-            Event::CompactionFinish { .. } => "CompactionFinish",
-            Event::Flush { .. } => "Flush",
-            Event::WalReset { .. } => "WalReset",
-            Event::FaultInjected { .. } => "FaultInjected",
-            Event::BlockQuarantined { .. } => "BlockQuarantined",
-            Event::WalTornTail { .. } => "WalTornTail",
-            Event::ManifestRollback { .. } => "ManifestRollback",
-            Event::CrashInjected { .. } => "CrashInjected",
-            Event::SyncIssued { .. } => "SyncIssued",
-            Event::OrphanSwept { .. } => "OrphanSwept",
-            Event::ConnAccepted { .. } => "ConnAccepted",
-            Event::ConnClosed { .. } => "ConnClosed",
-            Event::RequestServed { .. } => "RequestServed",
-            Event::ServerOverload { .. } => "ServerOverload",
-            Event::SlowRequest { .. } => "SlowRequest",
-            Event::LockContention { .. } => "LockContention",
-            Event::SnapshotWritten { .. } => "SnapshotWritten",
-            Event::AdversaryDetected { .. } => "AdversaryDetected",
-            Event::SketchReset { .. } => "SketchReset",
-            Event::BatchServed { .. } => "BatchServed",
-            Event::QuotaThrottled { .. } => "QuotaThrottled",
-            Event::TenantBound { .. } => "TenantBound",
-            Event::TenantShareResized { .. } => "TenantShareResized",
-            Event::TenantThrottled { .. } => "TenantThrottled",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_matches_serialized_tag() {
-        let e = Event::Flush {
-            entries: 1,
-            bytes: 2,
-        };
-        let v = e.serialize();
-        let obj = v.as_object().unwrap();
-        assert_eq!(obj.len(), 1);
-        assert_eq!(obj[0].0, e.kind());
-    }
 }

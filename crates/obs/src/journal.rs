@@ -124,9 +124,10 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<JournalRecord>, serde_json::Error> 
         .collect()
 }
 
-/// Like [`parse_jsonl`], but forward-compatible: a line that is valid JSON
-/// yet does not decode as a known [`JournalRecord`] (an event kind or shape
-/// introduced by a newer writer) is skipped and counted instead of failing
+/// Like [`parse_jsonl`], but tolerant of other builds: a line that is valid
+/// JSON yet does not decode as a known [`JournalRecord`] (an event kind or
+/// shape that a newer writer introduced, or that an older writer emitted
+/// and this build has retired) is skipped and counted instead of failing
 /// the whole parse. Lines that are not JSON at all still error — that is a
 /// corrupt file, not a schema gap.
 pub fn parse_jsonl_lenient(text: &str) -> Result<(Vec<JournalRecord>, u64), serde_json::Error> {
@@ -207,15 +208,18 @@ mod tests {
         // A record from some future writer: valid envelope, unknown kind.
         text.push_str(r#"{"seq":1,"window":0,"event":{"QuantumFlush":{"qubits":3}}}"#);
         text.push('\n');
-        text.push_str(r#"{"seq":2,"window":0,"event":{"Flush":{"entries":2,"bytes":20}}}"#);
+        // A record from an older writer, of a kind this build retired.
+        text.push_str(r#"{"seq":2,"window":0,"event":{"SyncIssued":{"target":"wal","file":0}}}"#);
+        text.push('\n');
+        text.push_str(r#"{"seq":3,"window":0,"event":{"Flush":{"entries":2,"bytes":20}}}"#);
         text.push('\n');
         // The strict parser rejects the stream outright...
         assert!(parse_jsonl(&text).is_err());
         // ...the lenient one keeps every known record and counts the rest.
         let (records, skipped) = parse_jsonl_lenient(&text).unwrap();
         assert_eq!(records.len(), 2);
-        assert_eq!(skipped, 1);
-        assert_eq!(records[1].seq, 2);
+        assert_eq!(skipped, 2);
+        assert_eq!(records[1].seq, 3);
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! Counters and histograms are *interval deltas* (what happened since the
 //! previous line); gauges are absolute. Interval histogram percentiles
 //! come from bucket-wise subtraction ([`Histogram::diff`]), so a line's
-//! p99 describes that interval's requests, not the whole run. Each line
-//! also journals a [`Event::SnapshotWritten`].
+//! p99 describes that interval's requests, not the whole run.
 
-use crate::{Event, Histogram, Obs};
+use crate::{Histogram, Obs};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -94,7 +93,7 @@ fn run(obs: Obs, mut file: File, interval: Duration, stop: Arc<AtomicBool>) -> u
             stopping = stop.load(Ordering::Acquire);
         }
         let now = Instant::now();
-        let (line, n_counters, n_hists) = build_line(
+        let line = build_line(
             &obs,
             seq,
             (now - started).as_millis() as u64,
@@ -106,11 +105,6 @@ fn run(obs: Obs, mut file: File, interval: Duration, stop: Arc<AtomicBool>) -> u
         if file.write_all(line.as_bytes()).is_err() {
             return seq;
         }
-        obs.emit(|| Event::SnapshotWritten {
-            seq,
-            counters: n_counters,
-            histograms: n_hists,
-        });
         seq += 1;
         if stopping {
             let _ = file.flush();
@@ -119,8 +113,8 @@ fn run(obs: Obs, mut file: File, interval: Duration, stop: Arc<AtomicBool>) -> u
     }
 }
 
-/// One JSONL line (newline-terminated) plus the counter/histogram counts
-/// it covers. Updates the `prev_*` baselines in place.
+/// One JSONL line (newline-terminated). Updates the `prev_*` baselines in
+/// place.
 fn build_line(
     obs: &Obs,
     seq: u64,
@@ -128,7 +122,7 @@ fn build_line(
     interval_ms: u64,
     prev_counters: &mut BTreeMap<String, u64>,
     prev_hists: &mut BTreeMap<String, Histogram>,
-) -> (String, u64, u64) {
+) -> String {
     let reg = obs.registry().expect("run() checked is_enabled");
     let mut counters = Vec::new();
     for (name, v) in reg.counters_snapshot() {
@@ -161,8 +155,6 @@ fn build_line(
             ]),
         ));
     }
-    let n_counters = counters.len() as u64;
-    let n_hists = histograms.len() as u64;
     let root = Value::Object(vec![
         ("seq".into(), Value::from(seq)),
         ("uptime_ms".into(), Value::from(uptime_ms)),
@@ -173,7 +165,7 @@ fn build_line(
     ]);
     let mut line = serde_json::to_string(&root).expect("snapshot serialize");
     line.push('\n');
-    (line, n_counters, n_hists)
+    line
 }
 
 #[cfg(test)]
@@ -229,11 +221,6 @@ mod tests {
         }
         // Deltas across all lines sum to the cumulative counter.
         assert_eq!(total_reqs, 15);
-        // SnapshotWritten events landed in the journal.
-        let recs = obs.journal().unwrap().records();
-        assert!(recs
-            .iter()
-            .any(|r| matches!(r.event, Event::SnapshotWritten { .. })));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

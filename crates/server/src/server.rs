@@ -49,8 +49,8 @@ use std::sync::Arc;
 use std::sync::{mpsc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Journal one `RequestServed` (or `BatchServed`) event per this many
-/// requests.
+/// Journal one `RequestServed` event per this many requests (a `Batch`
+/// frame is one request, labelled `batch`).
 const SAMPLE_EVERY: u64 = 64;
 
 /// How the serving layer is sized and bounded.
@@ -1127,22 +1127,12 @@ fn execute(shared: &Shared, conn: &mut Conn, id: u64, req: &Request, parse_ns: u
     let total = shared.requests.inc();
     conn.requests += 1;
     if total.is_multiple_of(SAMPLE_EVERY) {
-        let status = resp.status();
-        if let Some((subs, stripes)) = batch_info {
-            shared.obs.emit(|| Event::BatchServed {
-                conn: conn.id,
-                subs,
-                stripes,
-                latency_ns,
-            });
-        } else {
-            shared.obs.emit(|| Event::RequestServed {
-                conn: conn.id,
-                opcode: op.label().to_string(),
-                status: status.label().to_string(),
-                latency_ns,
-            });
-        }
+        shared.obs.emit(|| Event::RequestServed {
+            conn: conn.id,
+            opcode: op.label().to_string(),
+            status: resp.status().label().to_string(),
+            latency_ns,
+        });
     }
     if shared.telemetry {
         // Engine-lock wait and hold observed by this thread during the db

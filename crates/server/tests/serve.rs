@@ -812,7 +812,10 @@ fn batch_opcode_serves_heterogeneous_subs_and_batched_load() {
     assert!(metrics.contains("server.batch.subs"));
     assert!(metrics.contains("server.batch.stripes"));
     let trace = db.obs().trace_jsonl().unwrap();
-    assert!(trace.contains("BatchServed"), "batches must be journaled");
+    assert!(
+        trace.contains(r#""opcode":"batch""#),
+        "a sampled batch is journaled as one request"
+    );
 }
 
 /// A run of consecutive PUT/DELETE subs goes down as one write batch per
