@@ -467,10 +467,11 @@ fn bench_range_cache(c: &mut Criterion) {
     // shard (about 25 k entries; the 24-byte keys share 18 bytes, so every
     // comparison reads to the end of both keys) over the same key space
     // eight times its size, holding only points, then only 16-entry scans.
-    // Each fill walks the ordered index where the last one did not and
-    // evicts as much as it admits; `insert_point_200k` above fills a tree
-    // that holds every key's neighbours. An ordered index whose
-    // comparisons chase pointers shows here.
+    // Each fill searches the segment map and the slot lists where the last
+    // one did not and evicts as much as it admits, splitting segments;
+    // `insert_point_200k` above fills where every key's neighbours are
+    // resident. Key-ordered structures whose comparisons chase pointers
+    // show here.
     let cache = RangeCache::new(4 << 20);
     for i in 0..50_000u64 {
         cache.insert_point(keys[scramble(i)].clone(), value.clone());

@@ -8,11 +8,11 @@
 //! segments**: maximal key intervals `[start, end)` within which *every
 //! live key of the database* is resident. A resident entry covers its own
 //! key, `[k, k⁺)`, without a segment; segments record what scans and
-//! deletes established. An ordered index finds, in key order, exactly the
-//! entries inside a segment — the only place scans, splits and the
+//! deletes established. Each segment lists the slot ids of exactly the
+//! entries inside it, in key order — the only place scans, splits and the
 //! backstop look — so an entry no segment covers (every point fill outside
-//! scanned ranges) costs no B-tree node. Coverage is what makes range
-//! lookups answerable from cache:
+//! scanned ranges) costs nothing beyond its slot. Coverage is what makes
+//! range lookups answerable from cache:
 //!
 //! - a scan `(from, n)` hits iff, walking coverage from `from`, `n` entries
 //!   are found without leaving covered territory (a partial hit still
@@ -52,10 +52,10 @@ use adcache_obs::{Counter, Gauge, Obs};
 use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 use slots::{Entry, HashIndex, Slab, SlotKey};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, RandomState};
 use std::ops::Bound;
-use std::sync::Arc;
 
 /// Per-entry bookkeeping overhead added to the byte charge.
 const ENTRY_OVERHEAD: usize = 48;
@@ -69,24 +69,26 @@ pub struct RangeFootprint {
     pub charged: usize,
     /// Σ key length.
     pub key_bytes: usize,
-    /// Σ length of the keys stored as shared allocations; the rest of
-    /// `key_bytes` lies in place, in the slab's slots.
+    /// Σ length of the keys too long to lie in place, each an allocation
+    /// of its own; the rest of `key_bytes` lies in the slab's slots.
     pub shared_key_bytes: usize,
     /// Σ value length.
     pub value_bytes: usize,
-    /// Heap bytes of the shared keys, one allocation each. A key stored in
-    /// place takes none: its bytes are part of its slot.
+    /// Heap bytes of the keys too long to lie in place, one allocation
+    /// each. A key stored in place takes none: its bytes are part of its
+    /// slot.
     pub key_heap: usize,
     /// Heap bytes of the values were each one allocation of its own, as
     /// a copied value is; a view of a buffer another structure keeps takes
     /// none of them.
     pub value_heap: usize,
-    /// Slab chunks (in-place keys included) and their ordered bits.
+    /// Slab chunks (in-place keys included) and their covered bits.
     pub slab: usize,
     /// The hash index's buckets.
     pub hash_index: usize,
-    /// Nodes of the key-ordered index (its keys are the slab's).
-    pub ordered_index: usize,
+    /// The segments' lists of the slot ids they cover: four bytes per
+    /// covered entry, and the lists' spare capacity.
+    pub segment_slots: usize,
     /// Covered segments: map nodes and bound keys.
     pub segments: usize,
     /// The eviction policy's bookkeeping.
@@ -104,7 +106,7 @@ impl RangeFootprint {
         self.value_heap += other.value_heap;
         self.slab += other.slab;
         self.hash_index += other.hash_index;
-        self.ordered_index += other.ordered_index;
+        self.segment_slots += other.segment_slots;
         self.segments += other.segments;
         self.lru += other.lru;
     }
@@ -146,33 +148,129 @@ fn next_key(k: &[u8]) -> Bytes {
     next.freeze()
 }
 
+/// A covered interval `[start, end)`, keyed by `start` in the shard's map.
+struct Segment {
+    end: Bytes,
+    /// The slot ids of the resident entries inside, in key order.
+    slots: Vec<u32>,
+}
+
+/// The segment containing `key`, if any, with its start.
+fn covering<'a>(
+    segments: &'a BTreeMap<Bytes, Segment>,
+    key: &[u8],
+) -> Option<(&'a Bytes, &'a Segment)> {
+    let (s, seg) = segments
+        .range::<[u8], _>((Bound::Unbounded, Bound::Included(key)))
+        .next_back()?;
+    (seg.end.as_ref() > key).then_some((s, seg))
+}
+
+/// [`covering`], for a change to the segment.
+fn covering_mut<'a>(
+    segments: &'a mut BTreeMap<Bytes, Segment>,
+    key: &[u8],
+) -> Option<(&'a Bytes, &'a mut Segment)> {
+    let (s, seg) = segments
+        .range_mut::<[u8], _>((Bound::Unbounded, Bound::Included(key)))
+        .next_back()?;
+    (seg.end.as_ref() > key).then_some((s, seg))
+}
+
+/// How many of the key-ordered `slots` hold a key below `key`.
+fn slots_below(slab: &Slab, slots: &[u32], key: &[u8]) -> usize {
+    slots.partition_point(|&s| *slab.get(s).key < *key)
+}
+
+/// The one list of two key-ordered slot lists; an entry on both is on it
+/// once. The shorter list is spliced into the longer where their keys
+/// interleave, so a scan that extends a long segment costs what it adds.
+fn merge_slots(slab: &Slab, a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
+    let (mut base, other) = if a.len() >= b.len() { (a, b) } else { (b, a) };
+    let (Some(&first), Some(&last)) = (other.first(), other.last()) else {
+        return base;
+    };
+    let key = |slot: u32| &*slab.get(slot).key;
+    let lo = slots_below(slab, &base, key(first));
+    let hi = lo + base[lo..].partition_point(|&s| key(s) <= key(last));
+    // Two sorted runs: the sort merges them.
+    let mut merged: Vec<u32> = base[lo..hi].iter().chain(&other).copied().collect();
+    merged.sort_by(|&x, &y| key(x).cmp(key(y)));
+    merged.dedup();
+    base.splice(lo..hi, merged);
+    base
+}
+
+/// What a walk has found so far: the keys end to end in one buffer, and
+/// each value beside where its key ends. One per thread, reused, so that a
+/// walk allocates only what it returns: the result and one buffer for all
+/// its keys.
+#[derive(Default)]
+struct Found {
+    keys: Vec<u8>,
+    entries: Vec<(usize, Bytes)>,
+}
+
+thread_local! {
+    static FOUND: RefCell<Found> = RefCell::default();
+}
+
+/// Entries' worth of room [`Found`] keeps between walks; a longer walk's
+/// room is given back.
+const FOUND_KEPT: usize = 1024;
+
+impl Found {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn push(&mut self, key: &[u8], value: Bytes) {
+        self.keys.extend_from_slice(key);
+        self.entries.push((self.keys.len(), value));
+    }
+
+    /// The entries found, each key a slice of one new buffer, in a vector
+    /// with room for at least `capacity`; leaves `self` empty.
+    fn take(&mut self, capacity: usize) -> Vec<(Bytes, Bytes)> {
+        let mut out = Vec::with_capacity(capacity.max(self.len()));
+        if !self.entries.is_empty() {
+            let keys = Bytes::copy_from_slice(&self.keys);
+            let mut start = 0;
+            for (end, value) in self.entries.drain(..) {
+                out.push((keys.slice(start..end), value));
+                start = end;
+            }
+        }
+        self.keys.clear();
+        self.keys.shrink_to(FOUND_KEPT * slots::IN_PLACE);
+        self.entries.shrink_to(FOUND_KEPT);
+        out
+    }
+}
+
 /// One lock's worth of the cache. A resident entry lives in one slab slot
 /// and is reached through `index` (by key bytes, point probes) and
-/// `policy` (by slot id, recency), and through `ordered` (by key order;
-/// scans, splits and the backstop) when a segment covers it. The key's
-/// bytes exist once: in its slot while short and outside `ordered`, else in
-/// one allocation that slot and `ordered` share through a 16-byte handle
-/// each. A bit beside each slot says whether `ordered` holds it.
+/// `policy` (by slot id, recency), and through the list of the segment
+/// that covers it, if one does (by key order; scans, splits and the
+/// backstop). The key's bytes exist once, in its slot or, when longer than
+/// a slot holds, in one allocation of its own. A bit beside each slot says
+/// whether a segment lists it.
 struct Shard {
     slab: Slab,
     index: HashIndex,
     /// Keys the index's hashes; random per shard, since keys come from
     /// clients.
     hasher: RandomState,
-    /// The resident keys some segment covers, in order, each with its slot
-    /// id; an entry outside every segment is its own coverage and needs no
-    /// place in key order.
-    ordered: BTreeMap<Arc<[u8]>, u32>,
-    /// Covered segments: start -> end (end exclusive), disjoint, sorted.
-    /// Only what scans and deletes established: a resident entry covers
-    /// its own key without a segment.
-    segments: BTreeMap<Bytes, Bytes>,
+    /// Covered segments by start: disjoint, sorted, each listing the
+    /// resident entries inside it. Only what scans and deletes
+    /// established: a resident entry covers its own key without a segment.
+    segments: BTreeMap<Bytes, Segment>,
     policy: Box<dyn Policy>,
     capacity: usize,
     used: usize,
-    /// Σ key and value lengths, the length of the shared keys, and the
-    /// heap bytes of the shared keys and of the values as allocations of
-    /// their own: the ledger's variable terms.
+    /// Σ key and value lengths, the length of the keys stored out of
+    /// place, and the heap bytes of those keys and of the values as
+    /// allocations of their own: the ledger's variable terms.
     key_bytes: usize,
     shared_key_bytes: usize,
     value_bytes: usize,
@@ -194,7 +292,6 @@ impl Shard {
             slab: Slab::new(),
             index: HashIndex::new(),
             hasher: RandomState::new(),
-            ordered: BTreeMap::new(),
             segments: BTreeMap::new(),
             policy,
             capacity,
@@ -226,30 +323,16 @@ impl Shard {
             .find(hash, |slot| *self.slab.get(slot).key == *key)
     }
 
-    /// The covered segment containing `key`, if any.
-    fn segment_covering(&self, key: &[u8]) -> Option<(&Bytes, &Bytes)> {
-        let (s, e) = self
-            .segments
-            .range::<[u8], _>((Bound::Unbounded, Bound::Included(key)))
-            .next_back()?;
-        (e.as_ref() > key).then_some((s, e))
-    }
-
-    /// Admits `key` or replaces its value. When a segment covers the key
-    /// (`covered`), the entry enters `ordered`, and a new one is shared
-    /// from the start.
-    fn upsert_entry(&mut self, key: Bytes, value: Bytes, covered: bool) {
+    /// Admits `key` or replaces its value; returns its slot and whether
+    /// the entry is new. A new entry is on no segment's list yet.
+    fn upsert_entry(&mut self, key: Bytes, value: Bytes) -> (u32, bool) {
         let hash = self.hasher.hash_one(&key[..]);
-        let slot = match self.find_hashed(hash, &key) {
+        match self.find_hashed(hash, &key) {
             Some(slot) => {
                 self.update_entry(slot, value);
-                slot
+                (slot, false)
             }
-            None if covered => self.insert_entry(hash, SlotKey::Shared(key.into()), value),
-            None => self.insert_entry(hash, SlotKey::new(key), value),
-        };
-        if covered {
-            self.enter_ordered(slot);
+            None => (self.insert_entry(hash, SlotKey::new(key), value), true),
         }
     }
 
@@ -264,8 +347,8 @@ impl Shard {
         self.policy.on_hit(slot);
     }
 
-    /// Admits `key`, which hashes to `hash` and is not resident, outside
-    /// `ordered`; returns its slot.
+    /// Admits `key`, which hashes to `hash` and is not resident, on no
+    /// segment's list; returns its slot.
     fn insert_entry(&mut self, hash: u64, key: SlotKey, value: Bytes) -> u32 {
         let entry = Entry { key, value };
         self.used += Self::charge_of(&entry.key, &entry.value);
@@ -300,9 +383,11 @@ impl Shard {
 
     /// This shard's terms of a [`RangeFootprint`].
     fn footprint(&self) -> RangeFootprint {
-        let segment_keys: usize = (self.segments.iter())
-            .map(|(s, e)| heap::arc_bytes(s.len()) + heap::arc_bytes(e.len()))
-            .sum();
+        let (mut segment_keys, mut segment_slots) = (0, 0);
+        for (s, seg) in &self.segments {
+            segment_keys += heap::arc_bytes(s.len()) + heap::arc_bytes(seg.end.len());
+            segment_slots += heap::vec(&seg.slots);
+        }
         RangeFootprint {
             charged: self.used,
             key_bytes: self.key_bytes,
@@ -312,37 +397,41 @@ impl Shard {
             value_heap: self.value_heap,
             slab: self.slab.heap_bytes(),
             hash_index: self.index.heap_bytes(),
-            ordered_index: heap::btree_map(&self.ordered),
+            segment_slots,
             segments: heap::btree_map(&self.segments) + segment_keys,
             lru: self.policy.heap_bytes(),
         }
     }
 
-    /// Puts the entry in `slot`, which a segment covers or is about to,
-    /// into `ordered` unless it is there already (no search then). An
-    /// in-place key moves into an allocation that `ordered` shares.
-    fn enter_ordered(&mut self, slot: u32) {
-        if !self.slab.is_ordered(slot) {
-            self.slab.mark_ordered(slot);
-            let key = &mut self.slab.get_mut(slot).key;
-            if key.shared().is_none() {
-                self.shared_key_bytes += key.len();
-                self.key_heap += heap::arc_bytes(key.len());
-            }
-            self.ordered.insert(key.share(), slot);
+    /// Lists the new entry in `slot` on the segment that covers its key,
+    /// if one does.
+    fn enter_segment(&mut self, slot: u32) {
+        let key = &*self.slab.get(slot).key;
+        if let Some((_, seg)) = covering_mut(&mut self.segments, key) {
+            let at = slots_below(&self.slab, &seg.slots, key);
+            seg.slots.insert(at, slot);
+            self.slab.mark_covered(slot);
         }
     }
 
-    /// Takes the entry in `slot` out of the slab and the indexes that hold
-    /// it. An eviction comes from the policy, which has already forgotten
-    /// the slot; any other removal tells it.
-    fn remove_entry(&mut self, slot: u32, via_eviction: bool) -> Entry {
-        let (entry, ordered) = self.slab.remove(slot);
+    /// Takes the entry in `slot`, which a segment lists, off that list;
+    /// the segment still covers its key.
+    fn leave_segment(&mut self, slot: u32) {
+        let key = &*self.slab.get(slot).key;
+        let (_, seg) = covering_mut(&mut self.segments, key).expect("a listed entry is covered");
+        let at = slots_below(&self.slab, &seg.slots, key);
+        debug_assert_eq!(seg.slots[at], slot);
+        seg.slots.remove(at);
+    }
+
+    /// Takes the entry in `slot` out of the slab and the hash index; a
+    /// segment that lists it has already let it go. An eviction comes from
+    /// the policy, which has already forgotten the slot; any other removal
+    /// tells it.
+    fn remove_entry(&mut self, slot: u32, via_eviction: bool) {
+        let entry = self.slab.remove(slot);
         self.index
             .remove(self.hasher.hash_one(&entry.key[..]), slot);
-        if ordered {
-            self.ordered.remove(&entry.key[..]);
-        }
         self.used -= Self::charge_of(&entry.key, &entry.value);
         self.note_payload(&entry, false);
         if via_eviction {
@@ -351,59 +440,60 @@ impl Shard {
             self.policy.on_external_remove(slot);
             self.invalidations += 1;
         }
-        entry
     }
 
-    /// Merges `[start, end)` into the segment set.
-    fn add_segment(&mut self, mut start: Bytes, mut end: Bytes) {
+    /// Merges `[start, end)`, inside which the entries in `slots` (in key
+    /// order) lie, into the segment set. Every resident entry in the range
+    /// must be on `slots` or on a segment it merges with.
+    fn add_segment(&mut self, mut start: Bytes, mut end: Bytes, mut slots: Vec<u32>) {
         if start >= end {
             return;
         }
+        for &slot in &slots {
+            self.slab.mark_covered(slot);
+        }
         // Overlapping-or-touching segments all have start_key <= end; take
         // them from the back while they still reach our start.
-        while let Some((s, e)) = self
+        while let Some((s, seg)) = self
             .segments
             .range::<Bytes, _>((Bound::Unbounded, Bound::Included(&end)))
             .next_back()
         {
-            if *e < start {
+            if seg.end < start {
                 break;
             }
             let s = s.clone();
-            let (s, e) = self.segments.remove_entry(&s).expect("just found");
+            let (s, seg) = self.segments.remove_entry(&s).expect("just found");
             start = start.min(s);
-            end = end.max(e);
+            end = end.max(seg.end);
+            slots = merge_slots(&self.slab, slots, seg.slots);
         }
-        self.segments.insert(start, end);
+        self.segments.insert(start, Segment { end, slots });
         self.prune_segments();
     }
 
-    /// Splits coverage at `key` (called when `key`'s entry is evicted): of
-    /// `[s, key)` and `[key⁺, e)`, a side stays covered only while a
-    /// resident entry lies in it. An entry no segment covers leaves
-    /// nothing behind.
-    fn split_at(&mut self, key: &Arc<[u8]>) {
-        let Some((s, e)) = self
-            .segments
-            .range_mut::<[u8], _>((Bound::Unbounded, Bound::Included(&key[..])))
-            .next_back()
-            .filter(|(_, e)| e[..] > key[..])
-        else {
-            return;
-        };
-        // `key` itself has left `ordered`, so what lies after it lies at or
-        // after `key⁺`.
-        let holds_entry = |range| self.ordered.range::<[u8], _>(range).next().is_some();
-        let keep_left = holds_entry((Bound::Included(&s[..]), Bound::Excluded(&key[..])));
-        let keep_right = holds_entry((Bound::Excluded(&key[..]), Bound::Excluded(&e[..])));
-        let end = if keep_left {
-            std::mem::replace(e, key.clone().into())
-        } else {
+    /// Splits coverage at the entry in `slot`, which a segment lists and
+    /// which is being evicted: of `[s, key)` and `[key⁺, e)`, a side stays
+    /// covered only while a resident entry lies in it.
+    fn split_at(&mut self, slot: u32) {
+        let key = &*self.slab.get(slot).key;
+        let (s, seg) = covering_mut(&mut self.segments, key).expect("a listed entry is covered");
+        let at = slots_below(&self.slab, &seg.slots, key);
+        debug_assert_eq!(seg.slots[at], slot);
+        let right = seg.slots.split_off(at + 1);
+        seg.slots.pop();
+        if seg.slots.capacity() > 4 * seg.slots.len() {
+            seg.slots.shrink_to(2 * seg.slots.len());
+        }
+        let end = if seg.slots.is_empty() {
             let s = s.clone();
-            self.segments.remove(&s).expect("just found")
+            self.segments.remove(&s).expect("just found").end
+        } else {
+            std::mem::replace(&mut seg.end, Bytes::copy_from_slice(key))
         };
-        if keep_right {
-            self.segments.insert(next_key(key), end);
+        if !right.is_empty() {
+            let start = next_key(key);
+            self.segments.insert(start, Segment { end, slots: right });
         }
     }
 
@@ -413,11 +503,10 @@ impl Shard {
             let Some(victim) = self.policy.victim() else {
                 break;
             };
-            let entry = self.remove_entry(victim, true);
-            // An in-place key was never ordered, so no segment covers it.
-            if let Some(key) = entry.key.shared() {
-                self.split_at(key);
+            if self.slab.is_covered(victim) {
+                self.split_at(victim);
             }
+            self.remove_entry(victim, true);
         }
         self.prune_segments();
     }
@@ -433,18 +522,13 @@ impl Shard {
 
     /// Backstop for the segments the byte budget does not bound, run after
     /// whatever can grow the map (a new segment, a split): past the cap,
-    /// forgets every segment that holds no resident entry, in one merge
-    /// pass over the two ordered maps (`ordered` holds every entry inside
-    /// a segment) — which always gets back under it.
-    /// Forgets coverage only; entries leave through the policy.
+    /// forgets every segment that lists no resident entry — which always
+    /// gets back under it. Forgets coverage only; entries leave through the
+    /// policy.
     fn prune_segments(&mut self) {
         if self.segments.len() > self.segment_cap() {
             let before = self.segments.len();
-            let mut residents = self.ordered.keys().peekable();
-            self.segments.retain(|s, e| {
-                while residents.next_if(|k| k[..] < s[..]).is_some() {}
-                residents.peek().is_some_and(|k| k[..] < e[..])
-            });
+            self.segments.retain(|_, seg| !seg.slots.is_empty());
             self.coverage_dropped
                 .add((before - self.segments.len()) as u64);
         }
@@ -461,42 +545,43 @@ impl Shard {
         }
     }
 
-    /// Walks contiguous coverage from `*current`, appending the entries it
-    /// passes to `out` and advancing `*current`, until `out` holds `n`
-    /// entries or `*current` reaches `upper` (this shard's upper boundary)
-    /// — both return `true` — or reaches a key nothing covers (`false`).
+    /// Walks contiguous coverage from `*at` (`from` while `None`), adding
+    /// the entries it passes to `found` and advancing `*at`, until `found`
+    /// holds `n` entries or `*at` reaches `upper` (this shard's upper
+    /// boundary) — both return `true` — or reaches a key nothing covers
+    /// (`false`).
     fn walk(
         &mut self,
-        current: &mut Bytes,
+        from: &[u8],
+        at: &mut Option<Bytes>,
         upper: Option<&Bytes>,
         n: usize,
-        out: &mut Vec<(Bytes, Bytes)>,
+        found: &mut Found,
     ) -> bool {
         loop {
-            if out.len() >= n || upper.is_some_and(|u| *current >= *u) {
+            let current = at.as_deref().unwrap_or(from);
+            if found.len() >= n || upper.is_some_and(|u| *current >= u[..]) {
                 return true;
             }
-            if let Some((_, seg_end)) = self.segment_covering(current) {
-                let seg_end = seg_end.clone();
-                let inside = (Bound::Included(&current[..]), Bound::Excluded(&seg_end[..]));
-                for (k, &slot) in self.ordered.range::<[u8], _>(inside) {
-                    if out.len() >= n {
+            if let Some((_, seg)) = covering(&self.segments, current) {
+                let first = slots_below(&self.slab, &seg.slots, current);
+                for &slot in &seg.slots[first..] {
+                    if found.len() >= n {
                         return true;
                     }
-                    out.push((k.clone().into(), self.slab.get(slot).value.clone()));
+                    let entry = self.slab.get(slot);
+                    found.push(&entry.key, entry.value.clone());
                     self.policy.on_hit(slot);
                 }
-                *current = seg_end;
+                *at = Some(seg.end.clone());
             } else if let Some(slot) = self.find(current) {
-                // A resident entry is its own coverage: `[k, k⁺)`. The
-                // cursor has just matched its key byte for byte, so it
-                // serves as the key, whichever way the slot holds it.
-                out.push((current.clone(), self.slab.get(slot).value.clone()));
+                // A resident entry is its own coverage: `[k, k⁺)`.
+                found.push(current, self.slab.get(slot).value.clone());
                 self.policy.on_hit(slot);
-                if out.len() >= n {
+                if found.len() >= n {
                     return true;
                 }
-                *current = next_key(current);
+                *at = Some(next_key(current));
             } else {
                 return false;
             }
@@ -504,14 +589,24 @@ impl Shard {
     }
 
     fn check_invariants(&self) {
-        // Segments disjoint and sorted.
+        // Segments disjoint and sorted, each listing its entries in key
+        // order.
         let mut prev_end: Option<&Bytes> = None;
-        for (s, e) in &self.segments {
-            assert!(s < e, "degenerate segment");
+        let mut listed = 0usize;
+        for (s, seg) in &self.segments {
+            assert!(*s < seg.end, "degenerate segment");
             if let Some(pe) = prev_end {
                 assert!(pe <= s, "segments overlap");
             }
-            prev_end = Some(e);
+            prev_end = Some(&seg.end);
+            let keys: Vec<&[u8]> = seg.slots.iter().map(|&k| &*self.slab.get(k).key).collect();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "list out of order");
+            assert!(
+                keys.iter().all(|k| s[..] <= **k && **k < seg.end[..]),
+                "segment [{s:?}, {:?}) lists a key outside it",
+                seg.end
+            );
+            listed += keys.len();
         }
         assert!(
             self.segments.len() <= self.segment_cap(),
@@ -519,11 +614,11 @@ impl Shard {
         );
         // Slab and hash index hold the same entries, and every entry is
         // covered: what the hash index finds is its own coverage. The
-        // ordered index holds exactly the entries a segment covers, and
-        // each slot's bit says whether it does. (The policy cannot be
-        // asked what it tracks; it disagrees visibly: a victim that is not
-        // resident panics in the slab, a resident it lost can never be
-        // evicted and `used` stays above `capacity`.)
+        // segments list exactly the entries inside them, and each slot's
+        // bit says whether one does. (The policy cannot be asked what it
+        // tracks; it disagrees visibly: a victim that is not resident
+        // panics in the slab, a resident it lost can never be evicted and
+        // `used` stays above `capacity`.)
         assert_eq!(self.slab.len(), self.index.len(), "hash index size");
         let mut used = 0usize;
         let mut covered = 0usize;
@@ -531,15 +626,16 @@ impl Shard {
         for (slot, entry) in self.slab.iter() {
             let key = &entry.key[..];
             assert_eq!(self.find(key), Some(slot), "hash index misses {key:?}");
-            let in_segment = self.segment_covering(key).is_some();
+            let in_segment = covering(&self.segments, key).is_some();
             assert_eq!(
-                self.slab.is_ordered(slot),
+                self.slab.is_covered(slot),
                 in_segment,
-                "ordered bit of {key:?}"
+                "covered bit of {key:?}"
             );
-            assert!(
-                entry.key.shared().is_some() || !self.slab.is_ordered(slot),
-                "{key:?} is ordered but stored in place"
+            assert_eq!(
+                entry.key.shared().is_some(),
+                key.len() > slots::IN_PLACE,
+                "{key:?} is stored out of place while it fits, or the reverse"
             );
             key_bytes += key.len();
             shared_key_bytes += entry.key.shared().map_or(0, |k| k.len());
@@ -553,14 +649,7 @@ impl Shard {
             (self.key_bytes, self.shared_key_bytes, self.key_heap),
             "key terms drifted"
         );
-        assert_eq!(covered, self.ordered.len(), "ordered index size");
-        for (key, &slot) in &self.ordered {
-            let shared = self.slab.get(slot).key.shared();
-            assert!(
-                shared.is_some_and(|k| Arc::ptr_eq(k, key)) && self.slab.is_ordered(slot),
-                "ordered index names slot {slot} for {key:?}"
-            );
-        }
+        assert_eq!(covered, listed, "segment lists size");
         assert!(self.used <= self.capacity, "over budget after eviction");
     }
 }
@@ -658,7 +747,7 @@ impl RangeCache {
             self.hits.inc();
             return PointLookup::Hit(value);
         }
-        if shard.segment_covering(key).is_some() {
+        if covering(&shard.segments, key).is_some() {
             drop(shard);
             self.hits.inc();
             return PointLookup::NegativeHit;
@@ -671,25 +760,38 @@ impl RangeCache {
     /// Walks coverage from `from` collecting up to `n` entries. Returns the
     /// collected prefix and, when coverage ran out before `n` entries, the
     /// continuation key: the end of contiguous coverage, i.e. the exact
-    /// point an LSM scan must resume from.
+    /// point an LSM scan must resume from. A walk that finds every entry
+    /// allocates two things: the vector it returns and one buffer that all
+    /// its keys are slices of.
     fn walk_range(&self, from: &[u8], n: usize) -> (Vec<(Bytes, Bytes)>, Option<Bytes>) {
-        let mut out: Vec<(Bytes, Bytes)> = Vec::with_capacity(n.min(64));
-        let mut current = Bytes::copy_from_slice(from);
-        loop {
-            // Coverage that reaches a shard's upper boundary continues in
-            // the next shard, which owns the boundary key.
-            let idx = self.shard_idx(&current);
-            let covered =
-                self.shards[idx]
-                    .lock()
-                    .walk(&mut current, self.shard_end(idx), n, &mut out);
-            if out.len() >= n {
-                return (out, None);
+        FOUND.with_borrow_mut(|found| {
+            // Empty unless an earlier walk on this thread panicked.
+            found.keys.clear();
+            found.entries.clear();
+            let mut at: Option<Bytes> = None;
+            let complete = loop {
+                // Coverage that reaches a shard's upper boundary continues
+                // in the next shard, which owns the boundary key.
+                let idx = self.shard_idx(at.as_deref().unwrap_or(from));
+                let covered =
+                    self.shards[idx]
+                        .lock()
+                        .walk(from, &mut at, self.shard_end(idx), n, found);
+                if found.len() >= n {
+                    break true;
+                }
+                if !covered {
+                    break false;
+                }
+            };
+            if complete {
+                (found.take(0), None)
+            } else {
+                // Room for the tail the caller reads from the tree.
+                let cont = at.unwrap_or_else(|| Bytes::copy_from_slice(from));
+                (found.take(n.min(64)), Some(cont))
             }
-            if !covered {
-                return (out, Some(current));
-            }
-        }
+        })
     }
 
     /// Range lookup: `n` entries from `from`, served only on full coverage.
@@ -732,8 +834,8 @@ impl RangeCache {
     ///
     /// `results` must list every live key in `[from, last admitted]`, in
     /// order: the segment this makes covers that range, and an entry
-    /// already resident there but missing from `results` would be left out
-    /// of the key order the segment's scans walk. The engine meets it by
+    /// already resident there but missing from `results` would be left off
+    /// the list of entries the segment's scans walk. The engine meets it by
     /// filling while the scan still holds its read locks: no write lands
     /// in the range between the read and this call, so every key a point
     /// fill admits there meanwhile is one the scan read.
@@ -742,14 +844,12 @@ impl RangeCache {
         if results.is_empty() {
             let idx = self.shard_idx(from);
             let mut shard = self.shards[idx].lock();
-            // `[from, from⁺)` holds one key; if it is resident, it enters
-            // the key order before the segment is merged and pruned.
-            if let Some(slot) = shard.find(from) {
-                shard.enter_ordered(slot);
-            }
+            // `[from, from⁺)` holds one key; if it is resident, the segment
+            // lists it.
+            let slots = shard.find(from).into_iter().collect();
             let start = Bytes::copy_from_slice(from);
             let end = next_key(from);
-            shard.add_segment(start, end);
+            shard.add_segment(start, end, slots);
             return;
         }
         if admitted == 0 {
@@ -762,8 +862,10 @@ impl RangeCache {
             let idx = self.shard_idx(&results[i].0);
             let shard_upper = self.shard_end(idx);
             let mut shard = self.shards[idx].lock();
+            let mut slots = Vec::new();
             while i < admitted && shard_upper.is_none_or(|ub| results[i].0 < *ub) {
-                shard.upsert_entry(results[i].0.clone(), results[i].1.clone(), true);
+                let (key, value) = &results[i];
+                slots.push(shard.upsert_entry(key.clone(), value.clone()).0);
                 i += 1;
             }
             // Cover this shard's part of the key space: up to the boundary
@@ -772,18 +874,21 @@ impl RangeCache {
                 Some(ub) if i < admitted => ub.clone(),
                 _ => next_key(&results[i - 1].0),
             };
-            shard.add_segment(std::mem::replace(&mut seg_start, seg_end.clone()), seg_end);
+            let start = std::mem::replace(&mut seg_start, seg_end.clone());
+            shard.add_segment(start, seg_end, slots);
             shard.evict_to_capacity();
         }
     }
 
     /// Admits a single point-lookup result. Outside every segment the
-    /// entry is its own coverage and stays out of the key order.
+    /// entry is its own coverage and goes on no list.
     pub fn insert_point(&self, key: Bytes, value: Bytes) {
         let idx = self.shard_idx(&key);
         let mut shard = self.shards[idx].lock();
-        let covered = shard.segment_covering(&key).is_some();
-        shard.upsert_entry(key, value, covered);
+        let (slot, new) = shard.upsert_entry(key, value);
+        if new {
+            shard.enter_segment(slot);
+        }
         shard.evict_to_capacity();
     }
 
@@ -798,10 +903,9 @@ impl RangeCache {
                 let hash = shard.hasher.hash_one(key);
                 match shard.find_hashed(hash, key) {
                     Some(slot) => shard.update_entry(slot, v.clone()),
-                    None if shard.segment_covering(key).is_some() => {
-                        let key = SlotKey::Shared(Arc::from(key));
-                        let slot = shard.insert_entry(hash, key, v.clone());
-                        shard.enter_ordered(slot);
+                    None if covering(&shard.segments, key).is_some() => {
+                        let slot = shard.insert_entry(hash, SlotKey::copy_of(key), v.clone());
+                        shard.enter_segment(slot);
                     }
                     None => return,
                 }
@@ -811,13 +915,16 @@ impl RangeCache {
                 let Some(slot) = shard.find(key) else {
                     return;
                 };
-                shard.remove_entry(slot, false);
-                if shard.segment_covering(key).is_none() {
+                if shard.slab.is_covered(slot) {
+                    shard.leave_segment(slot);
+                    shard.remove_entry(slot, false);
+                } else {
                     // The entry was its own coverage. The key stays
                     // covered, now as absent — what a delete inside a
                     // segment leaves behind too.
+                    shard.remove_entry(slot, false);
                     let end = next_key(key);
-                    shard.add_segment(Bytes::copy_from_slice(key), end);
+                    shard.add_segment(Bytes::copy_from_slice(key), end, Vec::new());
                 }
             }
         }
@@ -834,7 +941,6 @@ impl RangeCache {
             s.invalidations += s.slab.len() as u64;
             s.slab.clear();
             s.index.clear();
-            s.ordered.clear();
             s.segments.clear();
             s.used = 0;
             (s.key_bytes, s.shared_key_bytes, s.value_bytes) = (0, 0, 0);
@@ -916,9 +1022,9 @@ impl RangeCache {
     }
 
     /// Panics unless every shard's slab and hash index hold the same
-    /// entries, its ordered index holds exactly those a segment covers,
-    /// segments are disjoint and within their cap, and the byte accounting
-    /// adds up and fits the budget. For tests.
+    /// entries, its segments list exactly the entries inside them in key
+    /// order, segments are disjoint and within their cap, and the byte
+    /// accounting adds up and fits the budget. For tests.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         for s in &self.shards {
@@ -933,6 +1039,19 @@ mod tests {
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
+    }
+
+    /// Entries on some segment's list, over every shard.
+    fn listed(c: &RangeCache) -> usize {
+        let shards = c.shards.iter().map(|s| s.lock());
+        shards
+            .map(|s| {
+                s.segments
+                    .values()
+                    .map(|seg| seg.slots.len())
+                    .sum::<usize>()
+            })
+            .sum()
     }
 
     fn kv(i: usize) -> (Bytes, Bytes) {
@@ -1189,14 +1308,14 @@ mod tests {
     #[test]
     fn point_entries_a_scan_returns_become_walkable() {
         let c = RangeCache::new(1 << 20);
-        // Two point entries, outside every segment, hence out of key order.
+        // Two point entries, outside every segment, hence on no list.
         c.insert_point(kv(1).0, kv(1).1);
         c.insert_point(kv(3).0, kv(3).1);
-        assert!(c.shards[0].lock().ordered.is_empty());
+        assert_eq!(listed(&c), 0);
         // A scan over them updates both; the segment it makes must walk
         // through them as through the entries it adds.
         c.insert_scan(&kv(0).0, &scan_result(0, 5), 5);
-        assert_eq!(c.shards[0].lock().ordered.len(), 5);
+        assert_eq!(listed(&c), 5);
         let (prefix, cont) = c.get_range_partial(&kv(0).0, 5);
         assert_eq!((prefix, cont), (scan_result(0, 5), None));
         assert_eq!(c.stats().hits, 1);
@@ -1225,15 +1344,13 @@ mod tests {
         c.insert_point(kv(51).0, kv(51).1);
         let snapshot = |c: &RangeCache| {
             let shard = c.shards[0].lock();
-            let ordered: Vec<(Arc<[u8]>, u32)> = shard
-                .ordered
-                .iter()
-                .map(|(k, &slot)| (k.clone(), slot))
-                .collect();
-            (ordered, shard.segments.clone())
+            let segments = shard.segments.iter();
+            let segments = segments.map(|(s, seg)| (s.clone(), seg.end.clone(), seg.slots.clone()));
+            segments.collect::<Vec<_>>()
         };
         let before = snapshot(&c);
-        assert_eq!(before.0.len(), 4, "only the scanned entries are ordered");
+        assert_eq!(before.len(), 1);
+        assert_eq!(before[0].2.len(), 4, "only the scanned entries are listed");
         c.set_capacity(5 * (7 + 7 + 48));
         assert_eq!((c.len(), c.stats().evictions), (5, 1));
         assert_eq!(snapshot(&c), before);

@@ -1,4 +1,4 @@
-//! Model equivalence: the shard (slab + hash index + ordered index +
+//! Model equivalence: the shard (slab + hash index + segment slot lists +
 //! slot-id policy) must answer exactly like a naive reference that keeps a
 //! `BTreeMap` of entries and, per shard, a list of covered intervals and an
 //! LRU queue of keys, and applies the coverage rules of the module header
@@ -15,6 +15,7 @@
 use super::*;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 struct RefShard {
     /// Resident keys, least recently used first.
@@ -359,10 +360,10 @@ enum Op {
     GetPoint(u16),
     GetRange(u16, u8),
     /// Admits the key as a point entry, covers it with a scan of up to
-    /// `n + 1` keys from it (which moves an in-place key into a shared
-    /// allocation), then makes it its shard's least recently used entry and
-    /// shrinks the shard just below its bytes, so the entry is evicted and
-    /// its segment split at it; the capacity is restored afterwards.
+    /// `n + 1` keys from it (which puts it on the segment's list), then
+    /// makes it its shard's least recently used entry and shrinks the
+    /// shard just below its bytes, so the entry is evicted and its segment
+    /// split at it; the capacity is restored afterwards.
     CoverThenEvict(u16, u8),
 }
 

@@ -4,14 +4,13 @@
 //! Both are sized for honest memory accounting. The slab grows one fixed
 //! chunk at a time, so growing never copies resident entries and never
 //! holds an old and a doubled buffer at once. Beside the chunks it keeps
-//! one bit per slot: whether the shard's ordered index holds the entry, so
-//! an entry it does not hold leaves without a search. A slot is 56 bytes:
-//! a 32-byte key field and the value's 24-byte handle. A key of up to
-//! [`IN_PLACE`] bytes lives in the field itself until a scan covers its
-//! entry; a longer key, and every key the ordered index holds, is one
-//! shared allocation, so the ordered index keeps a handle on the slot's own
-//! copy. The index stores 8 bytes per bucket (a 32-bit hash tag and the
-//! slot id) and finds the key itself in the slab, so it holds no key.
+//! one bit per slot: whether a covered segment lists the entry, so an entry
+//! no segment lists leaves without a search. A slot is 56 bytes: a 32-byte
+//! key field and the value's 24-byte handle. A key of up to [`IN_PLACE`]
+//! bytes lives in the field itself, covered or not; a longer key is one
+//! allocation of its own. Nothing else holds a key: the segments list slot
+//! ids, and the index stores 8 bytes per bucket (a 32-bit hash tag and the
+//! slot id) and finds the key itself in the slab.
 
 use adcache_lsm::heap;
 use bytes::Bytes;
@@ -24,38 +23,43 @@ pub(super) const NIL: u32 = u32::MAX;
 const CHUNK_BITS: u32 = 10;
 /// Slots per slab chunk (56 KiB of slots).
 const CHUNK: usize = 1 << CHUNK_BITS;
-/// Words of the ordered bits per chunk.
+/// Words of the covered bits per chunk.
 const CHUNK_WORDS: usize = CHUNK / 64;
 
 /// The longest key a slot stores in place: its 32-byte key field less the
 /// variant tag and the length byte.
 pub(super) const IN_PLACE: usize = 30;
 
-/// A slot's key. In place while it fits and the ordered index does not
-/// hold it; otherwise the whole of one allocation, which the ordered index
-/// shares through a handle of its own.
+/// A slot's key: in place when it fits, otherwise the whole of one
+/// allocation (shared with the buffer it came from when the key spans all
+/// of it).
 pub(super) enum SlotKey {
     InPlace { len: u8, bytes: [u8; IN_PLACE] },
     Shared(Arc<[u8]>),
 }
 
 impl SlotKey {
-    /// `key` in place when it fits, else shared (the same allocation when
-    /// `key` spans all of its buffer).
+    /// `key` in place when it fits, else its allocation (the same one
+    /// when `key` spans all of its buffer).
     pub(super) fn new(key: Bytes) -> Self {
-        if key.len() <= IN_PLACE {
-            let mut bytes = [0; IN_PLACE];
-            bytes[..key.len()].copy_from_slice(&key);
-            SlotKey::InPlace {
-                len: key.len() as u8,
-                bytes,
-            }
-        } else {
-            SlotKey::Shared(key.into())
-        }
+        Self::in_place(&key).unwrap_or_else(|| SlotKey::Shared(key.into()))
     }
 
-    /// The shared allocation, if the key is one.
+    /// A copy of `key`: in place when it fits, else one new allocation.
+    pub(super) fn copy_of(key: &[u8]) -> Self {
+        Self::in_place(key).unwrap_or_else(|| SlotKey::Shared(Arc::from(key)))
+    }
+
+    fn in_place(key: &[u8]) -> Option<Self> {
+        let mut bytes = [0; IN_PLACE];
+        bytes.get_mut(..key.len())?.copy_from_slice(key);
+        Some(SlotKey::InPlace {
+            len: key.len() as u8,
+            bytes,
+        })
+    }
+
+    /// The key's allocation, if it has one.
     pub(super) fn shared(&self) -> Option<&Arc<[u8]>> {
         match self {
             SlotKey::Shared(key) => Some(key),
@@ -63,16 +67,7 @@ impl SlotKey {
         }
     }
 
-    /// A handle on the key's shared allocation, moving an in-place key
-    /// into one first.
-    pub(super) fn share(&mut self) -> Arc<[u8]> {
-        if let SlotKey::InPlace { .. } = self {
-            *self = SlotKey::Shared(Arc::from(&**self));
-        }
-        self.shared().expect("just shared").clone()
-    }
-
-    /// Heap bytes of the key: its allocation when shared, none in place.
+    /// Heap bytes of the key: its allocation, or none in place.
     pub(super) fn heap_bytes(&self) -> usize {
         self.shared().map_or(0, |key| heap::arc_bytes(key.len()))
     }
@@ -103,9 +98,9 @@ enum Slot {
 /// Slot storage addressed by a stable 4-byte id. Freed ids are recycled.
 pub(super) struct Slab {
     chunks: Vec<Vec<Slot>>,
-    /// One bit per slot id, set while the ordered index holds its entry;
-    /// a free slot's bit is clear.
-    ordered: Vec<u64>,
+    /// One bit per slot id, set while a segment lists its entry; a free
+    /// slot's bit is clear.
+    covered: Vec<u64>,
     /// Head of the free list.
     free: u32,
     len: usize,
@@ -115,7 +110,7 @@ impl Slab {
     pub(super) fn new() -> Self {
         Slab {
             chunks: Vec::new(),
-            ordered: Vec::new(),
+            covered: Vec::new(),
             free: NIL,
             len: 0,
         }
@@ -151,18 +146,18 @@ impl Slab {
         }
     }
 
-    /// Whether the ordered index holds the entry in slot `id`.
-    pub(super) fn is_ordered(&self, id: u32) -> bool {
-        self.ordered[id as usize / 64] & (1 << (id % 64)) != 0
+    /// Whether a segment lists the entry in slot `id`.
+    pub(super) fn is_covered(&self, id: u32) -> bool {
+        self.covered[id as usize / 64] & (1 << (id % 64)) != 0
     }
 
-    /// Records that the ordered index now holds the entry in slot `id`;
-    /// the bit clears when the slot is freed.
-    pub(super) fn mark_ordered(&mut self, id: u32) {
-        self.ordered[id as usize / 64] |= 1 << (id % 64);
+    /// Records that a segment now lists the entry in slot `id`; the bit
+    /// clears when the slot is freed.
+    pub(super) fn mark_covered(&mut self, id: u32) {
+        self.covered[id as usize / 64] |= 1 << (id % 64);
     }
 
-    /// Stores `entry`, returning its slot id; its ordered bit is clear.
+    /// Stores `entry`, returning its slot id; its covered bit is clear.
     pub(super) fn insert(&mut self, entry: Entry) -> u32 {
         self.len += 1;
         if self.free != NIL {
@@ -177,7 +172,7 @@ impl Slab {
         }
         if self.chunks.last().is_none_or(|c| c.len() == CHUNK) {
             self.chunks.push(Vec::with_capacity(CHUNK));
-            self.ordered.extend([0; CHUNK_WORDS]);
+            self.covered.extend([0; CHUNK_WORDS]);
         }
         let chunk = self.chunks.len() - 1;
         let last = &mut self.chunks[chunk];
@@ -187,17 +182,15 @@ impl Slab {
         id as u32
     }
 
-    /// Empties slot `id` and returns what it held and whether the ordered
-    /// index held it (panics when free).
-    pub(super) fn remove(&mut self, id: u32) -> (Entry, bool) {
+    /// Empties slot `id` and returns what it held (panics when free).
+    pub(super) fn remove(&mut self, id: u32) -> Entry {
         let next = self.free;
         match std::mem::replace(self.slot_mut(id), Slot::Free(next)) {
             Slot::Full(entry) => {
-                let ordered = self.is_ordered(id);
-                self.ordered[id as usize / 64] &= !(1 << (id % 64));
+                self.covered[id as usize / 64] &= !(1 << (id % 64));
                 self.free = id;
                 self.len -= 1;
-                (entry, ordered)
+                entry
             }
             Slot::Free(_) => panic!("slot {id} is free"),
         }
@@ -221,11 +214,11 @@ impl Slab {
         *self = Slab::new();
     }
 
-    /// Heap bytes of the chunks and the ordered bits (in-place keys
-    /// included; shared keys and the values are allocations of their own).
+    /// Heap bytes of the chunks and the covered bits (in-place keys
+    /// included; longer keys and the values are allocations of their own).
     pub(super) fn heap_bytes(&self) -> usize {
         let chunks: usize = self.chunks.iter().map(heap::vec).sum();
-        chunks + heap::vec(&self.chunks) + heap::vec(&self.ordered)
+        chunks + heap::vec(&self.chunks) + heap::vec(&self.covered)
     }
 }
 
@@ -358,27 +351,25 @@ mod tests {
     }
 
     #[test]
-    fn short_keys_live_in_place_until_shared() {
+    fn only_keys_longer_than_the_field_take_an_allocation() {
         assert_eq!(std::mem::size_of::<SlotKey>(), 32);
         assert_eq!(std::mem::size_of::<Entry>(), 56);
         let fits = Bytes::from(vec![b'a'; IN_PLACE]);
-        let mut key = SlotKey::new(fits.clone());
-        assert!(key.shared().is_none());
-        assert_eq!((&*key, key.heap_bytes()), (&fits[..], 0));
-        let shared = key.share();
-        assert!(Arc::ptr_eq(key.shared().unwrap(), &shared));
-        assert_eq!(
-            (&*key, key.heap_bytes()),
-            (&fits[..], heap::arc_bytes(IN_PLACE))
-        );
-        assert!(
-            Arc::ptr_eq(&key.share(), &shared),
-            "sharing twice copies once"
-        );
-        // One byte longer is shared from the start, with the caller's buffer.
+        for key in [SlotKey::new(fits.clone()), SlotKey::copy_of(&fits)] {
+            assert!(key.shared().is_none());
+            assert_eq!((&*key, key.heap_bytes()), (&fits[..], 0));
+        }
+        // One byte longer is an allocation: the caller's buffer when the key
+        // spans it, a copy of a slice.
         let long = Bytes::from(vec![b'b'; IN_PLACE + 1]);
         let key = SlotKey::new(long.clone());
         assert_eq!(key.shared().unwrap().as_ptr(), long.as_ptr());
+        let copy = SlotKey::copy_of(&long);
+        assert_ne!(copy.shared().unwrap().as_ptr(), long.as_ptr());
+        assert_eq!(
+            (&*copy, copy.heap_bytes()),
+            (&long[..], heap::arc_bytes(IN_PLACE + 1))
+        );
         assert_eq!(&*SlotKey::new(Bytes::new()), b"");
     }
 
@@ -392,11 +383,11 @@ mod tests {
         assert_eq!(slab.len(), n as usize);
         assert_eq!(&*slab.get(CHUNK as u32 + 1).key, b"k1025");
         assert_eq!(std::mem::size_of::<Slot>(), 56);
-        slab.mark_ordered(7);
-        assert!(slab.is_ordered(7) && !slab.is_ordered(8));
-        assert_eq!(slab.remove(7).0.value, "v7");
-        assert!(!slab.is_ordered(7), "a freed slot keeps no ordered bit");
-        assert_eq!(slab.remove(CHUNK as u32).0.value, "v1024");
+        slab.mark_covered(7);
+        assert!(slab.is_covered(7) && !slab.is_covered(8));
+        assert_eq!(slab.remove(7).value, "v7");
+        assert!(!slab.is_covered(7), "a freed slot keeps no covered bit");
+        assert_eq!(slab.remove(CHUNK as u32).value, "v1024");
         // Last freed, first reused.
         assert_eq!(slab.insert(entry(9000)), CHUNK as u32);
         assert_eq!(slab.insert(entry(9001)), 7);
@@ -404,11 +395,11 @@ mod tests {
         slab.get_mut(7).value = Bytes::from("changed");
         assert_eq!(slab.get(7).value, "changed");
         assert_eq!(slab.iter().count(), slab.len());
-        slab.mark_ordered(0);
+        slab.mark_covered(0);
         slab.clear();
         assert_eq!(slab.len(), 0);
         assert_eq!(slab.insert(entry(1)), 0);
-        assert!(!slab.is_ordered(0));
+        assert!(!slab.is_covered(0));
     }
 
     #[test]

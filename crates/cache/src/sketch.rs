@@ -14,22 +14,26 @@
 //! invalidating any precomputed collision set at the cost of forgetting the
 //! (already poisoned) frequency history.
 //!
-//! Counters are one byte each and clamp at 255, as TinyLFU's four-bit ones
-//! clamp at 15: with the default saturation of 8 none ever gets near it.
-//! All rows live in one zeroed allocation, so a sketch nobody has fed yet
-//! occupies no memory, and a fed one a byte per counter.
+//! Counters are four bits each and clamp at 15, as TinyLFU's do: with the
+//! default saturation of 8 an estimate never gets there, and only a
+//! counter that collisions push ahead of every estimate can. Sixteen
+//! counters share a `u64`, so a decay halves them together. All rows live
+//! in one zeroed allocation, so a sketch nobody has fed yet occupies no
+//! memory, and a fed one half a byte per counter.
 
 /// A Count-Min Sketch over byte-string keys.
 #[derive(Debug, Clone)]
 pub struct CountMinSketch {
-    /// `depth` rows of `width` counters each, row after row.
-    counters: Vec<u8>,
+    /// `depth` rows of `width` four-bit counters each, row after row,
+    /// sixteen to a word: counter `i` is bits `4·(i % 16)..` of word
+    /// `i / 16`.
+    counters: Vec<u64>,
     width: usize,
     depth: usize,
     /// Sum of all recorded increments (halved on decay). The denominator of
     /// AdCache's normalized importance score.
     total: u64,
-    /// Counter value that triggers a global halving. Above 255, which no
+    /// Counter value that triggers a global halving. Above 15, which no
     /// counter reaches, the sketch never decays by itself.
     saturation: u32,
     /// Number of decays performed (observability).
@@ -63,17 +67,24 @@ fn hash_with_seed(data: &[u8], seed: u64) -> u64 {
 /// Smallest width [`CountMinSketch::for_keys`] will produce.
 pub const MIN_SKETCH_WIDTH: usize = 1024;
 
+/// The largest value a counter holds.
+const COUNTER_MAX: u8 = 15;
+/// The low bit of every counter in a word.
+const LOW_BITS: u64 = 0x1111_1111_1111_1111;
+
 /// Largest width [`CountMinSketch::for_keys`] will produce (64 Mi counters
-/// per row = 256 MiB of sketch at depth 4 — already absurd; beyond this the
+/// per row = 128 MiB of sketch at depth 4 — already absurd; beyond this the
 /// `keys * 4` multiply could also overflow on 32-bit `usize`).
 pub const MAX_SKETCH_WIDTH: usize = 1 << 26;
 
 impl CountMinSketch {
     /// Creates a sketch with `width` counters per row and `depth` rows.
+    /// A `saturation` above 15 is never reached, so such a sketch decays
+    /// only when [`decay`](Self::decay) is called.
     pub fn new(width: usize, depth: usize, saturation: u32) -> Self {
         assert!(width > 0 && depth > 0 && saturation > 1);
         CountMinSketch {
-            counters: vec![0u8; width * depth],
+            counters: vec![0u64; (width * depth).div_ceil(16)],
             width,
             depth,
             total: 0,
@@ -110,16 +121,24 @@ impl CountMinSketch {
         row_no * self.width + column
     }
 
+    /// Counter `i`.
+    fn get(&self, i: usize) -> u8 {
+        ((self.counters[i / 16] >> (4 * (i % 16))) & 0xF) as u8
+    }
+
     /// Records one occurrence of `key` and returns its new estimate.
     /// Triggers a global halving when the estimate reaches saturation.
     pub fn increment(&mut self, key: &[u8]) -> u32 {
-        let mut est = u8::MAX;
+        let mut est = COUNTER_MAX;
         for row_no in 0..self.depth {
             let slot = self.slot(key, row_no);
-            let c = &mut self.counters[slot];
-            self.nonzero += (*c == 0) as u64;
-            *c = c.saturating_add(1);
-            est = est.min(*c);
+            let mut c = self.get(slot);
+            self.nonzero += (c == 0) as u64;
+            if c < COUNTER_MAX {
+                self.counters[slot / 16] += 1 << (4 * (slot % 16));
+                c += 1;
+            }
+            est = est.min(c);
         }
         self.total += 1;
         self.epoch_increments += 1;
@@ -133,7 +152,7 @@ impl CountMinSketch {
     /// Point estimate (upper bound) of `key`'s frequency.
     pub fn estimate(&self, key: &[u8]) -> u32 {
         let est = (0..self.depth)
-            .map(|row_no| self.counters[self.slot(key, row_no)])
+            .map(|row_no| self.get(self.slot(key, row_no)))
             .min();
         u32::from(est.expect("a sketch has at least one row"))
     }
@@ -147,12 +166,15 @@ impl CountMinSketch {
         self.estimate(key) as f64 / self.total as f64
     }
 
-    /// Halves every counter and the global sum.
+    /// Halves every counter and the global sum, sixteen counters a word.
     pub fn decay(&mut self) {
         let mut emptied = 0;
-        for c in &mut self.counters {
-            emptied += (*c == 1) as u64;
-            *c >>= 1;
+        for w in &mut self.counters {
+            // A counter at 1 empties: its nibble of `w ^ LOW_BITS` is zero.
+            let ones = *w ^ LOW_BITS;
+            let set = (ones | ones >> 1 | ones >> 2 | ones >> 3) & LOW_BITS;
+            emptied += u64::from(16 - set.count_ones());
+            *w = (*w >> 1) & 0x7777_7777_7777_7777;
         }
         self.nonzero -= emptied;
         self.total >>= 1;
@@ -199,7 +221,7 @@ impl CountMinSketch {
     /// zipfian workload leaves most counters empty; a sketch near full is
     /// being saturated.
     pub fn fill_ratio(&self) -> f64 {
-        self.nonzero as f64 / self.counters.len() as f64
+        self.nonzero as f64 / (self.width * self.depth) as f64
     }
 
     /// Increments recorded since the last reset.
@@ -212,9 +234,9 @@ impl CountMinSketch {
         self.epoch_decays
     }
 
-    /// Memory footprint in bytes: one per counter.
+    /// Memory footprint in bytes: half a byte per counter.
     pub fn memory_bytes(&self) -> usize {
-        self.counters.len()
+        self.counters.len() * 8
     }
 }
 
@@ -223,9 +245,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The sketch as it was before its counters shrank to a byte: a row of
-    /// `u32` counters per hash, no clamp anyone can reach. What
-    /// [`CountMinSketch`] must equal wherever no counter would pass 255.
+    /// The sketch as it was before its counters shrank: a row of `u32`
+    /// counters per hash, no clamp anyone can reach. What
+    /// [`CountMinSketch`] must equal wherever no counter would pass 15.
     struct WideSketch {
         rows: Vec<Vec<u32>>,
         width: usize,
@@ -308,9 +330,10 @@ mod tests {
     proptest! {
         /// Same answers as the wide sketch at the served saturation, over
         /// few enough columns that rows collide, decays cascade and some
-        /// counters run far ahead of the estimates.
+        /// counters run ahead of the estimates, as long as the trace keeps
+        /// every counter within 15: past that the clamp answers for it.
         #[test]
-        fn byte_counters_answer_like_wide_ones(
+        fn nibble_counters_answer_like_wide_ones(
             width in 3usize..40,
             ops in proptest::collection::vec((any::<u8>(), 0u8..100), 1..2000),
         ) {
@@ -328,9 +351,14 @@ mod tests {
                         narrow.reset(k as u64);
                         wide.reset(k as u64);
                     }
-                    _ => prop_assert_eq!(narrow.increment(&key), wide.increment(&key)),
+                    _ => {
+                        let (got, want) = (narrow.increment(&key), wide.increment(&key));
+                        if wide.max_counter() > 15 {
+                            break;
+                        }
+                        prop_assert_eq!(got, want);
+                    }
                 }
-                prop_assert!(wide.max_counter() <= 255, "the trace left the compared range");
                 prop_assert_eq!(narrow.estimate(&[k]), wide.estimate(&[k]));
                 prop_assert_eq!(narrow.total(), wide.total);
                 prop_assert_eq!(narrow.decays(), wide.decays);
@@ -340,15 +368,30 @@ mod tests {
     }
 
     #[test]
-    fn counters_clamp_at_255() {
-        // A saturation no byte reaches: never decays by itself.
-        let mut s = CountMinSketch::new(64, 4, 1000);
-        for i in 1..=300u32 {
-            assert_eq!(s.increment(b"k"), i.min(255));
+    fn counters_clamp_at_15() {
+        // A saturation no counter reaches: never decays by itself.
+        let mut s = CountMinSketch::new(64, 4, 16);
+        for i in 1..=40u32 {
+            assert_eq!(s.increment(b"k"), i.min(15));
         }
-        assert_eq!((s.estimate(b"k"), s.total(), s.decays()), (255, 300, 0));
+        assert_eq!((s.estimate(b"k"), s.total(), s.decays()), (15, 40, 0));
         s.decay();
-        assert_eq!((s.estimate(b"k"), s.total()), (127, 150));
+        assert_eq!((s.estimate(b"k"), s.total()), (7, 20));
+        // A clamped counter carries nothing into its neighbours.
+        assert_eq!((0..256).filter(|&i| s.get(i) != 0).count(), 4);
+    }
+
+    #[test]
+    fn decay_halves_every_counter_of_a_word() {
+        // One row of 16 counters, one word: counter i holds i.
+        let mut s = CountMinSketch::new(16, 1, 16);
+        s.counters[0] = (0..16).map(|i| i << (4 * i)).sum();
+        s.nonzero = 15;
+        s.decay();
+        let halves: Vec<u8> = (0..16).map(|i| i / 2).collect();
+        assert_eq!((0..16).map(|i| s.get(i)).collect::<Vec<_>>(), halves);
+        // Only the counter at 1 emptied.
+        assert_eq!(s.nonzero, 14);
     }
 
     #[test]
@@ -420,7 +463,7 @@ mod tests {
     #[test]
     fn memory_footprint_is_reported() {
         let s = CountMinSketch::new(1024, 4, 8);
-        assert_eq!(s.memory_bytes(), 1024 * 4);
+        assert_eq!(s.memory_bytes(), 1024 * 4 / 2);
     }
 
     #[test]
@@ -431,16 +474,16 @@ mod tests {
 
     #[test]
     fn for_keys_clamps_degenerate_sizes() {
-        assert_eq!(CountMinSketch::for_keys(0).memory_bytes(), 1024 * 4);
-        assert_eq!(CountMinSketch::for_keys(1).memory_bytes(), 1024 * 4);
+        assert_eq!(CountMinSketch::for_keys(0).memory_bytes(), 1024 * 4 / 2);
+        assert_eq!(CountMinSketch::for_keys(1).memory_bytes(), 1024 * 4 / 2);
         // A huge key count must neither overflow the sizing multiply nor
         // allocate an unbounded sketch.
         let s = CountMinSketch::for_keys(usize::MAX / 2);
-        assert_eq!(s.memory_bytes(), MAX_SKETCH_WIDTH * 4);
+        assert_eq!(s.memory_bytes(), MAX_SKETCH_WIDTH * 4 / 2);
         // Mid-range sizing is unchanged from the historical formula.
         assert_eq!(
             CountMinSketch::for_keys(100_000).memory_bytes(),
-            (100_000usize * 4).next_power_of_two() * 4
+            (100_000usize * 4).next_power_of_two() * 4 / 2
         );
     }
 

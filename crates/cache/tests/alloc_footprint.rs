@@ -100,7 +100,7 @@ fn assert_ledger_matches(what: &str, reported: usize, live: i64) {
 /// A range cache's real bytes as the ledger counts them when every value
 /// is an allocation of its own, as these tests' values are.
 fn range_real(f: &RangeFootprint) -> usize {
-    f.key_heap + f.value_heap + f.slab + f.hash_index + f.ordered_index + f.segments + f.lru
+    f.key_heap + f.value_heap + f.slab + f.hash_index + f.segment_slots + f.segments + f.lru
 }
 
 fn cache_real(f: &CacheFootprint) -> usize {
@@ -150,26 +150,29 @@ fn range_hit_over_point_entries_allocates_one_successor_per_step() {
         cache.insert_point(k.clone(), Bytes::from(vec![7u8; 100]));
     }
     assert_eq!(cache.segment_count(), 0);
+    // A walk collects into scratch its thread keeps; the first one sizes it.
+    black_box(cache.get_range(&keys[0], 16));
     let before = allocations();
     let hit = black_box(cache.get_range(&keys[0], 16));
     let spent = allocations() - before;
     assert!(matches!(&hit, RangeLookup::Hit(v) if v.len() == 16));
-    // The result vector, the cursor and 15 successors.
+    // The result vector, the buffer of its keys and 15 successors.
     assert!(spent <= 17, "{spent} allocations in a 16-entry range hit");
 }
 
-/// The admission sketch is one allocation of a byte per counter, and
+/// The admission sketch is one allocation of half a byte per counter, and
 /// nothing else.
 #[test]
-fn sketch_costs_a_byte_per_counter() {
+fn sketch_costs_half_a_byte_per_counter() {
     let before = live_bytes();
     let sketch = CountMinSketch::for_keys(100_000);
-    let counters = (100_000usize * 4).next_power_of_two() * 4;
-    assert_eq!(sketch.memory_bytes(), counters);
+    let (width, depth) = ((100_000usize * 4).next_power_of_two(), 4);
+    assert_eq!(sketch.memory_bytes(), width * depth / 2);
     let live = live_bytes() - before;
     assert!(
-        live <= counters as i64 + 256,
-        "{live} live bytes for {counters} counters"
+        live <= (width * depth / 2) as i64 + 256,
+        "{live} live bytes for {} counters",
+        width * depth
     );
 }
 
@@ -178,10 +181,10 @@ fn sketch_costs_a_byte_per_counter() {
 /// 56-byte slot. What the structures around them add must stay within 215
 /// in total after an ascending sweep of 190 k, and 220 for 100 k in
 /// scattered order, whose hash index is half as full (21 B a bucket per
-/// entry instead of 11). A point entry outside every segment has no node in
-/// the ordered index and no key allocation: it measured 246.4 (255.8
+/// entry instead of 11). A point entry outside every segment is on no
+/// segment's list and has no key allocation: it measured 246.4 (255.8
 /// scattered) with its key in a 48-byte allocation of its own and 32-byte
-/// `Bytes` handles, 288.5 with an ordered-index node, 586 in the
+/// `Bytes` handles, 288.5 with a node in an ordered index, 586 in the
 /// singleton-segment shard, and 357 with 32-byte key handles and a hash
 /// map inside the LRU.
 #[test]
@@ -192,7 +195,7 @@ fn resident_point_entry_fits_215_real_bytes() {
         for i in 0..n {
             // Ascending key order is what a sequential warm-up sweep
             // produces, the scrambled order what a served workload does;
-            // neither builds an ordered index, since no scan covers them.
+            // neither lists an entry on a segment, since no scan covers them.
             let id = if ascending {
                 i
             } else {
@@ -213,13 +216,60 @@ fn resident_point_entry_fits_215_real_bytes() {
     }
 }
 
+/// A covered entry costs what a point entry costs plus its four bytes on
+/// its segment's list: at 24 B of key and 100 of value, at most 215 real
+/// bytes after an ascending sweep of 16-entry scans that builds one
+/// segment (212.0 measured), and 230 when each scan of 16 is a segment of
+/// its own, whose bound keys and map node add about 15 B an entry (227.1).
+/// While each covered key was an allocation of its own that a B-tree
+/// ordered index shared, the two took 296.7 and 309.7.
+#[test]
+fn covered_entry_fits_215_real_bytes() {
+    const N: u32 = 190_000;
+    for (stride, bound) in [(16, 215.0), (32, 230.0)] {
+        let before = live_bytes();
+        let cache = RangeCache::new(256 << 20);
+        // With a stride of 16 each scan starts where the last one's
+        // coverage ends (the continuation a scan resumes from), so the
+        // segments touch and merge; with 32 each scan is a segment.
+        let mut from = key(0).to_vec();
+        for first in (0..N).step_by(stride) {
+            let results: Vec<(Bytes, Bytes)> = (first..first + 16)
+                .map(|i| (key(i), Bytes::from(vec![7u8; 100])))
+                .collect();
+            cache.insert_scan(&from, &results, results.len());
+            from = if stride == 16 {
+                [&results[15].0[..], &[0]].concat()
+            } else {
+                key(first + stride as u32).to_vec()
+            };
+        }
+        drop(from);
+        let scans = (N as usize).div_ceil(stride);
+        let entries = scans * 16;
+        assert_eq!(cache.len(), entries);
+        let segments = if stride == 16 { 1 } else { scans };
+        assert_eq!(cache.segment_count(), segments);
+        let live = live_bytes() - before;
+        assert_ledger_matches("covered", range_real(&cache.footprint()), live);
+        let per_entry = live as f64 / entries as f64;
+        assert!(
+            per_entry <= bound,
+            "{per_entry:.1} bytes per covered entry, {segments} segments"
+        );
+        drop(cache);
+        assert_eq!(live_bytes(), before, "the cache leaked");
+    }
+}
+
 /// A full cache under churn: each fill evicts, and evictions inside scanned
 /// segments split them. Coverage must stay bounded by what is resident (no
 /// entry-less fragments pile up), nothing but the policy may remove an
 /// entry, and an entry must cost what it costs in an unchurned cache plus
-/// its share of the segments (the shard that kept every fragment measured
-/// 946 bytes per entry here, with 65 536 segments for 24 k entries; 295.6
-/// while every point entry also had an ordered-index node). The
+/// its share of the segments: 224.3 bytes, where the shard that kept every
+/// fragment measured 946, with 65 536 segments for 24 k entries, 295.6 while
+/// every point entry also had an ordered-index node, and 287.7 while covered
+/// keys were allocations an ordered index shared. The
 /// trace is deterministic, so what it leaves behind is pinned too: a
 /// change of layout must not move one admission or eviction.
 #[test]

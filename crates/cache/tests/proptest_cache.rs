@@ -204,7 +204,7 @@ proptest! {
             *truth.entry(k).or_insert(0) += 1;
         }
         for (k, count) in truth {
-            prop_assert!(s.estimate(&[k]) >= count.min(255));
+            prop_assert!(s.estimate(&[k]) >= count.min(15));
         }
     }
 }

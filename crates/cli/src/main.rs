@@ -723,35 +723,26 @@ fn render_trace(dir: &std::path::Path, out: Out) -> Result<(), Box<dyn std::erro
     writeln!(out, "{}", hit_rate_line(&m, "range", "cache.range"))?;
     writeln!(out, "{}", hit_rate_line(&m, "kv", "cache.kv"))?;
 
-    // Admission breakdown by outcome and reason, from the journal.
-    let mut by_verdict: std::collections::BTreeMap<String, (u64, u64, u64)> =
-        std::collections::BTreeMap::new();
-    for r in &records {
-        if let Event::Admission {
-            cache,
-            outcome,
-            reason,
-            requested,
-            admitted,
-        } = &r.event
-        {
-            let e = by_verdict
-                .entry(format!("{cache:?}/{outcome:?}/{reason:?}"))
-                .or_insert((0, 0, 0));
-            e.0 += 1;
-            e.1 += requested;
-            e.2 += admitted;
+    // Admission breakdown by reason, from the whole run's counters.
+    writeln!(out, "\nadmission decisions:")?;
+    let mut recorded = false;
+    let counters = metrics.get("counters").and_then(Value::as_object);
+    for (name, _) in counters.into_iter().flatten() {
+        let Some(reason) = name.strip_prefix("core.admission.decisions.") else {
+            continue;
+        };
+        let decisions = m.counter(name);
+        if decisions > 0 {
+            let admitted = m.counter(&format!("core.admission.admitted.{reason}"));
+            writeln!(
+                out,
+                "  {reason:<44} {decisions:>7} decisions, {admitted} entries admitted"
+            )?;
+            recorded = true;
         }
     }
-    writeln!(out, "\nadmission decisions (journal tail):")?;
-    if by_verdict.is_empty() {
+    if !recorded {
         writeln!(out, "  (none recorded)")?;
-    }
-    for (k, (n, req, adm)) in &by_verdict {
-        writeln!(
-            out,
-            "  {k:<44} {n:>7} decisions, {adm}/{req} entries admitted"
-        )?;
     }
     writeln!(
         out,
@@ -2943,10 +2934,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("adcache-cli-trace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         assert!(shell.obs.dump_to_dir(&dir).unwrap());
-        let trace = std::fs::read_to_string(dir.join("trace.jsonl")).unwrap();
-        assert!(trace.contains("\"Admission\""));
-        // The summarizer must parse its own dump end to end.
-        render_trace(&dir, &mut Vec::new()).unwrap();
+        // The summarizer must parse its own dump end to end, and tell the
+        // run's admission decisions by reason.
+        let mut rendered = Vec::new();
+        render_trace(&dir, &mut rendered).unwrap();
+        let rendered = String::from_utf8(rendered).unwrap();
+        assert!(rendered.contains("  frequency_at_threshold "), "{rendered}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -3091,8 +3084,8 @@ cache hit rates:
   range          89.86% hit (1612 hits / 182 misses, 0 evictions)
   kv           (no traffic)
 
-admission decisions (journal tail):
-  Range/Accept/Unconditional                        39 decisions, 507/507 entries admitted
+admission decisions:
+  unconditional                                     39 decisions, 507 entries admitted
   counters (whole run): 39 accepts, 0 rejects, 0 partials
 
 boundary trajectory (0 decisions):
@@ -3146,7 +3139,7 @@ group_commit rounds 2706 seals 11 write_stalls 0
         };
         // A wall-clock lock wait over the budget journals a
         // `LockContention`, so on a loaded host the journal holds a few
-        // more events than the golden run's 52; like the lock counters
+        // more events than the golden run's 13; like the lock counters
         // `recorded_pair` pins, the header takes them as they came, and
         // each must be a wait that really was over its budget.
         let journal = std::fs::read_to_string(dir.join("trace.jsonl")).unwrap();
@@ -3166,7 +3159,7 @@ group_commit rounds 2706 seals 11 write_stalls 0
             &format!(
                 "trace: {} ({} events)\n{GOLDEN_TRACE}",
                 dir.display(),
-                52 + contentions
+                13 + contentions
             ),
         );
         let mut out = Vec::new();

@@ -17,7 +17,7 @@ use adcache_cache::{
 use adcache_lsm::{
     DirectProvider, Entry, FileStorage, Key, MemStorage, Options, Result, Storage, StripedDb, Value,
 };
-use adcache_obs::{AdmissionOutcome, AdmissionReason, CacheStructure, Counter, Event, Gauge, Obs};
+use adcache_obs::{Counter, Event, Gauge, Obs};
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::borrow::Cow;
@@ -113,6 +113,53 @@ impl EngineConfig {
     }
 }
 
+/// Why an admission decision went the way it did, which also says whether
+/// it accepted, rejected or (a scan's) admitted a prefix.
+#[derive(Clone, Copy)]
+enum AdmissionReason {
+    /// Point admission: estimated frequency reached the threshold; accept.
+    FrequencyAtThreshold,
+    /// Point admission: estimated frequency was below the threshold;
+    /// reject.
+    FrequencyBelowThreshold,
+    /// Scan admission: result length within the full-admission cut-off
+    /// `a`; accept.
+    ScanWithinFullLimit,
+    /// Scan admission: the sloped rule `a + b·(len − a)` truncated the
+    /// result; partial.
+    ScanPartialSlope,
+    /// Scan admission: the rule admitted nothing; reject.
+    ScanZeroLength,
+    /// Admission control disabled or not applicable for this strategy; the
+    /// insert is unconditional.
+    Unconditional,
+}
+
+impl AdmissionReason {
+    /// Every reason, in the order of [`name`](Self::name)'s table.
+    const ALL: [AdmissionReason; 6] = [
+        AdmissionReason::FrequencyAtThreshold,
+        AdmissionReason::FrequencyBelowThreshold,
+        AdmissionReason::ScanWithinFullLimit,
+        AdmissionReason::ScanPartialSlope,
+        AdmissionReason::ScanZeroLength,
+        AdmissionReason::Unconditional,
+    ];
+
+    /// The last part of the reason's counter names,
+    /// `core.admission.decisions.NAME` and `core.admission.admitted.NAME`.
+    fn name(self) -> &'static str {
+        match self {
+            AdmissionReason::FrequencyAtThreshold => "frequency_at_threshold",
+            AdmissionReason::FrequencyBelowThreshold => "frequency_below_threshold",
+            AdmissionReason::ScanWithinFullLimit => "scan_within_full_limit",
+            AdmissionReason::ScanPartialSlope => "scan_partial_slope",
+            AdmissionReason::ScanZeroLength => "scan_zero_length",
+            AdmissionReason::Unconditional => "unconditional",
+        }
+    }
+}
+
 /// The engine's observability handle plus the counters and gauges only
 /// telemetry keeps (no engine statistic counts admission verdicts or
 /// boundary moves), resolved once on attach so the admission paths never
@@ -122,6 +169,9 @@ struct EngineObsHooks {
     admission_accepts: Counter,
     admission_rejects: Counter,
     admission_partials: Counter,
+    /// Per [`AdmissionReason`], in [`AdmissionReason::ALL`]'s order: the
+    /// decisions it made and the entries they admitted.
+    admission_by_reason: [(Counter, Counter); 6],
     boundary_resizes: Counter,
     boundary_block_bytes: Gauge,
     boundary_range_bytes: Gauge,
@@ -134,6 +184,13 @@ impl EngineObsHooks {
             admission_accepts: obs.counter("core.admission.accepts"),
             admission_rejects: obs.counter("core.admission.rejects"),
             admission_partials: obs.counter("core.admission.partials"),
+            admission_by_reason: AdmissionReason::ALL.map(|reason| {
+                let name = reason.name();
+                (
+                    obs.counter(&format!("core.admission.decisions.{name}")),
+                    obs.counter(&format!("core.admission.admitted.{name}")),
+                )
+            }),
             boundary_resizes: obs.counter("core.boundary.resizes"),
             boundary_block_bytes: obs.gauge("core.boundary.block_bytes"),
             boundary_range_bytes: obs.gauge("core.boundary.range_bytes"),
@@ -142,28 +199,20 @@ impl EngineObsHooks {
         }
     }
 
-    /// Journals one admission verdict and bumps the matching counter.
-    fn admission(
-        &self,
-        cache: CacheStructure,
-        outcome: AdmissionOutcome,
-        reason: AdmissionReason,
-        requested: u64,
-        admitted: u64,
-    ) {
-        match outcome {
-            AdmissionOutcome::Accept => &self.admission_accepts,
-            AdmissionOutcome::Reject => &self.admission_rejects,
-            AdmissionOutcome::Partial => &self.admission_partials,
+    /// Counts one admission verdict: by outcome, and by reason with the
+    /// entries it admitted.
+    fn admission(&self, reason: AdmissionReason, admitted: u64) {
+        match reason {
+            AdmissionReason::FrequencyBelowThreshold | AdmissionReason::ScanZeroLength => {
+                &self.admission_rejects
+            }
+            AdmissionReason::ScanPartialSlope => &self.admission_partials,
+            _ => &self.admission_accepts,
         }
         .inc();
-        self.obs.emit(|| Event::Admission {
-            cache,
-            outcome,
-            reason,
-            requested,
-            admitted,
-        });
+        let (decisions, entries) = &self.admission_by_reason[reason as usize];
+        decisions.inc();
+        entries.add(admitted);
     }
 }
 
@@ -646,12 +695,7 @@ impl CachedDb {
                 None => (true, AdmissionReason::Unconditional),
             };
             if let Some(h) = self.obs.get() {
-                let outcome = if admit {
-                    AdmissionOutcome::Accept
-                } else {
-                    AdmissionOutcome::Reject
-                };
-                h.admission(CacheStructure::Range, outcome, reason, 1, admit as u64);
+                h.admission(reason, admit as u64);
             }
             if admit {
                 rc.insert_point(owned_key(), kept_value());
@@ -659,13 +703,7 @@ impl CachedDb {
         }
         if let Some(kv) = &part.kv_cache {
             if let Some(h) = self.obs.get() {
-                h.admission(
-                    CacheStructure::Kv,
-                    AdmissionOutcome::Accept,
-                    AdmissionReason::Unconditional,
-                    1,
-                    1,
-                );
+                h.admission(AdmissionReason::Unconditional, 1);
             }
             kv.insert(owned_key(), kept_value());
         }
@@ -748,25 +786,16 @@ impl CachedDb {
                 };
                 if let Some(h) = self.obs.get() {
                     if !tail.is_empty() {
-                        let (outcome, reason) = if self.strategy != Strategy::AdCache {
-                            (AdmissionOutcome::Accept, AdmissionReason::Unconditional)
+                        let reason = if self.strategy != Strategy::AdCache {
+                            AdmissionReason::Unconditional
                         } else if admitted == 0 {
-                            (AdmissionOutcome::Reject, AdmissionReason::ScanZeroLength)
+                            AdmissionReason::ScanZeroLength
                         } else if admitted >= tail.len() {
-                            (
-                                AdmissionOutcome::Accept,
-                                AdmissionReason::ScanWithinFullLimit,
-                            )
+                            AdmissionReason::ScanWithinFullLimit
                         } else {
-                            (AdmissionOutcome::Partial, AdmissionReason::ScanPartialSlope)
+                            AdmissionReason::ScanPartialSlope
                         };
-                        h.admission(
-                            CacheStructure::Range,
-                            outcome,
-                            reason,
-                            tail.len() as u64,
-                            admitted.min(tail.len()) as u64,
-                        );
+                        h.admission(reason, admitted.min(tail.len()) as u64);
                     }
                 }
                 let admitted = admitted.min(tail.len());

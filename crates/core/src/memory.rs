@@ -70,7 +70,7 @@ pub(crate) struct Terms {
     pub range: RangeFootprint,
     pub block: CacheFootprint,
     pub kv: CacheFootprint,
-    /// Admission sketch counters, one byte each.
+    /// Admission sketch bytes: four-bit counters, two to a byte.
     pub sketch: usize,
     /// One entry per stripe.
     pub trees: Vec<TreeMemory>,
@@ -99,7 +99,8 @@ pub(crate) fn report(t: Terms) -> MemoryReport {
     };
     let r = &t.range;
     let (values, values_shared) = split(r.value_heap);
-    // An in-place key's bytes are part of its slot, in `range.slab`.
+    // A key of up to 30 bytes lies in its slot, in `range.slab`; only a
+    // longer one is an allocation of its own.
     let in_place = r.key_bytes - r.shared_key_bytes;
     row("range.keys.in_place", in_place, 0, 0);
     row("range.keys.shared", r.shared_key_bytes, r.key_heap, 0);
@@ -111,7 +112,7 @@ pub(crate) fn report(t: Terms) -> MemoryReport {
         0,
     );
     row("range.hash_index", 0, r.hash_index, 0);
-    row("range.ordered_index", 0, r.ordered_index, 0);
+    row("range.segment_slots", 0, r.segment_slots, 0);
     row("range.segments", 0, r.segments, 0);
     row("range.lru", 0, r.lru, 0);
     let (blocks, blocks_shared) = split(t.block.payload_heap);
@@ -207,13 +208,15 @@ mod tests {
         let terms = |blocks_are_the_store| Terms {
             blocks_are_the_store,
             range: RangeFootprint {
-                charged: 2 * (24 + 100 + 48),
-                key_bytes: 48,
-                shared_key_bytes: 24,
+                // A 24-byte key in place and a 40-byte one on the heap.
+                charged: (24 + 100 + 48) + (40 + 100 + 48),
+                key_bytes: 64,
+                shared_key_bytes: 40,
                 value_bytes: 200,
-                key_heap: 48,
+                key_heap: 64,
                 value_heap: 256,
                 slab: 1000,
+                segment_slots: 32,
                 ..RangeFootprint::default()
             },
             block: CacheFootprint {
@@ -238,9 +241,10 @@ mod tests {
         };
         let files = report(terms(false));
         assert_eq!(row(&files, "range.keys.in_place"), (24, 0, 0));
-        assert_eq!(row(&files, "range.keys.shared"), (24, 48, 0));
+        assert_eq!(row(&files, "range.keys.shared"), (40, 64, 0));
         assert_eq!(row(&files, "range.values"), (200, 256, 0));
         assert_eq!(row(&files, "range.slab"), (96, 1000, 0));
+        assert_eq!(row(&files, "range.segment_slots"), (0, 32, 0));
         assert_eq!(row(&files, "block.blocks"), (4096, 4128, 0));
         assert_eq!(row(&files, "memtable.0"), (500, 650, 0));
         assert_eq!(row(&files, "memtable.0.stranded"), (0, 50, 0));

@@ -490,10 +490,6 @@ mod tests {
             trace.contains("\"TrainStep\""),
             "online training must journal reward/td_error"
         );
-        assert!(
-            trace.contains("\"Admission\""),
-            "admission verdicts must be journaled"
-        );
         assert!(trace.contains("\"BoundaryResize\""));
         // The first window's decision is stamped with the window it opens,
         // as the shell's and `serve`'s tuners stamp theirs.
@@ -507,6 +503,15 @@ mod tests {
         let metrics = std::fs::read_to_string(dir.join("metrics.json")).unwrap();
         assert!(metrics.contains("cache.block.hits"));
         assert!(metrics.contains("core.admission.accepts"));
+        let by_reason = metrics
+            .lines()
+            .filter(|l| l.contains("core.admission.decisions."));
+        assert!(
+            by_reason
+                .map(|l| l.trim_end().trim_end_matches(','))
+                .any(|l| !l.ends_with(": 0")),
+            "admission verdicts must be counted by reason"
+        );
         assert!(metrics.contains("op.latency_ns"));
         let _ = std::fs::remove_dir_all(&dir);
     }

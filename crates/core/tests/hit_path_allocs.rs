@@ -4,6 +4,8 @@
 //! - a warm `CachedDb::get` that the result cache answers performs no heap
 //!   allocation: no owned probe key, no policy bookkeeping node, no
 //!   per-call partition list;
+//! - a scan that a covered segment answers allocates the vector it returns
+//!   and one buffer all its keys are slices of, however many it returns;
 //! - a miss fill follows the copy rule: over `MemStorage`, whose blocks
 //!   are the store, a cached value stays a view and is never copied; over
 //!   `FileStorage`, whose blocks are private read buffers, it is copied
@@ -139,6 +141,35 @@ fn warm_range_cache_hit_allocates_nothing() {
 #[test]
 fn warm_kv_cache_hit_allocates_nothing() {
     warm_hits_allocate_nothing(Strategy::KvCache);
+}
+
+/// Keys of a covered segment lie in their slots; a scan hit copies them
+/// into one buffer that every returned key is a slice of. So it allocates
+/// twice whatever its length: that buffer and the vector it returns.
+#[test]
+fn a_covered_scan_hit_allocates_one_key_buffer() {
+    let cfg = EngineConfig::new(Strategy::RangeCache, 8 << 20);
+    let db = CachedDb::new(Options::small(), Arc::new(MemStorage::new()), cfg).unwrap();
+    for i in 0..2_000 {
+        db.put(key(i), Bytes::from(vec![7u8; 100])).unwrap();
+    }
+    db.db().flush().unwrap();
+    let rc = db.range_cache().unwrap();
+    for n in [1, 16, 64, 500] {
+        // The first scan reads the tree and covers the range; the second is
+        // the first hit, which sizes the scratch its thread keeps.
+        let from = key(n * 3);
+        for _ in 0..2 {
+            assert_eq!(db.scan(&from, n as usize).unwrap().len(), n as usize);
+        }
+        let hits = rc.stats().hits;
+        let before = allocations();
+        let result = black_box(db.scan(&from, n as usize).unwrap());
+        let allocated = allocations() - before;
+        assert_eq!(rc.stats().hits, hits + 1, "the scan was meant to hit");
+        assert_eq!(result[n as usize - 1].0, key(n * 4 - 1));
+        assert_eq!(allocated, 2, "allocations in a scan hit of {n}");
+    }
 }
 
 /// Loads `n` keys of `VALUE`-byte values into `db` and flushes them, so

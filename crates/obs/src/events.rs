@@ -9,47 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which cache structure an event refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CacheStructure {
-    /// The sharded block cache in front of SSTable blocks.
-    Block,
-    /// The range cache holding contiguous key runs.
-    Range,
-    /// The flat KV cache used by the KvCache baseline strategy.
-    Kv,
-}
-
-/// The verdict of an admission decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AdmissionOutcome {
-    /// The candidate was admitted in full.
-    Accept,
-    /// The candidate was not admitted at all.
-    Reject,
-    /// A prefix of a scan result was admitted (partial admission).
-    Partial,
-}
-
-/// Why an admission decision went the way it did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AdmissionReason {
-    /// Point admission: estimated frequency reached the threshold.
-    FrequencyAtThreshold,
-    /// Point admission: estimated frequency was below the threshold.
-    FrequencyBelowThreshold,
-    /// Scan admission: result length within the full-admission cut-off `a`.
-    ScanWithinFullLimit,
-    /// Scan admission: the sloped rule `a + b·(len − a)` truncated the
-    /// result.
-    ScanPartialSlope,
-    /// Scan admission: the rule admitted nothing.
-    ScanZeroLength,
-    /// Admission control disabled or not applicable for this strategy; the
-    /// insert is unconditional.
-    Unconditional,
-}
-
 /// Why a server connection was closed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ConnCloseCause {
@@ -112,19 +71,6 @@ pub enum Event {
         range_ratio: f64,
         /// False when hysteresis suppressed the resize.
         applied: bool,
-    },
-    /// One admission decision on a cache-fill path.
-    Admission {
-        /// The cache structure deciding.
-        cache: CacheStructure,
-        /// Accept / Reject / Partial.
-        outcome: AdmissionOutcome,
-        /// The rule that produced the outcome.
-        reason: AdmissionReason,
-        /// Entries offered for admission.
-        requested: u64,
-        /// Entries actually admitted.
-        admitted: u64,
     },
     /// Compaction dropped cached blocks of obsolete files.
     BlockCacheInvalidation {

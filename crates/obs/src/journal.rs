@@ -180,12 +180,9 @@ mod tests {
         );
         j.push(
             1,
-            Event::Admission {
-                cache: crate::events::CacheStructure::Range,
-                outcome: crate::events::AdmissionOutcome::Partial,
-                reason: crate::events::AdmissionReason::ScanPartialSlope,
-                requested: 64,
-                admitted: 28,
+            Event::Flush {
+                entries: 64,
+                bytes: 28,
             },
         );
         let text = j.to_jsonl();

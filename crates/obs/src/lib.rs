@@ -40,7 +40,7 @@ pub mod metrics;
 pub mod snapshot;
 pub mod stage;
 
-pub use events::{AdmissionOutcome, AdmissionReason, CacheStructure, ConnCloseCause, Event};
+pub use events::{ConnCloseCause, Event};
 pub use histogram::{AtomicHistogram, Histogram};
 pub use journal::{parse_jsonl, parse_jsonl_lenient, Journal, JournalRecord};
 pub use metrics::{Counter, Gauge, HistogramHandle, Registry};

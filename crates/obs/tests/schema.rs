@@ -4,10 +4,7 @@
 //! into the wire format — treat it as a breaking change, not a test to
 //! update casually.
 
-use adcache_obs::{
-    parse_jsonl, parse_jsonl_lenient, AdmissionOutcome, AdmissionReason, CacheStructure,
-    ConnCloseCause, Event, Journal,
-};
+use adcache_obs::{parse_jsonl, parse_jsonl_lenient, ConnCloseCause, Event, Journal};
 
 /// Every variant once, with values chosen to be exactly representable so
 /// the JSON text is deterministic.
@@ -47,16 +44,6 @@ fn exemplars() -> Vec<(Event, &'static str)> {
                 applied: false,
             },
             r#"{"BoundaryResize":{"block_bytes":1024,"range_bytes":512,"range_ratio":0.333984375,"applied":false}}"#,
-        ),
-        (
-            Event::Admission {
-                cache: CacheStructure::Range,
-                outcome: AdmissionOutcome::Partial,
-                reason: AdmissionReason::ScanPartialSlope,
-                requested: 64,
-                admitted: 28,
-            },
-            r#"{"Admission":{"cache":"Range","outcome":"Partial","reason":"ScanPartialSlope","requested":64,"admitted":28}}"#,
         ),
         (
             Event::BlockCacheInvalidation {
@@ -197,7 +184,7 @@ fn every_event_kind_serializes_to_its_golden_form() {
     let exemplars = exemplars();
     assert_eq!(
         exemplars.len(),
-        20,
+        19,
         "new Event variants need a golden exemplar here"
     );
     for (event, golden) in &exemplars {
