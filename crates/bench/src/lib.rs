@@ -40,8 +40,6 @@ pub struct ExpParams {
     pub window: u64,
     /// Agent hidden width (paper: 256; scaled runs may shrink it).
     pub hidden: usize,
-    /// Reward smoothing factor.
-    pub alpha: f64,
     /// Workload seed.
     pub seed: u64,
 }
@@ -56,7 +54,6 @@ impl Default for ExpParams {
             cache_fracs: vec![0.025, 0.05, 0.1, 0.2, 0.4],
             window: 1000,
             hidden: 64,
-            alpha: 0.9,
             seed: 42,
         }
     }
@@ -119,7 +116,6 @@ impl ExpParams {
             point_skew: self.skew,
             scan_skew: self.skew,
             seed: self.seed,
-            ..Default::default()
         }
     }
 
@@ -129,7 +125,6 @@ impl ExpParams {
         RunConfig {
             controller: ControllerConfig {
                 window: self.window,
-                alpha: self.alpha,
                 hidden: self.hidden,
                 ..Default::default()
             },

@@ -15,69 +15,37 @@
 //!   full residency. `a` and `b` are likewise learned online.
 
 use crate::sketch::CountMinSketch;
+use adcache_lsm::splitmix64;
 use adcache_obs::{Counter, Event, Obs};
 
-/// Anomaly heuristic that auto-resets (and re-salts) the admission sketch
-/// when its saturation/decay telemetry looks like a deliberate pollution
-/// attack rather than organic traffic.
-///
-/// Two signals, both checked every `check_every` admits over the *delta*
-/// since the previous check (so a long healthy history cannot mask a fresh
-/// attack):
-///
-/// - **decay churn** — a zipfian workload saturates its handful of hot
-///   keys slowly (hundreds of increments between decay sweeps, because the
-///   miss stream feeding admission is mostly cold-key residue); a targeted
-///   key-churn or collision attack concentrates increments on a handful of
-///   counters and decays every few dozen. More than one decay sweep per
-///   `min_decay_interval` increments in a window is anomalous.
-/// - **fill ratio** — a right-sized sketch (4 counters per expected key)
-///   stays mostly empty: even if every expected key misses once, row
-///   occupancy stays under ~25%. `fill_ratio > max_fill` means the
-///   counter space is being flooded with distinct keys the sketch was
-///   never sized for.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SketchGuard {
-    /// Master switch; `false` restores the unguarded behavior.
-    pub enabled: bool,
-    /// How many admits between anomaly checks.
-    pub check_every: u64,
-    /// Flag a window as anomalous when it saw more than one decay per this
-    /// many increments.
-    pub min_decay_interval: u64,
-    /// Flag when the fraction of nonzero counters exceeds this.
-    pub max_fill: f64,
-}
+// The sketch guard: an anomaly heuristic that auto-resets (and re-salts)
+// the admission sketch when its saturation/decay telemetry looks like a
+// deliberate pollution attack rather than organic traffic.
+//
+// Two signals, both checked every `GUARD_CHECK_EVERY` admits over the
+// *delta* since the previous check (so a long healthy history cannot mask
+// a fresh attack):
+//
+// - **decay churn** — a zipfian workload saturates its handful of hot
+//   keys slowly (hundreds of increments between decay sweeps, because the
+//   miss stream feeding admission is mostly cold-key residue); a targeted
+//   key-churn or collision attack concentrates increments on a handful of
+//   counters and decays every few dozen. More than one decay sweep per
+//   `GUARD_MIN_DECAY_INTERVAL` increments in a window is anomalous.
+// - **fill ratio** — a right-sized sketch (4 counters per expected key)
+//   stays mostly empty: even if every expected key misses once, row
+//   occupancy stays under ~25%. A fill ratio above `GUARD_MAX_FILL` means
+//   the counter space is being flooded with distinct keys the sketch was
+//   never sized for.
 
-impl Default for SketchGuard {
-    fn default() -> Self {
-        SketchGuard {
-            enabled: true,
-            check_every: 4096,
-            min_decay_interval: 160,
-            max_fill: 0.5,
-        }
-    }
-}
-
-impl SketchGuard {
-    /// A disabled guard (checks never run).
-    pub fn off() -> Self {
-        SketchGuard {
-            enabled: false,
-            ..Self::default()
-        }
-    }
-}
-
-/// splitmix64 — used to derive a fresh, unpredictable-to-the-workload salt
-/// for each reset epoch from the epoch number.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// Admits between two guard checks.
+const GUARD_CHECK_EVERY: u64 = 4096;
+/// A window is anomalous when it saw more than one decay per this many
+/// increments.
+const GUARD_MIN_DECAY_INTERVAL: u64 = 160;
+/// A window is anomalous when more than this fraction of counters is
+/// nonzero.
+const GUARD_MAX_FILL: f64 = 0.5;
 
 /// Frequency-gated admission for point-lookup results.
 #[derive(Debug)]
@@ -86,7 +54,8 @@ pub struct PointAdmission {
     threshold: f64,
     admitted: u64,
     rejected: u64,
-    guard: SketchGuard,
+    /// Whether the sketch guard runs its checks.
+    guard: bool,
     /// Admits since the last guard check.
     since_check: u64,
     /// Sketch decay count at the last guard check.
@@ -99,13 +68,14 @@ pub struct PointAdmission {
 impl PointAdmission {
     /// Creates the filter sized for roughly `expected_keys` hot keys.
     /// `threshold` is the initial normalized-importance cut-off. The
-    /// anomaly guard defaults on; see [`with_guard`](Self::with_guard).
+    /// sketch guard is on; see [`with_guard`](Self::with_guard).
     pub fn new(expected_keys: usize, threshold: f64) -> Self {
-        Self::with_guard(expected_keys, threshold, SketchGuard::default())
+        Self::with_guard(expected_keys, threshold, true)
     }
 
-    /// [`new`](Self::new) with an explicit guard configuration.
-    pub fn with_guard(expected_keys: usize, threshold: f64, guard: SketchGuard) -> Self {
+    /// [`new`](Self::new) with the sketch guard on or off. Off, the
+    /// sketch is never reset.
+    pub fn with_guard(expected_keys: usize, threshold: f64, guard: bool) -> Self {
         PointAdmission {
             sketch: CountMinSketch::for_keys(expected_keys),
             threshold,
@@ -139,7 +109,7 @@ impl PointAdmission {
             self.rejected += 1;
         }
         self.since_check += 1;
-        if self.guard.enabled && self.since_check >= self.guard.check_every {
+        if self.guard && self.since_check >= GUARD_CHECK_EVERY {
             self.check_anomaly();
         }
         admit
@@ -152,8 +122,8 @@ impl PointAdmission {
         let window = self.since_check;
         let delta_decays = self.sketch.decays() - self.checked_decays;
         let fill = self.sketch.fill_ratio();
-        let decay_flood = delta_decays > window / self.guard.min_decay_interval.max(1);
-        let saturated = fill > self.guard.max_fill;
+        let decay_flood = delta_decays > window / GUARD_MIN_DECAY_INTERVAL;
+        let saturated = fill > GUARD_MAX_FILL;
         if decay_flood || saturated {
             let epoch = self.sketch.epoch() + 1;
             // Salt derived from the epoch: deterministic for replayable
@@ -189,11 +159,6 @@ impl PointAdmission {
     /// The current threshold.
     pub fn threshold(&self) -> f64 {
         self.threshold
-    }
-
-    /// The active guard configuration.
-    pub fn guard(&self) -> SketchGuard {
-        self.guard
     }
 
     /// Auto-resets performed by the guard.
@@ -340,15 +305,8 @@ mod tests {
     fn guard_resets_under_decay_flood() {
         // Hammering one key drives a decay every few increments — far
         // past the one-per-160 anomaly bar.
-        let mut adm = PointAdmission::with_guard(
-            1000,
-            0.0,
-            SketchGuard {
-                check_every: 256,
-                ..SketchGuard::default()
-            },
-        );
-        for _ in 0..1024 {
+        let mut adm = PointAdmission::new(1000, 0.0);
+        for _ in 0..GUARD_CHECK_EVERY {
             adm.admit(b"churn-victim");
         }
         assert!(adm.resets() >= 1, "decay flood must trip the guard");
@@ -372,7 +330,7 @@ mod tests {
 
     #[test]
     fn disabled_guard_never_resets() {
-        let mut adm = PointAdmission::with_guard(1000, 0.0, SketchGuard::off());
+        let mut adm = PointAdmission::with_guard(1000, 0.0, false);
         for _ in 0..10_000 {
             adm.admit(b"churn-victim");
         }
@@ -383,15 +341,10 @@ mod tests {
     #[test]
     fn guard_resets_under_distinct_key_flood() {
         // A one-hit-wonder storm with far more distinct keys than the
-        // sketch was sized for fills the counter space past max_fill.
-        let mut adm = PointAdmission::with_guard(
-            64, // sketch width clamps to the 1024 minimum => 4096 counters
-            0.0,
-            SketchGuard {
-                check_every: 4096,
-                ..SketchGuard::default()
-            },
-        );
+        // sketch was sized for fills the counter space past its bar.
+        // 64 keys: the sketch width clamps to the 1024 minimum, so 4096
+        // counters.
+        let mut adm = PointAdmission::new(64, 0.0);
         for i in 0..20_000u64 {
             adm.admit(format!("one-hit-{i}").as_bytes());
         }

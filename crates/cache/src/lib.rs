@@ -26,7 +26,7 @@ pub mod policy;
 pub mod range_cache;
 pub mod sketch;
 
-pub use admission::{PointAdmission, ScanAdmission, SketchGuard};
+pub use admission::{PointAdmission, ScanAdmission};
 pub use block_cache::{BlockCache, ScopedBlockProvider};
 pub use container::{CacheCounters, CacheFootprint, CacheStats, ChargedCache};
 pub use kv_cache::KvCache;

@@ -169,11 +169,11 @@ proptest! {
         loose in 0.0f64..0.05,
         bump in 0.0f64..0.05,
     ) {
-        use adcache_cache::{PointAdmission, SketchGuard};
+        use adcache_cache::PointAdmission;
         // Guard off: both sketches must evolve identically so the only
         // difference between the two policies is the threshold.
-        let mut lo = PointAdmission::with_guard(1 << 10, loose, SketchGuard::off());
-        let mut hi = PointAdmission::with_guard(1 << 10, loose + bump, SketchGuard::off());
+        let mut lo = PointAdmission::with_guard(1 << 10, loose, false);
+        let mut hi = PointAdmission::with_guard(1 << 10, loose + bump, false);
         for k in &keys {
             let kb = k.to_le_bytes();
             let lo_admit = lo.admit(&kb);

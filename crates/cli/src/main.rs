@@ -21,7 +21,7 @@
 use adcache_core::{
     CachedDb, Controller, ControllerConfig, EngineConfig, MemoryReport, Strategy, Tuner,
 };
-use adcache_lsm::{FileStorage, MemStorage, Options};
+use adcache_lsm::{splitmix64, FileStorage, MemStorage, Options};
 use adcache_obs::{parse_jsonl_lenient, Event, Obs};
 use adcache_workload::{render_key, AdversaryKind, Mix, Operation, WorkloadConfig, WorkloadGen};
 use bytes::Bytes;
@@ -259,7 +259,6 @@ struct CliConfig {
     cache_mb: usize,
     strategy: Strategy,
     trace: Option<PathBuf>,
-    sketch_guard: bool,
     /// Keyspace stripes; >1 also turns on background flush/compaction
     /// workers (`serve` sizes it to the machine, the shell runs 1).
     stripes: usize,
@@ -278,7 +277,6 @@ impl CliConfig {
             cache_mb: flags.num(CACHE_MB)?,
             strategy: strategy.ok_or("unknown strategy")?,
             trace: flags.given(TRACE_TO).map(PathBuf::from),
-            sketch_guard: !flags.on(NO_SKETCH_GUARD),
             stripes,
         })
     }
@@ -296,8 +294,7 @@ fn tree_geometry(block: u64, memtable: u64, sstable: u64, l1: u64) -> String {
 }
 
 fn build_db(cfg: &CliConfig) -> Result<CachedDb, Box<dyn std::error::Error>> {
-    let mut engine = EngineConfig::new(cfg.strategy, cfg.cache_mb << 20);
-    engine.sketch_guard = cfg.sketch_guard;
+    let engine = EngineConfig::new(cfg.strategy, cfg.cache_mb << 20);
     let db = CachedDb::served(engine, cfg.stripes, cfg.dir.as_deref())?;
     let store = match &cfg.dir {
         Some(dir) => format!("durable store at {}", dir.display()),
@@ -1127,7 +1124,6 @@ flags! {
     QUOTA_BURST = "--quota-burst" "N" "0" "per-connection bucket (0: one second of quota)";
     TENANT_QUOTA_OPS = "--tenant-quota-ops" "N" "0" "per-tenant tokens/s over all its connections";
     TENANT_QUOTA_BURST = "--tenant-quota-burst" "N" "0" "per-tenant bucket (0: one second of quota)";
-    NO_SKETCH_GUARD = "--no-sketch-guard" "" "" "turn the admission sketch's anomaly guard off";
     SERVE_STRIPES = "--stripes" "N>=1" "" "keyspace stripes (default: 4 per core, 2 to 16); 1 = inline maintenance";
 }
 const SERVE: Command = Command {
@@ -1150,7 +1146,6 @@ const SERVE: Command = Command {
         QUOTA_BURST,
         TENANT_QUOTA_OPS,
         TENANT_QUOTA_BURST,
-        NO_SKETCH_GUARD,
         SERVE_STRIPES,
     ],
     run: cmd_serve,
@@ -2189,14 +2184,6 @@ fn cmd_tenantcheck(flags: &Flags) -> CmdResult {
     Ok(true)
 }
 
-/// Deterministic splitmix64 step for the fault-drill harness RNG.
-fn fc_mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Outcome counters for [`cmd_faultcheck`].
 #[derive(Default)]
 struct FaultCheckReport {
@@ -2255,7 +2242,7 @@ fn faultcheck_cycle(
         StripedDb,
     };
 
-    let cseed = fc_mix(seed ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let cseed = splitmix64(seed ^ cycle.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let fs = Arc::new(SimFs::new());
     let tables = || FileStorage::with_fs("/faultcheck/sst", fs.clone()).map(Arc::new);
     let storage = Arc::new(FaultStorage::new(tables()?, cseed, FaultPlan::none()));
@@ -2275,7 +2262,7 @@ fn faultcheck_cycle(
     let mut history = History::default();
     let mut rng = cseed | 1;
     let mut next = move || {
-        rng = fc_mix(rng);
+        rng = splitmix64(rng);
         rng
     };
     {
@@ -2368,7 +2355,7 @@ fn faultcheck_cycle(
     // The power cut tears every completed-but-unsynced write out of the
     // filesystem: SST and WAL bytes, manifests and directory entries.
     drop(storage);
-    report.unsynced_files_dropped += fs.crash(fc_mix(cseed ^ 0x5A5A)).files;
+    report.unsynced_files_dropped += fs.crash(splitmix64(cseed ^ 0x5A5A)).files;
 
     // Recovery runs on a fresh, quiet device, with background maintenance
     // off: recovery is identical (the option only affects the write path)
@@ -2699,8 +2686,9 @@ mod tests {
         Shell::new(db, obs)
     }
 
-    /// The flags every command took at the parent commit, from its eight
-    /// hand-rolled parsers (and the one positional, `trace`'s).
+    /// The flags every command took when its eight hand-rolled parsers
+    /// became flag tables (and the one positional, `trace`'s), less
+    /// `serve --no-sketch-guard`, which nothing passed.
     const FLAGS_BEFORE: [(&Command, &str); 9] = [
         (&SHELL, "--dir --cache-mb --strategy --trace --stripes --mem"),
         (&TRACE, "DIR"),
@@ -2708,7 +2696,7 @@ mod tests {
             &SERVE,
             "--addr --cache-mb --strategy --dir --workers --max-conns --idle-timeout-secs --fill \
              --trace --no-telemetry --snapshot-ms --slow-us --quota-ops --quota-burst \
-             --tenant-quota-ops --tenant-quota-burst --no-sketch-guard --stripes",
+             --tenant-quota-ops --tenant-quota-burst --stripes",
         ),
         (
             &LOADGEN,
@@ -2781,7 +2769,7 @@ mod tests {
             let words: Vec<String> = line.split(' ').map(String::from).collect();
             Flags::parse(command, &words).unwrap().unwrap()
         };
-        let flags = parse(&SERVE, "--cache-mb 9 --strategy kv-cache --no-sketch-guard");
+        let flags = parse(&SERVE, "--cache-mb 9 --strategy kv-cache");
         assert_eq!(flags.num::<u64>(SLOW_US), Ok(10_000));
         assert_eq!(flags.text(LISTEN), "127.0.0.1:4400");
         assert!(flags
@@ -2789,10 +2777,7 @@ mod tests {
             .unwrap_err()
             .contains("--max-conns 1024"));
         let store = CliConfig::from_flags(&flags, 3).unwrap();
-        assert_eq!(
-            (store.cache_mb, store.stripes, store.sketch_guard),
-            (9, 3, false)
-        );
+        assert_eq!((store.cache_mb, store.stripes), (9, 3));
         assert_eq!(store.strategy, Strategy::KvCache);
         assert!(store.dir.is_none() && store.trace.is_none());
         // `--dir` and `--mem` undo each other; the later one stands.
@@ -2846,7 +2831,7 @@ mod tests {
         }
         assert!(SERVE
             .synopsis()
-            .ends_with("[--no-sketch-guard] [--stripes N>=1]"));
+            .ends_with("[--tenant-quota-burst N] [--stripes N>=1]"));
         assert!(SERVE
             .flag_help()
             .contains("--max-conns N\n        concurrent-connection ceiling (default 1024)\n"));

@@ -34,8 +34,6 @@ pub struct RunConfig {
     pub strategy: Strategy,
     /// Total cache budget in bytes.
     pub total_cache_bytes: usize,
-    /// LSM-tree options.
-    pub db_options: Options,
     /// Workload shape.
     pub workload: WorkloadConfig,
     /// Controller configuration (used only by [`Strategy::AdCache`]).
@@ -65,7 +63,6 @@ impl RunConfig {
         RunConfig {
             strategy,
             total_cache_bytes,
-            db_options: Options::small(),
             workload,
             controller: ControllerConfig::scaled_down(),
             shards: 1,
@@ -173,8 +170,8 @@ fn simulated_qps(w: &WindowSummary, entries: u64) -> f64 {
     }
 }
 
-/// Builds the engine, loads `workload.num_keys` keys, and settles
-/// compactions so measurement starts from a steady tree.
+/// Builds the engine over [`Options::small`], loads `workload.num_keys`
+/// keys, and settles compactions so measurement starts from a steady tree.
 pub fn prepare_db(cfg: &RunConfig) -> Result<CachedDb> {
     prepare_db_with_storage(cfg, Arc::new(MemStorage::new()))
 }
@@ -196,7 +193,7 @@ pub fn prepare_db_with_storage(
             .map(|i| adcache_workload::render_key(i * per))
             .collect();
     }
-    let db = CachedDb::new(cfg.db_options.clone(), storage, ecfg)?;
+    let db = CachedDb::new(Options::small(), storage, ecfg)?;
     let mut gen = WorkloadGen::new(cfg.workload.clone());
     for op in gen.load_ops() {
         if let Operation::Put { key, value } = op {

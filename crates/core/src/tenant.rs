@@ -20,9 +20,9 @@
 use crate::controller::CacheDecision;
 use crate::engine::{EngineConfig, Strategy};
 use adcache_cache::{
-    BlockCache, CacheusPolicy, KvCache, LeCaRPolicy, PointAdmission, RangeCache, SketchGuard,
-    SlotLruPolicy,
+    BlockCache, CacheusPolicy, KvCache, LeCaRPolicy, PointAdmission, RangeCache, SlotLruPolicy,
 };
+use adcache_lsm::splitmix64;
 use adcache_obs::{Counter, Gauge, Obs};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -34,17 +34,10 @@ pub type TenantId = u32;
 /// The tenant that legacy (pre-`Auth`) connections serve.
 pub const DEFAULT_TENANT: TenantId = 0;
 
-/// splitmix64 — derives each tenant's sketch salt from its id, so hash
-/// collisions engineered against one tenant's sketch don't transfer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// The sketch salt for `tenant` (0 for the default tenant, preserving
-/// the single-tenant engine's unsalted epoch-0 behavior).
+/// the single-tenant engine's unsalted epoch-0 behavior), derived from its
+/// id so hash collisions engineered against one tenant's sketch don't
+/// transfer.
 pub fn tenant_salt(tenant: TenantId) -> u64 {
     if tenant == DEFAULT_TENANT {
         0
@@ -158,12 +151,8 @@ impl Partition {
                     cfg.range_boundaries.clone(),
                     Box::new(|| Box::new(SlotLruPolicy::new())),
                 ));
-                let guard = if cfg.sketch_guard {
-                    SketchGuard::default()
-                } else {
-                    SketchGuard::off()
-                };
-                let mut adm = PointAdmission::with_guard(cfg.expected_keys, threshold, guard);
+                let mut adm =
+                    PointAdmission::with_guard(cfg.expected_keys, threshold, cfg.sketch_guard);
                 let salt = tenant_salt(tenant);
                 if salt != 0 {
                     adm.resalt(salt);

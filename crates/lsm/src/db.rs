@@ -28,14 +28,14 @@ use crate::heap;
 use crate::iterator::{MergingIter, Source};
 use crate::manifest::{recover_manifest, write_manifest, ManifestState, ManifestSync};
 use crate::memtable::MemTable;
-use crate::options::{FsyncSite, Options, SyncPolicy};
+use crate::options::{FsyncSite, Options, SyncPolicy, L0_SLOWDOWN_FILES};
 use crate::sstable::{table_get, BlockProvider, TableBuilder, TableIter, TableMeta};
-use crate::storage::Storage;
+use crate::storage::{Storage, SYNC_NS};
 use crate::timed_lock::{
     outside_lock_probe, LockPath, TimedReadGuard, TimedRwLock, TimedWriteGuard,
 };
 use crate::types::{Entry, FileId, Key, Value};
-use crate::version::Version;
+use crate::version::{Version, MAX_LEVELS};
 use crate::wal::{replay, zero_fill, WalWriter};
 use adcache_obs::{Counter, Event, Obs};
 use parking_lot::RwLock;
@@ -241,7 +241,7 @@ impl LsmTree {
         let inner = Inner {
             mem: MemTable::new(),
             imm: None,
-            version: Version::new(opts.max_levels),
+            version: Version::new(MAX_LEVELS),
             wal: None,
             sealed: Vec::new(),
             wal_seq: 0,
@@ -329,7 +329,7 @@ impl LsmTree {
         if rolled_back {
             stats.manifest_rollbacks.store(1, Ordering::Relaxed);
         }
-        let mut version = Version::new(opts.max_levels);
+        let mut version = Version::new(MAX_LEVELS);
         let (stride, offset) = (opts.stripes.max(1) as u64, opts.stripe_index as u64);
         let mut next_file = first_file_id(stride, offset);
         let mut live: HashSet<FileId> = HashSet::new();
@@ -453,7 +453,7 @@ impl LsmTree {
             fs.sync_dir(&dir)?;
             let io = storage.stats();
             io.syncs.fetch_add(1, Ordering::Relaxed);
-            io.charge_ns(storage.sync_cost_ns());
+            io.charge_ns(SYNC_NS);
         }
 
         let inner = Inner {
@@ -508,7 +508,7 @@ impl LsmTree {
     fn charge_meta_syncs(&self, n: u64) {
         let stats = self.storage.stats();
         stats.syncs.fetch_add(n, Ordering::Relaxed);
-        stats.charge_ns(n * self.storage.sync_cost_ns());
+        stats.charge_ns(n * SYNC_NS);
     }
 
     /// Whether the `always` policy requires an fsync after every WAL write
@@ -748,7 +748,7 @@ impl LsmTree {
     ) -> Result<bool> {
         self.check_poison()?;
         let mut inner = self.lock_write(LockPath::Write);
-        if inner.version.level_files(0) >= self.opts.l0_slowdown_files {
+        if inner.version.level_files(0) >= L0_SLOWDOWN_FILES {
             self.stats.write_slowdowns.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(wal) = inner.wal.as_mut() {
@@ -1685,7 +1685,6 @@ mod tests {
         // With a huge trigger, L0 accumulates and the slowdown fires.
         let opts = Options {
             l0_compaction_trigger: 100,
-            l0_slowdown_files: 2,
             l0_stop_files: 200,
             ..Options::small()
         };

@@ -33,9 +33,11 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// SplitMix64 — the standard 64-bit finalizer; one call per decision keeps
-/// fault draws independent across ops and fault kinds.
-pub(crate) fn splitmix64(x: u64) -> u64 {
+/// SplitMix64 — the standard 64-bit finalizer. One call per decision keeps
+/// fault draws independent across ops and fault kinds; the admission
+/// sketch's reset salts, the tenant salts and the crash drill's streams
+/// draw from it too.
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -338,10 +340,6 @@ impl Storage for FaultStorage {
 
     fn list_tables(&self) -> Result<Vec<FileId>> {
         self.inner.list_tables()
-    }
-
-    fn sync_cost_ns(&self) -> u64 {
-        self.inner.sync_cost_ns()
     }
 
     fn stats(&self) -> &IoStats {

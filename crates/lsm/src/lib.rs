@@ -55,12 +55,12 @@ pub use bloom::BloomFilter;
 pub use compaction::{CompactionEvent, CompactionListener};
 pub use db::{DbStats, LsmTree, TreeMemory};
 pub use error::{LsmError, Result};
-pub use fault::{CrashController, CrashPoint, FaultPlan, FaultStats, FaultStorage};
+pub use fault::{splitmix64, CrashController, CrashPoint, FaultPlan, FaultStats, FaultStorage};
 pub use fs::{MetaFs, ReadAt, RealFs, SimFs, UnsyncedLoss};
 pub use manifest::ManifestSync;
 pub use options::{FsyncSite, Options, SyncPolicy};
 pub use sstable::{decode_stored_block_at, BlockProvider, DirectProvider, TableMeta};
-pub use storage::{CostModel, FileStorage, IoStats, MemStorage, Storage, TableSink};
+pub use storage::{FileStorage, IoStats, MemStorage, Storage, TableSink};
 pub use striped::StripedDb;
 pub use timed_lock::{lock_probe, reset_lock_probe, LockPath, TimedRwLock, LOCK_PATHS};
 pub use types::{BlockRef, Entry, FileId, Key, KeyEntry, Value};

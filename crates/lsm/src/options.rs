@@ -5,7 +5,7 @@
 ///
 /// The policy only matters when the engine runs with a durability
 /// directory; purely in-memory trees never sync. Costs are charged to the
-/// simulated clock through [`crate::CostModel::sync_ns`].
+/// simulated clock at [`crate::storage::SYNC_NS`] each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
     /// Sync the WAL after every write batch and sync every flush /
@@ -97,13 +97,19 @@ impl FsyncSite {
     }
 }
 
+/// Size ratio between adjacent levels (paper: 10).
+pub const SIZE_RATIO: usize = 10;
+
+/// Number of Level-0 files at which writes are slowed (paper: 4).
+pub(crate) const L0_SLOWDOWN_FILES: usize = 4;
+
 /// Tuning knobs for the LSM-tree, mirroring the paper's experimental setup
 /// (Section 5.1) at a configurable scale.
 ///
 /// The defaults model the paper's RocksDB configuration proportionally:
 /// 1-leveling (leveled compaction with a tiered Level 0), size ratio 10
-/// between levels, Bloom filters at 10 bits per key, write slowdown at 4
-/// Level-0 files and stop at 8.
+/// between levels ([`SIZE_RATIO`]), Bloom filters at 10 bits per key, write
+/// slowdown at 4 Level-0 files and stop at 8.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
     /// Target encoded size of one data block in bytes (paper: 4 KiB).
@@ -118,19 +124,11 @@ pub struct Options {
     pub memtable_size: usize,
     /// Number of Level-0 files that triggers an L0->L1 compaction.
     pub l0_compaction_trigger: usize,
-    /// Number of Level-0 files at which writes are slowed (paper: 4).
-    pub l0_slowdown_files: usize,
     /// Number of Level-0 files at which writes stall (paper: 8);
     /// used as `r0_max` in the reward model.
     pub l0_stop_files: usize,
-    /// Size ratio between adjacent levels (paper: 10).
-    pub size_ratio: usize,
-    /// Maximum bytes in Level 1; deeper levels scale by `size_ratio`.
+    /// Maximum bytes in Level 1; deeper levels scale by [`SIZE_RATIO`].
     pub l1_max_bytes: usize,
-    /// Bloom filter bits per key (paper: 10). Zero disables the filter.
-    pub bloom_bits_per_key: usize,
-    /// Hard cap on the number of levels.
-    pub max_levels: usize,
     /// Retries for a failed query-path block read before the error
     /// surfaces (transient device errors and checksum failures resolve on
     /// re-read; see `fault::FaultStorage`). Zero disables retrying.
@@ -171,12 +169,8 @@ impl Default for Options {
             sstable_size: 4 << 20,
             memtable_size: 4 << 20,
             l0_compaction_trigger: 4,
-            l0_slowdown_files: 4,
             l0_stop_files: 8,
-            size_ratio: 10,
             l1_max_bytes: 40 << 20,
-            bloom_bits_per_key: 10,
-            max_levels: 7,
             read_retries: 2,
             sync: SyncPolicy::OnFlush,
             misplaced_fsync: None,
@@ -206,7 +200,7 @@ impl Options {
     /// over `write_buffer` bytes of memtable divided over `stripes`, each
     /// stripe an engine with memtable = SSTable = its share (never below
     /// 256 KiB, so a many-stripe server still flushes whole tables) and
-    /// Level 1 at `size_ratio` times that. `served(s, s × 4 MiB)` is
+    /// Level 1 at [`SIZE_RATIO`] times that. `served(s, s × 4 MiB)` is
     /// [`default`](Self::default) with `s` stripes.
     pub fn served(stripes: usize, write_buffer: usize) -> Self {
         let base = Options::default();
@@ -214,7 +208,7 @@ impl Options {
         Options {
             sstable_size: memtable,
             memtable_size: memtable,
-            l1_max_bytes: base.size_ratio * memtable,
+            l1_max_bytes: SIZE_RATIO * memtable,
             stripes,
             ..base
         }
@@ -226,7 +220,7 @@ impl Options {
         debug_assert!(level >= 1);
         let mut size = self.l1_max_bytes;
         for _ in 1..level {
-            size = size.saturating_mul(self.size_ratio);
+            size = size.saturating_mul(SIZE_RATIO);
         }
         size
     }
@@ -242,14 +236,10 @@ impl Options {
         if self.sstable_size < self.block_size {
             return Err("sstable_size must be at least one block".into());
         }
-        if self.l0_stop_files < self.l0_slowdown_files {
-            return Err("l0_stop_files must be >= l0_slowdown_files".into());
-        }
-        if self.size_ratio < 2 {
-            return Err("size_ratio must be at least 2".into());
-        }
-        if self.max_levels < 2 {
-            return Err("max_levels must be at least 2".into());
+        if self.l0_stop_files < L0_SLOWDOWN_FILES {
+            return Err(format!(
+                "l0_stop_files must be >= {L0_SLOWDOWN_FILES}, where writes slow down"
+            ));
         }
         if self.stripes == 0 {
             return Err("stripes must be at least 1".into());
@@ -278,7 +268,7 @@ mod tests {
             o.validate().unwrap();
             assert_eq!(o.memtable_size * stripes, 4 << 20);
             assert_eq!(o.sstable_size, o.memtable_size);
-            assert_eq!(o.l1_max_bytes, o.size_ratio * o.memtable_size);
+            assert_eq!(o.l1_max_bytes, SIZE_RATIO * o.memtable_size);
             assert_eq!((o.block_size, o.block_restart_interval), (4096, 16));
             // A 4 MiB memtable per stripe is the durable tree as it was.
             assert_eq!(
@@ -322,19 +312,7 @@ mod tests {
         .validate()
         .is_err());
         assert!(Options {
-            l0_stop_files: base().l0_slowdown_files - 1,
-            ..base()
-        }
-        .validate()
-        .is_err());
-        assert!(Options {
-            size_ratio: 1,
-            ..base()
-        }
-        .validate()
-        .is_err());
-        assert!(Options {
-            max_levels: 1,
+            l0_stop_files: L0_SLOWDOWN_FILES - 1,
             ..base()
         }
         .validate()

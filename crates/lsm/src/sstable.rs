@@ -225,6 +225,9 @@ impl BlockProvider for DirectProvider {
     }
 }
 
+/// Bloom filter bits per key (paper: 10).
+const BLOOM_BITS_PER_KEY: usize = 10;
+
 /// Builds one SSTable, cutting blocks at the configured size and handing
 /// each to the table's [`TableSink`] as it is cut.
 ///
@@ -320,7 +323,7 @@ impl<'a> TableBuilder<'a> {
             total_bytes: self.blocks_len as u64,
             smallest: Bytes::copy_from_slice(self.index.key(0)),
             largest: Bytes::copy_from_slice(&self.last_key),
-            bloom: BloomFilter::build_hashed(&self.hashes, self.opts.bloom_bits_per_key),
+            bloom: BloomFilter::build_hashed(&self.hashes, BLOOM_BITS_PER_KEY),
             index: self.index,
         };
         self.sink.finish(meta.encode())?;

@@ -3,7 +3,7 @@
 //! The paper's metrics — SST reads, hit rate against a no-cache baseline,
 //! and throughput — are all functions of how many data blocks are fetched
 //! from the device. Every backend therefore counts block reads and charges a
-//! configurable simulated device cost per read, so experiments report
+//! fixed simulated device cost per read, so experiments report
 //! deterministic I/O counts and a reproducible simulated-time throughput
 //! (the substitution for the paper's NVMe testbed; see DESIGN.md §2).
 
@@ -19,34 +19,21 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Cost model for simulated device time.
-///
-/// Defaults approximate a fast NVMe SSD: ~80 µs per 4 KiB random block read
-/// once OS overheads are included, and ~40 µs per block written
-/// sequentially. Experiments only interpret *relative* throughput, so the
-/// absolute constants matter little; they must merely keep I/O dominant over
-/// CPU, as on the paper's testbed.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Simulated nanoseconds charged per block read.
-    pub read_block_ns: u64,
-    /// Simulated nanoseconds charged per block written.
-    pub write_block_ns: u64,
-    /// Simulated nanoseconds charged per explicit device sync (fsync of a
-    /// file or directory). NVMe flush latency is dominated by the drive
-    /// cache flush, not the payload size, so the charge is flat.
-    pub sync_ns: u64,
-}
+// The cost model for simulated device time approximates a fast NVMe SSD:
+// ~80 µs per 4 KiB random block read once OS overheads are included, and
+// ~40 µs per block written sequentially. Experiments only interpret
+// *relative* throughput, so the absolute constants matter little; they
+// must merely keep I/O dominant over CPU, as on the paper's testbed.
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            read_block_ns: 80_000,
-            write_block_ns: 40_000,
-            sync_ns: 100_000,
-        }
-    }
-}
+/// Simulated nanoseconds charged per block read.
+pub const READ_BLOCK_NS: u64 = 80_000;
+/// Simulated nanoseconds charged per block written.
+pub const WRITE_BLOCK_NS: u64 = 40_000;
+/// Simulated nanoseconds charged per explicit device sync (fsync of a file
+/// or directory, the WAL's and the manifest's included). NVMe flush
+/// latency is dominated by the drive cache flush, not the payload size, so
+/// the charge is flat.
+pub const SYNC_NS: u64 = 100_000;
 
 /// Running I/O counters, shared by all backends.
 ///
@@ -149,11 +136,6 @@ pub trait Storage: Send + Sync {
     /// fails the open. Sorted ascending.
     fn list_tables(&self) -> Result<Vec<FileId>>;
 
-    /// Simulated nanoseconds one explicit sync costs on this device (the
-    /// engine charges this for WAL / manifest fsyncs, which bypass the
-    /// block device but share its clock).
-    fn sync_cost_ns(&self) -> u64;
-
     /// Shared I/O counters.
     fn stats(&self) -> &IoStats;
 
@@ -175,21 +157,14 @@ pub trait Storage: Send + Sync {
 pub struct MemStorage {
     tables: RwLock<HashMap<FileId, (Vec<Bytes>, Bytes)>>,
     stats: IoStats,
-    cost: CostModel,
 }
 
 impl MemStorage {
-    /// Creates an empty in-memory device with the default cost model.
+    /// Creates an empty in-memory device.
     pub fn new() -> Self {
-        Self::with_cost(CostModel::default())
-    }
-
-    /// Creates an empty device with a custom cost model.
-    pub fn with_cost(cost: CostModel) -> Self {
         MemStorage {
             tables: RwLock::new(HashMap::new()),
             stats: IoStats::default(),
-            cost,
         }
     }
 }
@@ -260,7 +235,7 @@ impl Storage for MemStorage {
             self.stats.block_writes.fetch_add(n, Ordering::Relaxed);
             self.stats
                 .simulated_ns
-                .fetch_add(n * self.cost.write_block_ns, Ordering::Relaxed);
+                .fetch_add(n * WRITE_BLOCK_NS, Ordering::Relaxed);
             Ok(())
         }))
     }
@@ -277,7 +252,7 @@ impl Storage for MemStorage {
         self.stats.block_reads.fetch_add(1, Ordering::Relaxed);
         self.stats
             .simulated_ns
-            .fetch_add(self.cost.read_block_ns, Ordering::Relaxed);
+            .fetch_add(READ_BLOCK_NS, Ordering::Relaxed);
         Ok(block)
     }
 
@@ -302,13 +277,13 @@ impl Storage for MemStorage {
             return Err(LsmError::NotFound(format!("table {id}")));
         }
         self.stats.syncs.fetch_add(1, Ordering::Relaxed);
-        self.stats.charge_ns(self.cost.sync_ns);
+        self.stats.charge_ns(SYNC_NS);
         Ok(())
     }
 
     fn sync_dir(&self) -> Result<()> {
         self.stats.syncs.fetch_add(1, Ordering::Relaxed);
-        self.stats.charge_ns(self.cost.sync_ns);
+        self.stats.charge_ns(SYNC_NS);
         Ok(())
     }
 
@@ -316,10 +291,6 @@ impl Storage for MemStorage {
         let mut ids: Vec<FileId> = self.tables.read().keys().copied().collect();
         ids.sort_unstable();
         Ok(ids)
-    }
-
-    fn sync_cost_ns(&self) -> u64 {
-        self.cost.sync_ns
     }
 
     fn stats(&self) -> &IoStats {
@@ -360,7 +331,6 @@ pub struct FileStorage {
     /// closed) by `delete_table`.
     open: RwLock<HashMap<FileId, Arc<OpenTable>>>,
     stats: IoStats,
-    cost: CostModel,
 }
 
 /// The last eight bytes of every table file.
@@ -401,7 +371,6 @@ impl FileStorage {
             dir,
             open: RwLock::new(HashMap::new()),
             stats: IoStats::default(),
-            cost: CostModel::default(),
         })
     }
 
@@ -501,7 +470,7 @@ impl TableSink for FileSink<'_> {
         storage
             .stats
             .simulated_ns
-            .fetch_add(n * storage.cost.write_block_ns, Ordering::Relaxed);
+            .fetch_add(n * WRITE_BLOCK_NS, Ordering::Relaxed);
         Ok(())
     }
 }
@@ -529,7 +498,7 @@ impl Storage for FileStorage {
         self.stats.block_reads.fetch_add(1, Ordering::Relaxed);
         self.stats
             .simulated_ns
-            .fetch_add(self.cost.read_block_ns, Ordering::Relaxed);
+            .fetch_add(READ_BLOCK_NS, Ordering::Relaxed);
         Ok(block)
     }
 
@@ -551,14 +520,14 @@ impl Storage for FileStorage {
     fn sync_table(&self, id: FileId) -> Result<()> {
         self.fs.sync_file(&self.path(id))?;
         self.stats.syncs.fetch_add(1, Ordering::Relaxed);
-        self.stats.charge_ns(self.cost.sync_ns);
+        self.stats.charge_ns(SYNC_NS);
         Ok(())
     }
 
     fn sync_dir(&self) -> Result<()> {
         self.fs.sync_dir(&self.dir)?;
         self.stats.syncs.fetch_add(1, Ordering::Relaxed);
-        self.stats.charge_ns(self.cost.sync_ns);
+        self.stats.charge_ns(SYNC_NS);
         Ok(())
     }
 
@@ -569,10 +538,6 @@ impl Storage for FileStorage {
             .collect();
         ids.sort_unstable();
         Ok(ids)
-    }
-
-    fn sync_cost_ns(&self) -> u64 {
-        self.cost.sync_ns
     }
 
     fn stats(&self) -> &IoStats {
@@ -897,18 +862,14 @@ mod tests {
 
     #[test]
     fn cost_model_accumulates_simulated_time() {
-        let s = MemStorage::with_cost(CostModel {
-            read_block_ns: 100,
-            write_block_ns: 10,
-            sync_ns: 1000,
-        });
+        let s = MemStorage::new();
         write_table(&s, 1, &blocks(2), Bytes::new()).unwrap();
-        assert_eq!(s.stats().simulated_ns(), 20);
+        assert_eq!(s.stats().simulated_ns(), 80_000);
         s.read_block(1, 0).unwrap();
         s.read_block(1, 1).unwrap();
-        assert_eq!(s.stats().simulated_ns(), 220);
+        assert_eq!(s.stats().simulated_ns(), 240_000);
         s.sync_table(1).unwrap();
         s.sync_dir().unwrap();
-        assert_eq!(s.stats().simulated_ns(), 2220);
+        assert_eq!(s.stats().simulated_ns(), 440_000);
     }
 }

@@ -48,6 +48,7 @@ use crate::sstable::BlockProvider;
 use crate::storage::Storage;
 use crate::timed_lock::{outside_lock_probe, TimedReadGuard};
 use crate::types::{Entry, FileId, Key, Value};
+use crate::version::MAX_LEVELS;
 use adcache_obs::{Gauge, Obs};
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -655,8 +656,7 @@ impl StripedDb {
 
     /// `(level, files, bytes)` aggregated across stripes.
     pub fn level_summary(&self) -> Vec<(usize, usize, u64)> {
-        let mut agg: Vec<(usize, usize, u64)> =
-            (0..self.opts.max_levels).map(|l| (l, 0, 0)).collect();
+        let mut agg: Vec<(usize, usize, u64)> = (0..MAX_LEVELS).map(|l| (l, 0, 0)).collect();
         for tree in &self.stripes {
             for (l, files, bytes) in tree.level_summary() {
                 agg[l].1 += files;

@@ -12,6 +12,9 @@ use crate::sstable::TableMeta;
 use crate::types::FileId;
 use std::sync::Arc;
 
+/// Levels in a tree, Level 0 included.
+pub const MAX_LEVELS: usize = 7;
+
 /// The live-table manifest.
 pub struct Version {
     /// `levels[0]` is Level 0, newest run first. Deeper levels are sorted by
@@ -34,7 +37,8 @@ pub enum CompactionTask {
 }
 
 impl Version {
-    /// Creates an empty manifest with `max_levels` levels.
+    /// Creates an empty manifest with `max_levels` levels (a tree has
+    /// [`MAX_LEVELS`]).
     pub fn new(max_levels: usize) -> Self {
         Version {
             levels: vec![Vec::new(); max_levels],
@@ -187,7 +191,8 @@ impl Version {
     ///
     /// Level 0 compacts when its file count reaches the trigger; deeper
     /// levels compact when their byte size exceeds the budget derived from
-    /// `size_ratio`. The most overfull level wins.
+    /// [`SIZE_RATIO`](crate::options::SIZE_RATIO). The most overfull level
+    /// wins.
     pub fn pick_compaction(&self, opts: &Options) -> Option<CompactionTask> {
         if self.levels[0].len() >= opts.l0_compaction_trigger {
             return Some(CompactionTask::L0ToL1);

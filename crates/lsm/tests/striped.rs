@@ -208,9 +208,6 @@ impl Storage for SlowFlushStorage {
     fn list_tables(&self) -> LsmResult<Vec<u64>> {
         self.inner.list_tables()
     }
-    fn sync_cost_ns(&self) -> u64 {
-        self.inner.sync_cost_ns()
-    }
     fn stats(&self) -> &IoStats {
         self.inner.stats()
     }

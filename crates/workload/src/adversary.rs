@@ -91,41 +91,38 @@ pub struct AdversaryConfig {
     pub num_keys: u64,
     /// RNG seed (per-connection streams add their index).
     pub seed: u64,
-    /// Scan length for [`AdversaryKind::ScanFlood`].
-    pub scan_len: usize,
     /// Rotating set size for [`AdversaryKind::KeyChurn`].
     pub churn_keys: u64,
     /// Delete→Put→Get rounds per churn key before rotating.
     pub churn_burst: u64,
     /// Collision keys to mine per sketch row.
     pub collisions_per_row: usize,
-    /// Victim sketch width; 0 derives it from `num_keys` exactly as
-    /// `CountMinSketch::for_keys` does (the attacker reads the source).
-    pub sketch_width: usize,
-    /// Value size for attack-generated PUTs.
-    pub value_size: usize,
 }
 
 impl AdversaryConfig {
     /// Defaults tuned so 10k ops of any kind visibly stress the defenses.
-    /// Value sizes differ per kind: the churn and collision rotations rely
-    /// on their byte footprint overflowing the cache so revisits re-miss.
     pub fn new(kind: AdversaryKind, num_keys: u64, seed: u64) -> Self {
         AdversaryConfig {
             kind,
             num_keys: num_keys.max(1),
             seed,
-            scan_len: 512,
             churn_keys: 64,
             churn_burst: 1,
             collisions_per_row: 2,
-            sketch_width: 0,
-            value_size: match kind {
-                AdversaryKind::KeyChurn | AdversaryKind::OneHitWonder => 4 << 10,
-                AdversaryKind::SketchCollision => 24 << 10,
-                AdversaryKind::ScanFlood => 100,
-            },
         }
+    }
+}
+
+/// Entries a [`AdversaryKind::ScanFlood`] scan asks for.
+const SCAN_FLOOD_LEN: usize = 512;
+
+/// Value size of the attack's PUTs. The churn and collision rotations rely
+/// on their byte footprint overflowing the cache so revisits re-miss.
+fn value_size(kind: AdversaryKind) -> usize {
+    match kind {
+        AdversaryKind::KeyChurn | AdversaryKind::OneHitWonder => 4 << 10,
+        AdversaryKind::SketchCollision => 24 << 10,
+        AdversaryKind::ScanFlood => 100,
     }
 }
 
@@ -175,11 +172,7 @@ impl AttackPlan {
         if cfg.kind != AdversaryKind::SketchCollision {
             return AttackPlan::default();
         }
-        let width = if cfg.sketch_width == 0 {
-            derived_sketch_width(cfg.num_keys as usize)
-        } else {
-            cfg.sketch_width
-        };
+        let width = derived_sketch_width(cfg.num_keys as usize);
         // The victim: the hottest key of a scrambled-zipfian workload is
         // rank 0's image, a fact the attacker derives from the public
         // generator just like the sketch hash.
@@ -193,7 +186,7 @@ impl AttackPlan {
         let mut ids = Vec::with_capacity(want * SKETCH_DEPTH);
         // Candidates start just past the legitimate space so collision
         // keys never shadow real data. Expected tries per hit ≈ width /
-        // depth; the cap keeps a mis-sized width from hanging the build.
+        // depth; the cap bounds the search.
         let max_tries = (width as u64).saturating_mul(want as u64 * 16);
         let mut candidate = cfg.num_keys;
         let mut tries = 0u64;
@@ -270,7 +263,7 @@ impl AdversaryGen {
 
     /// The value body for attack PUTs.
     fn value(&self) -> Bytes {
-        Bytes::from(vec![0xAB; self.cfg.value_size.max(1)])
+        Bytes::from(vec![0xAB; value_size(self.cfg.kind)])
     }
 
     /// One step of the Delete→Put→Get round on `id`, phased off the op
@@ -296,7 +289,7 @@ impl AdversaryGen {
         let op = match self.cfg.kind {
             AdversaryKind::ScanFlood => Operation::Scan {
                 from: render_key(self.rng.gen_range(0..n)),
-                len: self.cfg.scan_len.max(1),
+                len: SCAN_FLOOD_LEN,
             },
             AdversaryKind::OneHitWonder => {
                 // Affine full-period walk over an attacker-owned space 4×
@@ -329,8 +322,9 @@ impl AdversaryGen {
             }
             AdversaryKind::SketchCollision => {
                 if self.plan.collision_ids.is_empty() {
-                    // Mining failed (mis-sized width); degrade to churn so
-                    // the stream still attacks rather than idling.
+                    // No mined keys (no plan, or mining hit its cap);
+                    // degrade to churn so the stream still attacks rather
+                    // than idling.
                     let id = n + (fnv1a64(0x00C0_FFEE ^ (self.counter % 64)) % n);
                     self.invalidating_round(id)
                 } else if self.puts_done < self.plan.collision_ids.len() {

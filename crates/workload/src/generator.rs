@@ -1,9 +1,9 @@
 //! Operation-mix workload generation.
 //!
 //! Mirrors the paper's Section 5 setup: a fixed key space accessed under a
-//! Zipfian distribution, with operations drawn from a (get / short-scan /
-//! long-scan / write) mix. Keys render as `user`-prefixed fixed-width
-//! strings (24 bytes by default, like the paper's key size).
+//! scrambled Zipfian distribution, with operations drawn from a (get /
+//! short-scan / long-scan / write) mix. Keys render as `user`-prefixed
+//! fixed-width strings (24 bytes, like the paper's key size).
 
 use crate::zipf::Zipf;
 use bytes::Bytes;
@@ -11,20 +11,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// How keys are drawn from the key space (YCSB's request distributions).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Distribution {
-    /// Zipfian with the configured skew (optionally scrambled).
-    Zipfian,
-    /// Every key equally likely.
-    Uniform,
-    /// "Latest": Zipfian over recency — recently *written* keys are hot
-    /// (rank 0 = most recently inserted id). Models feeds and queues.
-    Latest,
-    /// A hot set of `hot_fraction` of the keys receives
-    /// `hot_access_fraction` of accesses (YCSB hotspot).
-    Hotspot,
-}
+/// Entries a short scan returns (paper: 16).
+pub const SHORT_SCAN_LEN: usize = 16;
+/// Entries a long scan returns (paper: 64).
+pub const LONG_SCAN_LEN: usize = 64;
 
 /// One operation against the store.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,9 +50,9 @@ pub enum Operation {
 pub struct Mix {
     /// Point lookups.
     pub get: f64,
-    /// Scans of `short_scan_len`.
+    /// Scans of [`SHORT_SCAN_LEN`].
     pub short_scan: f64,
-    /// Scans of `long_scan_len`.
+    /// Scans of [`LONG_SCAN_LEN`].
     pub long_scan: f64,
     /// Writes (puts).
     pub write: f64,
@@ -95,18 +85,6 @@ pub struct WorkloadConfig {
     pub point_skew: f64,
     /// Zipfian skew for scan start keys (defaults to `point_skew`).
     pub scan_skew: f64,
-    /// Short-scan length (paper: 16).
-    pub short_scan_len: usize,
-    /// Long-scan length (paper: 64).
-    pub long_scan_len: usize,
-    /// Spread hot ranks across the key space (YCSB scrambled Zipfian).
-    pub scramble: bool,
-    /// Request distribution for point lookups and writes.
-    pub distribution: Distribution,
-    /// Hotspot: fraction of the key space that is hot.
-    pub hot_fraction: f64,
-    /// Hotspot: fraction of accesses that go to the hot set.
-    pub hot_access_fraction: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -118,12 +96,6 @@ impl Default for WorkloadConfig {
             value_size: 100,
             point_skew: 0.9,
             scan_skew: 0.9,
-            short_scan_len: 16,
-            long_scan_len: 64,
-            scramble: true,
-            distribution: Distribution::Zipfian,
-            hot_fraction: 0.2,
-            hot_access_fraction: 0.8,
             seed: 0x5EED,
         }
     }
@@ -143,15 +115,15 @@ pub fn parse_key(key: &[u8]) -> Option<u64> {
         .ok()
 }
 
-/// Draws operations from a configurable mix over a Zipfian key space.
+/// Draws operations from a configurable mix over a scrambled Zipfian key
+/// space: the hot ranks are hashed across the key space (YCSB
+/// `scrambled_zipfian`).
 pub struct WorkloadGen {
     cfg: WorkloadConfig,
     point_dist: Zipf,
     scan_dist: Zipf,
     rng: StdRng,
     value_counter: u64,
-    /// Highest key id written so far (drives the Latest distribution).
-    latest_write: u64,
 }
 
 impl WorkloadGen {
@@ -160,14 +132,12 @@ impl WorkloadGen {
         let point_dist = Zipf::new(cfg.num_keys, cfg.point_skew);
         let scan_dist = Zipf::new(cfg.num_keys, cfg.scan_skew);
         let rng = StdRng::seed_from_u64(cfg.seed);
-        let latest_write = cfg.num_keys.saturating_sub(1);
         WorkloadGen {
             cfg,
             point_dist,
             scan_dist,
             rng,
             value_counter: 0,
-            latest_write,
         }
     }
 
@@ -177,40 +147,11 @@ impl WorkloadGen {
     }
 
     fn point_key(&mut self) -> Bytes {
-        let id = match self.cfg.distribution {
-            Distribution::Zipfian => {
-                if self.cfg.scramble {
-                    self.point_dist.sample_scrambled(&mut self.rng)
-                } else {
-                    self.point_dist.sample_rank(&mut self.rng)
-                }
-            }
-            Distribution::Uniform => self.rng.gen_range(0..self.cfg.num_keys),
-            Distribution::Latest => {
-                // Rank 0 = the most recently written id, counting backwards.
-                let rank = self.point_dist.sample_rank(&mut self.rng);
-                self.latest_write.wrapping_sub(rank) % self.cfg.num_keys
-            }
-            Distribution::Hotspot => {
-                let hot_keys = ((self.cfg.num_keys as f64) * self.cfg.hot_fraction).max(1.0) as u64;
-                if self.rng.gen::<f64>() < self.cfg.hot_access_fraction {
-                    // Hot set is spread across the space by hashing.
-                    crate::zipf::fnv1a64(self.rng.gen_range(0..hot_keys)) % self.cfg.num_keys
-                } else {
-                    self.rng.gen_range(0..self.cfg.num_keys)
-                }
-            }
-        };
-        render_key(id)
+        render_key(self.point_dist.sample_scrambled(&mut self.rng))
     }
 
     fn scan_start(&mut self) -> Bytes {
-        let id = if self.cfg.scramble {
-            self.scan_dist.sample_scrambled(&mut self.rng)
-        } else {
-            self.scan_dist.sample_rank(&mut self.rng)
-        };
-        render_key(id)
+        render_key(self.scan_dist.sample_scrambled(&mut self.rng))
     }
 
     /// A deterministic-but-distinct value payload.
@@ -237,18 +178,15 @@ impl WorkloadGen {
         } else if u < mix.get + mix.short_scan {
             Operation::Scan {
                 from: self.scan_start(),
-                len: self.cfg.short_scan_len,
+                len: SHORT_SCAN_LEN,
             }
         } else if u < mix.get + mix.short_scan + mix.long_scan {
             Operation::Scan {
                 from: self.scan_start(),
-                len: self.cfg.long_scan_len,
+                len: LONG_SCAN_LEN,
             }
         } else {
             let key = self.point_key();
-            if let Some(id) = parse_key(&key) {
-                self.latest_write = id;
-            }
             let value = self.value();
             Operation::Put { key, value }
         }
@@ -357,90 +295,6 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn uniform_distribution_is_flat() {
-        let mut g = WorkloadGen::new(WorkloadConfig {
-            num_keys: 100,
-            distribution: Distribution::Uniform,
-            ..Default::default()
-        });
-        let mix = Mix::new(1.0, 0.0, 0.0, 0.0);
-        let mut counts = std::collections::HashMap::new();
-        for _ in 0..50_000 {
-            if let Operation::Get { key } = g.next_op(&mix) {
-                *counts.entry(key).or_insert(0u64) += 1;
-            }
-        }
-        assert_eq!(counts.len(), 100, "all keys touched");
-        let max = *counts.values().max().unwrap();
-        let min = *counts.values().min().unwrap();
-        assert!(max < min * 2, "uniform spread too lopsided: {min}..{max}");
-    }
-
-    #[test]
-    fn latest_distribution_tracks_recent_writes() {
-        let mut g = WorkloadGen::new(WorkloadConfig {
-            num_keys: 10_000,
-            distribution: Distribution::Latest,
-            ..Default::default()
-        });
-        // Interleave writes and reads; reads should concentrate near the
-        // most recent writes.
-        let mut last_written = None;
-        let mut near_hits = 0;
-        let mut reads = 0;
-        for i in 0..20_000 {
-            let mix = if i % 2 == 0 {
-                Mix::new(0.0, 0.0, 0.0, 1.0)
-            } else {
-                Mix::new(1.0, 0.0, 0.0, 0.0)
-            };
-            match g.next_op(&mix) {
-                Operation::Put { key, .. } => last_written = parse_key(&key),
-                Operation::Get { key } => {
-                    reads += 1;
-                    if let (Some(w), Some(r)) = (last_written, parse_key(&key)) {
-                        // "near" = within 100 ids behind the latest write.
-                        if w.wrapping_sub(r) % 10_000 < 100 {
-                            near_hits += 1;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Under a uniform distribution only ~1% of reads would land within
-        // 100 ids of the latest write; "latest" concentrates far above that.
-        assert!(
-            near_hits as f64 / reads as f64 > 0.25,
-            "latest reads should chase writes: {near_hits}/{reads}"
-        );
-    }
-
-    #[test]
-    fn hotspot_concentrates_on_hot_set() {
-        let mut g = WorkloadGen::new(WorkloadConfig {
-            num_keys: 10_000,
-            distribution: Distribution::Hotspot,
-            hot_fraction: 0.1,
-            hot_access_fraction: 0.9,
-            ..Default::default()
-        });
-        let mix = Mix::new(1.0, 0.0, 0.0, 0.0);
-        let mut counts = std::collections::HashMap::new();
-        for _ in 0..50_000 {
-            if let Operation::Get { key } = g.next_op(&mix) {
-                *counts.entry(key).or_insert(0u64) += 1;
-            }
-        }
-        // The ~1000 hottest keys should hold ~90% of the mass.
-        let mut freqs: Vec<u64> = counts.values().copied().collect();
-        freqs.sort_unstable_by(|a, b| b.cmp(a));
-        let hot_mass: u64 = freqs.iter().take(1_000).sum();
-        let share = hot_mass as f64 / 50_000.0;
-        assert!(share > 0.8, "hot-set share {share}");
     }
 
     #[test]

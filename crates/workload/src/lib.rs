@@ -19,8 +19,6 @@ pub mod phases;
 pub mod zipf;
 
 pub use adversary::{AdversaryConfig, AdversaryGen, AdversaryKind, AttackPlan};
-pub use generator::{
-    parse_key, render_key, Distribution, Mix, Operation, WorkloadConfig, WorkloadGen,
-};
+pub use generator::{parse_key, render_key, Mix, Operation, WorkloadConfig, WorkloadGen};
 pub use phases::{paper_dynamic_schedule, static_workloads, Phase, Schedule, TABLE3};
 pub use zipf::Zipf;

@@ -16,7 +16,6 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipf {
@@ -35,7 +34,6 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            zeta2,
         }
     }
 
@@ -66,7 +64,6 @@ impl Zipf {
         if uz < 1.0 + 0.5f64.powf(self.theta) {
             return 1;
         }
-        let _ = self.zeta2;
         ((self.n as f64) * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64 % self.n
     }
 

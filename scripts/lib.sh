@@ -1,6 +1,8 @@
-# Shared by the smoke scripts; source it from the repository root after
-# `cargo build -p adcache-cli`.
-BIN=./target/debug/adcache
+# Shared by the smoke scripts; source it after `cargo build -p
+# adcache-cli`. The scripts drive `$BIN`: the caller's, if it set one (say,
+# `BIN=target/release/adcache bash scripts/serve_smoke.sh`), else this
+# checkout's debug build.
+BIN=${BIN:-$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/target/debug/adcache}
 
 # start_server LOG [serve flags...]
 #
