@@ -142,15 +142,6 @@ impl PointAdmission {
         self.checked_decays = self.sketch.decays();
     }
 
-    /// Re-salts the sketch's hash rows with an explicit salt, discarding
-    /// its history. Tenant partitions salt each tenant's sketch with a
-    /// tenant-derived value at construction, so hash collisions one
-    /// tenant engineers against its own sketch do not transfer to
-    /// another tenant's admission state.
-    pub fn resalt(&mut self, salt: u64) {
-        self.sketch.reset(salt);
-    }
-
     /// Retunes the threshold (called by the RL controller each window).
     pub fn set_threshold(&mut self, threshold: f64) {
         self.threshold = threshold.max(0.0);

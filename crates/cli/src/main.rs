@@ -604,9 +604,9 @@ impl<'a> MetricsView<'a> {
         rows
     }
 
-    /// Every tenant with cache counters, in the snapshot's own order. The
-    /// default tenant 0 is always there once the cache telemetry is on, so
-    /// a multi-tenant run is one with more than one id.
+    /// Every tenant with cache counters, in the snapshot's own order. A
+    /// server with telemetry on always counts the default tenant 0, so a
+    /// multi-tenant run is one with more than one id.
     fn tenant_ids(&self) -> Vec<u64> {
         let counters = self.cur.get("counters").and_then(Value::as_object);
         let id = |(name, _): &(String, Value)| {
@@ -616,12 +616,11 @@ impl<'a> MetricsView<'a> {
         counters.map_or(Vec::new(), |c| c.iter().filter_map(id).collect())
     }
 
-    /// `(cache hits, cache misses, resident bytes, quota-throttled)`.
-    fn tenant(&self, id: u64) -> (u64, u64, i64, u64) {
+    /// `(cache hits, cache misses, quota-throttled)`.
+    fn tenant(&self, id: u64) -> (u64, u64, u64) {
         (
             self.counter(&format!("cache.tenant.{id}.hits")),
             self.counter(&format!("cache.tenant.{id}.misses")),
-            self.gauge(&format!("cache.tenant.{id}.bytes")),
             self.counter(&format!("server.tenant.{id}.quota.throttled")),
         )
     }
@@ -1022,36 +1021,20 @@ fn render_trace_serving(
     tenant_ids.sort_unstable();
     if tenant_ids.len() > 1 {
         let mut bound: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-        let mut resizes: std::collections::BTreeMap<u64, (u64, f64)> =
-            std::collections::BTreeMap::new();
         for r in records {
-            match &r.event {
-                Event::TenantBound { tenant, .. } => *bound.entry(*tenant).or_insert(0) += 1,
-                Event::TenantShareResized { tenant, share, .. } => {
-                    let e = resizes.entry(*tenant).or_insert((0, 0.0));
-                    e.0 += 1;
-                    e.1 = *share;
-                }
-                _ => {}
+            if let Event::TenantBound { tenant, .. } = &r.event {
+                *bound.entry(*tenant).or_insert(0) += 1;
             }
         }
         writeln!(out, "\ntenants ({}):", tenant_ids.len())?;
         for id in &tenant_ids {
-            let (hits, misses, resident_bytes, throttled) = m.tenant(*id);
+            let (hits, misses, throttled) = m.tenant(*id);
             let total = hits + misses;
-            let (n_resizes, share) = resizes.get(id).copied().unwrap_or((0, 0.0));
             writeln!(
                 out,
-                "  tenant {id:>3}: hit rate {:>5.1}% ({hits}/{total}), {:>8} KiB resident, \
-                 {} conns bound, {n_resizes} share moves{}{}",
+                "  tenant {id:>3}: hit rate {:>5.1}% ({hits}/{total}), {} conns bound{}",
                 percent(hits, total),
-                resident_bytes >> 10,
                 bound.get(id).copied().unwrap_or(0),
-                if n_resizes > 0 {
-                    format!(" (last share {share:.2})")
-                } else {
-                    String::new()
-                },
                 if throttled > 0 {
                     format!(", {throttled} quota-throttled")
                 } else {
@@ -1498,19 +1481,18 @@ fn render_top_tick(
     }
 
     // Hottest tenant over the interval (multi-tenant serving only):
-    // most cache traffic, with its interval hit rate and residency.
+    // most cache traffic, with its interval hit rate.
     let tenant_ids = m.tenant_ids();
     let tenants = tenant_ids.iter().map(|id| (id, m.tenant(*id)));
     let hottest = tenants.max_by_key(|(_, t)| t.0 + t.1);
     let hottest = hottest.filter(|_| tenant_ids.len() > 1);
-    if let Some((hot, (hits, misses, resident_bytes, throttled))) = hottest {
+    if let Some((hot, (hits, misses, throttled))) = hottest {
         writeln!(
             out,
-            "  hottest tenant: {hot}/{} with {:.0} lookups/s, {:.1}% hit, {} KiB resident{}",
+            "  hottest tenant: {hot}/{} with {:.0} lookups/s, {:.1}% hit{}",
             tenant_ids.len(),
             (hits + misses) as f64 / secs,
             percent(hits, hits + misses),
-            resident_bytes >> 10,
             if throttled > 0 {
                 format!(", {throttled} throttled this tick")
             } else {
@@ -1704,8 +1686,6 @@ struct DrillOutcome {
     attack_errors: std::collections::BTreeMap<String, u64>,
     /// The drained server's counters.
     server: adcache_server::ServeReport,
-    /// The tenant share split in force when the drill ended.
-    shares: Vec<(u32, f64)>,
 }
 
 impl DrillOutcome {
@@ -1739,8 +1719,7 @@ fn drill_db(
     let db = CachedDb::served(engine, 1, None)?;
     // No controller runs inside a drill, so pin a small admission
     // threshold: frequency admission must actually gate the KV cache for
-    // pollution attacks to have a defended surface (new tenant partitions
-    // inherit it at registration).
+    // pollution attacks to have a defended surface.
     db.apply_decision(&adcache_core::CacheDecision {
         point_threshold: 0.0005,
         ..Default::default()
@@ -1816,7 +1795,6 @@ impl Drill {
         let c = phase(false)?;
         let s3 = db.stats_report();
 
-        let shares = db.tenant_reports();
         let report = server.shutdown();
         if a.protocol_errors + b.protocol_errors + c.protocol_errors > 0 {
             return Err("protocol errors during drill — defenses must stay frame-clean".into());
@@ -1831,7 +1809,6 @@ impl Drill {
             post_hit: drill_hit_rate(&s2, &s3),
             attack_errors: b.errors_by_cause,
             server: report,
-            shares: shares.iter().map(|r| (r.tenant, r.share)).collect(),
         })
     }
 }
@@ -2062,9 +2039,8 @@ fn quiet_p99(report: &adcache_server::LoadReport) -> u64 {
 
 /// Runs the noisy-neighbor drill against a fresh in-process engine +
 /// server: 1 noisy tenant + `tenants - 1` quiet ones, each tenant two
-/// connections. Defenses on = partitioned per-tenant caches split by
-/// each window's demand, and aggregated per-tenant quotas; off = tenants
-/// are labels on one shared cache with no tenant quota.
+/// connections, all over one shared cache. Defenses on = aggregated
+/// per-tenant quotas; off = no tenant quota.
 fn tenant_drill(
     defenses: bool,
     ops: u64,
@@ -2074,7 +2050,7 @@ fn tenant_drill(
 ) -> Result<DrillOutcome, Box<dyn std::error::Error>> {
     let conns = 2 * tenants as usize;
     let drill = Drill {
-        db: drill_db(keys, |e| e.tenant_partitioning = defenses)?,
+        db: drill_db(keys, |_| {})?,
         keys,
         seed,
         kind: AdversaryKind::ScanFlood,
@@ -2110,14 +2086,14 @@ flags! {
 }
 const TENANTCHECK: Command = Command {
     name: "tenantcheck",
-    about: "noisy-neighbor drill: tenant isolation off vs on",
+    about: "noisy-neighbor drill: tenant quotas off vs on",
     flags: &[TENANT_OPS, KEYS, SEED, DRILL_TENANTS, ASSERT_DEFENSES],
     run: cmd_tenantcheck,
 };
 
-/// `adcache tenantcheck`: the noisy-neighbor isolation drill. One hot
-/// tenant attacks while quiet tenants run a paced legit mix; the drill
-/// runs twice — tenant defenses off, then on — and compares the quiet
+/// `adcache tenantcheck`: the noisy-neighbor drill. One hot tenant
+/// attacks while quiet tenants run a paced legit mix over the one shared
+/// cache; the drill runs twice — tenant quotas off, then on — and compares the quiet
 /// tenants' p99 inflation and post-attack hit-rate loss side by side.
 /// `--assert-defenses` exits nonzero unless defenses-on bounds both axes
 /// and actually throttled the neighbor.
@@ -2156,20 +2132,12 @@ fn cmd_tenantcheck(flags: &Flags) -> CmdResult {
         );
     }
     let throttled = on.server.tenant_throttled;
-    println!(
-        "defended: neighbor throttled {} times; final shares {}",
-        throttled,
-        on.shares
-            .iter()
-            .map(|(t, s)| format!("t{t}={s:.2}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
+    println!("defended: neighbor throttled {throttled} times");
 
     // Bounded means: the quiet tenants' p99 inflation is strictly lower
     // with defenses on, the hit-rate loss is no worse (1pp allowance —
-    // both sides are often near zero and partitions re-learn admission
-    // after resizes), and the quota actually fired at the neighbor.
+    // both sides are often near zero), and the quota actually fired at
+    // the neighbor.
     let bounded = on.p99_inflation(base) < off.p99_inflation(base)
         && on.hit_drop() <= off.hit_drop() + 0.01
         && throttled > 0;
@@ -3172,7 +3140,6 @@ group_commit rounds 2706 seals 11 write_stalls 0
             assert!(outcome.base_p99 > 0 && outcome.attack_p99 > 0);
             assert!(outcome.base_hit > 0.0 && outcome.post_hit > 0.0);
             assert!(outcome.hit_drop() < 1.0 && outcome.p99_inflation(1e6) > 0.0);
-            assert!(!outcome.shares.is_empty());
         }
         assert!(adv_guard_drill(AdversaryKind::SketchCollision, 500, 1, true).unwrap() > 0);
     }

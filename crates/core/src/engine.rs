@@ -9,19 +9,18 @@
 
 use crate::controller::CacheDecision;
 use crate::memory::{self, MemoryReport};
-use crate::stats::{Counters, Snapshot, WindowSummary};
-use crate::tenant::{guarded_shares, Partition, TenantId, DEFAULT_TENANT};
+use crate::stats::{Counters, HitTally, Snapshot, WindowSummary};
 use adcache_cache::{
-    BlockCache, CacheFootprint, PointLookup, RangeCache, RangeFootprint, ScanAdmission,
+    BlockCache, CacheFootprint, CacheusPolicy, KvCache, LeCaRPolicy, PointAdmission, PointLookup,
+    RangeCache, RangeFootprint, RangePolicyFactory, ScanAdmission, SlotLruPolicy,
 };
 use adcache_lsm::{
     DirectProvider, Entry, FileStorage, Key, MemStorage, Options, Result, Storage, StripedDb, Value,
 };
 use adcache_obs::{Counter, Event, Gauge, Obs};
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
@@ -85,16 +84,6 @@ pub struct EngineConfig {
     /// Whether the admission sketch's anomaly guard is armed (auto reset +
     /// re-salt when saturation/decay telemetry looks adversarial).
     pub sketch_guard: bool,
-    /// Guaranteed minimum share of the cache budget per registered
-    /// tenant: however little a tenant issued in a window, its partition
-    /// never shrinks below this fraction (clamped to `1/n` when
-    /// infeasible for `n` tenants).
-    pub min_tenant_share: f64,
-    /// Whether registering a tenant creates a shared-nothing cache
-    /// partition for it. Off = tenants are labels only: every tenant
-    /// shares the default partition and no share rebalance runs (the
-    /// `tenantcheck` drill's defenses-off baseline).
-    pub tenant_partitioning: bool,
 }
 
 impl EngineConfig {
@@ -107,8 +96,6 @@ impl EngineConfig {
             range_boundaries: Vec::new(),
             expected_keys: 100_000,
             sketch_guard: true,
-            min_tenant_share: 0.1,
-            tenant_partitioning: true,
         }
     }
 }
@@ -175,7 +162,6 @@ struct EngineObsHooks {
     boundary_resizes: Counter,
     boundary_block_bytes: Gauge,
     boundary_range_bytes: Gauge,
-    tenant_resizes: Counter,
 }
 
 impl EngineObsHooks {
@@ -194,7 +180,6 @@ impl EngineObsHooks {
             boundary_resizes: obs.counter("core.boundary.resizes"),
             boundary_block_bytes: obs.gauge("core.boundary.block_bytes"),
             boundary_range_bytes: obs.gauge("core.boundary.range_bytes"),
-            tenant_resizes: obs.counter("core.tenant.resizes"),
             obs,
         }
     }
@@ -220,23 +205,20 @@ impl EngineObsHooks {
 /// is a [`StripedDb`]: N keyspace stripes with independent write paths
 /// (one stripe, synchronous maintenance by default).
 ///
-/// The cache layer is tenant-partitioned (see [`crate::tenant`]): every
-/// registered tenant owns a shared-nothing [`Partition`] sized by its
-/// share of `total_cache_bytes`, and legacy single-tenant callers run
-/// entirely inside the default partition (tenant 0, share 1.0), which
-/// preserves the pre-tenant behavior bit for bit.
+/// One set of caches and one admission sketch hold the whole budget for
+/// every caller. A served tenant shares them with everyone else and is
+/// only charged its own hits and misses ([`HitTally`]).
 pub struct CachedDb {
     db: StripedDb,
     strategy: Strategy,
-    /// Tenant 0's partition — the whole cache layer until other tenants
-    /// register. Kept out of the map so the legacy fast path never takes
-    /// the registry lock.
-    default_partition: Arc<Partition>,
-    /// Non-default tenant partitions, keyed by tenant id.
-    tenants: RwLock<BTreeMap<TenantId, Arc<Partition>>>,
-    /// Construction parameters retained for late tenant registration.
-    cfg: EngineConfig,
-    scan_admission: RwLock<ScanAdmission>,
+    block_cache: Option<Arc<BlockCache>>,
+    kv_cache: Option<KvCache>,
+    range_cache: Option<RangeCache>,
+    /// Frequency admission gating the range cache's point fills (AdCache).
+    point_admission: Option<Mutex<PointAdmission>>,
+    /// Partial admission of scan results (AdCache): present exactly when
+    /// the controller's decisions apply.
+    scan_admission: Option<RwLock<ScanAdmission>>,
     total_cache_bytes: usize,
     /// Cached entries-per-block estimate, refreshed once per window.
     b_estimate: RwLock<f64>,
@@ -292,36 +274,65 @@ impl CachedDb {
     }
 
     /// Wraps an already-constructed (possibly recovered) striped tree with
-    /// the cache strategy.
+    /// the cache strategy's structures, sized to the whole budget.
     fn from_tree(db: StripedDb, cfg: EngineConfig) -> Result<Self> {
         let total = cfg.total_cache_bytes;
         // Start at the default even split; the controller moves it.
         let d = CacheDecision::default();
-        let default_partition = Arc::new(Partition::build(
-            DEFAULT_TENANT,
-            &cfg,
-            total,
-            d.range_ratio,
-            d.point_threshold,
-        ));
-        default_partition.set_share(1.0);
+        let range_cache = |budget, factory: RangePolicyFactory| {
+            Some(RangeCache::with_shards(
+                budget,
+                cfg.range_boundaries.clone(),
+                factory,
+            ))
+        };
+        let block_cache = |budget| Some(Arc::new(BlockCache::new(budget, cfg.block_shards)));
+        let (mut block, mut kv, mut range, mut point, mut scan) = (None, None, None, None, None);
+        match cfg.strategy {
+            Strategy::RocksDbBlock => block = block_cache(total),
+            Strategy::KvCache => kv = Some(KvCache::new(total)),
+            Strategy::RangeCache => {
+                range = range_cache(total, Box::new(|| Box::new(SlotLruPolicy::new())));
+            }
+            Strategy::RangeCacheLeCaR => {
+                range = range_cache(total, Box::new(|| Box::new(LeCaRPolicy::new())));
+            }
+            Strategy::RangeCacheCacheus => {
+                range = range_cache(total, Box::new(|| Box::new(CacheusPolicy::new())));
+            }
+            Strategy::AdCache => {
+                block = block_cache((total as f64 * (1.0 - d.range_ratio)) as usize);
+                range = range_cache(
+                    (total as f64 * d.range_ratio) as usize,
+                    Box::new(|| Box::new(SlotLruPolicy::new())),
+                );
+                let adm = PointAdmission::with_guard(
+                    cfg.expected_keys,
+                    d.point_threshold,
+                    cfg.sketch_guard,
+                );
+                point = Some(Mutex::new(adm));
+                scan = Some(RwLock::new(ScanAdmission::default()));
+            }
+        }
         // Compactions must sweep stale blocks out of the block cache.
-        if let Some(bc) = &default_partition.block_cache {
+        if let Some(bc) = &block {
             db.add_compaction_listener(bc.clone());
         }
         Ok(CachedDb {
             strategy: cfg.strategy,
-            default_partition,
-            tenants: RwLock::new(BTreeMap::new()),
-            scan_admission: RwLock::new(ScanAdmission::default()),
+            block_cache: block,
+            kv_cache: kv,
+            range_cache: range,
+            point_admission: point,
+            scan_admission: scan,
             total_cache_bytes: total,
             b_estimate: RwLock::new(4.0),
-            applied_ratio: RwLock::new(CacheDecision::default().range_ratio),
+            applied_ratio: RwLock::new(d.range_ratio),
             counters: Counters::default(),
             obs: OnceLock::new(),
             copy_values: !db.storage().blocks_are_the_store(),
             db,
-            cfg,
         })
     }
 
@@ -333,7 +344,18 @@ impl CachedDb {
             return;
         }
         self.db.set_obs(obs.clone());
-        self.for_each_partition(|part| part.attach_obs(&obs));
+        if let Some(bc) = &self.block_cache {
+            bc.set_obs(obs.clone());
+        }
+        if let Some(rc) = &self.range_cache {
+            rc.set_obs(obs.clone());
+        }
+        if let Some(kv) = &self.kv_cache {
+            kv.set_obs(obs.clone());
+        }
+        if let Some(adm) = &self.point_admission {
+            adm.lock().set_obs(obs);
+        }
         // Publish the current boundary position so live views see it
         // before the first controller decision moves it.
         if let Some(h) = self.obs.get() {
@@ -366,215 +388,47 @@ impl CachedDb {
         &self.counters
     }
 
-    /// The default tenant's block cache, when the strategy has one.
+    /// The block cache, when the strategy has one.
     pub fn block_cache(&self) -> Option<&BlockCache> {
-        self.default_partition.block_cache.as_deref()
+        self.block_cache.as_deref()
     }
 
-    /// The default tenant's range cache, when the strategy has one.
+    /// The range cache, when the strategy has one.
     pub fn range_cache(&self) -> Option<&RangeCache> {
-        self.default_partition.range_cache.as_ref()
+        self.range_cache.as_ref()
     }
 
-    /// Auto-resets the admission sketch's anomaly guard has performed,
-    /// summed over every tenant partition (0 when the strategy has no
-    /// point admission).
+    /// Auto-resets the admission sketch's anomaly guard has performed (0
+    /// when the strategy has no point admission).
     pub fn sketch_resets(&self) -> u64 {
-        let mut resets = 0;
-        self.for_each_partition(|p| {
-            if let Some(adm) = &p.point_admission {
-                resets += adm.lock().resets();
-            }
-        });
-        resets
-    }
-
-    /// Visits the default tenant's partition, then every registered
-    /// tenant's in tenant-id order, under the registry's read lock and
-    /// without allocating: this is on the path of every write. `f` must
-    /// not register tenants.
-    fn for_each_partition(&self, mut f: impl FnMut(&Partition)) {
-        f(&self.default_partition);
-        for part in self.tenants.read().values() {
-            f(part);
-        }
-    }
-
-    /// The same partitions as an owned list, for the tenant-management
-    /// calls that hold them across a registry change.
-    fn all_partitions(&self) -> Vec<Arc<Partition>> {
-        let mut v = vec![self.default_partition.clone()];
-        v.extend(self.tenants.read().values().cloned());
-        v
-    }
-
-    /// The partition serving `tenant` (the default partition for tenant
-    /// 0 and for tenants never registered — unregistered traffic is
-    /// legacy traffic, not a fresh partition). Takes the registry's read
-    /// lock and clones an `Arc`: resolve once per session and hand the
-    /// result to the `*_in` operations, as the server does at `AUTH`.
-    pub fn partition_for(&self, tenant: TenantId) -> Arc<Partition> {
-        if tenant == DEFAULT_TENANT {
-            return self.default_partition.clone();
-        }
-        self.tenants
-            .read()
-            .get(&tenant)
-            .cloned()
-            .unwrap_or_else(|| self.default_partition.clone())
-    }
-
-    /// Registers `tenant`, creating its shared-nothing partition (with a
-    /// tenant-salted admission sketch) and rebalancing all shares to the
-    /// equal split. Idempotent; tenant 0 always exists.
-    pub fn register_tenant(&self, tenant: TenantId) {
-        if tenant == DEFAULT_TENANT
-            || !self.cfg.tenant_partitioning
-            || self.tenants.read().contains_key(&tenant)
-        {
-            return;
-        }
-        let threshold = self
-            .default_partition
-            .point_admission
+        self.point_admission
             .as_ref()
-            .map_or(CacheDecision::default().point_threshold, |adm| {
-                adm.lock().threshold()
-            });
-        let part = Arc::new(Partition::build(
-            tenant,
-            &self.cfg,
-            0,
-            *self.applied_ratio.read(),
-            threshold,
-        ));
-        if let Some(bc) = &part.block_cache {
-            self.db.add_compaction_listener(bc.clone());
-        }
-        if let Some(h) = self.obs.get() {
-            part.attach_obs(&h.obs);
-        }
-        {
-            let mut map = self.tenants.write();
-            if map.contains_key(&tenant) {
-                return; // lost a registration race; keep the winner
-            }
-            map.insert(tenant, part);
-        }
-        // The tenant set changed: restart from equal shares.
-        let parts = self.all_partitions();
-        let equal: Vec<(TenantId, f64)> = parts
-            .iter()
-            .map(|p| (p.tenant(), 1.0 / parts.len() as f64))
-            .collect();
-        self.set_tenant_shares(&equal);
+            .map_or(0, |adm| adm.lock().resets())
     }
 
-    /// The registered tenant ids (including the default tenant).
-    pub fn tenant_ids(&self) -> Vec<TenantId> {
-        self.all_partitions().iter().map(|p| p.tenant()).collect()
-    }
-
-    /// Applies a share split across tenant partitions. Shares are passed
-    /// through the guarded floor ([`guarded_shares`]): they
-    /// are renormalized to sum to 1 with every tenant kept at or above
-    /// the configured minimum, then each partition is resized to
-    /// `share × total_cache_bytes` (block/range split by the current
-    /// boundary ratio). Tenants absent from `want` keep their current
-    /// share as the weight. Emits one `TenantShareResized` per tenant.
-    pub fn set_tenant_shares(&self, want: &[(TenantId, f64)]) {
-        let parts = self.all_partitions();
-        let weights: Vec<f64> = parts
-            .iter()
-            .map(|p| {
-                want.iter()
-                    .find(|(t, _)| *t == p.tenant())
-                    .map_or(p.share(), |&(_, w)| w)
-            })
-            .collect();
-        let shares = guarded_shares(&weights, self.cfg.min_tenant_share);
-        let ratio = *self.applied_ratio.read();
-        for (part, &share) in parts.iter().zip(&shares) {
-            let budget = (self.total_cache_bytes as f64 * share) as usize;
-            part.set_share(share);
-            part.resize(budget, ratio);
-            if let Some(h) = self.obs.get() {
-                h.tenant_resizes.inc();
-                h.obs.emit(|| Event::TenantShareResized {
-                    tenant: part.tenant() as u64,
-                    share,
-                    bytes: budget as u64,
-                });
-            }
-        }
-    }
-
-    /// Splits the cache by demand: drains each tenant's operations for
-    /// the window just closed and applies them as the share weights
-    /// ([`set_tenant_shares`](Self::set_tenant_shares)), so a tenant idle
-    /// for the whole window falls to the guaranteed minimum and a window
-    /// with no operations at all restores the equal split. With fewer
-    /// than two tenants it only drains the window, so the first split
-    /// after a second tenant registers weighs one window's demand, not
-    /// everything the default tenant did before. Returns the `(tenant,
-    /// share)` split in force.
-    pub fn rebalance_tenants(&self) -> Vec<(TenantId, f64)> {
-        let parts = self.all_partitions();
-        let demand: Vec<(TenantId, f64)> = parts
-            .iter()
-            .map(|p| (p.tenant(), p.window_ops() as f64))
-            .collect();
-        if parts.len() >= 2 {
-            self.set_tenant_shares(&demand);
-        }
-        parts.iter().map(|p| (p.tenant(), p.share())).collect()
-    }
-
-    /// Per-tenant statistics (share, budget, residency, hit counters),
-    /// in tenant-id order.
-    pub fn tenant_reports(&self) -> Vec<TenantStatsReport> {
-        self.all_partitions()
-            .iter()
-            .map(|p| {
-                let (hits, misses) = p.hit_counters();
-                TenantStatsReport {
-                    tenant: p.tenant(),
-                    share: p.share(),
-                    budget_bytes: p.budget() as u64,
-                    used_bytes: p.used_bytes() as u64,
-                    hits,
-                    misses,
-                    ops: p.ops(),
-                }
-            })
-            .collect()
-    }
-
-    /// [`get_in`](Self::get_in) the default tenant's partition.
+    /// [`get_in`](Self::get_in) charged to no tally.
     pub fn get(&self, key: &[u8]) -> Result<Option<Value>> {
-        self.get_in(&self.default_partition, key)
+        self.get_in(None, key)
     }
 
-    /// Point lookup along the paper's query-handling path, served from —
-    /// and charged to — `part` (see [`partition_for`](Self::partition_for);
-    /// resolve it once per session, not per operation).
-    pub fn get_in(&self, part: &Partition, key: &[u8]) -> Result<Option<Value>> {
+    /// Point lookup along the paper's query-handling path; the result
+    /// caches' hit or miss is charged to `tally`.
+    pub fn get_in(&self, tally: Option<&HitTally>, key: &[u8]) -> Result<Option<Value>> {
         self.counters.add_point();
-        part.note_op();
-        if let Some(answer) = self.probe_point_caches(part, key) {
-            part.note_hit();
+        if let Some(answer) = self.probe_point_caches(key) {
+            HitTally::charge(tally, true);
             return Ok(answer);
         }
-        part.note_miss();
+        HitTally::charge(tally, false);
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
         // The fill runs before the stripe's read lock drops, so no write to
         // `key` can commit between the read and the fill and be undone by it.
         let fill = |found: Option<&Value>| {
             if let Some(v) = found {
-                self.fill_point_caches(part, key, v);
+                self.fill_point_caches(key, v);
             }
         };
-        let result = match &part.block_cache {
+        let result = match &self.block_cache {
             Some(bc) => self.db.get_then(key, &bc.provider(), fill),
             None => self.db.get_then(key, &DirectProvider, fill),
         };
@@ -584,33 +438,32 @@ impl CachedDb {
         result.inspect_err(|_| self.counters.add_failed_read())
     }
 
-    /// [`multi_get_in`](Self::multi_get_in) the default tenant's partition.
+    /// [`multi_get_in`](Self::multi_get_in) charged to no tally.
     pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Value>>> {
-        self.multi_get_in(&self.default_partition, keys)
+        self.multi_get_in(None, keys)
     }
 
-    /// Batched point lookup: probes `part`'s caches per key, then reads all
+    /// Batched point lookup: probes the caches per key, then reads all
     /// misses from the LSM-tree in **one** grouped call
     /// ([`StripedDb::multi_get`]) that takes each stripe's read lock once
     /// per group instead of once per key. Results are positional:
-    /// `out[i]` answers `keys[i]`. Counter and admission semantics per
-    /// key match [`get_in`](Self::get_in); a failed grouped read is charged
-    /// as one failed read and fails the whole batch.
-    pub fn multi_get_in(&self, part: &Partition, keys: &[&[u8]]) -> Result<Vec<Option<Value>>> {
+    /// `out[i]` answers `keys[i]`. Counter, tally and admission semantics
+    /// per key match [`get_in`](Self::get_in); a failed grouped read is
+    /// charged as one failed read and fails the whole batch.
+    pub fn multi_get_in(
+        &self,
+        tally: Option<&HitTally>,
+        keys: &[&[u8]],
+    ) -> Result<Vec<Option<Value>>> {
         let mut out: Vec<Option<Value>> = vec![None; keys.len()];
         let mut miss_idx: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             self.counters.add_point();
-            part.note_op();
-            match self.probe_point_caches(part, key) {
-                Some(answer) => {
-                    part.note_hit();
-                    out[i] = answer;
-                }
-                None => {
-                    part.note_miss();
-                    miss_idx.push(i);
-                }
+            let answer = self.probe_point_caches(key);
+            HitTally::charge(tally, answer.is_some());
+            match answer {
+                Some(answer) => out[i] = answer,
+                None => miss_idx.push(i),
             }
         }
         if miss_idx.is_empty() {
@@ -624,11 +477,11 @@ impl CachedDb {
         let fill = |group: &[&[u8]], found: &[Option<Value>]| {
             for (key, value) in group.iter().zip(found) {
                 if let Some(v) = value {
-                    self.fill_point_caches(part, key, v);
+                    self.fill_point_caches(key, v);
                 }
             }
         };
-        let result = match &part.block_cache {
+        let result = match &self.block_cache {
             Some(bc) => self.db.multi_get_then(&miss_keys, &bc.provider(), fill),
             None => self.db.multi_get_then(&miss_keys, &DirectProvider, fill),
         };
@@ -639,11 +492,11 @@ impl CachedDb {
         Ok(out)
     }
 
-    /// Probes the partition's range and KV caches for `key`.
+    /// Probes the range and KV caches for `key`.
     /// `Some(answer)` is a hit (including a negative hit: `Some(None)`);
     /// `None` means both caches missed and the LSM-tree must be read.
-    fn probe_point_caches(&self, part: &Partition, key: &[u8]) -> Option<Option<Value>> {
-        if let Some(rc) = &part.range_cache {
+    fn probe_point_caches(&self, key: &[u8]) -> Option<Option<Value>> {
+        if let Some(rc) = &self.range_cache {
             match rc.get_point(key) {
                 PointLookup::Hit(v) => {
                     self.counters.range_hits.fetch_add(1, Ordering::Relaxed);
@@ -656,7 +509,7 @@ impl CachedDb {
                 PointLookup::Miss => {}
             }
         }
-        if let Some(kv) = &part.kv_cache {
+        if let Some(kv) = &self.kv_cache {
             if let Some(v) = kv.get(key) {
                 self.counters.kv_hits.fetch_add(1, Ordering::Relaxed);
                 return Some(Some(v));
@@ -668,7 +521,7 @@ impl CachedDb {
     /// The cache-fill path for a point read that reached the LSM-tree and
     /// found a value: point admission gates the range cache, the KV cache
     /// admits unconditionally. Runs under the key's stripe read lock.
-    fn fill_point_caches(&self, part: &Partition, key: &[u8], v: &Value) {
+    fn fill_point_caches(&self, key: &[u8], v: &Value) {
         #[cfg(test)]
         tests::fill_pause::pause_at(key);
         // One owned copy of the key, and the value as the caches keep it,
@@ -681,8 +534,8 @@ impl CachedDb {
         };
         let mut kept: Option<Value> = None;
         let mut kept_value = || kept.get_or_insert_with(|| self.keep(v)).clone();
-        if let Some(rc) = &part.range_cache {
-            let (admit, reason) = match &part.point_admission {
+        if let Some(rc) = &self.range_cache {
+            let (admit, reason) = match &self.point_admission {
                 Some(adm) => {
                     let admit = adm.lock().admit(key);
                     let reason = if admit {
@@ -701,13 +554,12 @@ impl CachedDb {
                 rc.insert_point(owned_key(), kept_value());
             }
         }
-        if let Some(kv) = &part.kv_cache {
+        if let Some(kv) = &self.kv_cache {
             if let Some(h) = self.obs.get() {
                 h.admission(AdmissionReason::Unconditional, 1);
             }
             kv.insert(owned_key(), kept_value());
         }
-        part.publish_bytes();
     }
 
     /// A value as a result cache keeps it: the copy rule. Over a store
@@ -737,12 +589,13 @@ impl CachedDb {
         Cow::Owned(kept.collect())
     }
 
-    /// [`scan_in`](Self::scan_in) the default tenant's partition.
+    /// [`scan_in`](Self::scan_in) charged to no tally.
     pub fn scan(&self, from: &[u8], limit: usize) -> Result<Vec<(Key, Value)>> {
-        self.scan_in(&self.default_partition, from, limit)
+        self.scan_in(None, from, limit)
     }
 
-    /// Range scan along the query-handling path, served from `part`.
+    /// Range scan along the query-handling path; a full range-cache hit or
+    /// a miss is charged to `tally`.
     ///
     /// The range cache serves whatever covered prefix it holds; the tail is
     /// read from the LSM-tree starting exactly at the coverage end (a
@@ -753,40 +606,35 @@ impl CachedDb {
     /// process" (Section 3.4).
     pub fn scan_in(
         &self,
-        part: &Partition,
+        tally: Option<&HitTally>,
         from: &[u8],
         limit: usize,
     ) -> Result<Vec<(Key, Value)>> {
         self.counters.add_scan(limit);
-        part.note_op();
-        let (mut results, continuation) = match &part.range_cache {
+        let (mut results, continuation) = match &self.range_cache {
             Some(rc) => rc.get_range_partial(from, limit),
             None => (Vec::new(), Some(Bytes::copy_from_slice(from))),
         };
         let Some(cont_key) = continuation else {
             self.counters.range_hits.fetch_add(1, Ordering::Relaxed);
-            part.note_hit();
+            HitTally::charge(tally, true);
             self.counters
                 .entries_returned
                 .fetch_add(results.len() as u64, Ordering::Relaxed);
             return Ok(results);
         };
         self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        part.note_miss();
+        HitTally::charge(tally, false);
         let remaining = limit - results.len();
-        let admission = *self.scan_admission.read();
+        let admission = self.scan_admission.as_ref().map(|a| *a.read());
         // The fill runs before the scan's locks drop, so no write can commit
         // between the read and the fill and then be undone by it.
         let fill = |tail: &[(Key, Value)]| {
-            if let Some(rc) = &part.range_cache {
-                let admitted = if self.strategy == Strategy::AdCache {
-                    admission.admitted_len(tail.len())
-                } else {
-                    tail.len()
-                };
+            if let Some(rc) = &self.range_cache {
+                let admitted = admission.map_or(tail.len(), |a| a.admitted_len(tail.len()));
                 if let Some(h) = self.obs.get() {
                     if !tail.is_empty() {
-                        let reason = if self.strategy != Strategy::AdCache {
+                        let reason = if admission.is_none() {
                             AdmissionReason::Unconditional
                         } else if admitted == 0 {
                             AdmissionReason::ScanZeroLength
@@ -800,22 +648,22 @@ impl CachedDb {
                 }
                 let admitted = admitted.min(tail.len());
                 rc.insert_scan(&cont_key, &self.keep_all(tail, admitted), admitted);
-                part.publish_bytes();
             }
         };
-        let tail = match &part.block_cache {
+        let tail = match &self.block_cache {
             Some(bc) => {
                 // AdCache also applies partial admission at block
                 // granularity (Section 3.4 closing note): misses beyond the
                 // budget are read but not admitted.
-                let provider = if self.strategy == Strategy::AdCache {
-                    let b = self.b_estimate.read().max(1.0);
-                    let admitted_entries = admission.admitted_len(remaining);
-                    let seek_blocks = self.db.num_runs().max(1);
-                    let budget = (admitted_entries as f64 / b).ceil() as usize + seek_blocks;
-                    bc.provider_with_budget(budget)
-                } else {
-                    bc.provider()
+                let provider = match admission {
+                    Some(admission) => {
+                        let b = self.b_estimate.read().max(1.0);
+                        let admitted_entries = admission.admitted_len(remaining);
+                        let seek_blocks = self.db.num_runs().max(1);
+                        let budget = (admitted_entries as f64 / b).ceil() as usize + seek_blocks;
+                        bc.provider_with_budget(budget)
+                    }
+                    None => bc.provider(),
                 };
                 self.db.scan_then(&cont_key, remaining, &provider, fill)
             }
@@ -830,55 +678,33 @@ impl CachedDb {
         Ok(results)
     }
 
-    /// Propagates applied writes, in order, to every partition's result
-    /// caches: tenants share one keyspace, so coherence is key-targeted and
-    /// global, while capacity pressure stays per-partition. Runs under the
-    /// write lock of the stripe that applied them, so it cannot interleave
-    /// with a read's fill of the same keys; a write that never reached the
-    /// memtable never gets here.
+    /// Propagates applied writes, in order, to the result caches. Runs
+    /// under the write lock of the stripe that applied them, so it cannot
+    /// interleave with a read's fill of the same keys; a write that never
+    /// reached the memtable never gets here.
     fn on_write_all(&self, applied: &[(Key, Entry)]) {
-        self.for_each_partition(|part| {
-            for (key, entry) in applied {
-                if let Some(kv) = &part.kv_cache {
-                    kv.on_write(key, entry.value());
-                }
-                if let Some(rc) = &part.range_cache {
-                    rc.on_write(key, entry.value());
-                }
+        for (key, entry) in applied {
+            if let Some(kv) = &self.kv_cache {
+                kv.on_write(key, entry.value());
             }
-        });
+            if let Some(rc) = &self.range_cache {
+                rc.on_write(key, entry.value());
+            }
+        }
     }
 
-    /// [`put_in`](Self::put_in) charged to the default tenant.
+    /// Write-through: the engine plus the result caches stay consistent.
     pub fn put(&self, key: Key, value: Value) -> Result<()> {
-        self.put_in(&self.default_partition, key, value)
-    }
-
-    /// Write-through: the engine plus every partition's result caches stay
-    /// consistent. The write path is shared; `part` only takes the
-    /// operation in its demand accounting.
-    pub fn put_in(&self, part: &Partition, key: Key, value: Value) -> Result<()> {
-        part.note_op();
         self.counters.add_write();
         self.db
             .put_then(key, value, |applied| self.on_write_all(applied))
     }
 
-    /// [`write_batch_in`](Self::write_batch_in) charged to the default
-    /// tenant.
-    pub fn write_batch(&self, batch: Vec<(Key, Entry)>) -> Result<()> {
-        self.write_batch_in(&self.default_partition, batch)
-    }
-
     /// Applies a batch of puts and deletes atomically per stripe (see
     /// [`StripedDb::write_batch`]): one write-lock acquisition, commit
     /// round and WAL flush per stripe instead of one per key. Every
-    /// result cache stays write-through consistent, in batch order, and
-    /// every operation is charged to `part`'s demand accounting.
-    pub fn write_batch_in(&self, part: &Partition, batch: Vec<(Key, Entry)>) -> Result<()> {
-        for _ in &batch {
-            part.note_op();
-        }
+    /// result cache stays write-through consistent, in batch order.
+    pub fn write_batch(&self, batch: Vec<(Key, Entry)>) -> Result<()> {
         self.counters
             .writes
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -886,15 +712,8 @@ impl CachedDb {
             .write_batch_then(batch, |applied| self.on_write_all(applied))
     }
 
-    /// [`delete_in`](Self::delete_in) charged to the default tenant.
+    /// Deletes a key, invalidating its result-cache entries.
     pub fn delete(&self, key: Key) -> Result<()> {
-        self.delete_in(&self.default_partition, key)
-    }
-
-    /// Deletes a key, invalidating every partition's result-cache entries
-    /// for it; the operation is charged to `part`.
-    pub fn delete_in(&self, part: &Partition, key: Key) -> Result<()> {
-        part.note_op();
         self.counters.add_write();
         self.db
             .delete_then(key, |applied| self.on_write_all(applied))
@@ -913,11 +732,12 @@ impl CachedDb {
     const BOUNDARY_HYSTERESIS: f64 = 0.02;
 
     /// Applies a controller decision: moves the memory boundary and retunes
-    /// the admission parameters (AdCache only; no-op otherwise).
+    /// the admission parameters (AdCache only, the one strategy with scan
+    /// admission; no-op otherwise).
     pub fn apply_decision(&self, d: &CacheDecision) {
-        if self.strategy != Strategy::AdCache {
+        let Some(scan_admission) = &self.scan_admission else {
             return;
-        }
+        };
         // Boundary hysteresis: tiny exploratory wiggles would evict for
         // nothing, so only real moves (or moves to the extremes) resize.
         let hyst = Self::BOUNDARY_HYSTERESIS;
@@ -935,10 +755,10 @@ impl CachedDb {
         let block_bytes = self.total_cache_bytes - range_bytes;
         if moved {
             *applied = snapped;
-            // Every partition moves its own block/range boundary to the
-            // snapped ratio at its own budget: the controller learns one
-            // global boundary, tenants keep isolated capacity.
-            self.for_each_partition(|part| part.resize(part.budget(), snapped));
+            if let (Some(bc), Some(rc)) = (&self.block_cache, &self.range_cache) {
+                bc.set_capacity(block_bytes);
+                rc.set_capacity(range_bytes);
+            }
         }
         drop(applied);
         if let Some(h) = self.obs.get() {
@@ -954,8 +774,10 @@ impl CachedDb {
                 applied: moved,
             });
         }
-        self.for_each_partition(|part| part.apply_admission(d));
-        *self.scan_admission.write() = ScanAdmission::new(d.scan_a, d.scan_b);
+        if let Some(adm) = &self.point_admission {
+            adm.lock().set_threshold(d.point_threshold);
+        }
+        *scan_admission.write() = ScanAdmission::new(d.scan_a, d.scan_b);
         self.refresh_shape();
     }
 
@@ -963,7 +785,15 @@ impl CachedDb {
     /// back-to-back controlled experiments on a shared engine so one
     /// candidate's warm state cannot bias the next.
     pub fn clear_caches(&self) {
-        self.for_each_partition(|part| part.clear());
+        if let Some(bc) = &self.block_cache {
+            bc.clear();
+        }
+        if let Some(rc) = &self.range_cache {
+            rc.clear();
+        }
+        if let Some(kv) = &self.kv_cache {
+            kv.clear();
+        }
     }
 
     /// Refreshes the cached entries-per-block estimate from the live tree.
@@ -977,16 +807,11 @@ impl CachedDb {
     /// A full counter snapshot (window boundaries).
     pub fn snapshot(&self) -> Snapshot {
         let c = &self.counters;
-        // Block-cache hit/miss totals aggregate over every tenant
-        // partition so controller rewards see global pressure.
-        let mut bstats = adcache_cache::CacheStats::default();
-        self.for_each_partition(|part| {
-            if let Some(b) = &part.block_cache {
-                let s = b.stats();
-                bstats.hits += s.hits;
-                bstats.misses += s.misses;
-            }
-        });
+        let bstats = self
+            .block_cache
+            .as_ref()
+            .map(|b| b.stats())
+            .unwrap_or_default();
         Snapshot {
             points: c.points.load(Ordering::Relaxed),
             scans: c.scans.load(Ordering::Relaxed),
@@ -1014,34 +839,27 @@ impl CachedDb {
         w.levels = self.db.num_levels().max(1);
         w.runs = self.db.num_runs();
         w.r0_max = self.db.options().l0_stop_files;
-        let (mut block_used, mut block_cap) = (0usize, 0usize);
-        let (mut range_used, mut range_cap) = (0usize, 0usize);
-        self.for_each_partition(|part| {
-            if let Some(b) = &part.block_cache {
-                block_used += b.used();
-                block_cap += b.capacity();
+        let occupancy = |used: usize, cap: usize| {
+            if cap == 0 {
+                0.0
+            } else {
+                used as f64 / cap as f64
             }
-            if let Some(r) = &part.range_cache {
-                range_used += r.used();
-                range_cap += r.capacity();
-            }
-        });
-        w.block_occupancy = if block_cap == 0 {
-            0.0
-        } else {
-            block_used as f64 / block_cap as f64
         };
+        w.block_occupancy = self
+            .block_cache
+            .as_ref()
+            .map_or(0.0, |b| occupancy(b.used(), b.capacity()));
         let dataset: u64 = self.db.level_summary().iter().map(|(_, _, b)| b).sum();
         w.cache_fraction = if dataset == 0 {
             0.0
         } else {
             (self.total_cache_bytes as f64 / dataset as f64).min(2.0)
         };
-        w.range_occupancy = if range_cap == 0 {
-            0.0
-        } else {
-            range_used as f64 / range_cap as f64
-        };
+        w.range_occupancy = self
+            .range_cache
+            .as_ref()
+            .map_or(0.0, |r| occupancy(r.used(), r.capacity()));
         w
     }
 
@@ -1050,40 +868,30 @@ impl CachedDb {
         self.total_cache_bytes
     }
 
-    /// The engine configuration this instance was built with.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
     /// The memory ledger (see [`crate::memory`]): every term the served
-    /// path holds, summed over tenant partitions and stripes, against the
-    /// process's resident set. Computed now, from sizes the structures
-    /// keep; `STATS.memory` on the wire.
+    /// path holds, summed over stripes, against the process's resident
+    /// set. Computed now, from sizes the structures keep; `STATS.memory`
+    /// on the wire.
     pub fn memory_report(&self) -> MemoryReport {
-        let mut range = RangeFootprint::default();
-        let (mut block, mut kv) = (CacheFootprint::default(), CacheFootprint::default());
-        let mut sketch = 0;
-        self.for_each_partition(|p| {
-            if let Some(rc) = &p.range_cache {
-                range.add(&rc.footprint());
-            }
-            if let Some(bc) = &p.block_cache {
-                block.add(&bc.footprint());
-            }
-            if let Some(c) = &p.kv_cache {
-                kv.add(&c.footprint());
-            }
-            if let Some(adm) = &p.point_admission {
-                sketch += adm.lock().sketch().memory_bytes();
-            }
-        });
         let storage = self.db.storage();
         memory::report(memory::Terms {
             blocks_are_the_store: storage.blocks_are_the_store(),
-            range,
-            block,
-            kv,
-            sketch,
+            range: self
+                .range_cache
+                .as_ref()
+                .map_or_else(RangeFootprint::default, |rc| rc.footprint()),
+            block: self
+                .block_cache
+                .as_ref()
+                .map_or_else(CacheFootprint::default, |bc| bc.footprint()),
+            kv: self
+                .kv_cache
+                .as_ref()
+                .map_or_else(CacheFootprint::default, |c| c.footprint()),
+            sketch: self
+                .point_admission
+                .as_ref()
+                .map_or(0, |adm| adm.lock().sketch().memory_bytes()),
             trees: (0..self.db.num_stripes())
                 .map(|i| self.db.stripe(i).memory())
                 .collect(),
@@ -1097,11 +905,8 @@ impl CachedDb {
     pub fn stats_report(&self) -> EngineStatsReport {
         let snap = self.snapshot();
         let opts = self.db.options();
-        // The wire-stable `block_cache`/`range_cache` fields keep their
-        // pre-tenant meaning: the default partition's caches. Per-tenant
-        // breakdown rides in the appended `tenants` list.
         let (block, range) = (
-            self.default_partition.block_cache.as_deref().map(|bc| {
+            self.block_cache.as_deref().map(|bc| {
                 let s = bc.stats();
                 CacheStatsReport {
                     used_bytes: bc.used() as u64,
@@ -1111,7 +916,7 @@ impl CachedDb {
                     misses: s.misses,
                 }
             }),
-            self.default_partition.range_cache.as_ref().map(|rc| {
+            self.range_cache.as_ref().map(|rc| {
                 let s = rc.stats();
                 CacheStatsReport {
                     used_bytes: rc.used() as u64,
@@ -1140,7 +945,6 @@ impl CachedDb {
             block_cache: block,
             range_cache: range,
             range_segments: self
-                .default_partition
                 .range_cache
                 .as_ref()
                 .map_or(0, |rc| rc.segment_count() as u64),
@@ -1153,7 +957,6 @@ impl CachedDb {
             group_commit_batches: self.db.group_commits(),
             seals: self.db.stats_sum(|s| s.seals.get()),
             write_stalls: self.db.stats_sum(|s| s.write_stalls.get()),
-            tenants: self.tenant_reports(),
         }
     }
 }
@@ -1171,25 +974,6 @@ pub struct CacheStatsReport {
     pub hits: u64,
     /// Lookup misses since construction.
     pub misses: u64,
-}
-
-/// One tenant partition's slice of an [`EngineStatsReport`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct TenantStatsReport {
-    /// Tenant id (`0` is the default tenant).
-    pub tenant: u32,
-    /// Current share of the total cache budget, in `[0, 1]`.
-    pub share: f64,
-    /// Byte budget the share currently maps to.
-    pub budget_bytes: u64,
-    /// Bytes resident across the tenant's caches.
-    pub used_bytes: u64,
-    /// Result-cache hits since construction.
-    pub hits: u64,
-    /// Result-cache misses since construction.
-    pub misses: u64,
-    /// Operations the tenant has issued.
-    pub ops: u64,
 }
 
 /// A serializable engine statistics snapshot (see
@@ -1252,15 +1036,13 @@ pub struct EngineStatsReport {
     pub seals: u64,
     /// Writes stalled on their own stripe's backpressure.
     pub write_stalls: u64,
-    /// Per-tenant partition breakdown, in tenant-id order (the default
-    /// tenant `0` first). A single-tenant engine reports one entry.
-    pub tenants: Vec<TenantStatsReport>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adcache_workload::render_key;
+    use std::collections::BTreeMap;
 
     /// A pause between a point read's LSM lookup and its cache fill, armed
     /// for one key, so a test can commit a write inside that window.
@@ -1590,12 +1372,9 @@ mod tests {
             .collect();
         batch.push((render_key(105), Entry::Tombstone));
         batch.push((render_key(125), Entry::Tombstone));
-        db.register_tenant(7);
         let writes = db.snapshot().writes;
-        let part = db.partition_for(7);
-        db.write_batch_in(&part, batch).unwrap();
+        db.write_batch(batch).unwrap();
         assert_eq!(db.snapshot().writes - writes, 22);
-        assert_eq!(part.ops(), 22);
         for i in (100..120).filter(|&i| i != 105) {
             assert_eq!(
                 db.get(&render_key(i)).unwrap().unwrap().as_ref(),
@@ -1781,165 +1560,55 @@ mod tests {
         }
     }
 
+    /// Every caller reads one set of caches: what one caller's read
+    /// filled is a hit for the next caller, charged to that caller's tally
+    /// alone, and a read given no tally charges none.
     #[test]
-    fn unregistered_tenants_fall_back_to_the_default_partition() {
+    fn reads_share_the_caches_and_charge_the_tally_they_are_given() {
         let db = build(Strategy::AdCache, 256 << 10);
         populate(&db, 500);
-        // Tenant 42 never registered: its reads behave exactly like
-        // legacy single-tenant traffic.
-        let part = db.partition_for(42);
-        for i in 0..100 {
-            assert!(db.get_in(&part, &render_key(i)).unwrap().is_some());
-        }
-        assert_eq!(db.tenant_ids(), vec![DEFAULT_TENANT]);
-        let reports = db.tenant_reports();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].tenant, DEFAULT_TENANT);
-        assert!(reports[0].ops >= 100);
-        assert!((reports[0].share - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tenant_partitions_are_capacity_isolated() {
-        let db = build(Strategy::AdCache, 512 << 10);
-        populate(&db, 2000);
-        db.register_tenant(1);
-        db.register_tenant(2);
-        // Warm tenant 1 on a disjoint slice of the keyspace.
-        let (one, two) = (db.partition_for(1), db.partition_for(2));
-        for i in 0..200 {
-            db.get_in(&one, &render_key(i)).unwrap();
-            db.scan_in(&one, &render_key(i), 8).unwrap();
-        }
-        let quiet = one.used_bytes();
-        assert!(quiet > 0, "tenant 1 should have resident bytes");
-        // A pathological flood from tenant 2 (reads only — no writes, so
-        // no cross-partition invalidation) must not evict tenant 1.
-        for round in 0..3 {
-            for i in 500..2000 {
-                db.get_in(&two, &render_key(i)).unwrap();
-                if i % 7 == 0 {
-                    db.scan_in(&two, &render_key(i), 16).unwrap();
-                }
-            }
-            let _ = round;
-        }
-        assert_eq!(
-            one.used_bytes(),
-            quiet,
-            "tenant 2's read pressure must never evict tenant 1's entries"
-        );
-    }
-
-    #[test]
-    fn rebalance_shifts_share_toward_the_hot_tenant() {
-        let db = build(Strategy::AdCache, 256 << 10);
-        populate(&db, 2000);
-        db.register_tenant(1);
-        db.register_tenant(2);
-        db.register_tenant(3);
-        let total: f64 = db.tenant_reports().iter().map(|r| r.share).sum();
-        assert!((total - 1.0).abs() < 1e-9, "shares must sum to 1: {total}");
-        // Tenant 1 hammers a working set far larger than its slice
-        // (missing constantly); the others idle on one hot key each.
-        // Repeated rebalances should grow tenant 1's share while
-        // everyone keeps the guaranteed minimum.
-        let parts = [1, 2, 3].map(|t| db.partition_for(t));
-        for _ in 0..30 {
-            for i in 0..1500 {
-                db.get_in(&parts[0], &render_key(i)).unwrap();
-            }
-            db.get_in(&parts[1], &render_key(1900)).unwrap();
-            db.get_in(&parts[2], &render_key(1901)).unwrap();
-            db.rebalance_tenants();
-        }
-        let reports = db.tenant_reports();
-        let share_of = |t: u32| reports.iter().find(|r| r.tenant == t).unwrap().share;
-        let min = db.config().min_tenant_share;
-        assert!(
-            share_of(1) > 0.30,
-            "hot tenant should out-earn an equal split, got {}",
-            share_of(1)
-        );
-        for t in [DEFAULT_TENANT, 2, 3] {
-            assert!(
-                share_of(t) >= min - 1e-9,
-                "tenant {t} fell below the guaranteed minimum: {}",
-                share_of(t)
-            );
-        }
-        let total: f64 = reports.iter().map(|r| r.share).sum();
-        assert!((total - 1.0).abs() < 1e-9, "shares must sum to 1: {total}");
-    }
-
-    #[test]
-    fn rebalance_splits_the_headroom_by_the_window_s_operations() {
-        let db = build(Strategy::AdCache, 256 << 10);
-        populate(&db, 500);
-        // The default tenant's demand while it is alone closes with its
-        // window and weighs nothing in the next one.
-        for i in 0..1000 {
-            db.get(&render_key(i % 500)).unwrap();
-        }
-        db.rebalance_tenants();
-        for t in [1, 2, 3] {
-            db.register_tenant(t);
-        }
-        let parts = [1, 2].map(|t| db.partition_for(t));
-        for i in 0..300 {
-            db.get_in(&parts[0], &render_key(i)).unwrap();
-        }
-        for i in 0..100 {
-            db.get_in(&parts[1], &render_key(i)).unwrap();
-        }
-        let shares = db.rebalance_tenants();
-        // Each tenant gets the floor (0.1), the rest goes by operations:
-        // min + (1 − n·min) · ops / Σops = 0.1 + 0.6 · 300/400 for tenant 1.
-        let want = [(DEFAULT_TENANT, 0.10), (1, 0.55), (2, 0.25), (3, 0.10)];
-        assert_eq!(shares.len(), want.len());
-        for ((t, s), (wt, ws)) in shares.iter().zip(want) {
-            assert_eq!(*t, wt);
-            assert!((s - ws).abs() < 1e-9, "tenant {t}: share {s}, want {ws}");
-        }
-        let budget = db.partition_for(1).budget();
-        assert_eq!(budget, (db.total_cache_bytes as f64 * 0.55) as usize);
+        let (one, two) = (HitTally::default(), HitTally::default());
+        let key = render_key(7);
+        assert_eq!(db.scan_in(Some(&one), &key, 8).unwrap().len(), 8);
+        assert_eq!(db.scan_in(Some(&two), &key, 8).unwrap().len(), 8);
+        assert!(db.get_in(Some(&two), &key).unwrap().is_some());
+        let keys = [&key[..], &render_key(8)[..]];
+        assert_eq!(db.multi_get_in(Some(&two), &keys).unwrap().len(), 2);
+        let tally = |t: &HitTally| (t.hits.get(), t.misses.get());
+        assert_eq!(tally(&one), (0, 1), "the first scan filled the cache");
+        assert_eq!(tally(&two), (4, 0), "the same keys hit for the next caller");
+        db.scan(&key, 8).unwrap();
+        db.get(&key).unwrap();
+        assert_eq!((tally(&one), tally(&two)), ((0, 1), (4, 0)));
     }
 
     /// What each layer counts for itself, keyed by the registry name that
-    /// reads it; a name several partitions or stripes count into is their
-    /// sum.
+    /// reads it; a name several stripes count into is their sum.
     fn owned_counts(db: &CachedDb) -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
         let mut add = |name: String, v: u64| *out.entry(name).or_insert(0) += v;
-        db.for_each_partition(|p| {
-            if let Some(bc) = &p.block_cache {
-                let s = bc.stats();
-                add("cache.block.hits".into(), s.hits);
-                add("cache.block.misses".into(), s.misses);
-                add("cache.block.inserts".into(), s.inserts);
-                add("cache.block.evictions".into(), s.evictions);
-                add("cache.block.invalidations".into(), s.invalidations);
-            }
-            if let Some(rc) = &p.range_cache {
-                let s = rc.stats();
-                add("cache.range.hits".into(), s.hits);
-                add("cache.range.misses".into(), s.misses);
-                add("cache.range.evictions".into(), s.evictions);
-                add("cache.range.coverage_dropped".into(), rc.coverage_dropped());
-            }
-            if let Some(kv) = &p.kv_cache {
-                let s = kv.stats();
-                add("cache.kv.hits".into(), s.hits);
-                add("cache.kv.misses".into(), s.misses);
-                add("cache.kv.evictions".into(), s.evictions);
-            }
-            if let Some(adm) = &p.point_admission {
-                add("cache.sketch.resets".into(), adm.lock().resets());
-            }
-            let (hits, misses) = p.hit_counters();
-            add(format!("cache.tenant.{}.hits", p.tenant()), hits);
-            add(format!("cache.tenant.{}.misses", p.tenant()), misses);
-        });
+        if let Some(bc) = &db.block_cache {
+            let s = bc.stats();
+            add("cache.block.hits".into(), s.hits);
+            add("cache.block.misses".into(), s.misses);
+            add("cache.block.inserts".into(), s.inserts);
+            add("cache.block.evictions".into(), s.evictions);
+            add("cache.block.invalidations".into(), s.invalidations);
+        }
+        if let Some(rc) = &db.range_cache {
+            let s = rc.stats();
+            add("cache.range.hits".into(), s.hits);
+            add("cache.range.misses".into(), s.misses);
+            add("cache.range.evictions".into(), s.evictions);
+            add("cache.range.coverage_dropped".into(), rc.coverage_dropped());
+        }
+        if let Some(kv) = &db.kv_cache {
+            let s = kv.stats();
+            add("cache.kv.hits".into(), s.hits);
+            add("cache.kv.misses".into(), s.misses);
+            add("cache.kv.evictions".into(), s.evictions);
+        }
+        add("cache.sketch.resets".into(), db.sketch_resets());
         let lsm = db.db();
         add("lsm.flushes".into(), lsm.stats_sum(|s| s.flushes.get()));
         add("lsm.compactions".into(), lsm.compactions());
@@ -1961,33 +1630,30 @@ mod tests {
         out
     }
 
-    /// One seeded mix of gets, scans, puts and deletes over the default
-    /// partition and every registered tenant's.
+    /// One seeded mix of gets, scans, puts and deletes.
     fn mixed_ops(db: &CachedDb, seed: u64, n: usize) {
-        let parts: Vec<Arc<Partition>> = db.all_partitions();
         let mut x = seed;
         for _ in 0..n {
             // xorshift64
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let part = &parts[(x % parts.len() as u64) as usize];
             let key = render_key((x >> 8) % 3000);
             match (x >> 32) % 10 {
-                0..=4 => drop(db.get_in(part, &key).unwrap()),
-                5 | 6 => drop(db.scan_in(part, &key, 8).unwrap()),
-                7 | 8 => db.put_in(part, key, Bytes::from(format!("v{x}"))).unwrap(),
-                _ => db.delete_in(part, key).unwrap(),
+                0..=4 => drop(db.get(&key).unwrap()),
+                5 | 6 => drop(db.scan(&key, 8).unwrap()),
+                7 | 8 => db.put(key, Bytes::from(format!("v{x}"))).unwrap(),
+                _ => db.delete(key).unwrap(),
             }
         }
     }
 
     /// Each quantity has one cell, owned by the layer that counts it, and
-    /// the registry reads that cell rather than a copy: over two stripes,
-    /// four block-cache shards and two tenants, every name reads what its owner counted since the
-    /// handle was attached (work before the attach, and a tenant
-    /// registered after it, included), and `engine.lock.*` reads the sum
-    /// of the stripes' own lock cells.
+    /// the registry reads that cell rather than a copy: over two stripes
+    /// and four block-cache shards, every name reads what its owner
+    /// counted since the handle was attached (work before the attach
+    /// included), and `engine.lock.*` reads the sum of the stripes' own
+    /// lock cells.
     #[test]
     fn the_registry_reads_what_each_layer_counts_since_attach() {
         for strategy in [Strategy::AdCache, Strategy::RocksDbBlock, Strategy::KvCache] {
@@ -2001,12 +1667,10 @@ mod tests {
             };
             let db = CachedDb::new(opts, Arc::new(MemStorage::new()), cfg).unwrap();
             populate(&db, 3000);
-            db.register_tenant(1);
             mixed_ops(&db, 7, 3000);
             let before = owned_counts(&db);
             let obs = Obs::enabled();
             db.set_obs(obs.clone());
-            db.register_tenant(2);
             mixed_ops(&db, 42, 6000);
             let after = owned_counts(&db);
             let reg = obs.registry().unwrap();

@@ -14,9 +14,8 @@
 //! block cache, KV cache, Range Cache with LRU / LeCaR / Cacheus) and
 //! AdCache itself over the same native LSM engine, and [`runner`] drives
 //! whole experiments: static mixes, the Table 3 dynamic schedule, and
-//! multi-client runs. [`tenant`] partitions the cache budget into
-//! per-tenant shared-nothing slices whose shares follow each tuning
-//! window's demand above a guaranteed minimum.
+//! multi-client runs. One set of caches serves every caller; a served
+//! tenant is charged only its own hits and misses ([`HitTally`]).
 //!
 //! ```
 //! use adcache_core::{CachedDb, EngineConfig, Strategy};
@@ -41,7 +40,6 @@ pub mod memory;
 pub mod reward;
 pub mod runner;
 pub mod stats;
-pub mod tenant;
 pub mod tuner;
 
 pub use adcache_obs::Histogram;
@@ -49,15 +47,12 @@ pub use controller::{
     featurize_with, CacheDecision, Controller, ControllerConfig, TuningRecord, ACTION_DIM,
     STATE_DIM,
 };
-pub use engine::{
-    CacheStatsReport, CachedDb, EngineConfig, EngineStatsReport, Strategy, TenantStatsReport,
-};
+pub use engine::{CacheStatsReport, CachedDb, EngineConfig, EngineStatsReport, Strategy};
 pub use memory::{MemoryReport, MemoryRow};
 pub use reward::{h_estimate, io_estimate, io_estimate_of, RewardSmoother};
 pub use runner::{
     execute, prepare_db, prepare_db_with_storage, run_multiclient, run_schedule, run_schedule_on,
     run_static, RunConfig, RunResult, WindowRecord,
 };
-pub use stats::{Counters, Snapshot, WindowSummary};
-pub use tenant::{tenant_salt, Partition, TenantId, DEFAULT_TENANT};
+pub use stats::{Counters, HitTally, Snapshot, WindowSummary};
 pub use tuner::{ClosedWindow, Tuner};

@@ -1,6 +1,7 @@
 //! The Stats Collector (paper Figure 4): per-window workload statistics and
 //! block-I/O measurements feeding the Policy Decision Controller.
 
+use adcache_obs::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic counters shared by all client threads.
@@ -52,6 +53,25 @@ impl Counters {
         self.points.load(Ordering::Relaxed)
             + self.scans.load(Ordering::Relaxed)
             + self.writes.load(Ordering::Relaxed)
+    }
+}
+
+/// Result-cache hits and misses charged to one caller of the `*_in` reads
+/// (a served tenant's `cache.tenant.<id>.{hits,misses}`), who owns it.
+#[derive(Debug, Default)]
+pub struct HitTally {
+    /// Reads the result caches answered.
+    pub hits: Counter,
+    /// Reads that fell through to the LSM-tree.
+    pub misses: Counter,
+}
+
+impl HitTally {
+    /// Charges one read to `tally`, if there is one.
+    pub(crate) fn charge(tally: Option<&HitTally>, hit: bool) {
+        if let Some(t) = tally {
+            if hit { &t.hits } else { &t.misses }.inc();
+        }
     }
 }
 

@@ -2,9 +2,8 @@
 //!
 //! Every caller calls [`Tuner::tick`] once per executed operation. The
 //! tick that closes a window runs the cycle: stamp the next window id,
-//! summarize the window, decide, apply, re-snapshot, and split the tenant
-//! shares by the window's demand. Other ticks are one relaxed atomic
-//! increment.
+//! summarize the window, decide, apply and re-snapshot. Other ticks are
+//! one relaxed atomic increment.
 //! Each caller picks its mode in code:
 //!
 //! - [`Tuner::inline`]: the closing thread runs [`Controller::end_of_window`]
@@ -12,7 +11,7 @@
 //! - [`Tuner::background`]: a tuning thread owns the controller; the closing
 //!   thread applies the freshest decision it has published (at least one
 //!   window behind, §3.1) and hands it the summary. `run_multiclient`, the
-//!   shell and `serve` (no controller: nothing summarized) tick it. A drop
+//!   shell and `serve` (no controller: it only stamps window ids) tick it. A drop
 //!   joins the thread once it has trained, as [`Tuner::shutdown`] does.
 
 use crate::controller::{CacheDecision, Controller};
@@ -42,7 +41,7 @@ pub struct Tuner {
     ops: AtomicU64,
     /// Held across a whole cycle, so two threads closing adjacent windows
     /// back to back can neither summarize overlapping spans nor interleave
-    /// two decisions or two share splits.
+    /// two decisions.
     cycle: Mutex<Cycle>,
 }
 
@@ -94,10 +93,7 @@ impl Tuner {
             return None;
         }
         db.obs().set_window(n / self.window);
-        let mut cycle = self.cycle.lock();
-        let closed = cycle.close(db, n / self.window - 1);
-        db.rebalance_tenants();
-        closed
+        self.cycle.lock().close(db, n / self.window - 1)
     }
 
     /// The latest decision and the windows trained on; `None` when nothing
@@ -413,31 +409,5 @@ mod tests {
             50,
             "the thread trained on every queued window before the drop returned"
         );
-    }
-
-    #[test]
-    fn each_window_runs_one_share_arbitration_step() {
-        let db = small_db(Strategy::AdCache);
-        db.set_obs(adcache_obs::Obs::enabled());
-        db.register_tenant(1);
-        db.register_tenant(2);
-        let partitions = db.tenant_ids().len();
-        assert_eq!(partitions, 3, "the default partition and two tenants");
-        let tuner = Tuner::background(&db, None, 10);
-        for i in 0..25u64 {
-            db.get(format!("k{i}").as_bytes()).unwrap();
-            tuner.tick(&db);
-        }
-        let resized_in = |window: u64| {
-            let records = db.obs().journal().unwrap().records();
-            records
-                .iter()
-                .filter(|r| r.window == window)
-                .filter(|r| matches!(r.event, adcache_obs::Event::TenantShareResized { .. }))
-                .count()
-        };
-        assert_eq!(resized_in(1), partitions, "window 1: one step");
-        assert_eq!(resized_in(2), partitions, "window 2: one step");
-        assert_eq!(db.obs().window(), 2, "the half window closes none");
     }
 }

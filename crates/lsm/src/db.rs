@@ -1065,9 +1065,13 @@ impl LsmTree {
         let Some(task) = inner.version.pick_compaction(&self.opts) else {
             return Ok(false);
         };
+        // The merge edits a copy: the tree names the outputs only once
+        // they are synced, so a manifest that a later flush commits never
+        // names a table this commit stopped short of syncing.
+        let mut version = inner.version.clone();
         let mut alloc = || self.alloc_file();
         let Some(event) = run_compaction(
-            &mut inner.version,
+            &mut version,
             task,
             &self.opts,
             self.storage.as_ref(),
@@ -1077,18 +1081,25 @@ impl LsmTree {
             return Ok(false);
         };
         self.note_compaction(&event);
-        self.finish_compaction(&inner, &event)?;
+        self.finish_compaction(&mut inner, version, &event)?;
         Ok(true)
     }
 
-    /// Commits a finished compaction: manifest first, input deletion after,
-    /// so no durable version ever references a deleted table. A crash
-    /// anywhere in between leaves orphan files, never dangling references.
-    fn finish_compaction(&self, inner: &Inner, event: &CompactionEvent) -> Result<()> {
+    /// Commits a finished compaction: outputs synced, then installed, then
+    /// the manifest, then input deletion, so no durable version ever
+    /// references a deleted or unsynced table. A crash anywhere in between
+    /// leaves orphan files, never dangling references.
+    fn finish_compaction(
+        &self,
+        inner: &mut Inner,
+        version: Version,
+        event: &CompactionEvent,
+    ) -> Result<()> {
         // Crash here: outputs written, old manifest still references the
         // (undeleted) inputs — recovery reopens the pre-compaction version.
         self.crash_check(CrashPoint::CompactionAfterRun)?;
         self.sync_new_tables(&event.new_files)?;
+        inner.version = version;
         self.persist_manifest(inner)?;
         // Crash here: new manifest committed, inputs not yet deleted —
         // recovery reopens the post-compaction version plus orphans.

@@ -735,6 +735,49 @@ mod tests {
         assert!(came_back, "an unsynced delete must be undoable");
     }
 
+    /// A compaction stopped between its merge and its commit (a crash point
+    /// here; in a pooled store, another stripe's worker may still be
+    /// running) leaves its outputs unsynced. A flush that commits a
+    /// manifest afterwards, as the rest of the process still may, must not
+    /// name them: a power cut loses or tears them under that manifest.
+    #[test]
+    fn a_compaction_stopped_before_its_commit_leaves_no_unsynced_table_named() {
+        use crate::fault::{CrashController, CrashPoint};
+        use crate::sstable::DirectProvider;
+        let key = |i: u32| Bytes::from(format!("key-{i:05}"));
+        let open = |fs: &Arc<SimFs>| {
+            let storage = Arc::new(table_on(fs));
+            LsmTree::with_durability_fs(Options::small(), storage, "/sim/db", fs.clone())
+        };
+        for seed in 0..16 {
+            let fs = Arc::new(SimFs::new());
+            let db = open(&fs).unwrap();
+            let cc = CrashController::new();
+            db.set_crash_controller(cc.clone());
+            cc.arm(CrashPoint::CompactionAfterRun, 1);
+            // Flushes until one runs a compaction, which stops at the
+            // crash point after its merge.
+            let mut n = 0;
+            while !cc.fired() {
+                assert!(n < 10_000, "seed {seed}: no compaction ran");
+                for _ in 0..50 {
+                    db.put(key(n), Bytes::from(format!("v-{n}"))).unwrap();
+                    n += 1;
+                }
+                assert_eq!(db.flush().is_err(), cc.fired(), "seed {seed}");
+            }
+            db.put(key(n), Bytes::from(format!("v-{n}"))).unwrap();
+            db.flush().unwrap();
+            drop(db);
+            fs.crash(seed);
+            let db = open(&fs).unwrap_or_else(|e| panic!("seed {seed}: reopen failed: {e}"));
+            for i in 0..=n {
+                let got = db.get(&key(i), &DirectProvider).unwrap();
+                assert_eq!(got, Some(Bytes::from(format!("v-{i}"))), "seed {seed}");
+            }
+        }
+    }
+
     #[test]
     fn file_storage_survives_offset_cache_eviction() {
         let dir = std::env::temp_dir().join(format!("adcache-fs-test2-{}", std::process::id()));

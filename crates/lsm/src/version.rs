@@ -16,6 +16,7 @@ use std::sync::Arc;
 pub const MAX_LEVELS: usize = 7;
 
 /// The live-table manifest.
+#[derive(Clone)]
 pub struct Version {
     /// `levels[0]` is Level 0, newest run first. Deeper levels are sorted by
     /// smallest key and pairwise non-overlapping.

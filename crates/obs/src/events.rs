@@ -233,16 +233,6 @@ pub enum Event {
         /// Tenant id the connection now serves.
         tenant: u64,
     },
-    /// A tenant's cache partition was resized: at registration (equal
-    /// split) or at a window close (split by the window's demand).
-    TenantShareResized {
-        /// Tenant whose partition was resized.
-        tenant: u64,
-        /// New share of the total cache budget, in [0, 1].
-        share: f64,
-        /// New partition budget in bytes (block + range slices).
-        bytes: u64,
-    },
     /// A tenant-wide admission quota (aggregated across all of the
     /// tenant's connections) throttled a request.
     TenantThrottled {

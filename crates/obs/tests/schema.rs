@@ -161,14 +161,6 @@ fn exemplars() -> Vec<(Event, &'static str)> {
             r#"{"TenantBound":{"conn":7,"tenant":3}}"#,
         ),
         (
-            Event::TenantShareResized {
-                tenant: 3,
-                share: 0.25,
-                bytes: 262144,
-            },
-            r#"{"TenantShareResized":{"tenant":3,"share":0.25,"bytes":262144}}"#,
-        ),
-        (
             Event::TenantThrottled {
                 tenant: 3,
                 opcode: "scan".into(),
@@ -184,7 +176,7 @@ fn every_event_kind_serializes_to_its_golden_form() {
     let exemplars = exemplars();
     assert_eq!(
         exemplars.len(),
-        19,
+        18,
         "new Event variants need a golden exemplar here"
     );
     for (event, golden) in &exemplars {

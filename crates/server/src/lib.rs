@@ -51,4 +51,4 @@ pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, FrameError, MetricsFormat,
     Opcode, Progress, Request, Response, Status,
 };
-pub use server::{ServeReport, Server, ServerConfig, ServerHandle};
+pub use server::{ServeReport, Server, ServerConfig};

@@ -46,7 +46,7 @@
 //!
 //! `Auth` binds the connection to a tenant id for the rest of its life:
 //! subsequent requests are charged to that tenant's aggregated quota and
-//! served from that tenant's cache partition. Connections that never send
+//! hit tally, and read the one cache every tenant shares. Connections that never send
 //! `Auth` serve the default tenant 0, so pre-tenant clients keep working
 //! unchanged.
 //!

@@ -15,15 +15,17 @@
 //! - **Limits**: past [`ServerConfig::max_conns`] concurrent connections
 //!   the accept loop answers with one `Err` frame and closes; connections
 //!   idle longer than [`ServerConfig::idle_timeout`] are reaped.
-//! - **Graceful shutdown**: on [`ServerHandle::shutdown`] (or a `Shutdown`
+//! - **Graceful shutdown**: on [`Server::shutdown`] (or a `Shutdown`
 //!   frame from any client) the listener stops accepting, every worker
 //!   executes the requests it has already buffered, flushes the replies,
 //!   closes its connections, and the engine's memtable is flushed before
 //!   the report is returned — no accepted request is dropped.
 //! - **Tuning windows**: every executed GET, PUT, DELETE and SCAN, a
-//!   `Batch`'s subs included, ticks one [`Tuner`]; each window of the
-//!   paper's 1 000 operations re-splits the tenant cache shares by that
-//!   window's demand.
+//!   `Batch`'s subs included, ticks one [`Tuner`], which stamps a new
+//!   window id every 1 000 operations (the paper's window).
+//! - **Tenants**: `AUTH` binds a connection to a tenant, which shares the
+//!   engine's one cache with every other tenant and has its own quota
+//!   bucket and hit tally (`cache.tenant.<id>.{hits,misses}`).
 //!
 //! Everything is instrumented through the engine's [`Obs`] handle:
 //! `ConnAccepted` / `ConnClosed` / `ServerOverload` journal events, a
@@ -35,7 +37,7 @@ use crate::protocol::{
     self, decode_request, encode_response, is_fatal, MetricsFormat, Opcode, Progress, Request,
     Response,
 };
-use adcache_core::{CachedDb, ControllerConfig, Partition, TenantId, Tuner, DEFAULT_TENANT};
+use adcache_core::{CachedDb, ControllerConfig, HitTally, Tuner};
 use adcache_lsm::{lock_probe, reset_lock_probe, Entry, Key};
 use adcache_obs::{
     ConnCloseCause, Counter, Event, Gauge, HistogramHandle, Obs, Stage, StageSet, StageTimer,
@@ -131,8 +133,8 @@ impl ServerConfig {
     }
 }
 
-/// What a finished serving run did, returned by [`ServerHandle::shutdown`]
-/// and [`ServerHandle::wait`].
+/// What a finished serving run did, returned by [`Server::shutdown`]
+/// and [`Server::wait`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeReport {
     /// Requests executed (including ones answered with `Err`).
@@ -204,12 +206,11 @@ impl Metrics {
 /// State shared by the accept loop, every worker, and the handle.
 struct Shared {
     db: Arc<CachedDb>,
-    /// Counts executed engine operations into the tuning windows that
-    /// re-split the tenant shares by demand.
+    /// Counts executed engine operations into tuning windows.
     tuner: Tuner,
-    /// The default tenant's cache partition, resolved once at start: what
-    /// every connection that never sent `AUTH` is served from.
-    default_partition: Arc<Partition>,
+    /// The default tenant's hit tally: what every connection that never
+    /// sent `AUTH` (or sent `AUTH 0`) is charged.
+    default_tally: HitTally,
     cfg: ServerConfig,
     obs: Obs,
     metrics: Metrics,
@@ -231,18 +232,16 @@ struct Shared {
     bytes_out: Counter,
     /// Per-tenant serving state, created on first `AUTH` for a tenant.
     /// Looked up only at bind time — connections cache the `Arc` — so
-    /// the data-plane hot path never takes this lock (nor the engine's
-    /// tenant registry's: the partition is resolved here too).
-    tenants: RwLock<BTreeMap<TenantId, Arc<TenantState>>>,
+    /// the data-plane hot path never takes this lock.
+    tenants: RwLock<BTreeMap<u32, Arc<TenantState>>>,
 }
 
 /// Serving-layer state shared by every connection a tenant has bound: its
-/// cache partition, the aggregated admission bucket and throttle
-/// accounting.
+/// hit tally, the aggregated admission bucket and throttle accounting.
 struct TenantState {
-    id: TenantId,
-    /// The tenant's cache partition in the engine, resolved at `AUTH`.
-    partition: Arc<Partition>,
+    id: u32,
+    /// Result-cache hits and misses of the tenant's reads.
+    tally: HitTally,
     /// Aggregated token bucket — one per tenant, not per connection, so
     /// opening more sockets does not multiply the budget.
     bucket: Mutex<TokenBucket>,
@@ -297,7 +296,7 @@ impl Shared {
         let obs = db.obs();
         let shared = Shared {
             tuner: Tuner::background(&db, None, ControllerConfig::default().window),
-            default_partition: db.partition_for(DEFAULT_TENANT),
+            default_tally: HitTally::default(),
             metrics: Metrics::new(&obs),
             telemetry: obs.is_enabled(),
             obs,
@@ -326,7 +325,15 @@ impl Shared {
         ] {
             shared.obs.adopt_counter(name, cell);
         }
+        shared.adopt_tally(0, &shared.default_tally);
         shared
+    }
+
+    /// Names `tally`'s cells `cache.tenant.<tenant>.{hits,misses}`.
+    fn adopt_tally(&self, tenant: u32, tally: &HitTally) {
+        let name = |what| format!("cache.tenant.{tenant}.{what}");
+        self.obs.adopt_counter(&name("hits"), &tally.hits);
+        self.obs.adopt_counter(&name("misses"), &tally.misses);
     }
 
     fn report(&self) -> ServeReport {
@@ -343,10 +350,9 @@ impl Shared {
         }
     }
 
-    /// The tenant's serving state, created on first use — after
-    /// `register_tenant`, so the partition resolved here is the tenant's
-    /// own. `AUTH`-time only; never on the data-plane hot path.
-    fn tenant_state(&self, tenant: TenantId) -> Arc<TenantState> {
+    /// The tenant's serving state, created on first use. `AUTH`-time
+    /// only; never on the data-plane hot path.
+    fn tenant_state(&self, tenant: u32) -> Arc<TenantState> {
         if let Some(ts) = self.tenants.read().unwrap().get(&tenant) {
             return ts.clone();
         }
@@ -355,7 +361,7 @@ impl Shared {
             .or_insert_with(|| {
                 let ts = TenantState {
                     id: tenant,
-                    partition: self.db.partition_for(tenant),
+                    tally: HitTally::default(),
                     bucket: Mutex::new(TokenBucket::full(
                         self.cfg.tenant_quota_ops,
                         self.cfg.tenant_quota_burst,
@@ -364,6 +370,7 @@ impl Shared {
                 };
                 let name = format!("server.tenant.{tenant}.quota.throttled");
                 self.obs.adopt_counter(&name, &ts.throttled);
+                self.adopt_tally(tenant, &ts.tally);
                 Arc::new(ts)
             })
             .clone()
@@ -512,31 +519,27 @@ impl Conn {
         self.wq.pending()
     }
 
-    /// The cache partition this connection's operations are served from
-    /// and charged to: its tenant's, bound at `AUTH`, else the default.
-    fn partition<'a>(&'a self, shared: &'a Shared) -> &'a Partition {
+    /// The hit tally this connection's reads are charged to: its
+    /// tenant's, bound at `AUTH`, else the default tenant's.
+    fn tally<'a>(&'a self, shared: &'a Shared) -> &'a HitTally {
         match &self.tenant {
-            Some(ts) => &ts.partition,
-            None => &shared.default_partition,
+            Some(ts) => &ts.tally,
+            None => &shared.default_tally,
         }
     }
 }
 
-/// A running server. Dropping the handle without calling
-/// [`ServerHandle::shutdown`] aborts the threads without draining.
+/// A running server, the handle of its run. Dropping it without calling
+/// [`Server::shutdown`] aborts the threads without draining.
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Alias kept for readability at call sites: `Server::start` returns the
-/// same type it is named after, acting as the run's handle.
-pub type ServerHandle = Server;
-
 impl Server {
     /// Binds, spawns the accept loop and worker pool, and returns.
-    pub fn start(db: Arc<CachedDb>, cfg: ServerConfig) -> std::io::Result<ServerHandle> {
+    pub fn start(db: Arc<CachedDb>, cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -960,26 +963,28 @@ fn drain_buffered(shared: &Shared, conn: &mut Conn, enforce_cap: bool) -> bool {
 /// frame's engine work). Control-plane opcodes are not valid here — the
 /// decoder rejects them inside batches, so the fallback arm is defense in
 /// depth, not a reachable path.
-fn execute_data_sub(shared: &Shared, part: &Partition, req: &Request) -> Response {
+fn execute_data_sub(shared: &Shared, tally: &HitTally, req: &Request) -> Response {
     match req {
         Request::Ping => Response::Ok,
-        Request::Get { key } => match shared.db.get_in(part, key) {
+        Request::Get { key } => match shared.db.get_in(Some(tally), key) {
             Ok(Some(v)) => Response::Value(v),
             Ok(None) => Response::NotFound,
             Err(e) => Response::Error(e.to_string()),
         },
-        Request::Put { key, value } => match shared.db.put_in(part, key.clone(), value.clone()) {
+        Request::Put { key, value } => match shared.db.put(key.clone(), value.clone()) {
             Ok(()) => Response::Ok,
             Err(e) => Response::Error(e.to_string()),
         },
-        Request::Delete { key } => match shared.db.delete_in(part, key.clone()) {
+        Request::Delete { key } => match shared.db.delete(key.clone()) {
             Ok(()) => Response::Ok,
             Err(e) => Response::Error(e.to_string()),
         },
-        Request::Scan { from, limit } => match shared.db.scan_in(part, from, *limit as usize) {
-            Ok(entries) => Response::Entries(entries),
-            Err(e) => Response::Error(e.to_string()),
-        },
+        Request::Scan { from, limit } => {
+            match shared.db.scan_in(Some(tally), from, *limit as usize) {
+                Ok(entries) => Response::Entries(entries),
+                Err(e) => Response::Error(e.to_string()),
+            }
+        }
         _ => Response::Error("opcode not allowed in batch".into()),
     }
 }
@@ -987,13 +992,13 @@ fn execute_data_sub(shared: &Shared, part: &Partition, req: &Request) -> Respons
 /// Executes a batch's sub-requests **in order**, with stripe-aware
 /// grouping: a run of consecutive GETs goes down as one
 /// [`CachedDb::multi_get_in`] (each stripe's read lock taken once), a run
-/// of consecutive PUTs and DELETEs as one [`CachedDb::write_batch_in`]
+/// of consecutive PUTs and DELETEs as one [`CachedDb::write_batch`]
 /// (one write-lock acquisition, commit round and WAL flush per stripe).
 /// A run ends where the other kind or a scan begins, so read-your-writes
 /// holds within the batch; a failed run answers each of its subs with
 /// the error. Returns the in-order multi-reply plus `(subs, distinct
 /// stripes)` for metrics.
-fn execute_batch(shared: &Shared, part: &Partition, subs: &[Request]) -> (Response, (u64, u64)) {
+fn execute_batch(shared: &Shared, tally: &HitTally, subs: &[Request]) -> (Response, (u64, u64)) {
     let striped = shared.db.db();
     let mut stripe_seen = vec![false; striped.num_stripes()];
     let mut out: Vec<(Opcode, Response)> = Vec::with_capacity(subs.len());
@@ -1008,7 +1013,7 @@ fn execute_batch(shared: &Shared, part: &Partition, subs: &[Request]) -> (Respon
                     stripe_seen[striped.stripe_for(key)] = true;
                     j += 1;
                 }
-                match shared.db.multi_get_in(part, &keys) {
+                match shared.db.multi_get_in(Some(tally), &keys) {
                     Ok(values) => out.extend(values.into_iter().map(|v| {
                         let resp = v.map_or(Response::NotFound, Response::Value);
                         (Opcode::Get, resp)
@@ -1031,7 +1036,7 @@ fn execute_batch(shared: &Shared, part: &Partition, subs: &[Request]) -> (Respon
                     batch.push((key.clone(), entry));
                     j += 1;
                 }
-                let resp = match shared.db.write_batch_in(part, batch) {
+                let resp = match shared.db.write_batch(batch) {
                     Ok(()) => Response::Ok,
                     Err(e) => Response::Error(e.to_string()),
                 };
@@ -1042,7 +1047,7 @@ fn execute_batch(shared: &Shared, part: &Partition, subs: &[Request]) -> (Respon
                 if matches!(sub, Request::Scan { .. }) {
                     stripe_seen.iter_mut().for_each(|s| *s = true);
                 }
-                out.push((sub.opcode(), execute_data_sub(shared, part, sub)));
+                out.push((sub.opcode(), execute_data_sub(shared, tally, sub)));
                 j += 1;
             }
         }
@@ -1089,9 +1094,9 @@ fn execute(shared: &Shared, conn: &mut Conn, id: u64, req: &Request, parse_ns: u
             | Request::Get { .. }
             | Request::Put { .. }
             | Request::Delete { .. }
-            | Request::Scan { .. } => execute_data_sub(shared, conn.partition(shared), req),
+            | Request::Scan { .. } => execute_data_sub(shared, conn.tally(shared), req),
             Request::Batch { subs } => {
-                let (resp, info) = execute_batch(shared, conn.partition(shared), subs);
+                let (resp, info) = execute_batch(shared, conn.tally(shared), subs);
                 batch_info = Some(info);
                 resp
             }
@@ -1177,17 +1182,12 @@ fn execute(shared: &Shared, conn: &mut Conn, id: u64, req: &Request, parse_ns: u
     }
 }
 
-/// Binds `conn` to `tenant`: registers the tenant's cache partition with
-/// the engine, swaps in the tenant's serving state (that partition and the
-/// aggregated quota), and journals the binding. `AUTH 0` rebinds to the
-/// default tenant (legacy semantics) — useful for connection-pool reuse.
-fn bind_tenant(shared: &Shared, conn: &mut Conn, tenant: TenantId) {
-    if tenant == DEFAULT_TENANT {
-        conn.tenant = None;
-    } else {
-        shared.db.register_tenant(tenant);
-        conn.tenant = Some(shared.tenant_state(tenant));
-    }
+/// Binds `conn` to `tenant`: swaps in the tenant's serving state (its hit
+/// tally and aggregated quota) and journals the binding. `AUTH 0` rebinds
+/// to the default tenant (legacy semantics) — useful for connection-pool
+/// reuse.
+fn bind_tenant(shared: &Shared, conn: &mut Conn, tenant: u32) {
+    conn.tenant = (tenant != 0).then(|| shared.tenant_state(tenant));
     shared.obs.emit(|| Event::TenantBound {
         conn: conn.id,
         tenant: tenant as u64,

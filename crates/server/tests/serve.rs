@@ -1035,9 +1035,11 @@ fn shutdown_opcode_drains_the_server() {
 /// Wire-level backward compatibility: a legacy client that has never
 /// heard of AUTH sends byte-identical pre-tenant frames (hand-encoded
 /// here so a protocol-layer change cannot mask a drift) and gets exactly
-/// the old behavior — served by the default tenant, full cache budget,
-/// no extra partitions, no throttling, and no share moves however many
-/// tuning windows it crosses.
+/// the old behavior — served by and charged to the default tenant, never
+/// throttled however many tuning windows it crosses. Served operations
+/// are the tuner's clock: every GET, PUT, DELETE and SCAN, a batch's subs
+/// included, counts toward the 1 000-op window; a PING or a control
+/// opcode does not.
 #[test]
 fn legacy_connections_without_auth_are_served_unchanged() {
     let db = test_db(true);
@@ -1067,27 +1069,43 @@ fn legacy_connections_without_auth_are_served_unchanged() {
     assert_eq!(&reply[17..], b"seed-00042", "pre-tenant GET still serves");
     drop(sock);
 
-    // Far more ops than the 10-token tenant bucket, and two and a half
-    // tuning windows: none may throttle, because this connection never
-    // bound a tenant.
+    // Far more ops than the 10-token tenant bucket: none may throttle,
+    // because this connection never bound a tenant. 199 batches of 10
+    // GETs and a PING, then 1 000 single GETs with a PING and a STATS
+    // every 100: with the raw GET, 2 991 engine ops, so exactly two
+    // windows close. Counting a PING would close a third; counting a
+    // batch as one op, only one.
     let mut c = Client::connect(&addr).unwrap();
-    for i in 0..2_500u64 {
-        match c.call(&Request::Get { key: render_key(i) }).unwrap() {
-            Response::Value(_) | Response::NotFound => {}
-            other => panic!("legacy traffic must never throttle: {other:?}"),
+    let served = |resp: &Response| match resp {
+        Response::Value(_) | Response::NotFound => {}
+        other => panic!("legacy traffic must never throttle: {other:?}"),
+    };
+    for b in 0..199u64 {
+        let mut subs: Vec<Request> = (0..10)
+            .map(|i| Request::Get {
+                key: render_key(b * 10 + i),
+            })
+            .collect();
+        subs.push(Request::Ping);
+        match c.call(&Request::Batch { subs }).unwrap() {
+            Response::Batch(replies) => replies[..10].iter().for_each(|(_, r)| served(r)),
+            other => panic!("batch answered {other:?}"),
         }
     }
+    for i in 0..1_000u64 {
+        if i % 100 == 0 {
+            c.call(&Request::Ping).unwrap();
+            c.stats().unwrap();
+        }
+        served(&c.call(&Request::Get { key: render_key(i) }).unwrap());
+    }
 
-    // The engine stayed single-partition: only the default tenant, with
-    // the whole budget.
-    assert_eq!(db.tenant_ids(), vec![adcache_core::DEFAULT_TENANT]);
-    let reports = db.tenant_reports();
-    assert_eq!(reports.len(), 1);
-    assert!((reports[0].share - 1.0).abs() < 1e-9);
     let obs = db.obs();
     assert_eq!(obs.window(), 2);
-    let resizes = obs.registry().unwrap().counter_value("core.tenant.resizes");
-    assert_eq!(resizes, 0, "one partition is never arbitrated");
+    let reg = obs.registry().unwrap();
+    let reads =
+        reg.counter_value("cache.tenant.0.hits") + reg.counter_value("cache.tenant.0.misses");
+    assert_eq!(reads, 2_991, "every read is charged to the default tenant");
 
     let report = server.shutdown();
     assert_eq!(report.protocol_errors, 0);
@@ -1095,11 +1113,21 @@ fn legacy_connections_without_auth_are_served_unchanged() {
     assert_eq!(report.tenant_throttled, 0);
 }
 
+/// `(hits, misses)` charged to `tenant` so far.
+fn tally(db: &CachedDb, tenant: u32) -> (u64, u64) {
+    let obs = db.obs();
+    let reg = obs.registry().unwrap();
+    (
+        reg.counter_value(&format!("cache.tenant.{tenant}.hits")),
+        reg.counter_value(&format!("cache.tenant.{tenant}.misses")),
+    )
+}
+
 /// Multi-tenant serving end to end: AUTH binds connections to tenants,
-/// the engine grows per-tenant partitions, per-tenant stats ride the
-/// STATS payload, the aggregated tenant quota throttles a noisy tenant
-/// across *all* of its connections while other tenants stay clean, and
-/// the journal records the bindings and throttles.
+/// each tenant's reads are charged to its own tally, the aggregated
+/// tenant quota throttles a noisy tenant across *all* of its connections
+/// while other tenants stay clean, and the journal records the bindings
+/// and throttles.
 #[test]
 fn auth_binds_tenants_and_tenant_quota_aggregates_across_connections() {
     let db = test_db(true);
@@ -1117,10 +1145,6 @@ fn auth_binds_tenants_and_tenant_quota_aggregates_across_connections() {
     hot_b.auth(1).unwrap();
     let mut quiet = Client::connect(&addr).unwrap();
     quiet.auth(2).unwrap();
-
-    let mut ids = db.tenant_ids();
-    ids.sort_unstable();
-    assert_eq!(ids, vec![0, 1, 2], "AUTH must register engine partitions");
 
     // Both hot connections hammer; their *combined* admitted volume is
     // bounded by one 50-token bucket, so throttles must appear on both.
@@ -1155,10 +1179,7 @@ fn auth_binds_tenants_and_tenant_quota_aggregates_across_connections() {
             other => panic!("quiet tenant must not be throttled: {other:?}"),
         }
     }
-
-    // Per-tenant stats ride the STATS payload.
     let stats = quiet.stats().unwrap();
-    assert!(stats.contains("\"tenants\""), "stats: {stats}");
     assert!(stats.contains("\"tenant_throttled\""), "stats: {stats}");
 
     let report = server.shutdown();
@@ -1167,28 +1188,28 @@ fn auth_binds_tenants_and_tenant_quota_aggregates_across_connections() {
     let trace = db.obs().trace_jsonl().unwrap();
     assert!(trace.contains("TenantBound"), "bindings journal");
     assert!(trace.contains("TenantThrottled"), "throttles journal");
-    // Tenant 1's ops were charged to its partition, not the default's.
-    let reports = db.tenant_reports();
-    let of = |t: u32| reports.iter().find(|r| r.tenant == t).unwrap();
-    assert!(of(1).ops > 0, "hot tenant ops: {reports:?}");
-    assert!(of(2).ops >= 20, "quiet tenant ops: {reports:?}");
+    // Each tenant's admitted reads were charged to its own tally, none
+    // to the default tenant's.
+    let reads = |t| {
+        let (hits, misses) = tally(&db, t);
+        hits + misses
+    };
+    assert_eq!(reads(1), admitted, "hot tenant reads");
+    assert_eq!(reads(2), 20, "quiet tenant reads");
+    assert_eq!(reads(0), 0, "default tenant reads");
 }
 
-/// The partition is bound at the handshake: everything an `AUTH`-bound
-/// connection then does — singleton or batched, read or write — is served
-/// from and counted in its tenant's partition and leaves the default one
-/// alone, and `AUTH 0` turns that around.
+/// The tally is bound at the handshake: every read an `AUTH`-bound
+/// connection then makes — singleton or batched — is charged to its
+/// tenant and leaves the default tenant's tally alone, and `AUTH 0`
+/// turns that around.
 #[test]
-fn auth_binds_the_partition_and_auth_zero_returns_to_the_default() {
-    let db = test_db(false);
+fn auth_binds_the_tally_and_auth_zero_returns_to_the_default() {
+    let db = test_db(true);
     let server = start_server(db.clone(), |_| {});
     let mut c = Client::connect(&server.local_addr().to_string()).unwrap();
-    let of = |t: u32| {
-        let reports = db.tenant_reports();
-        reports.into_iter().find(|r| r.tenant == t).unwrap()
-    };
-    // 8 engine operations; the repeated scan is a sure range-cache hit in
-    // whichever partition served the first one.
+    // 8 engine operations, 5 of them reads; the repeated scan is a sure
+    // range-cache hit.
     let traffic = |c: &mut Client, tag: &str| {
         let scan = Request::Scan {
             from: render_key(100),
@@ -1228,81 +1249,82 @@ fn auth_binds_the_partition_and_auth_zero_returns_to_the_default() {
             }
         }
     };
+    let reads = |(hits, misses): (u64, u64)| hits + misses;
 
     c.auth(5).unwrap();
-    let (tenant, default) = (of(5), of(0));
+    let (tenant, default) = (tally(&db, 5), tally(&db, 0));
     traffic(&mut c, "bound");
-    assert_eq!(of(5).ops - tenant.ops, 8, "charged to the tenant");
-    assert!(of(5).hits > tenant.hits, "served from the tenant's caches");
     assert_eq!(
-        (of(0).ops, of(0).hits, of(0).misses),
-        (default.ops, default.hits, default.misses),
-        "the default partition saw none of it"
+        reads(tally(&db, 5)) - reads(tenant),
+        5,
+        "charged to the tenant"
     );
+    assert!(tally(&db, 5).0 > tenant.0, "the repeated scan hit");
+    assert_eq!(tally(&db, 0), default, "the default tenant saw none of it");
 
     c.auth(0).unwrap();
-    let (tenant, default) = (of(5), of(0));
+    let (tenant, default) = (tally(&db, 5), tally(&db, 0));
     traffic(&mut c, "unbound");
-    assert_eq!(of(0).ops - default.ops, 8, "charged to the default tenant");
-    assert!(of(0).hits > default.hits, "served from the default caches");
     assert_eq!(
-        (of(5).ops, of(5).hits, of(5).misses),
-        (tenant.ops, tenant.hits, tenant.misses),
-        "tenant 5 saw none of it"
+        reads(tally(&db, 0)) - reads(default),
+        5,
+        "charged to the default"
     );
+    assert!(tally(&db, 0).0 > default.0, "the repeated scan hit");
+    assert_eq!(tally(&db, 5), tenant, "tenant 5 saw none of it");
     assert_eq!(server.shutdown().protocol_errors, 0);
 }
 
-/// Served operations are the tuner's clock: every GET, PUT, DELETE and
-/// SCAN, a batch's subs included, counts toward the 1 000-op window, a
-/// PING or a control opcode does not, and each closed window splits the
-/// tenant shares once, journaled under that window's id.
+/// Every tenant reads one cache: binding a new tenant leaves the cache's
+/// capacity and residency as they were, and after tenant 1 reads a key,
+/// tenant 2's read of it is a cache hit charged to tenant 2.
 #[test]
-fn served_windows_rebalance_tenant_shares_once_each() {
+fn tenants_share_one_cache() {
     let db = test_db(true);
     let server = start_server(db.clone(), |_| {});
     let addr = server.local_addr().to_string();
-    let mut batched = Client::connect(&addr).unwrap();
-    batched.auth(1).unwrap();
-    let mut single = Client::connect(&addr).unwrap();
-    single.auth(2).unwrap();
-    let partitions = db.tenant_ids().len();
-    assert_eq!(partitions, 3);
-
-    // 199 batches of 10 engine subs and a PING, then 1 000 single GETs
-    // with a PING and a STATS every 100: 2 990 engine ops, so exactly two
-    // windows close. Counting a PING would close a third; counting a
-    // batch as one op, only one.
-    for b in 0..199u64 {
-        let mut subs: Vec<Request> = (0..10)
-            .map(|i| Request::Get {
-                key: render_key(b * 10 + i),
-            })
-            .collect();
-        subs.push(Request::Ping);
-        assert!(matches!(
-            batched.call(&Request::Batch { subs }).unwrap(),
-            Response::Batch(_)
-        ));
-    }
-    for i in 0..1_000u64 {
-        if i % 100 == 0 {
-            single.call(&Request::Ping).unwrap();
-            single.stats().unwrap();
-        }
-        single.call(&Request::Get { key: render_key(i) }).unwrap();
-    }
-    assert_eq!(server.shutdown().protocol_errors, 0);
-
-    assert_eq!(db.obs().window(), 2);
-    let records = db.obs().journal().unwrap().records();
-    let resized_in = |window: u64| {
-        records
-            .iter()
-            .filter(|r| r.window == window)
-            .filter(|r| matches!(r.event, adcache_obs::Event::TenantShareResized { .. }))
-            .count()
+    let cache = || {
+        let (block, range) = (db.block_cache().unwrap(), db.range_cache().unwrap());
+        (
+            block.capacity(),
+            block.used(),
+            range.capacity(),
+            range.used(),
+        )
     };
-    assert_eq!(resized_in(1), partitions, "window 1: one step");
-    assert_eq!(resized_in(2), partitions, "window 2: one step");
+    let mut legacy = Client::connect(&addr).unwrap();
+    for i in 0..50 {
+        legacy
+            .call(&Request::Scan {
+                from: render_key(i * 10),
+                limit: 8,
+            })
+            .unwrap();
+    }
+    let warm = cache();
+    assert!(
+        warm.1 > 0 && warm.3 > 0,
+        "the default tenant warmed both caches"
+    );
+    let mut one = Client::connect(&addr).unwrap();
+    one.auth(1).unwrap();
+    let mut two = Client::connect(&addr).unwrap();
+    two.auth(2).unwrap();
+    assert_eq!(cache(), warm, "binding tenants moves no capacity or entry");
+
+    let key = render_key(1_500);
+    let scan = Request::Scan {
+        from: key.clone(),
+        limit: 8,
+    };
+    assert!(matches!(one.call(&scan).unwrap(), Response::Entries(e) if e.len() == 8));
+    assert_eq!(tally(&db, 1), (0, 1), "tenant 1 missed and filled");
+    assert!(matches!(two.call(&scan).unwrap(), Response::Entries(e) if e.len() == 8));
+    assert!(matches!(
+        two.call(&Request::Get { key }).unwrap(),
+        Response::Value(_)
+    ));
+    assert_eq!(tally(&db, 2), (2, 0), "tenant 1's fill serves tenant 2");
+    assert_eq!(tally(&db, 1), (0, 1), "tenant 2's hits are its own");
+    assert_eq!(server.shutdown().protocol_errors, 0);
 }

@@ -4,9 +4,7 @@
 # tenant's connections replay a scan-flood; the cold tenants run the
 # normal mixed workload. Pass requires the wire to stay frame-clean
 # (zero protocol errors, clean drain), the aggregated per-tenant quota
-# to visibly engage (>= 1 TenantThrottled journal event), the demand
-# split of the cache to run on the served operations' windows (a
-# TenantShareResized stamped window >= 1), and the cold
+# to visibly engage (>= 1 TenantThrottled journal event), and the cold
 # tenants' cache hit rate under attack to stay within BOUND_PP
 # percentage points of the same load run with nobody attacking.
 # Degradation *bounds* are measured by `adcache tenantcheck`; this
@@ -79,12 +77,6 @@ if ! grep -q "TenantThrottled" "$NOISY_DIR/trace.jsonl"; then
 fi
 if ! grep -q "TenantBound" "$NOISY_DIR/trace.jsonl"; then
     echo "FAIL: no TenantBound event — connections never authenticated" >&2
-    exit 1
-fi
-# Registration resizes in window 0; a later window's resize is one the
-# served operations' tuning windows ran.
-if ! grep -q '"window":[1-9][0-9]*,"event":{"TenantShareResized"' "$NOISY_DIR/trace.jsonl"; then
-    echo "FAIL: no TenantShareResized after window 0 — the demand split never ran" >&2
     exit 1
 fi
 
