@@ -8,7 +8,7 @@
 
 use adcache_cache::{
     BlockCache, CacheusPolicy, ChargedCache, CountMinSketch, LeCaRPolicy, LfuPolicy, PointLookup,
-    Policy, RangeCache, RangeLookup, SlotLruPolicy,
+    Policy, RangeCache, RangeLookup, SlotClockPolicy, SlotLruPolicy,
 };
 use adcache_core::{CachedDb, EngineConfig, Strategy};
 use adcache_lsm::memtable::MemTable;
@@ -49,6 +49,9 @@ fn bench_policies(c: &mut Criterion) {
     });
     g.bench_function("slot_lru_insert_hit_evict", |b| {
         b.iter(|| run(&mut SlotLruPolicy::new()))
+    });
+    g.bench_function("slot_clock_insert_hit_evict", |b| {
+        b.iter(|| run(&mut SlotClockPolicy::new()))
     });
     g.finish();
 }

@@ -9,9 +9,9 @@
 //!   tracking, serving point *and* range lookups across compactions;
 //! - [`container::ChargedCache`] — the byte-charged LRU the block and KV
 //!   caches are made of;
-//! - [`policy`] — the range cache's pluggable eviction over slot ids: LRU,
-//!   LFU (plus CR-LFU), LeCaR and Cacheus, behind one [`policy::Policy`]
-//!   trait;
+//! - [`policy`] — the range cache's pluggable eviction over slot ids:
+//!   2-bit CLOCK (the default), LRU, LFU (plus CR-LFU), LeCaR and Cacheus,
+//!   behind one [`policy::Policy`] trait;
 //! - [`sketch::CountMinSketch`] + [`admission`] — TinyLFU-style frequency
 //!   admission for point lookups and partial admission for scans, the two
 //!   mechanisms AdCache's RL agent tunes online.
@@ -30,6 +30,8 @@ pub use admission::{PointAdmission, ScanAdmission};
 pub use block_cache::{BlockCache, ScopedBlockProvider};
 pub use container::{CacheCounters, CacheFootprint, CacheStats, ChargedCache};
 pub use kv_cache::KvCache;
-pub use policy::{CacheusPolicy, LeCaRPolicy, LfuPolicy, Policy, SlotLruPolicy, TieBreak};
+pub use policy::{
+    CacheusPolicy, LeCaRPolicy, LfuPolicy, Policy, SlotClockPolicy, SlotLruPolicy, TieBreak,
+};
 pub use range_cache::{PointLookup, RangeCache, RangeFootprint, RangeLookup, RangePolicyFactory};
 pub use sketch::CountMinSketch;

@@ -15,6 +15,7 @@
 
 use super::lfu::TieBreak;
 use super::{GhostHistory, LfuPolicy, Policy};
+use adcache_lsm::heap;
 use std::collections::{BTreeMap, HashMap};
 
 const DISCOUNT: f64 = 0.005;
@@ -82,6 +83,10 @@ impl SrLru {
                 self.s.remove(&tick);
             }
         }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        heap::btree_map(&self.s) + heap::btree_map(&self.r) + heap::hash_map(&self.meta)
     }
 }
 
@@ -249,6 +254,14 @@ impl Policy for CacheusPolicy {
         self.srlru.remove(slot);
         self.crlfu.on_external_remove(slot);
         self.resident = self.resident.saturating_sub(1);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.srlru.heap_bytes()
+            + self.crlfu.heap_bytes()
+            + heap::hash_map(&self.identities)
+            + self.hist_lru.heap_bytes()
+            + self.hist_lfu.heap_bytes()
     }
 }
 

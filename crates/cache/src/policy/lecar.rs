@@ -12,6 +12,7 @@
 //! that expert mechanism, driven through the shared [`Policy`] trait.
 
 use super::{GhostHistory, LfuPolicy, Policy, SlotLruPolicy};
+use adcache_lsm::heap;
 use std::collections::HashMap;
 
 const LAMBDA: f64 = 0.45;
@@ -150,6 +151,14 @@ impl Policy for LeCaRPolicy {
         self.lru.on_external_remove(slot);
         self.lfu.on_external_remove(slot);
         self.resident = self.resident.saturating_sub(1);
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.lru.heap_bytes()
+            + self.lfu.heap_bytes()
+            + heap::hash_map(&self.identities)
+            + self.hist_lru.heap_bytes()
+            + self.hist_lfu.heap_bytes()
     }
 }
 

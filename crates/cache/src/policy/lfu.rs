@@ -1,6 +1,7 @@
 //! Least-frequently-used eviction.
 
 use super::Policy;
+use adcache_lsm::heap;
 use std::collections::{BTreeMap, HashMap};
 
 /// How frequency ties are broken when choosing among equally cold keys.
@@ -105,6 +106,10 @@ impl Policy for LfuPolicy {
         if let Some(prio) = self.meta.remove(&slot) {
             self.by_priority.remove(&prio);
         }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        heap::btree_map(&self.by_priority) + heap::hash_map(&self.meta)
     }
 }
 

@@ -1,25 +1,31 @@
 //! Eviction policies for the range cache.
 //!
 //! The block and KV caches are plain LRU caches: [`ChargedCache`] keeps
-//! its entries on the same recency list [`SlotLruPolicy`] runs on. Only
-//! the Range Cache swaps its eviction policy, to LeCaR or Cacheus in the
-//! paper's baselines (Section 5.1), so a [`Policy`] ranks the range
-//! cache's slot ids. The trait is deliberately small: the cache owns the
-//! data and the byte accounting; a policy owns only ordering metadata.
+//! its entries on the same recency list [`SlotLruPolicy`] runs on. The
+//! range cache evicts by [`SlotClockPolicy`], a CLOCK with a 2-bit use
+//! counter per slot that one-off scan tails cannot flush hot entries
+//! through (the paper's Range Cache runs LRU; EXPERIMENTS.md, "Known
+//! divergences"); it swaps to LeCaR or Cacheus in the paper's baselines
+//! (Section 5.1). A [`Policy`] ranks the range cache's slot ids. The trait
+//! is deliberately small: the cache owns the data and the byte accounting;
+//! a policy owns only ordering metadata, and reports its heap bytes.
 //!
 //! [`ChargedCache`]: crate::ChargedCache
 
 mod cacheus;
+mod clock;
 mod lecar;
 mod lfu;
 mod lru;
 
 pub use cacheus::CacheusPolicy;
+pub use clock::SlotClockPolicy;
 pub use lecar::LeCaRPolicy;
 pub use lfu::{LfuPolicy, TieBreak};
 pub(crate) use lru::RecencyList;
 pub use lru::SlotLruPolicy;
 
+use adcache_lsm::heap;
 use std::collections::{HashMap, VecDeque};
 
 /// One expert's ghost history in LeCaR and Cacheus: which items it evicted
@@ -54,6 +60,10 @@ impl GhostHistory {
             }
         }
     }
+
+    fn heap_bytes(&self) -> usize {
+        heap::hash_map(&self.evicted_at) + heap::vec_deque(&self.order)
+    }
 }
 
 /// Victim-selection strategy over the slot ids of one range-cache shard.
@@ -82,12 +92,9 @@ pub trait Policy: Send {
     fn victim(&mut self) -> Option<u32>;
     /// A resident slot was emptied without going through `victim`.
     fn on_external_remove(&mut self, slot: u32);
-    /// Heap bytes of the policy's bookkeeping, for the memory ledger.
-    /// [`SlotLruPolicy`], which the served range cache runs, measures its
-    /// own; the others report 0, and what they hold is left unattributed.
-    fn heap_bytes(&self) -> usize {
-        0
-    }
+    /// Heap bytes of the policy's bookkeeping, for the memory ledger's
+    /// `range.policy` row.
+    fn heap_bytes(&self) -> usize;
 }
 
 /// Shared test-suite applied to every policy: residency bookkeeping must be

@@ -46,7 +46,7 @@ mod model;
 mod slots;
 
 use crate::container::CacheStats;
-use crate::policy::{Policy, SlotLruPolicy};
+use crate::policy::{Policy, SlotClockPolicy};
 use adcache_lsm::heap;
 use adcache_obs::{Counter, Gauge, Obs};
 use bytes::{Bytes, BytesMut};
@@ -92,7 +92,7 @@ pub struct RangeFootprint {
     /// Covered segments: map nodes and bound keys.
     pub segments: usize,
     /// The eviction policy's bookkeeping.
-    pub lru: usize,
+    pub policy: usize,
 }
 
 impl RangeFootprint {
@@ -108,7 +108,7 @@ impl RangeFootprint {
         self.hash_index += other.hash_index;
         self.segment_slots += other.segment_slots;
         self.segments += other.segments;
-        self.lru += other.lru;
+        self.policy += other.policy;
     }
 }
 
@@ -250,7 +250,7 @@ impl Found {
 
 /// One lock's worth of the cache. A resident entry lives in one slab slot
 /// and is reached through `index` (by key bytes, point probes) and
-/// `policy` (by slot id, recency), and through the list of the segment
+/// `policy` (by slot id, use), and through the list of the segment
 /// that covers it, if one does (by key order; scans, splits and the
 /// backstop). The key's bytes exist once, in its slot or, when longer than
 /// a slot holds, in one allocation of its own. A bit beside each slot says
@@ -399,7 +399,7 @@ impl Shard {
             hash_index: self.index.heap_bytes(),
             segment_slots,
             segments: heap::btree_map(&self.segments) + segment_keys,
-            lru: self.policy.heap_bytes(),
+            policy: self.policy.heap_bytes(),
         }
     }
 
@@ -674,10 +674,11 @@ pub struct RangeCache {
 }
 
 impl RangeCache {
-    /// A single-shard cache with LRU eviction (the configuration evaluated
-    /// as "Range Cache" in the paper).
+    /// A single-shard cache that evicts by [`SlotClockPolicy`] (the
+    /// configuration evaluated as "Range Cache" in the paper, which runs
+    /// LRU there).
     pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, Box::new(|| Box::new(SlotLruPolicy::new())))
+        Self::with_policy(capacity, Box::new(|| Box::new(SlotClockPolicy::new())))
     }
 
     /// Single shard, custom eviction policy (e.g. LeCaR or Cacheus).
@@ -737,7 +738,7 @@ impl RangeCache {
     }
 
     /// Point lookup. A hit is one hash probe, one slot read and one
-    /// recency touch, all O(1), and allocates nothing.
+    /// counter bump in the policy, all O(1), and allocates nothing.
     pub fn get_point(&self, key: &[u8]) -> PointLookup {
         let mut shard = self.shards[self.shard_idx(key)].lock();
         if let Some(slot) = shard.find(key) {
@@ -1065,6 +1066,37 @@ mod tests {
         (from..from + n).map(kv).collect()
     }
 
+    /// Entries hit twice outlive one-off scan fills of as many entries as
+    /// the cache holds: the fills enter at a use count of 0 and go first,
+    /// where an LRU pushes out every entry the cache held before them.
+    #[test]
+    fn hot_points_outlive_a_cache_sized_scan_fill() {
+        const HELD: usize = 64;
+        let c = RangeCache::new(HELD * (7 + 7 + ENTRY_OVERHEAD));
+        for i in 0..HELD {
+            let (k, v) = kv(i);
+            c.insert_point(k, v);
+        }
+        let hot = [3, 17, 40, 63];
+        for _ in 0..2 {
+            for i in hot {
+                assert_eq!(c.get_point(&kv(i).0), PointLookup::Hit(kv(i).1));
+            }
+        }
+        for first in (1000..1000 + HELD).step_by(16) {
+            c.insert_scan(&kv(first).0, &scan_result(first, 16), 16);
+        }
+        assert_eq!((c.len(), c.stats().evictions), (HELD, HELD as u64));
+        for i in hot {
+            assert_eq!(
+                c.get_point(&kv(i).0),
+                PointLookup::Hit(kv(i).1),
+                "hot key {i}"
+            );
+        }
+        c.check_invariants();
+    }
+
     #[test]
     fn point_hit_negative_hit_and_miss() {
         let c = RangeCache::new(1 << 20);
@@ -1223,7 +1255,7 @@ mod tests {
 
     #[test]
     fn coverage_metrics_follow_every_shard() {
-        let factory: RangePolicyFactory = Box::new(|| Box::new(SlotLruPolicy::new()));
+        let factory: RangePolicyFactory = Box::new(|| Box::new(SlotClockPolicy::new()));
         let c = RangeCache::with_shards(40 * 62, vec![b("key0010")], factory);
         c.insert_scan(&kv(0).0, &scan_result(0, 4), 4);
         // Attached late: what is already covered is published on attach.
@@ -1361,7 +1393,7 @@ mod tests {
 
     #[test]
     fn sharded_cache_serves_cross_boundary_scans() {
-        let factory: RangePolicyFactory = Box::new(|| Box::new(SlotLruPolicy::new()));
+        let factory: RangePolicyFactory = Box::new(|| Box::new(SlotClockPolicy::new()));
         let c = RangeCache::with_shards(1 << 20, vec![b("key0005"), b("key0010")], factory);
         // Scan result spanning all three shards.
         c.insert_scan(&kv(0).0, &scan_result(0, 15), 15);

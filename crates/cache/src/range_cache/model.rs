@@ -13,6 +13,7 @@
 //! map stays within the resident entries plus the negatives made so far.
 
 use super::*;
+use crate::policy::SlotLruPolicy;
 use proptest::prelude::*;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -329,6 +330,9 @@ impl Policy for Audited {
             "removed untracked slot {slot}"
         );
         self.inner.on_external_remove(slot);
+    }
+    fn heap_bytes(&self) -> usize {
+        self.inner.heap_bytes()
     }
 }
 

@@ -16,8 +16,8 @@
 //! threads, and each test must see only its own allocations.
 
 use adcache_cache::{
-    BlockCache, CacheFootprint, CountMinSketch, KvCache, PointLookup, RangeCache, RangeFootprint,
-    RangeLookup,
+    BlockCache, CacheFootprint, CacheusPolicy, CountMinSketch, KvCache, LeCaRPolicy, PointLookup,
+    Policy, RangeCache, RangeFootprint, RangeLookup, SlotClockPolicy, SlotLruPolicy,
 };
 use adcache_lsm::{Block, BlockBuilder, BlockRef};
 use bytes::Bytes;
@@ -100,7 +100,7 @@ fn assert_ledger_matches(what: &str, reported: usize, live: i64) {
 /// A range cache's real bytes as the ledger counts them when every value
 /// is an allocation of its own, as these tests' values are.
 fn range_real(f: &RangeFootprint) -> usize {
-    f.key_heap + f.value_heap + f.slab + f.hash_index + f.segment_slots + f.segments + f.lru
+    f.key_heap + f.value_heap + f.slab + f.hash_index + f.segment_slots + f.segments + f.policy
 }
 
 fn cache_real(f: &CacheFootprint) -> usize {
@@ -178,18 +178,19 @@ fn sketch_costs_half_a_byte_per_counter() {
 
 /// The charge of such an entry is 24 + 100 + 48 = 172 bytes; the value
 /// alone takes 128 from the allocator, and the 24-byte key lives in its
-/// 56-byte slot. What the structures around them add must stay within 215
-/// in total after an ascending sweep of 190 k, and 220 for 100 k in
-/// scattered order, whose hash index is half as full (21 B a bucket per
-/// entry instead of 11). A point entry outside every segment is on no
-/// segment's list and has no key allocation: it measured 246.4 (255.8
-/// scattered) with its key in a 48-byte allocation of its own and 32-byte
-/// `Bytes` handles, 288.5 with a node in an ordered index, 586 in the
-/// singleton-segment shard, and 357 with 32-byte key handles and a hash
-/// map inside the LRU.
+/// 56-byte slot. What the structures around them add must stay within 196
+/// in total after an ascending sweep of 190 k (195.9 measured), and 206
+/// for 100 k in scattered order, whose hash index is half as full (21 B a
+/// bucket per entry instead of 11; 205.9). A point entry outside every
+/// segment is on no segment's list and has no key allocation: it measured
+/// 206.4 while an LRU kept 8 B of links per slot where the CLOCK keeps 3
+/// bits, 246.4 (255.8 scattered) with its key in a 48-byte allocation of
+/// its own and 32-byte `Bytes` handles, 288.5 with a node in an ordered
+/// index, 586 in the singleton-segment shard, and 357 with 32-byte key
+/// handles and a hash map inside the LRU.
 #[test]
-fn resident_point_entry_fits_215_real_bytes() {
-    for (n, ascending, bound) in [(190_000u32, true, 215.0), (100_000, false, 220.0)] {
+fn resident_point_entry_fits_196_real_bytes() {
+    for (n, ascending, bound) in [(190_000u32, true, 196.0), (100_000, false, 206.0)] {
         let before = live_bytes();
         let cache = RangeCache::new(256 << 20);
         for i in 0..n {
@@ -217,16 +218,17 @@ fn resident_point_entry_fits_215_real_bytes() {
 }
 
 /// A covered entry costs what a point entry costs plus its four bytes on
-/// its segment's list: at 24 B of key and 100 of value, at most 215 real
+/// its segment's list: at 24 B of key and 100 of value, at most 202 real
 /// bytes after an ascending sweep of 16-entry scans that builds one
-/// segment (212.0 measured), and 230 when each scan of 16 is a segment of
-/// its own, whose bound keys and map node add about 15 B an entry (227.1).
-/// While each covered key was an allocation of its own that a B-tree
-/// ordered index shared, the two took 296.7 and 309.7.
+/// segment (201.4 measured), and 217 when each scan of 16 is a segment of
+/// its own, whose bound keys and map node add about 15 B an entry (216.6).
+/// Under an LRU's links the two took 212.0 and 227.1; while each covered
+/// key was an allocation of its own that a B-tree ordered index shared,
+/// 296.7 and 309.7.
 #[test]
-fn covered_entry_fits_215_real_bytes() {
+fn covered_entry_fits_202_real_bytes() {
     const N: u32 = 190_000;
-    for (stride, bound) in [(16, 215.0), (32, 230.0)] {
+    for (stride, bound) in [(16, 202.0), (32, 217.0)] {
         let before = live_bytes();
         let cache = RangeCache::new(256 << 20);
         // With a stride of 16 each scan starts where the last one's
@@ -266,12 +268,13 @@ fn covered_entry_fits_215_real_bytes() {
 /// segments split them. Coverage must stay bounded by what is resident (no
 /// entry-less fragments pile up), nothing but the policy may remove an
 /// entry, and an entry must cost what it costs in an unchurned cache plus
-/// its share of the segments: 224.3 bytes, where the shard that kept every
-/// fragment measured 946, with 65 536 segments for 24 k entries, 295.6 while
-/// every point entry also had an ordered-index node, and 287.7 while covered
-/// keys were allocations an ordered index shared. The
-/// trace is deterministic, so what it leaves behind is pinned too: a
-/// change of layout must not move one admission or eviction.
+/// its share of the segments: 218.9 bytes (224.3 under an LRU, whose
+/// evictions left 1 432 segments where the CLOCK's leave 1 902), where the
+/// shard that kept every fragment measured 946, with 65 536 segments for
+/// 24 k entries, 295.6 while every point entry also had an ordered-index
+/// node, and 287.7 while covered keys were allocations an ordered index
+/// shared. The trace is deterministic, so what it leaves behind is pinned
+/// too: a change of layout must not move one admission or eviction.
 #[test]
 fn resident_entry_fits_300_real_bytes_under_churn() {
     const KEYS: u64 = 200_000;
@@ -296,8 +299,8 @@ fn resident_entry_fits_300_real_bytes_under_churn() {
     }
     cache.check_invariants();
     let stats = cache.stats();
-    assert_eq!((stats.inserts, stats.evictions), (842_668, 818_283));
-    assert_eq!((cache.len(), cache.segment_count()), (24_385, 1_432));
+    assert_eq!((stats.inserts, stats.evictions), (842_644, 818_259));
+    assert_eq!((cache.len(), cache.segment_count()), (24_385, 1_902));
     assert_eq!(stats.invalidations, 0, "entries removed behind the policy");
     assert_eq!(cache.coverage_dropped(), 0);
     let live = live_bytes() - before;
@@ -311,6 +314,63 @@ fn resident_entry_fits_300_real_bytes_under_churn() {
     );
     drop(cache);
     assert_eq!(live_bytes(), before, "the cache leaked");
+}
+
+/// Every policy a range cache can run reports its bookkeeping in the
+/// ledger's `range.policy` row: the CLOCK's bit-planes, the LRU's links,
+/// and LeCaR's and Cacheus's experts, identity maps and ghost histories,
+/// each within 10 % of what the allocator holds for it after a churn of
+/// inserts, hits, evictions and removals over recycled slot ids.
+#[test]
+fn every_policy_reports_its_heap_bytes() {
+    fn churn(p: &mut dyn Policy) -> i64 {
+        const SLOTS: u32 = 20_000;
+        let mut resident = vec![false; SLOTS as usize];
+        // Never grows past its first capacity: only the policy allocates
+        // after `before`.
+        let mut free: Vec<u32> = (0..SLOTS).rev().collect();
+        let before = live_bytes();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..200_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let slot = (x >> 16) as u32 % SLOTS;
+            match x % 8 {
+                0..=2 => {
+                    if let Some(s) = free.pop() {
+                        p.on_insert(s, step);
+                        resident[s as usize] = true;
+                    }
+                }
+                3..=5 if resident[slot as usize] => p.on_hit(slot),
+                6 if free.len() < SLOTS as usize / 4 => {
+                    let v = p.victim().expect("a resident slot");
+                    assert!(std::mem::take(&mut resident[v as usize]));
+                    free.push(v);
+                }
+                7 if resident[slot as usize] => {
+                    p.on_external_remove(slot);
+                    resident[slot as usize] = false;
+                    free.push(slot);
+                }
+                _ => {}
+            }
+        }
+        live_bytes() - before
+    }
+    let mut clock = SlotClockPolicy::new();
+    let live = churn(&mut clock);
+    assert_ledger_matches("clock", clock.heap_bytes(), live);
+    let mut lru = SlotLruPolicy::new();
+    let live = churn(&mut lru);
+    assert_ledger_matches("lru", lru.heap_bytes(), live);
+    let mut lecar = LeCaRPolicy::new();
+    let live = churn(&mut lecar);
+    assert_ledger_matches("lecar", lecar.heap_bytes(), live);
+    let mut cacheus = CacheusPolicy::new();
+    let live = churn(&mut cacheus);
+    assert_ledger_matches("cacheus", cacheus.heap_bytes(), live);
 }
 
 /// The KV cache's and the block cache's ledger rows, against the allocator:

@@ -12,7 +12,7 @@ use crate::memory::{self, MemoryReport};
 use crate::stats::{Counters, HitTally, Snapshot, WindowSummary};
 use adcache_cache::{
     BlockCache, CacheFootprint, CacheusPolicy, KvCache, LeCaRPolicy, PointAdmission, PointLookup,
-    RangeCache, RangeFootprint, RangePolicyFactory, ScanAdmission, SlotLruPolicy,
+    RangeCache, RangeFootprint, RangePolicyFactory, ScanAdmission, SlotClockPolicy,
 };
 use adcache_lsm::{
     DirectProvider, Entry, FileStorage, Key, MemStorage, Options, Result, Storage, StripedDb, Value,
@@ -32,7 +32,8 @@ pub enum Strategy {
     RocksDbBlock,
     /// A pure key-value (row) result cache; scans bypass it.
     KvCache,
-    /// Range Cache with LRU eviction (Wang et al.).
+    /// Range Cache (Wang et al.), evicting by a 2-bit CLOCK where the
+    /// paper's runs LRU.
     RangeCache,
     /// Range Cache with LeCaR eviction.
     RangeCacheLeCaR,
@@ -292,7 +293,7 @@ impl CachedDb {
             Strategy::RocksDbBlock => block = block_cache(total),
             Strategy::KvCache => kv = Some(KvCache::new(total)),
             Strategy::RangeCache => {
-                range = range_cache(total, Box::new(|| Box::new(SlotLruPolicy::new())));
+                range = range_cache(total, Box::new(|| Box::new(SlotClockPolicy::new())));
             }
             Strategy::RangeCacheLeCaR => {
                 range = range_cache(total, Box::new(|| Box::new(LeCaRPolicy::new())));
@@ -304,7 +305,7 @@ impl CachedDb {
                 block = block_cache((total as f64 * (1.0 - d.range_ratio)) as usize);
                 range = range_cache(
                     (total as f64 * d.range_ratio) as usize,
-                    Box::new(|| Box::new(SlotLruPolicy::new())),
+                    Box::new(|| Box::new(SlotClockPolicy::new())),
                 );
                 let adm = PointAdmission::with_guard(
                     cfg.expected_keys,

@@ -11,7 +11,7 @@
 //!    ([`controller`]) trained on the I/O-based reward of [`reward`].
 //!
 //! [`engine::Strategy`] instantiates the paper's five baselines (RocksDB
-//! block cache, KV cache, Range Cache with LRU / LeCaR / Cacheus) and
+//! block cache, KV cache, Range Cache with CLOCK / LeCaR / Cacheus) and
 //! AdCache itself over the same native LSM engine, and [`runner`] drives
 //! whole experiments: static mixes, the Table 3 dynamic schedule, and
 //! multi-client runs. One set of caches serves every caller; a served

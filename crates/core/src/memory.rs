@@ -114,7 +114,7 @@ pub(crate) fn report(t: Terms) -> MemoryReport {
     row("range.hash_index", 0, r.hash_index, 0);
     row("range.segment_slots", 0, r.segment_slots, 0);
     row("range.segments", 0, r.segments, 0);
-    row("range.lru", 0, r.lru, 0);
+    row("range.policy", 0, r.policy, 0);
     let (blocks, blocks_shared) = split(t.block.payload_heap);
     row("block.blocks", t.block.charged, blocks, blocks_shared);
     row("block.table", 0, t.block.structure_heap, 0);

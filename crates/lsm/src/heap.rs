@@ -6,7 +6,7 @@
 //! can be held against a counting allocator's live bytes
 //! (`alloc_footprint.rs`, `alloc_counts.rs`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::mem::size_of;
 
 /// What one allocation of `size` bytes takes from glibc malloc on a 64-bit
@@ -28,6 +28,11 @@ pub fn arc_bytes(len: usize) -> usize {
 
 /// The buffer of a `Vec<T>`.
 pub fn vec<T>(v: &Vec<T>) -> usize {
+    chunk(v.capacity() * size_of::<T>())
+}
+
+/// The buffer of a `VecDeque<T>`.
+pub fn vec_deque<T>(v: &VecDeque<T>) -> usize {
     chunk(v.capacity() * size_of::<T>())
 }
 

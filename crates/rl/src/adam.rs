@@ -30,22 +30,34 @@ impl Adam {
         }
     }
 
-    /// Applies one update step at learning rate `lr`. `params` and `grads`
-    /// must be flat views in a stable order across calls.
-    pub fn step(&mut self, params: &mut [&mut f32], grads: &[f32], lr: f32) {
-        assert_eq!(params.len(), self.m.len(), "parameter layout changed");
-        assert_eq!(grads.len(), self.m.len());
+    /// Applies one update step at learning rate `lr` to every parameter:
+    /// `slices` are `(weights, gradients)` pairs of equal length, one
+    /// layer's contiguous tensors at a time, in a stable order across calls
+    /// that covers the parameter count exactly.
+    pub fn step<'a>(
+        &mut self,
+        slices: impl IntoIterator<Item = (&'a mut [f32], &'a [f32])>,
+        lr: f32,
+    ) {
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..grads.len() {
-            let g = grads[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = self.m[i] / b1t;
-            let v_hat = self.v[i] / b2t;
-            *params[i] -= lr * m_hat / (v_hat.sqrt() + self.eps);
+        let mut at = 0;
+        for (params, grads) in slices {
+            assert_eq!(params.len(), grads.len());
+            let end = at + grads.len();
+            assert!(end <= self.m.len(), "parameter layout changed");
+            let moments = self.m[at..end].iter_mut().zip(&mut self.v[at..end]);
+            for ((p, &g), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+                let m_hat = *m / b1t;
+                let v_hat = *v / b2t;
+                *p -= lr * m_hat / (v_hat.sqrt() + self.eps);
+            }
+            at = end;
         }
+        assert_eq!(at, self.m.len(), "parameter layout changed");
     }
 
     /// Bytes used by the optimizer state (the 2× moment buffers).
@@ -70,8 +82,7 @@ mod tests {
         let mut adam = Adam::new(2);
         for _ in 0..2000 {
             let grads: Vec<f32> = x.iter().map(|&v| 2.0 * v).collect(); // d/dx of x²
-            let mut params: Vec<&mut f32> = x.iter_mut().collect();
-            adam.step(&mut params, &grads, 0.05);
+            adam.step([(&mut x[..], &grads[..])], 0.05);
         }
         assert!(x.iter().all(|v| v.abs() < 0.05), "did not converge: {x:?}");
         assert_eq!(adam.steps(), 2000);
@@ -82,8 +93,7 @@ mod tests {
         // With bias correction, the first Adam step has magnitude ≈ lr.
         let mut x = [1.0f32];
         let mut adam = Adam::new(1);
-        let mut params: Vec<&mut f32> = x.iter_mut().collect();
-        adam.step(&mut params, &[0.001], 0.1);
+        adam.step([(&mut x[..], &[0.001][..])], 0.1);
         assert!((1.0 - x[0] - 0.1).abs() < 1e-3, "step was {}", 1.0 - x[0]);
     }
 
@@ -98,7 +108,6 @@ mod tests {
     fn layout_change_is_detected() {
         let mut adam = Adam::new(2);
         let mut x = [0.0f32];
-        let mut params: Vec<&mut f32> = x.iter_mut().collect();
-        adam.step(&mut params, &[0.0], 0.1);
+        adam.step([(&mut x[..], &[0.0][..])], 0.1);
     }
 }

@@ -160,22 +160,19 @@ impl Linear {
         self.grad_b.iter_mut().for_each(|g| *g = 0.0);
     }
 
-    /// `(params, grads)` flat views for the optimizer: weights then biases.
-    pub fn params_and_grads(&mut self) -> Option<(Vec<&mut f32>, Vec<f32>)> {
+    /// Whether `backward` has run, so there are gradients to apply.
+    pub fn has_grads(&self) -> bool {
+        self.grad_w.is_some()
+    }
+
+    /// `(params, grads)` slice pairs for the optimizer, weights then
+    /// biases; `None` until `backward` has run.
+    pub fn params_and_grads(&mut self) -> Option<[(&mut [f32], &[f32]); 2]> {
         let grad_w = self.grad_w.as_ref()?;
-        let grads: Vec<f32> = grad_w
-            .as_slice()
-            .iter()
-            .chain(self.grad_b.iter())
-            .copied()
-            .collect();
-        let params: Vec<&mut f32> = self
-            .w
-            .as_mut_slice()
-            .iter_mut()
-            .chain(self.b.iter_mut())
-            .collect();
-        Some((params, grads))
+        Some([
+            (self.w.as_mut_slice(), grad_w.as_slice()),
+            (&mut self.b[..], &self.grad_b[..]),
+        ])
     }
 
     /// Immutable weight access for tests.
@@ -272,8 +269,8 @@ mod tests {
         l.forward(&[1.0, 2.0]);
         l.backward(&[1.0, 1.0]);
         l.zero_grad();
-        let (_, grads) = l.params_and_grads().unwrap();
-        assert!(grads.iter().all(|&g| g == 0.0));
+        let [(_, grad_w), (_, grad_b)] = l.params_and_grads().unwrap();
+        assert!(grad_w.iter().chain(grad_b).all(|&g| g == 0.0));
     }
 
     #[test]

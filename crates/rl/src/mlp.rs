@@ -83,16 +83,14 @@ impl Mlp {
     /// Applies one Adam step using the accumulated gradients, then clears
     /// them. No-op if `backward` was never called.
     pub fn apply_grads(&mut self, adam: &mut Adam, lr: f32) {
-        let mut params: Vec<&mut f32> = Vec::with_capacity(self.param_count());
-        let mut grads: Vec<f32> = Vec::with_capacity(self.param_count());
-        for layer in &mut self.layers {
-            let Some((p, g)) = layer.params_and_grads() else {
-                return;
-            };
-            params.extend(p);
-            grads.extend(g);
+        if !self.layers.iter().all(Linear::has_grads) {
+            return;
         }
-        adam.step(&mut params, &grads, lr);
+        let slices = self
+            .layers
+            .iter_mut()
+            .flat_map(|l| l.params_and_grads().expect("every layer has gradients"));
+        adam.step(slices, lr);
         self.zero_grad();
     }
 
@@ -192,6 +190,63 @@ mod tests {
         let mut restored = Mlp::from_json(&net.to_json()).unwrap();
         assert_eq!(restored.forward(&x), y);
         assert_eq!(restored.widths(), vec![5, 256, 256, 3]);
+    }
+
+    /// The flat step the optimizer took before it stepped layer by layer:
+    /// one view of every parameter and a copy of every gradient.
+    fn flat_step(m: &mut [f32], v: &mut [f32], t: u64, params: &mut [&mut f32], grads: &[f32]) {
+        let (beta1, beta2, eps, lr) = (0.9f32, 0.999f32, 1e-8f32, 0.01f32);
+        let b1t = 1.0 - beta1.powi(t as i32);
+        let b2t = 1.0 - beta2.powi(t as i32);
+        for i in 0..grads.len() {
+            let g = grads[i];
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g;
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
+            let m_hat = m[i] / b1t;
+            let v_hat = v[i] / b2t;
+            *params[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+        }
+    }
+
+    /// Stepping each layer's own slices changes no bit of any weight
+    /// against the flat step, over several steps at 2×64 and 2×256.
+    #[test]
+    fn layer_steps_match_the_flat_step_bit_for_bit() {
+        for hidden in [64, 256] {
+            let mut net = Mlp::new(&[12, hidden, hidden, 4], Activation::Relu, 5);
+            let mut reference = net.clone();
+            let mut adam = net.make_adam();
+            let n = net.param_count();
+            let (mut m, mut v) = (vec![0.0; n], vec![0.0; n]);
+            for t in 1..=5u64 {
+                let x: Vec<f32> = (0..12)
+                    .map(|i| ((i as u64 * 7 + t) % 11) as f32 / 11.0)
+                    .collect();
+                let dout: Vec<f32> = (0..4).map(|i| (i as f32 - 1.5) * t as f32 / 4.0).collect();
+                for net in [&mut net, &mut reference] {
+                    net.forward(&x);
+                    net.backward(&dout);
+                }
+                net.apply_grads(&mut adam, 0.01);
+                let mut params: Vec<&mut f32> = Vec::new();
+                let mut grads: Vec<f32> = Vec::new();
+                for layer in &mut reference.layers {
+                    for (p, g) in layer.params_and_grads().unwrap() {
+                        params.extend(p.iter_mut());
+                        grads.extend_from_slice(g);
+                    }
+                }
+                flat_step(&mut m, &mut v, t, &mut params, &grads);
+                reference.zero_grad();
+                for (a, b) in net.layers.iter().zip(&reference.layers) {
+                    let bits = |l: &Linear| -> Vec<u32> {
+                        let w = l.weights().as_slice().iter();
+                        w.chain(l.biases()).map(|x| x.to_bits()).collect()
+                    };
+                    assert_eq!(bits(a), bits(b), "2×{hidden}, step {t}");
+                }
+            }
+        }
     }
 
     #[test]

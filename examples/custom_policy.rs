@@ -5,12 +5,14 @@
 //! paper uses to evaluate "Range Cache with LeCaR" and "Range Cache with
 //! Cacheus" (the block and KV caches are plain LRU). This example
 //! implements a toy *random-eviction* policy from scratch, mounts it in a
-//! range cache, and compares its hit rate against LRU and LeCaR on a
-//! skewed point workload.
+//! range cache, and compares its hit rate against the range cache's own
+//! CLOCK, LRU and LeCaR on a skewed point workload.
 //!
 //! Run with: `cargo run --release --example custom_policy`
 
-use adcache_suite::cache::{LeCaRPolicy, PointLookup, Policy, RangeCache, SlotLruPolicy};
+use adcache_suite::cache::{
+    LeCaRPolicy, PointLookup, Policy, RangeCache, SlotClockPolicy, SlotLruPolicy,
+};
 use adcache_suite::workload::{Mix, Operation, WorkloadConfig, WorkloadGen};
 use bytes::Bytes;
 
@@ -74,6 +76,10 @@ impl Policy for RandomPolicy {
     fn on_external_remove(&mut self, slot: u32) {
         self.take(self.place[slot as usize]);
     }
+
+    fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<u32>() + self.place.capacity() * size_of::<usize>()
+    }
 }
 
 /// Replays a skewed point workload against a cache and reports hit rate.
@@ -107,6 +113,10 @@ fn main() {
     measure(
         &RangeCache::with_policy(capacity, Box::new(|| Box::new(RandomPolicy::new(7)))),
         "random",
+    );
+    measure(
+        &RangeCache::with_policy(capacity, Box::new(|| Box::new(SlotClockPolicy::new()))),
+        "clock",
     );
     measure(
         &RangeCache::with_policy(capacity, Box::new(|| Box::new(SlotLruPolicy::new()))),

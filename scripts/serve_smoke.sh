@@ -60,7 +60,7 @@ start_server "$TRACE_DIR/durable.log" --dir "$TRACE_DIR/store"
 "$BIN" top --addr "$ADDR" --iterations 1 --interval-ms 50 > "$TRACE_DIR/top.txt"
 grep -E "^mem(ory)? " "$TRACE_DIR/top.txt"
 awk -v want="range.keys.in_place range.keys.shared range.values range.slab range.hash_index range.segment_slots \
-range.segments range.lru block.blocks block.table kv.values kv.keys_and_table \
+range.segments range.policy block.blocks block.table kv.values kv.keys_and_table \
 admission.sketch memtable.0 memtable.0.stranded sst.index sst.bloom store.tables malloc.free" '
     /^mem / {
         seen[$2] = 1
