@@ -245,12 +245,22 @@ fn bench_lsm(c: &mut Criterion) {
             black_box(storage.list_tables().unwrap().len())
         })
     });
-    // The checksum every block read verifies (the WAL's `crc32`), over one
-    // served block: beside `get_direct`, the share of a get that misses
-    // the block cache which goes to it.
+    // The checksum every block, WAL record and manifest carries
+    // (`adcache_lsm::crc32`, folded by carry-less multiply where the CPU
+    // can), over one served block: beside `get_direct`, the share of a get
+    // that misses the block cache which goes to it. `crc32_4k_tables` is
+    // the slicing-by-8 path other CPUs take, and `crc32_512` one
+    // `write-durable` WAL record (its 512 B value).
     let block = vec![0xABu8; 4096];
     g.bench_function("crc32_4k", |b| {
         b.iter(|| black_box(adcache_lsm::crc32(black_box(&block))))
+    });
+    g.bench_function("crc32_4k_tables", |b| {
+        b.iter(|| black_box(adcache_lsm::crc::crc32_tables(black_box(&block))))
+    });
+    let record = vec![0xABu8; 512];
+    g.bench_function("crc32_512", |b| {
+        b.iter(|| black_box(adcache_lsm::crc32(black_box(&record))))
     });
     let (db, _storage) = prepared_tree();
     let p = DirectProvider;

@@ -14,9 +14,9 @@
 //! covers everything before it, so storage bit-rot is detected at decode
 //! time rather than surfacing as silently wrong query results.
 
+use crate::crc::crc32;
 use crate::error::{LsmError, Result};
 use crate::types::{Entry, KeyEntry};
-use crate::wal::crc32;
 use bytes::Bytes;
 
 const KIND_PUT: u8 = 0;

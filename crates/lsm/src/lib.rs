@@ -31,6 +31,7 @@
 pub mod block;
 pub mod bloom;
 pub mod compaction;
+pub mod crc;
 pub mod db;
 pub mod error;
 pub mod fault;
@@ -53,6 +54,7 @@ pub mod wal;
 pub use block::{Block, BlockBuilder};
 pub use bloom::BloomFilter;
 pub use compaction::{CompactionEvent, CompactionListener};
+pub use crc::crc32;
 pub use db::{DbStats, LsmTree, TreeMemory};
 pub use error::{LsmError, Result};
 pub use fault::{splitmix64, CrashController, CrashPoint, FaultPlan, FaultStats, FaultStorage};
@@ -64,4 +66,4 @@ pub use storage::{FileStorage, IoStats, MemStorage, Storage, TableSink};
 pub use striped::StripedDb;
 pub use timed_lock::{lock_probe, reset_lock_probe, LockPath, TimedRwLock, LOCK_PATHS};
 pub use types::{BlockRef, Entry, FileId, Key, KeyEntry, Value};
-pub use wal::{crc32, ReplayOutcome, WalWriter};
+pub use wal::{ReplayOutcome, WalWriter};

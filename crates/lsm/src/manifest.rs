@@ -18,10 +18,10 @@
 //! crc <crc32-of-all-previous-lines>
 //! ```
 
+use crate::crc::crc32;
 use crate::error::{LsmError, Result};
 use crate::fs::MetaFs;
 use crate::types::FileId;
-use crate::wal::crc32;
 use std::path::{Path, PathBuf};
 
 /// Which durability steps [`write_manifest`] takes after writing the new

@@ -24,6 +24,7 @@
 //! Record layout: `len:u32 | crc32:u32 | payload[len]` where the payload is
 //! `kind:u8 | klen:u32 | key | (vlen:u32 | value)?` (value only for puts).
 
+use crate::crc::crc32;
 use crate::error::{LsmError, Result};
 use crate::fs::MetaFs;
 use crate::types::{Entry, Key, KeyEntry};
@@ -33,63 +34,6 @@ use std::sync::Arc;
 
 const KIND_PUT: u8 = 1;
 const KIND_DELETE: u8 = 2;
-
-/// Slicing-by-8 lookup tables for [`crc32`]: `CRC_TABLES[0]` is the classic
-/// byte-at-a-time table of the reflected IEEE polynomial, and
-/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
-static CRC_TABLES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-};
-
-/// CRC-32 (IEEE 802.3, reflected), eight input bytes per step
-/// (slicing-by-8); the tail shorter than eight goes byte by byte.
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
-}
 
 /// Bytes [`zero_fill`] writes per call.
 const FILL_CHUNK: usize = 64 << 10;
@@ -376,62 +320,6 @@ mod tests {
 
     fn real() -> Arc<dyn MetaFs> {
         Arc::new(RealFs::new())
-    }
-
-    /// The byte-at-a-time routine `crc32` replaced, kept as the reference
-    /// the sliced one must agree with bit for bit.
-    fn crc32_bytewise(data: &[u8]) -> u32 {
-        static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-        let table = TABLE.get_or_init(|| {
-            let mut t = [0u32; 256];
-            for (i, slot) in t.iter_mut().enumerate() {
-                let mut c = i as u32;
-                for _ in 0..8 {
-                    c = if c & 1 != 0 {
-                        0xEDB8_8320 ^ (c >> 1)
-                    } else {
-                        c >> 1
-                    };
-                }
-                *slot = c;
-            }
-            t
-        });
-        let mut crc = 0xFFFF_FFFFu32;
-        for &b in data {
-            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        crc ^ 0xFFFF_FFFF
-    }
-
-    #[test]
-    fn crc32_matches_the_bytewise_reference_at_every_length_and_alignment() {
-        // 8 spare bytes so every start alignment has 4 096 bytes after it.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let buf: Vec<u8> = (0..4096 + 8)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x as u8
-            })
-            .collect();
-        for align in 0..8 {
-            for len in 0..=4096 {
-                let data = &buf[align..align + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "align {align} len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
     }
 
     #[test]
