@@ -1103,10 +1103,8 @@ flags! {
     NO_TELEMETRY = "--no-telemetry" "" "" "strip the metrics registry and stage tracing";
     SNAPSHOT_MS = "--snapshot-ms" "N" "0" "metric deltas to DIR/timeseries.jsonl this often (needs --trace)";
     SLOW_US = "--slow-us" "N" "10000" "journal requests slower than this (0: none)";
-    QUOTA_OPS = "--quota-ops" "N" "0" "per-connection tokens/s (0: no quota)";
-    QUOTA_BURST = "--quota-burst" "N" "0" "per-connection bucket (0: one second of quota)";
-    TENANT_QUOTA_OPS = "--tenant-quota-ops" "N" "0" "per-tenant tokens/s over all its connections";
-    TENANT_QUOTA_BURST = "--tenant-quota-burst" "N" "0" "per-tenant bucket (0: one second of quota)";
+    QUOTA_OPS = "--quota-ops" "N" "0" "tokens/s per tenant, or per unbound connection (0: no quota)";
+    QUOTA_BURST = "--quota-burst" "N" "0" "bucket size (0: one second of quota)";
     SERVE_STRIPES = "--stripes" "N>=1" "" "keyspace stripes (default: 4 per core, 2 to 16); 1 = inline maintenance";
 }
 const SERVE: Command = Command {
@@ -1127,8 +1125,6 @@ const SERVE: Command = Command {
         SLOW_US,
         QUOTA_OPS,
         QUOTA_BURST,
-        TENANT_QUOTA_OPS,
-        TENANT_QUOTA_BURST,
         SERVE_STRIPES,
     ],
     run: cmd_serve,
@@ -1157,9 +1153,6 @@ fn server_config(flags: &Flags) -> Result<adcache_server::ServerConfig, String> 
         slow_request_ns: flags.num::<u64>(SLOW_US)?.saturating_mul(1_000),
         quota_ops: flags.num(QUOTA_OPS)?,
         quota_burst: flags.num(QUOTA_BURST)?,
-        tenant_quota_ops: flags.num(TENANT_QUOTA_OPS)?,
-        tenant_quota_burst: flags.num(TENANT_QUOTA_BURST)?,
-        ..Default::default()
     })
 }
 
@@ -1731,6 +1724,19 @@ fn drill_db(
     Ok(db)
 }
 
+/// The quota a drill's server enforces with defenses on, in tokens/s per
+/// principal: each `advcheck` connection, each `tenantcheck` tenant. A
+/// principal's legit traffic runs 2 000 ops/s (one `advcheck` connection,
+/// or a `tenantcheck` tenant's two connections at 1 000 each); at an
+/// average cost of ~2.4 tokens under the 70/10/0/20 mix with 16-entry
+/// short scans that is ≈ 4 900 tokens/s, ~20 % under the quota, while
+/// write-churn rounds (average cost ≥ 5), one-hit PUT storms (~6.5) and
+/// 512-entry scan floods (257 per op) overrun it and are shed.
+const DRILL_QUOTA_OPS: u64 = 6_000;
+/// The drill bucket: a full in-flight window of legit ops (128 × ~2.4 ≈
+/// 300 tokens), so a catch-up burst after a stall is not shed as hostile.
+const DRILL_QUOTA_BURST: u64 = 400;
+
 /// The one A/B/C harness under `advcheck` and `tenantcheck`.
 struct Drill {
     /// From [`drill_db`], with the engine-side defenses under test.
@@ -1739,8 +1745,9 @@ struct Drill {
     seed: u64,
     /// The attack blended into phase B.
     kind: AdversaryKind,
-    /// The server-side defenses under test (quotas); the rest is default.
-    server: adcache_server::ServerConfig,
+    /// Whether the server enforces the drill quota
+    /// ([`DRILL_QUOTA_OPS`], [`DRILL_QUOTA_BURST`]).
+    defenses: bool,
     /// The victims' p99 in one phase's load report, ns.
     victim_p99: fn(&adcache_server::LoadReport) -> u64,
     /// The victims' hits and misses so far.
@@ -1765,7 +1772,9 @@ impl Drill {
         let server_cfg = adcache_server::ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            ..self.server
+            quota_ops: if self.defenses { DRILL_QUOTA_OPS } else { 0 },
+            quota_burst: if self.defenses { DRILL_QUOTA_BURST } else { 0 },
+            ..Default::default()
         };
         let server = adcache_server::Server::start(db.clone(), server_cfg)?;
         let attack =
@@ -1846,7 +1855,8 @@ fn off_then_on(
 }
 
 /// Runs one attack kind against a fresh in-process engine + server,
-/// defenses (sketch guard, per-connection quota) on or off.
+/// defenses (sketch guard, quota) on or off. No connection binds a
+/// tenant, so each is its own quota principal.
 fn adv_drill(
     kind: AdversaryKind,
     defenses: bool,
@@ -1859,19 +1869,7 @@ fn adv_drill(
         keys,
         seed,
         kind,
-        server: adcache_server::ServerConfig {
-            // 6000 tokens/s per connection: a legit client paced at 2000
-            // ops/s (× avg cost ~2.4 under the 70/10/0/20 mix with
-            // 16-entry short scans ≈ 4900) keeps ~20% headroom, while
-            // write-churn rounds (avg cost ≥ 5), one-hit PUT storms
-            // (~6.5), and 512-entry scan floods (257/op) overrun it and
-            // get shed. The burst covers a full in-flight window of
-            // legit ops (128 × ~2.4 ≈ 300) so a post-stall catch-up
-            // burst is not misread as hostile.
-            quota_ops: if defenses { 6_000 } else { 0 },
-            quota_burst: if defenses { 400 } else { 0 },
-            ..Default::default()
-        },
+        defenses,
         victim_p99: |report| report.legit_latency.quantile(0.99),
         victim_hits: Box::new(engine_hits),
     };
@@ -2060,8 +2058,8 @@ fn quiet_hits(db: &CachedDb, tenants: u32) -> Hits {
 
 /// Runs the noisy-neighbor drill against a fresh in-process engine +
 /// server: 1 noisy tenant + `tenants - 1` quiet ones, each tenant two
-/// connections, all over one shared cache. Defenses on = aggregated
-/// per-tenant quotas; off = no tenant quota.
+/// connections, all over one shared cache. Every connection binds its
+/// tenant, so defenses on = one quota bucket per tenant; off = no quota.
 fn tenant_drill(
     defenses: bool,
     ops: u64,
@@ -2075,17 +2073,7 @@ fn tenant_drill(
         keys,
         seed,
         kind: AdversaryKind::ScanFlood,
-        server: adcache_server::ServerConfig {
-            // Same sizing logic as the advcheck quota (see `adv_drill`):
-            // each tenant runs 2 connections at 1000 ops/s, avg token
-            // cost ~2.4 under the 70/10/0/20 mix ≈ 4900 tokens/s per
-            // tenant, so 6000/s leaves legit headroom while scan floods
-            // (257 tokens/op) overrun immediately. Aggregated per
-            // tenant: both of a tenant's connections drain one bucket.
-            tenant_quota_ops: if defenses { 6_000 } else { 0 },
-            tenant_quota_burst: if defenses { 400 } else { 0 },
-            ..Default::default()
-        },
+        defenses,
         victim_p99: quiet_p99,
         victim_hits: Box::new(move |db| quiet_hits(db, tenants)),
     };
@@ -2108,14 +2096,14 @@ flags! {
 }
 const TENANTCHECK: Command = Command {
     name: "tenantcheck",
-    about: "noisy-neighbor drill: tenant quotas off vs on",
+    about: "noisy-neighbor drill: quotas off vs on",
     flags: &[TENANT_OPS, KEYS, SEED, DRILL_TENANTS, ASSERT_DEFENSES],
     run: cmd_tenantcheck,
 };
 
 /// `adcache tenantcheck`: the noisy-neighbor drill. One hot tenant
 /// attacks while quiet tenants run a paced legit mix over the one shared
-/// cache; the drill runs twice — tenant quotas off, then on — and compares the quiet
+/// cache; the drill runs twice — quotas off, then on — and compares the quiet
 /// tenants' p99 inflation and post-attack hit-rate loss side by side.
 /// `--assert-defenses` exits nonzero unless defenses-on bounds both axes
 /// and actually throttled the neighbor.
@@ -2155,7 +2143,7 @@ fn cmd_tenantcheck(flags: &Flags) -> CmdResult {
             o.p99_inflation(base)
         );
     }
-    let throttled = on.server.tenant_throttled;
+    let throttled = on.server.quota_throttled;
     println!("defended: neighbor throttled {throttled} times");
 
     // Bounded means: the quiet tenants' p99 inflation is strictly lower
@@ -2680,15 +2668,15 @@ mod tests {
 
     /// The flags every command took when its eight hand-rolled parsers
     /// became flag tables (and the one positional, `trace`'s), less
-    /// `serve --no-sketch-guard`, which nothing passed.
+    /// `serve --no-sketch-guard`, which nothing passed, and `serve
+    /// --tenant-quota-ops --tenant-quota-burst`, folded into the one quota.
     const FLAGS_BEFORE: [(&Command, &str); 9] = [
         (&SHELL, "--dir --cache-mb --strategy --trace --stripes --mem"),
         (&TRACE, "DIR"),
         (
             &SERVE,
             "--addr --cache-mb --strategy --dir --workers --max-conns --idle-timeout-secs --fill \
-             --trace --no-telemetry --snapshot-ms --slow-us --quota-ops --quota-burst \
-             --tenant-quota-ops --tenant-quota-burst --stripes",
+             --trace --no-telemetry --snapshot-ms --slow-us --quota-ops --quota-burst --stripes",
         ),
         (
             &LOADGEN,
@@ -2792,14 +2780,8 @@ mod tests {
             debug(&loadgen_config(&parse(&LOADGEN, "--ops 100000")).unwrap()),
             debug(&load)
         );
-        let quotas =
-            "--quota-ops 19 --quota-burst 23 --tenant-quota-ops 29 --tenant-quota-burst 31";
-        let server = server_config(&parse(&SERVE, quotas)).unwrap();
-        let tenant_quota = (server.tenant_quota_ops, server.tenant_quota_burst);
-        assert_eq!(
-            (server.quota_ops, server.quota_burst, tenant_quota),
-            (19, 23, (29, 31))
-        );
+        let server = server_config(&parse(&SERVE, "--quota-ops 19 --quota-burst 23")).unwrap();
+        assert_eq!((server.quota_ops, server.quota_burst), (19, 23));
         let line = "--keys 7 --value-size 8 --seed 9 --qps 10 --adversary key-churn --skew 8:1";
         let load = loadgen_config(&parse(&LOADGEN, line)).unwrap();
         let workload = &load.workload;
@@ -2823,7 +2805,7 @@ mod tests {
         }
         assert!(SERVE
             .synopsis()
-            .ends_with("[--tenant-quota-burst N] [--stripes N>=1]"));
+            .ends_with("[--quota-burst N] [--stripes N>=1]"));
         assert!(SERVE
             .flag_help()
             .contains("--max-conns N\n        concurrent-connection ceiling (default 1024)\n"));

@@ -215,14 +215,17 @@ pub enum Event {
         /// Increments observed in the window that tripped the guard.
         increments: u64,
     },
-    /// A per-connection admission quota throttled a request; the request
-    /// was answered with an `Err` reply without touching the engine.
+    /// The admission quota throttled a request; the request was answered
+    /// with an `Err` reply without touching the engine.
     QuotaThrottled {
-        /// Connection whose token bucket ran dry.
+        /// Connection that sent the request.
         conn: u64,
+        /// Tenant whose bucket ran dry, or 0 for the connection's own
+        /// bucket (it bound no tenant).
+        tenant: u64,
         /// Stable opcode label of the throttled request.
         opcode: String,
-        /// Requests throttled on this connection so far.
+        /// Requests throttled on that bucket so far.
         throttled: u64,
     },
     /// A connection bound itself to a tenant via the `Auth` opcode (or
@@ -232,15 +235,5 @@ pub enum Event {
         conn: u64,
         /// Tenant id the connection now serves.
         tenant: u64,
-    },
-    /// A tenant-wide admission quota (aggregated across all of the
-    /// tenant's connections) throttled a request.
-    TenantThrottled {
-        /// Tenant whose aggregated token bucket ran dry.
-        tenant: u64,
-        /// Stable opcode label of the throttled request.
-        opcode: String,
-        /// Requests throttled for this tenant so far.
-        throttled: u64,
     },
 }

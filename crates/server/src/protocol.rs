@@ -44,11 +44,11 @@
 //! sub-request rejects the whole batch with one `Err` frame; framing
 //! stays intact and the connection survives.
 //!
-//! `Auth` binds the connection to a tenant id for the rest of its life:
-//! subsequent requests are charged to that tenant's aggregated quota and
-//! hit tally, and read the one cache every tenant shares. Connections that never send
-//! `Auth` serve the default tenant 0, so pre-tenant clients keep working
-//! unchanged.
+//! `Auth` binds the connection to a tenant id until its next `Auth`:
+//! subsequent requests are charged to that tenant's quota bucket (shared by
+//! all its connections) and hit tally, and read the one cache every tenant
+//! shares. Connections that never send `Auth` serve the default tenant 0,
+//! so pre-tenant clients keep working unchanged.
 //!
 //! An `Err` response carries `lp message`. Malformed input is answered
 //! with a clean `Err` frame; only violations that break framing itself

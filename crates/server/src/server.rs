@@ -9,7 +9,7 @@
 //!   them are decoded and executed before the next read, and responses are
 //!   written back strictly in request order.
 //! - **Backpressure**: a connection whose response buffer exceeds
-//!   [`ServerConfig::max_write_buffer`] stops being *read* until the
+//!   4 MiB (`MAX_WRITE_BUFFER`) stops being *read* until the
 //!   client drains it — a slow reader throttles itself instead of growing
 //!   server memory.
 //! - **Limits**: past [`ServerConfig::max_conns`] concurrent connections
@@ -24,8 +24,9 @@
 //!   `Batch`'s subs included, ticks one [`Tuner`], which stamps a new
 //!   window id every 1 000 operations (the paper's window).
 //! - **Tenants**: `AUTH` binds a connection to a tenant, which shares the
-//!   engine's one cache with every other tenant and has its own quota
-//!   bucket and hit tally (`cache.tenant.<id>.{hits,misses}`).
+//!   engine's one cache with every other tenant and has its own hit tally
+//!   (`cache.tenant.<id>.{hits,misses}`). The admission quota is charged
+//!   to one principal: the bound tenant, or an unbound connection itself.
 //!
 //! Everything is instrumented through the engine's [`Obs`] handle:
 //! `ConnAccepted` / `ConnClosed` / `ServerOverload` journal events, a
@@ -55,6 +56,10 @@ use std::time::{Duration, Instant};
 /// frame is one request, labelled `batch`).
 const SAMPLE_EVERY: u64 = 64;
 
+/// Per-connection response-buffer cap; beyond it the connection is not
+/// read until the client drains replies (backpressure).
+const MAX_WRITE_BUFFER: usize = 4 << 20;
+
 /// How the serving layer is sized and bounded.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -64,20 +69,16 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Concurrent-connection ceiling; excess connects get an `Err` frame.
     pub max_conns: usize,
-    /// Largest acceptable frame; a larger declared length closes the
-    /// connection (framing can no longer be trusted).
-    pub max_frame: usize,
     /// Connections idle longer than this are closed.
     pub idle_timeout: Duration,
-    /// Per-connection response-buffer cap; beyond it the connection is
-    /// not read until the client drains replies (backpressure).
-    pub max_write_buffer: usize,
     /// Requests whose total stage time meets this threshold journal a
     /// `SlowRequest` event with the full stage breakdown (0 disables).
     pub slow_request_ns: u64,
-    /// Per-connection admission quota in sustained tokens per second,
-    /// where one token ≈ one point read (0 disables). A token bucket per
-    /// connection: GET costs one token, DELETE costs four and PUT
+    /// Admission quota in sustained tokens per second, where one token ≈
+    /// one point read (0 disables). One token bucket per principal: the
+    /// tenant a connection bound with `AUTH`, shared by every connection
+    /// bound to it so more sockets do not multiply the budget, or else
+    /// the connection itself. GET costs one token, DELETE costs four and PUT
     /// `4 + value_len/128` (write amplification, scaled by the payload),
     /// a scan costs `1 + limit/2` (it does proportionally more engine
     /// work), a BATCH costs the sum of its sub-requests' costs (batching
@@ -91,17 +92,6 @@ pub struct ServerConfig {
     /// Token-bucket capacity (burst allowance); 0 sizes it to one second
     /// of `quota_ops`.
     pub quota_burst: u64,
-    /// Per-*tenant* admission quota in sustained tokens per second,
-    /// aggregated across every connection the tenant has bound with
-    /// `AUTH` (0 disables). Same cost table as `quota_ops`, but the
-    /// bucket is shared: a tenant cannot multiply its budget by opening
-    /// more connections. Unauthenticated (legacy) connections belong to
-    /// the default tenant and are exempt — tenant quotas are an
-    /// isolation tool for multi-tenant runs, not a new global limit.
-    pub tenant_quota_ops: u64,
-    /// Per-tenant token-bucket capacity; 0 sizes it to one second of
-    /// `tenant_quota_ops`.
-    pub tenant_quota_burst: u64,
 }
 
 impl Default for ServerConfig {
@@ -110,14 +100,10 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:4400".to_string(),
             workers: 0,
             max_conns: 1024,
-            max_frame: protocol::DEFAULT_MAX_FRAME,
             idle_timeout: Duration::from_secs(60),
-            max_write_buffer: 4 << 20,
             slow_request_ns: 10_000_000,
             quota_ops: 0,
             quota_burst: 0,
-            tenant_quota_ops: 0,
-            tenant_quota_burst: 0,
         }
     }
 }
@@ -148,13 +134,9 @@ pub struct ServeReport {
     pub conns_closed: u64,
     /// Connections refused at the `max_conns` ceiling.
     pub conns_refused: u64,
-    /// Requests shed by per-connection admission quotas (answered with an
-    /// `Err` reply without touching the engine).
+    /// Requests shed by the admission quota (answered with an `Err`
+    /// reply without touching the engine).
     pub quota_throttled: u64,
-    /// Requests shed by per-tenant aggregated quotas (a subset of the
-    /// shed total, counted separately so noisy-neighbor drills can tell
-    /// the two defenses apart).
-    pub tenant_throttled: u64,
     /// Bytes read off sockets.
     pub bytes_in: u64,
     /// Bytes written to sockets.
@@ -227,7 +209,6 @@ struct Shared {
     conns_closed: AtomicU64,
     conns_refused: AtomicU64,
     quota_throttled: Counter,
-    tenant_throttled: AtomicU64,
     bytes_in: Counter,
     bytes_out: Counter,
     /// Per-tenant serving state, created on first `AUTH` for a tenant.
@@ -237,13 +218,13 @@ struct Shared {
 }
 
 /// Serving-layer state shared by every connection a tenant has bound: its
-/// hit tally, the aggregated admission bucket and throttle accounting.
+/// hit tally, its admission bucket and throttle accounting.
 struct TenantState {
     id: u32,
     /// Result-cache hits and misses of the tenant's reads.
     tally: HitTally,
-    /// Aggregated token bucket — one per tenant, not per connection, so
-    /// opening more sockets does not multiply the budget.
+    /// The tenant's admission bucket — one per tenant, not per
+    /// connection, so opening more sockets does not multiply the budget.
     bucket: Mutex<TokenBucket>,
     /// Requests shed for this tenant, named
     /// `server.tenant.<id>.quota.throttled`.
@@ -251,7 +232,8 @@ struct TenantState {
 }
 
 /// An admission-quota token bucket, refilled lazily when taken from. One
-/// per connection and one per tenant, both under the [`quota_cost`] table.
+/// per principal (a bound tenant or an unbound connection), under the
+/// [`quota_cost`] table.
 struct TokenBucket {
     tokens: f64,
     /// Last refill instant.
@@ -311,7 +293,6 @@ impl Shared {
             conns_closed: AtomicU64::new(0),
             conns_refused: AtomicU64::new(0),
             quota_throttled: Counter::new(),
-            tenant_throttled: AtomicU64::new(0),
             bytes_in: Counter::new(),
             bytes_out: Counter::new(),
             tenants: RwLock::new(BTreeMap::new()),
@@ -344,7 +325,6 @@ impl Shared {
             conns_closed: self.conns_closed.load(Ordering::Relaxed),
             conns_refused: self.conns_refused.load(Ordering::Relaxed),
             quota_throttled: self.quota_throttled.get(),
-            tenant_throttled: self.tenant_throttled.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.get(),
             bytes_out: self.bytes_out.get(),
         }
@@ -362,10 +342,7 @@ impl Shared {
                 let ts = TenantState {
                     id: tenant,
                     tally: HitTally::default(),
-                    bucket: Mutex::new(TokenBucket::full(
-                        self.cfg.tenant_quota_ops,
-                        self.cfg.tenant_quota_burst,
-                    )),
+                    bucket: Mutex::new(TokenBucket::full(self.cfg.quota_ops, self.cfg.quota_burst)),
                     throttled: Counter::new(),
                 };
                 let name = format!("server.tenant.{tenant}.quota.throttled");
@@ -503,9 +480,10 @@ struct Conn {
     requests: u64,
     bytes_in: u64,
     bytes_out: u64,
-    /// Per-connection admission-quota bucket.
+    /// The connection's own admission bucket, charged while it has bound
+    /// no tenant.
     bucket: TokenBucket,
-    /// Requests throttled on this connection.
+    /// Requests throttled on that bucket.
     throttled: u64,
     /// The tenant this connection bound with `AUTH`; `None` is a legacy
     /// connection serving the default tenant.
@@ -853,10 +831,7 @@ fn service_reads(shared: &Shared, conn: &mut Conn, scratch: &mut [u8]) -> bool {
     let mut budget = READ_BUDGET;
     loop {
         // Backpressure: stop reading while this client owes us a drain.
-        if conn.closing.is_some()
-            || conn.pending_write() >= shared.cfg.max_write_buffer
-            || budget == 0
-        {
+        if conn.closing.is_some() || conn.pending_write() >= MAX_WRITE_BUFFER || budget == 0 {
             break;
         }
         let read_start = if shared.telemetry {
@@ -910,7 +885,7 @@ fn service_reads(shared: &Shared, conn: &mut Conn, scratch: &mut [u8]) -> bool {
 /// appending responses in request order.
 ///
 /// With `enforce_cap`, execution stops once the reply backlog reaches
-/// [`ServerConfig::max_write_buffer`]; the remaining buffered frames stay
+/// [`MAX_WRITE_BUFFER`]; the remaining buffered frames stay
 /// in `rbuf` until the client drains replies. Without the check, one
 /// 64 KiB read full of pipelined SCANs (512-entry replies each) could
 /// grow the write buffer without bound — the cap at the read boundary
@@ -919,7 +894,7 @@ fn drain_buffered(shared: &Shared, conn: &mut Conn, enforce_cap: bool) -> bool {
     let mut at = 0usize;
     let mut served = 0u64;
     loop {
-        if enforce_cap && conn.pending_write() >= shared.cfg.max_write_buffer {
+        if enforce_cap && conn.pending_write() >= MAX_WRITE_BUFFER {
             break;
         }
         let parse_start = if shared.telemetry {
@@ -927,7 +902,7 @@ fn drain_buffered(shared: &Shared, conn: &mut Conn, enforce_cap: bool) -> bool {
         } else {
             None
         };
-        match decode_request(&conn.rbuf[at..], shared.cfg.max_frame) {
+        match decode_request(&conn.rbuf[at..], protocol::DEFAULT_MAX_FRAME) {
             Progress::Incomplete => break,
             Progress::Fatal(err) => {
                 shared.protocol_errors.inc();
@@ -1183,7 +1158,7 @@ fn execute(shared: &Shared, conn: &mut Conn, id: u64, req: &Request, parse_ns: u
 }
 
 /// Binds `conn` to `tenant`: swaps in the tenant's serving state (its hit
-/// tally and aggregated quota) and journals the binding. `AUTH 0` rebinds
+/// tally and quota bucket) and journals the binding. `AUTH 0` rebinds
 /// to the default tenant (legacy semantics) — useful for connection-pool
 /// reuse.
 fn bind_tenant(shared: &Shared, conn: &mut Conn, tenant: u32) {
@@ -1228,63 +1203,46 @@ pub fn quota_cost(req: &Request) -> Option<f64> {
     })
 }
 
-/// Admission quotas: takes this request's cost from the connection's
-/// bucket, then from its tenant's (shared by every connection the tenant
-/// bound). Returns the `Err` reply to send instead of executing when
-/// either runs dry. Control-plane opcodes are exempt — observation and
-/// shutdown must stay possible during an attack. A batch is
-/// all-or-nothing: either the buckets cover the whole frame or the whole
-/// frame is refused with one `Err`.
+/// Admission quota: takes this request's cost from its principal's
+/// bucket — the tenant the connection bound with `AUTH` (shared by every
+/// connection bound to it), else the connection's own. Returns the `Err`
+/// reply to send instead of executing when the bucket runs dry, and
+/// journals the 1st and every 1024th throttle of a principal, so a
+/// sustained attack does not flood the journal. Control-plane opcodes are
+/// exempt — observation and shutdown must stay possible during an attack.
+/// A batch is all-or-nothing: either the bucket covers the whole frame or
+/// the whole frame is refused with one `Err`.
 fn quota_check(shared: &Shared, conn: &mut Conn, req: &Request) -> Option<Response> {
-    let cfg = &shared.cfg;
-    if cfg.quota_ops == 0 && cfg.tenant_quota_ops == 0 {
+    let (rate, burst) = (shared.cfg.quota_ops, shared.cfg.quota_burst);
+    if rate == 0 {
         return None;
     }
     let cost = quota_cost(req)?;
-    if cfg.quota_ops > 0 && !conn.bucket.take(cfg.quota_ops, cfg.quota_burst, cost) {
-        conn.throttled += 1;
-        let (id, throttled) = (conn.id, conn.throttled);
-        note_throttle(shared, throttled, || Event::QuotaThrottled {
-            conn: id,
+    let (tenant, throttled) = match &conn.tenant {
+        Some(ts) if ts.bucket.lock().unwrap().take(rate, burst, cost) => return None,
+        Some(ts) => (ts.id, ts.throttled.inc()),
+        None if conn.bucket.take(rate, burst, cost) => return None,
+        None => {
+            conn.throttled += 1;
+            (0, conn.throttled)
+        }
+    };
+    shared.quota_throttled.inc();
+    if throttled == 1 || throttled.is_multiple_of(1024) {
+        shared.obs.emit(|| Event::QuotaThrottled {
+            conn: conn.id,
+            tenant: tenant as u64,
             opcode: req.opcode().label().to_string(),
             throttled,
         });
-        return Some(Response::Error(format!(
-            "quota exceeded: connection limited to {} tokens/s",
-            cfg.quota_ops
-        )));
     }
-    if cfg.tenant_quota_ops == 0 {
-        return None;
-    }
-    // Unauthenticated connections are the default tenant's, and exempt.
-    let ts = conn.tenant.as_ref()?;
-    let mut bucket = ts.bucket.lock().unwrap();
-    if bucket.take(cfg.tenant_quota_ops, cfg.tenant_quota_burst, cost) {
-        return None;
-    }
-    drop(bucket);
-    let throttled = ts.throttled.inc();
-    shared.tenant_throttled.fetch_add(1, Ordering::Relaxed);
-    note_throttle(shared, throttled, || Event::TenantThrottled {
-        tenant: ts.id as u64,
-        opcode: req.opcode().label().to_string(),
-        throttled,
-    });
+    let principal = match tenant {
+        0 => "connection".to_string(),
+        id => format!("tenant {id}"),
+    };
     Some(Response::Error(format!(
-        "quota exceeded: tenant {} limited to {} tokens/s",
-        ts.id, cfg.tenant_quota_ops
+        "quota exceeded: {principal} limited to {rate} tokens/s"
     )))
-}
-
-/// Counts one shed request and journals it if it is the `nth == 1`st (the
-/// defense activated) or a 1024th of its connection or tenant — a
-/// sustained attack must not flood the journal either.
-fn note_throttle(shared: &Shared, nth: u64, event: impl FnOnce() -> Event) {
-    shared.quota_throttled.inc();
-    if nth == 1 || nth.is_multiple_of(1024) {
-        shared.obs.emit(event);
-    }
 }
 
 /// A short human-readable key label for `SlowRequest` events: the
@@ -1337,10 +1295,6 @@ fn stats_json(shared: &Shared) -> String {
             "quota_throttled".to_string(),
             Value::from(shared.quota_throttled.get()),
         ),
-        (
-            "tenant_throttled".to_string(),
-            Value::from(shared.tenant_throttled.load(Ordering::Relaxed)),
-        ),
         ("bytes_in".to_string(), Value::from(shared.bytes_in.get())),
         ("bytes_out".to_string(), Value::from(shared.bytes_out.get())),
     ]);
@@ -1377,7 +1331,7 @@ mod tests {
     use adcache_lsm::{MemStorage, Options};
     use bytes::Bytes;
 
-    fn test_shared(tweak: impl FnOnce(&mut ServerConfig)) -> Arc<Shared> {
+    fn test_shared() -> Arc<Shared> {
         let db = CachedDb::new(
             Options::small(),
             Arc::new(MemStorage::new()),
@@ -1392,9 +1346,7 @@ mod tests {
             .unwrap();
         }
         db.db().flush().unwrap();
-        let mut cfg = ServerConfig::default();
-        tweak(&mut cfg);
-        Arc::new(Shared::new(Arc::new(db), cfg))
+        Arc::new(Shared::new(Arc::new(db), ServerConfig::default()))
     }
 
     /// A worker-side `Conn` over a real loopback socket pair; the peer end
@@ -1425,18 +1377,18 @@ mod tests {
 
     /// Regression (backpressure bypass): one buffered burst of pipelined
     /// SCANs must stop executing once the reply backlog reaches
-    /// `max_write_buffer`, leaving the remaining frames in `rbuf`. Before
+    /// `MAX_WRITE_BUFFER`, leaving the remaining frames in `rbuf`. Before
     /// the fix, `drain_buffered` executed *every* buffered frame — the
     /// cap was only checked before the socket read — so this burst grew
     /// the write buffer to ~10 MiB and the assertion fails.
     #[test]
     fn drain_buffered_respects_write_buffer_cap() {
-        let cap = 64 << 10;
-        let shared = test_shared(|c| c.max_write_buffer = cap);
+        let cap = MAX_WRITE_BUFFER;
+        let shared = test_shared();
         let (mut conn, _peer) = conn_pair();
         // 256 pipelined scans; each reply carries 512 entries of ~80
-        // bytes (~41 KiB), so two replies cross the 64 KiB cap and ~254
-        // frames must stay unexecuted.
+        // bytes (~41 KiB), so about a hundred replies cross the 4 MiB cap
+        // and ~150 frames must stay unexecuted.
         for i in 0..256u64 {
             protocol::encode_request(
                 &mut conn.rbuf,
@@ -1476,10 +1428,11 @@ mod tests {
     /// serving path needs `enforce_cap`.
     #[test]
     fn drain_without_cap_is_unbounded() {
-        let cap = 64 << 10;
-        let shared = test_shared(|c| c.max_write_buffer = cap);
+        let cap = MAX_WRITE_BUFFER;
+        let shared = test_shared();
         let (mut conn, _peer) = conn_pair();
-        for i in 0..64u64 {
+        // 512 replies of ~41 KiB: about 21 MiB, five times the cap.
+        for i in 0..512u64 {
             protocol::encode_request(
                 &mut conn.rbuf,
                 i,
@@ -1546,7 +1499,7 @@ mod tests {
         );
     }
 
-    /// The one bucket both quotas use: refill never exceeds the burst, a
+    /// The bucket every principal uses: refill never exceeds the burst, a
     /// refused cost debits nothing, and `burst = 0` is a second of `rate`.
     #[test]
     fn token_bucket_caps_refill_refuses_without_debit_and_defaults_burst() {
@@ -1607,7 +1560,7 @@ mod tests {
     /// frames back intact and in order.
     #[test]
     fn flush_writes_vectored_round_trip() {
-        let shared = test_shared(|_| {});
+        let shared = test_shared();
         let (mut conn, mut peer) = conn_pair();
         let mut expect = Vec::new();
         for i in 0..200u64 {

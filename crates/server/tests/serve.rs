@@ -336,12 +336,13 @@ fn malformed_frames_get_error_replies_and_the_connection_survives() {
 #[test]
 fn stats_and_metrics_read_the_same_serving_counters() {
     let db = test_db(true);
+    // A bucket no loadgen connection empties (500 ops of at most 33
+    // tokens each), refilled at one token a second.
     let server = start_server(db.clone(), |cfg| {
-        cfg.tenant_quota_ops = 1;
-        cfg.tenant_quota_burst = 1;
+        cfg.quota_ops = 1;
+        cfg.quota_burst = 100_000;
     });
     let addr = server.local_addr().to_string();
-    // Unauthenticated loadgen connections are exempt from tenant quotas.
     let load = loadgen::run(&LoadgenConfig {
         addr: addr.clone(),
         connections: 4,
@@ -370,6 +371,12 @@ fn stats_and_metrics_read_the_same_serving_counters() {
 
     let mut c = Client::connect(&addr).unwrap();
     c.auth(1).unwrap();
+    // A scan of cost 99 999 leaves tenant 1 one token: one GET's worth.
+    let drain = Request::Scan {
+        from: render_key(0),
+        limit: 199_996,
+    };
+    assert!(matches!(c.call(&drain).unwrap(), Response::Entries(_)));
     let key = render_key(1);
     assert!(matches!(
         c.call(&Request::Get { key: key.clone() }).unwrap(),
@@ -417,7 +424,7 @@ fn stats_and_metrics_read_the_same_serving_counters() {
 #[test]
 fn oversized_frames_close_only_the_offending_connection() {
     let db = test_db(false);
-    let server = start_server(db, |cfg| cfg.max_frame = 1 << 16);
+    let server = start_server(db, |_| {});
     let addr = server.local_addr().to_string();
 
     let mut bad = std::net::TcpStream::connect(&addr).unwrap();
@@ -951,16 +958,16 @@ fn inflight_gauge_exceeds_one_under_multi_worker_load() {
 #[test]
 fn scan_flood_against_a_non_reading_client_stays_bounded_and_loses_nothing() {
     let db = test_db(false);
-    let server = start_server(db, |cfg| {
-        cfg.max_write_buffer = 64 << 10;
-    });
+    let server = start_server(db, |_| {});
     let addr = server.local_addr().to_string();
     let mut stream = std::net::TcpStream::connect(&addr).unwrap();
     stream.set_nodelay(true).unwrap();
 
-    // ~10 KiB of reply per frame, 400 frames: far beyond the 64 KiB cap.
+    // ~10.5 KiB of reply per frame, 1 200 frames: three times the
+    // server's 4 MiB write-buffer cap.
+    const FRAMES: u64 = 1_200;
     let mut burst = Vec::new();
-    for i in 0..400u64 {
+    for i in 0..FRAMES {
         adcache_server::encode_request(
             &mut burst,
             i,
@@ -978,7 +985,7 @@ fn scan_flood_against_a_non_reading_client_stays_bounded_and_loses_nothing() {
     let mut rbuf = Vec::new();
     let mut chunk = [0u8; 64 << 10];
     let mut next_expected = 0u64;
-    while next_expected < 400 {
+    while next_expected < FRAMES {
         loop {
             match adcache_server::decode_response(&rbuf, 16 << 20, adcache_server::Opcode::Scan) {
                 adcache_server::Progress::Frame(Ok((id, resp)), consumed) => {
@@ -994,15 +1001,15 @@ fn scan_flood_against_a_non_reading_client_stays_bounded_and_loses_nothing() {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        if next_expected < 400 {
+        if next_expected < FRAMES {
             let n = stream.read(&mut chunk).unwrap();
-            assert!(n > 0, "server closed with {next_expected}/400 replies");
+            assert!(n > 0, "server closed with {next_expected}/{FRAMES} replies");
             rbuf.extend_from_slice(&chunk[..n]);
         }
     }
     drop(stream);
     let report = server.shutdown();
-    assert_eq!(report.requests, 400, "every buffered frame executed");
+    assert_eq!(report.requests, FRAMES, "every buffered frame executed");
     assert_eq!(report.protocol_errors, 0);
 }
 
@@ -1035,19 +1042,14 @@ fn shutdown_opcode_drains_the_server() {
 /// Wire-level backward compatibility: a legacy client that has never
 /// heard of AUTH sends byte-identical pre-tenant frames (hand-encoded
 /// here so a protocol-layer change cannot mask a drift) and gets exactly
-/// the old behavior — served by and charged to the default tenant, never
-/// throttled however many tuning windows it crosses. Served operations
-/// are the tuner's clock: every GET, PUT, DELETE and SCAN, a batch's subs
-/// included, counts toward the 1 000-op window; a PING or a control
-/// opcode does not.
+/// the old behavior — served by and charged to the default tenant however
+/// many tuning windows it crosses. Served operations are the tuner's
+/// clock: every GET, PUT, DELETE and SCAN, a batch's subs included, counts
+/// toward the 1 000-op window; a PING or a control opcode does not.
 #[test]
 fn legacy_connections_without_auth_are_served_unchanged() {
     let db = test_db(true);
-    let server = start_server(db.clone(), |cfg| {
-        // Tenant quotas on: they must not touch unauthenticated traffic.
-        cfg.tenant_quota_ops = 10;
-        cfg.tenant_quota_burst = 10;
-    });
+    let server = start_server(db.clone(), |_| {});
     let addr = server.local_addr().to_string();
 
     // Raw pre-tenant GET frame:
@@ -1069,16 +1071,14 @@ fn legacy_connections_without_auth_are_served_unchanged() {
     assert_eq!(&reply[17..], b"seed-00042", "pre-tenant GET still serves");
     drop(sock);
 
-    // Far more ops than the 10-token tenant bucket: none may throttle,
-    // because this connection never bound a tenant. 199 batches of 10
-    // GETs and a PING, then 1 000 single GETs with a PING and a STATS
-    // every 100: with the raw GET, 2 991 engine ops, so exactly two
-    // windows close. Counting a PING would close a third; counting a
-    // batch as one op, only one.
+    // 199 batches of 10 GETs and a PING, then 1 000 single GETs with a
+    // PING and a STATS every 100: with the raw GET, 2 991 engine ops, so
+    // exactly two windows close. Counting a PING would close a third;
+    // counting a batch as one op, only one.
     let mut c = Client::connect(&addr).unwrap();
     let served = |resp: &Response| match resp {
         Response::Value(_) | Response::NotFound => {}
-        other => panic!("legacy traffic must never throttle: {other:?}"),
+        other => panic!("legacy traffic must be served: {other:?}"),
     };
     for b in 0..199u64 {
         let mut subs: Vec<Request> = (0..10)
@@ -1110,7 +1110,6 @@ fn legacy_connections_without_auth_are_served_unchanged() {
     let report = server.shutdown();
     assert_eq!(report.protocol_errors, 0);
     assert_eq!(report.quota_throttled, 0);
-    assert_eq!(report.tenant_throttled, 0);
 }
 
 /// `(hits, misses)` charged to `tenant` so far.
@@ -1123,17 +1122,117 @@ fn tally(db: &CachedDb, tenant: u32) -> (u64, u64) {
     )
 }
 
+/// `(conn, tenant)` of every journaled `QuotaThrottled` event; `tenant`
+/// is `None` where the event does not name one.
+fn quota_throttles(db: &CachedDb) -> Vec<(u64, Option<u64>)> {
+    let trace = db.obs().trace_jsonl().unwrap();
+    let throttle = |line: &str| {
+        let record: serde_json::Value = serde_json::from_str(line).unwrap();
+        let event = record.get("event")?.get("QuotaThrottled")?.clone();
+        let field = |name| event.get(name).and_then(serde_json::Value::as_u64);
+        Some((field("conn")?, field("tenant")))
+    };
+    trace.lines().filter_map(throttle).collect()
+}
+
+/// The quota's principal is the tenant: two connections bound to tenant 1
+/// draw on one 50-token bucket, so their 200 instant GETs admit about 50,
+/// where two buckets of their own would admit at least 100; every
+/// throttle is counted and journaled against tenant 1.
+#[test]
+fn connections_bound_to_one_tenant_share_one_quota_bucket() {
+    let db = test_db(true);
+    let server = start_server(db.clone(), |cfg| {
+        cfg.quota_ops = 50;
+        cfg.quota_burst = 50;
+    });
+    let addr = server.local_addr().to_string();
+    let mut a = Client::connect(&addr).unwrap();
+    a.auth(1).unwrap();
+    let mut b = Client::connect(&addr).unwrap();
+    b.auth(1).unwrap();
+    let mut admitted = 0u64;
+    for i in 0..100u64 {
+        for c in [&mut a, &mut b] {
+            match c.call(&Request::Get { key: render_key(i) }).unwrap() {
+                Response::Value(_) => admitted += 1,
+                Response::Error(msg) => assert!(msg.contains("tenant 1"), "{msg}"),
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+    }
+    assert!(
+        admitted < 100,
+        "one bucket for both connections, admitted {admitted} of 200"
+    );
+    drop((a, b));
+    let report = server.shutdown();
+    assert_eq!(report.quota_throttled, 200 - admitted);
+    let reg = db.obs();
+    let reg = reg.registry().unwrap();
+    assert_eq!(
+        reg.counter_value("server.tenant.1.quota.throttled"),
+        200 - admitted
+    );
+    let throttles = quota_throttles(&db);
+    assert!(!throttles.is_empty(), "the first throttle journals");
+    assert!(
+        throttles.iter().all(|&(_, tenant)| tenant == Some(1)),
+        "{throttles:?}"
+    );
+}
+
+/// An unbound connection is its own principal, as is one that sent
+/// `AUTH 0`: one connection's overrun of its 50-token bucket leaves a
+/// second connection's bucket full, and the throttles are journaled
+/// against the first connection with tenant 0.
+#[test]
+fn an_unbound_connection_is_its_own_quota_principal() {
+    let db = test_db(true);
+    let server = start_server(db.clone(), |cfg| {
+        cfg.quota_ops = 50;
+        cfg.quota_burst = 50;
+    });
+    let addr = server.local_addr().to_string();
+    let mut first = Client::connect(&addr).unwrap();
+    let mut throttled = 0u64;
+    for i in 0..200u64 {
+        match first.call(&Request::Get { key: render_key(i) }).unwrap() {
+            Response::Value(_) => {}
+            Response::Error(msg) => {
+                assert!(msg.contains("connection limited"), "{msg}");
+                throttled += 1;
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert!(throttled > 0, "200 instant GETs overrun a 50-token bucket");
+    let mut second = Client::connect(&addr).unwrap();
+    second.auth(0).unwrap();
+    for i in 0..50u64 {
+        match second.call(&Request::Get { key: render_key(i) }).unwrap() {
+            Response::Value(_) => {}
+            other => panic!("the second connection has its own bucket: {other:?}"),
+        }
+    }
+    drop((first, second));
+    let report = server.shutdown();
+    assert_eq!(report.quota_throttled, throttled);
+    // Below 1 024 throttles only the first is journaled; the first
+    // connection accepted is connection 0.
+    assert_eq!(quota_throttles(&db), [(0, Some(0))]);
+}
+
 /// Multi-tenant serving end to end: AUTH binds connections to tenants,
-/// each tenant's reads are charged to its own tally, the aggregated
-/// tenant quota throttles a noisy tenant across *all* of its connections
-/// while other tenants stay clean, and the journal records the bindings
-/// and throttles.
+/// each tenant's reads are charged to its own tally, the quota throttles
+/// a noisy tenant across *all* of its connections while other tenants
+/// stay clean, and the journal records the bindings and throttles.
 #[test]
 fn auth_binds_tenants_and_tenant_quota_aggregates_across_connections() {
     let db = test_db(true);
     let server = start_server(db.clone(), |cfg| {
-        cfg.tenant_quota_ops = 50;
-        cfg.tenant_quota_burst = 50;
+        cfg.quota_ops = 50;
+        cfg.quota_burst = 50;
     });
     let addr = server.local_addr().to_string();
 
@@ -1180,14 +1279,14 @@ fn auth_binds_tenants_and_tenant_quota_aggregates_across_connections() {
         }
     }
     let stats = quiet.stats().unwrap();
-    assert!(stats.contains("\"tenant_throttled\""), "stats: {stats}");
+    assert!(stats.contains("\"quota_throttled\""), "stats: {stats}");
 
     let report = server.shutdown();
     assert_eq!(report.protocol_errors, 0);
-    assert_eq!(report.tenant_throttled, throttled);
+    assert_eq!(report.quota_throttled, throttled);
     let trace = db.obs().trace_jsonl().unwrap();
     assert!(trace.contains("TenantBound"), "bindings journal");
-    assert!(trace.contains("TenantThrottled"), "throttles journal");
+    assert!(trace.contains("QuotaThrottled"), "throttles journal");
     // Each tenant's admitted reads were charged to its own tally, none
     // to the default tenant's.
     let reads = |t| {

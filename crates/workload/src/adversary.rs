@@ -91,10 +91,6 @@ pub struct AdversaryConfig {
     pub num_keys: u64,
     /// RNG seed (per-connection streams add their index).
     pub seed: u64,
-    /// Rotating set size for [`AdversaryKind::KeyChurn`].
-    pub churn_keys: u64,
-    /// Delete→Put→Get rounds per churn key before rotating.
-    pub churn_burst: u64,
     /// Collision keys to mine per sketch row.
     pub collisions_per_row: usize,
 }
@@ -106,8 +102,6 @@ impl AdversaryConfig {
             kind,
             num_keys: num_keys.max(1),
             seed,
-            churn_keys: 64,
-            churn_burst: 1,
             collisions_per_row: 2,
         }
     }
@@ -115,6 +109,11 @@ impl AdversaryConfig {
 
 /// Entries a [`AdversaryKind::ScanFlood`] scan asks for.
 const SCAN_FLOOD_LEN: usize = 512;
+
+/// Keys in a [`AdversaryKind::KeyChurn`] rotation, one Delete→Put→Get
+/// round each before the next; also the churn a
+/// [`AdversaryKind::SketchCollision`] stream falls back to.
+const CHURN_KEYS: u64 = 64;
 
 /// Value size of the attack's PUTs. The churn and collision rotations rely
 /// on their byte footprint overflowing the cache so revisits re-miss.
@@ -310,10 +309,7 @@ impl AdversaryGen {
                 }
             }
             AdversaryKind::KeyChurn => {
-                let burst = self.cfg.churn_burst.max(1);
-                let set = self.cfg.churn_keys.max(1);
-                let round = self.counter / 3;
-                let slot = (round / burst) % set;
+                let slot = (self.counter / 3) % CHURN_KEYS;
                 // Attack keys sit outside the legit space: poisoning the
                 // shared sketch needs no permission over anyone else's
                 // data, only the attacker's own tenant keys.
@@ -325,7 +321,7 @@ impl AdversaryGen {
                     // No mined keys (no plan, or mining hit its cap);
                     // degrade to churn so the stream still attacks rather
                     // than idling.
-                    let id = n + (fnv1a64(0x00C0_FFEE ^ (self.counter % 64)) % n);
+                    let id = n + (fnv1a64(0x00C0_FFEE ^ (self.counter % CHURN_KEYS)) % n);
                     self.invalidating_round(id)
                 } else if self.puts_done < self.plan.collision_ids.len() {
                     // Seed each collision key once — the engine only
@@ -401,16 +397,15 @@ mod tests {
     #[test]
     fn key_churn_cycles_a_small_hot_set_in_invalidating_rounds() {
         let num_keys = 100_000u64;
-        let mut cfg = AdversaryConfig::new(AdversaryKind::KeyChurn, num_keys, 1);
-        cfg.churn_keys = 8;
-        cfg.churn_burst = 4;
+        let cfg = AdversaryConfig::new(AdversaryKind::KeyChurn, num_keys, 1);
         let mut gen = AdversaryGen::new(cfg, AttackPlan::default());
         let mut keys = HashSet::new();
         let (mut dels, mut puts, mut gets) = (0u64, 0u64, 0u64);
         let mut run_len = Vec::new();
         let mut last = None;
         let mut run = 0u64;
-        for _ in 0..384 {
+        // Two full rotations.
+        for _ in 0..6 * CHURN_KEYS {
             let key = match gen.next_op() {
                 Operation::Delete { key } => {
                     dels += 1;
@@ -439,14 +434,23 @@ mod tests {
             }
             keys.insert(key);
         }
-        assert!(keys.len() <= 8, "churn set must stay small: {}", keys.len());
         assert!(
-            run_len.iter().any(|&r| r >= 12),
-            "bursts must hammer one key across several rounds"
+            keys.len() as u64 <= CHURN_KEYS,
+            "churn set must stay small: {}",
+            keys.len()
+        );
+        assert!(run_len.len() > keys.len(), "the rotation revisits its keys");
+        // The first run may open mid-round; every later one is a round.
+        assert!(
+            run_len[1..].iter().all(|&r| r == 3),
+            "each round hammers one key with Delete→Put→Get: {run_len:?}"
         );
         // Every phase of the Delete→Put→Get round is represented evenly.
         for (name, n) in [("deletes", dels), ("puts", puts), ("gets", gets)] {
-            assert!(n >= 384 / 4, "round must interleave {name}, got {n}");
+            assert!(
+                n >= 2 * CHURN_KEYS - 1,
+                "round must interleave {name}, got {n}"
+            );
         }
     }
 

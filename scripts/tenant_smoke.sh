@@ -3,8 +3,9 @@
 # tenants share a live quota-enforcing server over loopback. The hot
 # tenant's connections replay a scan-flood; the cold tenants run the
 # normal mixed workload. Pass requires the wire to stay frame-clean
-# (zero protocol errors, clean drain), the aggregated per-tenant quota
-# to visibly engage (>= 1 TenantThrottled journal event), and the cold
+# (zero protocol errors, clean drain), the hot tenant's quota bucket,
+# shared by all its connections, to visibly engage (>= 1 QuotaThrottled
+# journal event naming tenant 1), and the cold
 # tenants' cache hit rate under attack to stay within BOUND_PP
 # percentage points of the same load run with nobody attacking.
 # Degradation *bounds* are measured by `adcache tenantcheck`; this
@@ -43,13 +44,14 @@ cold_hit_pct() {
 }
 
 # One serve+loadgen round. $1 = trace dir; extra args go to loadgen
-# (the hot tenant's attack). Tenant quota sized so the paced mixed load
-# fits and a scan flood (257 tokens/op) overruns immediately.
+# (the hot tenant's attack). Every connection binds a tenant, so the
+# quota is one bucket per tenant, sized so the paced mixed load fits and
+# a scan flood (257 tokens/op) overruns immediately.
 run_round() {
     local trace_dir=$1
     shift
     start_server "$trace_dir/serve.log" --fill "$KEYS" --trace "$trace_dir" \
-        --tenant-quota-ops 6000 --tenant-quota-burst 400
+        --quota-ops 6000 --quota-burst 400
     "$BIN" loadgen \
         --addr "$ADDR" --ops "$OPS" --connections "$CONNS" \
         --keys "$KEYS" --mix mixed --tenants "$TENANTS" --skew 1:1 \
@@ -71,8 +73,8 @@ run_round "$NOISY_DIR" \
     --adversary scan-flood --adversary-frac "$(awk "BEGIN{print 1/$TENANTS}")"
 NOISY_COLD=$(cold_hit_pct "$NOISY_DIR/metrics.json")
 
-if ! grep -q "TenantThrottled" "$NOISY_DIR/trace.jsonl"; then
-    echo "FAIL: no TenantThrottled event — the aggregated quota never fired" >&2
+if ! grep -qE '"QuotaThrottled":\{"conn":[0-9]+,"tenant":1,' "$NOISY_DIR/trace.jsonl"; then
+    echo "FAIL: no QuotaThrottled event for tenant 1 — its quota never fired" >&2
     exit 1
 fi
 if ! grep -q "TenantBound" "$NOISY_DIR/trace.jsonl"; then
