@@ -1725,9 +1725,9 @@ fn drill_db(
 }
 
 /// The quota a drill's server enforces with defenses on, in tokens/s per
-/// principal: each `advcheck` connection, each `tenantcheck` tenant. A
-/// principal's legit traffic runs 2 000 ops/s (one `advcheck` connection,
-/// or a `tenantcheck` tenant's two connections at 1 000 each); at an
+/// bucket; the one that binds is each `advcheck` connection's and each
+/// `tenantcheck` tenant's. Either's legit traffic runs 2 000 ops/s (one
+/// `advcheck` connection, or a `tenantcheck` tenant's two at 1 000); at an
 /// average cost of ~2.4 tokens under the 70/10/0/20 mix with 16-entry
 /// short scans that is ≈ 4 900 tokens/s, ~20 % under the quota, while
 /// write-churn rounds (average cost ≥ 5), one-hit PUT storms (~6.5) and
@@ -1856,7 +1856,7 @@ fn off_then_on(
 
 /// Runs one attack kind against a fresh in-process engine + server,
 /// defenses (sketch guard, quota) on or off. No connection binds a
-/// tenant, so each is its own quota principal.
+/// tenant, so only the connections' own quota buckets apply.
 fn adv_drill(
     kind: AdversaryKind,
     defenses: bool,

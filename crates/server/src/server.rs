@@ -25,8 +25,8 @@
 //!   window id every 1 000 operations (the paper's window).
 //! - **Tenants**: `AUTH` binds a connection to a tenant, which shares the
 //!   engine's one cache with every other tenant and has its own hit tally
-//!   (`cache.tenant.<id>.{hits,misses}`). The admission quota is charged
-//!   to one principal: the bound tenant, or an unbound connection itself.
+//!   (`cache.tenant.<id>.{hits,misses}`). The admission quota charges
+//!   every request to its connection and also to the bound tenant.
 //!
 //! Everything is instrumented through the engine's [`Obs`] handle:
 //! `ConnAccepted` / `ConnClosed` / `ServerOverload` journal events, a
@@ -75,10 +75,11 @@ pub struct ServerConfig {
     /// `SlowRequest` event with the full stage breakdown (0 disables).
     pub slow_request_ns: u64,
     /// Admission quota in sustained tokens per second, where one token ≈
-    /// one point read (0 disables). One token bucket per principal: the
-    /// tenant a connection bound with `AUTH`, shared by every connection
-    /// bound to it so more sockets do not multiply the budget, or else
-    /// the connection itself. GET costs one token, DELETE costs four and PUT
+    /// one point read (0 disables). Every request is charged to its
+    /// connection's bucket, so rebinding with `AUTH` cannot escape it, and
+    /// also to the bucket of the tenant the connection bound, shared by
+    /// every connection bound to it so more sockets do not multiply the
+    /// budget. GET costs one token, DELETE costs four and PUT
     /// `4 + value_len/128` (write amplification, scaled by the payload),
     /// a scan costs `1 + limit/2` (it does proportionally more engine
     /// work), a BATCH costs the sum of its sub-requests' costs (batching
@@ -231,9 +232,8 @@ struct TenantState {
     throttled: Counter,
 }
 
-/// An admission-quota token bucket, refilled lazily when taken from. One
-/// per principal (a bound tenant or an unbound connection), under the
-/// [`quota_cost`] table.
+/// An admission-quota token bucket, refilled lazily when charged. One per
+/// connection and one per bound tenant, under the [`quota_cost`] table.
 struct TokenBucket {
     tokens: f64,
     /// Last refill instant.
@@ -258,18 +258,14 @@ impl TokenBucket {
         }
     }
 
-    /// Refills at `rate` tokens per second up to the capacity, then takes
-    /// `cost`. A cost above the balance is refused and debits nothing.
-    fn take(&mut self, rate: u64, burst: u64, cost: f64) -> bool {
+    /// Refills at `rate` tokens per second up to the capacity and tells
+    /// whether the balance covers `cost`. Debits nothing.
+    fn covers(&mut self, rate: u64, burst: u64, cost: f64) -> bool {
         let now = Instant::now();
         let dt = now.duration_since(self.at).as_secs_f64();
         self.at = now;
         self.tokens = (self.tokens + dt * rate as f64).min(Self::capacity(rate, burst));
-        let granted = self.tokens >= cost;
-        if granted {
-            self.tokens -= cost;
-        }
-        granted
+        self.tokens >= cost
     }
 }
 
@@ -1203,25 +1199,40 @@ pub fn quota_cost(req: &Request) -> Option<f64> {
     })
 }
 
-/// Admission quota: takes this request's cost from its principal's
-/// bucket — the tenant the connection bound with `AUTH` (shared by every
-/// connection bound to it), else the connection's own. Returns the `Err`
-/// reply to send instead of executing when the bucket runs dry, and
-/// journals the 1st and every 1024th throttle of a principal, so a
-/// sustained attack does not flood the journal. Control-plane opcodes are
-/// exempt — observation and shutdown must stay possible during an attack.
-/// A batch is all-or-nothing: either the bucket covers the whole frame or
-/// the whole frame is refused with one `Err`.
+/// Admission quota: takes this request's cost from the connection's own
+/// bucket and, when it bound a tenant with `AUTH`, from the tenant's
+/// (shared by every connection bound to it). The request runs only if
+/// both cover it; otherwise neither is debited and the `Err` reply to
+/// send instead is returned, blaming the tenant when its bucket is short
+/// and the connection otherwise. The 1st and every 1024th throttle of a
+/// bucket are journaled, so a sustained attack does not flood the
+/// journal. Control-plane opcodes (`AUTH` too) are exempt — observation
+/// and shutdown must stay possible during an attack. A batch is
+/// all-or-nothing: either the buckets cover the whole frame or the whole
+/// frame is refused with one `Err`.
 fn quota_check(shared: &Shared, conn: &mut Conn, req: &Request) -> Option<Response> {
     let (rate, burst) = (shared.cfg.quota_ops, shared.cfg.quota_burst);
     if rate == 0 {
         return None;
     }
     let cost = quota_cost(req)?;
-    let (tenant, throttled) = match &conn.tenant {
-        Some(ts) if ts.bucket.lock().unwrap().take(rate, burst, cost) => return None,
-        Some(ts) => (ts.id, ts.throttled.inc()),
-        None if conn.bucket.take(rate, burst, cost) => return None,
+    let own = conn.bucket.covers(rate, burst, cost);
+    let tenant_short = conn.tenant.as_ref().and_then(|ts| {
+        let mut bucket = ts.bucket.lock().unwrap();
+        if !bucket.covers(rate, burst, cost) {
+            return Some((ts.id, ts.throttled.inc()));
+        }
+        if own {
+            bucket.tokens -= cost;
+        }
+        None
+    });
+    let (tenant, throttled) = match tenant_short {
+        Some(short) => short,
+        None if own => {
+            conn.bucket.tokens -= cost;
+            return None;
+        }
         None => {
             conn.throttled += 1;
             (0, conn.throttled)
@@ -1499,27 +1510,40 @@ mod tests {
         );
     }
 
-    /// The bucket every principal uses: refill never exceeds the burst, a
-    /// refused cost debits nothing, and `burst = 0` is a second of `rate`.
+    /// The bucket of every connection and tenant: refill never exceeds
+    /// the burst, checking a cost debits nothing, and `burst = 0` is a
+    /// second of `rate`.
     #[test]
     fn token_bucket_caps_refill_refuses_without_debit_and_defaults_burst() {
         let long_ago = |b: &mut TokenBucket| b.at = Instant::now() - Duration::from_secs(10);
+        // What `quota_check` does with one bucket: debit only when covered.
+        let take = |b: &mut TokenBucket, rate, burst, cost| {
+            let covered = b.covers(rate, burst, cost);
+            if covered {
+                b.tokens -= cost;
+            }
+            covered
+        };
         // Ten idle seconds at 100 tokens/s still hold only the 50-token burst.
         let mut b = TokenBucket::full(100, 50);
         long_ago(&mut b);
-        assert!(!b.take(100, 50, 51.0), "refill is capped at burst");
-        assert!(b.take(100, 50, 50.0), "the refusal above took nothing");
-        assert!(!b.take(100, 50, 5.0), "and now the bucket is dry");
+        assert!(!b.covers(100, 50, 51.0), "refill is capped at burst");
+        assert!(b.covers(100, 50, 50.0), "covers took nothing");
+        assert!(take(&mut b, 100, 50, 50.0));
+        assert!(!b.covers(100, 50, 5.0), "and now the bucket is dry");
         // Partial balance: too dear is refused, what fits is granted.
         let mut b = TokenBucket::full(1, 10);
-        assert!(b.take(1, 10, 4.0));
-        assert!(!b.take(1, 10, 7.0), "6 tokens cannot cover 7");
-        assert!(b.take(1, 10, 6.0), "the refused 7 left all 6 in place");
+        assert!(take(&mut b, 1, 10, 4.0));
+        assert!(!take(&mut b, 1, 10, 7.0), "6 tokens cannot cover 7");
+        assert!(
+            take(&mut b, 1, 10, 6.0),
+            "the refused 7 left all 6 in place"
+        );
         // burst = 0: one second of the sustained rate, fresh or refilled.
         let mut b = TokenBucket::full(30, 0);
-        assert!(b.take(30, 0, 30.0) && !b.take(30, 0, 5.0));
+        assert!(take(&mut b, 30, 0, 30.0) && !b.covers(30, 0, 5.0));
         long_ago(&mut b);
-        assert!(!b.take(30, 0, 31.0) && b.take(30, 0, 30.0));
+        assert!(!b.covers(30, 0, 31.0) && b.covers(30, 0, 30.0));
     }
 
     /// WriteQueue bookkeeping: segment sealing, partial advances across

@@ -1135,15 +1135,15 @@ fn quota_throttles(db: &CachedDb) -> Vec<(u64, Option<u64>)> {
     trace.lines().filter_map(throttle).collect()
 }
 
-/// The quota's principal is the tenant: two connections bound to tenant 1
-/// draw on one 50-token bucket, so their 200 instant GETs admit about 50,
-/// where two buckets of their own would admit at least 100; every
-/// throttle is counted and journaled against tenant 1.
+/// Two connections bound to tenant 1 draw on one 50-token tenant bucket,
+/// refilled at one token a second, so their 200 GETs admit about 50, where
+/// two buckets of their own would admit at least 100; every throttle is
+/// counted and journaled against tenant 1.
 #[test]
 fn connections_bound_to_one_tenant_share_one_quota_bucket() {
     let db = test_db(true);
     let server = start_server(db.clone(), |cfg| {
-        cfg.quota_ops = 50;
+        cfg.quota_ops = 1;
         cfg.quota_burst = 50;
     });
     let addr = server.local_addr().to_string();
@@ -1183,14 +1183,14 @@ fn connections_bound_to_one_tenant_share_one_quota_bucket() {
 }
 
 /// An unbound connection is its own principal, as is one that sent
-/// `AUTH 0`: one connection's overrun of its 50-token bucket leaves a
-/// second connection's bucket full, and the throttles are journaled
-/// against the first connection with tenant 0.
+/// `AUTH 0`: one connection's overrun of its 50-token bucket (refilled at
+/// one token a second) leaves a second connection's bucket full, and the
+/// throttles are journaled against the first connection with tenant 0.
 #[test]
 fn an_unbound_connection_is_its_own_quota_principal() {
     let db = test_db(true);
     let server = start_server(db.clone(), |cfg| {
-        cfg.quota_ops = 50;
+        cfg.quota_ops = 1;
         cfg.quota_burst = 50;
     });
     let addr = server.local_addr().to_string();
@@ -1206,7 +1206,7 @@ fn an_unbound_connection_is_its_own_quota_principal() {
             other => panic!("unexpected reply {other:?}"),
         }
     }
-    assert!(throttled > 0, "200 instant GETs overrun a 50-token bucket");
+    assert!(throttled > 0, "200 GETs overrun a 50-token bucket");
     let mut second = Client::connect(&addr).unwrap();
     second.auth(0).unwrap();
     for i in 0..50u64 {
@@ -1220,6 +1220,38 @@ fn an_unbound_connection_is_its_own_quota_principal() {
     assert_eq!(report.quota_throttled, throttled);
     // Below 1 024 throttles only the first is journaled; the first
     // connection accepted is connection 0.
+    assert_eq!(quota_throttles(&db), [(0, Some(0))]);
+}
+
+/// Binding a tenant does not lift the connection's own quota: one
+/// connection that sends `AUTH k` for k = 1, 2, … before each GET finds a
+/// fresh, full tenant bucket every time, yet its own 50-token bucket,
+/// refilled at one token a second, still sheds all but about 50 of 200
+/// GETs, and every throttle blames the connection.
+#[test]
+fn rebinding_tenants_does_not_escape_the_connection_quota() {
+    let db = test_db(true);
+    let server = start_server(db.clone(), |cfg| {
+        cfg.quota_ops = 1;
+        cfg.quota_burst = 50;
+    });
+    let mut c = Client::connect(&server.local_addr().to_string()).unwrap();
+    let mut admitted = 0u64;
+    for i in 0..200u64 {
+        c.auth(i as u32 + 1).unwrap();
+        match c.call(&Request::Get { key: render_key(i) }).unwrap() {
+            Response::Value(_) => admitted += 1,
+            Response::Error(msg) => assert!(msg.contains("connection limited"), "{msg}"),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert!(
+        admitted < 100,
+        "the connection's bucket binds across tenants, admitted {admitted} of 200"
+    );
+    drop(c);
+    let report = server.shutdown();
+    assert_eq!(report.quota_throttled, 200 - admitted);
     assert_eq!(quota_throttles(&db), [(0, Some(0))]);
 }
 
